@@ -24,6 +24,7 @@ from .geometry import (
     Field,
     JetTensor,
     ScalarField,
+    contract_value,
     d_scalar,
     exterior_derivative,
     interior_product,
@@ -88,15 +89,20 @@ def pairing(e1: GeneralizedVectorField, e2: GeneralizedVectorField) -> ScalarFie
     return ScalarField(e1.chart, fn)
 
 
+def _covector_on(alpha: Field, Y: Field) -> ScalarField:
+    """alpha(Y) for a covector field alpha and a vector field Y, as a scalar."""
+    return ScalarField(
+        alpha.chart,
+        lambda p, ctx: tdot(
+            alpha.at(p, ctx.order).comps, Y.at(p, ctx.order).comps, ([0], [0])
+        )[()],
+    )
+
+
 def standard_dorfman(e1, e2) -> GeneralizedVectorField:
     """[X,Y] + L_X beta - L_Y alpha + d(alpha(Y)) on the full chart."""
     vec = lie_bracket(e1.vec, e2.vec)
-    inner = ScalarField(
-        e1.chart,
-        lambda p, ctx: tdot(
-            e1.cov.at(p, ctx.order).comps, e2.vec.at(p, ctx.order).comps, ([0], [0])
-        )[()],
-    )
+    inner = _covector_on(e1.cov, e2.vec)
     cov = lie_derivative(e1.vec, e2.cov) - lie_derivative(e2.vec, e1.cov) + d_scalar(inner)
     return GeneralizedVectorField(vec, cov)
 
@@ -242,11 +248,7 @@ def leafwise_d(S, side, obj):
 
 def leafwise_lie(S, side, X: Field, xi: Field) -> Field:
     """L^E_X xi = d_E(xi(X)) + iota_X d_E xi on the foliation algebroid."""
-    inner = ScalarField(
-        S.chart,
-        lambda p, ctx: tdot(xi.at(p, ctx.order).comps, X.at(p, ctx.order).comps,
-                            ([0], [0]))[()],
-    )
+    inner = _covector_on(xi, X)
     return leafwise_d(S, side, inner) + interior_product(X, leafwise_d(S, side, xi))
 
 
@@ -258,15 +260,10 @@ def dorfman_leafwise(S, side, e1: GeneralizedVectorField, e2: GeneralizedVectorF
     Nijenhuis residual exceeds the tolerance.
     """
     vec = lie_bracket(e1.vec, e2.vec)
-    inner = ScalarField(
-        S.chart,
-        lambda p, ctx: tdot(e1.cov.at(p, ctx.order).comps,
-                            e2.vec.at(p, ctx.order).comps, ([0], [0]))[()],
-    )
     cov = (
         leafwise_lie(S, side, e1.vec, e2.cov)
         - leafwise_lie(S, side, e2.vec, e1.cov)
-        + leafwise_d(S, side, inner)
+        + leafwise_d(S, side, _covector_on(e1.cov, e2.vec))
     )
 
     def checked_vec(p, k):
@@ -324,10 +321,9 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
 def schouten_scalar(beta, C, lam, mu, nu, point, order=0, check_torsion=True) -> float:
     """[beta,beta](lam, mu, nu) for covector values at a point."""
     t = schouten_self(beta, C, check_torsion=check_torsion).at(point, order).comps
-    for covec in (lam, mu, nu):
-        arr = covec.comps if isinstance(covec, JetTensor) else np.asarray(covec, dtype=object)
-        t = tdot(t, arr, ([0], [0]))
-    return float(t[()].value)
+    covecs = [c.comps if isinstance(c, JetTensor) else np.asarray(c, dtype=object)
+              for c in (lam, mu, nu)]
+    return contract_value(t, *covecs)
 
 
 # --------------------------------------------------------------------------
@@ -367,6 +363,7 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
     `skip_pairing` drops axioms 1 and 2 (for the plain Lie bracket, whose
     pairing is degenerate).
     """
+    sample = list(sample)
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
     witnesses = {}
     triples = []
@@ -393,7 +390,7 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
                     }
     return BracketReport(
         axiom1=worst[1], axiom2=worst[2], axiom3=worst[3], tol=tol,
-        n_points=len(list(sample)), seed=seed,
+        n_points=len(sample), seed=seed,
         witnesses={str(k): v for k, v in witnesses.items()},
     )
 

@@ -13,11 +13,11 @@ Exit codes: 0 all requested suites pass, 1 at least one suite fails,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import brackets as br
 from . import deformations as df
 from .connections import check_adapted
 from .errors import ParahermError, SpecParseError
-from .geometry import Chart, TensorField, apply_endomorphism
+from .geometry import Chart, ScalarField, TensorField, apply_endomorphism, embed_block, tdot
 from .models import build_flat, build_tm
 from .parastructure import ParaHermitianStructure, classify, validate_structure
 from .randfields import random_vector_field
@@ -80,8 +80,14 @@ class _RunContext:
                 raise SpecParseError(f"tolerance {k!r} must be positive", "tolerances")
         self.tol = tol
         self.model = self._build_model(spec["model"])
-        self.transformation = self._build_b_field(spec.get("b_field"))
+        self.b_field = self._build_b_field(spec.get("b_field"))
         self.points, self.seed = self._sample(spec.get("sample", {}))
+
+    @functools.cached_property
+    def transformation(self):
+        """The B-transformation by `b_field`, validated at the sample on first
+        use, so that its errors surface in the first suite that needs it."""
+        return df.b_transform(self.model.S, self.b_field, sample=self.points)
 
     # -- model ---------------------------------------------------------------
 
@@ -124,9 +130,7 @@ class _RunContext:
             if arr.shape == (chart.dim, chart.dim):
                 comps = arr
             elif n is not None and arr.shape == (n, n):
-                comps = np.empty((chart.dim, chart.dim), dtype=object)
-                comps[...] = 0
-                comps[:n, :n] = arr
+                comps = embed_block(chart, arr)
             else:
                 raise SpecParseError(
                     f"b_field must be {n} x {n} or {chart.dim} x {chart.dim}", "b_field"
@@ -175,9 +179,6 @@ class _RunContext:
         digest = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big")
         return np.random.default_rng([self.seed, digest])
 
-    def suite_rng(self, index):
-        return np.random.default_rng([self.seed, index])
-
 
 class _ExplicitModel:
     def __init__(self, chart, S):
@@ -189,14 +190,6 @@ class _ExplicitModel:
 
     def point_ok(self, coords):
         return True
-
-
-def _pmap(fn, items, workers=4):
-    """Order-preserving parallel map; results are reduced by item index."""
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +211,7 @@ def _suite_result(name, passed, residuals, witnesses=(), expected_fail=False,
     }
 
 
-def suite_validate(ctx, idx):
+def suite_validate(ctx):
     rep = validate_structure(ctx.model.S, ctx.points, tol=ctx.tol["validate"])
     wit = [
         {"residual": v, "invariant": k}
@@ -227,7 +220,7 @@ def suite_validate(ctx, idx):
     return _suite_result("validate", rep.passed, rep.residuals, wit)
 
 
-def suite_classify(ctx, idx):
+def suite_classify(ctx):
     rep = classify(ctx.model.S, ctx.points, tol=ctx.tol["classify"])
     residuals = dict(rep.residuals)
     residuals.update(rep.cross_checks)
@@ -237,7 +230,16 @@ def suite_classify(ctx, idx):
     return out
 
 
-def suite_adapted(ctx, idx):
+def _nijenhuis_gate(ctx, sign):
+    """Largest Nijenhuis residual of the `sign` eigenbundle over the sample.
+
+    The single skip rule: `adapted` (per side) and `courant_plus` /
+    `courant_minus` skip a side whose gate exceeds the suite's tolerance.
+    """
+    return max(ctx.model.S.integrability_residual(sign, p) for p in ctx.points)
+
+
+def suite_adapted(ctx):
     """Canonical-connection adapted check, per integrable side."""
     S = ctx.model.S
     tol = ctx.tol["adapted"]
@@ -246,7 +248,7 @@ def suite_adapted(ctx, idx):
     checked = False
     ok = True
     for side, sign in (("p", +1), ("n", -1)):
-        integ = max(S.integrability_residual(sign, p) for p in ctx.points)
+        integ = _nijenhuis_gate(ctx, sign)
         if integ > tol:
             residuals[f"{side}_side_skipped_nijenhuis"] = integ
             continue
@@ -271,8 +273,6 @@ def _field_pool(ctx, count=3, vars_subset=None):
 
 def _eta_pair(S):
     def pair(X, Y):
-        from .geometry import ScalarField, tdot
-
         def fn(p, ctx_):
             b = S.at(p, ctx_.order)
             return tdot(tdot(b.eta.comps, X.at(p, ctx_.order).comps, ([0], [0])),
@@ -286,8 +286,8 @@ def _eta_pair(S):
 def _courant_projected(ctx, sign, name):
     S = ctx.model.S
     tol = ctx.tol["courant"]
-    integ = max(S.integrability_residual(sign, p) for p in ctx.points)
-    if integ > tol * 10:
+    integ = _nijenhuis_gate(ctx, sign)
+    if integ > tol:
         return _suite_result(name, True, {"nijenhuis": integ}, skipped=True,
                              reason="eigenbundle not integrable at tolerance")
     pool = _field_pool(ctx)
@@ -300,15 +300,15 @@ def _courant_projected(ctx, sign, name):
                          [w | {"axiom": k} for k, w in rep.witnesses.items()])
 
 
-def suite_courant_plus(ctx, idx):
+def suite_courant_plus(ctx):
     return _courant_projected(ctx, +1, "courant_plus")
 
 
-def suite_courant_minus(ctx, idx):
+def suite_courant_minus(ctx):
     return _courant_projected(ctx, -1, "courant_minus")
 
 
-def suite_courant_d_full(ctx, idx):
+def suite_courant_d_full(ctx):
     """Full D-bracket: axioms 1-2 must pass, axiom 3 must fail with a witness."""
     S = ctx.model.S
     tol = ctx.tol["courant"]
@@ -324,7 +324,7 @@ def suite_courant_d_full(ctx, idx):
                          expected_fail=True)
 
 
-def suite_jacobi_defect_witness(ctx, idx):
+def suite_jacobi_defect_witness(ctx):
     """Record a concrete Jacobi-defect witness for the full D-bracket."""
     S = ctx.model.S
     pool = _field_pool(ctx)
@@ -342,7 +342,7 @@ def suite_jacobi_defect_witness(ctx, idx):
                          expected_fail=True)
 
 
-def suite_section_condition(ctx, idx):
+def suite_section_condition(ctx):
     """Fields depending only on the plus coordinates: minus bracket and
     Jacobi defect must vanish.  Needs a flat model in adapted coordinates."""
     S = ctx.model.S
@@ -361,32 +361,26 @@ def suite_section_condition(ctx, idx):
     worst_minus = 0.0
     worst_jac = 0.0
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
-
-    def work(p):
+    for p in ctx.points:
         m = br.projected_bracket(S.canonical, S, -1, pool[0], pool[1]).at(p, 0).max_abs()
-        j = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], p)
-        return m, j
-
-    for m, j in _pmap(work, ctx.points):
         worst_minus = max(worst_minus, m)
-        worst_jac = max(worst_jac, j)
+        worst_jac = max(worst_jac, br.jacobi_defect(bracket, pool[0], pool[1], pool[2], p))
     res = {"minus_bracket": worst_minus, "jacobi_defect": worst_jac}
     ok = worst_minus <= tol and worst_jac <= tol
     return _suite_result("section_condition", ok, res)
 
 
-def suite_deform(ctx, idx):
-    if ctx.transformation is None:
+def suite_deform(ctx):
+    if ctx.b_field is None:
         return _suite_result("deform", True, {}, skipped=True,
                              reason="no b_field in spec")
-    S = ctx.model.S
     tol = ctx.tol["deform"]
-    T = df.b_transform(S, ctx.transformation, sample=ctx.points)
+    T = ctx.transformation
     vrep = validate_structure(T.structure_B, ctx.points, tol=ctx.tol["validate"])
     compat = df.compatibility_residual(T, ctx.points)
     pool = _field_pool(ctx)
     agree = 0.0
-    for p in ctx.points[: min(5, len(ctx.points))]:
+    for p in ctx.points[:5]:
         sides = df.maurer_cartan_sides(T, pool[0], pool[1], pool[2], p)
         agree = max(agree, sides.agreement)
     res = {"structure_validation": max(vrep.residuals.values()),
@@ -397,14 +391,12 @@ def suite_deform(ctx, idx):
     return out
 
 
-def suite_fluxes(ctx, idx):
-    if ctx.transformation is None:
+def suite_fluxes(ctx):
+    if ctx.b_field is None:
         return _suite_result("fluxes", True, {}, skipped=True,
                              reason="no b_field in spec")
-    S = ctx.model.S
     tol = ctx.tol["fluxes"]
-    T = df.b_transform(S, ctx.transformation, sample=ctx.points)
-    reports = _pmap(lambda p: df.extract_fluxes(T, p), ctx.points)
+    reports = [df.extract_fluxes(ctx.transformation, p) for p in ctx.points]
     res = {
         "reassembly": max(r.reassembly_residual for r in reports),
         "vanishing_parts": max(r.vanishing_residual for r in reports),
@@ -447,9 +439,9 @@ def run(spec_path, output_path=None, verbose=False) -> int:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     results = []
-    for i, name in enumerate(suite_names):
+    for name in suite_names:
         try:
-            results.append(SUITES[name](ctx, i))
+            results.append(SUITES[name](ctx))
         except ParahermError as exc:
             print(f"spec error in suite {name!r}: {exc}", file=sys.stderr)
             return 2

@@ -21,10 +21,11 @@ from .errors import NotTorsionless
 from .geometry import (
     DerivedField,
     Field,
-    JetTensor,
+    jet_values,
     jets_gradient,
     metric_inverse_at,
     tdot,
+    truncate_jets,
 )
 
 __all__ = [
@@ -77,26 +78,22 @@ def from_christoffels(chart, comps, provenance="user_supplied") -> Connection:
     return Connection(chart, fn, provenance=provenance)
 
 
+def christoffel_jets(inv, de):
+    """Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) from the
+    inverse metric jets and de[a, b, c] = d_a g_{bc}."""
+    # bracket[i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
+    bracket = de + np.transpose(de, (1, 0, 2)) - np.transpose(de, (1, 2, 0))
+    return 0.5 * tdot(inv, bracket, ([1], [2]))  # (k, i, j)
+
+
 def levi_civita(eta: Field) -> Connection:
-    """Gamma^k_{ij} = 1/2 eta^{kl} (d_i eta_{jl} + d_j eta_{il} - d_l eta_{ij})."""
-    chart = eta.chart
+    """The Levi-Civita connection of eta."""
 
     def fn(point, order):
         ej, inv = metric_inverse_at(eta, point, order + 1)
-        de = jets_gradient(ej.comps)  # de[a, b, c] = d_a eta_{bc}
-        # bracket[i, j, l] = d_i eta_{jl} + d_j eta_{il} - d_l eta_{ij}
-        bracket = de + np.transpose(de, (1, 0, 2)) - np.transpose(de, (1, 2, 0))
-        gamma = 0.5 * tdot(inv.comps, bracket, ([1], [2]))  # (k, i, j)
-        return _trunc(gamma, order)
+        return truncate_jets(christoffel_jets(inv.comps, jets_gradient(ej.comps)), order)
 
-    return Connection(chart, fn, provenance="levi_civita")
-
-
-def _trunc(comps, order):
-    out = np.empty(comps.shape, dtype=object)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = comps[idx].truncate(min(order, comps[idx].ctx.order))
-    return out
+    return Connection(eta.chart, fn, provenance="levi_civita")
 
 
 def canonical_connection(S) -> Connection:
@@ -113,7 +110,7 @@ def canonical_connection(S) -> Connection:
             second = tdot(tdot(P, g0, ([1], [0])), P, ([2], [0]))  # (k, i, j)
             term = first + second
             out = term if out is None else out + term
-        return _trunc(out, order)
+        return truncate_jets(out, order)
 
     return Connection(S.chart, fn, provenance="canonical")
 
@@ -138,7 +135,7 @@ def canonical_connection_contorsion(S) -> Connection:
         )
         corr = tdot(phi, bundle.K.comps, ([2], [0]))  # corr[i, j, l] = Phi_{ijm} K^m_l
         gamma = g0 - 0.5 * tdot(bundle.eta_inv.comps, corr, ([0], [2]))  # (k, i, j)
-        return _trunc(gamma, order)
+        return truncate_jets(gamma, order)
 
     return Connection(S.chart, fn, provenance="canonical")
 
@@ -204,7 +201,7 @@ def torsion(C: Connection) -> Field:
 
 
 def torsion_residual(C: Connection, point, order=0) -> float:
-    return JetTensor(1, 2, torsion(C).at(point, order).comps, order).max_abs()
+    return torsion(C).at(point, order).max_abs()
 
 
 def require_torsionless(C: Connection, point, tol=1e-10):
@@ -213,21 +210,24 @@ def require_torsionless(C: Connection, point, tol=1e-10):
         raise NotTorsionless(f"torsion residual {res:.3e} exceeds {tol}")
 
 
+def riemann_jets(g, dg):
+    """R^k_{ijl} from Gamma^k_{ij} jets and dg[a, k, i, j] = d_a Gamma^k_{ij},
+    with the sign fixed by [H_i,H_j] = R^k_{ijl} v^l V_k."""
+    gg = tdot(g, g, ([2], [0]))  # gg[k, a, b, c] = Gamma^k_{am} Gamma^m_{bc}
+    # R^k_{ijl} = d_j Gamma^k_{il} - d_i Gamma^k_{jl}
+    #           + Gamma^k_{jm} Gamma^m_{il} - Gamma^k_{im} Gamma^m_{jl}
+    term1 = np.transpose(dg, (1, 2, 0, 3))   # out[k,i,j,l] = dg[j,k,i,l]
+    term2 = np.transpose(dg, (1, 0, 2, 3))   # out[k,i,j,l] = dg[i,k,j,l]
+    term3 = np.transpose(gg, (0, 2, 1, 3))   # out[k,i,j,l] = gg[k,j,i,l]
+    return term1 - term2 + term3 - gg
+
+
 def curvature(C: Connection) -> Field:
-    """R^k_{ijl} with the sign fixed by [H_i,H_j] = R^k_{ijl} v^l V_k."""
+    """The curvature R^k_{ijl} of C as a (1,3) field."""
 
     def fn(p, k):
         g = C.gamma(p, k + 1)
-        dg = jets_gradient(g)        # dg[a, k, i, j] = d_a Gamma^k_{ij}
-        gg = tdot(g, g, ([2], [0]))  # gg[k, a, b, c] = Gamma^k_{am} Gamma^m_{bc}
-        # R^k_{ijl} = d_j Gamma^k_{il} - d_i Gamma^k_{jl}
-        #           + Gamma^k_{jm} Gamma^m_{il} - Gamma^k_{im} Gamma^m_{jl}
-        term1 = np.transpose(dg, (1, 2, 0, 3))   # out[k,i,j,l] = dg[j,k,i,l]
-        term2 = np.transpose(dg, (1, 0, 2, 3))   # out[k,i,j,l] = dg[i,k,j,l]
-        term3 = np.transpose(gg, (0, 2, 1, 3))   # out[k,i,j,l] = gg[k,j,i,l]
-        term4 = gg
-        out = term1 - term2 + term3 - term4
-        return _trunc(out, k)
+        return truncate_jets(riemann_jets(g, jets_gradient(g)), k)
 
     return DerivedField(C.chart, 1, 3, fn)
 
@@ -271,14 +271,7 @@ def _nabla_eta_values(C, S, point):
     corr1 = tdot(gamma, ev, ([0], [0]))                           # Gamma^m_{ij} eta_{mk}
     corr2 = np.transpose(tdot(gamma, ev, ([0], [1])), (0, 2, 1))  # Gamma^m_{ik} eta_{jm}
     nabla = de - corr1 - corr2
-    return _values(nabla)
-
-
-def _values(comps):
-    out = np.empty(comps.shape)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = comps[idx].value
-    return out
+    return jet_values(nabla)
 
 
 def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
@@ -291,6 +284,7 @@ def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
     eigenbundles, so this quantification is exhaustive for multilinear
     conditions.
     """
+    sample = list(sample)
     rng = np.random.default_rng(seed)
     dim = S.chart.dim
     worst = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
@@ -301,15 +295,15 @@ def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
         Pm = bundle.Pm.comps
         if side == "n":
             Pp, Pm = Pm, Pp
-        Ppv = _values(Pp)
-        Pmv = _values(Pm)
-        etav = _values(bundle.eta.comps)
+        Ppv = jet_values(Pp)
+        Pmv = jet_values(Pm)
+        etav = jet_values(bundle.eta.comps)
         gamma = C.gamma(point, 0)
-        gv = _values(gamma)
+        gv = jet_values(gamma)
         nabla_eta = _nabla_eta_values(C, S, point)
         tors = gv - np.transpose(gv, (0, 2, 1))
-        dPp = _values(jets_gradient(Pp))  # dPp[i, a, b]
-        dPm = _values(jets_gradient(Pm))
+        dPp = jet_values(jets_gradient(Pp))  # dPp[i, a, b]
+        dPm = jet_values(jets_gradient(Pm))
         scale = max(1.0, np.max(np.abs(etav)), np.max(np.abs(gv)))
         point_worst = dict.fromkeys(worst, 0.0)
         for _ in range(n_vectors):
@@ -343,6 +337,6 @@ def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
                      "residual": val}
                 )
     return AdaptedReport(
-        side=side, conditions=worst, seed=seed, n_points=len(list(sample)),
+        side=side, conditions=worst, seed=seed, n_points=len(sample),
         n_vectors=n_vectors, tol=tol, witnesses=witnesses,
     )

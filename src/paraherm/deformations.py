@@ -12,7 +12,7 @@ unnormalized cyclic-sum convention of the geometry module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -32,7 +32,11 @@ from .geometry import (
     JetTensor,
     TensorField,
     apply_endomorphism,
+    coeff_max,
+    contract_value,
+    embed_block,
     exterior_derivative,
+    identity_jets,
     invert_matrix_jets,
     tdot,
 )
@@ -41,7 +45,7 @@ from .parastructure import ParaHermitianStructure, bigraded_part_at
 __all__ = [
     "BTransformation", "b_transform", "b_minus_transform",
     "simultaneous_transform", "MCSides", "maurer_cartan_sides",
-    "maurer_cartan_residual", "mc_form", "compatibility_residual",
+    "mc_form", "compatibility_residual",
     "twisted_d_bracket", "twisted_d_bracket_reference",
     "extract_fluxes", "FluxReport", "f_flux",
 ]
@@ -80,15 +84,14 @@ class BTransformation:
             return tdot(up1, bundle.eta_inv.comps, ([1], [0]))
 
         self.b_bivector = DerivedField(chart, 2, 0, bivec_fn, sym="antisymmetric")
+        # [b,b] through the flat coordinate connection; any torsionless
+        # connection gives the same bracket.
+        self.schouten = schouten_self(self.b_bivector, flat_connection(chart),
+                                      check_torsion=False)
         self._pk_cache = {}
 
     def _eB_comps(self, p, k):
-        ctx = self.S.chart.context(k)
-        dim = self.S.chart.dim
-        eye = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(dim):
-                eye[i, j] = ctx.constant(1.0 if i == j else 0.0)
+        eye = identity_jets(self.S.chart.context(k), self.S.chart.dim)
         return eye + self.B.at(p, k).comps
 
     @property
@@ -177,10 +180,6 @@ class MCSides:
     def agreement(self) -> float:
         return abs(self.d_bracket_side - self.form_side)
 
-    @property
-    def residual(self) -> float:
-        return abs(self.d_bracket_side)
-
 
 def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     """Both sides of the weak-integrability identity, by disjoint code paths.
@@ -197,46 +196,31 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     bundle = S.at(point, 0)
     pbz = PB.at(point, 0)
     zj = tdot(pbz.comps, Z.at(point, 0).comps, ([1], [0]))
-    lhs = float(tdot(tdot(bundle.eta.comps, br, ([0], [0])), zj, ([0], [0]))[()].value)
-    rhs = float(
-        _mc_form_values(T, point, (X.at(point, 0).comps, Y.at(point, 0).comps,
-                                   Z.at(point, 0).comps))
-    )
+    lhs = contract_value(bundle.eta.comps, br, zj)
+    rhs = contract_value(mc_form(T).at(point, 0).comps, X.at(point, 0).comps,
+                         Y.at(point, 0).comps, Z.at(point, 0).comps)
     return MCSides(lhs, rhs)
 
 
-def maurer_cartan_residual(T: BTransformation, X, Y, Z, point) -> float:
-    """The weak-integrability obstruction eta([P^B X, P^B Y]^D, P^B Z).
-
-    Computed through the D-bracket; `maurer_cartan_sides` exposes both this
-    and the independently computed form side for the two-way test.
-    """
-    return maurer_cartan_sides(T, X, Y, Z, point).residual
-
-
-def _mc_form_values(T, point, arg_comps):
-    t = mc_form(T).at(point, 0).comps
-    for arg in arg_comps:
-        t = tdot(t, arg, ([0], [0]))
-    return t[()].value
+def _lowered_schouten(T: BTransformation, p, k):
+    """(Lambda^3 eta)[b,b] at a point: the Schouten bracket with all three
+    slots lowered, which is the dual R-flux."""
+    eta = T.S.at(p, k).eta.comps
+    low = tdot(eta, T.schouten.at(p, k).comps, ([1], [0]))
+    low = tdot(eta, low, ([1], [1]))
+    low = tdot(eta, low, ([1], [2]))
+    return np.transpose(low, (2, 1, 0))
 
 
 def mc_form(T: BTransformation) -> Field:
     """d_side b + (Lambda^3 eta)[b,b]_other as a (0,3) tensor field."""
     S = T.S
     db = exterior_derivative(T.b)
-    sch = schouten_self(T.b_bivector, flat_connection(S.chart), check_torsion=False)
     m_plus = 3 if T.side > 0 else 0
 
     def fn(p, k):
-        bundle = S.at(p, k)
-        proj = bigraded_part_at(S, db.at(p, k), m_plus, bundle)
-        sc = sch.at(p, k).comps
-        low = tdot(bundle.eta.comps, sc, ([1], [0]))
-        low = tdot(bundle.eta.comps, low, ([1], [1]))
-        low = tdot(bundle.eta.comps, low, ([1], [2]))
-        low = np.transpose(low, (2, 1, 0))
-        return proj.comps + low
+        proj = bigraded_part_at(S, db.at(p, k), m_plus, S.at(p, k))
+        return proj.comps + _lowered_schouten(T, p, k)
 
     return DerivedField(S.chart, 0, 3, fn, sym="antisymmetric")
 
@@ -246,15 +230,8 @@ def compatibility_residual(T: BTransformation, sample) -> float:
     form = mc_form(T)
     worst = 0.0
     for p in sample:
-        scale = max(1.0, _jet_scale(T.b.at(p, 1)))
+        scale = max(1.0, coeff_max(T.b.at(p, 1).comps))
         worst = max(worst, form.at(p, 0).max_abs() / scale)
-    return worst
-
-
-def _jet_scale(jt: JetTensor) -> float:
-    worst = 0.0
-    for idx in np.ndindex(jt.comps.shape):
-        worst = max(worst, float(np.max(np.abs(jt.comps[idx].coeffs))))
     return worst
 
 
@@ -315,19 +292,7 @@ class FluxReport:
     extras: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "point": self.point,
-            "h_flux": self.h_flux,
-            "r_flux": self.r_flux,
-            "q_flux": self.q_flux,
-            "covariantized_h": self.covariantized_h,
-            "h_frame": self.h_frame,
-            "q_frame": self.q_frame,
-            "reassembly_residual": self.reassembly_residual,
-            "vanishing_residual": self.vanishing_residual,
-            "cross_check_residual": self.cross_check_residual,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
 
 def extract_fluxes(T: BTransformation, point, pk_tol=1e-8) -> FluxReport:
@@ -352,12 +317,7 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8) -> FluxReport:
     b_bundle = T.structure_B.at(point, 0)
 
     H = bigraded_part_at(S, dbj, 3, base_bundle)
-    sch = schouten_self(T.b_bivector, flat_connection(chart), check_torsion=False)
-    sc = sch.at(point, 0).comps
-    low = tdot(base_bundle.eta.comps, sc, ([1], [0]))
-    low = tdot(base_bundle.eta.comps, low, ([1], [1]))
-    low = tdot(base_bundle.eta.comps, low, ([1], [2]))
-    R = JetTensor(0, 3, np.transpose(low, (2, 1, 0)), 0)
+    R = JetTensor(0, 3, _lowered_schouten(T, point, 0), 0)
     covH = H + R
 
     parts = {m: bigraded_part_at(S, dbj, m, b_bundle) for m in range(4)}
@@ -367,20 +327,10 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8) -> FluxReport:
 
     # Sheared frame: H'_i = (1 + B) e_i for the first n coordinates, V_j the rest.
     eB = T.e_B.at(point, 0).values()
-    frame_plus = [eB[:, i] for i in range(n)]
-    frame_minus = [np.eye(chart.dim)[n + j] for j in range(n)]
-    covH_vals = covH.values()
-    db_vals = dbj.values()
-    h_frame = np.einsum(
-        "abc,ai,bj,ck->ijk", covH_vals,
-        np.stack(frame_plus, axis=1), np.stack(frame_plus, axis=1),
-        np.stack(frame_plus, axis=1),
-    )
-    q_frame = np.einsum(
-        "abc,ai,bj,ck->ijk", db_vals,
-        np.stack(frame_minus, axis=1), np.stack(frame_plus, axis=1),
-        np.stack(frame_plus, axis=1),
-    )
+    plus = np.stack([eB[:, i] for i in range(n)], axis=1)
+    minus = np.stack([np.eye(chart.dim)[n + j] for j in range(n)], axis=1)
+    h_frame = np.einsum("abc,ai,bj,ck->ijk", covH.values(), plus, plus, plus)
+    q_frame = np.einsum("abc,ai,bj,ck->ijk", dbj.values(), minus, plus, plus)
     return FluxReport(
         point=[float(c) for c in point.coords],
         h_flux=H.values().tolist(),
@@ -406,7 +356,7 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
     if chart.split is None:
         raise MissingSplit("f-flux needs adapted (split) coordinates")
     n = chart.split
-    A = TensorField(chart, 1, 1, _embed_block(chart, A_block, n))
+    A = TensorField(chart, 1, 1, embed_block(chart, A_block))
 
     detA = np.linalg.det(A.at(point, 0).values()[:n, :n])
     if abs(detA) < 1e-12:
@@ -414,23 +364,18 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
 
     def frame_vec(a):
         def fn(p, k):
-            comps = A.at(p, k).comps
             out = np.empty(chart.dim, dtype=object)
-            ctx = chart.context(k)
-            for i in range(chart.dim):
-                out[i] = comps[i, a] if i < n else ctx.zero()
+            out[:n] = A.at(p, k).comps[:n, a]
+            out[n:] = chart.context(k).zero()
             return out
 
         return DerivedField(chart, 1, 0, fn)
 
     def dual_vec(c):
         def fn(p, k):
-            comps = A.at(p, k).comps[:n, :n]
-            inv = invert_matrix_jets(comps)
-            ctx = chart.context(k)
             out = np.empty(chart.dim, dtype=object)
-            for i in range(chart.dim):
-                out[i] = inv[c, i - n] if i >= n else ctx.zero()
+            out[:n] = chart.context(k).zero()
+            out[n:] = invert_matrix_jets(A.at(p, k).comps[:n, :n])[c]
             return out
 
         return DerivedField(chart, 1, 0, fn)
@@ -444,15 +389,5 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
             lowered = tdot(bundle.eta.comps, br, ([0], [0]))
             for c in range(n):
                 ec = dual_vec(c).at(point, order).comps
-                out[c, a, b] = float(tdot(lowered, ec, ([0], [0]))[()].value)
+                out[c, a, b] = contract_value(lowered, ec)
     return out
-
-
-def _embed_block(chart, A_block, n):
-    comps = np.empty((chart.dim, chart.dim), dtype=object)
-    comps[...] = 0
-    block = np.asarray(A_block, dtype=object)
-    for i in range(n):
-        for j in range(n):
-            comps[i, j] = block[i, j]
-    return comps

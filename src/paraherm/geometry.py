@@ -6,6 +6,11 @@ jets of its components at a point, to a requested truncation order.  Operators
 combinators: they return derived fields whose evaluation pulls jets of one
 order higher from their inputs, so operators nest without any symbolic step.
 
+This module is the sole owner of the tensor-of-jets layout (a numpy object
+array with one `Jet` per component): outside `jets`, only code here walks the
+components or reads jet coefficients, and the other modules go through the
+helpers next to `tdot` and `jets_gradient`.
+
 Conventions (fixed once, used everywhere):
   - exterior derivative of a k-form: (dT)_{I0..Ik} = sum_j (-1)^j d_{Ij} T_{..omit j..},
     no 1/k! normalization; equivalently the cyclic Cartan formula for 2-forms;
@@ -32,7 +37,7 @@ from .jets import Jet, context
 
 __all__ = [
     "Chart", "Point", "ScalarField", "TensorField", "DerivedField", "JetTensor",
-    "EvaluatedTensor", "lie_bracket", "exterior_derivative", "lie_derivative",
+    "lie_bracket", "exterior_derivative", "lie_derivative",
     "interior_product", "wedge", "musical", "lower_index", "raise_index",
     "invert_matrix_jets", "metric_inverse_at", "d_scalar",
 ]
@@ -157,20 +162,11 @@ class JetTensor:
         return (self.r, self.s)
 
     def values(self) -> np.ndarray:
-        out = np.empty(self.comps.shape)
-        for idx in np.ndindex(self.comps.shape):
-            out[idx] = self.comps[idx].value
-        return out
+        return jet_values(self.comps)
 
     def max_abs(self) -> float:
         vals = self.values()
         return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-    def map(self, f):
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(self.comps.shape):
-            out[idx] = f(self.comps[idx])
-        return JetTensor(self.r, self.s, out, self.order)
 
     def __add__(self, other):
         _same_rank(self, other)
@@ -189,20 +185,9 @@ class JetTensor:
         return self * (-1.0)
 
 
-EvaluatedTensor = JetTensor
-
-
 def _same_rank(a, b):
     if a.rank != b.rank:
         raise RankMismatch(f"rank mismatch: {a.rank} vs {b.rank}")
-
-
-def jets_partial(comps, v):
-    """Elementwise partial derivative of an object array of jets."""
-    out = np.empty(comps.shape, dtype=object)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = comps[idx].partial(v)
-    return out
 
 
 def jets_gradient(comps):
@@ -210,7 +195,8 @@ def jets_gradient(comps):
     dim = next(iter(comps.flat)).ctx.dim
     out = np.empty((dim,) + comps.shape, dtype=object)
     for v in range(dim):
-        out[v] = jets_partial(comps, v)
+        for idx in np.ndindex(comps.shape):
+            out[(v,) + idx] = comps[idx].partial(v)
     return out
 
 
@@ -222,6 +208,51 @@ def tdot(a, b, axes):
         wrapped[()] = out
         return wrapped
     return out
+
+
+def contract_value(t, *vectors) -> float:
+    """Value of t with each vector contracted, in turn, into its first axis."""
+    for v in vectors:
+        t = tdot(t, v, ([0], [0]))
+    return float(t[()].value)
+
+
+def jet_values(comps) -> np.ndarray:
+    """Float array of the values (constant terms) of an object array of jets."""
+    return np.array([jet.value for jet in comps.flat], dtype=float).reshape(comps.shape)
+
+
+def coeff_max(comps) -> float:
+    """Largest |coefficient| over all jets of an object array (0 if empty)."""
+    worst = 0.0
+    for idx in np.ndindex(comps.shape):
+        worst = max(worst, float(np.max(np.abs(comps[idx].coeffs))))
+    return worst
+
+
+def truncate_jets(comps, order):
+    """Each jet truncated to `order`, or kept as is if its order is lower."""
+    out = np.empty(comps.shape, dtype=object)
+    for idx in np.ndindex(comps.shape):
+        out[idx] = comps[idx].truncate(min(order, comps[idx].ctx.order))
+    return out
+
+
+def identity_jets(ctx, dim):
+    """The dim x dim identity matrix as constant jets of `ctx`."""
+    eye = np.empty((dim, dim), dtype=object)
+    for i, j in np.ndindex(eye.shape):
+        eye[i, j] = ctx.constant(1.0 if i == j else 0.0)
+    return eye
+
+
+def embed_block(chart, block):
+    """The n x n `block` of chart scalars in the top-left of a dim x dim
+    component array, zero elsewhere; n is the chart's split."""
+    n = chart.split
+    comps = np.zeros((chart.dim, chart.dim), dtype=object)
+    comps[:n, :n] = np.asarray(block, dtype=object)[:n, :n]
+    return comps
 
 
 # --------------------------------------------------------------------------
@@ -382,11 +413,7 @@ def d_scalar(f: ScalarField) -> Field:
     """Differential of a scalar, as a (0,1) field."""
 
     def fn(p, k):
-        j = f.jet(p, k + 1)
-        out = np.empty(f.chart.dim, dtype=object)
-        for v in range(f.chart.dim):
-            out[v] = j.partial(v)
-        return out
+        return jets_gradient(np.array(f.jet(p, k + 1), dtype=object))
 
     return DerivedField(f.chart, 0, 1, fn, sym="antisymmetric")
 
@@ -511,23 +538,25 @@ def antisymmetry_residual(T: Field, points, order=0) -> float:
 # Metric machinery
 # --------------------------------------------------------------------------
 
+# Largest condition number of the value matrix that `invert_matrix_jets`
+# accepts.  The test is relative, so it does not depend on the overall scale.
+MAX_CONDITION = 1e12
+
+
 def invert_matrix_jets(M: np.ndarray) -> np.ndarray:
     """Gauss-Jordan inverse of a square object matrix of jets.
 
-    Pivots are chosen by the largest constant term; the caller is responsible
-    for the nondegeneracy guard (see `metric_inverse_at`).
+    Raises SingularMetric when the condition number of the value matrix
+    exceeds MAX_CONDITION.  Pivots are chosen by the largest constant term.
     """
+    cond = float(np.linalg.cond(jet_values(M)))
+    if not cond <= MAX_CONDITION:
+        raise SingularMetric(f"condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
     d = M.shape[0]
-    ctx = M[0, 0].ctx
     A = M.copy()
-    B = np.empty((d, d), dtype=object)
-    for i in range(d):
-        for j in range(d):
-            B[i, j] = ctx.constant(1.0 if i == j else 0.0)
+    B = identity_jets(M[0, 0].ctx, d)
     for col in range(d):
         pivot = max(range(col, d), key=lambda r: abs(A[r, col].value))
-        if abs(A[pivot, col].value) == 0.0:
-            raise SingularMetric("pivot vanished during inversion")
         if pivot != col:
             A[[col, pivot]] = A[[pivot, col]]
             B[[col, pivot]] = B[[pivot, col]]
@@ -546,13 +575,10 @@ def invert_matrix_jets(M: np.ndarray) -> np.ndarray:
 
 
 def metric_inverse_at(eta: Field, point, order) -> tuple[JetTensor, JetTensor]:
-    """(eta, eta^{-1}) jets at a point, with the nondegeneracy guard."""
+    """(eta, eta^{-1}) jets at a point; raises SingularMetric as
+    `invert_matrix_jets` does."""
     ej = eta.at(point, order)
-    det = float(np.linalg.det(ej.values()))
-    if abs(det) < 1e-12:
-        raise SingularMetric(f"|det eta| = {abs(det):.3e} at {point}")
-    inv = invert_matrix_jets(ej.comps)
-    return ej, JetTensor(2, 0, inv, order)
+    return ej, JetTensor(2, 0, invert_matrix_jets(ej.comps), order)
 
 
 def lower_index(eta_jets: JetTensor, T: JetTensor, axis=0) -> JetTensor:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connections import christoffel_jets, riemann_jets
 from .deformations import BTransformation, b_transform
 from .errors import NotParaKahler, NotPositiveDefinite, RankMismatch
 from .geometry import (
@@ -30,8 +31,11 @@ from .geometry import (
     Field,
     TensorField,
     constant_field,
+    embed_block,
     invert_matrix_jets,
-    tdot,
+    jet_values,
+    jets_gradient,
+    truncate_jets,
 )
 from .parastructure import ParaHermitianStructure
 
@@ -107,7 +111,7 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
     g_arr = np.asarray(g_sources, dtype=object)
     if g_arr.shape != (n, n):
         raise RankMismatch(f"base metric must be {n} x {n}")
-    g_field = _block_field(chart, g_arr, n)
+    g_field = TensorField(chart, 0, 2, embed_block(chart, g_arr), sym="symmetric")
 
     gamma_cache = {}
 
@@ -118,35 +122,16 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
         if hit is not None:
             return hit
         gj = g_field.at(point, order + 1).comps[:n, :n]
-        inv = invert_matrix_jets(gj)
-        dg = np.empty((n, n, n), dtype=object)  # dg[a, b, c] = d_a g_{bc}
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    dg[a, b, c] = gj[b, c].partial(a)
-        bracket = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-        gamma = 0.5 * tdot(inv, bracket, ([1], [2]))  # (k, i, j)
-        gamma = _trunc(gamma, order)
+        # Base directions only: d_a g_{bc} for a < n.
+        gamma = christoffel_jets(invert_matrix_jets(gj), jets_gradient(gj)[:n])
+        gamma = truncate_jets(gamma, order)
         gamma_cache[key] = gamma
         return gamma
 
     def riemann_g(point, order=0):
         """R^k_{ijl} of g with the sign fixed by [H_i,H_j] = R^k_{ijl} v^l V_k."""
         g1 = gamma_g(point, order + 1)
-        dg = np.empty((n, n, n, n), dtype=object)
-        for a in range(n):
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        dg[a, k, i, j] = g1[k, i, j].partial(a)
-        gg = tdot(g1, g1, ([2], [0]))
-        out = (
-            np.transpose(dg, (1, 2, 0, 3))
-            - np.transpose(dg, (1, 0, 2, 3))
-            + np.transpose(gg, (0, 2, 1, 3))
-            - gg
-        )
-        return _trunc(out, order)
+        return truncate_jets(riemann_jets(g1, jets_gradient(g1)[:n]), order)
 
     def frame_h(i):
         def fn(p, k):
@@ -233,30 +218,11 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
     return model
 
 
-def _block_field(chart, g_arr, n):
-    comps = np.empty((2 * n, 2 * n), dtype=object)
-    comps[...] = 0
-    for i in range(n):
-        for j in range(n):
-            comps[i, j] = g_arr[i, j]
-    return TensorField(chart, 0, 2, comps, sym="symmetric")
-
-
-def _trunc(comps, order):
-    out = np.empty(comps.shape, dtype=object)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = comps[idx].truncate(min(order, comps[idx].ctx.order))
-    return out
-
-
 def flatness_residual(model: TangentBundleModel, sample) -> float:
     """Max |Riemann of g| over the sample (scale-normalized)."""
     worst = 0.0
     for p in sample:
-        r = model.riemann_g(p, 0)
-        vals = np.empty(r.shape)
-        for idx in np.ndindex(r.shape):
-            vals[idx] = r[idx].value
+        vals = jet_values(model.riemann_g(p, 0))
         gv = model.g.at(p, 0).values()
         worst = max(worst, float(np.max(np.abs(vals))) / max(1.0, float(np.max(np.abs(gv)))))
     return worst
@@ -277,12 +243,7 @@ def b_field_on_tm(model: TangentBundleModel, b_sources, sample=(),
     arr = np.asarray(b_sources, dtype=object)
     if arr.shape != (n, n):
         raise RankMismatch(f"b block must be {n} x {n}")
-    comps = np.empty((2 * n, 2 * n), dtype=object)
-    comps[...] = 0
-    for i in range(n):
-        for j in range(n):
-            comps[i, j] = arr[i, j]
-    b = TensorField(model.chart, 0, 2, comps, sym="antisymmetric")
+    b = TensorField(model.chart, 0, 2, embed_block(model.chart, arr), sym="antisymmetric")
     return b_transform(model.S, b, sample=sample)
 
 

@@ -24,8 +24,13 @@ from .geometry import (
     Field,
     JetTensor,
     apply_endomorphism,
+    coeff_max,
+    constant_field,
+    contract_value,
     exterior_derivative,
+    identity_jets,
     invert_matrix_jets,
+    jet_values,
     lie_bracket,
     tdot,
 )
@@ -34,7 +39,7 @@ __all__ = [
     "ParaHermitianStructure", "GeneralizedVector", "validate_structure",
     "ValidationReport", "rho", "rho_field", "rho_inverse", "nijenhuis",
     "nijenhuis_projector_form", "nijenhuis_connection_form", "n_scalar",
-    "phi_field", "phi_scalar", "bigraded_part", "bigraded_part_at",
+    "phi_field", "phi_scalar", "bigraded_part_at",
     "classify", "ClassificationReport",
 ]
 
@@ -80,12 +85,7 @@ class ParaHermitianStructure:
         inv = JetTensor(2, 0, invert_matrix_jets(ej.comps), order)
         # omega(d_A, d_B) = eta(K d_A, d_B) = K^m_A eta_{mB}
         omega = JetTensor(0, 2, tdot(kj.comps, ej.comps, ([0], [0])), order)
-        ctx = self.chart.context(order)
-        dim = self.chart.dim
-        eye = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(dim):
-                eye[i, j] = ctx.constant(1.0 if i == j else 0.0)
+        eye = identity_jets(self.chart.context(order), self.chart.dim)
         Pp = JetTensor(1, 1, (eye + kj.comps) * 0.5, order)
         Pm = JetTensor(1, 1, (eye - kj.comps) * 0.5, order)
         bundle = _Bundle(ej, inv, kj, omega, Pp, Pm)
@@ -107,18 +107,19 @@ class ParaHermitianStructure:
             self._conn_cache["canonical"] = canonical_connection(self)
         return self._conn_cache["canonical"]
 
-    def integrability_residual(self, sign, point, n_vectors=6, seed=7):
+    def integrability_residual(self, sign, point):
         """Scale-normalized Nijenhuis residual on the `sign` eigenbundle at a
-        point; cached per point (brackets consult it at every evaluation)."""
+        point, the worst over six seeded random vector triples; cached per
+        point (brackets consult it at every evaluation)."""
         key = (sign, point.key)
         hit = self._integ_cache.get(key)
         if hit is not None:
             return hit
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(7)
         worst = 0.0
         b = self.at(point, 1)
         scale = max(1.0, b.K.max_abs(), b.eta.max_abs())
-        for _ in range(n_vectors):
+        for _ in range(6):
             u, v, w = rng.uniform(-1.0, 1.0, (3, self.chart.dim))
             val = n_scalar(self, sign, _const_vec(self.chart, u),
                            _const_vec(self.chart, v), _const_vec(self.chart, w), point)
@@ -128,8 +129,6 @@ class ParaHermitianStructure:
 
 
 def _const_vec(chart, comps):
-    from .geometry import constant_field
-
     return constant_field(chart, comps, 1, 0)
 
 
@@ -165,6 +164,7 @@ def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> Validati
         "trace_K": 0.0, "omega_antisymmetric": 0.0, "projectors": 0.0,
         "partition": 0.0, "isotropy_plus": 0.0, "isotropy_minus": 0.0,
     }
+    sample = list(sample)
     min_det = np.inf
     dim = S.chart.dim
     eye = np.eye(dim)
@@ -186,7 +186,7 @@ def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> Validati
         res["partition"] = max(res["partition"], _mx(Pp + Pm - eye))
         res["isotropy_plus"] = max(res["isotropy_plus"], _mx(Pp.T @ eta @ Pp) / scale)
         res["isotropy_minus"] = max(res["isotropy_minus"], _mx(Pm.T @ eta @ Pm) / scale)
-    return ValidationReport(res, tol, len(list(sample)), float(min_det))
+    return ValidationReport(res, tol, len(sample), float(min_det))
 
 
 def _mx(arr):
@@ -300,7 +300,7 @@ def n_scalar(S, sign, X, Y, Z, point, order=0) -> float:
     pz = tdot(
         (b.Pp if sign > 0 else b.Pm).comps, Z.at(point, order).comps, ([1], [0])
     )
-    return float(tdot(tdot(b.eta.comps, nv, ([0], [0])), pz, ([0], [0]))[()].value)
+    return contract_value(b.eta.comps, nv, pz)
 
 
 # --------------------------------------------------------------------------
@@ -314,11 +314,8 @@ def phi_field(S) -> Field:
 
 
 def phi_scalar(S, X, Y, Z, point, order=0) -> float:
-    t = phi_field(S).at(point, order).comps
-    xj = X.at(point, order).comps
-    yj = Y.at(point, order).comps
-    zj = Z.at(point, order).comps
-    return float(tdot(tdot(tdot(t, xj, ([0], [0])), yj, ([0], [0])), zj, ([0], [0]))[()].value)
+    return contract_value(phi_field(S).at(point, order).comps, X.at(point, order).comps,
+                          Y.at(point, order).comps, Z.at(point, order).comps)
 
 
 # --------------------------------------------------------------------------
@@ -336,13 +333,6 @@ def bigraded_part_at(S, T: JetTensor, m_plus: int, bundle) -> JetTensor:
             comps = np.moveaxis(tdot(P, comps, ([0], [slot])), 0, slot)
         out = comps if out is None else out + comps
     return JetTensor(0, k, out, T.order)
-
-
-def bigraded_part(S, T: Field, m_plus: int) -> Field:
-    def fn(p, k):
-        return bigraded_part_at(S, T.at(p, k), m_plus, S.at(p, k)).comps
-
-    return DerivedField(S.chart, 0, T.s, fn, sym=T.sym)
 
 
 # --------------------------------------------------------------------------
@@ -375,6 +365,7 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
     d omega = 0; para-Kahler additionally cross-checked against nablao K = 0
     and the (3,0)/(0,3) formulas relating d omega to the Nijenhuis parts.
     """
+    sample = list(sample)
     chart = S.chart
     dim = chart.dim
     basis = [_const_vec(chart, row) for row in np.eye(dim)]
@@ -388,16 +379,16 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
         b = S.at(p, 1)
         scale = max(1.0, b.eta.max_abs(), b.K.max_abs())
         dwj = domega.at(p, 0)
-        dw_scale = max(1.0, _jet_mag(S.omega.at(p, 1)))
+        dw_scale = max(1.0, coeff_max(S.omega.at(p, 1).comps))
         res["domega"] = max(res["domega"], dwj.max_abs() / dw_scale)
-        parts = {m: _vals(bigraded_part_at(S, dwj, m, b).comps) for m in range(4)}
+        parts = {m: jet_values(bigraded_part_at(S, dwj, m, b).comps) for m in range(4)}
         for m, key in ((3, "domega_30"), (2, "domega_21"), (1, "domega_12"), (0, "domega_03")):
             res[key] = max(res[key], _mx(parts[m]) / dw_scale)
-        phiv = _vals(phi_field(S).at(p, 0).comps)
+        phiv = jet_values(phi_field(S).at(p, 0).comps)
         res["phi_skew"] = max(
             res["phi_skew"], _mx(phiv + np.transpose(phiv, (1, 0, 2))) / dw_scale
         )
-        res["nabla_K"] = max(res["nabla_K"], _mx(_vals(dK.at(p, 0).comps)) / dw_scale)
+        res["nabla_K"] = max(res["nabla_K"], _mx(jet_values(dK.at(p, 0).comps)) / dw_scale)
         # Pure-type Nijenhuis parts, as tensors over the coordinate basis.
         nplus = np.zeros((dim, dim, dim))
         nminus = np.zeros((dim, dim, dim))
@@ -410,7 +401,7 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
                     nv = N.at(p, 0).comps
                     Pc = (b.Pp if sign > 0 else b.Pm).comps
                     etaN = tdot(tdot(b.eta.comps, nv, ([0], [0])), Pc, ([0], [0]))
-                    row = _vals(etaN)
+                    row = jet_values(etaN)
                     store[i, j, :] = row
                     store[j, i, :] = -row
         res["n_plus"] = max(res["n_plus"], _mx(nplus) / scale)
@@ -445,18 +436,5 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
     cross["para_kahler_iff_nabla_K"] = (
         0.0 if flags["para_kahler"] == (res["nabla_K"] <= tol) else 1.0
     )
-    return ClassificationReport(flags, res, tol, len(list(sample)), cross)
+    return ClassificationReport(flags, res, tol, len(sample), cross)
 
-
-def _vals(comps):
-    out = np.empty(comps.shape)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = comps[idx].value
-    return out
-
-
-def _jet_mag(jt: JetTensor) -> float:
-    worst = 0.0
-    for idx in np.ndindex(jt.comps.shape):
-        worst = max(worst, float(np.max(np.abs(jt.comps[idx].coeffs))))
-    return worst

@@ -159,3 +159,25 @@ def test_main_entrypoint(tmp_path):
         "suites": ["validate"],
     })
     assert main(["run", spec, "-o", str(tmp_path / "r.json")]) == 0
+
+
+def test_nijenhuis_gate_is_shared(tmp_path, monkeypatch):
+    """`adapted` and `courant_minus` skip a side by one rule: its Nijenhuis
+    residual over the sample exceeds the suite tolerance (1e-9 for both)."""
+    from paraherm.parastructure import ParaHermitianStructure
+
+    monkeypatch.setattr(ParaHermitianStructure, "integrability_residual",
+                        lambda self, sign, point: 5e-9 if sign < 0 else 0.0)
+    spec = write_spec(tmp_path, "gate.json", {
+        "model": {"name": "flat", "n": 1},
+        "sample": {"mode": "uniform", "count": 2, "seed": 3},
+        "suites": ["adapted", "courant_minus"],
+    })
+    out = tmp_path / "r.json"
+    run(spec, str(out))
+    suites = {r["name"]: r for r in json.loads(out.read_text())["suites"]}
+    adapted, courant = suites["adapted"], suites["courant_minus"]
+    assert adapted["residuals"]["n_side_skipped_nijenhuis"] == 5e-9
+    assert "p_cond1" in adapted["residuals"]
+    assert courant["skipped"]
+    assert courant["residuals"] == {"nijenhuis": 5e-9}

@@ -277,3 +277,33 @@ def test_jet_order_budget_enforced():
 
     with pytest.raises(InsufficientJetOrder):
         context(2, 0).constant(1.0).partial(0)
+
+
+# -- guarded inverse -------------------------------------------------------------
+
+def test_near_singular_metric_rejected(chart):
+    """cond(eta) = 4e14: relatively singular although no pivot is exactly zero."""
+    from paraherm.parastructure import ParaHermitianStructure
+
+    eta = constant_field(chart, [[1.0, 1.0], [1.0, 1.0 + 1e-14]], 0, 2, sym="symmetric")
+    K = constant_field(chart, [[1.0, 0.0], [0.0, -1.0]], 1, 1)
+    S = ParaHermitianStructure(chart, eta, K)
+    with pytest.raises(SingularMetric):
+        S.at(chart.point([0.1, 0.2]), 0)
+
+
+def test_rescaled_metric_accepted(chart4):
+    """|det eta| = 1e-16 but cond(eta) = 1: the guard does not depend on scale."""
+    from paraherm.geometry import raise_index
+
+    eye = np.eye(2)
+    zero = np.zeros((2, 2))
+    eta = constant_field(chart4, 1e-4 * np.block([[zero, eye], [eye, zero]]), 0, 2,
+                         sym="symmetric")
+    X = TensorField(chart4, 1, 0, np.array(["x1", "1 + xt2", "x2*xt1", "2"], dtype=object))
+    for p in pts(chart4, 3, 21):
+        _, inv = metric_inverse_at(eta, p, 0)
+        lowered = musical(eta, X, [0], p)
+        assert lowered.max_abs() > 0.0
+        back = raise_index(inv, lowered, 0)
+        assert np.max(np.abs(back.values() - X.values(p))) < 1e-12

@@ -306,3 +306,26 @@ def test_nearly_pk_implies_skew_nijenhuis(flat2, sphere_tm, sphere_pts, curved3_
                     b = n_scalar(S, sign, X, Z, Y, p)  # swap last two slots
                     assert abs(a + b) < 1e-9
     assert triggered >= 1
+
+
+# -- samples given as iterators ---------------------------------------------------
+
+@pytest.mark.parametrize("check", ["validate", "classify", "adapted", "courant"])
+def test_sample_may_be_a_generator(flat1, check):
+    """n_points counts every point even when the sample can be iterated once."""
+    from paraherm.brackets import courant_axiom_suite
+    from paraherm.connections import check_adapted
+    from paraherm.geometry import lie_bracket
+
+    S = flat1.S
+    pts = sample_points(flat1, 3, 11)
+    rng = np.random.default_rng(4)
+    pool = [random_vector_field(flat1.chart, rng) for _ in range(3)]
+    run = {
+        "validate": lambda sample: validate_structure(S, sample),
+        "classify": lambda sample: classify(S, sample),
+        "adapted": lambda sample: check_adapted(S.canonical, S, "p", sample, n_vectors=2),
+        "courant": lambda sample: courant_axiom_suite(
+            lie_bracket, lambda X: X, None, pool, sample, skip_pairing=True),
+    }[check]
+    assert run(p for p in pts).n_points == len(pts)

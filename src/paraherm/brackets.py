@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .connections import Connection, require_torsionless
+from .connections import Connection, covd_jets, nabla_jets, require_torsionless
 from .errors import NotIntegrable, RankMismatch
 from .geometry import (
     DerivedField,
@@ -28,7 +28,6 @@ from .geometry import (
     d_scalar,
     exterior_derivative,
     interior_product,
-    jets_gradient,
     lie_bracket,
     lie_derivative,
     lie_derivative_scalar,
@@ -122,16 +121,12 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
         x2 = e2.vec.at(p, k + 1).comps
         a1 = e1.cov.at(p, k + 1).comps
         a2 = e2.cov.at(p, k + 1).comps
-        vec = _covd_vec(gamma, x1, x2) - _covd_vec(gamma, x2, x1)
-        cov = _covd_cov(gamma, x1, a2) - _covd_cov(gamma, x2, a1)
+        vec = covd_jets(gamma, x1, x2, 1, 0) - covd_jets(gamma, x2, x1, 1, 0)
+        cov = covd_jets(gamma, x1, a2, 0, 1) - covd_jets(gamma, x2, a1, 0, 1)
         # + <nabla_Z e1, e2> as a covector in Z:
         #   alpha2(nabla_Z X1) + (nabla_Z alpha1)(X2)
-        dx1 = jets_gradient(x1)  # dx1[J, M]
-        gx1 = tdot(gamma, x1, ([2], [0]))  # (M, J)
-        covX = tdot(dx1 + np.transpose(gx1, (1, 0)), a2, ([1], [0]))
-        da1 = jets_gradient(a1)  # da1[J, M]
-        ga1 = tdot(gamma, a1, ([0], [0]))  # (J, M) = Gamma^m_{JM'} a_m
-        covA = tdot(da1 - ga1, x2, ([1], [0]))
+        covX = tdot(nabla_jets(gamma, x1, 1, 0), a2, ([1], [0]))
+        covA = tdot(nabla_jets(gamma, a1, 0, 1), x2, ([1], [0]))
         return vec, cov + covX + covA
 
     vecf = DerivedField(chart, 1, 0, lambda p, k: comps(p, k)[0])
@@ -139,27 +134,9 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
     return GeneralizedVectorField(vecf, covf)
 
 
-def _covd_vec(gamma, direction, x):
-    dx = jets_gradient(x)
-    return tdot(direction, dx, ([0], [0])) + tdot(
-        tdot(gamma, direction, ([1], [0])), x, ([1], [0])
-    )
-
-
-def _covd_cov(gamma, direction, a):
-    da = jets_gradient(a)
-    return tdot(direction, da, ([0], [0])) - tdot(
-        tdot(gamma, direction, ([1], [0])), a, ([0], [0])
-    )
-
-
 # --------------------------------------------------------------------------
 # Brackets associated to a connection on an almost para-Hermitian manifold
 # --------------------------------------------------------------------------
-
-def _eta_contract(eta, w):
-    return tdot(eta, w, ([0], [0]))
-
 
 def _bracket_core(C, S, X, Y, project=None):
     """Shared engine: eta([X,Y], Z) = eta(nabla_X Y - nabla_Y X, Z) + eta(nabla_Z X, Y),
@@ -176,13 +153,11 @@ def _bracket_core(C, S, X, Y, project=None):
             P = (bundle.Pp if project > 0 else bundle.Pm).comps
             dirx = tdot(P, xj, ([1], [0]))
             diry = tdot(P, yj, ([1], [0]))
-        w = _covd_vec(gamma, dirx, yj) - _covd_vec(gamma, diry, xj)
-        xi = _eta_contract(bundle.eta.comps, w)
+        w = covd_jets(gamma, dirx, yj, 1, 0) - covd_jets(gamma, diry, xj, 1, 0)
+        xi = tdot(bundle.eta.comps, w, ([0], [0]))
         # c_I = eta(nabla_{d_I} X, Y)
-        dx = jets_gradient(xj)                      # dx[I, M]
-        gx = tdot(gamma, xj, ([2], [0]))            # gx[M, I]
-        full = tdot(dx + np.transpose(gx, (1, 0)), _eta_contract(bundle.eta.comps, yj),
-                    ([1], [0]))
+        eta_y = tdot(bundle.eta.comps, yj, ([0], [0]))
+        full = tdot(nabla_jets(gamma, xj, 1, 0), eta_y, ([1], [0]))
         if project is None:
             xi = xi + full
         else:
@@ -305,15 +280,11 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
             require_torsionless(C, p)
         gamma = C.gamma(p, k)
         bj = beta.at(p, k + 1).comps
-        db = jets_gradient(bj)  # db[M, J, K]
-        corr1 = np.moveaxis(tdot(gamma, bj, ([2], [0])), 1, 0)  # (M, J, K)
-        corr2 = np.moveaxis(tdot(gamma, bj, ([2], [1])), 1, 0)
-        corr2 = np.transpose(corr2, (0, 2, 1))
-        D = db + corr1 + corr2
+        D = nabla_jets(gamma, bj, 2, 0)  # D[M, J, K] = (nabla_M beta)^{JK}
         # S1[I, J, K] = beta^{IM} (nabla_M beta)^{JK}: the direction slot of
         # beta(lambda) is the second one, lambda contracts the first.
         S1 = tdot(bj, D, ([1], [0]))
-        return S1 + np.transpose(S1, (1, 2, 0)) + np.transpose(S1, (2, 0, 1))
+        return S1 + S1.transpose((1, 2, 0)) + S1.transpose((2, 0, 1))
 
     return DerivedField(beta.chart, 3, 0, fn)
 
@@ -321,8 +292,7 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
 def schouten_scalar(beta, C, lam, mu, nu, point, order=0, check_torsion=True) -> float:
     """[beta,beta](lam, mu, nu) for covector values at a point."""
     t = schouten_self(beta, C, check_torsion=check_torsion).at(point, order).comps
-    covecs = [c.comps if isinstance(c, JetTensor) else np.asarray(c, dtype=object)
-              for c in (lam, mu, nu)]
+    covecs = [c.comps if isinstance(c, JetTensor) else c for c in (lam, mu, nu)]
     return contract_value(t, *covecs)
 
 
@@ -345,13 +315,6 @@ class BracketReport:
         if expect_jacobi_failure:
             return ok12 and self.axiom3 > self.tol
         return ok12 and self.axiom3 <= self.tol
-
-    def to_dict(self):
-        return {
-            "axiom1": self.axiom1, "axiom2": self.axiom2, "axiom3": self.axiom3,
-            "tol": self.tol, "n_points": self.n_points, "seed": self.seed,
-            "witnesses": self.witnesses,
-        }
 
 
 def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,

@@ -21,6 +21,7 @@ from .errors import NotTorsionless
 from .geometry import (
     DerivedField,
     Field,
+    constant_jets,
     jet_values,
     jets_gradient,
     metric_inverse_at,
@@ -58,10 +59,7 @@ class Connection:
 
 def flat_connection(chart) -> Connection:
     def fn(point, order):
-        ctx = chart.context(order)
-        out = np.empty((chart.dim,) * 3, dtype=object)
-        out[...] = ctx.zero()
-        return out
+        return constant_jets(chart.context(order), np.zeros((chart.dim,) * 3))
 
     return Connection(chart, fn, provenance="flat")
 
@@ -82,7 +80,7 @@ def christoffel_jets(inv, de):
     """Gamma^k_{ij} = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) from the
     inverse metric jets and de[a, b, c] = d_a g_{bc}."""
     # bracket[i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-    bracket = de + np.transpose(de, (1, 0, 2)) - np.transpose(de, (1, 2, 0))
+    bracket = de + de.transpose((1, 0, 2)) - de.transpose((1, 2, 0))
     return 0.5 * tdot(inv, bracket, ([1], [2]))  # (k, i, j)
 
 
@@ -125,14 +123,7 @@ def canonical_connection_contorsion(S) -> Connection:
     def fn(point, order):
         g0 = lc.gamma(point, order)
         bundle = S.at(point, order + 1)
-        omega = bundle.omega.comps
-        dw = jets_gradient(omega)  # dw[i, j, l]
-        # Phi[i, j, l] = (nablao_i omega)_{jl}
-        phi = (
-            dw
-            - tdot(g0, omega, ([0], [0]))                        # Gamma^a_{ij} omega_{al}
-            - np.transpose(tdot(g0, omega, ([0], [1])), (0, 2, 1))  # Gamma^a_{il} omega_{ja}
-        )
+        phi = nabla_jets(g0, bundle.omega.comps, 0, 2)  # Phi[i, j, l] = (nablao_i omega)_{jl}
         corr = tdot(phi, bundle.K.comps, ([2], [0]))  # corr[i, j, l] = Phi_{ijm} K^m_l
         gamma = g0 - 0.5 * tdot(bundle.eta_inv.comps, corr, ([0], [2]))  # (k, i, j)
         return truncate_jets(gamma, order)
@@ -144,16 +135,24 @@ def canonical_connection_contorsion(S) -> Connection:
 # Derivatives, torsion, curvature
 # --------------------------------------------------------------------------
 
-def _covd_comps(gamma, direction, tj, r, s):
-    """nabla_V T at one point: V^I (d_I T + Gamma corrections)."""
-    grad = jets_gradient(tj)             # grad[I, ...]
-    out = tdot(direction, grad, ([0], [0]))
-    gdir = tdot(direction, gamma, ([0], [1]))  # gdir[k, m] = V^I Gamma^k_{Im}
+def nabla_jets(gamma, tj, r, s):
+    """nabla T at one point from the jets of an (r,s) tensor, one order lower,
+    with the derivative index first: out[I, ...] = d_I T + Gamma corrections."""
+    out = jets_gradient(tj)
     for axis in range(r):
-        out = out + np.moveaxis(tdot(gdir, tj, ([1], [axis])), 0, axis)
+        # + Gamma^A_{IM} T^{..M..}
+        corr = tdot(gamma, tj, ([2], [axis])).moveaxis(1, 0)  # (I, A, rest)
+        out = out + corr.moveaxis(1, axis + 1)
     for axis in range(r, r + s):
-        out = out - np.moveaxis(tdot(gdir, tj, ([0], [axis])), 0, axis)
+        # - Gamma^M_{IB} T_{..M..}
+        corr = tdot(gamma, tj, ([0], [axis]))                 # (I, B, rest)
+        out = out - corr.moveaxis(1, axis + 1)
     return out
+
+
+def covd_jets(gamma, direction, tj, r, s):
+    """nabla_V T at one point: V^I nabla_I T."""
+    return tdot(direction, nabla_jets(gamma, tj, r, s), ([0], [0]))
 
 
 def covariant_derivative(C: Connection, X: Field, T: Field) -> Field:
@@ -163,7 +162,7 @@ def covariant_derivative(C: Connection, X: Field, T: Field) -> Field:
         gamma = C.gamma(p, k)
         xj = X.at(p, k).comps
         tj = T.at(p, k + 1).comps
-        return _covd_comps(gamma, xj, tj, T.r, T.s)
+        return covd_jets(gamma, xj, tj, T.r, T.s)
 
     return DerivedField(T.chart, T.r, T.s, fn)
 
@@ -172,20 +171,8 @@ def covariant_differential(C: Connection, T: Field) -> Field:
     """Total nabla T, rank (r, s+1); the derivative slot is the first covariant axis."""
 
     def fn(p, k):
-        gamma = C.gamma(p, k)
-        tj = T.at(p, k + 1).comps
-        grad = jets_gradient(tj)  # grad[I, ...]
-        out = grad
-        for axis in range(T.r):
-            # + Gamma^A_{IM} T^{..M..}
-            corr = tdot(gamma, tj, ([2], [axis]))      # (A, I, rest)
-            corr = np.moveaxis(corr, 1, 0)             # (I, A, rest)
-            out = out + np.moveaxis(corr, 1, axis + 1)
-        for axis in range(T.r, T.r + T.s):
-            corr = tdot(gamma, tj, ([0], [axis]))      # (I, B, rest)
-            out = out - np.moveaxis(corr, 1, axis + 1)
-        # Move the derivative index to the first covariant slot.
-        return np.moveaxis(out, 0, T.r)
+        out = nabla_jets(C.gamma(p, k), T.at(p, k + 1).comps, T.r, T.s)
+        return out.moveaxis(0, T.r)
 
     return DerivedField(T.chart, T.r, T.s + 1, fn)
 
@@ -195,7 +182,7 @@ def torsion(C: Connection) -> Field:
 
     def fn(p, k):
         g = C.gamma(p, k)
-        return g - np.transpose(g, (0, 2, 1))
+        return g - g.transpose((0, 2, 1))
 
     return DerivedField(C.chart, 1, 2, fn)
 
@@ -216,9 +203,9 @@ def riemann_jets(g, dg):
     gg = tdot(g, g, ([2], [0]))  # gg[k, a, b, c] = Gamma^k_{am} Gamma^m_{bc}
     # R^k_{ijl} = d_j Gamma^k_{il} - d_i Gamma^k_{jl}
     #           + Gamma^k_{jm} Gamma^m_{il} - Gamma^k_{im} Gamma^m_{jl}
-    term1 = np.transpose(dg, (1, 2, 0, 3))   # out[k,i,j,l] = dg[j,k,i,l]
-    term2 = np.transpose(dg, (1, 0, 2, 3))   # out[k,i,j,l] = dg[i,k,j,l]
-    term3 = np.transpose(gg, (0, 2, 1, 3))   # out[k,i,j,l] = gg[k,j,i,l]
+    term1 = dg.transpose((1, 2, 0, 3))   # out[k,i,j,l] = dg[j,k,i,l]
+    term2 = dg.transpose((1, 0, 2, 3))   # out[k,i,j,l] = dg[i,k,j,l]
+    term3 = gg.transpose((0, 2, 1, 3))   # out[k,i,j,l] = gg[k,j,i,l]
     return term1 - term2 + term3 - gg
 
 
@@ -250,28 +237,9 @@ class AdaptedReport:
     def passed(self) -> bool:
         return all(v <= self.tol for v in self.conditions.values())
 
-    def to_dict(self):
-        return {
-            "side": self.side,
-            "conditions": {str(k): v for k, v in self.conditions.items()},
-            "seed": self.seed,
-            "n_points": self.n_points,
-            "n_vectors": self.n_vectors,
-            "tol": self.tol,
-            "passed": self.passed,
-            "witnesses": self.witnesses,
-        }
-
 
 def _nabla_eta_values(C, S, point):
-    bundle = S.at(point, 1)
-    gamma = C.gamma(point, 0)
-    ev = bundle.eta.comps
-    de = jets_gradient(ev)  # de[i, j, k]
-    corr1 = tdot(gamma, ev, ([0], [0]))                           # Gamma^m_{ij} eta_{mk}
-    corr2 = np.transpose(tdot(gamma, ev, ([0], [1])), (0, 2, 1))  # Gamma^m_{ik} eta_{jm}
-    nabla = de - corr1 - corr2
-    return jet_values(nabla)
+    return jet_values(nabla_jets(C.gamma(point, 0), S.at(point, 1).eta.comps, 0, 2))
 
 
 def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,

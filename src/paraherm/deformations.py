@@ -29,15 +29,18 @@ from .errors import (
 from .geometry import (
     DerivedField,
     Field,
+    MAX_CONDITION,
     JetTensor,
     TensorField,
     apply_endomorphism,
     coeff_max,
+    concat_jets,
+    constant_jets,
     contract_value,
     embed_block,
     exterior_derivative,
-    identity_jets,
     invert_matrix_jets,
+    jet_values,
     tdot,
 )
 from .parastructure import ParaHermitianStructure, bigraded_part_at
@@ -69,7 +72,7 @@ class BTransformation:
             bundle = S.at(p, k)
             bj = b.at(p, k).comps
             # B^M_I = b_{IN} eta^{NM}
-            return np.transpose(tdot(bj, bundle.eta_inv.comps, ([1], [0])), (1, 0))
+            return tdot(bj, bundle.eta_inv.comps, ([1], [0])).transpose((1, 0))
 
         self.B = DerivedField(chart, 1, 1, B_fn)
         self.K_B = S.K + self.B * (2.0 * side)
@@ -91,7 +94,7 @@ class BTransformation:
         self._pk_cache = {}
 
     def _eB_comps(self, p, k):
-        eye = identity_jets(self.S.chart.context(k), self.S.chart.dim)
+        eye = constant_jets(self.S.chart.context(k), np.eye(self.S.chart.dim))
         return eye + self.B.at(p, k).comps
 
     @property
@@ -209,7 +212,7 @@ def _lowered_schouten(T: BTransformation, p, k):
     low = tdot(eta, T.schouten.at(p, k).comps, ([1], [0]))
     low = tdot(eta, low, ([1], [1]))
     low = tdot(eta, low, ([1], [2]))
-    return np.transpose(low, (2, 1, 0))
+    return low.transpose((2, 1, 0))
 
 
 def mc_form(T: BTransformation) -> Field:
@@ -317,7 +320,7 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8) -> FluxReport:
     b_bundle = T.structure_B.at(point, 0)
 
     H = bigraded_part_at(S, dbj, 3, base_bundle)
-    R = JetTensor(0, 3, _lowered_schouten(T, point, 0), 0)
+    R = JetTensor(0, 3, _lowered_schouten(T, point, 0))
     covH = H + R
 
     parts = {m: bigraded_part_at(S, dbj, m, b_bundle) for m in range(4)}
@@ -326,9 +329,8 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8) -> FluxReport:
     reassembly = (covH + parts[2] + parts[1] + parts[0] - dbj).max_abs()
 
     # Sheared frame: H'_i = (1 + B) e_i for the first n coordinates, V_j the rest.
-    eB = T.e_B.at(point, 0).values()
-    plus = np.stack([eB[:, i] for i in range(n)], axis=1)
-    minus = np.stack([np.eye(chart.dim)[n + j] for j in range(n)], axis=1)
+    plus = T.e_B.at(point, 0).values()[:, :n]
+    minus = np.eye(chart.dim)[:, n:]
     h_frame = np.einsum("abc,ai,bj,ck->ijk", covH.values(), plus, plus, plus)
     q_frame = np.einsum("abc,ai,bj,ck->ijk", dbj.values(), minus, plus, plus)
     return FluxReport(
@@ -358,36 +360,22 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
     n = chart.split
     A = TensorField(chart, 1, 1, embed_block(chart, A_block))
 
-    detA = np.linalg.det(A.at(point, 0).values()[:n, :n])
-    if abs(detA) < 1e-12:
-        raise SingularFrame(f"|det A| = {abs(detA):.3e} at {point}")
+    cond = float(np.linalg.cond(A.at(point, 0).values()[:n, :n]))
+    if not cond <= MAX_CONDITION:
+        raise SingularFrame(
+            f"frame block condition number {cond:.3e} exceeds {MAX_CONDITION:.0e} at {point}"
+        )
 
-    def frame_vec(a):
-        def fn(p, k):
-            out = np.empty(chart.dim, dtype=object)
-            out[:n] = A.at(p, k).comps[:n, a]
-            out[n:] = chart.context(k).zero()
-            return out
-
-        return DerivedField(chart, 1, 0, fn)
-
-    def dual_vec(c):
-        def fn(p, k):
-            out = np.empty(chart.dim, dtype=object)
-            out[:n] = chart.context(k).zero()
-            out[n:] = invert_matrix_jets(A.at(p, k).comps[:n, :n])[c]
-            return out
-
-        return DerivedField(chart, 1, 0, fn)
-
+    # e_a is column a of A, which is zero below the plus block; the dual
+    # coframe e^c is row c of the inverse block, on the minus block.
+    frame = [DerivedField(chart, 1, 0, lambda p, k, a=a: A.at(p, k).comps[:, a])
+             for a in range(n)]
+    inv = invert_matrix_jets(A.at(point, order).comps[:n, :n])
+    dual = concat_jets([constant_jets(inv.ctx, np.zeros((n, n))), inv.transpose()])
+    eta = S.at(point, order).eta.comps
     out = np.zeros((n, n, n))
-    bundle = S.at(point, order)
     for a in range(n):
-        ea = frame_vec(a)
         for b in range(n):
-            br = d_bracket(S, ea, frame_vec(b)).at(point, order).comps
-            lowered = tdot(bundle.eta.comps, br, ([0], [0]))
-            for c in range(n):
-                ec = dual_vec(c).at(point, order).comps
-                out[c, a, b] = contract_value(lowered, ec)
+            br = d_bracket(S, frame[a], frame[b]).at(point, order).comps
+            out[:, a, b] = jet_values(tdot(dual, tdot(eta, br, ([0], [0])), ([0], [0])))
     return out

@@ -6,10 +6,16 @@ jets of its components at a point, to a requested truncation order.  Operators
 combinators: they return derived fields whose evaluation pulls jets of one
 order higher from their inputs, so operators nest without any symbolic step.
 
-This module is the sole owner of the tensor-of-jets layout (a numpy object
-array with one `Jet` per component): outside `jets`, only code here walks the
-components or reads jet coefficients, and the other modules go through the
-helpers next to `tdot` and `jets_gradient`.
+This module is the sole owner of the tensor-of-jets layout: a `JetArray`
+holds one jet context and a float array of shape (*tensor_shape, ncoef), the
+graded coefficient layout of `jets` on the last axis.  Contractions are
+einsum-style products over the tensor axes with a gather-multiply-scatter of
+the truncated Cauchy product over the coefficient axis; partials, truncation
+and values are index operations on that axis.  Outside `jets`, only code here
+reads jet coefficients, and the other modules go through the helpers next to
+`tdot` and `jets_gradient`.  Scalars stay `Jet`s: indexing a JetArray down to
+one component, or contracting it fully, gives a `Jet`, and `as_jets` turns an
+array of `Jet`s back into a JetArray.
 
 Conventions (fixed once, used everywhere):
   - exterior derivative of a k-form: (dT)_{I0..Ik} = sum_j (-1)^j d_{Ij} T_{..omit j..},
@@ -20,7 +26,9 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -36,7 +44,7 @@ from .errors import (
 from .jets import Jet, context
 
 __all__ = [
-    "Chart", "Point", "ScalarField", "TensorField", "DerivedField", "JetTensor",
+    "Chart", "Point", "ScalarField", "TensorField", "DerivedField", "JetArray", "JetTensor",
     "lie_bracket", "exterior_derivative", "lie_derivative",
     "interior_product", "wedge", "musical", "lower_index", "raise_index",
     "invert_matrix_jets", "metric_inverse_at", "d_scalar",
@@ -95,7 +103,7 @@ class Point:
         self.key = arr.tobytes()
 
     def __repr__(self):
-        return f"Point({list(self.coords)})"
+        return f"Point({self.coords.tolist()})"
 
 
 # --------------------------------------------------------------------------
@@ -143,19 +151,131 @@ def _as_scalar(chart, obj):
 
 
 # --------------------------------------------------------------------------
-# Evaluated tensors (jets of components at one point)
+# Tensors of jets
 # --------------------------------------------------------------------------
 
+class JetArray:
+    """A tensor of jets of one context: `coeffs` has shape (*shape, ctx.n).
+
+    Indexing selects over the tensor axes, and an index that leaves none
+    gives a scalar `Jet`.  Operands of different orders are truncated to the
+    lower one.  Results may be views of their operands (an index, a
+    truncation, a transpose), so `coeffs` is never written in place.
+    """
+
+    __slots__ = ("ctx", "coeffs")
+    # Let numpy scalars and arrays defer to the reflected operators below.
+    __array_ufunc__ = None
+
+    def __init__(self, ctx, coeffs):
+        self.ctx = ctx
+        self.coeffs = coeffs
+
+    @property
+    def shape(self):
+        return self.coeffs.shape[:-1]
+
+    @property
+    def ndim(self):
+        return self.coeffs.ndim - 1
+
+    def __getitem__(self, idx):
+        key = idx if isinstance(idx, tuple) else (idx,)
+        out = self.coeffs[key + (slice(None),)]
+        if out.ndim == 1:
+            return Jet(self.ctx, out.copy())
+        return JetArray(self.ctx, out)
+
+    def __add__(self, other):
+        a, b = _common(self, as_jets(other, self.ctx))
+        return JetArray(a.ctx, a.coeffs + b.coeffs)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        a, b = _common(self, as_jets(other, self.ctx))
+        return JetArray(a.ctx, a.coeffs - b.coeffs)
+
+    def __neg__(self):
+        return JetArray(self.ctx, -self.coeffs)
+
+    def __mul__(self, c):
+        """Product with a float, or componentwise with one scalar jet."""
+        if isinstance(c, Jet):
+            a, b = _common(self, as_jets(c))
+            ia, ib, scatter = _product_tables(a.ctx)
+            return JetArray(a.ctx, (a.coeffs[..., ia] * b.coeffs[ib]) @ scatter)
+        return JetArray(self.ctx, self.coeffs * float(c))
+
+    __rmul__ = __mul__
+
+    def transpose(self, axes=None):
+        axes = tuple(reversed(range(self.ndim))) if axes is None else tuple(axes)
+        return JetArray(self.ctx, self.coeffs.transpose(axes + (self.ndim,)))
+
+    def moveaxis(self, source, destination):
+        order = [i for i in range(self.ndim) if i != source % self.ndim]
+        order.insert(destination % self.ndim, source % self.ndim)
+        return self.transpose(order)
+
+    def __repr__(self):
+        return f"JetArray(shape={self.shape}, {self.ctx})"
+
+
+def as_jets(obj, ctx=None) -> JetArray:
+    """`obj` as a JetArray: a Jet becomes a 0-d one, and an array (or nested
+    sequence) of jets and numbers is converted at the lowest order among its
+    jets, numbers becoming constants of `ctx` if there is no jet in it."""
+    if isinstance(obj, JetArray):
+        return obj
+    if isinstance(obj, Jet):
+        return JetArray(obj.ctx, obj.coeffs)
+    arr = np.asarray(obj, dtype=object)
+    jets = [x for x in arr.flat if isinstance(x, Jet)]
+    if jets:
+        ctx = min((x.ctx for x in jets), key=lambda c: c.order)
+    elif ctx is None:
+        raise DimensionMismatch("no jet context for an array without jets")
+    coeffs = np.zeros(arr.shape + (ctx.n,))
+    for idx, x in np.ndenumerate(arr):
+        if isinstance(x, Jet):
+            if x.ctx.dim != ctx.dim:
+                raise DimensionMismatch(f"jet dims differ: {x.ctx.dim} vs {ctx.dim}")
+            coeffs[idx] = x.coeffs[: ctx.n]
+        else:
+            coeffs[idx + (0,)] = float(x)
+    return JetArray(ctx, coeffs)
+
+
+def _common(a: JetArray, b: JetArray):
+    """The two operands at the lower of their orders."""
+    if a.ctx.dim != b.ctx.dim:
+        raise DimensionMismatch(f"jet dims differ: {a.ctx.dim} vs {b.ctx.dim}")
+    if a.ctx.order == b.ctx.order:
+        return a, b
+    k = min(a.ctx.order, b.ctx.order)
+    return truncate_jets(a, k), truncate_jets(b, k)
+
+
+@lru_cache(maxsize=None)
+def _product_tables(ctx):
+    """(ia, ib, scatter) for the truncated Cauchy product of `ctx`: pair p
+    multiplies coefficients ia[p] and ib[p], and scatter[p] is the one-hot
+    row of the coefficient it adds to."""
+    scatter = np.zeros((len(ctx._mul_t), ctx.n))
+    scatter[np.arange(len(ctx._mul_t)), ctx._mul_t] = 1.0
+    return ctx._mul_a, ctx._mul_b, scatter
+
+
 class JetTensor:
-    """Components of an (r,s) tensor at a point, as jets of one shared order."""
+    """Components of an (r,s) tensor at a point, as a JetArray."""
 
-    __slots__ = ("r", "s", "comps", "order")
+    __slots__ = ("r", "s", "comps")
 
-    def __init__(self, r, s, comps, order):
+    def __init__(self, r, s, comps):
         self.r = r
         self.s = s
         self.comps = comps
-        self.order = order
 
     @property
     def rank(self):
@@ -170,19 +290,14 @@ class JetTensor:
 
     def __add__(self, other):
         _same_rank(self, other)
-        return JetTensor(self.r, self.s, self.comps + other.comps, min(self.order, other.order))
+        return JetTensor(self.r, self.s, self.comps + other.comps)
 
     def __sub__(self, other):
         _same_rank(self, other)
-        return JetTensor(self.r, self.s, self.comps - other.comps, min(self.order, other.order))
+        return JetTensor(self.r, self.s, self.comps - other.comps)
 
     def __mul__(self, c):
-        return JetTensor(self.r, self.s, self.comps * c, self.order)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
+        return JetTensor(self.r, self.s, self.comps * c)
 
 
 def _same_rank(a, b):
@@ -190,68 +305,96 @@ def _same_rank(a, b):
         raise RankMismatch(f"rank mismatch: {a.rank} vs {b.rank}")
 
 
-def jets_gradient(comps):
-    """Stack of partials: result[v, ...] = d_v comps[...]."""
-    dim = next(iter(comps.flat)).ctx.dim
-    out = np.empty((dim,) + comps.shape, dtype=object)
-    for v in range(dim):
-        for idx in np.ndindex(comps.shape):
-            out[(v,) + idx] = comps[idx].partial(v)
-    return out
+def jets_gradient(comps) -> JetArray:
+    """Stack of partials: result[v, ...] = d_v comps[...], one order lower."""
+    comps = as_jets(comps)
+    if comps.ctx.order < 1:
+        raise InsufficientJetOrder("cannot differentiate an order-0 jet")
+    lower, src, fac = comps.ctx._deriv_tables()
+    out = comps.coeffs[..., src] * fac  # (*shape, dim, lower.n)
+    k = out.ndim - 2
+    return JetArray(lower, out.transpose([k, *range(k), k + 1]))
 
 
-def tdot(a, b, axes):
-    """np.tensordot for object arrays of jets; full contractions stay 0-d arrays."""
-    out = np.tensordot(a, b, axes=axes)
-    if not isinstance(out, np.ndarray):
-        wrapped = np.empty((), dtype=object)
-        wrapped[()] = out
-        return wrapped
-    return out
+def tdot(a, b, axes) -> JetArray:
+    """np.tensordot for tensors of jets; a full contraction gives a 0-d array.
+
+    With the coefficient axis moved first, each pair (i, j) of the truncated
+    Cauchy product is one matrix product a[i] @ b[j] over the tensor axes,
+    all pairs in one batched call, and the pairs are then scattered onto the
+    coefficients they add to.
+    """
+    ctx = getattr(a, "ctx", None) or getattr(b, "ctx", None)
+    a, b = _common(as_jets(a, ctx), as_jets(b, ctx))
+    ca, cb = a.coeffs, b.coeffs
+    na, nb = ca.ndim - 1, cb.ndim - 1
+    ax_a = [x % na for x in axes[0]]
+    ax_b = [x % nb for x in axes[1]]
+    free_a = [i for i in range(na) if i not in ax_a]
+    free_b = [i for i in range(nb) if i not in ax_b]
+    shape = tuple(ca.shape[i] for i in free_a) + tuple(cb.shape[i] for i in free_b)
+    contracted = math.prod(ca.shape[i] for i in ax_a)
+    n = a.ctx.n
+    A = ca.transpose([na] + free_a + ax_a).reshape(n, -1, contracted)
+    B = cb.transpose([nb] + ax_b + free_b).reshape(n, contracted, -1)
+    ia, ib, scatter = _product_tables(a.ctx)
+    pairs = A[ia] @ B[ib]
+    out = pairs.reshape(len(ia), -1).T @ scatter
+    return JetArray(a.ctx, out.reshape(shape + (n,)))
 
 
 def contract_value(t, *vectors) -> float:
     """Value of t with each vector contracted, in turn, into its first axis."""
     for v in vectors:
         t = tdot(t, v, ([0], [0]))
-    return float(t[()].value)
+    return float(t.coeffs[0])
 
 
 def jet_values(comps) -> np.ndarray:
-    """Float array of the values (constant terms) of an object array of jets."""
-    return np.array([jet.value for jet in comps.flat], dtype=float).reshape(comps.shape)
+    """Float array of the values (constant terms) of a tensor of jets."""
+    return as_jets(comps).coeffs[..., 0].copy()
 
 
 def coeff_max(comps) -> float:
-    """Largest |coefficient| over all jets of an object array (0 if empty)."""
-    worst = 0.0
-    for idx in np.ndindex(comps.shape):
-        worst = max(worst, float(np.max(np.abs(comps[idx].coeffs))))
-    return worst
+    """Largest |coefficient| over a tensor of jets (0 if empty)."""
+    coeffs = as_jets(comps).coeffs
+    return float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
 
 
-def truncate_jets(comps, order):
-    """Each jet truncated to `order`, or kept as is if its order is lower."""
-    out = np.empty(comps.shape, dtype=object)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = comps[idx].truncate(min(order, comps[idx].ctx.order))
-    return out
+def truncate_jets(comps, order) -> JetArray:
+    """The tensor truncated to `order`, or kept as is if its order is lower."""
+    comps = as_jets(comps)
+    if order >= comps.ctx.order:
+        return comps
+    lower = context(comps.ctx.dim, order)
+    return JetArray(lower, comps.coeffs[..., : lower.n])
 
 
-def identity_jets(ctx, dim):
-    """The dim x dim identity matrix as constant jets of `ctx`."""
-    eye = np.empty((dim, dim), dtype=object)
-    for i, j in np.ndindex(eye.shape):
-        eye[i, j] = ctx.constant(1.0 if i == j else 0.0)
-    return eye
+def constant_jets(ctx, values) -> JetArray:
+    """A float array as a tensor of constant jets of `ctx`."""
+    values = np.asarray(values, dtype=float)
+    coeffs = np.zeros(values.shape + (ctx.n,))
+    coeffs[..., 0] = values
+    return JetArray(ctx, coeffs)
+
+
+def concat_jets(parts) -> JetArray:
+    """Tensors joined along their first axis, at the lowest of their orders."""
+    parts = [as_jets(x) for x in parts]
+    k = min(x.ctx.order for x in parts)
+    parts = [truncate_jets(x, k) for x in parts]
+    return JetArray(parts[0].ctx, np.concatenate([x.coeffs for x in parts]))
 
 
 def embed_block(chart, block):
     """The n x n `block` of chart scalars in the top-left of a dim x dim
     component array, zero elsewhere; n is the chart's split."""
     n = chart.split
+    block = np.asarray(block, dtype=object)
+    if block.shape != (n, n):
+        raise RankMismatch(f"block must be {n} x {n}, got shape {block.shape}")
     comps = np.zeros((chart.dim, chart.dim), dtype=object)
-    comps[:n, :n] = np.asarray(block, dtype=object)[:n, :n]
+    comps[:n, :n] = block
     return comps
 
 
@@ -329,22 +472,24 @@ class TensorField(Field):
         self.comps = arr
 
     def at(self, point, order=0) -> JetTensor:
-        out = np.empty(self.comps.shape, dtype=object)
-        for idx in np.ndindex(out.shape):
-            out[idx] = self.comps[idx].jet(point, order)
-        return JetTensor(self.r, self.s, out, order)
+        ctx = self.chart.context(order)
+        coeffs = np.empty(self.comps.shape + (ctx.n,))
+        for idx, comp in np.ndenumerate(self.comps):
+            coeffs[idx] = comp.jet(point, order).coeffs
+        return JetTensor(self.r, self.s, JetArray(ctx, coeffs))
 
 
 class DerivedField(Field):
-    """A field backed by a procedure (point, order) -> object array of jets."""
+    """A field backed by a procedure (point, order) -> tensor of jets (a
+    JetArray, or anything `as_jets` converts)."""
 
     def __init__(self, chart, r, s, fn, sym=None):
         super().__init__(chart, r, s, sym=sym)
         self.fn = fn
 
     def at(self, point, order=0) -> JetTensor:
-        self.chart.context(order)
-        return JetTensor(self.r, self.s, self.fn(point, order), order)
+        ctx = self.chart.context(order)
+        return JetTensor(self.r, self.s, as_jets(self.fn(point, order), ctx))
 
 
 def constant_field(chart, array, r, s, sym=None):
@@ -402,7 +547,7 @@ def exterior_derivative(T: Field) -> Field:
         grad = jets_gradient(tj)  # grad[v, i1..ik] = d_v T_{i1..ik}
         out = grad
         for j in range(1, T.s + 1):
-            term = np.moveaxis(grad, 0, j)
+            term = grad.moveaxis(0, j)
             out = out - term if j % 2 else out + term
         return out
 
@@ -413,7 +558,7 @@ def d_scalar(f: ScalarField) -> Field:
     """Differential of a scalar, as a (0,1) field."""
 
     def fn(p, k):
-        return jets_gradient(np.array(f.jet(p, k + 1), dtype=object))
+        return jets_gradient(f.jet(p, k + 1))
 
     return DerivedField(f.chart, 0, 1, fn, sym="antisymmetric")
 
@@ -439,7 +584,7 @@ def scalar_pairing(T: Field, fields) -> ScalarField:
         comps = T.at(p, ctx.order).comps
         for X in fields:
             comps = tdot(X.at(p, ctx.order).comps, comps, ([0], [0]))
-        return comps[()] if comps.shape == () else comps
+        return comps[()]
 
     return ScalarField(T.chart, fn)
 
@@ -470,11 +615,7 @@ def lie_derivative_scalar(X: Field, f: ScalarField) -> ScalarField:
 
     def fn(p, ctx):
         xj = X.at(p, ctx.order).comps
-        fj = f.jet(p, ctx.order + 1)
-        acc = ctx.zero()
-        for v in range(X.chart.dim):
-            acc = acc + xj[v] * fj.partial(v)
-        return acc
+        return tdot(xj, jets_gradient(f.jet(p, ctx.order + 1)), ([0], [0]))[()]
 
     return ScalarField(X.chart, fn)
 
@@ -486,21 +627,14 @@ def wedge(a: Field, b: Field) -> Field:
     ka, kb = a.s, b.s
 
     def fn(p, k):
-        aj = a.at(p, k).comps
-        bj = b.at(p, k).comps
-        dim = a.chart.dim
-        out = np.empty((dim,) * (ka + kb), dtype=object)
-        zero = a.chart.context(k).zero()
-        for idx in np.ndindex(out.shape):
-            acc = zero
-            for left in combinations(range(ka + kb), ka):
-                right = [t for t in range(ka + kb) if t not in left]
-                perm = list(left) + right
-                sgn = _perm_sign(perm)
-                acc = acc + sgn * (
-                    aj[tuple(idx[t] for t in left)] * bj[tuple(idx[t] for t in right)]
-                )
-            out[idx] = acc
+        # outer[i_1..i_ka, j_1..j_kb] = a_{i..} b_{j..}; each shuffle places
+        # the a-slots at `left` and the b-slots at the rest.
+        outer = tdot(a.at(p, k).comps, b.at(p, k).comps, ([], []))
+        out = None
+        for left in combinations(range(ka + kb), ka):
+            perm = list(left) + [t for t in range(ka + kb) if t not in left]
+            term = outer.transpose(np.argsort(perm)) * float(_perm_sign(perm))
+            out = term if out is None else out + term
         return out
 
     return DerivedField(a.chart, 0, ka + kb, fn, sym="antisymmetric")
@@ -543,54 +677,40 @@ def antisymmetry_residual(T: Field, points, order=0) -> float:
 MAX_CONDITION = 1e12
 
 
-def invert_matrix_jets(M: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse of a square object matrix of jets.
+def invert_matrix_jets(M) -> JetArray:
+    """Inverse of a square matrix of jets.
 
     Raises SingularMetric when the condition number of the value matrix
-    exceeds MAX_CONDITION.  Pivots are chosen by the largest constant term.
+    exceeds MAX_CONDITION.  Starting from the inverse of the values, each
+    Newton step X <- X (2 - M X) doubles the number of correct orders.
     """
-    cond = float(np.linalg.cond(jet_values(M)))
+    M = as_jets(M)
+    vals = jet_values(M)
+    cond = float(np.linalg.cond(vals))
     if not cond <= MAX_CONDITION:
         raise SingularMetric(f"condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
-    d = M.shape[0]
-    A = M.copy()
-    B = identity_jets(M[0, 0].ctx, d)
-    for col in range(d):
-        pivot = max(range(col, d), key=lambda r: abs(A[r, col].value))
-        if pivot != col:
-            A[[col, pivot]] = A[[pivot, col]]
-            B[[col, pivot]] = B[[pivot, col]]
-        inv = A[col, col].reciprocal()
-        A[col] = A[col] * inv
-        B[col] = B[col] * inv
-        for row in range(d):
-            if row == col:
-                continue
-            factor = A[row, col]
-            if factor.value == 0.0 and not factor.coeffs.any():
-                continue
-            A[row] = A[row] - factor * A[col]
-            B[row] = B[row] - factor * B[col]
-    return B
+    X = constant_jets(M.ctx, np.linalg.inv(vals))
+    two = constant_jets(M.ctx, 2.0 * np.eye(len(vals)))
+    for _ in range(max(1, math.ceil(math.log2(M.ctx.order + 1)))):
+        X = tdot(X, two - tdot(M, X, ([1], [0])), ([1], [0]))
+    return X
 
 
 def metric_inverse_at(eta: Field, point, order) -> tuple[JetTensor, JetTensor]:
     """(eta, eta^{-1}) jets at a point; raises SingularMetric as
     `invert_matrix_jets` does."""
     ej = eta.at(point, order)
-    return ej, JetTensor(2, 0, invert_matrix_jets(ej.comps), order)
+    return ej, JetTensor(2, 0, invert_matrix_jets(ej.comps))
 
 
 def lower_index(eta_jets: JetTensor, T: JetTensor, axis=0) -> JetTensor:
-    out = tdot(eta_jets.comps, T.comps, ([1], [axis]))
-    out = np.moveaxis(out, 0, axis)
-    return JetTensor(T.r - 1, T.s + 1, out, min(eta_jets.order, T.order))
+    out = tdot(eta_jets.comps, T.comps, ([1], [axis])).moveaxis(0, axis)
+    return JetTensor(T.r - 1, T.s + 1, out)
 
 
 def raise_index(eta_inv_jets: JetTensor, T: JetTensor, axis=0) -> JetTensor:
-    out = tdot(eta_inv_jets.comps, T.comps, ([1], [axis]))
-    out = np.moveaxis(out, 0, axis)
-    return JetTensor(T.r + 1, T.s - 1, out, min(eta_inv_jets.order, T.order))
+    out = tdot(eta_inv_jets.comps, T.comps, ([1], [axis])).moveaxis(0, axis)
+    return JetTensor(T.r + 1, T.s - 1, out)
 
 
 def musical(eta: Field, T: Field, slots, point, order=0) -> JetTensor:

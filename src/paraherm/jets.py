@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from numbers import Real
 
 import numpy as np
 
@@ -69,24 +70,23 @@ class JetContext:
         self._mul_a = np.array(ia)
         self._mul_b = np.array(ib)
         self._mul_t = np.array(it)
-        # Partial-derivative extraction tables, one per variable: the target
-        # context has order-1 and shares the coefficient layout prefix.
+        # Partial-derivative extraction tables, one row per variable: the
+        # target context has order-1 and shares the coefficient layout prefix.
         self._dtab = None
 
     def _deriv_tables(self):
+        """(lower, src, fac): d_v of a jet has coefficients coeffs[src[v]] * fac[v]."""
         if self._dtab is None:
             lower = context(self.dim, self.order - 1)
-            tabs = []
+            src = np.empty((self.dim, lower.n), dtype=int)
+            fac = np.empty((self.dim, lower.n))
             for v in range(self.dim):
-                src = np.empty(lower.n, dtype=int)
-                fac = np.empty(lower.n)
                 for k, beta in enumerate(lower.alphas):
                     shifted = list(beta)
                     shifted[v] += 1
-                    src[k] = self.index[tuple(shifted)]
-                    fac[k] = shifted[v]
-                tabs.append((src, fac))
-            self._dtab = (lower, tabs)
+                    src[v, k] = self.index[tuple(shifted)]
+                    fac[v, k] = shifted[v]
+            self._dtab = (lower, src, fac)
         return self._dtab
 
     # -- seeds ---------------------------------------------------------------
@@ -172,9 +172,8 @@ class Jet:
         """Jet of the v-th partial derivative; truncation order drops by one."""
         if self.ctx.order < 1:
             raise InsufficientJetOrder("cannot differentiate an order-0 jet")
-        lower, tabs = self.ctx._deriv_tables()
-        src, fac = tabs[v]
-        return Jet(lower, self.coeffs[src] * fac)
+        lower, src, fac = self.ctx._deriv_tables()
+        return Jet(lower, self.coeffs[src[v]] * fac[v])
 
     # -- ring operations -----------------------------------------------------
 
@@ -182,7 +181,7 @@ class Jet:
         if isinstance(other, Jet):
             a, b = _common(self, other)
             return Jet(a.ctx, a.coeffs + b.coeffs)
-        if isinstance(other, np.ndarray):
+        if not isinstance(other, Real):
             return NotImplemented
         c = self.coeffs.copy()
         c[0] += float(other)
@@ -194,7 +193,7 @@ class Jet:
         return Jet(self.ctx, -self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, np.ndarray):
+        if not isinstance(other, (Jet, Real)):
             return NotImplemented
         return self + (-other if isinstance(other, Jet) else -float(other))
 
@@ -207,7 +206,7 @@ class Jet:
             ctx = a.ctx
             prod = a.coeffs[ctx._mul_a] * b.coeffs[ctx._mul_b]
             return Jet(ctx, np.bincount(ctx._mul_t, weights=prod, minlength=ctx.n))
-        if isinstance(other, np.ndarray):
+        if not isinstance(other, Real):
             return NotImplemented
         return Jet(self.ctx, self.coeffs * float(other))
 
@@ -227,7 +226,7 @@ class Jet:
         if isinstance(other, Jet):
             a, b = _common(self, other)
             return a * b.reciprocal()
-        if isinstance(other, np.ndarray):
+        if not isinstance(other, Real):
             return NotImplemented
         return self * (1.0 / float(other))
 

@@ -30,11 +30,15 @@ from .geometry import (
     DerivedField,
     Field,
     TensorField,
+    as_jets,
+    concat_jets,
     constant_field,
+    constant_jets,
     embed_block,
     invert_matrix_jets,
     jet_values,
     jets_gradient,
+    tdot,
     truncate_jets,
 )
 from .parastructure import ParaHermitianStructure
@@ -133,74 +137,37 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
         g1 = gamma_g(point, order + 1)
         return truncate_jets(riemann_jets(g1, jets_gradient(g1)[:n]), order)
 
-    def frame_h(i):
-        def fn(p, k):
-            ctx = chart.context(k)
-            gamma = gamma_g(p, k)
-            out = np.empty(2 * n, dtype=object)
-            for a in range(n):
-                out[a] = ctx.constant(1.0 if a == i else 0.0)
-            for kk in range(n):
-                acc = ctx.zero()
-                for j in range(n):
-                    acc = acc - gamma[kk, i, j] * ctx.coordinate(n + j, p.coords[n + j])
-                out[n + kk] = acc
-            return out
+    def frame_jets(p, k):
+        """(H, V): row i of H is the frame H_i = d_i - Gamma^a_{ij} v^j d_{v^a},
+        row i of V is the coframe V^i = dv^i + Gamma^i_{aj} v^j dx^a."""
+        ctx = chart.context(k)
+        v = as_jets([ctx.coordinate(n + j, p.coords[n + j]) for j in range(n)])
+        gv = tdot(gamma_g(p, k), v, ([2], [0]))  # gv[a, b] = Gamma^a_{bj} v^j
+        unit = constant_jets(ctx, np.eye(n))
+        return (concat_jets([unit, -gv]).transpose(),
+                concat_jets([gv.transpose(), unit]).transpose())
 
-        return DerivedField(chart, 1, 0, fn)
-
-    def coframe_v(i):
-        def fn(p, k):
-            ctx = chart.context(k)
-            gamma = gamma_g(p, k)
-            out = np.empty(2 * n, dtype=object)
-            for kk in range(n):
-                acc = ctx.zero()
-                for j in range(n):
-                    acc = acc + gamma[i, kk, j] * ctx.coordinate(n + j, p.coords[n + j])
-                out[kk] = acc
-            for a in range(n):
-                out[n + a] = ctx.constant(1.0 if a == i else 0.0)
-            return out
-
-        return DerivedField(chart, 0, 1, fn)
-
-    frames_h = [frame_h(i) for i in range(n)]
-    frames_v = [constant_field(chart, np.eye(2 * n)[n + i], 1, 0) for i in range(n)]
-    coframes_h = [constant_field(chart, np.eye(2 * n)[i], 0, 1) for i in range(n)]
-    coframes_v = [coframe_v(i) for i in range(n)]
+    eye = np.eye(2 * n)
+    frames_h = [DerivedField(chart, 1, 0, lambda p, k, i=i: frame_jets(p, k)[0][i])
+                for i in range(n)]
+    frames_v = [constant_field(chart, eye[n + i], 1, 0) for i in range(n)]
+    coframes_h = [constant_field(chart, eye[i], 0, 1) for i in range(n)]
+    coframes_v = [DerivedField(chart, 0, 1, lambda p, k, i=i: frame_jets(p, k)[1][i])
+                  for i in range(n)]
 
     def eta_fn(p, k):
+        # eta = g_ij (V^i (x) H^j + H^i (x) V^j), with H^j = dx^j
         gj = g_field.at(p, k).comps[:n, :n]
-        vco = [coframes_v[i].at(p, k).comps for i in range(n)]
-        hco = [coframes_h[i].at(p, k).comps for i in range(n)]
-        out = np.empty((2 * n, 2 * n), dtype=object)
-        ctx = chart.context(k)
-        for A in range(2 * n):
-            for Bax in range(2 * n):
-                acc = ctx.zero()
-                for i in range(n):
-                    for j in range(n):
-                        acc = acc + gj[i, j] * (
-                            vco[i][A] * hco[j][Bax] + hco[i][A] * vco[j][Bax]
-                        )
-                out[A, Bax] = acc
-        return out
+        vco = frame_jets(p, k)[1]
+        hco = constant_jets(vco.ctx, eye[:n])
+        return (tdot(tdot(vco, gj, ([0], [0])), hco, ([1], [0]))
+                + tdot(tdot(hco, gj, ([0], [0])), vco, ([1], [0])))
 
     def K_fn(p, k):
-        hs = [frames_h[i].at(p, k).comps for i in range(n)]
-        vs = [frames_v[i].at(p, k).comps for i in range(n)]
-        hco = [coframes_h[i].at(p, k).comps for i in range(n)]
-        vco = [coframes_v[i].at(p, k).comps for i in range(n)]
-        out = np.empty((2 * n, 2 * n), dtype=object)
-        ctx = chart.context(k)
-        for A in range(2 * n):
-            for Bax in range(2 * n):
-                acc = ctx.zero()
-                for i in range(n):
-                    acc = acc + hs[i][A] * hco[i][Bax] - vs[i][A] * vco[i][Bax]
-                out[A, Bax] = acc
-        return out
+        # K = H_i (x) H^i - V_i (x) V^i, with H^i = dx^i and V_i = d_{v^i}
+        h, vco = frame_jets(p, k)
+        return (tdot(h, constant_jets(h.ctx, eye[:n]), ([0], [0]))
+                - tdot(constant_jets(h.ctx, eye[n:]), vco, ([0], [0])))
 
     eta = DerivedField(chart, 0, 2, eta_fn, sym="symmetric")
     K = DerivedField(chart, 1, 1, K_fn)

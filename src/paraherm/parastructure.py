@@ -26,9 +26,9 @@ from .geometry import (
     apply_endomorphism,
     coeff_max,
     constant_field,
+    constant_jets,
     contract_value,
     exterior_derivative,
-    identity_jets,
     invert_matrix_jets,
     jet_values,
     lie_bracket,
@@ -82,12 +82,12 @@ class ParaHermitianStructure:
             return hit
         ej = self.eta.at(point, order)
         kj = self.K.at(point, order)
-        inv = JetTensor(2, 0, invert_matrix_jets(ej.comps), order)
+        inv = JetTensor(2, 0, invert_matrix_jets(ej.comps))
         # omega(d_A, d_B) = eta(K d_A, d_B) = K^m_A eta_{mB}
-        omega = JetTensor(0, 2, tdot(kj.comps, ej.comps, ([0], [0])), order)
-        eye = identity_jets(self.chart.context(order), self.chart.dim)
-        Pp = JetTensor(1, 1, (eye + kj.comps) * 0.5, order)
-        Pm = JetTensor(1, 1, (eye - kj.comps) * 0.5, order)
+        omega = JetTensor(0, 2, tdot(kj.comps, ej.comps, ([0], [0])))
+        eye = constant_jets(self.chart.context(order), np.eye(self.chart.dim))
+        Pp = JetTensor(1, 1, (eye + kj.comps) * 0.5)
+        Pm = JetTensor(1, 1, (eye - kj.comps) * 0.5)
         bundle = _Bundle(ej, inv, kj, omega, Pp, Pm)
         self._cache[key] = bundle
         return bundle
@@ -146,15 +146,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(v <= self.tol for v in self.residuals.values())
-
-    def to_dict(self):
-        return {
-            "residuals": self.residuals,
-            "tol": self.tol,
-            "n_points": self.n_points,
-            "min_abs_det": self.min_abs_det,
-            "passed": self.passed,
-        }
 
 
 def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> ValidationReport:
@@ -220,7 +211,7 @@ def rho(S, sign, X: Field, point, order=0) -> GeneralizedVector:
     Q = b.Pm.comps if sign > 0 else b.Pp.comps
     vec = tdot(P, xj, ([1], [0]))
     cov = tdot(b.eta.comps, tdot(Q, xj, ([1], [0])), ([0], [0]))
-    return GeneralizedVector(JetTensor(1, 0, vec, order), JetTensor(0, 1, cov, order), sign)
+    return GeneralizedVector(JetTensor(1, 0, vec), JetTensor(0, 1, cov), sign)
 
 
 def rho_field(S, sign, X: Field):
@@ -241,7 +232,7 @@ def rho_inverse(S, sign, vec: JetTensor, cov: JetTensor, point, order=0) -> JetT
     """Reassemble X from rho_sign(X) = (vec, cov): X = vec + eta^{-1} cov."""
     b = S.at(point, order)
     other = tdot(b.eta_inv.comps, cov.comps, ([1], [0]))
-    return JetTensor(1, 0, vec.comps + other, order)
+    return JetTensor(1, 0, vec.comps + other)
 
 
 # --------------------------------------------------------------------------
@@ -330,9 +321,9 @@ def bigraded_part_at(S, T: JetTensor, m_plus: int, bundle) -> JetTensor:
         comps = T.comps
         for slot in range(k):
             P = bundle.Pp.comps if slot in plus_slots else bundle.Pm.comps
-            comps = np.moveaxis(tdot(P, comps, ([0], [slot])), 0, slot)
+            comps = tdot(P, comps, ([0], [slot])).moveaxis(0, slot)
         out = comps if out is None else out + comps
-    return JetTensor(0, k, out, T.order)
+    return JetTensor(0, k, out)
 
 
 # --------------------------------------------------------------------------
@@ -346,15 +337,6 @@ class ClassificationReport:
     tol: float
     n_points: int
     cross_checks: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "flags": self.flags,
-            "residuals": self.residuals,
-            "cross_checks": self.cross_checks,
-            "tol": self.tol,
-            "n_points": self.n_points,
-        }
 
 
 def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationReport:

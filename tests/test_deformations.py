@@ -10,7 +10,7 @@ from paraherm.deformations import (
     twisted_d_bracket, twisted_d_bracket_reference,
 )
 from paraherm.errors import (
-    NotAntisymmetric, NotParaKahler, SingularFrame, Unsupported, WrongType,
+    NotAntisymmetric, NotParaKahler, RankMismatch, SingularFrame, Unsupported, WrongType,
 )
 from paraherm.geometry import (
     TensorField, apply_endomorphism, constant_field, exterior_derivative,
@@ -299,6 +299,32 @@ def test_f_flux_singular_frame(flat2):
     A = np.array([["0", "0"], ["0", "1"]], dtype=object)
     with pytest.raises(SingularFrame):
         f_flux(flat2.S, A, p)
+
+
+def test_f_flux_frame_guard_is_relative(flat3):
+    """The frame check is a condition number, so it does not depend on the
+    overall scale: 1e-5 I (|det| = 1e-15, condition number 1) is a valid
+    constant frame, while a block with a zero row is still rejected, and so
+    is a block of the wrong size."""
+    p = sample_points(flat3, 1, 22)[0]
+    tiny = np.array([["0.00001", "0", "0"], ["0", "0.00001", "0"], ["0", "0", "0.00001"]],
+                    dtype=object)
+    assert np.max(np.abs(f_flux(flat3.S, tiny, p))) == 0.0
+    singular = np.array([["0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], dtype=object)
+    with pytest.raises(SingularFrame):
+        f_flux(flat3.S, singular, p)
+    with pytest.raises(RankMismatch):
+        f_flux(flat3.S, np.array([["0", "0"], ["0", "1"]], dtype=object), p)
+
+
+def test_error_messages_print_plain_coordinates(flat2):
+    """Points in error messages read as plain numbers, not as numpy scalars."""
+    p = flat2.chart.point([0.5, -0.25, 0.125, 1.0])
+    assert repr(p) == "Point([0.5, -0.25, 0.125, 1.0])"
+    with pytest.raises(SingularFrame) as err:
+        f_flux(flat2.S, np.array([["0", "0"], ["0", "1"]], dtype=object), p)
+    assert "np.float64" not in str(err.value)
+    assert "[0.5, -0.25, 0.125, 1.0]" in str(err.value)
 
 
 # -- mirror and composite --------------------------------------------------------------

@@ -1,0 +1,209 @@
+"""Property tests: the dense tensor-of-jets kernels in `geometry` against the
+scalar `Jet` arithmetic of `jets`, over dims 1-8 and orders K <= 4.
+
+Each reference is computed component by component with `Jet` products,
+sums, partials and truncations, on object arrays built from the same
+coefficients, so it shares no code with the dense kernels.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paraherm.errors import SingularMetric
+from paraherm.geometry import (
+    JetArray,
+    as_jets,
+    invert_matrix_jets,
+    jets_gradient,
+    tdot,
+    truncate_jets,
+)
+from paraherm.jets import Jet, context
+
+SETTINGS = settings(max_examples=60, deadline=None)
+dims = st.integers(1, 8)
+orders = st.integers(0, 4)
+seeds = st.integers(0, 2**32 - 1)
+axis_len = st.integers(1, 3)
+
+
+def random_jets(rng, dim, order, shape):
+    ctx = context(dim, order)
+    return JetArray(ctx, rng.uniform(-1.0, 1.0, tuple(shape) + (ctx.n,)))
+
+
+def scalar_jets(arr):
+    """The same tensor as an object array of scalar `Jet`s."""
+    out = np.empty(arr.shape, dtype=object)
+    for idx in np.ndindex(arr.shape):
+        out[idx] = Jet(arr.ctx, arr.coeffs[idx].copy())
+    return out
+
+
+def assert_same(dense, jets, tol=1e-12):
+    """Every component of `dense` equals the scalar jet in `jets`."""
+    assert dense.shape == jets.shape
+    for idx in np.ndindex(jets.shape):
+        want = jets[idx]
+        got = dense[idx]
+        assert isinstance(got, Jet)
+        assert got.ctx is want.ctx
+        scale = max(1.0, float(np.max(np.abs(want.coeffs))))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= tol * scale
+
+
+@SETTINGS
+@given(dims, orders, orders, axis_len, axis_len, axis_len, seeds)
+def test_contraction_matches_scalar_products(dim, ka, kb, p, c, q, seed):
+    """A (p,c) . (c,q) contraction, operands of mixed order."""
+    rng = np.random.default_rng(seed)
+    a = random_jets(rng, dim, ka, (p, c))
+    b = random_jets(rng, dim, kb, (c, q))
+    aj, bj = scalar_jets(a), scalar_jets(b)
+    want = np.empty((p, q), dtype=object)
+    for i in range(p):
+        for j in range(q):
+            acc = aj[i, 0] * bj[0, j]
+            for m in range(1, c):
+                acc = acc + aj[i, m] * bj[m, j]
+            want[i, j] = acc
+    got = tdot(a, b, ([1], [0]))
+    assert got.ctx.order == min(ka, kb)
+    assert_same(got, want)
+
+
+@SETTINGS
+@given(dims, orders, orders, axis_len, axis_len, seeds)
+def test_full_contraction_is_a_scalar_jet(dim, ka, kb, c1, c2, seed):
+    """Contracting both axes of two (c1,c2) tensors, in swapped order on the
+    second operand, gives a 0-d array whose one component is the scalar sum."""
+    rng = np.random.default_rng(seed)
+    a = random_jets(rng, dim, ka, (c1, c2))
+    b = random_jets(rng, dim, kb, (c2, c1))
+    aj, bj = scalar_jets(a), scalar_jets(b)
+    want = aj[0, 0] * bj[0, 0]
+    for i, j in np.ndindex(c1, c2):
+        if (i, j) != (0, 0):
+            want = want + aj[i, j] * bj[j, i]
+    got = tdot(a, b, ([0, 1], [1, 0]))
+    assert got.shape == ()
+    assert_same(got, np.array(want, dtype=object))
+
+
+@SETTINGS
+@given(dims, orders, orders, axis_len, axis_len, seeds)
+def test_outer_product_and_elementwise_operations(dim, ka, kb, p, q, seed):
+    """tdot with no contracted axis; +, - and * by a scalar jet, mixed order."""
+    rng = np.random.default_rng(seed)
+    a = random_jets(rng, dim, ka, (p,))
+    b = random_jets(rng, dim, kb, (q,))
+    c = random_jets(rng, dim, kb, (p,))
+    s = random_jets(rng, dim, kb, ())[()]
+    aj, bj, cj = scalar_jets(a), scalar_jets(b), scalar_jets(c)
+    outer = np.empty((p, q), dtype=object)
+    for i, j in np.ndindex(p, q):
+        outer[i, j] = aj[i] * bj[j]
+    assert_same(tdot(a, b, ([], [])), outer)
+    assert_same(a * s, np.array([x * s for x in aj], dtype=object))
+    assert_same(s * a, np.array([s * x for x in aj], dtype=object))
+    assert_same(a + c, aj + cj, tol=0.0)
+    assert_same(a - c, aj - cj, tol=0.0)
+    assert_same(0.5 * a, aj * 0.5, tol=0.0)
+
+
+@SETTINGS
+@given(dims, st.integers(1, 4), axis_len, axis_len, seeds)
+def test_gradient_matches_partial(dim, k, p, q, seed):
+    rng = np.random.default_rng(seed)
+    a = random_jets(rng, dim, k, (p, q))
+    aj = scalar_jets(a)
+    want = np.empty((dim, p, q), dtype=object)
+    for v in range(dim):
+        for i, j in np.ndindex(p, q):
+            want[v, i, j] = aj[i, j].partial(v)
+    got = jets_gradient(a)
+    assert got.ctx is context(dim, k - 1)
+    assert_same(got, want, tol=0.0)
+
+
+@SETTINGS
+@given(dims, orders, orders, axis_len, seeds)
+def test_truncate_matches_scalar_truncate(dim, k, target, p, seed):
+    rng = np.random.default_rng(seed)
+    a = random_jets(rng, dim, k, (p, 2))
+    aj = scalar_jets(a)
+    want = np.empty(aj.shape, dtype=object)
+    for idx in np.ndindex(aj.shape):
+        want[idx] = aj[idx].truncate(min(target, k))
+    assert_same(truncate_jets(a, target), want, tol=0.0)
+
+
+def gauss_jordan(M):
+    """Scalar-jet Gauss-Jordan inverse with pivoting on the largest value."""
+    d = M.shape[0]
+    A = M.copy()
+    B = np.empty((d, d), dtype=object)
+    for i, j in np.ndindex(d, d):
+        B[i, j] = M[0, 0].ctx.constant(1.0 if i == j else 0.0)
+    for col in range(d):
+        pivot = max(range(col, d), key=lambda r: abs(A[r, col].value))
+        A[[col, pivot]] = A[[pivot, col]]
+        B[[col, pivot]] = B[[pivot, col]]
+        inv = A[col, col].reciprocal()
+        A[col] = A[col] * inv
+        B[col] = B[col] * inv
+        for row in range(d):
+            if row != col:
+                factor = A[row, col]
+                A[row] = A[row] - factor * A[col]
+                B[row] = B[row] - factor * B[col]
+    return B
+
+
+@SETTINGS
+@given(dims, orders, st.integers(1, 4), seeds)
+def test_inverse_matches_gauss_jordan(dim, k, d, seed):
+    """Well-conditioned draws: diagonally dominant values, small derivatives."""
+    rng = np.random.default_rng(seed)
+    M = random_jets(rng, dim, k, (d, d))
+    M.coeffs[..., 0] += 2.0 * d * np.eye(d)
+    inv = invert_matrix_jets(M)
+    Mj = scalar_jets(M)
+    ref = gauss_jordan(Mj)
+    assert_same(inv, ref, tol=1e-12)
+    # M . M^-1 = I through the scalar route.
+    eye = np.empty((d, d), dtype=object)
+    for i, j in np.ndindex(d, d):
+        eye[i, j] = M.ctx.constant(1.0 if i == j else 0.0)
+    prod = np.empty((d, d), dtype=object)
+    invj = scalar_jets(inv)
+    for i, j in np.ndindex(d, d):
+        acc = Mj[i, 0] * invj[0, j]
+        for m in range(1, d):
+            acc = acc + Mj[i, m] * invj[m, j]
+        prod[i, j] = acc
+    assert_same(as_jets(prod), eye, tol=1e-12)
+
+
+def test_inverse_rejects_ill_conditioned_matrix():
+    ctx = context(2, 2)
+    M = as_jets([[ctx.constant(1.0), ctx.constant(1.0)],
+                 [ctx.constant(1.0), ctx.constant(1.0 + 1e-14)]])
+    with pytest.raises(SingularMetric):
+        invert_matrix_jets(M)
+
+
+def test_indexing_transpose_and_conversion():
+    rng = np.random.default_rng(5)
+    a = random_jets(rng, 3, 2, (2, 3, 4))
+    aj = scalar_jets(a)
+    assert_same(a.transpose((2, 0, 1)), np.transpose(aj, (2, 0, 1)), tol=0.0)
+    assert_same(a.moveaxis(2, 0), np.moveaxis(aj, 2, 0), tol=0.0)
+    assert_same(a[1], aj[1], tol=0.0)
+    assert_same(a[:, 1:, 0], aj[:, 1:, 0], tol=0.0)
+    assert_same(as_jets(aj), aj, tol=0.0)
+    # Numbers become constants at the order of the jets beside them.
+    mixed = as_jets([aj[0, 0, 0], 2.0])
+    assert mixed[1].coeffs[0] == 2.0 and not mixed[1].coeffs[1:].any()

@@ -1,11 +1,16 @@
-"""The object-array-of-`Jet` layout stays inside `geometry` (and `jets`).
+"""The tensor-of-jets layout stays inside `geometry` (and `jets`).
 
-The modules above `geometry` reach the components and coefficients of a
-tensor of jets only through its helpers (`jet_values`, `coeff_max`,
-`truncate_jets`, `identity_jets`, `contract_value`, ...), so that the storage
-format can be replaced in one module.  This test parses them and rejects
-component loops (`np.ndindex`) and direct coefficient access (`.coeffs`,
-`.truncate`).
+A tensor of jets is a `geometry.JetArray`: one jet context and one float
+array of shape (*tensor_shape, ncoef), the graded coefficient layout of
+`jets` on the last axis.  The modules above `geometry` reach its components
+and coefficients only through the helpers there (`tdot`, `jets_gradient`,
+`jet_values`, `coeff_max`, `truncate_jets`, `constant_jets`, ...), so that
+the storage format can be replaced in one module.  These tests parse them
+and reject component loops (`np.ndindex`), direct coefficient access
+(`.coeffs`, `.truncate`), `np.tensordot`, and object arrays built with
+`np.empty` / `np.zeros(..., dtype=object)`.  The one exception to the last
+two is `brackets.flat_coordinate_dbracket`, the independent oracle, which
+keeps its scalar-`Jet` route on purpose.
 """
 
 import ast
@@ -18,6 +23,12 @@ import paraherm
 SRC = Path(paraherm.__file__).resolve().parent
 MODULES = ("connections", "parastructure", "brackets", "deformations", "models", "cli")
 FORBIDDEN = {"ndindex", "coeffs", "truncate"}
+SCALAR_ROUTES = {("brackets", "flat_coordinate_dbracket")}
+
+
+def _tree(module):
+    path = SRC / f"{module}.py"
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def _uses(tree):
@@ -28,8 +39,42 @@ def _uses(tree):
             yield node.lineno, node.id
 
 
+def _object_dtype(call):
+    dtypes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "dtype"]
+    return any(isinstance(d, ast.Name) and d.id == "object" for d in dtypes)
+
+
+def _object_array_calls(tree, module):
+    for top in tree.body:
+        if (module, getattr(top, "name", None)) in SCALAR_ROUTES:
+            continue
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            attr = node.func.attr
+            if attr == "tensordot" or (attr in ("empty", "zeros") and _object_dtype(node)):
+                yield node.lineno, attr
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_jet_layout_stays_in_geometry(module):
-    path = SRC / f"{module}.py"
-    found = sorted(_uses(ast.parse(path.read_text(), filename=str(path))))
+    found = sorted(_uses(_tree(module)))
     assert not found, f"{module}.py touches the jet layout at (line, name): {found}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_object_arrays_of_jets_above_geometry(module):
+    found = sorted(_object_array_calls(_tree(module), module))
+    assert not found, (
+        f"{module}.py builds or contracts object arrays at (line, call): {found}"
+    )
+
+
+def test_the_oracle_keeps_its_scalar_route():
+    """The allow-list names a function that still exists and still needs it."""
+    tree = _tree("brackets")
+    oracle = next(node for node in tree.body
+                  if getattr(node, "name", None) == "flat_coordinate_dbracket")
+    calls = [node.func.attr for node in ast.walk(oracle)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert "empty" in calls and "partial" in calls

@@ -22,8 +22,9 @@ from .errors import NotIntegrable, RankMismatch
 from .geometry import (
     DerivedField,
     Field,
-    JetTensor,
     ScalarField,
+    as_jets,
+    constant_jets,
     contract_value,
     d_scalar,
     exterior_derivative,
@@ -81,8 +82,8 @@ def pairing(e1: GeneralizedVectorField, e2: GeneralizedVectorField) -> ScalarFie
 
     def fn(p, ctx):
         k = ctx.order
-        a = tdot(e1.cov.at(p, k).comps, e2.vec.at(p, k).comps, ([0], [0]))
-        b = tdot(e2.cov.at(p, k).comps, e1.vec.at(p, k).comps, ([0], [0]))
+        a = tdot(e1.cov.at(p, k), e2.vec.at(p, k), ([0], [0]))
+        b = tdot(e2.cov.at(p, k), e1.vec.at(p, k), ([0], [0]))
         return a[()] + b[()]
 
     return ScalarField(e1.chart, fn)
@@ -93,7 +94,7 @@ def _covector_on(alpha: Field, Y: Field) -> ScalarField:
     return ScalarField(
         alpha.chart,
         lambda p, ctx: tdot(
-            alpha.at(p, ctx.order).comps, Y.at(p, ctx.order).comps, ([0], [0])
+            alpha.at(p, ctx.order), Y.at(p, ctx.order), ([0], [0])
         )[()],
     )
 
@@ -117,10 +118,10 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
         if check:
             require_torsionless(C, p)
         gamma = C.gamma(p, k)
-        x1 = e1.vec.at(p, k + 1).comps
-        x2 = e2.vec.at(p, k + 1).comps
-        a1 = e1.cov.at(p, k + 1).comps
-        a2 = e2.cov.at(p, k + 1).comps
+        x1 = e1.vec.at(p, k + 1)
+        x2 = e2.vec.at(p, k + 1)
+        a1 = e1.cov.at(p, k + 1)
+        a2 = e2.cov.at(p, k + 1)
         vec = covd_jets(gamma, x1, x2, 1, 0) - covd_jets(gamma, x2, x1, 1, 0)
         cov = covd_jets(gamma, x1, a2, 0, 1) - covd_jets(gamma, x2, a1, 0, 1)
         # + <nabla_Z e1, e2> as a covector in Z:
@@ -145,25 +146,25 @@ def _bracket_core(C, S, X, Y, project=None):
     def fn(p, k):
         bundle = S.at(p, k)
         gamma = C.gamma(p, k)
-        xj = X.at(p, k + 1).comps
-        yj = Y.at(p, k + 1).comps
+        xj = X.at(p, k + 1)
+        yj = Y.at(p, k + 1)
         if project is None:
             dirx, diry = xj, yj
         else:
-            P = (bundle.Pp if project > 0 else bundle.Pm).comps
+            P = bundle.Pp if project > 0 else bundle.Pm
             dirx = tdot(P, xj, ([1], [0]))
             diry = tdot(P, yj, ([1], [0]))
         w = covd_jets(gamma, dirx, yj, 1, 0) - covd_jets(gamma, diry, xj, 1, 0)
-        xi = tdot(bundle.eta.comps, w, ([0], [0]))
+        xi = tdot(bundle.eta, w, ([0], [0]))
         # c_I = eta(nabla_{d_I} X, Y)
-        eta_y = tdot(bundle.eta.comps, yj, ([0], [0]))
+        eta_y = tdot(bundle.eta, yj, ([0], [0]))
         full = tdot(nabla_jets(gamma, xj, 1, 0), eta_y, ([1], [0]))
         if project is None:
             xi = xi + full
         else:
-            P = (bundle.Pp if project > 0 else bundle.Pm).comps
+            P = bundle.Pp if project > 0 else bundle.Pm
             xi = xi + tdot(P, full, ([0], [0]))
-        return tdot(bundle.eta_inv.comps, xi, ([1], [0]))
+        return tdot(bundle.eta_inv, xi, ([1], [0]))
 
     return DerivedField(S.chart, 1, 0, fn)
 
@@ -203,11 +204,11 @@ def leafwise_d(S, side, obj):
         df = d_scalar(obj)
 
         def fn(p, k):
-            return tdot(P.at(p, k).comps, df.at(p, k).comps, ([0], [0]))
+            return tdot(P.at(p, k), df.at(p, k), ([0], [0]))
 
         return DerivedField(S.chart, 0, 1, fn, sym="antisymmetric")
     if obj.rank == (0, 1):
-        tagged = DerivedField(obj.chart, 0, 1, lambda p, k: obj.at(p, k).comps,
+        tagged = DerivedField(obj.chart, 0, 1, lambda p, k: obj.at(p, k),
                               sym="antisymmetric")
         dxi = exterior_derivative(tagged)
 
@@ -215,7 +216,7 @@ def leafwise_d(S, side, obj):
             b = S.at(p, k)
             return bigraded_part_at(
                 S, dxi.at(p, k), 2 if side > 0 else 0, b
-            ).comps
+            )
 
         return DerivedField(S.chart, 0, 2, fn2, sym="antisymmetric")
     raise RankMismatch("leafwise_d handles scalars and one-forms")
@@ -247,7 +248,7 @@ def dorfman_leafwise(S, side, e1: GeneralizedVectorField, e2: GeneralizedVectorF
             raise NotIntegrable(
                 f"side {side:+d} Nijenhuis residual {res:.3e} at {p}"
             )
-        return vec.at(p, k).comps
+        return vec.at(p, k)
 
     return GeneralizedVectorField(
         DerivedField(S.chart, 1, 0, checked_vec), cov, side
@@ -279,7 +280,7 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
         if check_torsion:
             require_torsionless(C, p)
         gamma = C.gamma(p, k)
-        bj = beta.at(p, k + 1).comps
+        bj = beta.at(p, k + 1)
         D = nabla_jets(gamma, bj, 2, 0)  # D[M, J, K] = (nabla_M beta)^{JK}
         # S1[I, J, K] = beta^{IM} (nabla_M beta)^{JK}: the direction slot of
         # beta(lambda) is the second one, lambda contracts the first.
@@ -290,10 +291,9 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
 
 
 def schouten_scalar(beta, C, lam, mu, nu, point, order=0, check_torsion=True) -> float:
-    """[beta,beta](lam, mu, nu) for covector values at a point."""
-    t = schouten_self(beta, C, check_torsion=check_torsion).at(point, order).comps
-    covecs = [c.comps if isinstance(c, JetTensor) else c for c in (lam, mu, nu)]
-    return contract_value(t, *covecs)
+    """[beta,beta](lam, mu, nu) for float covectors at a point."""
+    t = schouten_self(beta, C, check_torsion=check_torsion).at(point, order)
+    return contract_value(t, *(constant_jets(t.ctx, c) for c in (lam, mu, nu)))
 
 
 # --------------------------------------------------------------------------
@@ -376,8 +376,8 @@ def flat_coordinate_dbracket(chart, eta_matrix, X: Field, Y: Field) -> Field:
 
     def fn(p, k):
         ctx = chart.context(k)
-        xj = X.at(p, k + 1).comps
-        yj = Y.at(p, k + 1).comps
+        xj = X.at(p, k + 1)
+        yj = Y.at(p, k + 1)
         out = np.empty(dim, dtype=object)
         for J in range(dim):
             acc = ctx.zero()
@@ -389,6 +389,6 @@ def flat_coordinate_dbracket(chart, eta_matrix, X: Field, Y: Field) -> Field:
                         if c != 0.0:
                             acc = acc + c * (yj[I] * xj[L].partial(K))
             out[J] = acc
-        return out
+        return as_jets(out)
 
     return DerivedField(chart, 1, 0, fn)

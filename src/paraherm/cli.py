@@ -13,6 +13,7 @@ Exit codes: 0 all requested suites pass, 1 at least one suite fails,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -69,19 +70,36 @@ def load_spec(path):
     return spec
 
 
+@contextlib.contextmanager
+def _spec_section(section):
+    """Report an error raised while reading `section` of the spec as a
+    SpecParseError naming that section."""
+    try:
+        yield
+    except SpecParseError:
+        raise
+    except ParahermError as exc:
+        raise SpecParseError(f"{section} error: {exc}", section)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SpecParseError(f"bad {section} spec: {exc}", section)
+
+
 class _RunContext:
     def __init__(self, spec):
         self.spec = spec
-        self.jet_order = int(spec.get("jet_order", 3))
+        with _spec_section("jet_order"):
+            self.jet_order = int(spec.get("jet_order", 3))
         tol = dict(DEFAULT_TOLERANCES)
-        tol.update(spec.get("tolerances", {}))
+        with _spec_section("tolerances"):
+            tol.update(spec.get("tolerances", {}))
         for k, v in tol.items():
             if not (isinstance(v, (int, float)) and v > 0):
                 raise SpecParseError(f"tolerance {k!r} must be positive", "tolerances")
         self.tol = tol
         self.model = self._build_model(spec["model"])
         self.b_field = self._build_b_field(spec.get("b_field"))
-        self.points, self.seed = self._sample(spec.get("sample", {}))
+        with _spec_section("sample"):
+            self.points, self.seed = self._sample(spec.get("sample", {}))
 
     @functools.cached_property
     def transformation(self):
@@ -96,7 +114,7 @@ class _RunContext:
             name = mspec["name"]
         except (TypeError, KeyError):
             raise SpecParseError("model needs a 'name'", "model")
-        try:
+        with _spec_section("model"):
             if name == "flat":
                 return build_flat(int(mspec.get("n", 2)), jet_order=self.jet_order)
             if name == "tangent_bundle":
@@ -112,12 +130,6 @@ class _RunContext:
                 K = TensorField(chart, 1, 1, np.asarray(mspec["K"], dtype=object))
                 S = ParaHermitianStructure(chart, eta, K)
                 return _ExplicitModel(chart, S)
-        except SpecParseError:
-            raise
-        except ParahermError as exc:
-            raise SpecParseError(f"model error: {exc}", "model")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecParseError(f"bad model spec: {exc}", "model")
         raise SpecParseError(f"unknown model {name!r}", "model")
 
     def _build_b_field(self, bspec):
@@ -125,7 +137,7 @@ class _RunContext:
             return None
         chart = self.model.chart
         n = chart.split
-        try:
+        with _spec_section("b_field"):
             arr = np.asarray(bspec, dtype=object)
             if arr.shape == (chart.dim, chart.dim):
                 comps = arr
@@ -135,16 +147,13 @@ class _RunContext:
                 raise SpecParseError(
                     f"b_field must be {n} x {n} or {chart.dim} x {chart.dim}", "b_field"
                 )
-            b = TensorField(chart, 0, 2, comps, sym="antisymmetric")
-        except SpecParseError:
-            raise
-        except ParahermError as exc:
-            raise SpecParseError(f"b_field error: {exc}", "b_field")
-        return b
+            return TensorField(chart, 0, 2, comps, sym="antisymmetric")
 
     # -- sampling -------------------------------------------------------------
 
     def _sample(self, sspec):
+        if not isinstance(sspec, dict):
+            raise SpecParseError("sample must be a JSON object", "sample")
         mode = sspec.get("mode", "uniform")
         chart = self.model.chart
         if mode == "explicit":
@@ -275,8 +284,8 @@ def _eta_pair(S):
     def pair(X, Y):
         def fn(p, ctx_):
             b = S.at(p, ctx_.order)
-            return tdot(tdot(b.eta.comps, X.at(p, ctx_.order).comps, ([0], [0])),
-                        Y.at(p, ctx_.order).comps, ([0], [0]))[()]
+            return tdot(tdot(b.eta, X.at(p, ctx_.order), ([0], [0])),
+                        Y.at(p, ctx_.order), ([0], [0]))[()]
 
         return ScalarField(S.chart, fn)
 

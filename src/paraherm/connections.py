@@ -22,7 +22,6 @@ from .geometry import (
     DerivedField,
     Field,
     constant_jets,
-    jet_values,
     jets_gradient,
     metric_inverse_at,
     tdot,
@@ -71,7 +70,7 @@ def from_christoffels(chart, comps, provenance="user_supplied") -> Connection:
     tf = TensorField(chart, 1, 2, comps)
 
     def fn(point, order):
-        return tf.at(point, order).comps
+        return tf.at(point, order)
 
     return Connection(chart, fn, provenance=provenance)
 
@@ -89,7 +88,7 @@ def levi_civita(eta: Field) -> Connection:
 
     def fn(point, order):
         ej, inv = metric_inverse_at(eta, point, order + 1)
-        return truncate_jets(christoffel_jets(inv.comps, jets_gradient(ej.comps)), order)
+        return truncate_jets(christoffel_jets(inv, jets_gradient(ej)), order)
 
     return Connection(eta.chart, fn, provenance="levi_civita")
 
@@ -102,7 +101,7 @@ def canonical_connection(S) -> Connection:
         g0 = lc.gamma(point, order)
         bundle = S.at(point, order + 1)
         out = None
-        for P in (bundle.Pp.comps, bundle.Pm.comps):
+        for P in (bundle.Pp, bundle.Pm):
             dP = jets_gradient(P)  # dP[i, m, j] = d_i P^m_j
             first = tdot(P, dP, ([1], [1]))                        # (k, i, j)
             second = tdot(tdot(P, g0, ([1], [0])), P, ([2], [0]))  # (k, i, j)
@@ -123,9 +122,9 @@ def canonical_connection_contorsion(S) -> Connection:
     def fn(point, order):
         g0 = lc.gamma(point, order)
         bundle = S.at(point, order + 1)
-        phi = nabla_jets(g0, bundle.omega.comps, 0, 2)  # Phi[i, j, l] = (nablao_i omega)_{jl}
-        corr = tdot(phi, bundle.K.comps, ([2], [0]))  # corr[i, j, l] = Phi_{ijm} K^m_l
-        gamma = g0 - 0.5 * tdot(bundle.eta_inv.comps, corr, ([0], [2]))  # (k, i, j)
+        phi = nabla_jets(g0, bundle.omega, 0, 2)  # Phi[i, j, l] = (nablao_i omega)_{jl}
+        corr = tdot(phi, bundle.K, ([2], [0]))  # corr[i, j, l] = Phi_{ijm} K^m_l
+        gamma = g0 - 0.5 * tdot(bundle.eta_inv, corr, ([0], [2]))  # (k, i, j)
         return truncate_jets(gamma, order)
 
     return Connection(S.chart, fn, provenance="canonical")
@@ -160,8 +159,8 @@ def covariant_derivative(C: Connection, X: Field, T: Field) -> Field:
 
     def fn(p, k):
         gamma = C.gamma(p, k)
-        xj = X.at(p, k).comps
-        tj = T.at(p, k + 1).comps
+        xj = X.at(p, k)
+        tj = T.at(p, k + 1)
         return covd_jets(gamma, xj, tj, T.r, T.s)
 
     return DerivedField(T.chart, T.r, T.s, fn)
@@ -171,7 +170,7 @@ def covariant_differential(C: Connection, T: Field) -> Field:
     """Total nabla T, rank (r, s+1); the derivative slot is the first covariant axis."""
 
     def fn(p, k):
-        out = nabla_jets(C.gamma(p, k), T.at(p, k + 1).comps, T.r, T.s)
+        out = nabla_jets(C.gamma(p, k), T.at(p, k + 1), T.r, T.s)
         return out.moveaxis(0, T.r)
 
     return DerivedField(T.chart, T.r, T.s + 1, fn)
@@ -239,7 +238,7 @@ class AdaptedReport:
 
 
 def _nabla_eta_values(C, S, point):
-    return jet_values(nabla_jets(C.gamma(point, 0), S.at(point, 1).eta.comps, 0, 2))
+    return nabla_jets(C.gamma(point, 0), S.at(point, 1).eta, 0, 2).values()
 
 
 def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
@@ -259,19 +258,19 @@ def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
     witnesses = []
     for point in sample:
         bundle = S.at(point, 1)
-        Pp = bundle.Pp.comps
-        Pm = bundle.Pm.comps
+        Pp = bundle.Pp
+        Pm = bundle.Pm
         if side == "n":
             Pp, Pm = Pm, Pp
-        Ppv = jet_values(Pp)
-        Pmv = jet_values(Pm)
-        etav = jet_values(bundle.eta.comps)
+        Ppv = Pp.values()
+        Pmv = Pm.values()
+        etav = bundle.eta.values()
         gamma = C.gamma(point, 0)
-        gv = jet_values(gamma)
+        gv = gamma.values()
         nabla_eta = _nabla_eta_values(C, S, point)
         tors = gv - np.transpose(gv, (0, 2, 1))
-        dPp = jet_values(jets_gradient(Pp))  # dPp[i, a, b]
-        dPm = jet_values(jets_gradient(Pm))
+        dPp = jets_gradient(Pp).values()  # dPp[i, a, b]
+        dPm = jets_gradient(Pm).values()
         scale = max(1.0, np.max(np.abs(etav)), np.max(np.abs(gv)))
         point_worst = dict.fromkeys(worst, 0.0)
         for _ in range(n_vectors):

@@ -30,7 +30,6 @@ from .geometry import (
     DerivedField,
     Field,
     MAX_CONDITION,
-    JetTensor,
     TensorField,
     apply_endomorphism,
     coeff_max,
@@ -40,7 +39,6 @@ from .geometry import (
     embed_block,
     exterior_derivative,
     invert_matrix_jets,
-    jet_values,
     tdot,
 )
 from .parastructure import ParaHermitianStructure, bigraded_part_at
@@ -70,9 +68,9 @@ class BTransformation:
 
         def B_fn(p, k):
             bundle = S.at(p, k)
-            bj = b.at(p, k).comps
+            bj = b.at(p, k)
             # B^M_I = b_{IN} eta^{NM}
-            return tdot(bj, bundle.eta_inv.comps, ([1], [0])).transpose((1, 0))
+            return tdot(bj, bundle.eta_inv, ([1], [0])).transpose((1, 0))
 
         self.B = DerivedField(chart, 1, 1, B_fn)
         self.K_B = S.K + self.B * (2.0 * side)
@@ -82,9 +80,9 @@ class BTransformation:
 
         def bivec_fn(p, k):
             bundle = S.at(p, k)
-            bj = b.at(p, k).comps
-            up1 = tdot(bundle.eta_inv.comps, bj, ([0], [0]))
-            return tdot(up1, bundle.eta_inv.comps, ([1], [0]))
+            bj = b.at(p, k)
+            up1 = tdot(bundle.eta_inv, bj, ([0], [0]))
+            return tdot(up1, bundle.eta_inv, ([1], [0]))
 
         self.b_bivector = DerivedField(chart, 2, 0, bivec_fn, sym="antisymmetric")
         # [b,b] through the flat coordinate connection; any torsionless
@@ -95,7 +93,7 @@ class BTransformation:
 
     def _eB_comps(self, p, k):
         eye = constant_jets(self.S.chart.context(k), np.eye(self.S.chart.dim))
-        return eye + self.B.at(p, k).comps
+        return eye + self.B.at(p, k)
 
     @property
     def omega_B(self) -> Field:
@@ -195,21 +193,21 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     PB = T.sheared_projector()
     PBX = apply_endomorphism(PB, X)
     PBY = apply_endomorphism(PB, Y)
-    br = d_bracket(S, PBX, PBY).at(point, 0).comps
+    br = d_bracket(S, PBX, PBY).at(point, 0)
     bundle = S.at(point, 0)
     pbz = PB.at(point, 0)
-    zj = tdot(pbz.comps, Z.at(point, 0).comps, ([1], [0]))
-    lhs = contract_value(bundle.eta.comps, br, zj)
-    rhs = contract_value(mc_form(T).at(point, 0).comps, X.at(point, 0).comps,
-                         Y.at(point, 0).comps, Z.at(point, 0).comps)
+    zj = tdot(pbz, Z.at(point, 0), ([1], [0]))
+    lhs = contract_value(bundle.eta, br, zj)
+    rhs = contract_value(mc_form(T).at(point, 0), X.at(point, 0),
+                         Y.at(point, 0), Z.at(point, 0))
     return MCSides(lhs, rhs)
 
 
 def _lowered_schouten(T: BTransformation, p, k):
     """(Lambda^3 eta)[b,b] at a point: the Schouten bracket with all three
     slots lowered, which is the dual R-flux."""
-    eta = T.S.at(p, k).eta.comps
-    low = tdot(eta, T.schouten.at(p, k).comps, ([1], [0]))
+    eta = T.S.at(p, k).eta
+    low = tdot(eta, T.schouten.at(p, k), ([1], [0]))
     low = tdot(eta, low, ([1], [1]))
     low = tdot(eta, low, ([1], [2]))
     return low.transpose((2, 1, 0))
@@ -223,7 +221,7 @@ def mc_form(T: BTransformation) -> Field:
 
     def fn(p, k):
         proj = bigraded_part_at(S, db.at(p, k), m_plus, S.at(p, k))
-        return proj.comps + _lowered_schouten(T, p, k)
+        return proj + _lowered_schouten(T, p, k)
 
     return DerivedField(S.chart, 0, 3, fn, sym="antisymmetric")
 
@@ -233,7 +231,7 @@ def compatibility_residual(T: BTransformation, sample) -> float:
     form = mc_form(T)
     worst = 0.0
     for p in sample:
-        scale = max(1.0, coeff_max(T.b.at(p, 1).comps))
+        scale = max(1.0, coeff_max(T.b.at(p, 1)))
         worst = max(worst, form.at(p, 0).max_abs() / scale)
     return worst
 
@@ -252,7 +250,7 @@ def twisted_d_bracket(T: BTransformation, X: Field, Y: Field, pk_tol=1e-8) -> Fi
 
     def fn(p, k):
         T.require_parakahler(p, tol=pk_tol)
-        return inner.at(p, k).comps
+        return inner.at(p, k)
 
     return DerivedField(T.S.chart, 1, 0, fn)
 
@@ -268,10 +266,10 @@ def twisted_d_bracket_reference(T: BTransformation, X: Field, Y: Field) -> Field
 
     def fn(p, k):
         bundle = S.at(p, k)
-        dbj = db.at(p, k).comps
-        xi = tdot(tdot(dbj, X.at(p, k).comps, ([0], [0])), Y.at(p, k).comps, ([0], [0]))
-        corr = tdot(bundle.eta_inv.comps, xi, ([1], [0]))
-        return base.at(p, k).comps - corr
+        dbj = db.at(p, k)
+        xi = tdot(tdot(dbj, X.at(p, k), ([0], [0])), Y.at(p, k), ([0], [0]))
+        corr = tdot(bundle.eta_inv, xi, ([1], [0]))
+        return base.at(p, k) - corr
 
     return DerivedField(S.chart, 1, 0, fn)
 
@@ -320,7 +318,7 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8) -> FluxReport:
     b_bundle = T.structure_B.at(point, 0)
 
     H = bigraded_part_at(S, dbj, 3, base_bundle)
-    R = JetTensor(0, 3, _lowered_schouten(T, point, 0))
+    R = _lowered_schouten(T, point, 0)
     covH = H + R
 
     parts = {m: bigraded_part_at(S, dbj, m, b_bundle) for m in range(4)}
@@ -368,14 +366,14 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
 
     # e_a is column a of A, which is zero below the plus block; the dual
     # coframe e^c is row c of the inverse block, on the minus block.
-    frame = [DerivedField(chart, 1, 0, lambda p, k, a=a: A.at(p, k).comps[:, a])
+    frame = [DerivedField(chart, 1, 0, lambda p, k, a=a: A.at(p, k)[:, a])
              for a in range(n)]
-    inv = invert_matrix_jets(A.at(point, order).comps[:n, :n])
+    inv = invert_matrix_jets(A.at(point, order)[:n, :n])
     dual = concat_jets([constant_jets(inv.ctx, np.zeros((n, n))), inv.transpose()])
-    eta = S.at(point, order).eta.comps
+    eta = S.at(point, order).eta
     out = np.zeros((n, n, n))
     for a in range(n):
         for b in range(n):
-            br = d_bracket(S, frame[a], frame[b]).at(point, order).comps
-            out[:, a, b] = jet_values(tdot(dual, tdot(eta, br, ([0], [0])), ([0], [0])))
+            br = d_bracket(S, frame[a], frame[b]).at(point, order)
+            out[:, a, b] = tdot(dual, tdot(eta, br, ([0], [0])), ([0], [0])).values()
     return out

@@ -6,16 +6,17 @@ jets of its components at a point, to a requested truncation order.  Operators
 combinators: they return derived fields whose evaluation pulls jets of one
 order higher from their inputs, so operators nest without any symbolic step.
 
-This module is the sole owner of the tensor-of-jets layout: a `JetArray`
-holds one jet context and a float array of shape (*tensor_shape, ncoef), the
-graded coefficient layout of `jets` on the last axis.  Contractions are
-einsum-style products over the tensor axes with a gather-multiply-scatter of
-the truncated Cauchy product over the coefficient axis; partials, truncation
-and values are index operations on that axis.  Outside `jets`, only code here
-reads jet coefficients, and the other modules go through the helpers next to
-`tdot` and `jets_gradient`.  Scalars stay `Jet`s: indexing a JetArray down to
-one component, or contracting it fully, gives a `Jet`, and `as_jets` turns an
-array of `Jet`s back into a JetArray.
+Every tensor of jets is a `JetArray`: one jet context and a float array of
+shape (*tensor_shape, ncoef), the graded coefficient layout of `jets` on the
+last axis.  `Field.at` returns one; the rank (r, s) lives on the field, not on
+the array.  Contractions are einsum-style products over the tensor axes with
+a gather-multiply-scatter of the truncated Cauchy product over the
+coefficient axis; partials, truncation and values are index operations on
+that axis.  Outside `jets`, only code here reads jet coefficients, and the
+other modules go through the helpers next to `tdot` and `jets_gradient`.
+Scalars stay `Jet`s: indexing a JetArray down to one component, or
+contracting it fully, gives a `Jet`, and `as_jets` turns a `Jet` or an array
+of `Jet`s (the scalar routes' output) into a JetArray.
 
 Conventions (fixed once, used everywhere):
   - exterior derivative of a k-form: (dT)_{I0..Ik} = sum_j (-1)^j d_{Ij} T_{..omit j..},
@@ -44,9 +45,9 @@ from .errors import (
 from .jets import Jet, context
 
 __all__ = [
-    "Chart", "Point", "ScalarField", "TensorField", "DerivedField", "JetArray", "JetTensor",
+    "Chart", "Point", "ScalarField", "TensorField", "DerivedField", "JetArray",
     "lie_bracket", "exterior_derivative", "lie_derivative",
-    "interior_product", "wedge", "musical", "lower_index", "raise_index",
+    "interior_product", "wedge", "musical",
     "invert_matrix_jets", "metric_inverse_at", "d_scalar",
 ]
 
@@ -158,9 +159,10 @@ class JetArray:
     """A tensor of jets of one context: `coeffs` has shape (*shape, ctx.n).
 
     Indexing selects over the tensor axes, and an index that leaves none
-    gives a scalar `Jet`.  Operands of different orders are truncated to the
-    lower one.  Results may be views of their operands (an index, a
-    truncation, a transpose), so `coeffs` is never written in place.
+    gives a scalar `Jet`.  `+` and `-` need operands of one tensor shape.
+    Operands of different orders are truncated to the lower one.  Results
+    may be views of their operands (an index, a truncation, a transpose), so
+    `coeffs` is never written in place.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -186,15 +188,28 @@ class JetArray:
             return Jet(self.ctx, out.copy())
         return JetArray(self.ctx, out)
 
-    def __add__(self, other):
-        a, b = _common(self, as_jets(other, self.ctx))
-        return JetArray(a.ctx, a.coeffs + b.coeffs)
+    def values(self) -> np.ndarray:
+        """Float array of the values (constant terms)."""
+        return self.coeffs[..., 0].copy()
 
-    __radd__ = __add__
+    def max_abs(self) -> float:
+        """Largest |value| over the components (0 if there are none)."""
+        vals = self.coeffs[..., 0]
+        return float(np.max(np.abs(vals))) if vals.size else 0.0
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        a, b = _common(self, as_jets(other, self.ctx))
-        return JetArray(a.ctx, a.coeffs - b.coeffs)
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other, op):
+        if not isinstance(other, JetArray):
+            return NotImplemented
+        if other.shape != self.shape:
+            raise RankMismatch(f"tensor shapes differ: {self.shape} vs {other.shape}")
+        a, b = _common(self, other)
+        return JetArray(a.ctx, op(a.coeffs, b.coeffs))
 
     def __neg__(self):
         return JetArray(self.ctx, -self.coeffs)
@@ -222,28 +237,21 @@ class JetArray:
         return f"JetArray(shape={self.shape}, {self.ctx})"
 
 
-def as_jets(obj, ctx=None) -> JetArray:
-    """`obj` as a JetArray: a Jet becomes a 0-d one, and an array (or nested
-    sequence) of jets and numbers is converted at the lowest order among its
-    jets, numbers becoming constants of `ctx` if there is no jet in it."""
-    if isinstance(obj, JetArray):
-        return obj
+def as_jets(obj) -> JetArray:
+    """The output of a scalar-`Jet` route as a JetArray: a Jet becomes a 0-d
+    one, and an array (or nested sequence) of jets is converted at the
+    lowest order among them."""
     if isinstance(obj, Jet):
         return JetArray(obj.ctx, obj.coeffs)
     arr = np.asarray(obj, dtype=object)
-    jets = [x for x in arr.flat if isinstance(x, Jet)]
-    if jets:
-        ctx = min((x.ctx for x in jets), key=lambda c: c.order)
-    elif ctx is None:
-        raise DimensionMismatch("no jet context for an array without jets")
-    coeffs = np.zeros(arr.shape + (ctx.n,))
+    if not arr.size or not all(isinstance(x, Jet) for x in arr.flat):
+        raise TypeError("as_jets needs a Jet or a non-empty array of Jets")
+    ctx = min((x.ctx for x in arr.flat), key=lambda c: c.order)
+    coeffs = np.empty(arr.shape + (ctx.n,))
     for idx, x in np.ndenumerate(arr):
-        if isinstance(x, Jet):
-            if x.ctx.dim != ctx.dim:
-                raise DimensionMismatch(f"jet dims differ: {x.ctx.dim} vs {ctx.dim}")
-            coeffs[idx] = x.coeffs[: ctx.n]
-        else:
-            coeffs[idx + (0,)] = float(x)
+        if x.ctx.dim != ctx.dim:
+            raise DimensionMismatch(f"jet dims differ: {x.ctx.dim} vs {ctx.dim}")
+        coeffs[idx] = x.coeffs[: ctx.n]
     return JetArray(ctx, coeffs)
 
 
@@ -267,47 +275,13 @@ def _product_tables(ctx):
     return ctx._mul_a, ctx._mul_b, scatter
 
 
-class JetTensor:
-    """Components of an (r,s) tensor at a point, as a JetArray."""
-
-    __slots__ = ("r", "s", "comps")
-
-    def __init__(self, r, s, comps):
-        self.r = r
-        self.s = s
-        self.comps = comps
-
-    @property
-    def rank(self):
-        return (self.r, self.s)
-
-    def values(self) -> np.ndarray:
-        return jet_values(self.comps)
-
-    def max_abs(self) -> float:
-        vals = self.values()
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-    def __add__(self, other):
-        _same_rank(self, other)
-        return JetTensor(self.r, self.s, self.comps + other.comps)
-
-    def __sub__(self, other):
-        _same_rank(self, other)
-        return JetTensor(self.r, self.s, self.comps - other.comps)
-
-    def __mul__(self, c):
-        return JetTensor(self.r, self.s, self.comps * c)
-
-
 def _same_rank(a, b):
     if a.rank != b.rank:
         raise RankMismatch(f"rank mismatch: {a.rank} vs {b.rank}")
 
 
-def jets_gradient(comps) -> JetArray:
+def jets_gradient(comps: JetArray) -> JetArray:
     """Stack of partials: result[v, ...] = d_v comps[...], one order lower."""
-    comps = as_jets(comps)
     if comps.ctx.order < 1:
         raise InsufficientJetOrder("cannot differentiate an order-0 jet")
     lower, src, fac = comps.ctx._deriv_tables()
@@ -324,8 +298,7 @@ def tdot(a, b, axes) -> JetArray:
     all pairs in one batched call, and the pairs are then scattered onto the
     coefficients they add to.
     """
-    ctx = getattr(a, "ctx", None) or getattr(b, "ctx", None)
-    a, b = _common(as_jets(a, ctx), as_jets(b, ctx))
+    a, b = _common(a, b)
     ca, cb = a.coeffs, b.coeffs
     na, nb = ca.ndim - 1, cb.ndim - 1
     ax_a = [x % na for x in axes[0]]
@@ -350,20 +323,14 @@ def contract_value(t, *vectors) -> float:
     return float(t.coeffs[0])
 
 
-def jet_values(comps) -> np.ndarray:
-    """Float array of the values (constant terms) of a tensor of jets."""
-    return as_jets(comps).coeffs[..., 0].copy()
-
-
-def coeff_max(comps) -> float:
+def coeff_max(comps: JetArray) -> float:
     """Largest |coefficient| over a tensor of jets (0 if empty)."""
-    coeffs = as_jets(comps).coeffs
+    coeffs = comps.coeffs
     return float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
 
 
-def truncate_jets(comps, order) -> JetArray:
+def truncate_jets(comps: JetArray, order) -> JetArray:
     """The tensor truncated to `order`, or kept as is if its order is lower."""
-    comps = as_jets(comps)
     if order >= comps.ctx.order:
         return comps
     lower = context(comps.ctx.dim, order)
@@ -380,7 +347,6 @@ def constant_jets(ctx, values) -> JetArray:
 
 def concat_jets(parts) -> JetArray:
     """Tensors joined along their first axis, at the lowest of their orders."""
-    parts = [as_jets(x) for x in parts]
     k = min(x.ctx.order for x in parts)
     parts = [truncate_jets(x, k) for x in parts]
     return JetArray(parts[0].ctx, np.concatenate([x.coeffs for x in parts]))
@@ -415,7 +381,8 @@ class Field:
     def rank(self):
         return (self.r, self.s)
 
-    def at(self, point, order=0) -> JetTensor:
+    def at(self, point, order=0) -> JetArray:
+        """Jets of the components at `point`, shape (dim,)*(r+s)."""
         raise NotImplementedError
 
     def values(self, point) -> np.ndarray:
@@ -426,7 +393,7 @@ class Field:
         sym = self.sym if self.sym == other.sym else None
         return DerivedField(
             self.chart, self.r, self.s,
-            lambda p, k: (self.at(p, k) + other.at(p, k)).comps, sym=sym,
+            lambda p, k: self.at(p, k) + other.at(p, k), sym=sym,
         )
 
     def __sub__(self, other):
@@ -434,14 +401,14 @@ class Field:
         sym = self.sym if self.sym == other.sym else None
         return DerivedField(
             self.chart, self.r, self.s,
-            lambda p, k: (self.at(p, k) - other.at(p, k)).comps, sym=sym,
+            lambda p, k: self.at(p, k) - other.at(p, k), sym=sym,
         )
 
     def __mul__(self, c):
         if isinstance(c, (int, float)):
             return DerivedField(
                 self.chart, self.r, self.s,
-                lambda p, k: (self.at(p, k) * float(c)).comps, sym=self.sym,
+                lambda p, k: self.at(p, k) * float(c), sym=self.sym,
             )
         return NotImplemented
 
@@ -471,25 +438,24 @@ class TensorField(Field):
             arr[idx] = _as_scalar(chart, comps[idx])
         self.comps = arr
 
-    def at(self, point, order=0) -> JetTensor:
+    def at(self, point, order=0) -> JetArray:
         ctx = self.chart.context(order)
         coeffs = np.empty(self.comps.shape + (ctx.n,))
         for idx, comp in np.ndenumerate(self.comps):
             coeffs[idx] = comp.jet(point, order).coeffs
-        return JetTensor(self.r, self.s, JetArray(ctx, coeffs))
+        return JetArray(ctx, coeffs)
 
 
 class DerivedField(Field):
-    """A field backed by a procedure (point, order) -> tensor of jets (a
-    JetArray, or anything `as_jets` converts)."""
+    """A field backed by a procedure (point, order) -> JetArray."""
 
     def __init__(self, chart, r, s, fn, sym=None):
         super().__init__(chart, r, s, sym=sym)
         self.fn = fn
 
-    def at(self, point, order=0) -> JetTensor:
-        ctx = self.chart.context(order)
-        return JetTensor(self.r, self.s, as_jets(self.fn(point, order), ctx))
+    def at(self, point, order=0) -> JetArray:
+        self.chart.context(order)  # raises InsufficientJetOrder past the budget
+        return self.fn(point, order)
 
 
 def constant_field(chart, array, r, s, sym=None):
@@ -527,8 +493,8 @@ def lie_bracket(X: Field, Y: Field) -> Field:
     _want_vector(Y)
 
     def fn(p, k):
-        xj = X.at(p, k + 1).comps
-        yj = Y.at(p, k + 1).comps
+        xj = X.at(p, k + 1)
+        yj = Y.at(p, k + 1)
         dx = jets_gradient(xj)   # dx[I, J] = d_I X^J
         dy = jets_gradient(yj)
         return tdot(xj, dy, ([0], [0])) - tdot(yj, dx, ([0], [0]))
@@ -543,7 +509,7 @@ def exterior_derivative(T: Field) -> Field:
         raise NotAntisymmetric("exterior derivative needs the antisymmetry tag")
 
     def fn(p, k):
-        tj = T.at(p, k + 1).comps
+        tj = T.at(p, k + 1)
         grad = jets_gradient(tj)  # grad[v, i1..ik] = d_v T_{i1..ik}
         out = grad
         for j in range(1, T.s + 1):
@@ -558,7 +524,7 @@ def d_scalar(f: ScalarField) -> Field:
     """Differential of a scalar, as a (0,1) field."""
 
     def fn(p, k):
-        return jets_gradient(f.jet(p, k + 1))
+        return jets_gradient(as_jets(f.jet(p, k + 1)))
 
     return DerivedField(f.chart, 0, 1, fn, sym="antisymmetric")
 
@@ -571,7 +537,7 @@ def interior_product(X: Field, T: Field) -> Field:
         raise RankMismatch("interior product needs at least one covariant slot")
 
     def fn(p, k):
-        return tdot(X.at(p, k).comps, T.at(p, k).comps, ([0], [0]))
+        return tdot(X.at(p, k), T.at(p, k), ([0], [0]))
 
     sym = "antisymmetric" if T.s > 2 else None
     return DerivedField(X.chart, 0, T.s - 1, fn, sym=sym)
@@ -581,9 +547,9 @@ def scalar_pairing(T: Field, fields) -> ScalarField:
     """Full contraction of a (0,k) field with k vector fields, as a scalar."""
 
     def fn(p, ctx):
-        comps = T.at(p, ctx.order).comps
+        comps = T.at(p, ctx.order)
         for X in fields:
-            comps = tdot(X.at(p, ctx.order).comps, comps, ([0], [0]))
+            comps = tdot(X.at(p, ctx.order), comps, ([0], [0]))
         return comps[()]
 
     return ScalarField(T.chart, fn)
@@ -599,12 +565,12 @@ def lie_derivative(X: Field, T: Field) -> Field:
         raise NotAntisymmetric("Cartan formula needs an antisymmetric form")
     inner = interior_product(X, T)
     if T.s == 1:
-        first = d_scalar(ScalarField(T.chart, lambda p, ctx: inner.at(p, ctx.order).comps[()]))
+        first = d_scalar(ScalarField(T.chart, lambda p, ctx: inner.at(p, ctx.order)[()]))
     else:
         inner.sym = "antisymmetric"
         first = exterior_derivative(inner)
     tagged = T if T.sym == "antisymmetric" else DerivedField(
-        T.chart, 0, T.s, lambda p, k: T.at(p, k).comps, sym="antisymmetric"
+        T.chart, 0, T.s, lambda p, k: T.at(p, k), sym="antisymmetric"
     )
     second = interior_product(X, exterior_derivative(tagged))
     return first + second
@@ -614,8 +580,8 @@ def lie_derivative_scalar(X: Field, f: ScalarField) -> ScalarField:
     _want_vector(X)
 
     def fn(p, ctx):
-        xj = X.at(p, ctx.order).comps
-        return tdot(xj, jets_gradient(f.jet(p, ctx.order + 1)), ([0], [0]))[()]
+        xj = X.at(p, ctx.order)
+        return tdot(xj, jets_gradient(as_jets(f.jet(p, ctx.order + 1))), ([0], [0]))[()]
 
     return ScalarField(X.chart, fn)
 
@@ -629,7 +595,7 @@ def wedge(a: Field, b: Field) -> Field:
     def fn(p, k):
         # outer[i_1..i_ka, j_1..j_kb] = a_{i..} b_{j..}; each shuffle places
         # the a-slots at `left` and the b-slots at the rest.
-        outer = tdot(a.at(p, k).comps, b.at(p, k).comps, ([], []))
+        outer = tdot(a.at(p, k), b.at(p, k), ([], []))
         out = None
         for left in combinations(range(ka + kb), ka):
             perm = list(left) + [t for t in range(ka + kb) if t not in left]
@@ -677,15 +643,14 @@ def antisymmetry_residual(T: Field, points, order=0) -> float:
 MAX_CONDITION = 1e12
 
 
-def invert_matrix_jets(M) -> JetArray:
+def invert_matrix_jets(M: JetArray) -> JetArray:
     """Inverse of a square matrix of jets.
 
     Raises SingularMetric when the condition number of the value matrix
     exceeds MAX_CONDITION.  Starting from the inverse of the values, each
     Newton step X <- X (2 - M X) doubles the number of correct orders.
     """
-    M = as_jets(M)
-    vals = jet_values(M)
+    vals = M.values()
     cond = float(np.linalg.cond(vals))
     if not cond <= MAX_CONDITION:
         raise SingularMetric(f"condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
@@ -696,36 +661,24 @@ def invert_matrix_jets(M) -> JetArray:
     return X
 
 
-def metric_inverse_at(eta: Field, point, order) -> tuple[JetTensor, JetTensor]:
+def metric_inverse_at(eta: Field, point, order) -> tuple[JetArray, JetArray]:
     """(eta, eta^{-1}) jets at a point; raises SingularMetric as
     `invert_matrix_jets` does."""
     ej = eta.at(point, order)
-    return ej, JetTensor(2, 0, invert_matrix_jets(ej.comps))
+    return ej, invert_matrix_jets(ej)
 
 
-def lower_index(eta_jets: JetTensor, T: JetTensor, axis=0) -> JetTensor:
-    out = tdot(eta_jets.comps, T.comps, ([1], [axis])).moveaxis(0, axis)
-    return JetTensor(T.r - 1, T.s + 1, out)
-
-
-def raise_index(eta_inv_jets: JetTensor, T: JetTensor, axis=0) -> JetTensor:
-    out = tdot(eta_inv_jets.comps, T.comps, ([1], [axis])).moveaxis(0, axis)
-    return JetTensor(T.r + 1, T.s - 1, out)
-
-
-def musical(eta: Field, T: Field, slots, point, order=0) -> JetTensor:
+def musical(eta: Field, T: Field, slots, point, order=0) -> JetArray:
     """Raise or lower the given axes of T with eta at a point.
 
-    Axes in the contravariant range are lowered, covariant axes are raised;
-    axis positions are preserved.
+    Axes in T's contravariant range (below T.r) are lowered with eta and
+    covariant axes are raised with eta^{-1}; axis positions are preserved.
     """
     ej, inv = metric_inverse_at(eta, point, order)
     out = T.at(point, order)
     for axis in sorted(slots):
-        if axis < out.r:
-            out = lower_index(ej, out, axis)
-        else:
-            out = raise_index(inv, out, axis)
+        g = ej if axis < T.r else inv
+        out = tdot(g, out, ([1], [axis])).moveaxis(0, axis)
     return out
 
 
@@ -734,6 +687,6 @@ def apply_endomorphism(E: Field, X: Field) -> Field:
     _want_vector(X)
 
     def fn(p, k):
-        return tdot(E.at(p, k).comps, X.at(p, k).comps, ([1], [0]))
+        return tdot(E.at(p, k), X.at(p, k), ([1], [0]))
 
     return DerivedField(X.chart, 1, 0, fn)

@@ -36,7 +36,6 @@ from .geometry import (
     constant_jets,
     embed_block,
     invert_matrix_jets,
-    jet_values,
     jets_gradient,
     tdot,
     truncate_jets,
@@ -125,7 +124,7 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
         hit = gamma_cache.get(key)
         if hit is not None:
             return hit
-        gj = g_field.at(point, order + 1).comps[:n, :n]
+        gj = g_field.at(point, order + 1)[:n, :n]
         # Base directions only: d_a g_{bc} for a < n.
         gamma = christoffel_jets(invert_matrix_jets(gj), jets_gradient(gj)[:n])
         gamma = truncate_jets(gamma, order)
@@ -157,7 +156,7 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
 
     def eta_fn(p, k):
         # eta = g_ij (V^i (x) H^j + H^i (x) V^j), with H^j = dx^j
-        gj = g_field.at(p, k).comps[:n, :n]
+        gj = g_field.at(p, k)[:n, :n]
         vco = frame_jets(p, k)[1]
         hco = constant_jets(vco.ctx, eye[:n])
         return (tdot(tdot(vco, gj, ([0], [0])), hco, ([1], [0]))
@@ -189,7 +188,7 @@ def flatness_residual(model: TangentBundleModel, sample) -> float:
     """Max |Riemann of g| over the sample (scale-normalized)."""
     worst = 0.0
     for p in sample:
-        vals = jet_values(model.riemann_g(p, 0))
+        vals = model.riemann_g(p, 0).values()
         gv = model.g.at(p, 0).values()
         worst = max(worst, float(np.max(np.abs(vals))) / max(1.0, float(np.max(np.abs(gv)))))
     return worst

@@ -9,6 +9,7 @@ the operator-level formulas the checks are written in.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import RankMismatch
 from .geometry import (
     DerivedField,
     Field,
-    JetTensor,
+    JetArray,
     apply_endomorphism,
     coeff_max,
     constant_field,
@@ -30,7 +31,6 @@ from .geometry import (
     contract_value,
     exterior_derivative,
     invert_matrix_jets,
-    jet_values,
     lie_bracket,
     tdot,
 )
@@ -46,12 +46,12 @@ __all__ = [
 
 @dataclass
 class _Bundle:
-    eta: JetTensor
-    eta_inv: JetTensor
-    K: JetTensor
-    omega: JetTensor
-    Pp: JetTensor
-    Pm: JetTensor
+    eta: JetArray
+    eta_inv: JetArray
+    K: JetArray
+    omega: JetArray
+    Pp: JetArray
+    Pm: JetArray
 
 
 class ParaHermitianStructure:
@@ -64,16 +64,12 @@ class ParaHermitianStructure:
         self.eta = eta
         self.K = K
         self._cache = {}
-        self._conn_cache = {}
         self._integ_cache = {}
 
-        def omega_fn(p, k):
-            b = self.at(p, k)
-            return b.omega.comps
-
-        self.omega = DerivedField(chart, 0, 2, omega_fn, sym="antisymmetric")
-        self.P_plus = DerivedField(chart, 1, 1, lambda p, k: self.at(p, k).Pp.comps)
-        self.P_minus = DerivedField(chart, 1, 1, lambda p, k: self.at(p, k).Pm.comps)
+        self.omega = DerivedField(chart, 0, 2, lambda p, k: self.at(p, k).omega,
+                                  sym="antisymmetric")
+        self.P_plus = DerivedField(chart, 1, 1, lambda p, k: self.at(p, k).Pp)
+        self.P_minus = DerivedField(chart, 1, 1, lambda p, k: self.at(p, k).Pm)
 
     def at(self, point, order) -> _Bundle:
         key = (point.key, order)
@@ -82,12 +78,12 @@ class ParaHermitianStructure:
             return hit
         ej = self.eta.at(point, order)
         kj = self.K.at(point, order)
-        inv = JetTensor(2, 0, invert_matrix_jets(ej.comps))
+        inv = invert_matrix_jets(ej)
         # omega(d_A, d_B) = eta(K d_A, d_B) = K^m_A eta_{mB}
-        omega = JetTensor(0, 2, tdot(kj.comps, ej.comps, ([0], [0])))
+        omega = tdot(kj, ej, ([0], [0]))
         eye = constant_jets(self.chart.context(order), np.eye(self.chart.dim))
-        Pp = JetTensor(1, 1, (eye + kj.comps) * 0.5)
-        Pm = JetTensor(1, 1, (eye - kj.comps) * 0.5)
+        Pp = (eye + kj) * 0.5
+        Pm = (eye - kj) * 0.5
         bundle = _Bundle(ej, inv, kj, omega, Pp, Pm)
         self._cache[key] = bundle
         return bundle
@@ -95,17 +91,13 @@ class ParaHermitianStructure:
     def projector(self, sign) -> Field:
         return self.P_plus if sign > 0 else self.P_minus
 
-    @property
+    @cached_property
     def levi_civita(self):
-        if "lc" not in self._conn_cache:
-            self._conn_cache["lc"] = levi_civita(self.eta)
-        return self._conn_cache["lc"]
+        return levi_civita(self.eta)
 
-    @property
+    @cached_property
     def canonical(self):
-        if "canonical" not in self._conn_cache:
-            self._conn_cache["canonical"] = canonical_connection(self)
-        return self._conn_cache["canonical"]
+        return canonical_connection(self)
 
     def integrability_residual(self, sign, point):
         """Scale-normalized Nijenhuis residual on the `sign` eigenbundle at a
@@ -192,8 +184,8 @@ def _mx(arr):
 class GeneralizedVector:
     """Value of a leafwise generalized vector: tangent part plus covector part."""
 
-    vec: JetTensor
-    cov: JetTensor
+    vec: JetArray
+    cov: JetArray
     side: int = 0
 
     def __sub__(self, other):
@@ -206,12 +198,12 @@ class GeneralizedVector:
 def rho(S, sign, X: Field, point, order=0) -> GeneralizedVector:
     """rho_+-(X) = x_+- + eta(x_-+), pointwise."""
     b = S.at(point, order)
-    xj = X.at(point, order).comps
-    P = b.Pp.comps if sign > 0 else b.Pm.comps
-    Q = b.Pm.comps if sign > 0 else b.Pp.comps
+    xj = X.at(point, order)
+    P = b.Pp if sign > 0 else b.Pm
+    Q = b.Pm if sign > 0 else b.Pp
     vec = tdot(P, xj, ([1], [0]))
-    cov = tdot(b.eta.comps, tdot(Q, xj, ([1], [0])), ([0], [0]))
-    return GeneralizedVector(JetTensor(1, 0, vec), JetTensor(0, 1, cov), sign)
+    cov = tdot(b.eta, tdot(Q, xj, ([1], [0])), ([0], [0]))
+    return GeneralizedVector(vec, cov, sign)
 
 
 def rho_field(S, sign, X: Field):
@@ -223,16 +215,16 @@ def rho_field(S, sign, X: Field):
 
     def cov_fn(p, k):
         b = S.at(p, k)
-        return tdot(b.eta.comps, QX.at(p, k).comps, ([0], [0]))
+        return tdot(b.eta, QX.at(p, k), ([0], [0]))
 
     return vec, DerivedField(S.chart, 0, 1, cov_fn)
 
 
-def rho_inverse(S, sign, vec: JetTensor, cov: JetTensor, point, order=0) -> JetTensor:
+def rho_inverse(S, sign, vec: JetArray, cov: JetArray, point, order=0) -> JetArray:
     """Reassemble X from rho_sign(X) = (vec, cov): X = vec + eta^{-1} cov."""
     b = S.at(point, order)
-    other = tdot(b.eta_inv.comps, cov.comps, ([1], [0]))
-    return JetTensor(1, 0, vec.comps + other)
+    other = tdot(b.eta_inv, cov, ([1], [0]))
+    return vec + other
 
 
 # --------------------------------------------------------------------------
@@ -267,10 +259,10 @@ def nijenhuis_connection_form(S, X: Field, Y: Field, C) -> Field:
     dK = covariant_differential(C, S.K)  # (1,2): axes (A, I, B), derivative slot I
 
     def fn(p, k):
-        d = dK.at(p, k).comps
-        xj = X.at(p, k).comps
-        yj = Y.at(p, k).comps
-        Kv = S.at(p, k).K.comps
+        d = dK.at(p, k)
+        xj = X.at(p, k)
+        yj = Y.at(p, k)
+        Kv = S.at(p, k).K
         kx = tdot(Kv, xj, ([1], [0]))
         ky = tdot(Kv, yj, ([1], [0]))
         t1 = tdot(tdot(d, kx, ([1], [0])), yj, ([1], [0]))
@@ -287,11 +279,11 @@ def n_scalar(S, sign, X, Y, Z, point, order=0) -> float:
     P = S.projector(sign)
     N = nijenhuis(S, apply_endomorphism(P, X), apply_endomorphism(P, Y))
     b = S.at(point, order)
-    nv = N.at(point, order).comps
+    nv = N.at(point, order)
     pz = tdot(
-        (b.Pp if sign > 0 else b.Pm).comps, Z.at(point, order).comps, ([1], [0])
+        (b.Pp if sign > 0 else b.Pm), Z.at(point, order), ([1], [0])
     )
-    return contract_value(b.eta.comps, nv, pz)
+    return contract_value(b.eta, nv, pz)
 
 
 # --------------------------------------------------------------------------
@@ -305,25 +297,25 @@ def phi_field(S) -> Field:
 
 
 def phi_scalar(S, X, Y, Z, point, order=0) -> float:
-    return contract_value(phi_field(S).at(point, order).comps, X.at(point, order).comps,
-                          Y.at(point, order).comps, Z.at(point, order).comps)
+    return contract_value(phi_field(S).at(point, order), X.at(point, order),
+                          Y.at(point, order), Z.at(point, order))
 
 
 # --------------------------------------------------------------------------
 # Bigrading
 # --------------------------------------------------------------------------
 
-def bigraded_part_at(S, T: JetTensor, m_plus: int, bundle) -> JetTensor:
+def bigraded_part_at(S, T: JetArray, m_plus: int, bundle) -> JetArray:
     """(+m,-n) part of a (0,k) tensor value: sum over slot assignments."""
-    k = T.s
+    k = T.ndim
     out = None
     for plus_slots in combinations(range(k), m_plus):
-        comps = T.comps
+        comps = T
         for slot in range(k):
-            P = bundle.Pp.comps if slot in plus_slots else bundle.Pm.comps
+            P = bundle.Pp if slot in plus_slots else bundle.Pm
             comps = tdot(P, comps, ([0], [slot])).moveaxis(0, slot)
         out = comps if out is None else out + comps
-    return JetTensor(0, k, out)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -361,16 +353,16 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
         b = S.at(p, 1)
         scale = max(1.0, b.eta.max_abs(), b.K.max_abs())
         dwj = domega.at(p, 0)
-        dw_scale = max(1.0, coeff_max(S.omega.at(p, 1).comps))
+        dw_scale = max(1.0, coeff_max(S.omega.at(p, 1)))
         res["domega"] = max(res["domega"], dwj.max_abs() / dw_scale)
-        parts = {m: jet_values(bigraded_part_at(S, dwj, m, b).comps) for m in range(4)}
+        parts = {m: bigraded_part_at(S, dwj, m, b).values() for m in range(4)}
         for m, key in ((3, "domega_30"), (2, "domega_21"), (1, "domega_12"), (0, "domega_03")):
             res[key] = max(res[key], _mx(parts[m]) / dw_scale)
-        phiv = jet_values(phi_field(S).at(p, 0).comps)
+        phiv = phi_field(S).at(p, 0).values()
         res["phi_skew"] = max(
             res["phi_skew"], _mx(phiv + np.transpose(phiv, (1, 0, 2))) / dw_scale
         )
-        res["nabla_K"] = max(res["nabla_K"], _mx(jet_values(dK.at(p, 0).comps)) / dw_scale)
+        res["nabla_K"] = max(res["nabla_K"], _mx(dK.at(p, 0).values()) / dw_scale)
         # Pure-type Nijenhuis parts, as tensors over the coordinate basis.
         nplus = np.zeros((dim, dim, dim))
         nminus = np.zeros((dim, dim, dim))
@@ -380,10 +372,10 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
                     P = S.projector(sign)
                     N = nijenhuis(S, apply_endomorphism(P, basis[i]),
                                   apply_endomorphism(P, basis[j]))
-                    nv = N.at(p, 0).comps
-                    Pc = (b.Pp if sign > 0 else b.Pm).comps
-                    etaN = tdot(tdot(b.eta.comps, nv, ([0], [0])), Pc, ([0], [0]))
-                    row = jet_values(etaN)
+                    nv = N.at(p, 0)
+                    Pc = b.Pp if sign > 0 else b.Pm
+                    etaN = tdot(tdot(b.eta, nv, ([0], [0])), Pc, ([0], [0]))
+                    row = etaN.values()
                     store[i, j, :] = row
                     store[j, i, :] = -row
         res["n_plus"] = max(res["n_plus"], _mx(nplus) / scale)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from paraherm.connections import Connection
-from paraherm.geometry import tdot
+from paraherm.geometry import as_jets, tdot
 
 
 def shear_adapted_connection(S, scale=0.35):
@@ -25,13 +25,13 @@ def shear_adapted_connection(S, scale=0.35):
     def fn(point, order):
         g0 = S.canonical.gamma(point, order)
         b = S.at(point, order)
-        ctx = b.eta.comps[0, 0].ctx
-        uj = np.array([ctx.constant(c) for c in u], dtype=object)
-        vj = np.array([ctx.constant(c) for c in v], dtype=object)
-        uc = tdot(b.Pm.comps, uj, ([1], [0]))
-        vc = tdot(b.Pp.comps, vj, ([1], [0]))
-        eta_u = tdot(b.eta.comps, uc, ([0], [0]))
-        eta_v = tdot(b.eta.comps, vc, ([0], [0]))
+        ctx = b.eta[0, 0].ctx
+        uj = as_jets([ctx.constant(c) for c in u])
+        vj = as_jets([ctx.constant(c) for c in v])
+        uc = tdot(b.Pm, uj, ([1], [0]))
+        vc = tdot(b.Pp, vj, ([1], [0]))
+        eta_u = tdot(b.eta, uc, ([0], [0]))
+        eta_v = tdot(b.eta, vc, ([0], [0]))
         E = np.empty((chart.dim,) * 3, dtype=object)
         for k in range(chart.dim):
             for i in range(chart.dim):
@@ -39,6 +39,6 @@ def shear_adapted_connection(S, scale=0.35):
                     E[k, i, j] = scale * (
                         eta_u[i] * (eta_u[j] * vc[k] - eta_v[j] * uc[k])
                     )
-        return g0 + E
+        return g0 + as_jets(E)
 
     return Connection(chart, fn, provenance="user_supplied")

@@ -157,8 +157,8 @@ def test_criterion_3_converse_witnesses(flat3):
         Y = random_vector_field(chart, rng)
         p = pts[0]
         b0 = S.at(p, 0)
-        Pp, Pm = values(b0.Pp.comps), values(b0.Pm.comps)
-        etav = values(b0.eta.comps)
+        Pp, Pm = values(b0.Pp), values(b0.Pm)
+        etav = values(b0.eta)
         PX = apply_endomorphism(S.P_plus, X)
         PY = apply_endomorphism(S.P_plus, Y)
         MY = apply_endomorphism(S.P_minus, Y)
@@ -197,8 +197,8 @@ def test_criterion_4_courant_axioms(flat2, flatg_tm):
         def pair(X, Y):
             def fn(p, ctx):
                 b = S.at(p, ctx.order)
-                return tdot(tdot(b.eta.comps, X.at(p, ctx.order).comps, ([0], [0])),
-                            Y.at(p, ctx.order).comps, ([0], [0]))[()]
+                return tdot(tdot(b.eta, X.at(p, ctx.order), ([0], [0])),
+                            Y.at(p, ctx.order), ([0], [0]))[()]
 
             return ScalarField(S.chart, fn)
 

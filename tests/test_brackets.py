@@ -28,8 +28,8 @@ def eta_pair(S):
     def pair(X, Y):
         def fn(p, ctx):
             b = S.at(p, ctx.order)
-            return tdot(tdot(b.eta.comps, X.at(p, ctx.order).comps, ([0], [0])),
-                        Y.at(p, ctx.order).comps, ([0], [0]))[()]
+            return tdot(tdot(b.eta, X.at(p, ctx.order), ([0], [0])),
+                        Y.at(p, ctx.order), ([0], [0]))[()]
 
         return ScalarField(S.chart, fn)
 
@@ -97,9 +97,9 @@ def test_weak_involutivity_of_eigenbundles(flat2, sphere_tm, sphere_pts):
             br = d_bracket(S, apply_endomorphism(P, X), apply_endomorphism(P, Y))
             for p in pts:
                 b = S.at(p, 0)
-                Pc = (b.Pp if sign > 0 else b.Pm).comps
-                pz = tdot(Pc, Z.at(p, 0).comps, ([1], [0]))
-                val = tdot(tdot(b.eta.comps, br.at(p, 0).comps, ([0], [0])), pz,
+                Pc = (b.Pp if sign > 0 else b.Pm)
+                pz = tdot(Pc, Z.at(p, 0), ([1], [0]))
+                val = tdot(tdot(b.eta, br.at(p, 0), ([0], [0])), pz,
                            ([0], [0]))[()].value
                 assert abs(val) < 1e-9
 
@@ -133,8 +133,8 @@ def test_derivation_properties(flat2):
     f = scalar_field(chart, random_poly(rng, 4))
     from paraherm.geometry import DerivedField, d_scalar, lie_derivative_scalar
 
-    fY = DerivedField(chart, 1, 0, lambda p, k: Y.at(p, k).comps * f.jet(p, k))
-    fX = DerivedField(chart, 1, 0, lambda p, k: X.at(p, k).comps * f.jet(p, k))
+    fY = DerivedField(chart, 1, 0, lambda p, k: Y.at(p, k) * f.jet(p, k))
+    fX = DerivedField(chart, 1, 0, lambda p, k: X.at(p, k) * f.jet(p, k))
     for p in sample_points(flat2, 3, 11):
         fval = f.jet(p, 0).value
         base = d_bracket(S, X, Y).values(p)
@@ -145,9 +145,9 @@ def test_derivation_properties(flat2):
         # left argument: the computable correction
         lhs2 = d_bracket(S, fX, Y).values(p)
         b = S.at(p, 0)
-        etaXY = X.values(p) @ values(b.eta.comps) @ Y.values(p)
+        etaXY = X.values(p) @ values(b.eta) @ Y.values(p)
         df = d_scalar(f).values(p)
-        grad = values(b.eta_inv.comps) @ df
+        grad = values(b.eta_inv) @ df
         rhs2 = (fval * base - lie_derivative_scalar(Y, f).value(p) * X.values(p)
                 + etaXY * grad)
         assert np.max(np.abs(lhs2 - rhs2)) < 1e-10
@@ -225,7 +225,7 @@ def test_leafwise_objects_annihilate_other_distribution(flat2, flatg_tm):
             out = dorfman_leafwise(S, sign, e1, e2)
             for p in sample_points(model, 2, seed):
                 b = S.at(p, 0)
-                Q = values((b.Pm if sign > 0 else b.Pp).comps)
+                Q = values((b.Pm if sign > 0 else b.Pp))
                 for obj in (e1.at(p, 0), out.at(p, 0)):
                     assert np.max(np.abs(obj.cov.values() @ Q)) < 1e-12
 
@@ -331,7 +331,7 @@ def test_schouten_matches_coordinate_formula(flat2):
     beta = random_bivector(chart, rng)
     C = flat_connection(chart)
     for p in sample_points(flat2, 3, 27):
-        bj = beta.at(p, 1).comps
+        bj = beta.at(p, 1)
         bv = values(bj)
         db = np.zeros((4, 4, 4))
         for m in range(4):

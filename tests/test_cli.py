@@ -59,6 +59,24 @@ def test_unknown_suite_exits_two(tmp_path):
     assert run(spec) == 2
 
 
+@pytest.mark.parametrize("section, value", [
+    ("sample", {"count": "many"}),
+    ("jet_order", "three"),
+    ("sample", [1, 2]),
+    ("sample", {"mode": "explicit", "points": [[0.1, 0.2, 0.3]]}),
+    ("tolerances", [1, 2]),
+])
+def test_malformed_spec_section_exits_two(tmp_path, capsys, section, value):
+    """A bad value in a spec section is a spec error (exit 2) naming the
+    section, not a traceback (exit 1, the code for a failed suite)."""
+    spec = write_spec(tmp_path, "s.json", {
+        "model": {"name": "flat", "n": 2}, section: value, "suites": ["validate"],
+    })
+    assert run(spec) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and f"[{section}]" in err
+
+
 def test_failing_suite_exits_one(tmp_path):
     """A rank-skewed K makes validation fail: exit code 1."""
     spec = write_spec(tmp_path, "fail.json", {

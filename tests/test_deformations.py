@@ -46,8 +46,8 @@ def test_zero_b_is_identity(flat2):
     b = make_b(flat2.chart, {})
     T = b_transform(flat2.S, b, sample=pts)
     p = pts[0]
-    assert np.allclose(values(T.e_B.at(p, 0).comps), np.eye(4))
-    assert np.allclose(values(T.K_B.at(p, 0).comps), flat2.K_matrix)
+    assert np.allclose(values(T.e_B.at(p, 0)), np.eye(4))
+    assert np.allclose(values(T.K_B.at(p, 0)), flat2.K_matrix)
 
 
 def test_constant_b_gives_integrable_compatible_structure(flat2):
@@ -87,14 +87,14 @@ def test_kb_invariants(flat3_b):
     assert rep.passed
     for p in pts[:2]:
         b0 = T.S.at(p, 0)
-        KB = values(T.K_B.at(p, 0).comps)
+        KB = values(T.K_B.at(p, 0))
         assert np.max(np.abs(KB @ KB - np.eye(6))) < 1e-12
         # shared -1 eigenbundle: P+ P^B- = 0
-        PBm = values(T.structure_B.at(p, 0).Pm.comps)
-        assert np.max(np.abs(values(b0.Pp.comps) @ PBm)) < 1e-12
+        PBm = values(T.structure_B.at(p, 0).Pm)
+        assert np.max(np.abs(values(b0.Pp) @ PBm)) < 1e-12
         # omega_B = omega + 2b
-        wB = values(T.structure_B.at(p, 0).omega.comps)
-        w = values(b0.omega.comps)
+        wB = values(T.structure_B.at(p, 0).omega)
+        w = values(b0.omega)
         bv = T.b.at(p, 0).values()
         assert np.max(np.abs(wB - w - 2 * bv)) < 1e-12
 
@@ -200,22 +200,22 @@ def test_twisted_projected_is_h_twisted_dorfman(flat2):
 
     db = exterior_derivative(b)
     for p in pts:
-        lhs = projected_bracket(CB, S, +1, X, Y).at(p, 0).comps
-        base = projected_bracket(S.canonical, S, +1, X, Y).at(p, 0).comps
+        lhs = projected_bracket(CB, S, +1, X, Y).at(p, 0)
+        base = projected_bracket(S.canonical, S, +1, X, Y).at(p, 0)
         b0 = S.at(p, 0)
         dplus = bigraded_part_at(S, db.at(p, 0), 3, b0)
-        corr = tdot(tdot(dplus.comps, X.at(p, 0).comps, ([0], [0])),
-                    Y.at(p, 0).comps, ([0], [0]))
-        lhs_cov = values(tdot(b0.eta.comps, lhs, ([0], [0])))
-        rhs_cov = values(tdot(b0.eta.comps, base, ([0], [0]))) - values(corr)
+        corr = tdot(tdot(dplus, X.at(p, 0), ([0], [0])),
+                    Y.at(p, 0), ([0], [0]))
+        lhs_cov = values(tdot(b0.eta, lhs, ([0], [0])))
+        rhs_cov = values(tdot(b0.eta, base, ([0], [0]))) - values(corr)
         assert np.max(np.abs(lhs_cov - rhs_cov)) < 1e-9
         # under rho_+: H-twisted Dorfman with the extra one-form -iota_Y iota_X d+b
         e1 = GeneralizedVectorField(*rho_field(S, +1, X), +1)
         e2 = GeneralizedVectorField(*rho_field(S, +1, Y), +1)
         dorf = dorfman_leafwise(S, +1, e1, e2).at(p, 0)
         tw = rho(S, +1, projected_bracket(CB, S, +1, X, Y), p)
-        hterm = values(tdot(tdot(dplus.comps, X.at(p, 0).comps, ([0], [0])),
-                            Y.at(p, 0).comps, ([0], [0])))
+        hterm = values(tdot(tdot(dplus, X.at(p, 0), ([0], [0])),
+                            Y.at(p, 0), ([0], [0])))
         assert np.max(np.abs(tw.vec.values() - dorf.vec.values())) < 1e-9
         assert np.max(np.abs(tw.cov.values() - (dorf.cov.values() - hterm))) < 1e-9
 
@@ -338,11 +338,11 @@ def test_b_minus_mirror(flat2):
     assert compatibility_residual(T, pts) == 0.0
     # zero beta is the identity
     T0 = b_minus_transform(flat2.S, make_b(flat2.chart, {}), sample=pts)
-    assert np.allclose(values(T0.K_B.at(pts[0], 0).comps), flat2.K_matrix)
+    assert np.allclose(values(T0.K_B.at(pts[0], 0)), flat2.K_matrix)
     # shares the +1 eigenbundle instead
     p = pts[0]
-    PBp = values(T.structure_B.at(p, 0).Pp.comps)
-    Pm = values(flat2.S.at(p, 0).Pm.comps)
+    PBp = values(T.structure_B.at(p, 0).Pp)
+    Pm = values(flat2.S.at(p, 0).Pm)
     assert np.max(np.abs(Pm @ PBp)) < 1e-13
 
 
@@ -385,7 +385,7 @@ def test_rho_minus_intertwining(flat3_b):
     for p in pts[:3]:
         lhs = rho(S, -1, eBX, p)
         g = rho(S, -1, X, p)
-        biv = values(T.b_bivector.at(p, 0).comps)
+        biv = values(T.b_bivector.at(p, 0))
         vec = g.vec.values() + g.cov.values() @ biv
         assert np.max(np.abs(lhs.vec.values() - vec)) < 1e-12
         assert np.max(np.abs(lhs.cov.values() - g.cov.values())) < 1e-12
@@ -398,7 +398,7 @@ def test_adapted_nabla_b_stays_plus_type(flat3_b):
     dB = covariant_differential(S.canonical, T.b)  # (0,3): (X; Y, Z)
     for p in pts[:3]:
         d = dB.at(p, 0).values()
-        Pm = values(S.at(p, 0).Pm.comps)
+        Pm = values(S.at(p, 0).Pm)
         # minus leg in either argument slot must vanish
         assert np.max(np.abs(np.einsum("xyz,ya->xaz", d, Pm))) < 1e-12
         assert np.max(np.abs(np.einsum("xyz,za->xya", d, Pm))) < 1e-12

@@ -65,7 +65,7 @@ def test_bracket_leibniz_in_second_argument(chart4):
     f = scalar_field(chart4, random_poly(rng, 4))
     from paraherm.geometry import DerivedField
 
-    fY = DerivedField(chart4, 1, 0, lambda p, k: Y.at(p, k).comps * f.jet(p, k))
+    fY = DerivedField(chart4, 1, 0, lambda p, k: Y.at(p, k) * f.jet(p, k))
     for p in pts(chart4, 3, 5):
         lhs = lie_bracket(X, fY).at(p, 0).values()
         xf = lie_derivative_scalar(X, f).value(p)
@@ -153,7 +153,7 @@ def test_lie_derivative_leibniz(chart4):
     from paraherm.geometry import DerivedField
 
     fa = DerivedField(chart4, 0, 1,
-                      lambda p, k: alpha.at(p, k).comps * f.jet(p, k),
+                      lambda p, k: alpha.at(p, k) * f.jet(p, k),
                       sym="antisymmetric")
     for p in pts(chart4, 3, 13):
         lhs = lie_derivative(X, fa).values(p)
@@ -198,7 +198,7 @@ def test_wedge_consistent_with_d(chart):
     from paraherm.geometry import DerivedField
 
     fdg = DerivedField(chart, 0, 1,
-                       lambda p, k: d_scalar(g).at(p, k).comps * f.jet(p, k),
+                       lambda p, k: d_scalar(g).at(p, k) * f.jet(p, k),
                        sym="antisymmetric")
     lhs = exterior_derivative(fdg)
     rhs = wedge(d_scalar(f), d_scalar(g))
@@ -229,6 +229,19 @@ def test_musical_roundtrip(chart4):
         lowf = constant_field(chart4, low.values(), 0, 1)
         up = musical(eta, lowf, [0], p)
         assert np.max(np.abs(up.values() - X.values(p))) < 1e-12
+
+
+def test_musical_lowers_every_contravariant_slot(sphere_tm):
+    """On a (2,0) field, slots [0, 1] are both lowered with eta: E B E^T,
+    on the non-constant metric of the sphere tangent bundle."""
+    chart = sphere_tm.chart
+    comps = np.array([[f"{i + 1}*th*v{1 + j % 2} + {j}*sin(ph) - {i - j}" for j in range(4)]
+                      for i in range(4)], dtype=object)
+    B = TensorField(chart, 2, 0, comps)
+    p = chart.point([1.0, 0.3, 0.2, -0.4])
+    E = sphere_tm.S.at(p, 0).eta.values()
+    low = musical(sphere_tm.S.eta, B, [0, 1], p)
+    assert np.max(np.abs(low.values() - E @ B.values(p) @ E.T)) < 1e-12
 
 
 def test_singular_metric_guard(chart):
@@ -294,7 +307,7 @@ def test_near_singular_metric_rejected(chart):
 
 def test_rescaled_metric_accepted(chart4):
     """|det eta| = 1e-16 but cond(eta) = 1: the guard does not depend on scale."""
-    from paraherm.geometry import raise_index
+    from paraherm.geometry import tdot
 
     eye = np.eye(2)
     zero = np.zeros((2, 2))
@@ -305,5 +318,5 @@ def test_rescaled_metric_accepted(chart4):
         _, inv = metric_inverse_at(eta, p, 0)
         lowered = musical(eta, X, [0], p)
         assert lowered.max_abs() > 0.0
-        back = raise_index(inv, lowered, 0)
+        back = tdot(inv, lowered, ([1], [0]))
         assert np.max(np.abs(back.values() - X.values(p))) < 1e-12

@@ -11,16 +11,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paraherm.errors import SingularMetric
+from paraherm import brackets as br
+from paraherm.connections import covariant_differential, curvature, flat_connection
+from paraherm.deformations import BTransformation, mc_form
+from paraherm.errors import RankMismatch, SingularMetric
 from paraherm.geometry import (
     JetArray,
+    TensorField,
     as_jets,
+    embed_block,
+    exterior_derivative,
     invert_matrix_jets,
     jets_gradient,
+    lie_bracket,
+    lie_derivative,
     tdot,
     truncate_jets,
+    wedge,
 )
 from paraherm.jets import Jet, context
+from paraherm.randfields import random_bivector, random_form, random_vector_field
 
 SETTINGS = settings(max_examples=60, deadline=None)
 dims = st.integers(1, 8)
@@ -204,6 +214,53 @@ def test_indexing_transpose_and_conversion():
     assert_same(a[1], aj[1], tol=0.0)
     assert_same(a[:, 1:, 0], aj[:, 1:, 0], tol=0.0)
     assert_same(as_jets(aj), aj, tol=0.0)
-    # Numbers become constants at the order of the jets beside them.
-    mixed = as_jets([aj[0, 0, 0], 2.0])
-    assert mixed[1].coeffs[0] == 2.0 and not mixed[1].coeffs[1:].any()
+
+
+def test_sum_of_different_shapes_rejected():
+    """(4,) + (4, 4) is a rank error, not a broadcast to (4, 4)."""
+    rng = np.random.default_rng(6)
+    vec = random_jets(rng, 4, 2, (4,))
+    mat = random_jets(rng, 4, 2, (4, 4))
+    with pytest.raises(RankMismatch):
+        vec + mat
+    with pytest.raises(RankMismatch):
+        mat - vec
+
+
+# -- one tensor-of-jets type ---------------------------------------------------
+
+def _derived_fields(model):
+    """(name, field) for a tensor field and each kind of derived field."""
+    rng = np.random.default_rng(8)
+    chart, S = model.chart, model.S
+    X, Y = (random_vector_field(chart, rng) for _ in range(2))
+    w1, w2 = random_form(chart, rng, k=1), random_form(chart, rng, k=2)
+    b = TensorField(chart, 0, 2, embed_block(chart, [["0", "xt1"], ["-(xt1)", "0"]]),
+                    sym="antisymmetric")
+    return [
+        ("tensor_field", X),
+        ("lie_bracket", lie_bracket(X, Y)),
+        ("exterior_derivative", exterior_derivative(w2)),
+        ("wedge", wedge(w1, w2)),
+        ("lie_derivative", lie_derivative(X, w2)),
+        ("covariant_differential", covariant_differential(S.canonical, X)),
+        ("curvature", curvature(S.levi_civita)),
+        ("d_bracket", br.d_bracket(S, X, Y)),
+        ("flat_coordinate_dbracket",
+         br.flat_coordinate_dbracket(chart, model.eta_matrix, X, Y)),
+        ("schouten_self", br.schouten_self(random_bivector(chart, rng),
+                                           flat_connection(chart))),
+        ("mc_form", mc_form(BTransformation(S, b))),
+    ]
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_field_at_returns_a_jet_array(flat2, order):
+    """`Field.at(p, k)` gives a JetArray of shape (dim,)*(r+s) at order k;
+    the rank lives on the field."""
+    p = flat2.chart.point([0.3, -0.2, 0.5, 0.1])
+    for name, field in _derived_fields(flat2):
+        out = field.at(p, order)
+        assert isinstance(out, JetArray), name
+        assert out.shape == (4,) * (field.r + field.s), name
+        assert out.ctx.order == order, name

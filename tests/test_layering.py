@@ -2,15 +2,18 @@
 
 A tensor of jets is a `geometry.JetArray`: one jet context and one float
 array of shape (*tensor_shape, ncoef), the graded coefficient layout of
-`jets` on the last axis.  The modules above `geometry` reach its components
-and coefficients only through the helpers there (`tdot`, `jets_gradient`,
-`jet_values`, `coeff_max`, `truncate_jets`, `constant_jets`, ...), so that
-the storage format can be replaced in one module.  These tests parse them
-and reject component loops (`np.ndindex`), direct coefficient access
+`jets` on the last axis.  `Field.at` returns one, and the modules above
+`geometry` reach its components and coefficients only through its methods
+(`values`, `max_abs`, `transpose`, ...) and the helpers next to it (`tdot`,
+`jets_gradient`, `coeff_max`, `truncate_jets`, `constant_jets`, ...), so
+that the storage format can be replaced in one module.  These tests parse
+them and reject component loops (`np.ndindex`), direct coefficient access
 (`.coeffs`, `.truncate`), `np.tensordot`, and object arrays built with
 `np.empty` / `np.zeros(..., dtype=object)`.  The one exception to the last
 two is `brackets.flat_coordinate_dbracket`, the independent oracle, which
-keeps its scalar-`Jet` route on purpose.
+keeps its scalar-`Jet` route on purpose.  Only that oracle and `models`
+(whose frames start from scalar coordinate jets) may convert scalar `Jet`s
+with `as_jets`, so that the conversion surface does not grow back.
 """
 
 import ast
@@ -24,6 +27,7 @@ SRC = Path(paraherm.__file__).resolve().parent
 MODULES = ("connections", "parastructure", "brackets", "deformations", "models", "cli")
 FORBIDDEN = {"ndindex", "coeffs", "truncate"}
 SCALAR_ROUTES = {("brackets", "flat_coordinate_dbracket")}
+AS_JETS_MODULES = {"models"}
 
 
 def _tree(module):
@@ -44,16 +48,20 @@ def _object_dtype(call):
     return any(isinstance(d, ast.Name) and d.id == "object" for d in dtypes)
 
 
-def _object_array_calls(tree, module):
+def _outside_scalar_routes(tree, module):
+    """Every node of `module` outside the allow-listed scalar routes."""
     for top in tree.body:
-        if (module, getattr(top, "name", None)) in SCALAR_ROUTES:
+        if (module, getattr(top, "name", None)) not in SCALAR_ROUTES:
+            yield from ast.walk(top)
+
+
+def _object_array_calls(tree, module):
+    for node in _outside_scalar_routes(tree, module):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        for node in ast.walk(top):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-                continue
-            attr = node.func.attr
-            if attr == "tensordot" or (attr in ("empty", "zeros") and _object_dtype(node)):
-                yield node.lineno, attr
+        attr = node.func.attr
+        if attr == "tensordot" or (attr in ("empty", "zeros") and _object_dtype(node)):
+            yield node.lineno, attr
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -68,6 +76,16 @@ def test_no_object_arrays_of_jets_above_geometry(module):
     assert not found, (
         f"{module}.py builds or contracts object arrays at (line, call): {found}"
     )
+
+
+@pytest.mark.parametrize("module", sorted(set(MODULES) - AS_JETS_MODULES))
+def test_as_jets_only_at_scalar_routes(module):
+    found = sorted(
+        node.lineno for node in _outside_scalar_routes(_tree(module), module)
+        if isinstance(node, ast.Name) and node.id == "as_jets"
+        or isinstance(node, ast.Attribute) and node.attr == "as_jets"
+    )
+    assert not found, f"{module}.py converts scalar jets with as_jets at lines {found}"
 
 
 def test_the_oracle_keeps_its_scalar_route():

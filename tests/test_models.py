@@ -47,10 +47,10 @@ def test_frame_duality(sphere_tm, sphere_pts):
     n = sphere_tm.n
     for i in range(n):
         for j in range(n):
-            h = sphere_tm.H[j].at(p, 1).comps
-            v = sphere_tm.V[j].at(p, 1).comps
-            hco = sphere_tm.H_co[i].at(p, 1).comps
-            vco = sphere_tm.V_co[i].at(p, 1).comps
+            h = sphere_tm.H[j].at(p, 1)
+            v = sphere_tm.V[j].at(p, 1)
+            hco = sphere_tm.H_co[i].at(p, 1)
+            vco = sphere_tm.V_co[i].at(p, 1)
             assert abs(sum((hco[a] * h[a]).value for a in range(2 * n)) - (i == j)) < 1e-14
             assert abs(sum((vco[a] * v[a]).value for a in range(2 * n)) - (i == j)) < 1e-14
             assert abs(sum((vco[a] * h[a]).value for a in range(2 * n))) < 1e-14
@@ -67,7 +67,7 @@ def test_eta_frame_values(sphere_tm, sphere_pts):
         gv = sphere_tm.g.at(p, 0).values()[:n, :n]
         H = [sphere_tm.H[i].at(p, 0).values() for i in range(n)]
         V = [sphere_tm.V[i].at(p, 0).values() for i in range(n)]
-        Vco = [values(sphere_tm.V_co[i].at(p, 0).comps) for i in range(n)]
+        Vco = [values(sphere_tm.V_co[i].at(p, 0)) for i in range(n)]
         for i in range(n):
             for j in range(n):
                 assert abs(H[i] @ etav @ H[j]) < 1e-13

@@ -155,8 +155,8 @@ def test_sphere_tm_half_integrability(sphere_tm, sphere_pts):
         b = S.at(p, 0)
         P = S.projector(+1)
         br = lie_bracket(apply_endomorphism(P, X), apply_endomorphism(P, Y))
-        pz = tdot(b.Pp.comps, Z.at(p, 0).comps, ([1], [0]))
-        rhs = float(tdot(tdot(b.eta.comps, br.at(p, 0).comps, ([0], [0])), pz,
+        pz = tdot(b.Pp, Z.at(p, 0), ([1], [0]))
+        rhs = float(tdot(tdot(b.eta, br.at(p, 0), ([0], [0])), pz,
                          ([0], [0]))[()].value)
         assert abs(lhs - rhs) < 1e-10
         worst = max(worst, abs(lhs))

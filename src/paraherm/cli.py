@@ -84,11 +84,19 @@ def _spec_section(section):
         raise SpecParseError(f"bad {section} spec: {exc}", section)
 
 
+def _spec_int(obj, key, default, section):
+    """`obj[key]` (or `default`) as a JSON integer.  A bool or any other
+    non-integer is a SpecParseError naming `section`, never truncated."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecParseError(f"{key} must be an integer, got {value!r}", section)
+    return value
+
+
 class _RunContext:
     def __init__(self, spec):
         self.spec = spec
-        with _spec_section("jet_order"):
-            self.jet_order = int(spec.get("jet_order", 3))
+        self.jet_order = _spec_int(spec, "jet_order", 3, "jet_order")
         tol = dict(DEFAULT_TOLERANCES)
         with _spec_section("tolerances"):
             tol.update(spec.get("tolerances", {}))
@@ -116,7 +124,8 @@ class _RunContext:
             raise SpecParseError("model needs a 'name'", "model")
         with _spec_section("model"):
             if name == "flat":
-                return build_flat(int(mspec.get("n", 2)), jet_order=self.jet_order)
+                n = _spec_int(mspec, "n", 2, "model")
+                return build_flat(n, jet_order=self.jet_order)
             if name == "tangent_bundle":
                 return build_tm(
                     mspec["metric"], mspec["base_coords"], jet_order=self.jet_order,
@@ -160,13 +169,13 @@ class _RunContext:
             pts = sspec.get("points", [])
             if not pts:
                 raise SpecParseError("explicit sampling needs at least one point", "sample")
-            return [chart.point(p) for p in pts], int(sspec.get("seed", 0))
+            return [chart.point(p) for p in pts], _spec_int(sspec, "seed", 0, "sample")
         if mode != "uniform":
             raise SpecParseError(f"unknown sample mode {mode!r}", "sample")
-        count = int(sspec.get("count", 20))
+        count = _spec_int(sspec, "count", 20, "sample")
         if count < 1:
             raise SpecParseError("sample count must be >= 1", "sample")
-        seed = int(sspec.get("seed", 2024))
+        seed = _spec_int(sspec, "seed", 2024, "sample")
         box = sspec.get("box") or self.model.default_box()
         if len(box) != chart.dim:
             raise SpecParseError(f"box must have {chart.dim} intervals", "sample")

@@ -18,6 +18,14 @@ Scalars stay `Jet`s: indexing a JetArray down to one component, or
 contracting it fully, gives a `Jet`, and `as_jets` turns a `Jet` or an array
 of `Jet`s (the scalar routes' output) into a JetArray.
 
+Each field remembers its last point: `TensorField.at` and `DerivedField.at`
+keep the jets of the most recent point at the highest order asked there, and
+serve a request there at that order or lower as a prefix slice, so the nested
+operators, which ask their inputs at one point for orders k, k+1 and k+2,
+evaluate each input once.  This needs a field's jets at a point to depend
+only on (point, order), as every procedure here and above does.  The jets
+`at` returns are read-only, since callers share them.
+
 Conventions (fixed once, used everywhere):
   - exterior derivative of a k-form: (dT)_{I0..Ik} = sum_j (-1)^j d_{Ij} T_{..omit j..},
     no 1/k! normalization; equivalently the cyclic Cartan formula for 2-forms;
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, permutations
 
 import numpy as np
@@ -162,7 +170,8 @@ class JetArray:
     gives a scalar `Jet`.  `+` and `-` need operands of one tensor shape.
     Operands of different orders are truncated to the lower one.  Results
     may be views of their operands (an index, a truncation, a transpose), so
-    `coeffs` is never written in place.
+    `coeffs` is never written in place; `Field.at` enforces this by
+    returning read-only coefficients.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -376,13 +385,21 @@ class Field:
         self.r = r
         self.s = s
         self.sym = sym
+        self._memo = None  # (point.key, JetArray), see _memo_at
 
     @property
     def rank(self):
         return (self.r, self.s)
 
     def at(self, point, order=0) -> JetArray:
-        """Jets of the components at `point`, shape (dim,)*(r+s)."""
+        """Jets of the components at `point`, shape (dim,)*(r+s).
+
+        The subclasses memoise this with `_memo_at`: the jets of the most
+        recent point are kept at the highest order asked there, and a request
+        there at that order or lower is their prefix slice.  So a field's
+        jets at a point must depend only on (point, order), and the caller
+        gets a read-only array it may share with other callers.
+        """
         raise NotImplementedError
 
     def values(self, point) -> np.ndarray:
@@ -418,6 +435,32 @@ class Field:
         return self * (-1.0)
 
 
+def _memo_at(at):
+    """Give `Field.at` a one-entry memo: the field's most recent point and
+    its jets at the highest order asked there.
+
+    A request at that point for the same order or lower is served as a
+    prefix slice (`truncate_jets`); a new point or a higher order evaluates
+    the field and replaces the entry, unless the evaluation raises.  The
+    chart's jet-order budget is checked first, so a memo never serves a
+    request past it.  The coefficients are made read-only, because every
+    caller of the point shares them.
+    """
+
+    @wraps(at)
+    def memo_at(self, point, order=0):
+        self.chart.context(order)  # raises InsufficientJetOrder past the budget
+        memo = self._memo
+        if memo is not None and memo[0] == point.key and order <= memo[1].ctx.order:
+            return truncate_jets(memo[1], order)
+        jets = at(self, point, order)
+        jets.coeffs.flags.writeable = False
+        self._memo = (point.key, jets)
+        return jets
+
+    return memo_at
+
+
 class TensorField(Field):
     """An (r,s) tensor with components given as chart scalars (usually Expr).
 
@@ -438,6 +481,7 @@ class TensorField(Field):
             arr[idx] = _as_scalar(chart, comps[idx])
         self.comps = arr
 
+    @_memo_at
     def at(self, point, order=0) -> JetArray:
         ctx = self.chart.context(order)
         coeffs = np.empty(self.comps.shape + (ctx.n,))
@@ -453,8 +497,8 @@ class DerivedField(Field):
         super().__init__(chart, r, s, sym=sym)
         self.fn = fn
 
+    @_memo_at
     def at(self, point, order=0) -> JetArray:
-        self.chart.context(order)  # raises InsufficientJetOrder past the budget
         return self.fn(point, order)
 
 

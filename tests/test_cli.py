@@ -65,6 +65,14 @@ def test_unknown_suite_exits_two(tmp_path):
     ("sample", [1, 2]),
     ("sample", {"mode": "explicit", "points": [[0.1, 0.2, 0.3]]}),
     ("tolerances", [1, 2]),
+    # Integers are never truncated: a bool or a fraction is a spec error.
+    ("sample", {"count": 2.7}),
+    ("sample", {"count": True}),
+    ("sample", {"count": 3, "seed": 1.9}),
+    ("sample", {"mode": "explicit", "points": [[0.1, 0.2, 0.3, 0.4]], "seed": 0.5}),
+    ("jet_order", 3.5),
+    ("jet_order", True),
+    ("model", {"name": "flat", "n": 1.5}),
 ])
 def test_malformed_spec_section_exits_two(tmp_path, capsys, section, value):
     """A bad value in a spec section is a spec error (exit 2) naming the

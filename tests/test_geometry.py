@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paraherm.errors import NotAntisymmetric, RankMismatch, SingularMetric
-from paraherm.geometry import (
-    Chart, TensorField, constant_field, coordinate_vector_field, d_scalar,
-    exterior_derivative, interior_product, lie_bracket, lie_derivative,
-    lie_derivative_scalar, metric_inverse_at, musical, scalar_field, wedge,
+from paraherm.errors import (
+    DomainError, InsufficientJetOrder, NotAntisymmetric, RankMismatch, SingularMetric,
 )
+from paraherm.geometry import (
+    Chart, DerivedField, TensorField, constant_field, constant_jets,
+    coordinate_vector_field, d_scalar, exterior_derivative, interior_product,
+    lie_bracket, lie_derivative, lie_derivative_scalar, metric_inverse_at, musical,
+    scalar_field, truncate_jets, wedge,
+)
+from paraherm.jets import context
 from paraherm.randfields import random_form, random_poly, random_vector_field
 
 
@@ -320,3 +326,93 @@ def test_rescaled_metric_accepted(chart4):
         assert lowered.max_abs() > 0.0
         back = tdot(inv, lowered, ([1], [0]))
         assert np.max(np.abs(back.values() - X.values(p))) < 1e-12
+
+
+# -- the last-point memo of Field.at ---------------------------------------------
+
+def _counted(chart, fn):
+    """A derived vector field whose procedure records the order of each call."""
+    calls = []
+
+    def proc(p, k):
+        calls.append(k)
+        return fn(p, k)
+
+    return DerivedField(chart, 1, 0, proc), calls
+
+
+def test_memo_serves_lower_orders_from_one_evaluation(chart4):
+    X = random_vector_field(chart4, np.random.default_rng(3))
+    F, calls = _counted(chart4, X.at)
+    p, q = pts(chart4, 2, 30)
+    top = F.at(p, 2)
+    for k in (1, 0):
+        lower = F.at(p, k)
+        assert lower.ctx.order == k
+        assert np.array_equal(lower.coeffs, truncate_jets(top, k).coeffs)
+    assert len(calls) == 1
+    F.at(p, 3)
+    assert len(calls) == 2
+    F.at(q, 0)
+    F.at(p, 0)
+    assert calls == [2, 3, 0, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 4, 6]), top=st.integers(0, 3), low=st.integers(0, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_memo_matches_a_fresh_evaluation(dim, top, low, seed):
+    """A memo-served at(p, k) is bit-equal to a fresh field's at(p, k), and
+    alternating p, q, p never returns q's jets."""
+    chart = Chart([f"x{i}" for i in range(dim)], split=dim // 2)
+    rng = np.random.default_rng(seed)
+    X = random_vector_field(chart, rng)
+    p, q = (chart.point(rng.uniform(-1, 1, dim)) for _ in range(2))
+    k = min(top, low)
+
+    def fresh(point):
+        return TensorField(chart, 1, 0, X.comps).at(point, k).coeffs.tobytes()
+
+    X.at(p, top)
+    assert X.at(p, k).coeffs.tobytes() == fresh(p)
+    assert X.at(q, k).coeffs.tobytes() == fresh(q)
+    assert X.at(p, k).coeffs.tobytes() == fresh(p)
+
+
+def test_memo_keeps_the_jet_order_budget():
+    """A procedure that returns more orders than asked still cannot serve a
+    request past the chart's budget."""
+    tight = Chart(["x", "xt"], split=1, jet_order=1)
+    F, calls = _counted(tight, lambda p, k: constant_jets(context(2, 2), p.coords))
+    p = tight.point([0.1, 0.2])
+    assert F.at(p, 1).ctx.order == 2
+    with pytest.raises(InsufficientJetOrder):
+        F.at(p, 2)
+    assert len(calls) == 1
+
+
+def test_failed_evaluation_keeps_the_entry(chart4):
+    X = random_vector_field(chart4, np.random.default_rng(4))
+    p, q = pts(chart4, 2, 31)
+
+    def fn(point, k):
+        if point is q or k == 3:
+            raise DomainError("outside the domain")
+        return X.at(point, k)
+
+    F, calls = _counted(chart4, fn)
+    kept = F.at(p, 2)
+    for bad, k in ((q, 0), (p, 3)):
+        with pytest.raises(DomainError):
+            F.at(bad, k)
+    assert F.at(p, 2) is kept
+    assert np.array_equal(F.at(p, 1).coeffs, truncate_jets(kept, 1).coeffs)
+    assert len(calls) == 3
+
+
+def test_field_jets_are_read_only(chart4):
+    X = random_vector_field(chart4, np.random.default_rng(5))
+    p = pts(chart4, 1, 32)[0]
+    for jets in (X.at(p, 2), X.at(p, 1), lie_bracket(X, X).at(p, 1)):
+        with pytest.raises(ValueError):
+            jets.coeffs[0, 0] = 1.0

@@ -96,3 +96,15 @@ def test_the_oracle_keeps_its_scalar_route():
     calls = [node.func.attr for node in ast.walk(oracle)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
     assert "empty" in calls and "partial" in calls
+
+
+@pytest.mark.parametrize("cls, name", [
+    ("TensorField", "at"), ("DerivedField", "at"), ("ScalarField", "jet"),
+])
+def test_traced_field_methods_stay_on_their_classes(cls, name):
+    """The benchmark's layer tracer (`perfbench/layertrace.py`) wraps these
+    methods in each class's own namespace: one inherited from a base class
+    would run untraced and be reported missing."""
+    from paraherm import geometry
+
+    assert name in vars(getattr(geometry, cls))

@@ -373,21 +373,27 @@ def flat_coordinate_dbracket(chart, eta_matrix, X: Field, Y: Field) -> Field:
     eta = np.asarray(eta_matrix, dtype=float)
     eta_inv = np.linalg.inv(eta)
     dim = chart.dim
+    # terms[I][J]: the (K, L, c) with c = eta_{IL} eta^{KJ} != 0, in (K, L) order.
+    terms = [[[(K, L, eta[I, L] * eta_inv[K, J])
+               for K in range(dim) for L in range(dim)
+               if eta[I, L] * eta_inv[K, J] != 0.0]
+              for J in range(dim)] for I in range(dim)]
 
     def fn(p, k):
         ctx = chart.context(k)
         xj = X.at(p, k + 1)
         yj = Y.at(p, k + 1)
+        xs = [xj[I] for I in range(dim)]
+        ys = [yj[I] for I in range(dim)]
+        dx = [[x.partial(K) for K in range(dim)] for x in xs]  # dx[L][K] = d_K X^L
+        dy = [[y.partial(K) for K in range(dim)] for y in ys]
         out = np.empty(dim, dtype=object)
         for J in range(dim):
             acc = ctx.zero()
             for I in range(dim):
-                acc = acc + xj[I] * yj[J].partial(I) - yj[I] * xj[J].partial(I)
-                for K in range(dim):
-                    for L in range(dim):
-                        c = eta[I, L] * eta_inv[K, J]
-                        if c != 0.0:
-                            acc = acc + c * (yj[I] * xj[L].partial(K))
+                acc = acc + xs[I] * dy[J][I] - ys[I] * dx[J][I]
+                for K, L, c in terms[I][J]:
+                    acc = acc + c * (ys[I] * dx[L][K])
             out[J] = acc
         return as_jets(out)
 

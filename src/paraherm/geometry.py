@@ -9,11 +9,17 @@ order higher from their inputs, so operators nest without any symbolic step.
 Every tensor of jets is a `JetArray`: one jet context and a float array of
 shape (*tensor_shape, ncoef), the graded coefficient layout of `jets` on the
 last axis.  `Field.at` returns one; the rank (r, s) lives on the field, not on
-the array.  Contractions are einsum-style products over the tensor axes with
-a gather-multiply-scatter of the truncated Cauchy product over the
-coefficient axis; partials, truncation and values are index operations on
-that axis.  Outside `jets`, only code here reads jet coefficients, and the
-other modules go through the helpers next to `tdot` and `jets_gradient`.
+the array.  Each JetArray also carries `deg`, an upper bound on the degree of
+its highest nonzero coefficient block: -1 for all-zero, 0 for constant, at
+most the order.  Only this module sets it, and every rule here may
+over-report it but never under-reports it.  Contractions (`tdot`) are
+einsum-style products over the tensor axes with three paths: a zero operand
+gives zeros, a constant operand is one matrix product of its values with the
+other operand's coefficients, and two non-constant operands run a
+gather-multiply-scatter of the truncated Cauchy product over the coefficient
+axis.  Partials, truncation and values are index operations on that axis.
+Outside `jets`, only code here reads jet coefficients, and the other modules
+go through the helpers next to `tdot` and `jets_gradient`.
 Scalars stay `Jet`s: indexing a JetArray down to one component, or
 contracting it fully, gives a `Jet`, and `as_jets` turns a `Jet` or an array
 of `Jet`s (the scalar routes' output) into a JetArray.
@@ -166,6 +172,12 @@ def _as_scalar(chart, obj):
 class JetArray:
     """A tensor of jets of one context: `coeffs` has shape (*shape, ctx.n).
 
+    `deg` is an upper bound on the degree of the highest nonzero coefficient
+    block: -1 for all-zero, 0 for constant, at most `ctx.order` (the default).
+    Every operation here carries it by a rule that may over-report but never
+    under-reports, so `tdot` can send zero and constant operands past the
+    Cauchy product.  It is set only in this module.
+
     Indexing selects over the tensor axes, and an index that leaves none
     gives a scalar `Jet`.  `+` and `-` need operands of one tensor shape.
     Operands of different orders are truncated to the lower one.  Results
@@ -174,13 +186,14 @@ class JetArray:
     returning read-only coefficients.
     """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "coeffs", "deg")
     # Let numpy scalars and arrays defer to the reflected operators below.
     __array_ufunc__ = None
 
-    def __init__(self, ctx, coeffs):
+    def __init__(self, ctx, coeffs, deg=None):
         self.ctx = ctx
         self.coeffs = coeffs
+        self.deg = ctx.order if deg is None else deg
 
     @property
     def shape(self):
@@ -195,7 +208,7 @@ class JetArray:
         out = self.coeffs[key + (slice(None),)]
         if out.ndim == 1:
             return Jet(self.ctx, out.copy())
-        return JetArray(self.ctx, out)
+        return JetArray(self.ctx, out, self.deg)
 
     def values(self) -> np.ndarray:
         """Float array of the values (constant terms)."""
@@ -218,24 +231,25 @@ class JetArray:
         if other.shape != self.shape:
             raise RankMismatch(f"tensor shapes differ: {self.shape} vs {other.shape}")
         a, b = _common(self, other)
-        return JetArray(a.ctx, op(a.coeffs, b.coeffs))
+        return JetArray(a.ctx, op(a.coeffs, b.coeffs), max(a.deg, b.deg))
 
     def __neg__(self):
-        return JetArray(self.ctx, -self.coeffs)
+        return JetArray(self.ctx, -self.coeffs, self.deg)
 
     def __mul__(self, c):
         """Product with a float, or componentwise with one scalar jet."""
         if isinstance(c, Jet):
             a, b = _common(self, as_jets(c))
             ia, ib, scatter = _product_tables(a.ctx)
-            return JetArray(a.ctx, (a.coeffs[..., ia] * b.coeffs[ib]) @ scatter)
-        return JetArray(self.ctx, self.coeffs * float(c))
+            return JetArray(a.ctx, (a.coeffs[..., ia] * b.coeffs[ib]) @ scatter,
+                            _product_deg(a, b))
+        return JetArray(self.ctx, self.coeffs * float(c), self.deg)
 
     __rmul__ = __mul__
 
     def transpose(self, axes=None):
         axes = tuple(reversed(range(self.ndim))) if axes is None else tuple(axes)
-        return JetArray(self.ctx, self.coeffs.transpose(axes + (self.ndim,)))
+        return JetArray(self.ctx, self.coeffs.transpose(axes + (self.ndim,)), self.deg)
 
     def moveaxis(self, source, destination):
         order = [i for i in range(self.ndim) if i != source % self.ndim]
@@ -243,7 +257,7 @@ class JetArray:
         return self.transpose(order)
 
     def __repr__(self):
-        return f"JetArray(shape={self.shape}, {self.ctx})"
+        return f"JetArray(shape={self.shape}, deg={self.deg}, {self.ctx})"
 
 
 def as_jets(obj) -> JetArray:
@@ -274,6 +288,13 @@ def _common(a: JetArray, b: JetArray):
     return truncate_jets(a, k), truncate_jets(b, k)
 
 
+def _product_deg(a: JetArray, b: JetArray) -> int:
+    """Degree bound of a product of two operands of one context."""
+    if a.deg < 0 or b.deg < 0:
+        return -1
+    return min(a.deg + b.deg, a.ctx.order)
+
+
 @lru_cache(maxsize=None)
 def _product_tables(ctx):
     """(ia, ib, scatter) for the truncated Cauchy product of `ctx`: pair p
@@ -296,33 +317,67 @@ def jets_gradient(comps: JetArray) -> JetArray:
     lower, src, fac = comps.ctx._deriv_tables()
     out = comps.coeffs[..., src] * fac  # (*shape, dim, lower.n)
     k = out.ndim - 2
-    return JetArray(lower, out.transpose([k, *range(k), k + 1]))
+    return JetArray(lower, out.transpose([k, *range(k), k + 1]), max(comps.deg - 1, -1))
+
+
+@lru_cache(maxsize=None)
+def _tdot_plan(shape_a, shape_b, axes):
+    """The shapes and transposes of `tdot` for one (shape_a, shape_b, axes).
+
+    Returns (shape, m, c, q, full, a_const, b_const): the result's tensor
+    shape; the sizes of a's free axes, the contracted axes and b's free axes;
+    and one pair of axis orders, coefficient axis included, per path.  `full`
+    moves the coefficients first; `a_const` orders a's values and b's
+    coefficients, `b_const` a's coefficients and b's values.
+    """
+    na, nb = len(shape_a), len(shape_b)
+    ax_a = tuple(x % na for x in axes[0])
+    ax_b = tuple(x % nb for x in axes[1])
+    free_a = tuple(i for i in range(na) if i not in ax_a)
+    free_b = tuple(i for i in range(nb) if i not in ax_b)
+    return (
+        tuple(shape_a[i] for i in free_a) + tuple(shape_b[i] for i in free_b),
+        math.prod(shape_a[i] for i in free_a),
+        math.prod(shape_a[i] for i in ax_a),
+        math.prod(shape_b[i] for i in free_b),
+        ((na, *free_a, *ax_a), (nb, *ax_b, *free_b)),
+        (free_a + ax_a, (*ax_b, *free_b, nb)),
+        ((*free_a, na, *ax_a), ax_b + free_b),
+    )
 
 
 def tdot(a, b, axes) -> JetArray:
     """np.tensordot for tensors of jets; a full contraction gives a 0-d array.
 
-    With the coefficient axis moved first, each pair (i, j) of the truncated
-    Cauchy product is one matrix product a[i] @ b[j] over the tensor axes,
-    all pairs in one batched call, and the pairs are then scattered onto the
-    coefficients they add to.
+    The operands' degrees pick one of three paths.  A zero operand gives
+    zeros.  A constant operand is one matrix product of its values with the
+    other operand's coefficient array.  Otherwise, with the coefficient axis
+    moved first, each pair (i, j) of the truncated Cauchy product is one
+    matrix product a[i] @ b[j] over the tensor axes, all pairs in one batched
+    call, and the pairs are then scattered onto the coefficients they add to.
     """
     a, b = _common(a, b)
+    shape, m, c, q, full, a_const, b_const = _tdot_plan(
+        a.shape, b.shape, (tuple(axes[0]), tuple(axes[1])))
+    ctx = a.ctx
+    n = ctx.n
+    if a.deg < 0 or b.deg < 0:
+        return JetArray(ctx, np.zeros(shape + (n,)), -1)
     ca, cb = a.coeffs, b.coeffs
-    na, nb = ca.ndim - 1, cb.ndim - 1
-    ax_a = [x % na for x in axes[0]]
-    ax_b = [x % nb for x in axes[1]]
-    free_a = [i for i in range(na) if i not in ax_a]
-    free_b = [i for i in range(nb) if i not in ax_b]
-    shape = tuple(ca.shape[i] for i in free_a) + tuple(cb.shape[i] for i in free_b)
-    contracted = math.prod(ca.shape[i] for i in ax_a)
-    n = a.ctx.n
-    A = ca.transpose([na] + free_a + ax_a).reshape(n, -1, contracted)
-    B = cb.transpose([nb] + ax_b + free_b).reshape(n, contracted, -1)
-    ia, ib, scatter = _product_tables(a.ctx)
+    if a.deg == 0:
+        A = ca[..., 0].transpose(a_const[0]).reshape(m, c)
+        out = A @ cb.transpose(a_const[1]).reshape(c, q * n)
+        return JetArray(ctx, out.reshape(shape + (n,)), b.deg)
+    if b.deg == 0:
+        A = ca.transpose(b_const[0]).reshape(m * n, c)
+        out = (A @ cb[..., 0].transpose(b_const[1]).reshape(c, q)).reshape(m, n, q)
+        return JetArray(ctx, out.transpose(0, 2, 1).reshape(shape + (n,)), a.deg)
+    A = ca.transpose(full[0]).reshape(n, m, c)
+    B = cb.transpose(full[1]).reshape(n, c, q)
+    ia, ib, scatter = _product_tables(ctx)
     pairs = A[ia] @ B[ib]
     out = pairs.reshape(len(ia), -1).T @ scatter
-    return JetArray(a.ctx, out.reshape(shape + (n,)))
+    return JetArray(ctx, out.reshape(shape + (n,)), _product_deg(a, b))
 
 
 def contract_value(t, *vectors) -> float:
@@ -343,7 +398,7 @@ def truncate_jets(comps: JetArray, order) -> JetArray:
     if order >= comps.ctx.order:
         return comps
     lower = context(comps.ctx.dim, order)
-    return JetArray(lower, comps.coeffs[..., : lower.n])
+    return JetArray(lower, comps.coeffs[..., : lower.n], min(comps.deg, order))
 
 
 def constant_jets(ctx, values) -> JetArray:
@@ -351,14 +406,15 @@ def constant_jets(ctx, values) -> JetArray:
     values = np.asarray(values, dtype=float)
     coeffs = np.zeros(values.shape + (ctx.n,))
     coeffs[..., 0] = values
-    return JetArray(ctx, coeffs)
+    return JetArray(ctx, coeffs, 0 if values.any() else -1)
 
 
 def concat_jets(parts) -> JetArray:
     """Tensors joined along their first axis, at the lowest of their orders."""
     k = min(x.ctx.order for x in parts)
     parts = [truncate_jets(x, k) for x in parts]
-    return JetArray(parts[0].ctx, np.concatenate([x.coeffs for x in parts]))
+    return JetArray(parts[0].ctx, np.concatenate([x.coeffs for x in parts]),
+                    max(x.deg for x in parts))
 
 
 def embed_block(chart, block):
@@ -487,7 +543,8 @@ class TensorField(Field):
         coeffs = np.empty(self.comps.shape + (ctx.n,))
         for idx, comp in np.ndenumerate(self.comps):
             coeffs[idx] = comp.jet(point, order).coeffs
-        return JetArray(ctx, coeffs)
+        nonzero = ctx.degree[coeffs.reshape(-1, ctx.n).any(axis=0)]
+        return JetArray(ctx, coeffs, int(nonzero.max()) if nonzero.size else -1)
 
 
 class DerivedField(Field):

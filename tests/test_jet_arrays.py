@@ -3,7 +3,10 @@ scalar `Jet` arithmetic of `jets`, over dims 1-8 and orders K <= 4.
 
 Each reference is computed component by component with `Jet` products,
 sums, partials and truncations, on object arrays built from the same
-coefficients, so it shares no code with the dense kernels.
+coefficients, so it shares no code with the dense kernels.  The carried jet
+degree is checked against the coefficients themselves, and the zero and
+constant paths of `tdot` against its general kernel on the same
+coefficients carried at full degree.
 """
 
 import numpy as np
@@ -16,9 +19,12 @@ from paraherm.connections import covariant_differential, curvature, flat_connect
 from paraherm.deformations import BTransformation, mc_form
 from paraherm.errors import RankMismatch, SingularMetric
 from paraherm.geometry import (
+    Chart,
     JetArray,
     TensorField,
     as_jets,
+    concat_jets,
+    constant_jets,
     embed_block,
     exterior_derivative,
     invert_matrix_jets,
@@ -264,3 +270,117 @@ def test_field_at_returns_a_jet_array(flat2, order):
         assert isinstance(out, JetArray), name
         assert out.shape == (4,) * (field.r + field.s), name
         assert out.ctx.order == order, name
+
+
+# -- carried jet degree --------------------------------------------------------
+
+degrees = st.integers(-1, 4)
+# (shape_a, shape_b, axes) in the sizes p, c1, c2, q: a matrix product, a
+# double contraction with transposed axes, and an outer product.
+LAYOUTS = [
+    (("p", "c1"), ("c1", "q"), ([1], [0])),
+    (("c1", "p", "c2"), ("c2", "q", "c1"), ([0, 2], [2, 0])),
+    (("p",), ("q", "c1"), ([], [])),
+]
+
+
+def graded_jets(rng, dim, order, shape, deg):
+    """Random jets that are zero above degree `deg`, carrying that degree."""
+    ctx = context(dim, order)
+    deg = min(deg, order)
+    coeffs = rng.uniform(-1.0, 1.0, tuple(shape) + (ctx.n,))
+    coeffs[..., ctx.degree > deg] = 0.0
+    return JetArray(ctx, coeffs, deg)
+
+
+def full_degree(x):
+    """The same coefficients carried at the full order: `tdot`'s general case."""
+    return JetArray(x.ctx, x.coeffs)
+
+
+def assert_degree_bound(x):
+    """`x.deg` is a valid bound: every coefficient above it is exactly 0."""
+    assert -1 <= x.deg <= x.ctx.order
+    assert not np.any(x.coeffs[..., x.ctx.degree > x.deg])
+
+
+@SETTINGS
+@given(dims, orders, orders, degrees, degrees, axis_len, axis_len, seeds)
+def test_degree_never_under_reports(dim, ka, kb, da, db, p, c, seed):
+    """Through every helper that carries the degree, mixed orders."""
+    rng = np.random.default_rng(seed)
+    a = graded_jets(rng, dim, ka, (p, c), da)
+    b = graded_jets(rng, dim, kb, (c, p), db)
+    b2 = graded_jets(rng, dim, kb, (p, c), db)
+    s = random_jets(rng, dim, kb, ())[()]
+    results = [
+        tdot(a, b, ([1], [0])), tdot(a, b, ([0, 1], [1, 0])), tdot(a, b, ([], [])),
+        tdot(b, a, ([1], [0])), a + b2, a - b2, b2 - a, -a, 0.5 * a, a * s,
+        a.transpose(), a.moveaxis(1, 0), a[0], a[:, :1],
+        concat_jets([a, b2]), as_jets(scalar_jets(a)),
+        constant_jets(a.ctx, rng.uniform(-1.0, 1.0, (p, c))),
+        constant_jets(a.ctx, np.zeros((p, c))),
+    ]
+    results += [truncate_jets(a, k) for k in range(ka + 1)]
+    if ka >= 1:
+        results.append(jets_gradient(a))
+    for x in results:
+        assert_degree_bound(x)
+
+
+@SETTINGS
+@given(st.integers(2, 4), orders, seeds)
+def test_tensor_field_degree_is_scanned(n, k, seed):
+    """`TensorField.at` reports the degree of its polynomial components:
+    exactly -1 for zero, 0 for constants, and a valid bound otherwise."""
+    rng = np.random.default_rng(seed)
+    chart = Chart([f"x{i}" for i in range(2 * n)], split=n, jet_order=4)
+    p = chart.point(rng.uniform(0.1, 1.0, 2 * n))
+    cases = [("0", -1), ("2.5", 0), ("x0", min(1, k)), ("x0*x1*x1", min(3, k))]
+    for source, want in cases:
+        field = TensorField(chart, 1, 0, [source] + ["0"] * (2 * n - 1))
+        got = field.at(p, k)
+        assert_degree_bound(got)
+        assert got.deg == want, source
+
+
+def _draw_layout(layout, p, c1, c2, q):
+    sizes = dict(p=p, c1=c1, c2=c2, q=q)
+    shape_a, shape_b, axes = layout
+    return tuple(sizes[x] for x in shape_a), tuple(sizes[x] for x in shape_b), axes
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@SETTINGS
+@given(dims, orders, orders, degrees, axis_len, axis_len, axis_len, axis_len, seeds)
+def test_zero_operand_equals_the_full_kernel(layout, dim, ka, kb, d, p, c1, c2, q, seed):
+    """A zero operand on either side gives exactly the full kernel's zeros."""
+    rng = np.random.default_rng(seed)
+    shape_a, shape_b, axes = _draw_layout(layout, p, c1, c2, q)
+    for zero_left in (True, False):
+        a = graded_jets(rng, dim, ka, shape_a, -1 if zero_left else d)
+        b = graded_jets(rng, dim, kb, shape_b, d if zero_left else -1)
+        got = tdot(a, b, axes)
+        want = tdot(full_degree(a), full_degree(b), axes)
+        assert got.deg == -1
+        assert got.coeffs.shape == want.coeffs.shape
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@SETTINGS
+@given(dims, orders, orders, degrees, axis_len, axis_len, axis_len, axis_len, seeds)
+def test_constant_operand_matches_the_full_kernel(layout, dim, ka, kb, d, p, c1, c2, q,
+                                                  seed):
+    """A constant operand on either side matches the full kernel to 1e-12."""
+    rng = np.random.default_rng(seed)
+    shape_a, shape_b, axes = _draw_layout(layout, p, c1, c2, q)
+    for const_left in (True, False):
+        a = graded_jets(rng, dim, ka, shape_a, 0 if const_left else d)
+        b = graded_jets(rng, dim, kb, shape_b, d if const_left else 0)
+        got = tdot(a, b, axes)
+        want = tdot(full_degree(a), full_degree(b), axes)
+        assert_degree_bound(got)
+        assert got.coeffs.shape == want.coeffs.shape
+        scale = max(1.0, float(np.max(np.abs(want.coeffs))))
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * scale

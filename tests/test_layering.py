@@ -13,7 +13,9 @@ them and reject component loops (`np.ndindex`), direct coefficient access
 two is `brackets.flat_coordinate_dbracket`, the independent oracle, which
 keeps its scalar-`Jet` route on purpose.  Only that oracle and `models`
 (whose frames start from scalar coordinate jets) may convert scalar `Jet`s
-with `as_jets`, so that the conversion surface does not grow back.
+with `as_jets`, so that the conversion surface does not grow back.  Only
+`geometry` constructs a `JetArray` or sets its carried jet degree `deg`, so
+the degree bound that `tdot` relies on is kept in one module.
 """
 
 import ast
@@ -76,6 +78,45 @@ def test_no_object_arrays_of_jets_above_geometry(module):
     assert not found, (
         f"{module}.py builds or contracts object arrays at (line, call): {found}"
     )
+
+
+def _degree_writes(tree):
+    """(line, what) of each `JetArray(...)` call and each assignment to `.deg`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "JetArray":
+                yield node.lineno, "JetArray("
+            elif (name == "setattr" and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant) and node.args[1].value == "deg"):
+                yield node.lineno, "setattr deg"
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr == "deg":
+                    yield node.lineno, ".deg ="
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_geometry_builds_jet_arrays(module):
+    found = sorted(_degree_writes(_tree(module)))
+    assert not found, f"{module}.py builds a JetArray or sets its degree at: {found}"
+
+
+def test_degree_guard_catches_each_form():
+    source = (
+        "out = JetArray(ctx, coeffs)\n"
+        "out = geometry.JetArray(ctx, coeffs, 0)\n"
+        "out.deg = 0\n"
+        "a.deg, b = 1, 2\n"
+        "out.deg += 1\n"
+        "setattr(out, 'deg', 0)\n"
+        "n = out.deg + 1\n"
+    )
+    assert sorted(line for line, _ in _degree_writes(ast.parse(source))) == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("module", sorted(set(MODULES) - AS_JETS_MODULES))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .connections import Connection, covd_jets, nabla_jets, require_torsionless
-from .errors import NotIntegrable, RankMismatch
+from .errors import NotIntegrable, RankMismatch, Unsupported
 from .geometry import (
     DerivedField,
     Field,
@@ -32,6 +32,7 @@ from .geometry import (
     lie_bracket,
     lie_derivative,
     lie_derivative_scalar,
+    stack_points,
     tdot,
 )
 from .parastructure import GeneralizedVector, bigraded_part_at
@@ -144,8 +145,8 @@ def _bracket_core(C, S, X, Y, project=None):
     with all three connection arguments optionally projected by `project`."""
 
     def fn(p, k):
-        bundle = S.at(p, k)
         gamma = C.gamma(p, k)
+        bundle = S.at(p, k)
         xj = X.at(p, k + 1)
         yj = Y.at(p, k + 1)
         if project is None:
@@ -244,9 +245,11 @@ def dorfman_leafwise(S, side, e1: GeneralizedVectorField, e2: GeneralizedVectorF
 
     def checked_vec(p, k):
         res = S.integrability_residual(side, p)
-        if res > integrability_tol:
+        bad = np.asarray(res) > integrability_tol
+        if bad.any():
+            i, where = p.first(bad)
             raise NotIntegrable(
-                f"side {side:+d} Nijenhuis residual {res:.3e} at {p}"
+                f"side {side:+d} Nijenhuis residual {np.ravel(res)[i]:.3e} at {where}"
             )
         return vec.at(p, k)
 
@@ -259,8 +262,9 @@ def dorfman_leafwise(S, side, e1: GeneralizedVectorField, e2: GeneralizedVectorF
 # Jacobi defect and Schouten bracket
 # --------------------------------------------------------------------------
 
-def jacobi_defect(bracket, X, Y, Z, point) -> float:
-    """Max-abs of [X,[Y,Z]] - [Y,[X,Z]] - [[X,Y],Z] at a point."""
+def jacobi_defect(bracket, X, Y, Z, point):
+    """Max-abs of [X,[Y,Z]] - [Y,[X,Z]] - [[X,Y],Z] at a point (a float), or
+    at a batch (one per point)."""
     defect = bracket(X, bracket(Y, Z)) - bracket(Y, bracket(X, Z)) - bracket(
         bracket(X, Y), Z
     )
@@ -290,8 +294,8 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
     return DerivedField(beta.chart, 3, 0, fn)
 
 
-def schouten_scalar(beta, C, lam, mu, nu, point, order=0, check_torsion=True) -> float:
-    """[beta,beta](lam, mu, nu) for float covectors at a point."""
+def schouten_scalar(beta, C, lam, mu, nu, point, order=0, check_torsion=True):
+    """[beta,beta](lam, mu, nu) for float covectors at a point (or batch)."""
     t = schouten_self(beta, C, check_torsion=check_torsion).at(point, order)
     return contract_value(t, *(constant_jets(t.ctx, c) for c in (lam, mu, nu)))
 
@@ -322,35 +326,42 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
     """Residuals of the three Courant axioms for a bracket/anchor/pairing triple.
 
     `elements` is a pool of test sections; axioms are evaluated on ordered
-    triples drawn deterministically from the pool at every sample point.
-    `skip_pairing` drops axioms 1 and 2 (for the plain Lie bracket, whose
-    pairing is degenerate).
+    triples drawn deterministically from the pool, each triple's fields built
+    once and evaluated on the sample as one batch.  The witness of an axiom
+    is its first worst (point, triple) in point-major order.  `skip_pairing`
+    drops axioms 1 and 2 (for the plain Lie bracket, whose pairing is
+    degenerate).
     """
     sample = list(sample)
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
     witnesses = {}
-    triples = []
     n = len(elements)
-    for i in range(n):
-        triples.append((elements[i], elements[(i + 1) % n], elements[(i + 2) % n]))
-    for p in sample:
+    triples = [(elements[i], elements[(i + 1) % n], elements[(i + 2) % n]) for i in range(n)]
+    if sample and triples:
+        batch = stack_points(sample)
+        # res[axiom][p, t]: |residual| at point p for triple t.
+        res = {axiom: np.zeros((len(sample), n)) for axiom in worst}
         for ti, (X, Y, Z) in enumerate(triples):
             if not skip_pairing:
-                lhs = lie_derivative_scalar(anchor(X), pair(Y, Z)).value(p)
-                r1 = lhs - pair(bracket(X, Y), Z).value(p) - pair(Y, bracket(X, Z)).value(p)
-                r2 = pair(bracket(X, X), Y).value(p) - 0.5 * lie_derivative_scalar(
+                lhs = lie_derivative_scalar(anchor(X), pair(Y, Z)).value(batch)
+                r1 = (lhs - pair(bracket(X, Y), Z).value(batch)
+                      - pair(Y, bracket(X, Z)).value(batch))
+                r2 = pair(bracket(X, X), Y).value(batch) - 0.5 * lie_derivative_scalar(
                     anchor(Y), pair(X, X)
-                ).value(p)
-            else:
-                r1 = r2 = 0.0
-            r3 = jacobi_defect(bracket, X, Y, Z, p)
-            for axiom, val in ((1, abs(r1)), (2, abs(r2)), (3, abs(r3))):
-                if val > worst[axiom]:
-                    worst[axiom] = val
-                    witnesses[axiom] = {
-                        "point": [float(c) for c in p.coords], "triple": ti,
-                        "residual": val,
-                    }
+                ).value(batch)
+                res[1][:, ti] = np.abs(r1)
+                res[2][:, ti] = np.abs(r2)
+            res[3][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
+        # Witnesses in the order the axioms first had a nonzero residual.
+        nonzero = [a for a in worst if res[a].any()]
+        for axiom in sorted(nonzero, key=lambda a: (int(np.argmax(res[a] > 0.0)), a)):
+            i = int(np.argmax(res[axiom]))
+            worst[axiom] = float(res[axiom].flat[i])
+            p, ti = divmod(i, n)
+            witnesses[axiom] = {
+                "point": [float(c) for c in sample[p].coords], "triple": ti,
+                "residual": worst[axiom],
+            }
     return BracketReport(
         axiom1=worst[1], axiom2=worst[2], axiom3=worst[3], tol=tol,
         n_points=len(sample), seed=seed,
@@ -368,7 +379,9 @@ def flat_coordinate_dbracket(chart, eta_matrix, X: Field, Y: Field) -> Field:
     [X,Y]^J = X^I d_I Y^J - Y^I d_I X^J + eta_{IL} eta^{KJ} Y^I d_K X^L.
 
     Deliberately written from the raw index formula with an explicit constant
-    metric matrix, sharing no code with the connection-based path.
+    metric matrix, sharing no code with the connection-based path.  Its
+    scalar-`Jet` route evaluates one point at a time: a batch raises
+    Unsupported.
     """
     eta = np.asarray(eta_matrix, dtype=float)
     eta_inv = np.linalg.inv(eta)
@@ -380,6 +393,8 @@ def flat_coordinate_dbracket(chart, eta_matrix, X: Field, Y: Field) -> Field:
               for J in range(dim)] for I in range(dim)]
 
     def fn(p, k):
+        if p.batch:
+            raise Unsupported("the flat coordinate oracle evaluates one point at a time")
         ctx = chart.context(k)
         xj = X.at(p, k + 1)
         yj = Y.at(p, k + 1)

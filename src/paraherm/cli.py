@@ -25,8 +25,16 @@ import numpy as np
 from . import brackets as br
 from . import deformations as df
 from .connections import check_adapted
-from .errors import ParahermError, SpecParseError
-from .geometry import Chart, ScalarField, TensorField, apply_endomorphism, embed_block, tdot
+from .errors import InsufficientJetOrder, ParahermError, SpecParseError
+from .geometry import (
+    Chart,
+    ScalarField,
+    TensorField,
+    apply_endomorphism,
+    embed_block,
+    stack_points,
+    tdot,
+)
 from .models import build_flat, build_tm
 from .parastructure import ParaHermitianStructure, classify, validate_structure
 from .randfields import random_vector_field
@@ -108,6 +116,30 @@ class _RunContext:
         self.b_field = self._build_b_field(spec.get("b_field"))
         with _spec_section("sample"):
             self.points, self.seed = self._sample(spec.get("sample", {}))
+        # Every suite evaluates its fields on the whole sample as this batch.
+        self.batch = stack_points(self.points)
+        self._gates = {}
+
+    def check_domain(self):
+        """Evaluate eta, K (and the b-field) at order 0 on the sample, so that
+        a sample point outside an expression's domain, or where eta is
+        singular, is a spec error naming the point before any suite runs."""
+        with _spec_section("sample"):
+            self.model.S.at(self.batch, 0)
+            if self.b_field is not None:
+                self.b_field.at(self.batch, 0)
+
+    def nijenhuis_gate(self, sign):
+        """Largest Nijenhuis residual of the `sign` eigenbundle over the sample.
+
+        The single skip rule: `adapted` (per side) and `courant_plus` /
+        `courant_minus` skip a side whose gate exceeds the suite's tolerance.
+        Evaluated once per side and run.
+        """
+        if sign not in self._gates:
+            res = self.model.S.integrability_residual(sign, self.batch)
+            self._gates[sign] = float(np.max(res))
+        return self._gates[sign]
 
     @functools.cached_property
     def transformation(self):
@@ -199,6 +231,8 @@ class _RunContext:
 
 
 class _ExplicitModel:
+    jet_margin = 0
+
     def __init__(self, chart, S):
         self.chart = chart
         self.S = S
@@ -248,15 +282,6 @@ def suite_classify(ctx):
     return out
 
 
-def _nijenhuis_gate(ctx, sign):
-    """Largest Nijenhuis residual of the `sign` eigenbundle over the sample.
-
-    The single skip rule: `adapted` (per side) and `courant_plus` /
-    `courant_minus` skip a side whose gate exceeds the suite's tolerance.
-    """
-    return max(ctx.model.S.integrability_residual(sign, p) for p in ctx.points)
-
-
 def suite_adapted(ctx):
     """Canonical-connection adapted check, per integrable side."""
     S = ctx.model.S
@@ -266,7 +291,7 @@ def suite_adapted(ctx):
     checked = False
     ok = True
     for side, sign in (("p", +1), ("n", -1)):
-        integ = _nijenhuis_gate(ctx, sign)
+        integ = ctx.nijenhuis_gate(sign)
         if integ > tol:
             residuals[f"{side}_side_skipped_nijenhuis"] = integ
             continue
@@ -304,7 +329,7 @@ def _eta_pair(S):
 def _courant_projected(ctx, sign, name):
     S = ctx.model.S
     tol = ctx.tol["courant"]
-    integ = _nijenhuis_gate(ctx, sign)
+    integ = ctx.nijenhuis_gate(sign)
     if integ > tol:
         return _suite_result(name, True, {"nijenhuis": integ}, skipped=True,
                              reason="eigenbundle not integrable at tolerance")
@@ -347,15 +372,13 @@ def suite_jacobi_defect_witness(ctx):
     S = ctx.model.S
     pool = _field_pool(ctx)
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
-    worst, worst_point = 0.0, None
-    for p in ctx.points:
-        val = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], p)
-        if val > worst:
-            worst, worst_point = val, p
+    defects = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], ctx.batch)
+    i = int(np.argmax(defects))  # the first worst point
+    worst = max(0.0, float(defects[i]))
     ok = worst > ctx.tol["witness_floor"]
     wit = []
-    if worst_point is not None:
-        wit = [{"point": [float(c) for c in worst_point.coords], "defect": worst}]
+    if worst > 0.0:
+        wit = [{"point": [float(c) for c in ctx.points[i].coords], "defect": worst}]
     return _suite_result("jacobi_defect_witness", ok, {"max_defect": worst}, wit,
                          expected_fail=True)
 
@@ -371,18 +394,18 @@ def suite_section_condition(ctx):
                              reason="needs adapted (split) coordinates")
     from .connections import curvature
 
-    curv = max(curvature(S.levi_civita).at(p, 0).max_abs() for p in ctx.points[:3])
+    # The flatness gate reads the first three points; the whole batch is
+    # evaluated, which shares its jets with the other suites.
+    curv = float(np.max(curvature(S.levi_civita).at(ctx.batch, 0).max_abs()[:3]))
     if curv > tol:
         return _suite_result("section_condition", True, {"curvature": curv},
                              skipped=True, reason="eta is not flat")
     pool = _field_pool(ctx, vars_subset=list(range(chart.split)))
-    worst_minus = 0.0
-    worst_jac = 0.0
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
-    for p in ctx.points:
-        m = br.projected_bracket(S.canonical, S, -1, pool[0], pool[1]).at(p, 0).max_abs()
-        worst_minus = max(worst_minus, m)
-        worst_jac = max(worst_jac, br.jacobi_defect(bracket, pool[0], pool[1], pool[2], p))
+    minus = br.projected_bracket(S.canonical, S, -1, pool[0], pool[1]).at(ctx.batch, 0)
+    worst_minus = max(0.0, float(np.max(minus.max_abs())))
+    jac = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], ctx.batch)
+    worst_jac = max(0.0, float(np.max(jac)))
     res = {"minus_bracket": worst_minus, "jacobi_defect": worst_jac}
     ok = worst_minus <= tol and worst_jac <= tol
     return _suite_result("section_condition", ok, res)
@@ -397,10 +420,9 @@ def suite_deform(ctx):
     vrep = validate_structure(T.structure_B, ctx.points, tol=ctx.tol["validate"])
     compat = df.compatibility_residual(T, ctx.points)
     pool = _field_pool(ctx)
-    agree = 0.0
-    for p in ctx.points[:5]:
-        sides = df.maurer_cartan_sides(T, pool[0], pool[1], pool[2], p)
-        agree = max(agree, sides.agreement)
+    # The two-sided check reads the first five points of the batch.
+    sides = df.maurer_cartan_sides(T, pool[0], pool[1], pool[2], ctx.batch)
+    agree = max(0.0, float(np.max(sides.agreement[:5])))
     res = {"structure_validation": max(vrep.residuals.values()),
            "mc_two_sides_agreement": agree, "mc_residual": compat}
     ok = vrep.passed and agree <= tol
@@ -414,7 +436,7 @@ def suite_fluxes(ctx):
         return _suite_result("fluxes", True, {}, skipped=True,
                              reason="no b_field in spec")
     tol = ctx.tol["fluxes"]
-    reports = [df.extract_fluxes(ctx.transformation, p) for p in ctx.points]
+    reports = df.extract_fluxes(ctx.transformation, ctx.batch)
     res = {
         "reassembly": max(r.reassembly_residual for r in reports),
         "vanishing_parts": max(r.vanishing_residual for r in reports),
@@ -425,6 +447,23 @@ def suite_fluxes(ctx):
     out["flux_reports"] = [r.to_dict() for r in reports]
     return out
 
+
+# The jet order each suite evaluates its fields at, on a model whose eta and
+# K are given directly (`jet_margin` 0): the depth of its deepest bracket
+# nesting.  `tests/test_cli.py` runs each suite one order below this and
+# expects InsufficientJetOrder, so the table cannot drift.
+SUITE_JET_ORDERS = {
+    "validate": 0,
+    "classify": 1,
+    "adapted": 1,
+    "courant_plus": 2,
+    "courant_minus": 2,
+    "courant_d_full": 2,
+    "jacobi_defect_witness": 2,
+    "section_condition": 2,
+    "deform": 1,
+    "fluxes": 1,
+}
 
 SUITES = {
     "validate": suite_validate,
@@ -444,6 +483,17 @@ SUITES = {
 # Run, report, print
 # --------------------------------------------------------------------------
 
+def check_jet_order(ctx, suite_names):
+    """Raise InsufficientJetOrder naming the first suite whose jet order
+    (SUITE_JET_ORDERS, plus the orders the model's eta and K consume) exceeds
+    the spec's `jet_order`."""
+    for name in suite_names:
+        need = SUITE_JET_ORDERS[name] + ctx.model.jet_margin
+        if need > ctx.jet_order:
+            raise InsufficientJetOrder(
+                f"suite {name!r} needs jet order {need}, the spec gives {ctx.jet_order}")
+
+
 def run(spec_path, output_path=None, verbose=False) -> int:
     t0 = time.monotonic()
     try:
@@ -453,7 +503,9 @@ def run(spec_path, output_path=None, verbose=False) -> int:
         for name in suite_names:
             if name not in SUITES:
                 raise SpecParseError(f"unknown suite {name!r}", "suites")
-    except SpecParseError as exc:
+        check_jet_order(ctx, suite_names)
+        ctx.check_domain()
+    except ParahermError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     results = []

@@ -39,6 +39,8 @@ from .geometry import (
     embed_block,
     exterior_derivative,
     invert_matrix_jets,
+    per_point_max,
+    stack_points,
     tdot,
 )
 from .parastructure import ParaHermitianStructure, bigraded_part_at
@@ -89,7 +91,7 @@ class BTransformation:
         # connection gives the same bracket.
         self.schouten = schouten_self(self.b_bivector, flat_connection(chart),
                                       check_torsion=False)
-        self._pk_cache = {}
+        self._domega = exterior_derivative(S.omega)
 
     def _eB_comps(self, p, k):
         eye = constant_jets(self.S.chart.context(k), np.eye(self.S.chart.dim))
@@ -103,45 +105,41 @@ class BTransformation:
         """Projector onto the deformed eigenbundle (T+^B for side +1)."""
         return self.structure_B.projector(self.side)
 
-    def base_parakahler_residual(self, point) -> float:
-        """Cached pointwise para-Kahler residual of the base structure."""
-        hit = self._pk_cache.get(point.key)
-        if hit is None:
-            dw = exterior_derivative(self.S.omega).at(point, 0).max_abs()
-            scale = max(1.0, self.S.at(point, 0).eta.max_abs())
-            res = max(
-                dw / scale,
-                self.S.integrability_residual(+1, point),
-                self.S.integrability_residual(-1, point),
-            )
-            hit = self._pk_cache[point.key] = res
-        return hit
+    def base_parakahler_residual(self, point):
+        """Para-Kahler residual of the base structure: a float at a point,
+        one per point at a batch."""
+        dw = self._domega.at(point, 0).max_abs()
+        scale = np.maximum(1.0, self.S.at(point, 0).eta.max_abs())
+        res = np.maximum(dw / scale, np.maximum(self.S.integrability_residual(+1, point),
+                                                self.S.integrability_residual(-1, point)))
+        return res if point.batch else float(res)
 
     def require_parakahler(self, point, tol=1e-8):
+        """Raise NotParaKahler naming the first point (of a batch) where the
+        base structure fails."""
         res = self.base_parakahler_residual(point)
-        if res > tol:
+        bad = np.asarray(res) > tol
+        if bad.any():
+            i, where = point.first(bad)
             raise NotParaKahler(
-                f"base structure fails para-Kahler residual {res:.3e} at {point}"
+                f"base structure fails para-Kahler residual {np.ravel(res)[i]:.3e} at {where}"
             )
 
 
 def _type_residuals(S, b, sample, side):
     """(antisymmetry, wrong-type) residuals of the two-form at the sample."""
-    anti = 0.0
-    wrong = 0.0
-    for p in sample:
-        bj = b.at(p, 0)
-        vals = bj.values()
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        anti = max(anti, float(np.max(np.abs(vals + vals.T))) / scale)
-        bundle = S.at(p, 0)
-        Q = (bundle.Pm if side > 0 else bundle.Pp).values()
-        wrong = max(
-            wrong,
-            float(np.max(np.abs(Q.T @ vals))) / scale,
-            float(np.max(np.abs(vals @ Q))) / scale,
-        )
-    return anti, wrong
+    sample = list(sample)
+    if not sample:
+        return 0.0, 0.0
+    batch = stack_points(sample)
+    vals = b.at(batch, 0).values()  # (point, i, j)
+    bundle = S.at(batch, 0)
+    Q = (bundle.Pm if side > 0 else bundle.Pp).values()
+    scale = np.maximum(1.0, per_point_max(vals))
+    anti = per_point_max(vals + np.swapaxes(vals, 1, 2)) / scale
+    wrong = np.maximum(per_point_max(np.swapaxes(Q, 1, 2) @ vals),
+                       per_point_max(vals @ Q)) / scale
+    return max(0.0, float(anti.max())), max(0.0, float(wrong.max()))
 
 
 def b_transform(S, b: Field, sample=(), tol=1e-10) -> BTransformation:
@@ -228,12 +226,12 @@ def mc_form(T: BTransformation) -> Field:
 
 def compatibility_residual(T: BTransformation, sample) -> float:
     """Max scale-normalized Maurer-Cartan component over the sample."""
-    form = mc_form(T)
-    worst = 0.0
-    for p in sample:
-        scale = max(1.0, coeff_max(T.b.at(p, 1)))
-        worst = max(worst, form.at(p, 0).max_abs() / scale)
-    return worst
+    sample = list(sample)
+    if not sample:
+        return 0.0
+    batch = stack_points(sample)
+    scale = np.maximum(1.0, coeff_max(T.b.at(batch, 1)))
+    return max(0.0, float(np.max(mc_form(T).at(batch, 0).max_abs() / scale)))
 
 
 # --------------------------------------------------------------------------
@@ -296,8 +294,9 @@ class FluxReport:
         return asdict(self)
 
 
-def extract_fluxes(T: BTransformation, point, pk_tol=1e-8) -> FluxReport:
-    """Flux decomposition of db at a point, in both coframes.
+def extract_fluxes(T: BTransformation, point, pk_tol=1e-8):
+    """Flux decomposition of db at a point, in both coframes: one FluxReport,
+    or a list of them, one per point, at a batch.
 
     H is the (+3,-0) part of db with respect to the base structure, the dual
     R-flux is the triple-lowered Schouten bracket, the covariantized H-flux
@@ -323,26 +322,28 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8) -> FluxReport:
 
     parts = {m: bigraded_part_at(S, dbj, m, b_bundle) for m in range(4)}
     cross = (covH - parts[3]).max_abs()
-    vanishing = max(parts[1].max_abs(), parts[0].max_abs())
+    vanishing = np.maximum(parts[1].max_abs(), parts[0].max_abs())
     reassembly = (covH + parts[2] + parts[1] + parts[0] - dbj).max_abs()
 
     # Sheared frame: H'_i = (1 + B) e_i for the first n coordinates, V_j the rest.
-    plus = T.e_B.at(point, 0).values()[:, :n]
+    plus = T.e_B.at(point, 0).values()[..., :n]
     minus = np.eye(chart.dim)[:, n:]
-    h_frame = np.einsum("abc,ai,bj,ck->ijk", covH.values(), plus, plus, plus)
-    q_frame = np.einsum("abc,ai,bj,ck->ijk", dbj.values(), minus, plus, plus)
-    return FluxReport(
-        point=[float(c) for c in point.coords],
-        h_flux=H.values().tolist(),
-        r_flux=R.values().tolist(),
-        q_flux=parts[2].values().tolist(),
-        covariantized_h=covH.values().tolist(),
-        h_frame=h_frame.tolist(),
-        q_frame=q_frame.tolist(),
-        reassembly_residual=float(reassembly),
-        vanishing_residual=float(vanishing),
-        cross_check_residual=float(cross),
-    )
+    h_frame = np.einsum("...abc,...ai,...bj,...ck->...ijk", covH.values(), plus, plus, plus)
+    q_frame = np.einsum("...abc,ai,...bj,...ck->...ijk", dbj.values(), minus, plus, plus)
+    arrays = dict(h_flux=H.values(), r_flux=R.values(), q_flux=parts[2].values(),
+                  covariantized_h=covH.values(), h_frame=h_frame, q_frame=q_frame)
+    residuals = dict(reassembly_residual=reassembly, vanishing_residual=vanishing,
+                     cross_check_residual=cross)
+
+    def report(coords, i=()):
+        """The FluxReport of the point at `coords`, entry `i` of the batch."""
+        return FluxReport(point=[float(c) for c in coords],
+                          **{k: v[i].tolist() for k, v in arrays.items()},
+                          **{k: float(np.asarray(v)[i]) for k, v in residuals.items()})
+
+    if not point.batch:
+        return report(point.coords)
+    return [report(coords, i) for i, coords in enumerate(point.coords)]
 
 
 def f_flux(S, A_block, point, order=0) -> np.ndarray:
@@ -350,7 +351,8 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
 
     `A_block` is an n x n array of chart scalars defining the frame
     e_a = A^i_a d_i on the plus block; the dual frame uses the pointwise
-    inverse transpose on the minus block.
+    inverse transpose on the minus block.  At a batch, f has a leading
+    batch axis and a singular frame names the first point where it is.
     """
     chart = S.chart
     if chart.split is None:
@@ -358,22 +360,23 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
     n = chart.split
     A = TensorField(chart, 1, 1, embed_block(chart, A_block))
 
-    cond = float(np.linalg.cond(A.at(point, 0).values()[:n, :n]))
-    if not cond <= MAX_CONDITION:
-        raise SingularFrame(
-            f"frame block condition number {cond:.3e} exceeds {MAX_CONDITION:.0e} at {point}"
-        )
+    cond = np.linalg.cond(A.at(point, 0).values()[..., :n, :n])
+    bad = ~(cond <= MAX_CONDITION)
+    if bad.any():
+        i, where = point.first(bad)
+        raise SingularFrame(f"frame block condition number {np.ravel(cond)[i]:.3e} "
+                            f"exceeds {MAX_CONDITION:.0e} at {where}")
 
     # e_a is column a of A, which is zero below the plus block; the dual
     # coframe e^c is row c of the inverse block, on the minus block.
     frame = [DerivedField(chart, 1, 0, lambda p, k, a=a: A.at(p, k)[:, a])
              for a in range(n)]
-    inv = invert_matrix_jets(A.at(point, order)[:n, :n])
+    inv = invert_matrix_jets(A.at(point, order)[:n, :n], point)
     dual = concat_jets([constant_jets(inv.ctx, np.zeros((n, n))), inv.transpose()])
     eta = S.at(point, order).eta
-    out = np.zeros((n, n, n))
+    out = np.zeros(point.batch + (n, n, n))
     for a in range(n):
         for b in range(n):
             br = d_bracket(S, frame[a], frame[b]).at(point, order)
-            out[:, a, b] = tdot(dual, tdot(eta, br, ([0], [0])), ([0], [0])).values()
+            out[..., :, a, b] = tdot(dual, tdot(eta, br, ([0], [0])), ([0], [0])).values()
     return out

@@ -1,36 +1,43 @@
 """Charts, points, tensor fields and the core differential operators.
 
-Everything is chart-local and pointwise: a field is anything that can produce
-jets of its components at a point, to a requested truncation order.  Operators
-(Lie bracket, exterior derivative, Lie derivative, musical maps) are field
-combinators: they return derived fields whose evaluation pulls jets of one
-order higher from their inputs, so operators nest without any symbolic step.
+Everything is chart-local: a field is anything that can produce jets of its
+components at a point, or at a batch of points, to a requested truncation
+order.  Operators (Lie bracket, exterior derivative, Lie derivative,
+musical maps) are field combinators: they return derived fields whose
+evaluation pulls jets of one order higher from their inputs, so operators
+nest without any symbolic step.
 
 Every tensor of jets is a `JetArray`: one jet context and a float array of
-shape (*tensor_shape, ncoef), the graded coefficient layout of `jets` on the
-last axis.  `Field.at` returns one; the rank (r, s) lives on the field, not on
-the array.  Each JetArray also carries `deg`, an upper bound on the degree of
-its highest nonzero coefficient block: -1 for all-zero, 0 for constant, at
-most the order.  Only this module sets it, and every rule here may
-over-report it but never under-reports it.  Contractions (`tdot`) are
-einsum-style products over the tensor axes with three paths: a zero operand
-gives zeros, a constant operand is one matrix product of its values with the
-other operand's coefficients, and two non-constant operands run a
-gather-multiply-scatter of the truncated Cauchy product over the coefficient
-axis.  Partials, truncation and values are index operations on that axis.
-Outside `jets`, only code here reads jet coefficients, and the other modules
-go through the helpers next to `tdot` and `jets_gradient`.
-Scalars stay `Jet`s: indexing a JetArray down to one component, or
-contracting it fully, gives a `Jet`, and `as_jets` turns a `Jet` or an array
-of `Jet`s (the scalar routes' output) into a JetArray.
+shape (*batch, *tensor_shape, ncoef), the graded coefficient layout of
+`jets` on the last axis.  The batch shape is () for a single point and (B,)
+for a `Point` built from B coordinate rows; the points are independent, so
+each suite evaluates its field graph once on its whole sample.  `Field.at`
+returns a JetArray; the rank (r, s) lives on the field, not on the array.
+Each JetArray also carries `deg`, an upper bound on the degree of its
+highest nonzero coefficient block: -1 for all-zero, 0 for constant, at most
+the order.  Only this module sets it, and every rule here may over-report
+it but never under-reports it.  Contractions (`tdot`) are einsum-style
+products over the tensor axes, carried over the batch, with three paths: a
+zero operand gives zeros, a constant operand is one matrix product of its
+values with the other operand's coefficients, and two non-constant operands
+run a gather-multiply-scatter of the truncated Cauchy product over the
+coefficient axis.  Partials, truncation and values are index operations on
+that axis.  Outside `jets`, only code here reads jet coefficients, and the
+other modules go through the helpers next to `tdot` and `jets_gradient`.
+Scalars of a single point stay `Jet`s: indexing its JetArray down to one
+component, or contracting it fully, gives a `Jet` (a 0-d JetArray at a
+batch), and `as_jets` turns a `Jet` or an array of `Jet`s (the scalar
+routes' output) into a JetArray.
 
-Each field remembers its last point: `TensorField.at` and `DerivedField.at`
-keep the jets of the most recent point at the highest order asked there, and
-serve a request there at that order or lower as a prefix slice, so the nested
-operators, which ask their inputs at one point for orders k, k+1 and k+2,
-evaluate each input once.  This needs a field's jets at a point to depend
-only on (point, order), as every procedure here and above does.  The jets
-`at` returns are read-only, since callers share them.
+Each field remembers its last point or batch: `TensorField.at` and
+`DerivedField.at` (like `ParaHermitianStructure.at`, `Connection.gamma` and
+the tangent-bundle Christoffels) keep their result there at the highest
+order asked, keyed by the point or batch, and serve a request there at that
+order or lower as a prefix slice, so the nested operators, which ask their
+inputs for orders k, k+1 and k+2, evaluate each input once.  This needs a
+field's jets to depend only on (point, order), as every procedure here and
+above does.  One entry per object keeps memory flat in the number of
+points.  The jets `at` returns are read-only, since callers share them.
 
 Conventions (fixed once, used everywhere):
   - exterior derivative of a k-form: (dT)_{I0..Ik} = sum_j (-1)^j d_{Ij} T_{..omit j..},
@@ -51,6 +58,8 @@ import numpy as np
 from . import expr as ex
 from .errors import (
     DimensionMismatch,
+    DivisionByZero,
+    DomainError,
     InsufficientJetOrder,
     NotAntisymmetric,
     RankMismatch,
@@ -105,20 +114,43 @@ class Chart:
 
 
 class Point:
-    __slots__ = ("chart", "coords", "key")
+    """A chart point, or a batch of points evaluated together.
+
+    `coords` has shape (dim,) for one point and (B, dim) for a batch of B;
+    `batch` is () or (B,), and every `Field.at` at a batch returns jets with
+    that leading batch axis.  `key` identifies the coordinates (and the
+    batch shape) for the last-point memos.
+    """
+
+    __slots__ = ("chart", "coords", "batch", "key")
 
     def __init__(self, chart, coords):
         arr = np.asarray(coords, dtype=float)
-        if arr.shape != (chart.dim,):
+        if arr.ndim not in (1, 2) or arr.shape[-1] != chart.dim or not arr.size:
             raise DimensionMismatch(f"point has shape {arr.shape}, chart dim {chart.dim}")
         if not np.all(np.isfinite(arr)):
             raise DimensionMismatch("point coordinates must be finite")
         self.chart = chart
         self.coords = arr
-        self.key = arr.tobytes()
+        self.batch = arr.shape[:-1]
+        self.key = (arr.shape, arr.tobytes())
+
+    def first(self, mask):
+        """(i, point): the first point of the batch where `mask` holds, with
+        its batch index, or (0, self) for a single point."""
+        if not self.batch:
+            return 0, self
+        i = int(np.argmax(mask))
+        return i, Point(self.chart, self.coords[i])
 
     def __repr__(self):
         return f"Point({self.coords.tolist()})"
+
+
+def stack_points(points) -> Point:
+    """One batch of a non-empty sequence of single points, in order."""
+    points = list(points)
+    return Point(points[0].chart, np.stack([p.coords for p in points]))
 
 
 # --------------------------------------------------------------------------
@@ -140,14 +172,34 @@ class ScalarField:
         if not callable(source):
             _check_bound(source, chart.dim)
 
-    def jet(self, point, order) -> Jet:
+    def jet(self, point, order):
+        """The jet at a point (a `Jet`), or at a batch (a 0-d `JetArray`
+        with the batch axis).  An expression is evaluated point by point, and
+        a domain error names the point where it happened."""
         ctx = self.chart.context(order)
-        if callable(self.source):
-            return self.source(point, ctx)
-        return ex._eval(self.source, point.coords, ctx)
+        source = self.source
+        if callable(source):
+            return source(point, ctx)
+        coords = point.coords
+        if point.batch and isinstance(source, ex.Const):  # the same at every point
+            rows = np.zeros(point.batch + (ctx.n,))
+            rows[:, 0] = float(source.value)
+            return JetArray(ctx, rows, 0, nb=1)
+        try:
+            if not point.batch:
+                return ex._eval(source, coords, ctx)
+            rows = []
+            for coords in point.coords:
+                rows.append(ex._eval(source, coords, ctx).coeffs)
+        except (DomainError, DivisionByZero) as exc:
+            # `coords` is the point that failed.
+            raise type(exc)(f"{exc} at {Point(self.chart, coords)}") from None
+        return JetArray(ctx, np.stack(rows), nb=1)
 
-    def value(self, point) -> float:
-        return self.jet(point, 0).value
+    def value(self, point):
+        """The value at a point (a float), or at a batch (one per point)."""
+        jet = self.jet(point, 0)
+        return jet.value if isinstance(jet, Jet) else jet.values()
 
 
 def _check_bound(node, dim):
@@ -170,54 +222,68 @@ def _as_scalar(chart, obj):
 # --------------------------------------------------------------------------
 
 class JetArray:
-    """A tensor of jets of one context: `coeffs` has shape (*shape, ctx.n).
+    """A tensor of jets of one context, for one point or a batch of them.
+
+    `coeffs` has shape (*batch, *shape, ctx.n): `nb` (0 or 1) leading batch
+    axes, then the tensor axes, then the coefficients.  A single point has
+    batch shape ().  `shape`, `ndim`, indexing, `transpose` and `moveaxis`
+    see only the tensor axes, so operator code reads the same for a point
+    and a batch; the kernels (`tdot`, `jets_gradient`, `+`, `-`, `*`, ...)
+    carry the batch axis and broadcast an unbatched operand against a
+    batched one.  `values()` and `max_abs()` give one entry per point.
 
     `deg` is an upper bound on the degree of the highest nonzero coefficient
-    block: -1 for all-zero, 0 for constant, at most `ctx.order` (the default).
-    Every operation here carries it by a rule that may over-report but never
-    under-reports, so `tdot` can send zero and constant operands past the
-    Cauchy product.  It is set only in this module.
+    block, over the whole batch: -1 for all-zero, 0 for constant, at most
+    `ctx.order` (the default).  Every operation here carries it by a rule
+    that may over-report but never under-reports, so `tdot` can send zero
+    and constant operands past the Cauchy product.  It is set only in this
+    module.
 
-    Indexing selects over the tensor axes, and an index that leaves none
-    gives a scalar `Jet`.  `+` and `-` need operands of one tensor shape.
-    Operands of different orders are truncated to the lower one.  Results
-    may be views of their operands (an index, a truncation, a transpose), so
-    `coeffs` is never written in place; `Field.at` enforces this by
-    returning read-only coefficients.
+    Indexing selects over the tensor axes.  An index that leaves none gives
+    a scalar `Jet` for a single point and a 0-d JetArray for a batch.  `+`
+    and `-` need operands of one tensor shape.  Operands of different orders
+    are truncated to the lower one.  Results may be views of their operands
+    (an index, a truncation, a transpose), so `coeffs` is never written in
+    place; `Field.at` enforces this by returning read-only coefficients.
     """
 
-    __slots__ = ("ctx", "coeffs", "deg")
+    __slots__ = ("ctx", "coeffs", "deg", "nb")
     # Let numpy scalars and arrays defer to the reflected operators below.
     __array_ufunc__ = None
 
-    def __init__(self, ctx, coeffs, deg=None):
+    def __init__(self, ctx, coeffs, deg=None, nb=0):
         self.ctx = ctx
         self.coeffs = coeffs
         self.deg = ctx.order if deg is None else deg
+        self.nb = nb
 
     @property
     def shape(self):
-        return self.coeffs.shape[:-1]
+        return self.coeffs.shape[self.nb:-1]
 
     @property
     def ndim(self):
-        return self.coeffs.ndim - 1
+        return self.coeffs.ndim - 1 - self.nb
+
+    @property
+    def batch(self):
+        return self.coeffs.shape[:self.nb]
 
     def __getitem__(self, idx):
         key = idx if isinstance(idx, tuple) else (idx,)
-        out = self.coeffs[key + (slice(None),)]
+        out = self.coeffs[(slice(None),) * self.nb + key + (slice(None),)]
         if out.ndim == 1:
             return Jet(self.ctx, out.copy())
-        return JetArray(self.ctx, out, self.deg)
+        return JetArray(self.ctx, out, self.deg, self.nb)
 
     def values(self) -> np.ndarray:
-        """Float array of the values (constant terms)."""
+        """Float array of the values (constant terms), shape (*batch, *shape)."""
         return self.coeffs[..., 0].copy()
 
-    def max_abs(self) -> float:
-        """Largest |value| over the components (0 if there are none)."""
-        vals = self.coeffs[..., 0]
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
+    def max_abs(self):
+        """Largest |value| over the components (0 if there are none): a
+        float for one point, one per point for a batch."""
+        return per_point_max(self.coeffs[..., 0], self.nb)
 
     def __add__(self, other):
         return self._combine(other, np.add)
@@ -228,28 +294,43 @@ class JetArray:
     def _combine(self, other, op):
         if not isinstance(other, JetArray):
             return NotImplemented
-        if other.shape != self.shape:
-            raise RankMismatch(f"tensor shapes differ: {self.shape} vs {other.shape}")
-        a, b = _common(self, other)
-        return JetArray(a.ctx, op(a.coeffs, b.coeffs), max(a.deg, b.deg))
+        a, b = self, other
+        ca, cb = a.coeffs, b.coeffs
+        if ca.shape[a.nb:-1] != cb.shape[b.nb:-1]:
+            raise RankMismatch(f"tensor shapes differ: {a.shape} vs {b.shape}")
+        if a.ctx is not b.ctx:
+            a, b = _common(a, b)
+            ca, cb = a.coeffs, b.coeffs
+        return JetArray(a.ctx, op(ca, cb), max(a.deg, b.deg), max(a.nb, b.nb))
 
     def __neg__(self):
-        return JetArray(self.ctx, -self.coeffs, self.deg)
+        return JetArray(self.ctx, -self.coeffs, self.deg, self.nb)
 
     def __mul__(self, c):
-        """Product with a float, or componentwise with one scalar jet."""
+        """Product with a float, or componentwise with one scalar jet (a
+        `Jet` or a 0-d JetArray)."""
         if isinstance(c, Jet):
-            a, b = _common(self, as_jets(c))
+            c = as_jets(c)
+        if isinstance(c, JetArray):
+            if c.ndim:
+                if self.ndim:
+                    raise RankMismatch(f"a componentwise factor must be a scalar, "
+                                       f"got shapes {self.shape} and {c.shape}")
+                return c * self
+            a, b = (self, c) if self.ctx is c.ctx else _common(self, c)
             ia, ib, scatter = _product_tables(a.ctx)
-            return JetArray(a.ctx, (a.coeffs[..., ia] * b.coeffs[ib]) @ scatter,
-                            _product_deg(a, b))
-        return JetArray(self.ctx, self.coeffs * float(c), self.deg)
+            cb = b.coeffs.reshape(b.batch + (1,) * a.ndim + (-1,))
+            return JetArray(a.ctx, (a.coeffs[..., ia] * cb[..., ib]) @ scatter,
+                            _product_deg(a, b), max(a.nb, b.nb))
+        return JetArray(self.ctx, self.coeffs * float(c), self.deg, self.nb)
 
     __rmul__ = __mul__
 
     def transpose(self, axes=None):
         axes = tuple(reversed(range(self.ndim))) if axes is None else tuple(axes)
-        return JetArray(self.ctx, self.coeffs.transpose(axes + (self.ndim,)), self.deg)
+        nb = self.nb
+        perm = (0, *(a + 1 for a in axes)) if nb else axes
+        return JetArray(self.ctx, self.coeffs.transpose(perm + (nb + len(axes),)), self.deg, nb)
 
     def moveaxis(self, source, destination):
         order = [i for i in range(self.ndim) if i != source % self.ndim]
@@ -257,7 +338,16 @@ class JetArray:
         return self.transpose(order)
 
     def __repr__(self):
-        return f"JetArray(shape={self.shape}, deg={self.deg}, {self.ctx})"
+        return f"JetArray(batch={self.batch}, shape={self.shape}, deg={self.deg}, {self.ctx})"
+
+
+def per_point_max(arr, nb=1):
+    """max |arr| over all but its `nb` (0 or 1) leading batch axes, 0 where
+    there is nothing: a float for nb = 0, one value per point for nb = 1."""
+    if not nb:
+        return float(np.max(np.abs(arr))) if arr.size else 0.0
+    flat = np.abs(arr.reshape(arr.shape[0], -1))
+    return flat.max(axis=1) if flat.shape[1] else np.zeros(arr.shape[0])
 
 
 def as_jets(obj) -> JetArray:
@@ -276,6 +366,11 @@ def as_jets(obj) -> JetArray:
             raise DimensionMismatch(f"jet dims differ: {x.ctx.dim} vs {ctx.dim}")
         coeffs[idx] = x.coeffs[: ctx.n]
     return JetArray(ctx, coeffs)
+
+
+def _scalar_jets(jet) -> JetArray:
+    """A `ScalarField.jet` result as a JetArray: a batch's already is one."""
+    return jet if isinstance(jet, JetArray) else as_jets(jet)
 
 
 def _common(a: JetArray, b: JetArray):
@@ -315,82 +410,104 @@ def jets_gradient(comps: JetArray) -> JetArray:
     if comps.ctx.order < 1:
         raise InsufficientJetOrder("cannot differentiate an order-0 jet")
     lower, src, fac = comps.ctx._deriv_tables()
-    out = comps.coeffs[..., src] * fac  # (*shape, dim, lower.n)
-    k = out.ndim - 2
-    return JetArray(lower, out.transpose([k, *range(k), k + 1]), max(comps.deg - 1, -1))
+    out = comps.coeffs[..., src] * fac  # (*batch, *shape, dim, lower.n)
+    k, nb = out.ndim - 2, comps.nb
+    return JetArray(lower, out.transpose([*range(nb), k, *range(nb, k), k + 1]),
+                    max(comps.deg - 1, -1), nb)
 
 
 @lru_cache(maxsize=None)
-def _tdot_plan(shape_a, shape_b, axes):
-    """The shapes and transposes of `tdot` for one (shape_a, shape_b, axes).
+def _tdot_plan(shape_a, shape_b, axes, nb_a, nb_b, ctx):
+    """The shapes and transposes of `tdot` for one (shape_a, shape_b, axes),
+    the operands' batch ranks nb_a, nb_b and their jet context.
 
-    Returns (shape, m, c, q, full, a_const, b_const): the result's tensor
-    shape; the sizes of a's free axes, the contracted axes and b's free axes;
-    and one pair of axis orders, coefficient axis included, per path.  `full`
-    moves the coefficients first; `a_const` orders a's values and b's
-    coefficients, `b_const` a's coefficients and b's values.
+    Returns (shape, out, const_a, const_b, full): the result's tensor shape
+    and coefficient-array shape (with a -1 batch size), then per path the
+    axis orders (batch axes first) and 2-d (or batched 2-d) shapes of its
+    operands.  `const_a` takes a's values and b's coefficients, `const_b`
+    a's coefficients and b's values; `full` moves the coefficients right
+    after the batch and indexes the pairs of the Cauchy product there.
     """
     na, nb = len(shape_a), len(shape_b)
     ax_a = tuple(x % na for x in axes[0])
     ax_b = tuple(x % nb for x in axes[1])
     free_a = tuple(i for i in range(na) if i not in ax_a)
     free_b = tuple(i for i in range(nb) if i not in ax_b)
+    m = math.prod(shape_a[i] for i in free_a)
+    c = math.prod(shape_a[i] for i in ax_a)
+    q = math.prod(shape_b[i] for i in free_b)
+    n = ctx.n
+    lead_a, lead_b, lead = (-1,) * nb_a, (-1,) * nb_b, (-1,) * max(nb_a, nb_b)
+    shape = tuple(shape_a[i] for i in free_a) + tuple(shape_b[i] for i in free_b)
+
+    def perm_a(*axes_):
+        return (*range(nb_a), *(x + nb_a for x in axes_))
+
+    def perm_b(*axes_):
+        return (*range(nb_b), *(x + nb_b for x in axes_))
+
+    ia, ib, scatter = _product_tables(ctx)
     return (
-        tuple(shape_a[i] for i in free_a) + tuple(shape_b[i] for i in free_b),
-        math.prod(shape_a[i] for i in free_a),
-        math.prod(shape_a[i] for i in ax_a),
-        math.prod(shape_b[i] for i in free_b),
-        ((na, *free_a, *ax_a), (nb, *ax_b, *free_b)),
-        (free_a + ax_a, (*ax_b, *free_b, nb)),
-        ((*free_a, na, *ax_a), ax_b + free_b),
+        shape,
+        lead + shape + (n,),
+        (perm_a(*free_a, *ax_a), lead_a + (m, c), perm_b(*ax_b, *free_b, nb), lead_b + (c, q * n)),
+        (perm_a(*free_a, na, *ax_a), lead_a + (m * n, c),
+         perm_b(*ax_b, *free_b), lead_b + (c, q), lead + (m, n, q)),
+        (perm_a(na, *free_a, *ax_a), lead_a + (n, m, c), (slice(None),) * nb_a + (ia,),
+         perm_b(nb, *ax_b, *free_b), lead_b + (n, c, q), (slice(None),) * nb_b + (ib,),
+         lead + (len(ia), m * q), scatter),
     )
 
 
 def tdot(a, b, axes) -> JetArray:
     """np.tensordot for tensors of jets; a full contraction gives a 0-d array.
 
-    The operands' degrees pick one of three paths.  A zero operand gives
-    zeros.  A constant operand is one matrix product of its values with the
-    other operand's coefficient array.  Otherwise, with the coefficient axis
-    moved first, each pair (i, j) of the truncated Cauchy product is one
-    matrix product a[i] @ b[j] over the tensor axes, all pairs in one batched
-    call, and the pairs are then scattered onto the coefficients they add to.
+    The batch axes are carried: a batched and an unbatched operand broadcast
+    as numpy's matmul does.  The operands' degrees pick one of three paths.
+    A zero operand gives zeros.  A constant operand is one matrix product of
+    its values with the other operand's coefficient array.  Otherwise, with
+    the coefficient axis moved right after the batch, each pair (i, j) of
+    the truncated Cauchy product is one matrix product a[i] @ b[j] over the
+    tensor axes, all pairs (and points) in one batched call, and the pairs
+    are then scattered onto the coefficients they add to.
     """
-    a, b = _common(a, b)
-    shape, m, c, q, full, a_const, b_const = _tdot_plan(
-        a.shape, b.shape, (tuple(axes[0]), tuple(axes[1])))
-    ctx = a.ctx
-    n = ctx.n
-    if a.deg < 0 or b.deg < 0:
-        return JetArray(ctx, np.zeros(shape + (n,)), -1)
+    if a.ctx is not b.ctx:
+        a, b = _common(a, b)
     ca, cb = a.coeffs, b.coeffs
+    nba, nbb = a.nb, b.nb
+    shape, so, const_a, const_b, full = _tdot_plan(
+        ca.shape[nba:-1], cb.shape[nbb:-1], (tuple(axes[0]), tuple(axes[1])), nba, nbb, a.ctx)
+    nb = nba or nbb
+    if a.deg < 0 or b.deg < 0:
+        batch = ca.shape[:nba] or cb.shape[:nbb]
+        return JetArray(a.ctx, np.zeros(batch + shape + (a.ctx.n,)), -1, nb)
     if a.deg == 0:
-        A = ca[..., 0].transpose(a_const[0]).reshape(m, c)
-        out = A @ cb.transpose(a_const[1]).reshape(c, q * n)
-        return JetArray(ctx, out.reshape(shape + (n,)), b.deg)
+        pa, sa, pb, sb = const_a
+        out = ca[..., 0].transpose(pa).reshape(sa) @ cb.transpose(pb).reshape(sb)
+        return JetArray(a.ctx, out.reshape(so), b.deg, nb)
     if b.deg == 0:
-        A = ca.transpose(b_const[0]).reshape(m * n, c)
-        out = (A @ cb[..., 0].transpose(b_const[1]).reshape(c, q)).reshape(m, n, q)
-        return JetArray(ctx, out.transpose(0, 2, 1).reshape(shape + (n,)), a.deg)
-    A = ca.transpose(full[0]).reshape(n, m, c)
-    B = cb.transpose(full[1]).reshape(n, c, q)
-    ia, ib, scatter = _product_tables(ctx)
-    pairs = A[ia] @ B[ib]
-    out = pairs.reshape(len(ia), -1).T @ scatter
-    return JetArray(ctx, out.reshape(shape + (n,)), _product_deg(a, b))
+        pa, sa, pb, sb, sm = const_b
+        out = (ca.transpose(pa).reshape(sa) @ cb[..., 0].transpose(pb).reshape(sb)).reshape(sm)
+        return JetArray(a.ctx, out.swapaxes(-1, -2).reshape(so), a.deg, nb)
+    pa, sa, ga, pb, sb, gb, sp, scatter = full
+    pairs = ca.transpose(pa).reshape(sa)[ga] @ cb.transpose(pb).reshape(sb)[gb]
+    out = pairs.reshape(sp).swapaxes(-1, -2) @ scatter
+    return JetArray(a.ctx, out.reshape(so), _product_deg(a, b), nb)
 
 
-def contract_value(t, *vectors) -> float:
-    """Value of t with each vector contracted, in turn, into its first axis."""
+def contract_value(t, *vectors):
+    """Value of t with each vector contracted, in turn, into its first axis:
+    a float for one point, one per point for a batch."""
     for v in vectors:
         t = tdot(t, v, ([0], [0]))
-    return float(t.coeffs[0])
+    vals = t.coeffs[..., 0]
+    return vals.copy() if t.nb else float(vals)
 
 
-def coeff_max(comps: JetArray) -> float:
-    """Largest |coefficient| over a tensor of jets (0 if empty)."""
-    coeffs = comps.coeffs
-    return float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+def coeff_max(comps: JetArray):
+    """Largest |coefficient| over a tensor of jets (0 if empty): a float for
+    one point, one per point for a batch."""
+    return per_point_max(comps.coeffs, comps.nb)
 
 
 def truncate_jets(comps: JetArray, order) -> JetArray:
@@ -398,23 +515,38 @@ def truncate_jets(comps: JetArray, order) -> JetArray:
     if order >= comps.ctx.order:
         return comps
     lower = context(comps.ctx.dim, order)
-    return JetArray(lower, comps.coeffs[..., : lower.n], min(comps.deg, order))
+    return JetArray(lower, comps.coeffs[..., : lower.n], min(comps.deg, order), comps.nb)
 
 
-def constant_jets(ctx, values) -> JetArray:
-    """A float array as a tensor of constant jets of `ctx`."""
+def constant_jets(ctx, values, nb=0) -> JetArray:
+    """A float array as a tensor of constant jets of `ctx`; with nb=1 its
+    first axis is the batch."""
     values = np.asarray(values, dtype=float)
     coeffs = np.zeros(values.shape + (ctx.n,))
     coeffs[..., 0] = values
-    return JetArray(ctx, coeffs, 0 if values.any() else -1)
+    return JetArray(ctx, coeffs, 0 if values.any() else -1, nb)
+
+
+def coordinate_jets(ctx, point, indices) -> JetArray:
+    """Jets of the coordinate functions x^i, i in `indices`, at a point or a
+    batch: a vector of jets with value x^i and unit gradient along i."""
+    idx = np.asarray(indices, dtype=int)
+    coeffs = np.zeros(point.batch + (len(idx), ctx.n))
+    coeffs[..., 0] = point.coords[..., idx]
+    if ctx.order >= 1:
+        coeffs[..., np.arange(len(idx)), 1 + idx] = 1.0
+    return JetArray(ctx, coeffs, min(1, ctx.order), len(point.batch))
 
 
 def concat_jets(parts) -> JetArray:
-    """Tensors joined along their first axis, at the lowest of their orders."""
+    """Tensors joined along their first tensor axis, at the lowest of their
+    orders; unbatched parts are broadcast to the batch of the others."""
     k = min(x.ctx.order for x in parts)
     parts = [truncate_jets(x, k) for x in parts]
-    return JetArray(parts[0].ctx, np.concatenate([x.coeffs for x in parts]),
-                    max(x.deg for x in parts))
+    batch = max((x.batch for x in parts), key=len)
+    coeffs = [np.broadcast_to(x.coeffs, batch + x.coeffs.shape[x.nb:]) for x in parts]
+    return JetArray(parts[0].ctx, np.concatenate(coeffs, axis=len(batch)),
+                    max(x.deg for x in parts), len(batch))
 
 
 def embed_block(chart, block):
@@ -441,20 +573,21 @@ class Field:
         self.r = r
         self.s = s
         self.sym = sym
-        self._memo = None  # (point.key, JetArray), see _memo_at
+        self._memo = None  # (point.key, order, JetArray), see _memo_at
 
     @property
     def rank(self):
         return (self.r, self.s)
 
     def at(self, point, order=0) -> JetArray:
-        """Jets of the components at `point`, shape (dim,)*(r+s).
+        """Jets of the components at `point`, tensor shape (dim,)*(r+s); at a
+        batch of points the JetArray carries the batch axis too.
 
         The subclasses memoise this with `_memo_at`: the jets of the most
-        recent point are kept at the highest order asked there, and a request
-        there at that order or lower is their prefix slice.  So a field's
-        jets at a point must depend only on (point, order), and the caller
-        gets a read-only array it may share with other callers.
+        recent point or batch are kept at the highest order asked there, and
+        a request there at that order or lower is their prefix slice.  So a
+        field's jets at a point must depend only on (point, order), and the
+        caller gets a read-only array it may share with other callers.
         """
         raise NotImplementedError
 
@@ -491,30 +624,36 @@ class Field:
         return self * (-1.0)
 
 
-def _memo_at(at):
-    """Give `Field.at` a one-entry memo: the field's most recent point and
-    its jets at the highest order asked there.
+def _memo_at(at=None, *, cut=truncate_jets):
+    """Give a `(point, order)` method a one-entry memo: the most recent point
+    (or batch) and its result at the highest order asked there.
 
-    A request at that point for the same order or lower is served as a
-    prefix slice (`truncate_jets`); a new point or a higher order evaluates
-    the field and replaces the entry, unless the evaluation raises.  The
-    chart's jet-order budget is checked first, so a memo never serves a
-    request past it.  The coefficients are made read-only, because every
-    caller of the point shares them.
+    The instance keeps the entry in `_memo` and has a `chart`.  A request at
+    that point for the same order or lower is served by `cut(result, order)`
+    (a prefix slice by default); a new point or a higher order evaluates and
+    replaces the entry, unless the evaluation raises.  The entry records the
+    order asked, which was within the chart's jet-order budget, so a memo
+    never serves a request past it.  A JetArray result is made read-only,
+    because every caller of the point shares it.  Memory stays one entry per
+    memoised object, whatever the number of points.
     """
 
-    @wraps(at)
-    def memo_at(self, point, order=0):
-        self.chart.context(order)  # raises InsufficientJetOrder past the budget
-        memo = self._memo
-        if memo is not None and memo[0] == point.key and order <= memo[1].ctx.order:
-            return truncate_jets(memo[1], order)
-        jets = at(self, point, order)
-        jets.coeffs.flags.writeable = False
-        self._memo = (point.key, jets)
-        return jets
+    def wrap(at):
+        @wraps(at)
+        def memo_at(self, point, order=0):
+            memo = self._memo
+            if memo is not None and memo[0] == point.key and order <= memo[1]:
+                return memo[2] if order == memo[1] else cut(memo[2], order)
+            self.chart.context(order)  # raises InsufficientJetOrder past the budget
+            value = at(self, point, order)
+            if isinstance(value, JetArray):
+                value.coeffs.flags.writeable = False
+            self._memo = (point.key, order, value)
+            return value
 
-    return memo_at
+        return memo_at
+
+    return wrap if at is None else wrap(at)
 
 
 class TensorField(Field):
@@ -540,11 +679,13 @@ class TensorField(Field):
     @_memo_at
     def at(self, point, order=0) -> JetArray:
         ctx = self.chart.context(order)
-        coeffs = np.empty(self.comps.shape + (ctx.n,))
+        batch = point.batch
+        coeffs = np.empty(batch + self.comps.shape + (ctx.n,))
+        rows = np.moveaxis(coeffs, 0, -2) if batch else coeffs  # (*shape, *batch, n)
         for idx, comp in np.ndenumerate(self.comps):
-            coeffs[idx] = comp.jet(point, order).coeffs
+            rows[idx] = comp.jet(point, order).coeffs
         nonzero = ctx.degree[coeffs.reshape(-1, ctx.n).any(axis=0)]
-        return JetArray(ctx, coeffs, int(nonzero.max()) if nonzero.size else -1)
+        return JetArray(ctx, coeffs, int(nonzero.max()) if nonzero.size else -1, len(batch))
 
 
 class DerivedField(Field):
@@ -625,7 +766,7 @@ def d_scalar(f: ScalarField) -> Field:
     """Differential of a scalar, as a (0,1) field."""
 
     def fn(p, k):
-        return jets_gradient(as_jets(f.jet(p, k + 1)))
+        return jets_gradient(_scalar_jets(f.jet(p, k + 1)))
 
     return DerivedField(f.chart, 0, 1, fn, sym="antisymmetric")
 
@@ -682,7 +823,7 @@ def lie_derivative_scalar(X: Field, f: ScalarField) -> ScalarField:
 
     def fn(p, ctx):
         xj = X.at(p, ctx.order)
-        return tdot(xj, jets_gradient(as_jets(f.jet(p, ctx.order + 1))), ([0], [0]))[()]
+        return tdot(xj, jets_gradient(_scalar_jets(f.jet(p, ctx.order + 1))), ([0], [0]))[()]
 
     return ScalarField(X.chart, fn)
 
@@ -725,13 +866,16 @@ def _perm_sign(perm):
 
 def antisymmetry_residual(T: Field, points, order=0) -> float:
     """Max violation of the full sign rule at the given points."""
+    points = list(points)
+    if not points:
+        return 0.0
     worst = 0.0
     k = T.r + T.s
-    for p in points:
-        vals = T.at(p, order).values()
-        for perm in permutations(range(k)):
-            sgn = _perm_sign(list(perm))
-            worst = max(worst, float(np.max(np.abs(np.transpose(vals, perm) - sgn * vals))))
+    vals = T.at(stack_points(points), order).values()
+    for perm in permutations(range(k)):
+        sgn = _perm_sign(list(perm))
+        moved = np.transpose(vals, (0, *(a + 1 for a in perm)))
+        worst = max(worst, float(np.max(np.abs(moved - sgn * vals))))
     return worst
 
 
@@ -744,19 +888,26 @@ def antisymmetry_residual(T: Field, points, order=0) -> float:
 MAX_CONDITION = 1e12
 
 
-def invert_matrix_jets(M: JetArray) -> JetArray:
-    """Inverse of a square matrix of jets.
+def invert_matrix_jets(M: JetArray, point=None) -> JetArray:
+    """Inverse of a square matrix of jets, at one point or a batch.
 
     Raises SingularMetric when the condition number of the value matrix
-    exceeds MAX_CONDITION.  Starting from the inverse of the values, each
-    Newton step X <- X (2 - M X) doubles the number of correct orders.
+    exceeds MAX_CONDITION at some point; the message names the first such
+    point of `point` (the point or batch M was evaluated at), or its batch
+    index when no point is given.  Starting from the inverse of the values,
+    each Newton step X <- X (2 - M X) doubles the number of correct orders.
     """
     vals = M.values()
-    cond = float(np.linalg.cond(vals))
-    if not cond <= MAX_CONDITION:
-        raise SingularMetric(f"condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}")
-    X = constant_jets(M.ctx, np.linalg.inv(vals))
-    two = constant_jets(M.ctx, 2.0 * np.eye(len(vals)))
+    cond = np.linalg.cond(vals)
+    bad = ~(cond <= MAX_CONDITION)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = (f" at {point.first(bad)[1]}" if point is not None
+                 else f" at batch index {i}" if M.nb else "")
+        raise SingularMetric(
+            f"condition number {np.ravel(cond)[i]:.3e} exceeds {MAX_CONDITION:.0e}{where}")
+    X = constant_jets(M.ctx, np.linalg.inv(vals), M.nb)
+    two = constant_jets(M.ctx, 2.0 * np.eye(vals.shape[-1]))
     for _ in range(max(1, math.ceil(math.log2(M.ctx.order + 1)))):
         X = tdot(X, two - tdot(M, X, ([1], [0])), ([1], [0]))
     return X
@@ -766,7 +917,7 @@ def metric_inverse_at(eta: Field, point, order) -> tuple[JetArray, JetArray]:
     """(eta, eta^{-1}) jets at a point; raises SingularMetric as
     `invert_matrix_jets` does."""
     ej = eta.at(point, order)
-    return ej, invert_matrix_jets(ej)
+    return ej, invert_matrix_jets(ej, point)
 
 
 def musical(eta: Field, T: Field, slots, point, order=0) -> JetArray:

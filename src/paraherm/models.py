@@ -30,13 +30,15 @@ from .geometry import (
     DerivedField,
     Field,
     TensorField,
-    as_jets,
+    _memo_at,
     concat_jets,
     constant_field,
     constant_jets,
+    coordinate_jets,
     embed_block,
     invert_matrix_jets,
     jets_gradient,
+    stack_points,
     tdot,
     truncate_jets,
 )
@@ -50,6 +52,10 @@ __all__ = [
 
 @dataclass
 class FlatModel:
+    """`jet_margin` (here and on the other models): the jet orders beyond
+    its own that evaluating eta and K consumes from the model's data."""
+
+    jet_margin = 0
     n: int
     chart: Chart
     S: ParaHermitianStructure
@@ -79,6 +85,9 @@ def build_flat(n: int, jet_order=3, coord_names=None) -> FlatModel:
 
 
 class TangentBundleModel:
+    # eta and K at order k need the Christoffels of g, so g at order k + 1.
+    jet_margin = 1
+
     def __init__(self, n, chart, g_field, S, frames_h, frames_v, coframes_h,
                  coframes_v, gamma_g, riemann_g, point_ok=None):
         self.n = n
@@ -115,21 +124,7 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
     if g_arr.shape != (n, n):
         raise RankMismatch(f"base metric must be {n} x {n}")
     g_field = TensorField(chart, 0, 2, embed_block(chart, g_arr), sym="symmetric")
-
-    gamma_cache = {}
-
-    def gamma_g(point, order):
-        """Gamma^k_{ij} of g, base indices only, as jets on the 2n chart."""
-        key = (point.key, order)
-        hit = gamma_cache.get(key)
-        if hit is not None:
-            return hit
-        gj = g_field.at(point, order + 1)[:n, :n]
-        # Base directions only: d_a g_{bc} for a < n.
-        gamma = christoffel_jets(invert_matrix_jets(gj), jets_gradient(gj)[:n])
-        gamma = truncate_jets(gamma, order)
-        gamma_cache[key] = gamma
-        return gamma
+    gamma_g = _BaseChristoffels(chart, g_field, n)
 
     def riemann_g(point, order=0):
         """R^k_{ijl} of g with the sign fixed by [H_i,H_j] = R^k_{ijl} v^l V_k."""
@@ -140,7 +135,7 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
         """(H, V): row i of H is the frame H_i = d_i - Gamma^a_{ij} v^j d_{v^a},
         row i of V is the coframe V^i = dv^i + Gamma^i_{aj} v^j dx^a."""
         ctx = chart.context(k)
-        v = as_jets([ctx.coordinate(n + j, p.coords[n + j]) for j in range(n)])
+        v = coordinate_jets(ctx, p, range(n, 2 * n))
         gv = tdot(gamma_g(p, k), v, ([2], [0]))  # gv[a, b] = Gamma^a_{bj} v^j
         unit = constant_jets(ctx, np.eye(n))
         return (concat_jets([unit, -gv]).transpose(),
@@ -175,23 +170,46 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
         n, chart, g_field, S, frames_h, frames_v, coframes_h, coframes_v,
         gamma_g, riemann_g, point_ok=point_ok,
     )
-    for p in sample:
-        gv = g_field.at(p, 0).values()[:n, :n]
-        try:
-            np.linalg.cholesky(gv)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefinite(f"base metric not positive definite at {p}")
+    sample = list(sample)
+    if sample:
+        gvals = g_field.at(stack_points(sample), 0).values()[:, :n, :n]
+        for p, gv in zip(sample, gvals):
+            try:
+                np.linalg.cholesky(gv)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(f"base metric not positive definite at {p}")
     return model
+
+
+class _BaseChristoffels:
+    """Gamma^k_{ij} of the base metric g, base indices only, as jets on the
+    2n chart; called as (point, order), with the one-entry memo of
+    `Field.at`."""
+
+    def __init__(self, chart, g_field, n):
+        self.chart = chart
+        self.g_field = g_field
+        self.n = n
+        self._memo = None
+
+    @_memo_at
+    def __call__(self, point, order):
+        n = self.n
+        gj = self.g_field.at(point, order + 1)[:n, :n]
+        # Base directions only: d_a g_{bc} for a < n.
+        gamma = christoffel_jets(invert_matrix_jets(gj, point), jets_gradient(gj)[:n])
+        return truncate_jets(gamma, order)
 
 
 def flatness_residual(model: TangentBundleModel, sample) -> float:
     """Max |Riemann of g| over the sample (scale-normalized)."""
-    worst = 0.0
-    for p in sample:
-        vals = model.riemann_g(p, 0).values()
-        gv = model.g.at(p, 0).values()
-        worst = max(worst, float(np.max(np.abs(vals))) / max(1.0, float(np.max(np.abs(gv)))))
-    return worst
+    sample = list(sample)
+    if not sample:
+        return 0.0
+    batch = stack_points(sample)
+    curv = model.riemann_g(batch, 0).max_abs()
+    scale = np.maximum(1.0, model.g.at(batch, 0).max_abs())
+    return max(0.0, float(np.max(curv / scale)))
 
 
 def b_field_on_tm(model: TangentBundleModel, b_sources, sample=(),

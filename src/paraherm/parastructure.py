@@ -24,6 +24,7 @@ from .geometry import (
     DerivedField,
     Field,
     JetArray,
+    _memo_at,
     apply_endomorphism,
     coeff_max,
     constant_field,
@@ -32,7 +33,10 @@ from .geometry import (
     exterior_derivative,
     invert_matrix_jets,
     lie_bracket,
+    per_point_max,
+    stack_points,
     tdot,
+    truncate_jets,
 )
 
 __all__ = [
@@ -53,6 +57,13 @@ class _Bundle:
     Pp: JetArray
     Pm: JetArray
 
+    def at_order(self, order):
+        """The bundle with every member truncated to `order`."""
+        if order == self.eta.ctx.order:
+            return self
+        return _Bundle(*(truncate_jets(x, order) for x in
+                         (self.eta, self.eta_inv, self.K, self.omega, self.Pp, self.Pm)))
+
 
 class ParaHermitianStructure:
     """The pair (eta, K) with derived omega = eta K and projections (1 +- K)/2."""
@@ -63,30 +74,26 @@ class ParaHermitianStructure:
         self.chart = chart
         self.eta = eta
         self.K = K
-        self._cache = {}
-        self._integ_cache = {}
+        self._memo = None
 
         self.omega = DerivedField(chart, 0, 2, lambda p, k: self.at(p, k).omega,
                                   sym="antisymmetric")
         self.P_plus = DerivedField(chart, 1, 1, lambda p, k: self.at(p, k).Pp)
         self.P_minus = DerivedField(chart, 1, 1, lambda p, k: self.at(p, k).Pm)
 
+    @_memo_at(cut=_Bundle.at_order)
     def at(self, point, order) -> _Bundle:
-        key = (point.key, order)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        """eta, its inverse, K, omega and P+- at a point or batch, with the
+        one-entry memo of `Field.at`."""
         ej = self.eta.at(point, order)
         kj = self.K.at(point, order)
-        inv = invert_matrix_jets(ej)
+        inv = invert_matrix_jets(ej, point)
         # omega(d_A, d_B) = eta(K d_A, d_B) = K^m_A eta_{mB}
         omega = tdot(kj, ej, ([0], [0]))
         eye = constant_jets(self.chart.context(order), np.eye(self.chart.dim))
         Pp = (eye + kj) * 0.5
         Pm = (eye - kj) * 0.5
-        bundle = _Bundle(ej, inv, kj, omega, Pp, Pm)
-        self._cache[key] = bundle
-        return bundle
+        return _Bundle(ej, inv, kj, omega, Pp, Pm)
 
     def projector(self, sign) -> Field:
         return self.P_plus if sign > 0 else self.P_minus
@@ -100,24 +107,19 @@ class ParaHermitianStructure:
         return canonical_connection(self)
 
     def integrability_residual(self, sign, point):
-        """Scale-normalized Nijenhuis residual on the `sign` eigenbundle at a
-        point, the worst over six seeded random vector triples; cached per
-        point (brackets consult it at every evaluation)."""
-        key = (sign, point.key)
-        hit = self._integ_cache.get(key)
-        if hit is not None:
-            return hit
+        """Scale-normalized Nijenhuis residual on the `sign` eigenbundle, the
+        worst over six seeded random vector triples: a float at a point, one
+        per point at a batch."""
         rng = np.random.default_rng(7)
-        worst = 0.0
         b = self.at(point, 1)
-        scale = max(1.0, b.K.max_abs(), b.eta.max_abs())
+        scale = np.maximum(1.0, np.maximum(b.K.max_abs(), b.eta.max_abs()))
+        worst = 0.0
         for _ in range(6):
             u, v, w = rng.uniform(-1.0, 1.0, (3, self.chart.dim))
             val = n_scalar(self, sign, _const_vec(self.chart, u),
                            _const_vec(self.chart, v), _const_vec(self.chart, w), point)
-            worst = max(worst, abs(val) / scale)
-        self._integ_cache[key] = worst
-        return worst
+            worst = np.maximum(worst, np.abs(val) / scale)
+        return worst if point.batch else float(worst)
 
 
 def _const_vec(chart, comps):
@@ -141,39 +143,40 @@ class ValidationReport:
 
 
 def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> ValidationReport:
-    """Pointwise residuals for every defining invariant of (eta, K)."""
-    res = {
-        "K_squared": 0.0, "eta_symmetric": 0.0, "eta_anticompat": 0.0,
-        "trace_K": 0.0, "omega_antisymmetric": 0.0, "projectors": 0.0,
-        "partition": 0.0, "isotropy_plus": 0.0, "isotropy_minus": 0.0,
-    }
+    """Pointwise residuals for every defining invariant of (eta, K), on the
+    sample as one batch."""
+    res = dict.fromkeys((
+        "K_squared", "eta_symmetric", "eta_anticompat", "trace_K", "omega_antisymmetric",
+        "projectors", "partition", "isotropy_plus", "isotropy_minus"), 0.0)
     sample = list(sample)
-    min_det = np.inf
-    dim = S.chart.dim
-    eye = np.eye(dim)
-    for p in sample:
-        b = S.at(p, 0)
-        K = b.K.values()
-        eta = b.eta.values()
-        omega = b.omega.values()
-        Pp = b.Pp.values()
-        Pm = b.Pm.values()
-        scale = max(1.0, np.max(np.abs(eta)), np.max(np.abs(K)))
-        min_det = min(min_det, abs(float(np.linalg.det(eta))))
-        res["K_squared"] = max(res["K_squared"], _mx(K @ K - eye) / scale)
-        res["eta_symmetric"] = max(res["eta_symmetric"], _mx(eta - eta.T) / scale)
-        res["eta_anticompat"] = max(res["eta_anticompat"], _mx(K.T @ eta @ K + eta) / scale)
-        res["trace_K"] = max(res["trace_K"], abs(float(np.trace(K))) / scale)
-        res["omega_antisymmetric"] = max(res["omega_antisymmetric"], _mx(omega + omega.T) / scale)
-        res["projectors"] = max(res["projectors"], _mx(Pp @ Pp - Pp), _mx(Pm @ Pm - Pm))
-        res["partition"] = max(res["partition"], _mx(Pp + Pm - eye))
-        res["isotropy_plus"] = max(res["isotropy_plus"], _mx(Pp.T @ eta @ Pp) / scale)
-        res["isotropy_minus"] = max(res["isotropy_minus"], _mx(Pm.T @ eta @ Pm) / scale)
-    return ValidationReport(res, tol, len(sample), float(min_det))
+    if not sample:
+        return ValidationReport(res, tol, 0, float(np.inf))
+    b = S.at(stack_points(sample), 0)
+    K = b.K.values()  # (point, a, b)
+    eta = b.eta.values()
+    omega = b.omega.values()
+    Pp = b.Pp.values()
+    Pm = b.Pm.values()
+    eye = np.eye(S.chart.dim)
+    scale = np.maximum(1.0, np.maximum(per_point_max(eta), per_point_max(K)))
+    T = lambda m: np.swapaxes(m, -1, -2)  # noqa: E731
+    per_point = {
+        "K_squared": per_point_max(K @ K - eye) / scale,
+        "eta_symmetric": per_point_max(eta - T(eta)) / scale,
+        "eta_anticompat": per_point_max(T(K) @ eta @ K + eta) / scale,
+        "trace_K": np.abs(np.trace(K, axis1=-2, axis2=-1)) / scale,
+        "omega_antisymmetric": per_point_max(omega + T(omega)) / scale,
+        "projectors": np.maximum(per_point_max(Pp @ Pp - Pp), per_point_max(Pm @ Pm - Pm)),
+        "partition": per_point_max(Pp + Pm - eye),
+        "isotropy_plus": per_point_max(T(Pp) @ eta @ Pp) / scale,
+        "isotropy_minus": per_point_max(T(Pm) @ eta @ Pm) / scale,
+    }
+    for key, vals in per_point.items():
+        res[key] = max(0.0, float(vals.max()))
+    min_det = float(np.abs(np.linalg.det(eta)).min())
+    return ValidationReport(res, tol, len(sample), min_det)
 
 
-def _mx(arr):
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
 # --------------------------------------------------------------------------
@@ -192,7 +195,7 @@ class GeneralizedVector:
         return GeneralizedVector(self.vec - other.vec, self.cov - other.cov, self.side)
 
     def max_abs(self):
-        return max(self.vec.max_abs(), self.cov.max_abs())
+        return np.maximum(self.vec.max_abs(), self.cov.max_abs())
 
 
 def rho(S, sign, X: Field, point, order=0) -> GeneralizedVector:
@@ -340,55 +343,12 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
     and the (3,0)/(0,3) formulas relating d omega to the Nijenhuis parts.
     """
     sample = list(sample)
-    chart = S.chart
-    dim = chart.dim
-    basis = [_const_vec(chart, row) for row in np.eye(dim)]
-    domega = exterior_derivative(S.omega)
-    dK = covariant_differential(S.levi_civita, S.K)
     res = {"n_plus": 0.0, "n_minus": 0.0, "phi_skew": 0.0, "domega": 0.0,
            "domega_30": 0.0, "domega_21": 0.0, "domega_12": 0.0, "domega_03": 0.0,
            "nabla_K": 0.0}
     cross = {"d_omega_30_vs_cyclic_n_plus": 0.0, "d_omega_03_vs_cyclic_n_minus": 0.0}
-    for p in sample:
-        b = S.at(p, 1)
-        scale = max(1.0, b.eta.max_abs(), b.K.max_abs())
-        dwj = domega.at(p, 0)
-        dw_scale = max(1.0, coeff_max(S.omega.at(p, 1)))
-        res["domega"] = max(res["domega"], dwj.max_abs() / dw_scale)
-        parts = {m: bigraded_part_at(S, dwj, m, b).values() for m in range(4)}
-        for m, key in ((3, "domega_30"), (2, "domega_21"), (1, "domega_12"), (0, "domega_03")):
-            res[key] = max(res[key], _mx(parts[m]) / dw_scale)
-        phiv = phi_field(S).at(p, 0).values()
-        res["phi_skew"] = max(
-            res["phi_skew"], _mx(phiv + np.transpose(phiv, (1, 0, 2))) / dw_scale
-        )
-        res["nabla_K"] = max(res["nabla_K"], _mx(dK.at(p, 0).values()) / dw_scale)
-        # Pure-type Nijenhuis parts, as tensors over the coordinate basis.
-        nplus = np.zeros((dim, dim, dim))
-        nminus = np.zeros((dim, dim, dim))
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for sign, store in ((+1, nplus), (-1, nminus)):
-                    P = S.projector(sign)
-                    N = nijenhuis(S, apply_endomorphism(P, basis[i]),
-                                  apply_endomorphism(P, basis[j]))
-                    nv = N.at(p, 0)
-                    Pc = b.Pp if sign > 0 else b.Pm
-                    etaN = tdot(tdot(b.eta, nv, ([0], [0])), Pc, ([0], [0]))
-                    row = etaN.values()
-                    store[i, j, :] = row
-                    store[j, i, :] = -row
-        res["n_plus"] = max(res["n_plus"], _mx(nplus) / scale)
-        res["n_minus"] = max(res["n_minus"], _mx(nminus) / scale)
-        # Identity: (d omega)^{(+3,-0)} = cyclic sum of N_+,
-        # (d omega)^{(+0,-3)} = -cyclic sum of N_-.
-        # N_+- are already fully projected, so the cyclic sums compare directly.
-        cyc_p = nplus + np.transpose(nplus, (1, 2, 0)) + np.transpose(nplus, (2, 0, 1))
-        cyc_m = nminus + np.transpose(nminus, (1, 2, 0)) + np.transpose(nminus, (2, 0, 1))
-        cross["d_omega_30_vs_cyclic_n_plus"] = max(
-            cross["d_omega_30_vs_cyclic_n_plus"], _mx(parts[3] - cyc_p) / dw_scale)
-        cross["d_omega_03_vs_cyclic_n_minus"] = max(
-            cross["d_omega_03_vs_cyclic_n_minus"], _mx(parts[0] + cyc_m) / dw_scale)
+    if sample:
+        _classify_batch(S, stack_points(sample), res, cross)
     flags = {
         "p_integrable": res["n_plus"] <= tol,
         "n_integrable": res["n_minus"] <= tol,
@@ -411,4 +371,51 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
         0.0 if flags["para_kahler"] == (res["nabla_K"] <= tol) else 1.0
     )
     return ClassificationReport(flags, res, tol, len(sample), cross)
+
+
+def _classify_batch(S, batch, res, cross):
+    """Fill the classification residuals: the worst point of the batch."""
+    dim = S.chart.dim
+    basis = [_const_vec(S.chart, row) for row in np.eye(dim)]
+    b = S.at(batch, 1)
+    scale = np.maximum(1.0, np.maximum(b.eta.max_abs(), b.K.max_abs()))
+    dwj = exterior_derivative(S.omega).at(batch, 0)
+    dw_scale = np.maximum(1.0, coeff_max(S.omega.at(batch, 1)))
+    per_point = {"domega": dwj.max_abs() / dw_scale}
+    parts = {m: bigraded_part_at(S, dwj, m, b).values() for m in range(4)}
+    for m, key in ((3, "domega_30"), (2, "domega_21"), (1, "domega_12"), (0, "domega_03")):
+        per_point[key] = per_point_max(parts[m]) / dw_scale
+    phiv = phi_field(S).at(batch, 0).values()
+    per_point["phi_skew"] = per_point_max(phiv + np.swapaxes(phiv, 1, 2)) / dw_scale
+    dK = covariant_differential(S.levi_civita, S.K)
+    per_point["nabla_K"] = per_point_max(dK.at(batch, 0).values()) / dw_scale
+    # Pure-type Nijenhuis parts, as tensors over the coordinate basis:
+    # n[sign][point, i, j, :] = eta(N(P e_i, P e_j), P .).
+    n = {}
+    for sign in (+1, -1):
+        P = S.projector(sign)
+        Pc = b.Pp if sign > 0 else b.Pm
+        store = n[sign] = np.zeros(batch.batch + (dim, dim, dim))
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                N = nijenhuis(S, apply_endomorphism(P, basis[i]),
+                              apply_endomorphism(P, basis[j]))
+                etaN = tdot(tdot(b.eta, N.at(batch, 0), ([0], [0])), Pc, ([0], [0]))
+                row = etaN.values()
+                store[:, i, j, :] = row
+                store[:, j, i, :] = -row
+    per_point["n_plus"] = per_point_max(n[+1]) / scale
+    per_point["n_minus"] = per_point_max(n[-1]) / scale
+    # Identity: (d omega)^{(+3,-0)} = cyclic sum of N_+,
+    # (d omega)^{(+0,-3)} = -cyclic sum of N_-.
+    # N_+- are already fully projected, so the cyclic sums compare directly.
+    cyc = {sign: t + np.transpose(t, (0, 2, 3, 1)) + np.transpose(t, (0, 3, 1, 2))
+           for sign, t in n.items()}
+    per_cross = {
+        "d_omega_30_vs_cyclic_n_plus": per_point_max(parts[3] - cyc[+1]) / dw_scale,
+        "d_omega_03_vs_cyclic_n_minus": per_point_max(parts[0] + cyc[-1]) / dw_scale,
+    }
+    for out, vals in ((res, per_point), (cross, per_cross)):
+        for key, v in vals.items():
+            out[key] = max(0.0, float(np.max(v)))
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from paraherm.connections import Connection
-from paraherm.geometry import as_jets, tdot
+from paraherm.geometry import constant_jets, tdot
 
 
 def shear_adapted_connection(S, scale=0.35):
@@ -25,20 +25,13 @@ def shear_adapted_connection(S, scale=0.35):
     def fn(point, order):
         g0 = S.canonical.gamma(point, order)
         b = S.at(point, order)
-        ctx = b.eta[0, 0].ctx
-        uj = as_jets([ctx.constant(c) for c in u])
-        vj = as_jets([ctx.constant(c) for c in v])
-        uc = tdot(b.Pm, uj, ([1], [0]))
-        vc = tdot(b.Pp, vj, ([1], [0]))
+        uc = tdot(b.Pm, constant_jets(b.eta.ctx, u), ([1], [0]))
+        vc = tdot(b.Pp, constant_jets(b.eta.ctx, v), ([1], [0]))
         eta_u = tdot(b.eta, uc, ([0], [0]))
         eta_v = tdot(b.eta, vc, ([0], [0]))
-        E = np.empty((chart.dim,) * 3, dtype=object)
-        for k in range(chart.dim):
-            for i in range(chart.dim):
-                for j in range(chart.dim):
-                    E[k, i, j] = scale * (
-                        eta_u[i] * (eta_u[j] * vc[k] - eta_v[j] * uc[k])
-                    )
-        return g0 + as_jets(E)
+        # E[k, i, j] = eta_u[i] (eta_u[j] vc[k] - eta_v[j] uc[k])
+        outer = lambda x, y, z: tdot(x, tdot(y, z, ([], [])), ([], []))  # noqa: E731
+        E = outer(vc, eta_u, eta_u) - outer(uc, eta_u, eta_v)
+        return g0 + E * scale
 
     return Connection(chart, fn, provenance="user_supplied")

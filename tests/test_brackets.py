@@ -8,7 +8,7 @@ from paraherm.brackets import (
     standard_dorfman,
 )
 from paraherm.connections import flat_connection, levi_civita
-from paraherm.errors import NotIntegrable, NotTorsionless
+from paraherm.errors import NotIntegrable, NotTorsionless, Unsupported
 from paraherm.geometry import (
     TensorField, apply_endomorphism, constant_field,
     coordinate_vector_field, lie_bracket, scalar_field, tdot,
@@ -437,3 +437,45 @@ def test_dbracket_axiom1_without_integrability(sphere_tm, sphere_pts):
                               sphere_pts[:3])
     assert rep.axiom1 < 1e-9
     assert rep.axiom2 < 1e-9
+
+
+# -- bounded memory ----------------------------------------------------------------
+
+def test_dbracket_memory_does_not_grow_with_the_point_count():
+    """A D-bracket evaluated at 2,000 fresh single points retains no more
+    memory than after 200: each field, structure and connection keeps the
+    jets of its last point only.  (With per-point caches the retained memory
+    grew by about 9.3 KB a point.)"""
+    import gc
+    import tracemalloc
+
+    from paraherm.models import build_flat
+
+    model = build_flat(2)
+    rng = np.random.default_rng(47)
+    X, Y = (random_vector_field(model.chart, rng, degree=1, terms=1) for _ in range(2))
+    D = d_bracket(model.S, X, Y)
+    coords = iter(rng.uniform(-1.0, 1.0, (2200, model.chart.dim)))
+
+    def evaluate(count):
+        for _ in range(count):
+            D.at(model.chart.point(next(coords)), 0)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        after_200 = evaluate(200)
+        after_2000 = evaluate(2000)
+    finally:
+        tracemalloc.stop()
+    assert after_2000 - after_200 < 100_000, (after_200, after_2000)
+
+
+def test_flat_oracle_takes_one_point_at_a_time(flat2):
+    rng = np.random.default_rng(48)
+    X, Y = (random_vector_field(flat2.chart, rng) for _ in range(2))
+    oracle = flat_coordinate_dbracket(flat2.chart, flat2.eta_matrix, X, Y)
+    batch = flat2.chart.point(rng.uniform(-1.0, 1.0, (3, 4)))
+    with pytest.raises(Unsupported, match="one point at a time"):
+        oracle.at(batch, 0)

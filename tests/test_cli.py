@@ -1,9 +1,15 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import paraherm
+from paraherm import cli, geometry
 from paraherm.cli import load_spec, main, print_report, run
-from paraherm.errors import SpecParseError
+from paraherm.errors import InsufficientJetOrder, SpecParseError
+
+RUNSPECS = Path(__file__).resolve().parent.parent / "runspecs"
 
 
 def write_spec(tmp_path, name, spec):
@@ -207,3 +213,101 @@ def test_nijenhuis_gate_is_shared(tmp_path, monkeypatch):
     assert "p_cond1" in adapted["residuals"]
     assert courant["skipped"]
     assert courant["residuals"] == {"nijenhuis": 5e-9}
+
+
+# -- pre-flight: a spec that cannot be evaluated is rejected before any suite ------
+
+def _spec_from(name, **changes):
+    spec = json.loads((RUNSPECS / name).read_text())
+    sample = dict(spec["sample"], **changes.pop("sample", {}))
+    return dict(spec, sample=sample, **changes)
+
+
+PREFLIGHT_CASES = (
+    [("flat.json", name) for name in cli.SUITES]
+    # The tangent-bundle suites that run on its sample (the others skip).
+    + [("tangent_bundle.json", name)
+       for name in ("validate", "classify", "adapted", "courant_minus")]
+)
+
+
+@pytest.mark.parametrize("runspec, suite", PREFLIGHT_CASES)
+def test_suite_jet_order_table(runspec, suite):
+    """Each suite runs at its declared jet order (plus the model's margin)
+    and raises InsufficientJetOrder one order below, so the table used by
+    the pre-flight cannot drift from what the suites evaluate."""
+    spec = _spec_from(runspec, sample={"count": 2})
+    ctx = cli._RunContext(spec)
+    need = cli.SUITE_JET_ORDERS[suite] + ctx.model.jet_margin
+    cli.SUITES[suite](cli._RunContext(dict(spec, jet_order=need)))
+    with pytest.raises(InsufficientJetOrder):
+        cli.SUITES[suite](cli._RunContext(dict(spec, jet_order=need - 1)))
+
+
+def test_jet_order_preflight_runs_no_suite(tmp_path, capsys):
+    spec = write_spec(tmp_path, "s.json", {
+        "model": {"name": "flat", "n": 2}, "jet_order": 1,
+        "sample": {"mode": "uniform", "count": 2, "seed": 1},
+        "suites": ["validate", "courant_d_full"],
+    })
+    out = tmp_path / "r.json"
+    assert run(spec, str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and "in suite" not in err
+    assert "suite 'courant_d_full' needs jet order 2, the spec gives 1" in err
+    assert not out.exists()
+
+
+def test_sample_point_outside_a_domain_is_a_spec_error(tmp_path, capsys):
+    """sqrt(1 - x1) at x1 = 2: rejected while sampling, naming the point."""
+    spec = write_spec(tmp_path, "s.json", {
+        "model": {"name": "explicit", "coords": ["x1", "xt1"], "split": 1,
+                  "eta": [["0", "sqrt(1 - x1)"], ["sqrt(1 - x1)", "0"]],
+                  "K": [["1", "0"], ["0", "-1"]]},
+        "sample": {"mode": "explicit", "points": [[0.5, 0.0], [2.0, 0.25], [0.0, 0.5]]},
+        "suites": ["validate"],
+    })
+    out = tmp_path / "r.json"
+    assert run(spec, str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and "[sample]" in err
+    assert "at Point([2.0, 0.25])" in err
+    assert not out.exists()
+
+
+# -- per-point work does not creep back ------------------------------------------
+
+def _count_calls(monkeypatch):
+    """Count `geometry.tdot` calls (in every module that imported it) and
+    `Field.at` calls (both subclasses' own methods)."""
+    counts = Counter()
+    tdot = geometry.tdot
+
+    def counted_tdot(*args, **kwargs):
+        counts["tdot"] += 1
+        return tdot(*args, **kwargs)
+
+    for name, module in vars(paraherm).items():
+        if getattr(module, "tdot", None) is tdot:
+            monkeypatch.setattr(module, "tdot", counted_tdot)
+    for cls in (geometry.TensorField, geometry.DerivedField):
+        def counted_at(self, *args, _at=cls.at, **kwargs):
+            counts["Field.at"] += 1
+            return _at(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "at", counted_at)
+    return counts
+
+
+@pytest.mark.parametrize("runspec", ["flat.json", "tangent_bundle.json"])
+def test_call_counts_do_not_grow_with_the_sample(tmp_path, monkeypatch, runspec):
+    """Every suite evaluates its fields on the sample as one batch: 4 and 8
+    points make the same number of contractions and field evaluations."""
+    counts = _count_calls(monkeypatch)
+    seen = []
+    for count in (4, 8):
+        spec = write_spec(tmp_path, f"{count}.json", _spec_from(runspec, sample={"count": count}))
+        counts.clear()
+        assert run(spec, str(tmp_path / f"{count}-report.json")) == 0
+        seen.append(dict(counts))
+    assert seen[0]["tdot"] > 0 and seen[0]["Field.at"] > 0
+    assert seen[0] == seen[1]

@@ -14,7 +14,7 @@ from paraherm.errors import (
 )
 from paraherm.geometry import (
     TensorField, apply_endomorphism, constant_field, exterior_derivative,
-    lie_bracket, tdot,
+    lie_bracket, stack_points, tdot,
 )
 from paraherm.connections import covariant_differential
 from paraherm.parastructure import rho, rho_field, validate_structure
@@ -402,3 +402,17 @@ def test_adapted_nabla_b_stays_plus_type(flat3_b):
         # minus leg in either argument slot must vanish
         assert np.max(np.abs(np.einsum("xyz,ya->xaz", d, Pm))) < 1e-12
         assert np.max(np.abs(np.einsum("xyz,za->xya", d, Pm))) < 1e-12
+
+
+def test_f_flux_of_a_batch_stacks_its_points(flat2):
+    A = np.array([["exp(x2)", "x1"], ["0", "1"]], dtype=object)
+    pts = sample_points(flat2, 3, 21)
+    got = f_flux(flat2.S, A, stack_points(pts))
+    want = np.stack([f_flux(flat2.S, A, p) for p in pts])
+    assert got.shape == (3, 2, 2, 2)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    singular = np.array([["x1", "0"], ["0", "1"]], dtype=object)
+    batch = stack_points([flat2.chart.point(c) for c in
+                          ([0.5, 0.1, 0.2, 0.3], [0.0, 0.1, 0.2, 0.3], [0.7, 0.1, 0.2, 0.3])])
+    with pytest.raises(SingularFrame, match=r"at Point\(\[0\.0, 0\.1, 0\.2, 0\.3\]\)"):
+        f_flux(flat2.S, singular, batch)

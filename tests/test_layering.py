@@ -11,11 +11,13 @@ them and reject component loops (`np.ndindex`), direct coefficient access
 (`.coeffs`, `.truncate`), `np.tensordot`, and object arrays built with
 `np.empty` / `np.zeros(..., dtype=object)`.  The one exception to the last
 two is `brackets.flat_coordinate_dbracket`, the independent oracle, which
-keeps its scalar-`Jet` route on purpose.  Only that oracle and `models`
-(whose frames start from scalar coordinate jets) may convert scalar `Jet`s
-with `as_jets`, so that the conversion surface does not grow back.  Only
-`geometry` constructs a `JetArray` or sets its carried jet degree `deg`, so
-the degree bound that `tdot` relies on is kept in one module.
+keeps its scalar-`Jet` route on purpose.  Only that oracle may convert
+scalar `Jet`s with `as_jets`, so that the conversion surface does not grow
+back.  Only `geometry` constructs a `JetArray` or sets its carried jet
+degree `deg`, so the degree bound that `tdot` relies on is kept in one
+module.  No module keeps results keyed by a point: only `Point` and the
+one-entry `_memo_at` of `geometry` read `point.key`, so memory does not grow
+with the number of points evaluated.
 """
 
 import ast
@@ -29,7 +31,8 @@ SRC = Path(paraherm.__file__).resolve().parent
 MODULES = ("connections", "parastructure", "brackets", "deformations", "models", "cli")
 FORBIDDEN = {"ndindex", "coeffs", "truncate"}
 SCALAR_ROUTES = {("brackets", "flat_coordinate_dbracket")}
-AS_JETS_MODULES = {"models"}
+KEY_READERS = {("geometry", "Point"), ("geometry", "_memo_at")}
+ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 
 def _tree(module):
@@ -119,7 +122,7 @@ def test_degree_guard_catches_each_form():
     assert sorted(line for line, _ in _degree_writes(ast.parse(source))) == [1, 2, 3, 4, 5, 6]
 
 
-@pytest.mark.parametrize("module", sorted(set(MODULES) - AS_JETS_MODULES))
+@pytest.mark.parametrize("module", MODULES)
 def test_as_jets_only_at_scalar_routes(module):
     found = sorted(
         node.lineno for node in _outside_scalar_routes(_tree(module), module)
@@ -149,3 +152,30 @@ def test_traced_field_methods_stay_on_their_classes(cls, name):
     from paraherm import geometry
 
     assert name in vars(getattr(geometry, cls))
+
+
+def _key_reads(tree, module):
+    """Lines reading a `.key` attribute outside the allowed readers."""
+    for top in tree.body:
+        if (module, getattr(top, "name", None)) in KEY_READERS:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "key":
+                yield node.lineno
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_cache_keyed_by_point(module):
+    found = sorted(_key_reads(_tree(module), module))
+    assert not found, f"{module}.py reads point.key outside the last-point memo at {found}"
+
+
+def test_point_key_guard_catches_each_form():
+    source = (
+        "cache[point.key] = value\n"
+        "hit = cache.get((point.key, order))\n"
+        "def at(self, p):\n"
+        "    return self._cache.setdefault(p.key, 0)\n"
+        "key = p.coords\n"
+    )
+    assert sorted(_key_reads(ast.parse(source), "cli")) == [1, 2, 4]

@@ -394,8 +394,9 @@ def suite_section_condition(ctx):
                              reason="needs adapted (split) coordinates")
     from .connections import curvature
 
-    # The flatness gate reads the first three points; the whole batch is
-    # evaluated, which shares its jets with the other suites.
+    # The flatness gate reads the first three points, but evaluates the whole
+    # batch: it shares the other suites' jets, and the work does not depend
+    # on the sample size.
     curv = float(np.max(curvature(S.levi_civita).at(ctx.batch, 0).max_abs()[:3]))
     if curv > tol:
         return _suite_result("section_condition", True, {"curvature": curv},
@@ -420,7 +421,8 @@ def suite_deform(ctx):
     vrep = validate_structure(T.structure_B, ctx.points, tol=ctx.tol["validate"])
     compat = df.compatibility_residual(T, ctx.points)
     pool = _field_pool(ctx)
-    # The two-sided check reads the first five points of the batch.
+    # The two-sided check reads the first five points of the whole batch,
+    # for the reason given in `suite_section_condition`.
     sides = df.maurer_cartan_sides(T, pool[0], pool[1], pool[2], ctx.batch)
     agree = max(0.0, float(np.max(sides.agreement[:5])))
     res = {"structure_validation": max(vrep.residuals.values()),

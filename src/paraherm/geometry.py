@@ -181,10 +181,6 @@ class ScalarField:
         if callable(source):
             return source(point, ctx)
         coords = point.coords
-        if point.batch and isinstance(source, ex.Const):  # the same at every point
-            rows = np.zeros(point.batch + (ctx.n,))
-            rows[:, 0] = float(source.value)
-            return JetArray(ctx, rows, 0, nb=1)
         try:
             if not point.batch:
                 return ex._eval(source, coords, ctx)
@@ -892,18 +888,17 @@ def invert_matrix_jets(M: JetArray, point=None) -> JetArray:
     """Inverse of a square matrix of jets, at one point or a batch.
 
     Raises SingularMetric when the condition number of the value matrix
-    exceeds MAX_CONDITION at some point; the message names the first such
-    point of `point` (the point or batch M was evaluated at), or its batch
-    index when no point is given.  Starting from the inverse of the values,
-    each Newton step X <- X (2 - M X) doubles the number of correct orders.
+    exceeds MAX_CONDITION at some point; when `point` (the point or batch
+    M was evaluated at) is given, the message names the first such point.
+    Starting from the inverse of the values, each Newton step
+    X <- X (2 - M X) doubles the number of correct orders.
     """
     vals = M.values()
     cond = np.linalg.cond(vals)
     bad = ~(cond <= MAX_CONDITION)
     if bad.any():
         i = int(np.argmax(bad))
-        where = (f" at {point.first(bad)[1]}" if point is not None
-                 else f" at batch index {i}" if M.nb else "")
+        where = f" at {point.first(bad)[1]}" if point is not None else ""
         raise SingularMetric(
             f"condition number {np.ravel(cond)[i]:.3e} exceeds {MAX_CONDITION:.0e}{where}")
     X = constant_jets(M.ctx, np.linalg.inv(vals), M.nb)

@@ -110,16 +110,42 @@ class ParaHermitianStructure:
         """Scale-normalized Nijenhuis residual on the `sign` eigenbundle, the
         worst over six seeded random vector triples: a float at a point, one
         per point at a batch."""
+        return self._nijenhuis_gates[sign].at(point)
+
+    @cached_property
+    def _nijenhuis_gates(self):
+        return {sign: _NijenhuisGate(self, sign) for sign in (+1, -1)}
+
+
+class _NijenhuisGate:
+    """`integrability_residual` of one side.  Its six Nijenhuis fields are
+    built once, and the residual has the one-entry memo of `Field.at`, so a
+    gate asked again at the same point or batch is not recomputed."""
+
+    def __init__(self, S, sign):
+        self.S, self.sign, self.chart = S, sign, S.chart
+        self._memo = None
         rng = np.random.default_rng(7)
-        b = self.at(point, 1)
+        P = S.projector(sign)
+        self.triples = []
+        for _ in range(6):
+            u, v, w = (_const_vec(S.chart, c)
+                       for c in rng.uniform(-1.0, 1.0, (3, S.chart.dim)))
+            N = nijenhuis(S, apply_endomorphism(P, u), apply_endomorphism(P, v))
+            self.triples.append((N, w))
+
+    @_memo_at(cut=lambda value, order: value)
+    def at(self, point, order=0):
+        b = self.S.at(point, 1)
         scale = np.maximum(1.0, np.maximum(b.K.max_abs(), b.eta.max_abs()))
         worst = 0.0
-        for _ in range(6):
-            u, v, w = rng.uniform(-1.0, 1.0, (3, self.chart.dim))
-            val = n_scalar(self, sign, _const_vec(self.chart, u),
-                           _const_vec(self.chart, v), _const_vec(self.chart, w), point)
+        for N, Z in self.triples:
+            val = _n_value(self.S, self.sign, N, Z, point, 0)
             worst = np.maximum(worst, np.abs(val) / scale)
-        return worst if point.batch else float(worst)
+        if not point.batch:
+            return float(worst)
+        worst.flags.writeable = False  # shared by every caller of the batch
+        return worst
 
 
 def _const_vec(chart, comps):
@@ -281,6 +307,11 @@ def n_scalar(S, sign, X, Y, Z, point, order=0) -> float:
     """N_+-(X,Y,Z) = eta(N_K(P+- X, P+- Y), P+- Z)."""
     P = S.projector(sign)
     N = nijenhuis(S, apply_endomorphism(P, X), apply_endomorphism(P, Y))
+    return _n_value(S, sign, N, Z, point, order)
+
+
+def _n_value(S, sign, N, Z, point, order):
+    """eta(N, P+- Z) for N = N_K(P+- X, P+- Y) already built."""
     b = S.at(point, order)
     nv = N.at(point, order)
     pz = tdot(

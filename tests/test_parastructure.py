@@ -329,3 +329,27 @@ def test_sample_may_be_a_generator(flat1, check):
             lie_bracket, lambda X: X, None, pool, sample, skip_pairing=True),
     }[check]
     assert run(p for p in pts).n_points == len(pts)
+
+
+def test_integrability_gate_is_computed_once_per_point(sphere_tm, sphere_pts, monkeypatch):
+    """The residual is the worst of six seeded n_scalar triples; asked again
+    at the same point it does no new work, and a new point replaces it."""
+    from paraherm import parastructure
+
+    S = ParaHermitianStructure(sphere_tm.chart, sphere_tm.S.eta, sphere_tm.S.K)
+    p, q = sphere_pts[:2]
+    for sign in (+1, -1):
+        rng = np.random.default_rng(7)
+        b = S.at(p, 1)
+        scale = max(1.0, b.K.max_abs(), b.eta.max_abs())
+        want = max(abs(n_scalar(S, sign, *_const_vecs(S.chart, rng, 3), p)) / scale
+                   for _ in range(6))
+        assert S.integrability_residual(sign, p) == pytest.approx(want, rel=1e-12, abs=1e-15)
+    calls = []
+    n_value = parastructure._n_value
+    monkeypatch.setattr(parastructure, "_n_value", lambda *a: calls.append(1) or n_value(*a))
+    S.integrability_residual(+1, p)
+    assert len(calls) == 0
+    S.integrability_residual(+1, q)
+    S.integrability_residual(+1, q)
+    assert len(calls) == 6

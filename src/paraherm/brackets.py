@@ -18,17 +18,17 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .connections import Connection, covd_jets, nabla_jets, require_torsionless
-from .errors import NotIntegrable, RankMismatch, Unsupported
+from .errors import NotIntegrable, RankMismatch
 from .geometry import (
     DerivedField,
     Field,
     ScalarField,
-    as_jets,
     constant_jets,
     contract_value,
     d_scalar,
     exterior_derivative,
     interior_product,
+    jets_gradient,
     lie_bracket,
     lie_derivative,
     lie_derivative_scalar,
@@ -379,37 +379,22 @@ def flat_coordinate_dbracket(chart, eta_matrix, X: Field, Y: Field) -> Field:
     [X,Y]^J = X^I d_I Y^J - Y^I d_I X^J + eta_{IL} eta^{KJ} Y^I d_K X^L.
 
     Deliberately written from the raw index formula with an explicit constant
-    metric matrix, sharing no code with the connection-based path.  Its
-    scalar-`Jet` route evaluates one point at a time: a batch raises
-    Unsupported.
+    metric matrix, sharing no code with the connection-based path: it takes
+    elementwise jet products broadcast over the index axes, sums and axis
+    sums, and no contraction kernel.  It evaluates a point or a batch.
     """
     eta = np.asarray(eta_matrix, dtype=float)
     eta_inv = np.linalg.inv(eta)
-    dim = chart.dim
-    # terms[I][J]: the (K, L, c) with c = eta_{IL} eta^{KJ} != 0, in (K, L) order.
-    terms = [[[(K, L, eta[I, L] * eta_inv[K, J])
-               for K in range(dim) for L in range(dim)
-               if eta[I, L] * eta_inv[K, J] != 0.0]
-              for J in range(dim)] for I in range(dim)]
 
     def fn(p, k):
-        if p.batch:
-            raise Unsupported("the flat coordinate oracle evaluates one point at a time")
         ctx = chart.context(k)
-        xj = X.at(p, k + 1)
-        yj = Y.at(p, k + 1)
-        xs = [xj[I] for I in range(dim)]
-        ys = [yj[I] for I in range(dim)]
-        dx = [[x.partial(K) for K in range(dim)] for x in xs]  # dx[L][K] = d_K X^L
-        dy = [[y.partial(K) for K in range(dim)] for y in ys]
-        out = np.empty(dim, dtype=object)
-        for J in range(dim):
-            acc = ctx.zero()
-            for I in range(dim):
-                acc = acc + xs[I] * dy[J][I] - ys[I] * dx[J][I]
-                for K, L, c in terms[I][J]:
-                    acc = acc + c * (ys[I] * dx[L][K])
-            out[J] = acc
-        return as_jets(out)
+        xj, yj = X.at(p, k + 1), Y.at(p, k + 1)       # [I]
+        dx, dy = jets_gradient(xj), jets_gradient(yj)  # [K, L] = d_K X^L
+        # X^I d_I Y^J - Y^I d_I X^J, summed over I.
+        out = (xj[:, None] * dy - yj[:, None] * dx).sum(0)
+        # eta_{IL} eta^{KJ} Y^I d_K X^L, summed over I, then L, then K.
+        y_low = (yj[:, None] * constant_jets(ctx, eta)).sum(0)     # [L]
+        w = (dx * y_low[None, :]).sum(1)                           # [K]
+        return out + (w[:, None] * constant_jets(ctx, eta_inv)).sum(0)
 
     return DerivedField(chart, 1, 0, fn)

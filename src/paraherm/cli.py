@@ -17,6 +17,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -65,17 +66,31 @@ def load_spec(path):
     except OSError as exc:
         raise SpecParseError(f"cannot read spec file: {exc}", path)
     try:
-        spec = json.loads(raw)
+        spec = json.loads(raw, parse_constant=_NonFinite)
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"invalid JSON: {exc.msg}", f"offset {exc.pos}")
     if not isinstance(spec, dict):
         raise SpecParseError("spec must be a JSON object", path)
-    for key in spec:
+    for key, section in spec.items():
         if key not in {"model", "b_field", "sample", "jet_order", "tolerances", "suites"}:
             raise SpecParseError(f"unknown key {key!r}", "spec")
+        if _has_non_finite(section):
+            raise SpecParseError("NaN and Infinity are not numbers here", key)
     if "model" not in spec or "suites" not in spec:
         raise SpecParseError("spec needs 'model' and 'suites'", "spec")
     return spec
+
+
+class _NonFinite(str):
+    """A NaN, Infinity or -Infinity literal, which strict JSON does not allow."""
+
+
+def _has_non_finite(obj):
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return any(_has_non_finite(x) for x in obj)
+    return isinstance(obj, _NonFinite)
 
 
 @contextlib.contextmanager
@@ -88,7 +103,7 @@ def _spec_section(section):
         raise
     except ParahermError as exc:
         raise SpecParseError(f"{section} error: {exc}", section)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecParseError(f"bad {section} spec: {exc}", section)
 
 
@@ -105,13 +120,16 @@ class _RunContext:
     def __init__(self, spec):
         self.spec = spec
         self.jet_order = _spec_int(spec, "jet_order", 3, "jet_order")
-        tol = dict(DEFAULT_TOLERANCES)
-        with _spec_section("tolerances"):
-            tol.update(spec.get("tolerances", {}))
+        tol = spec.get("tolerances", {})
+        if not isinstance(tol, dict):
+            raise SpecParseError("tolerances must be a JSON object", "tolerances")
         for k, v in tol.items():
-            if not (isinstance(v, (int, float)) and v > 0):
-                raise SpecParseError(f"tolerance {k!r} must be positive", "tolerances")
-        self.tol = tol
+            if k not in DEFAULT_TOLERANCES:
+                raise SpecParseError(f"unknown tolerance {k!r}", "tolerances")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+                raise SpecParseError(f"tolerance {k!r} must be a finite positive number, "
+                                     f"got {v!r}", "tolerances")
+        self.tol = {**DEFAULT_TOLERANCES, **tol}
         self.model = self._build_model(spec["model"])
         self.b_field = self._build_b_field(spec.get("b_field"))
         with _spec_section("sample"):

@@ -1,9 +1,11 @@
-"""A tiny expression language for smooth scalar functions of chart coordinates.
+"""A tiny expression language for smooth scalar functions of chart coordinates:
+its syntax tree, parser and printer.  `geometry.eval_expr` evaluates a tree
+to jets.
 
 The grammar is deliberately small (no abs, no piecewise) so that everything
 it can express is smooth on its domain.  Parsed constants are kept as exact
-`Fraction`s whenever the literal allows it and only widened to float at
-evaluation time; flat-metric entries therefore stay exact and derivative
+`Fraction`s whenever the literal allows it and only widened to float when
+evaluated; flat-metric entries therefore stay exact and derivative
 cancellations hit true zeros.
 
 Grammar (see README for the full EBNF)::
@@ -30,11 +32,10 @@ from .errors import (
     NonIntegerExponent,
     UnknownIdentifier,
 )
-from .jets import Jet, context
 
 __all__ = [
     "Expr", "Const", "Coord", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-    "Sin", "Cos", "Exp", "Sqrt", "parse_expr", "eval_jet", "to_source",
+    "Sin", "Cos", "Exp", "Sqrt", "parse_expr", "to_source",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -249,49 +250,6 @@ def parse_expr(source: str, coord_names) -> Expr:
     if len(set(names)) != len(names):
         raise DimensionMismatch("coordinate names must be distinct")
     return _Parser(_tokenize(source), names).parse()
-
-
-# --------------------------------------------------------------------------
-# Evaluation
-# --------------------------------------------------------------------------
-
-def eval_jet(e: Expr, coords, order: int) -> Jet:
-    """Truncated Taylor expansion of `e` at the point `coords`, exact to rounding."""
-    ctx = context(len(coords), order)
-    return _eval(e, coords, ctx)
-
-
-def _eval(e, coords, ctx):
-    match e:
-        case Const(value=v):
-            return ctx.constant(float(v))
-        case Coord(index=i):
-            if i >= ctx.dim:
-                raise DimensionMismatch(
-                    f"expression uses coordinate {i} but the point has dim {ctx.dim}"
-                )
-            return ctx.coordinate(i, coords[i])
-        case Neg(arg=a):
-            return -_eval(a, coords, ctx)
-        case Add(left=l, right=r):
-            return _eval(l, coords, ctx) + _eval(r, coords, ctx)
-        case Sub(left=l, right=r):
-            return _eval(l, coords, ctx) - _eval(r, coords, ctx)
-        case Mul(left=l, right=r):
-            return _eval(l, coords, ctx) * _eval(r, coords, ctx)
-        case Div(left=l, right=r):
-            return _eval(l, coords, ctx) / _eval(r, coords, ctx)
-        case Pow(base=b, exponent=n):
-            return _eval(b, coords, ctx) ** n
-        case Sin(arg=a):
-            return _eval(a, coords, ctx).sin()
-        case Cos(arg=a):
-            return _eval(a, coords, ctx).cos()
-        case Exp(arg=a):
-            return _eval(a, coords, ctx).exp()
-        case Sqrt(arg=a):
-            return _eval(a, coords, ctx).sqrt()
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # --------------------------------------------------------------------------

@@ -24,10 +24,11 @@ run a gather-multiply-scatter of the truncated Cauchy product over the
 coefficient axis.  Partials, truncation and values are index operations on
 that axis.  Outside `jets`, only code here reads jet coefficients, and the
 other modules go through the helpers next to `tdot` and `jets_gradient`.
-Scalars of a single point stay `Jet`s: indexing its JetArray down to one
-component, or contracting it fully, gives a `Jet` (a 0-d JetArray at a
-batch), and `as_jets` turns a `Jet` or an array of `Jet`s (the scalar
-routes' output) into a JetArray.
+A scalar jet is a 0-d JetArray: indexing down to one component,
+contracting fully and `ScalarField.jet` give one.  The elementwise
+arithmetic (`*`, `/`, integer powers, `sin`, `cos`, `exp`, `sqrt`) works on
+JetArrays of any shape, and `eval_expr` evaluates an `expr` tree with it,
+once for a point or a whole batch.
 
 Each field remembers its last point or batch: `TensorField.at` and
 `DerivedField.at` (like `ParaHermitianStructure.at`, `Connection.gamma` and
@@ -52,6 +53,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations, permutations
+from numbers import Real
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from .errors import (
     RankMismatch,
     SingularMetric,
 )
-from .jets import Jet, context
+from .jets import context
 
 __all__ = [
     "Chart", "Point", "ScalarField", "TensorField", "DerivedField", "JetArray",
@@ -173,29 +175,77 @@ class ScalarField:
             _check_bound(source, chart.dim)
 
     def jet(self, point, order):
-        """The jet at a point (a `Jet`), or at a batch (a 0-d `JetArray`
-        with the batch axis).  An expression is evaluated point by point, and
-        a domain error names the point where it happened."""
+        """The jets at a point (a 0-d JetArray), or at a batch (with the
+        batch axis); an expression is evaluated once for the whole batch."""
         ctx = self.chart.context(order)
-        source = self.source
-        if callable(source):
-            return source(point, ctx)
-        coords = point.coords
-        try:
-            if not point.batch:
-                return ex._eval(source, coords, ctx)
-            rows = []
-            for coords in point.coords:
-                rows.append(ex._eval(source, coords, ctx).coeffs)
-        except (DomainError, DivisionByZero) as exc:
-            # `coords` is the point that failed.
-            raise type(exc)(f"{exc} at {Point(self.chart, coords)}") from None
-        return JetArray(ctx, np.stack(rows), nb=1)
+        if callable(self.source):
+            return self.source(point, ctx)
+        return eval_expr(self.source, point.coords, order)
 
     def value(self, point):
         """The value at a point (a float), or at a batch (one per point)."""
-        jet = self.jet(point, 0)
-        return jet.value if isinstance(jet, Jet) else jet.values()
+        vals = self.jet(point, 0).values()
+        return vals if point.batch else float(vals)
+
+
+def eval_expr(e, coords, order) -> JetArray:
+    """Truncated Taylor expansion of the expression `e` at `coords`, exact to
+    rounding: a 0-d JetArray for coords of shape (dim,), and one with the
+    batch axis for (B, dim), all B points in one pass.  A DomainError or
+    DivisionByZero names the first point where `e` cannot be evaluated."""
+    coords = np.asarray(coords, dtype=float)
+    ctx = context(coords.shape[-1], order)
+    try:
+        out = _eval(e, coords, ctx)
+    except (DomainError, DivisionByZero) as exc:
+        if coords.ndim == 1:
+            raise type(exc)(f"{exc} at Point({coords.tolist()})") from None
+        for row in coords:  # raises at the first failing point
+            eval_expr(e, row, order)
+        raise
+    if out.nb < coords.ndim - 1:  # `e` reads no coordinate
+        out = JetArray(ctx, np.broadcast_to(out.coeffs, coords.shape[:-1] + (ctx.n,)), out.deg, 1)
+    return out
+
+
+def _eval(e, coords, ctx):
+    # The leaves are built here, not by `constant_jets` and `coordinate_jets`,
+    # whose argument handling makes a single-point D-bracket 40% slower.
+    match e:
+        case ex.Const(value=v):
+            coeffs = np.zeros(ctx.n)
+            coeffs[0] = v
+            return JetArray(ctx, coeffs, 0 if v else -1)
+        case ex.Coord(index=i):
+            if i >= ctx.dim:
+                raise DimensionMismatch(
+                    f"expression uses coordinate {i} but the point has dim {ctx.dim}")
+            coeffs = np.zeros(coords.shape[:-1] + (ctx.n,))
+            coeffs[..., 0] = coords[..., i]
+            if ctx.order:
+                coeffs[..., 1 + i] = 1.0
+            return JetArray(ctx, coeffs, min(1, ctx.order), coords.ndim - 1)
+        case ex.Neg(arg=a):
+            return -_eval(a, coords, ctx)
+        case ex.Add(left=l, right=r):
+            return _eval(l, coords, ctx) + _eval(r, coords, ctx)
+        case ex.Sub(left=l, right=r):
+            return _eval(l, coords, ctx) - _eval(r, coords, ctx)
+        case ex.Mul(left=l, right=r):
+            return _eval(l, coords, ctx) * _eval(r, coords, ctx)
+        case ex.Div(left=l, right=r):
+            return _eval(l, coords, ctx) / _eval(r, coords, ctx)
+        case ex.Pow(base=b, exponent=n):
+            return _eval(b, coords, ctx) ** n
+        case ex.Sin(arg=a):
+            return _eval(a, coords, ctx).sin()
+        case ex.Cos(arg=a):
+            return _eval(a, coords, ctx).cos()
+        case ex.Exp(arg=a):
+            return _eval(a, coords, ctx).exp()
+        case ex.Sqrt(arg=a):
+            return _eval(a, coords, ctx).sqrt()
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _check_bound(node, dim):
@@ -231,13 +281,13 @@ class JetArray:
     `deg` is an upper bound on the degree of the highest nonzero coefficient
     block, over the whole batch: -1 for all-zero, 0 for constant, at most
     `ctx.order` (the default).  Every operation here carries it by a rule
-    that may over-report but never under-reports, so `tdot` can send zero
-    and constant operands past the Cauchy product.  It is set only in this
-    module.
+    that may over-report but never under-reports, so `tdot` and `*` can
+    send zero and constant operands past the Cauchy product.  It is set
+    only in this module.
 
-    Indexing selects over the tensor axes.  An index that leaves none gives
-    a scalar `Jet` for a single point and a 0-d JetArray for a batch.  `+`
-    and `-` need operands of one tensor shape.  Operands of different orders
+    Indexing selects over the tensor axes (`None` adds one); an index that
+    leaves none gives a 0-d JetArray, a scalar jet.  `+` and `-` need
+    operands of one tensor shape; `*` broadcasts.  Operands of different orders
     are truncated to the lower one.  Results may be views of their operands
     (an index, a truncation, a transpose), so `coeffs` is never written in
     place; `Field.at` enforces this by returning read-only coefficients.
@@ -267,10 +317,8 @@ class JetArray:
 
     def __getitem__(self, idx):
         key = idx if isinstance(idx, tuple) else (idx,)
-        out = self.coeffs[(slice(None),) * self.nb + key + (slice(None),)]
-        if out.ndim == 1:
-            return Jet(self.ctx, out.copy())
-        return JetArray(self.ctx, out, self.deg, self.nb)
+        return JetArray(self.ctx, self.coeffs[(slice(None),) * self.nb + key + (slice(None),)],
+                        self.deg, self.nb)
 
     def values(self) -> np.ndarray:
         """Float array of the values (constant terms), shape (*batch, *shape)."""
@@ -302,25 +350,115 @@ class JetArray:
     def __neg__(self):
         return JetArray(self.ctx, -self.coeffs, self.deg, self.nb)
 
-    def __mul__(self, c):
-        """Product with a float, or componentwise with one scalar jet (a
-        `Jet` or a 0-d JetArray)."""
-        if isinstance(c, Jet):
-            c = as_jets(c)
-        if isinstance(c, JetArray):
-            if c.ndim:
-                if self.ndim:
-                    raise RankMismatch(f"a componentwise factor must be a scalar, "
-                                       f"got shapes {self.shape} and {c.shape}")
-                return c * self
-            a, b = (self, c) if self.ctx is c.ctx else _common(self, c)
-            ia, ib, scatter = _product_tables(a.ctx)
-            cb = b.coeffs.reshape(b.batch + (1,) * a.ndim + (-1,))
-            return JetArray(a.ctx, (a.coeffs[..., ia] * cb[..., ib]) @ scatter,
-                            _product_deg(a, b), max(a.nb, b.nb))
-        return JetArray(self.ctx, self.coeffs * float(c), self.deg, self.nb)
+    def __mul__(self, other):
+        """Elementwise product: with a float, or with a JetArray broadcast
+        against this one over the tensor axes as numpy broadcasts (and over
+        the batch).  A zero or constant operand takes the degree rule of
+        `tdot`; two non-constant operands run the truncated Cauchy product,
+        each coefficient summed pair by pair in the order of
+        `_product_tables`, so the result does not depend on the shapes."""
+        if not isinstance(other, JetArray):
+            if not isinstance(other, Real):
+                return NotImplemented
+            return JetArray(self.ctx, self.coeffs * float(other), self.deg, self.nb)
+        a, b = (self, other) if self.ctx is other.ctx else _common(self, other)
+        ca, cb = a.coeffs, b.coeffs
+        if ca.ndim - a.nb != cb.ndim - b.nb:  # pad the tensor axes to one rank
+            rank = max(a.ndim, b.ndim)
+            ca = ca.reshape(a.batch + (1,) * (rank - a.ndim) + ca.shape[a.nb:])
+            cb = cb.reshape(b.batch + (1,) * (rank - b.ndim) + cb.shape[b.nb:])
+        deg = _product_deg(a, b)
+        try:
+            if deg < 0:
+                out = np.zeros(np.broadcast_shapes(ca.shape, cb.shape))
+            elif a.deg == 0:
+                out = ca[..., :1] * cb
+            elif b.deg == 0:
+                out = ca * cb[..., :1]
+            else:
+                ga, gb, mask = _product_tables(a.ctx)[3:]
+                out = (ca[..., ga] * cb[..., gb] * mask).sum(axis=-2)
+        except ValueError:
+            raise RankMismatch(f"tensor shapes {a.shape} and {b.shape} do not broadcast") from None
+        return JetArray(a.ctx, out, deg, max(a.nb, b.nb))
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * other.reciprocal() if isinstance(other, JetArray) else NotImplemented
+
+    def reciprocal(self) -> "JetArray":
+        """Elementwise 1 / self.  From the inverse of the values, each Newton
+        step r <- r (2 - self r) doubles the number of correct orders."""
+        vals = self.coeffs[..., 0]
+        if not np.all(vals):
+            raise DivisionByZero("division by a jet with zero value")
+        r = constant_jets(self.ctx, 1.0 / vals, self.nb)
+        two = constant_jets(self.ctx, np.full(self.shape, 2.0))
+        for _ in range(max(1, math.ceil(math.log2(self.ctx.order + 1)))):
+            r = r * (two - self * r)
+        return r
+
+    def __pow__(self, n):
+        """Elementwise integer power, by squaring; a negative n inverts first."""
+        if not isinstance(n, (int, np.integer)):
+            raise DomainError("jet exponent must be an integer")
+        n = int(n)
+        if n < 0:
+            return self.reciprocal() ** -n
+        if n == 0:
+            return constant_jets(self.ctx, np.ones(self.batch + self.shape), self.nb)
+        result, base = None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def _compose(self, derivs):
+        """f(self), given derivs[m], the m-th derivative of f at the values
+        (one per jet): the sum of derivs[m] / m! h^m, with h the
+        nonconstant, nilpotent part of self."""
+        h = self.coeffs.copy()
+        h[..., 0] = 0.0
+        h = power = JetArray(self.ctx, h, self.deg, self.nb)
+        acc = constant_jets(self.ctx, derivs[0], self.nb)
+        for m in range(1, self.ctx.order + 1):
+            if m > 1:
+                power = power * h
+            acc = acc + power * constant_jets(self.ctx, derivs[m] / math.factorial(m), self.nb)
+        return acc
+
+    def sin(self):
+        x = self.coeffs[..., 0]
+        cycle = [np.sin(x), np.cos(x), -np.sin(x), -np.cos(x)]
+        return self._compose([cycle[m % 4] for m in range(self.ctx.order + 1)])
+
+    def cos(self):
+        x = self.coeffs[..., 0]
+        cycle = [np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)]
+        return self._compose([cycle[m % 4] for m in range(self.ctx.order + 1)])
+
+    def exp(self):
+        return self._compose([np.exp(self.coeffs[..., 0])] * (self.ctx.order + 1))
+
+    def sqrt(self):
+        x = self.coeffs[..., 0]
+        bad = x <= 0.0
+        if bad.any():
+            raise DomainError(f"sqrt of non-positive value {x[bad].flat[0]}")
+        derivs, coef = [], 1.0
+        for m in range(self.ctx.order + 1):
+            derivs.append(coef * x ** (0.5 - m))
+            coef *= 0.5 - m
+        return self._compose(derivs)
+
+    def sum(self, axis=0):
+        """Sum over one tensor axis."""
+        return JetArray(self.ctx, self.coeffs.sum(axis=self.nb + axis % self.ndim), self.deg,
+                        self.nb)
 
     def transpose(self, axes=None):
         axes = tuple(reversed(range(self.ndim))) if axes is None else tuple(axes)
@@ -346,29 +484,6 @@ def per_point_max(arr, nb=1):
     return flat.max(axis=1) if flat.shape[1] else np.zeros(arr.shape[0])
 
 
-def as_jets(obj) -> JetArray:
-    """The output of a scalar-`Jet` route as a JetArray: a Jet becomes a 0-d
-    one, and an array (or nested sequence) of jets is converted at the
-    lowest order among them."""
-    if isinstance(obj, Jet):
-        return JetArray(obj.ctx, obj.coeffs)
-    arr = np.asarray(obj, dtype=object)
-    if not arr.size or not all(isinstance(x, Jet) for x in arr.flat):
-        raise TypeError("as_jets needs a Jet or a non-empty array of Jets")
-    ctx = min((x.ctx for x in arr.flat), key=lambda c: c.order)
-    coeffs = np.empty(arr.shape + (ctx.n,))
-    for idx, x in np.ndenumerate(arr):
-        if x.ctx.dim != ctx.dim:
-            raise DimensionMismatch(f"jet dims differ: {x.ctx.dim} vs {ctx.dim}")
-        coeffs[idx] = x.coeffs[: ctx.n]
-    return JetArray(ctx, coeffs)
-
-
-def _scalar_jets(jet) -> JetArray:
-    """A `ScalarField.jet` result as a JetArray: a batch's already is one."""
-    return jet if isinstance(jet, JetArray) else as_jets(jet)
-
-
 def _common(a: JetArray, b: JetArray):
     """The two operands at the lower of their orders."""
     if a.ctx.dim != b.ctx.dim:
@@ -388,12 +503,26 @@ def _product_deg(a: JetArray, b: JetArray) -> int:
 
 @lru_cache(maxsize=None)
 def _product_tables(ctx):
-    """(ia, ib, scatter) for the truncated Cauchy product of `ctx`: pair p
-    multiplies coefficients ia[p] and ib[p], and scatter[p] is the one-hot
-    row of the coefficient it adds to."""
-    scatter = np.zeros((len(ctx._mul_t), ctx.n))
-    scatter[np.arange(len(ctx._mul_t)), ctx._mul_t] = 1.0
-    return ctx._mul_a, ctx._mul_b, scatter
+    """The truncated Cauchy product of `ctx` in two layouts: pair p
+    multiplies coefficients ia[p] and ib[p] and adds to coefficient
+    ctx._mul_t[p].
+
+    (ia, ib, scatter): scatter[p] is the one-hot row of the coefficient pair
+    p adds to, so `tdot` sums the pairs with one matrix product.
+    (ga, gb, mask), each of shape (R, ctx.n): column t lists the pairs that
+    add to coefficient t, in pair order, padded with mask 0 to the largest
+    count R; the elementwise `*` sums each column down.
+    """
+    ia, ib, it = ctx._mul_a, ctx._mul_b, ctx._mul_t
+    scatter = np.zeros((len(it), ctx.n))
+    scatter[np.arange(len(it)), it] = 1.0
+    by_target = np.argsort(it, kind="stable")
+    t = it[by_target]
+    rank = np.arange(len(t)) - np.searchsorted(t, t)  # place among t's pairs
+    ga, gb = (np.zeros((rank.max() + 1, ctx.n), dtype=int) for _ in range(2))
+    mask = np.zeros(ga.shape)
+    ga[rank, t], gb[rank, t], mask[rank, t] = ia[by_target], ib[by_target], 1.0
+    return ia, ib, scatter, ga, gb, mask
 
 
 def _same_rank(a, b):
@@ -442,7 +571,7 @@ def _tdot_plan(shape_a, shape_b, axes, nb_a, nb_b, ctx):
     def perm_b(*axes_):
         return (*range(nb_b), *(x + nb_b for x in axes_))
 
-    ia, ib, scatter = _product_tables(ctx)
+    ia, ib, scatter = _product_tables(ctx)[:3]
     return (
         shape,
         lead + shape + (n,),
@@ -762,7 +891,7 @@ def d_scalar(f: ScalarField) -> Field:
     """Differential of a scalar, as a (0,1) field."""
 
     def fn(p, k):
-        return jets_gradient(_scalar_jets(f.jet(p, k + 1)))
+        return jets_gradient(f.jet(p, k + 1))
 
     return DerivedField(f.chart, 0, 1, fn, sym="antisymmetric")
 
@@ -819,7 +948,7 @@ def lie_derivative_scalar(X: Field, f: ScalarField) -> ScalarField:
 
     def fn(p, ctx):
         xj = X.at(p, ctx.order)
-        return tdot(xj, jets_gradient(_scalar_jets(f.jet(p, ctx.order + 1))), ([0], [0]))[()]
+        return tdot(xj, jets_gradient(f.jet(p, ctx.order + 1)), ([0], [0]))[()]
 
     return ScalarField(X.chart, fn)
 

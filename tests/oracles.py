@@ -1,9 +1,13 @@
 """Independent closed-form and finite-difference oracles used by the tests.
 
 These share no code with the library paths they check: sphere formulas are
-textbook closed forms with hand-differentiated derivatives, and the finite
-differences are plain float arithmetic.
+textbook closed forms with hand-differentiated derivatives, the finite
+differences are plain float arithmetic, and the jet arithmetic is written
+from the multi-index definition of the truncated product.
 """
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,8 +78,93 @@ def central_diff_hessian(f, x, h=1e-4):
 
 
 def values(comps):
-    """Constant terms of an object array of jets, as a float array."""
-    out = np.empty(comps.shape)
-    for idx in np.ndindex(comps.shape):
-        out[idx] = comps[idx].value
+    """Constant terms of a tensor of jets, as a float array."""
+    return np.array(comps.coeffs[..., 0])
+
+
+# -- jet arithmetic from the multi-index definition ----------------------------
+#
+# A jet of order K in dim variables stores c_alpha = (d^alpha f)(p) / alpha!
+# for every multi-index |alpha| <= K, in the layout `ctx.alphas`.  These
+# references work on one coefficient vector at a time and read nothing of the
+# library but that layout.
+
+@lru_cache(maxsize=None)
+def _splits(ctx):
+    """Per coefficient gamma, the (alpha, beta) index pairs with alpha + beta = gamma."""
+    pairs = [([], []) for _ in range(ctx.n)]
+    for i, alpha in enumerate(ctx.alphas):
+        for j, beta in enumerate(ctx.alphas):
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            if sum(gamma) <= ctx.order:
+                pairs[ctx.index[gamma]][0].append(i)
+                pairs[ctx.index[gamma]][1].append(j)
+    return [(np.array(i, dtype=int), np.array(j, dtype=int)) for i, j in pairs]
+
+
+def jet_product(ctx, a, b):
+    """(fg)_gamma = sum over alpha + beta = gamma of f_alpha g_beta."""
+    return np.array([a[i] @ b[j] for i, j in _splits(ctx)])
+
+
+def jet_reciprocal(ctx, a):
+    """r with a r = 1, solved degree by degree: r_0 = 1 / a_0 and
+    r_gamma = -(sum over alpha + beta = gamma, beta != gamma of a_alpha r_beta) / a_0."""
+    r = np.zeros(ctx.n)
+    r[0] = 1.0 / a[0]
+    for k, (i, j) in enumerate(_splits(ctx)):
+        if k:
+            keep = j != k
+            r[k] = -(a[i[keep]] @ r[j[keep]]) / a[0]
+    return r
+
+
+def jet_power(ctx, a, n):
+    """a^n by repeated products; a negative n takes the reciprocal first."""
+    base = jet_reciprocal(ctx, a) if n < 0 else a
+    out = np.zeros(ctx.n)
+    out[0] = 1.0
+    for _ in range(abs(n)):
+        out = jet_product(ctx, out, base)
     return out
+
+
+def jet_function(ctx, a, derivs):
+    """f(a) = sum over m <= K of f^(m)(a_0) / m! h^m, where h = a - a_0 is
+    nilpotent of order K + 1 and derivs[m] = f^(m)(a_0)."""
+    h = a.copy()
+    h[0] = 0.0
+    out, power = np.zeros(ctx.n), np.zeros(ctx.n)
+    power[0] = 1.0
+    for m in range(ctx.order + 1):
+        out = out + derivs[m] / math.factorial(m) * power
+        power = jet_product(ctx, power, h)
+    return out
+
+
+def function_derivatives(name, x, order):
+    """[f(x), f'(x), ..., f^(order)(x)] for sin, cos, exp and sqrt."""
+    if name in ("sin", "cos"):
+        cycle = [math.sin(x), math.cos(x), -math.sin(x), -math.cos(x)]
+        shift = 0 if name == "sin" else 1
+        return [cycle[(m + shift) % 4] for m in range(order + 1)]
+    if name == "exp":
+        return [math.exp(x)] * (order + 1)
+    return [math.prod(0.5 - i for i in range(m)) * x ** (0.5 - m) for m in range(order + 1)]
+
+
+def jet_partial(ctx, a, v, lower):
+    """d_v of a jet, in the order-(K-1) layout `lower`: the coefficient of beta
+    is (beta_v + 1) a_{beta + e_v}."""
+    out = np.zeros(lower.n)
+    for k, beta in enumerate(lower.alphas):
+        up = list(beta)
+        up[v] += 1
+        out[k] = up[v] * a[ctx.index[tuple(up)]]
+    return out
+
+
+def derivative(jet, alpha):
+    """The mixed partial d^alpha f (p) of a single jet: alpha! c_alpha."""
+    alpha = tuple(alpha)
+    return float(jet.coeffs[jet.ctx.index[alpha]]) * math.prod(map(math.factorial, alpha))

@@ -30,7 +30,7 @@ from paraherm.geometry import (
     tdot,
     truncate_jets,
 )
-from paraherm.jets import Jet, context
+from paraherm.jets import context
 from paraherm.models import build_flat
 from paraherm.parastructure import ParaHermitianStructure
 from paraherm.randfields import random_vector_field
@@ -110,21 +110,23 @@ def test_tdot_equals_stacked_points(layout, batching, dim, ka, kb, da, db, B,
 @SETTINGS
 @given(dims, orders, orders, degrees, degrees, batches, axis_len, axis_len, seeds)
 def test_elementwise_kernels_equal_stacked_points(dim, ka, kb, da, db, B, p, c, seed):
-    """+, -, negation, scaling, products with a scalar jet, truncation,
-    gradient, transpose, moveaxis, indexing and concatenation."""
+    """+, -, negation, scaling, products (with a scalar jet and broadcast
+    between tensors), an axis sum, sin and a power, truncation, gradient,
+    transpose, moveaxis, indexing and concatenation."""
     rng = np.random.default_rng(seed)
     a = jets(rng, dim, ka, (p, c), da, B)
     b = jets(rng, dim, kb, (p, c), db, B)
     u = jets(rng, dim, kb, (p, c), db)            # unbatched, broadcast
     s = jets(rng, dim, kb, (), db, B)             # a batched scalar jet
     s0 = jets(rng, dim, kb, (), db)               # an unbatched 0-d one
-    jet = Jet(s0.ctx, s0.coeffs.copy())
     cases = [
         (lambda x, y: x + y, (a, b)), (lambda x, y: x - y, (a, b)),
         (lambda x, y: x + y, (a, u)), (lambda x, y: y - x, (a, u)),
         (lambda x: -x, (a,)), (lambda x: 0.5 * x, (a,)),
         (lambda x, y: x * y, (a, s)), (lambda x, y: y * x, (u, s)),
-        (lambda x, y: x * y, (a, s0)), (lambda x: x * jet, (a,)),
+        (lambda x, y: x * y, (a, s0)), (lambda x, y: x * y[:1], (a, u)),
+        (lambda x, y: x * y, (a, b)), (lambda x: x.sum(1), (a,)),
+        (lambda x: x.sin() * x ** 2, (a,)),
         (lambda x: x.transpose(), (a,)), (lambda x: x.moveaxis(1, 0), (a,)),
         (lambda x: x[0], (a,)), (lambda x: x[:, :1], (a,)),
         (lambda x, y: concat_jets([x, y]), (a, u)),
@@ -143,14 +145,15 @@ def test_elementwise_kernels_equal_stacked_points(dim, ka, kb, da, db, B, p, c, 
 @SETTINGS
 @given(dims, orders, batches, axis_len, seeds)
 def test_full_index_of_a_batch_is_a_batched_scalar(dim, k, B, p, seed):
-    """Indexing a batch down to no tensor axes gives a 0-d batched JetArray,
-    never a scalar `Jet`; a single point still gives a `Jet`."""
+    """Indexing a batch down to no tensor axes gives a 0-d batched JetArray;
+    a single point gives an unbatched one."""
     rng = np.random.default_rng(seed)
     a = jets(rng, dim, k, (p, p), k, B)
     x = a[0, p - 1]
     assert isinstance(x, JetArray) and x.shape == () and x.batch == (B,)
     assert np.array_equal(x.coeffs, a.coeffs[:, 0, p - 1])
-    assert isinstance(at_point(a, 0)[0, p - 1], Jet)
+    x0 = at_point(a, 0)[0, p - 1]
+    assert isinstance(x0, JetArray) and x0.shape == () and x0.batch == ()
     full = tdot(a, a, ([0, 1], [0, 1]))
     assert isinstance(full, JetArray) and full.shape == () and full.nb == 1
     assert isinstance(full[()], JetArray)

@@ -8,10 +8,10 @@ from paraherm.brackets import (
     standard_dorfman,
 )
 from paraherm.connections import flat_connection, levi_civita
-from paraherm.errors import NotIntegrable, NotTorsionless, Unsupported
+from paraherm.errors import NotIntegrable, NotTorsionless
 from paraherm.geometry import (
     TensorField, apply_endomorphism, constant_field,
-    coordinate_vector_field, lie_bracket, scalar_field, tdot,
+    coordinate_vector_field, jets_gradient, lie_bracket, scalar_field, tdot,
 )
 from paraherm.parastructure import rho, rho_field
 from paraherm.randfields import (
@@ -99,8 +99,8 @@ def test_weak_involutivity_of_eigenbundles(flat2, sphere_tm, sphere_pts):
                 b = S.at(p, 0)
                 Pc = (b.Pp if sign > 0 else b.Pm)
                 pz = tdot(Pc, Z.at(p, 0), ([1], [0]))
-                val = tdot(tdot(b.eta, br.at(p, 0), ([0], [0])), pz,
-                           ([0], [0]))[()].value
+                val = float(tdot(tdot(b.eta, br.at(p, 0), ([0], [0])), pz,
+                                 ([0], [0])).values())
                 assert abs(val) < 1e-9
 
 
@@ -136,7 +136,7 @@ def test_derivation_properties(flat2):
     fY = DerivedField(chart, 1, 0, lambda p, k: Y.at(p, k) * f.jet(p, k))
     fX = DerivedField(chart, 1, 0, lambda p, k: X.at(p, k) * f.jet(p, k))
     for p in sample_points(flat2, 3, 11):
-        fval = f.jet(p, 0).value
+        fval = f.value(p)
         base = d_bracket(S, X, Y).values(p)
         # right argument: pure derivation
         lhs = d_bracket(S, X, fY).values(p)
@@ -333,11 +333,7 @@ def test_schouten_matches_coordinate_formula(flat2):
     for p in sample_points(flat2, 3, 27):
         bj = beta.at(p, 1)
         bv = values(bj)
-        db = np.zeros((4, 4, 4))
-        for m in range(4):
-            for a in range(4):
-                for b in range(4):
-                    db[m, a, b] = bj[a, b].partial(m).value
+        db = values(jets_gradient(bj))  # db[m, a, b] = d_m beta^{ab}
         lam, mu, nu = (rng.uniform(-1, 1, 4) for _ in range(3))
         # directional derivative along beta(lambda)^l = lam_i beta^{il}
         def term(l1, l2, l3):
@@ -472,10 +468,14 @@ def test_dbracket_memory_does_not_grow_with_the_point_count():
     assert after_2000 - after_200 < 100_000, (after_200, after_2000)
 
 
-def test_flat_oracle_takes_one_point_at_a_time(flat2):
+def test_flat_oracle_batch_equals_stacked_points(flat2):
+    """The oracle evaluates a batch in one pass, bit for bit as at each point."""
     rng = np.random.default_rng(48)
     X, Y = (random_vector_field(flat2.chart, rng) for _ in range(2))
     oracle = flat_coordinate_dbracket(flat2.chart, flat2.eta_matrix, X, Y)
-    batch = flat2.chart.point(rng.uniform(-1.0, 1.0, (3, 4)))
-    with pytest.raises(Unsupported, match="one point at a time"):
-        oracle.at(batch, 0)
+    coords = rng.uniform(-1.0, 1.0, (3, 4))
+    for k in (0, 1, 2):
+        got = oracle.at(flat2.chart.point(coords), k)
+        each = [oracle.at(flat2.chart.point(c), k).coeffs for c in coords]
+        assert got.nb == 1 and got.shape == (4,)
+        assert got.coeffs.tobytes() == np.stack(each).tobytes()

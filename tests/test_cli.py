@@ -79,6 +79,14 @@ def test_unknown_suite_exits_two(tmp_path):
     ("jet_order", 3.5),
     ("jet_order", True),
     ("model", {"name": "flat", "n": 1.5}),
+    # Non-finite numbers, tolerances that are not finite positive numbers or
+    # not known by name, and a box too wide to sample from.
+    ("tolerances", {"validate": float("inf")}),
+    ("tolerances", {"validate": True}),
+    ("tolerances", {"courrant": 1e-9}),
+    ("sample", {"count": 2, "box": [[0, float("inf")]] + [[0, 1]] * 3}),
+    ("sample", {"count": 2, "box": [[-1e308, 1e308]] + [[0, 1]] * 3}),
+    ("tolerances", {"validate": float("nan")}),
 ])
 def test_malformed_spec_section_exits_two(tmp_path, capsys, section, value):
     """A bad value in a spec section is a spec error (exit 2) naming the

@@ -8,7 +8,7 @@ from paraherm.errors import (
 )
 from paraherm.geometry import (
     Chart, DerivedField, TensorField, constant_field, constant_jets,
-    coordinate_vector_field, d_scalar, exterior_derivative, interior_product,
+    coordinate_vector_field, d_scalar, exterior_derivative, interior_product, jets_gradient,
     lie_bracket, lie_derivative, lie_derivative_scalar, metric_inverse_at, musical,
     scalar_field, truncate_jets, wedge,
 )
@@ -75,7 +75,7 @@ def test_bracket_leibniz_in_second_argument(chart4):
     for p in pts(chart4, 3, 5):
         lhs = lie_bracket(X, fY).at(p, 0).values()
         xf = lie_derivative_scalar(X, f).value(p)
-        rhs = f.jet(p, 0).value * lie_bracket(X, Y).at(p, 0).values() + xf * Y.values(p)
+        rhs = f.value(p) * lie_bracket(X, Y).at(p, 0).values() + xf * Y.values(p)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -165,7 +165,7 @@ def test_lie_derivative_leibniz(chart4):
         lhs = lie_derivative(X, fa).values(p)
         rhs = (
             lie_derivative_scalar(X, f).value(p) * alpha.values(p)
-            + f.jet(p, 0).value * lie_derivative(X, alpha).values(p)
+            + f.value(p) * lie_derivative(X, alpha).values(p)
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -295,7 +295,7 @@ def test_jet_order_budget_enforced():
     from paraherm.jets import context
 
     with pytest.raises(InsufficientJetOrder):
-        context(2, 0).constant(1.0).partial(0)
+        jets_gradient(constant_jets(context(2, 0), 1.0))
 
 
 # -- guarded inverse -------------------------------------------------------------

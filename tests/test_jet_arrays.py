@@ -1,12 +1,12 @@
 """Property tests: the dense tensor-of-jets kernels in `geometry` against the
-scalar `Jet` arithmetic of `jets`, over dims 1-8 and orders K <= 4.
+reference jet arithmetic of `oracles.py`, over dims 1-8 and orders K <= 4.
 
-Each reference is computed component by component with `Jet` products,
-sums, partials and truncations, on object arrays built from the same
-coefficients, so it shares no code with the dense kernels.  The carried jet
-degree is checked against the coefficients themselves, and the zero and
-constant paths of `tdot` against its general kernel on the same
-coefficients carried at full degree.
+Each reference is computed component by component, one coefficient vector
+at a time, with the products, partials and truncations written there from
+the multi-index definition, so it shares no code with the dense kernels.
+The carried jet degree is checked against the coefficients themselves, and
+the zero and constant paths of `tdot` against its general kernel on the
+same coefficients carried at full degree.
 """
 
 import numpy as np
@@ -22,7 +22,6 @@ from paraherm.geometry import (
     Chart,
     JetArray,
     TensorField,
-    as_jets,
     concat_jets,
     constant_jets,
     embed_block,
@@ -35,8 +34,9 @@ from paraherm.geometry import (
     truncate_jets,
     wedge,
 )
-from paraherm.jets import Jet, context
+from paraherm.jets import context
 from paraherm.randfields import random_bivector, random_form, random_vector_field
+from oracles import jet_partial, jet_product, jet_reciprocal
 
 SETTINGS = settings(max_examples=60, deadline=None)
 dims = st.integers(1, 8)
@@ -50,24 +50,18 @@ def random_jets(rng, dim, order, shape):
     return JetArray(ctx, rng.uniform(-1.0, 1.0, tuple(shape) + (ctx.n,)))
 
 
-def scalar_jets(arr):
-    """The same tensor as an object array of scalar `Jet`s."""
-    out = np.empty(arr.shape, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        out[idx] = Jet(arr.ctx, arr.coeffs[idx].copy())
-    return out
+def at_order(x, k):
+    """The reference coefficients of a tensor of jets truncated to order k:
+    the graded layout makes that a prefix of each coefficient vector."""
+    return x.coeffs[..., : context(x.ctx.dim, k).n]
 
 
-def assert_same(dense, jets, tol=1e-12):
-    """Every component of `dense` equals the scalar jet in `jets`."""
-    assert dense.shape == jets.shape
-    for idx in np.ndindex(jets.shape):
-        want = jets[idx]
-        got = dense[idx]
-        assert isinstance(got, Jet)
-        assert got.ctx is want.ctx
-        scale = max(1.0, float(np.max(np.abs(want.coeffs))))
-        assert np.max(np.abs(got.coeffs - want.coeffs)) <= tol * scale
+def assert_same(dense, want, ctx, tol=1e-12):
+    """`dense` is a tensor of jets of `ctx` whose coefficients are `want`."""
+    assert dense.ctx is ctx
+    assert dense.coeffs.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want)))) if want.size else 1.0
+    assert np.max(np.abs(dense.coeffs - want), initial=0.0) <= tol * scale
 
 
 @SETTINGS
@@ -77,17 +71,18 @@ def test_contraction_matches_scalar_products(dim, ka, kb, p, c, q, seed):
     rng = np.random.default_rng(seed)
     a = random_jets(rng, dim, ka, (p, c))
     b = random_jets(rng, dim, kb, (c, q))
-    aj, bj = scalar_jets(a), scalar_jets(b)
-    want = np.empty((p, q), dtype=object)
+    ctx = context(dim, min(ka, kb))
+    aj, bj = at_order(a, ctx.order), at_order(b, ctx.order)
+    want = np.empty((p, q, ctx.n))
     for i in range(p):
         for j in range(q):
-            acc = aj[i, 0] * bj[0, j]
+            acc = jet_product(ctx, aj[i, 0], bj[0, j])
             for m in range(1, c):
-                acc = acc + aj[i, m] * bj[m, j]
+                acc = acc + jet_product(ctx, aj[i, m], bj[m, j])
             want[i, j] = acc
     got = tdot(a, b, ([1], [0]))
     assert got.ctx.order == min(ka, kb)
-    assert_same(got, want)
+    assert_same(got, want, ctx)
 
 
 @SETTINGS
@@ -98,35 +93,43 @@ def test_full_contraction_is_a_scalar_jet(dim, ka, kb, c1, c2, seed):
     rng = np.random.default_rng(seed)
     a = random_jets(rng, dim, ka, (c1, c2))
     b = random_jets(rng, dim, kb, (c2, c1))
-    aj, bj = scalar_jets(a), scalar_jets(b)
-    want = aj[0, 0] * bj[0, 0]
+    ctx = context(dim, min(ka, kb))
+    aj, bj = at_order(a, ctx.order), at_order(b, ctx.order)
+    want = jet_product(ctx, aj[0, 0], bj[0, 0])
     for i, j in np.ndindex(c1, c2):
         if (i, j) != (0, 0):
-            want = want + aj[i, j] * bj[j, i]
+            want = want + jet_product(ctx, aj[i, j], bj[j, i])
     got = tdot(a, b, ([0, 1], [1, 0]))
     assert got.shape == ()
-    assert_same(got, np.array(want, dtype=object))
+    assert_same(got, want, ctx)
 
 
 @SETTINGS
 @given(dims, orders, orders, axis_len, axis_len, seeds)
 def test_outer_product_and_elementwise_operations(dim, ka, kb, p, q, seed):
-    """tdot with no contracted axis; +, - and * by a scalar jet, mixed order."""
+    """tdot with no contracted axis; +, - and * by a scalar jet, mixed
+    order; * of two tensors broadcast over their axes; / and an axis sum."""
     rng = np.random.default_rng(seed)
     a = random_jets(rng, dim, ka, (p,))
     b = random_jets(rng, dim, kb, (q,))
     c = random_jets(rng, dim, kb, (p,))
     s = random_jets(rng, dim, kb, ())[()]
-    aj, bj, cj = scalar_jets(a), scalar_jets(b), scalar_jets(c)
-    outer = np.empty((p, q), dtype=object)
+    ctx = context(dim, min(ka, kb))
+    aj, bj, cj, sj = (at_order(x, ctx.order) for x in (a, b, c, s))
+    outer = np.empty((p, q, ctx.n))
     for i, j in np.ndindex(p, q):
-        outer[i, j] = aj[i] * bj[j]
-    assert_same(tdot(a, b, ([], [])), outer)
-    assert_same(a * s, np.array([x * s for x in aj], dtype=object))
-    assert_same(s * a, np.array([s * x for x in aj], dtype=object))
-    assert_same(a + c, aj + cj, tol=0.0)
-    assert_same(a - c, aj - cj, tol=0.0)
-    assert_same(0.5 * a, aj * 0.5, tol=0.0)
+        outer[i, j] = jet_product(ctx, aj[i], bj[j])
+    assert_same(tdot(a, b, ([], [])), outer, ctx)
+    assert_same(a[:, None] * b[None, :], outer, ctx)
+    assert_same(a * s, np.array([jet_product(ctx, x, sj) for x in aj]), ctx)
+    assert_same(s * a, np.array([jet_product(ctx, sj, x) for x in aj]), ctx)
+    assert_same(a + c, aj + cj, ctx, tol=0.0)
+    assert_same(a - c, aj - cj, ctx, tol=0.0)
+    assert_same(0.5 * a, a.coeffs * 0.5, a.ctx, tol=0.0)
+    assert_same((a[:, None] * b[None, :]).sum(0), outer.sum(0), ctx)
+    c.coeffs[..., 0] = 2.0
+    assert_same(a / c, np.array([jet_product(ctx, x, jet_reciprocal(ctx, y))
+                                 for x, y in zip(aj, cj)]), ctx)
 
 
 @SETTINGS
@@ -134,14 +137,14 @@ def test_outer_product_and_elementwise_operations(dim, ka, kb, p, q, seed):
 def test_gradient_matches_partial(dim, k, p, q, seed):
     rng = np.random.default_rng(seed)
     a = random_jets(rng, dim, k, (p, q))
-    aj = scalar_jets(a)
-    want = np.empty((dim, p, q), dtype=object)
+    lower = context(dim, k - 1)
+    want = np.empty((dim, p, q, lower.n))
     for v in range(dim):
         for i, j in np.ndindex(p, q):
-            want[v, i, j] = aj[i, j].partial(v)
+            want[v, i, j] = jet_partial(a.ctx, a.coeffs[i, j], v, lower)
     got = jets_gradient(a)
-    assert got.ctx is context(dim, k - 1)
-    assert_same(got, want, tol=0.0)
+    assert got.ctx is lower
+    assert_same(got, want, lower, tol=0.0)
 
 
 @SETTINGS
@@ -149,32 +152,34 @@ def test_gradient_matches_partial(dim, k, p, q, seed):
 def test_truncate_matches_scalar_truncate(dim, k, target, p, seed):
     rng = np.random.default_rng(seed)
     a = random_jets(rng, dim, k, (p, 2))
-    aj = scalar_jets(a)
-    want = np.empty(aj.shape, dtype=object)
-    for idx in np.ndindex(aj.shape):
-        want[idx] = aj[idx].truncate(min(target, k))
-    assert_same(truncate_jets(a, target), want, tol=0.0)
+    lower = context(dim, min(target, k))
+    want = np.empty((p, 2, lower.n))
+    for idx in np.ndindex(p, 2):
+        for m, alpha in enumerate(lower.alphas):
+            want[idx + (m,)] = a.coeffs[idx + (a.ctx.index[alpha],)]
+    assert_same(truncate_jets(a, target), want, lower, tol=0.0)
 
 
-def gauss_jordan(M):
-    """Scalar-jet Gauss-Jordan inverse with pivoting on the largest value."""
+def gauss_jordan(ctx, M):
+    """Gauss-Jordan inverse of a matrix of coefficient vectors, with the
+    reference jet products, pivoting on the largest value."""
     d = M.shape[0]
     A = M.copy()
-    B = np.empty((d, d), dtype=object)
-    for i, j in np.ndindex(d, d):
-        B[i, j] = M[0, 0].ctx.constant(1.0 if i == j else 0.0)
+    B = np.zeros_like(M)
+    for i in range(d):
+        B[i, i, 0] = 1.0
     for col in range(d):
-        pivot = max(range(col, d), key=lambda r: abs(A[r, col].value))
+        pivot = max(range(col, d), key=lambda r: abs(A[r, col, 0]))
         A[[col, pivot]] = A[[pivot, col]]
         B[[col, pivot]] = B[[pivot, col]]
-        inv = A[col, col].reciprocal()
-        A[col] = A[col] * inv
-        B[col] = B[col] * inv
+        inv = jet_reciprocal(ctx, A[col, col])
+        A[col] = [jet_product(ctx, x, inv) for x in A[col]]
+        B[col] = [jet_product(ctx, x, inv) for x in B[col]]
         for row in range(d):
             if row != col:
-                factor = A[row, col]
-                A[row] = A[row] - factor * A[col]
-                B[row] = B[row] - factor * B[col]
+                factor = A[row, col].copy()
+                A[row] = A[row] - [jet_product(ctx, factor, x) for x in A[col]]
+                B[row] = B[row] - [jet_product(ctx, factor, x) for x in B[col]]
     return B
 
 
@@ -186,40 +191,38 @@ def test_inverse_matches_gauss_jordan(dim, k, d, seed):
     M = random_jets(rng, dim, k, (d, d))
     M.coeffs[..., 0] += 2.0 * d * np.eye(d)
     inv = invert_matrix_jets(M)
-    Mj = scalar_jets(M)
-    ref = gauss_jordan(Mj)
-    assert_same(inv, ref, tol=1e-12)
-    # M . M^-1 = I through the scalar route.
-    eye = np.empty((d, d), dtype=object)
+    ctx = M.ctx
+    assert_same(inv, gauss_jordan(ctx, M.coeffs), ctx, tol=1e-12)
+    # M . M^-1 = I through the reference products.
+    eye = np.zeros((d, d, ctx.n))
+    eye[..., 0] = np.eye(d)
+    prod = np.empty((d, d, ctx.n))
     for i, j in np.ndindex(d, d):
-        eye[i, j] = M.ctx.constant(1.0 if i == j else 0.0)
-    prod = np.empty((d, d), dtype=object)
-    invj = scalar_jets(inv)
-    for i, j in np.ndindex(d, d):
-        acc = Mj[i, 0] * invj[0, j]
-        for m in range(1, d):
-            acc = acc + Mj[i, m] * invj[m, j]
-        prod[i, j] = acc
-    assert_same(as_jets(prod), eye, tol=1e-12)
+        prod[i, j] = sum(jet_product(ctx, M.coeffs[i, m], inv.coeffs[m, j]) for m in range(d))
+    assert np.max(np.abs(prod - eye)) <= 1e-12 * max(1.0, float(np.max(np.abs(eye))))
 
 
 def test_inverse_rejects_ill_conditioned_matrix():
     ctx = context(2, 2)
-    M = as_jets([[ctx.constant(1.0), ctx.constant(1.0)],
-                 [ctx.constant(1.0), ctx.constant(1.0 + 1e-14)]])
+    M = constant_jets(ctx, [[1.0, 1.0], [1.0, 1.0 + 1e-14]])
     with pytest.raises(SingularMetric):
         invert_matrix_jets(M)
 
 
 def test_indexing_transpose_and_conversion():
+    """Tensor axes move like numpy's; indexing down to one component gives
+    that component as a 0-d array (a scalar jet), a view of the same
+    coefficients."""
     rng = np.random.default_rng(5)
     a = random_jets(rng, 3, 2, (2, 3, 4))
-    aj = scalar_jets(a)
-    assert_same(a.transpose((2, 0, 1)), np.transpose(aj, (2, 0, 1)), tol=0.0)
-    assert_same(a.moveaxis(2, 0), np.moveaxis(aj, 2, 0), tol=0.0)
-    assert_same(a[1], aj[1], tol=0.0)
-    assert_same(a[:, 1:, 0], aj[:, 1:, 0], tol=0.0)
-    assert_same(as_jets(aj), aj, tol=0.0)
+    c = a.coeffs
+    assert_same(a.transpose((2, 0, 1)), np.transpose(c, (2, 0, 1, 3)), a.ctx, tol=0.0)
+    assert_same(a.moveaxis(2, 0), np.moveaxis(c, 2, 0), a.ctx, tol=0.0)
+    assert_same(a[1], c[1], a.ctx, tol=0.0)
+    assert_same(a[:, 1:, 0], c[:, 1:, 0], a.ctx, tol=0.0)
+    one = a[1, 2, 3]
+    assert isinstance(one, JetArray) and one.shape == () and one.nb == 0
+    assert_same(one, c[1, 2, 3], a.ctx, tol=0.0)
 
 
 def test_sum_of_different_shapes_rejected():
@@ -317,7 +320,7 @@ def test_degree_never_under_reports(dim, ka, kb, da, db, p, c, seed):
         tdot(a, b, ([1], [0])), tdot(a, b, ([0, 1], [1, 0])), tdot(a, b, ([], [])),
         tdot(b, a, ([1], [0])), a + b2, a - b2, b2 - a, -a, 0.5 * a, a * s,
         a.transpose(), a.moveaxis(1, 0), a[0], a[:, :1],
-        concat_jets([a, b2]), as_jets(scalar_jets(a)),
+        concat_jets([a, b2]), a * b2, a[:, None] * b2[None, :], (a * b2).sum(0),
         constant_jets(a.ctx, rng.uniform(-1.0, 1.0, (p, c))),
         constant_jets(a.ctx, np.zeros((p, c))),
     ]

@@ -1,23 +1,27 @@
 """The tensor-of-jets layout stays inside `geometry` (and `jets`).
 
 A tensor of jets is a `geometry.JetArray`: one jet context and one float
-array of shape (*tensor_shape, ncoef), the graded coefficient layout of
-`jets` on the last axis.  `Field.at` returns one, and the modules above
-`geometry` reach its components and coefficients only through its methods
-(`values`, `max_abs`, `transpose`, ...) and the helpers next to it (`tdot`,
-`jets_gradient`, `coeff_max`, `truncate_jets`, `constant_jets`, ...), so
-that the storage format can be replaced in one module.  These tests parse
-them and reject component loops (`np.ndindex`), direct coefficient access
-(`.coeffs`, `.truncate`), `np.tensordot`, and object arrays built with
-`np.empty` / `np.zeros(..., dtype=object)`.  The one exception to the last
-two is `brackets.flat_coordinate_dbracket`, the independent oracle, which
-keeps its scalar-`Jet` route on purpose.  Only that oracle may convert
-scalar `Jet`s with `as_jets`, so that the conversion surface does not grow
-back.  Only `geometry` constructs a `JetArray` or sets its carried jet
-degree `deg`, so the degree bound that `tdot` relies on is kept in one
-module.  No module keeps results keyed by a point: only `Point` and the
-one-entry `_memo_at` of `geometry` read `point.key`, so memory does not grow
-with the number of points evaluated.
+array of shape (*batch, *tensor_shape, ncoef), the graded coefficient layout
+of `jets` on the last axis, and a scalar jet is its 0-d case.  `Field.at`
+returns one, and the modules above `geometry` reach its components and
+coefficients only through its methods (`values`, `max_abs`, `transpose`,
+...) and the helpers next to it (`tdot`, `jets_gradient`, `coeff_max`,
+`truncate_jets`, `constant_jets`, ...), so that the storage format can be
+replaced in one module.  These tests parse them and reject component loops
+(`np.ndindex`), direct coefficient access (`.coeffs`, `.truncate`),
+`np.tensordot`, and object arrays built with `np.empty` /
+`np.zeros(..., dtype=object)`.  There is one jet type and one product
+kernel: no module defines or names a scalar `Jet`, `as_jets` or `eval_jet`
+or calls `np.bincount`, only `geometry._product_tables` reads the product
+targets `_mul_t`, and `expr`, the syntax of expressions, imports neither
+`jets` nor `geometry`.  The flat coordinate oracle
+`brackets.flat_coordinate_dbracket` stays independent of the path it
+checks: it calls no `tdot` and no connection or structure code.  Only
+`geometry` constructs a `JetArray` or sets its carried jet degree `deg`, so
+the degree bound that `tdot` and `*` rely on is kept in one module.  No
+module keeps results keyed by a point: only `Point` and the one-entry
+`_memo_at` of `geometry` read `point.key`, so memory does not grow with the
+number of points evaluated.
 """
 
 import ast
@@ -30,7 +34,8 @@ import paraherm
 SRC = Path(paraherm.__file__).resolve().parent
 MODULES = ("connections", "parastructure", "brackets", "deformations", "models", "cli")
 FORBIDDEN = {"ndindex", "coeffs", "truncate"}
-SCALAR_ROUTES = {("brackets", "flat_coordinate_dbracket")}
+SECOND_JET_TYPE = {"Jet", "as_jets", "_scalar_jets", "eval_jet", "bincount"}
+PRODUCT_TABLE_READERS = {("geometry", "_product_tables")}
 KEY_READERS = {("geometry", "Point"), ("geometry", "_memo_at")}
 ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
@@ -53,15 +58,8 @@ def _object_dtype(call):
     return any(isinstance(d, ast.Name) and d.id == "object" for d in dtypes)
 
 
-def _outside_scalar_routes(tree, module):
-    """Every node of `module` outside the allow-listed scalar routes."""
-    for top in tree.body:
-        if (module, getattr(top, "name", None)) not in SCALAR_ROUTES:
-            yield from ast.walk(top)
-
-
-def _object_array_calls(tree, module):
-    for node in _outside_scalar_routes(tree, module):
+def _object_array_calls(tree):
+    for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         attr = node.func.attr
@@ -77,7 +75,7 @@ def test_jet_layout_stays_in_geometry(module):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_object_arrays_of_jets_above_geometry(module):
-    found = sorted(_object_array_calls(_tree(module), module))
+    found = sorted(_object_array_calls(_tree(module)))
     assert not found, (
         f"{module}.py builds or contracts object arrays at (line, call): {found}"
     )
@@ -122,24 +120,80 @@ def test_degree_guard_catches_each_form():
     assert sorted(line for line, _ in _degree_writes(ast.parse(source))) == [1, 2, 3, 4, 5, 6]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_as_jets_only_at_scalar_routes(module):
-    found = sorted(
-        node.lineno for node in _outside_scalar_routes(_tree(module), module)
-        if isinstance(node, ast.Name) and node.id == "as_jets"
-        or isinstance(node, ast.Attribute) and node.attr == "as_jets"
+def _name(node):
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.alias)):
+        return node.name
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _second_jet_type(tree, module):
+    """(line, name) of each trace of a second jet type or product kernel: a
+    class, function, import or name in SECOND_JET_TYPE, or a read of
+    `_mul_t` outside `geometry._product_tables`."""
+    for top in tree.body:
+        reader = (module, getattr(top, "name", None)) in PRODUCT_TABLE_READERS
+        for node in ast.walk(top):
+            name = _name(node)
+            if name in SECOND_JET_TYPE:
+                yield node.lineno, name
+            elif name == "_mul_t" and isinstance(node.ctx, ast.Load) and not reader:
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_one_jet_type(module):
+    found = sorted(_second_jet_type(_tree(module), module))
+    assert not found, f"{module}.py has a second jet type or product kernel at {found}"
+
+
+def test_one_jet_type_guard_catches_a_scalar_jet():
+    """The guard flags a scalar jet class with its own product kernel."""
+    source = (
+        "from .jets import Jet\n"
+        "class Jet:\n"
+        "    def __mul__(self, other):\n"
+        "        ctx = self.ctx\n"
+        "        prod = self.coeffs[ctx._mul_a] * other.coeffs[ctx._mul_b]\n"
+        "        return Jet(ctx, np.bincount(ctx._mul_t, weights=prod, minlength=ctx.n))\n"
+        "def _product_tables(ctx):\n"
+        "    return ctx._mul_t\n"
     )
-    assert not found, f"{module}.py converts scalar jets with as_jets at lines {found}"
+    found = sorted(_second_jet_type(ast.parse(source), "jets"))
+    assert found == [(1, "Jet"), (2, "Jet"), (6, "Jet"), (6, "_mul_t"), (6, "bincount"),
+                     (8, "_mul_t")]
 
 
-def test_the_oracle_keeps_its_scalar_route():
-    """The allow-list names a function that still exists and still needs it."""
+def test_expr_is_syntax_only():
+    imported = {node.module for node in ast.walk(_tree("expr"))
+                if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"jets", "geometry"}, imported
+
+
+def _oracle(tree):
+    return next(node for node in tree.body
+                if getattr(node, "name", None) == "flat_coordinate_dbracket")
+
+
+def _oracle_dependencies(tree):
+    """(line, name) of each name the flat oracle takes from the contraction
+    kernel `tdot`, from `connections` or from `parastructure`."""
+    shared = {"tdot", "connections", "parastructure"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module in ("connections", "parastructure"):
+            shared |= {alias.asname or alias.name for alias in node.names}
+    for node in ast.walk(_oracle(tree)):
+        if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in shared:
+            yield node.lineno, _name(node)
+
+
+def test_the_oracle_shares_no_code_with_the_connection_path():
+    """No `tdot`, `nabla_jets`, `covd_jets`, connection or structure code in
+    the oracle; a copy of it that calls `tdot` fails the check."""
     tree = _tree("brackets")
-    oracle = next(node for node in tree.body
-                  if getattr(node, "name", None) == "flat_coordinate_dbracket")
-    calls = [node.func.attr for node in ast.walk(oracle)
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
-    assert "empty" in calls and "partial" in calls
+    found = sorted(_oracle_dependencies(tree))
+    assert not found, f"the flat oracle uses the checked path at {found}"
+    _oracle(tree).body.insert(0, ast.parse("tdot(a, b, ([0], [0]))").body[0])
+    assert [name for _, name in _oracle_dependencies(tree)] == ["tdot"]
 
 
 @pytest.mark.parametrize("cls, name", [

@@ -51,10 +51,13 @@ def test_frame_duality(sphere_tm, sphere_pts):
             v = sphere_tm.V[j].at(p, 1)
             hco = sphere_tm.H_co[i].at(p, 1)
             vco = sphere_tm.V_co[i].at(p, 1)
-            assert abs(sum((hco[a] * h[a]).value for a in range(2 * n)) - (i == j)) < 1e-14
-            assert abs(sum((vco[a] * v[a]).value for a in range(2 * n)) - (i == j)) < 1e-14
-            assert abs(sum((vco[a] * h[a]).value for a in range(2 * n))) < 1e-14
-            assert abs(sum((hco[a] * v[a]).value for a in range(2 * n))) < 1e-14
+            def pair(co, frame):
+                return sum(float((co[a] * frame[a]).values()) for a in range(2 * n))
+
+            assert abs(pair(hco, h) - (i == j)) < 1e-14
+            assert abs(pair(vco, v) - (i == j)) < 1e-14
+            assert abs(pair(vco, h)) < 1e-14
+            assert abs(pair(hco, v)) < 1e-14
 
 
 def test_eta_frame_values(sphere_tm, sphere_pts):

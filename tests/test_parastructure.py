@@ -157,7 +157,7 @@ def test_sphere_tm_half_integrability(sphere_tm, sphere_pts):
         br = lie_bracket(apply_endomorphism(P, X), apply_endomorphism(P, Y))
         pz = tdot(b.Pp, Z.at(p, 0), ([1], [0]))
         rhs = float(tdot(tdot(b.eta, br.at(p, 0), ([0], [0])), pz,
-                         ([0], [0]))[()].value)
+                         ([0], [0])).values())
         assert abs(lhs - rhs) < 1e-10
         worst = max(worst, abs(lhs))
     assert worst > 1e-3

@@ -22,16 +22,15 @@ from .errors import NotIntegrable, RankMismatch
 from .geometry import (
     DerivedField,
     Field,
-    ScalarField,
     constant_jets,
     contract_value,
-    d_scalar,
     exterior_derivative,
     interior_product,
     jets_gradient,
     lie_bracket,
     lie_derivative,
-    lie_derivative_scalar,
+    require_within,
+    scalar_pairing,
     stack_points,
     tdot,
 )
@@ -78,33 +77,17 @@ class GeneralizedVectorField:
         )
 
 
-def pairing(e1: GeneralizedVectorField, e2: GeneralizedVectorField) -> ScalarField:
-    """<X + a, Y + b> = a(Y) + b(X)."""
-
-    def fn(p, ctx):
-        k = ctx.order
-        a = tdot(e1.cov.at(p, k), e2.vec.at(p, k), ([0], [0]))
-        b = tdot(e2.cov.at(p, k), e1.vec.at(p, k), ([0], [0]))
-        return a[()] + b[()]
-
-    return ScalarField(e1.chart, fn)
-
-
-def _covector_on(alpha: Field, Y: Field) -> ScalarField:
-    """alpha(Y) for a covector field alpha and a vector field Y, as a scalar."""
-    return ScalarField(
-        alpha.chart,
-        lambda p, ctx: tdot(
-            alpha.at(p, ctx.order), Y.at(p, ctx.order), ([0], [0])
-        )[()],
-    )
+def pairing(e1: GeneralizedVectorField, e2: GeneralizedVectorField) -> Field:
+    """<X + a, Y + b> = a(Y) + b(X), a (0,0) field."""
+    return scalar_pairing(e1.cov, [e2.vec]) + scalar_pairing(e2.cov, [e1.vec])
 
 
 def standard_dorfman(e1, e2) -> GeneralizedVectorField:
     """[X,Y] + L_X beta - L_Y alpha + d(alpha(Y)) on the full chart."""
     vec = lie_bracket(e1.vec, e2.vec)
-    inner = _covector_on(e1.cov, e2.vec)
-    cov = lie_derivative(e1.vec, e2.cov) - lie_derivative(e2.vec, e1.cov) + d_scalar(inner)
+    inner = scalar_pairing(e1.cov, [e2.vec])
+    cov = (lie_derivative(e1.vec, e2.cov) - lie_derivative(e2.vec, e1.cov)
+           + exterior_derivative(inner))
     return GeneralizedVectorField(vec, cov)
 
 
@@ -200,9 +183,9 @@ def leafwise_d(S, side, obj):
     For scalars and one-forms this reduces to projecting every slot of the
     full coordinate d, which is what is implemented.
     """
-    if isinstance(obj, ScalarField):
+    if obj.rank == (0, 0):
         P = S.projector(side)
-        df = d_scalar(obj)
+        df = exterior_derivative(obj)
 
         def fn(p, k):
             return tdot(P.at(p, k), df.at(p, k), ([0], [0]))
@@ -225,7 +208,7 @@ def leafwise_d(S, side, obj):
 
 def leafwise_lie(S, side, X: Field, xi: Field) -> Field:
     """L^E_X xi = d_E(xi(X)) + iota_X d_E xi on the foliation algebroid."""
-    inner = _covector_on(xi, X)
+    inner = scalar_pairing(xi, [X])
     return leafwise_d(S, side, inner) + interior_product(X, leafwise_d(S, side, xi))
 
 
@@ -240,17 +223,12 @@ def dorfman_leafwise(S, side, e1: GeneralizedVectorField, e2: GeneralizedVectorF
     cov = (
         leafwise_lie(S, side, e1.vec, e2.cov)
         - leafwise_lie(S, side, e2.vec, e1.cov)
-        + leafwise_d(S, side, _covector_on(e1.cov, e2.vec))
+        + leafwise_d(S, side, scalar_pairing(e1.cov, [e2.vec]))
     )
 
     def checked_vec(p, k):
-        res = S.integrability_residual(side, p)
-        bad = np.asarray(res) > integrability_tol
-        if bad.any():
-            i, where = p.first(bad)
-            raise NotIntegrable(
-                f"side {side:+d} Nijenhuis residual {np.ravel(res)[i]:.3e} at {where}"
-            )
+        require_within(p, S.integrability_residual(side, p), integrability_tol,
+                       NotIntegrable, f"side {side:+d} Nijenhuis residual")
         return vec.at(p, k)
 
     return GeneralizedVectorField(
@@ -343,12 +321,12 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
         res = {axiom: np.zeros((len(sample), n)) for axiom in worst}
         for ti, (X, Y, Z) in enumerate(triples):
             if not skip_pairing:
-                lhs = lie_derivative_scalar(anchor(X), pair(Y, Z)).value(batch)
-                r1 = (lhs - pair(bracket(X, Y), Z).value(batch)
-                      - pair(Y, bracket(X, Z)).value(batch))
-                r2 = pair(bracket(X, X), Y).value(batch) - 0.5 * lie_derivative_scalar(
+                lhs = lie_derivative(anchor(X), pair(Y, Z)).values(batch)
+                r1 = (lhs - pair(bracket(X, Y), Z).values(batch)
+                      - pair(Y, bracket(X, Z)).values(batch))
+                r2 = pair(bracket(X, X), Y).values(batch) - 0.5 * lie_derivative(
                     anchor(Y), pair(X, X)
-                ).value(batch)
+                ).values(batch)
                 res[1][:, ti] = np.abs(r1)
                 res[2][:, ti] = np.abs(r2)
             res[3][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))

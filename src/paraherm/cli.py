@@ -29,12 +29,11 @@ from .connections import check_adapted
 from .errors import InsufficientJetOrder, ParahermError, SpecParseError
 from .geometry import (
     Chart,
-    ScalarField,
     TensorField,
     apply_endomorphism,
     embed_block,
+    scalar_pairing,
     stack_points,
-    tdot,
 )
 from .models import build_flat, build_tm
 from .parastructure import ParaHermitianStructure, classify, validate_structure
@@ -234,6 +233,9 @@ class _RunContext:
         guard = 0
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(hi - lo)):
+                raise SpecParseError("box intervals must have a finite width", "sample")
         while len(pts) < count:
             c = rng.uniform(lo, hi)
             guard += 1
@@ -285,7 +287,7 @@ def suite_validate(ctx):
     rep = validate_structure(ctx.model.S, ctx.points, tol=ctx.tol["validate"])
     wit = [
         {"residual": v, "invariant": k}
-        for k, v in rep.residuals.items() if v > ctx.tol["validate"]
+        for k, v in rep.residuals.items() if not v <= ctx.tol["validate"]
     ]
     return _suite_result("validate", rep.passed, rep.residuals, wit)
 
@@ -310,7 +312,7 @@ def suite_adapted(ctx):
     ok = True
     for side, sign in (("p", +1), ("n", -1)):
         integ = ctx.nijenhuis_gate(sign)
-        if integ > tol:
+        if not integ <= tol:
             residuals[f"{side}_side_skipped_nijenhuis"] = integ
             continue
         checked = True
@@ -332,29 +334,18 @@ def _field_pool(ctx, count=3, vars_subset=None):
             for _ in range(count)]
 
 
-def _eta_pair(S):
-    def pair(X, Y):
-        def fn(p, ctx_):
-            b = S.at(p, ctx_.order)
-            return tdot(tdot(b.eta, X.at(p, ctx_.order), ([0], [0])),
-                        Y.at(p, ctx_.order), ([0], [0]))[()]
-
-        return ScalarField(S.chart, fn)
-
-    return pair
-
-
 def _courant_projected(ctx, sign, name):
     S = ctx.model.S
     tol = ctx.tol["courant"]
     integ = ctx.nijenhuis_gate(sign)
-    if integ > tol:
+    if not integ <= tol:
         return _suite_result(name, True, {"nijenhuis": integ}, skipped=True,
                              reason="eigenbundle not integrable at tolerance")
     pool = _field_pool(ctx)
     bracket = lambda X, Y: br.projected_bracket(S.canonical, S, sign, X, Y)
     anchor = lambda X: apply_endomorphism(S.projector(sign), X)
-    rep = br.courant_axiom_suite(bracket, anchor, _eta_pair(S), pool,
+    pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
+    rep = br.courant_axiom_suite(bracket, anchor, pair, pool,
                                  ctx.points, tol=tol, seed=ctx.seed)
     res = {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3": rep.axiom3}
     return _suite_result(name, rep.passed(), res,
@@ -376,7 +367,8 @@ def suite_courant_d_full(ctx):
     pool = _field_pool(ctx)
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
     anchor = lambda X: X
-    rep = br.courant_axiom_suite(bracket, anchor, _eta_pair(S), pool,
+    pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
+    rep = br.courant_axiom_suite(bracket, anchor, pair, pool,
                                  ctx.points, tol=tol, seed=ctx.seed)
     res = {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3_defect": rep.axiom3}
     ok = rep.axiom1 <= tol and rep.axiom2 <= tol and rep.axiom3 > ctx.tol["witness_floor"]
@@ -392,7 +384,7 @@ def suite_jacobi_defect_witness(ctx):
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
     defects = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], ctx.batch)
     i = int(np.argmax(defects))  # the first worst point
-    worst = max(0.0, float(defects[i]))
+    worst = float(defects[i])
     ok = worst > ctx.tol["witness_floor"]
     wit = []
     if worst > 0.0:
@@ -416,15 +408,15 @@ def suite_section_condition(ctx):
     # batch: it shares the other suites' jets, and the work does not depend
     # on the sample size.
     curv = float(np.max(curvature(S.levi_civita).at(ctx.batch, 0).max_abs()[:3]))
-    if curv > tol:
+    if not curv <= tol:
         return _suite_result("section_condition", True, {"curvature": curv},
                              skipped=True, reason="eta is not flat")
     pool = _field_pool(ctx, vars_subset=list(range(chart.split)))
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
     minus = br.projected_bracket(S.canonical, S, -1, pool[0], pool[1]).at(ctx.batch, 0)
-    worst_minus = max(0.0, float(np.max(minus.max_abs())))
+    worst_minus = float(np.max(minus.max_abs()))
     jac = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], ctx.batch)
-    worst_jac = max(0.0, float(np.max(jac)))
+    worst_jac = float(np.max(jac))
     res = {"minus_bracket": worst_minus, "jacobi_defect": worst_jac}
     ok = worst_minus <= tol and worst_jac <= tol
     return _suite_result("section_condition", ok, res)
@@ -442,7 +434,7 @@ def suite_deform(ctx):
     # The two-sided check reads the first five points of the whole batch,
     # for the reason given in `suite_section_condition`.
     sides = df.maurer_cartan_sides(T, pool[0], pool[1], pool[2], ctx.batch)
-    agree = max(0.0, float(np.max(sides.agreement[:5])))
+    agree = float(np.max(sides.agreement[:5]))
     res = {"structure_validation": max(vrep.residuals.values()),
            "mc_two_sides_agreement": agree, "mc_residual": compat}
     ok = vrep.passed and agree <= tol

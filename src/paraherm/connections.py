@@ -26,6 +26,7 @@ from .geometry import (
     jets_gradient,
     metric_inverse_at,
     per_point_max,
+    require_within,
     stack_points,
     tdot,
     truncate_jets,
@@ -192,11 +193,7 @@ def torsion_residual(C: Connection, point, order=0) -> float:
 
 
 def require_torsionless(C: Connection, point, tol=1e-10):
-    res = torsion_residual(C, point)
-    bad = np.asarray(res) > tol
-    if bad.any():
-        i, where = point.first(bad)
-        raise NotTorsionless(f"torsion residual {np.ravel(res)[i]:.3e} exceeds {tol} at {where}")
+    require_within(point, torsion_residual(C, point), tol, NotTorsionless, "torsion residual")
 
 
 def riemann_jets(g, dg):
@@ -298,10 +295,10 @@ def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
     point_worst = np.stack([np.abs(r).max(axis=1) for r in (r1, r2, r3, r4)], axis=1)
     point_worst /= scale[:, None]
     for cond in worst:
-        worst[cond] = max(0.0, float(point_worst[:, cond - 1].max()))
+        worst[cond] = float(point_worst[:, cond - 1].max())
     for point, row in zip(sample, point_worst):
         for cond, val in zip(worst, row):
-            if val > tol:
+            if not val <= tol:
                 witnesses.append(
                     {"condition": cond, "point": [float(c) for c in point.coords],
                      "residual": float(val)}

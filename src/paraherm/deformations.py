@@ -40,6 +40,7 @@ from .geometry import (
     exterior_derivative,
     invert_matrix_jets,
     per_point_max,
+    require_within,
     stack_points,
     tdot,
 )
@@ -117,13 +118,8 @@ class BTransformation:
     def require_parakahler(self, point, tol=1e-8):
         """Raise NotParaKahler naming the first point (of a batch) where the
         base structure fails."""
-        res = self.base_parakahler_residual(point)
-        bad = np.asarray(res) > tol
-        if bad.any():
-            i, where = point.first(bad)
-            raise NotParaKahler(
-                f"base structure fails para-Kahler residual {np.ravel(res)[i]:.3e} at {where}"
-            )
+        require_within(point, self.base_parakahler_residual(point), tol, NotParaKahler,
+                       "base structure fails para-Kahler residual")
 
 
 def _type_residuals(S, b, sample, side):
@@ -139,15 +135,15 @@ def _type_residuals(S, b, sample, side):
     anti = per_point_max(vals + np.swapaxes(vals, 1, 2)) / scale
     wrong = np.maximum(per_point_max(np.swapaxes(Q, 1, 2) @ vals),
                        per_point_max(vals @ Q)) / scale
-    return max(0.0, float(anti.max())), max(0.0, float(wrong.max()))
+    return float(anti.max()), float(wrong.max())
 
 
 def b_transform(S, b: Field, sample=(), tol=1e-10) -> BTransformation:
     """Validate the two-form and build the sheared structure (plus side)."""
     anti, wrong = _type_residuals(S, b, sample, +1)
-    if anti > tol:
+    if not anti <= tol:
         raise NotAntisymmetric(f"b antisymmetry residual {anti:.3e}")
-    if wrong > tol:
+    if not wrong <= tol:
         raise WrongType(f"b has components off the (+2,-0) type, residual {wrong:.3e}")
     return BTransformation(S, b, side=+1)
 
@@ -155,9 +151,9 @@ def b_transform(S, b: Field, sample=(), tol=1e-10) -> BTransformation:
 def b_minus_transform(S, beta: Field, sample=(), tol=1e-10) -> BTransformation:
     """Mirror shear of T- toward T+, driven by a type (+0,-2) two-form."""
     anti, wrong = _type_residuals(S, beta, sample, -1)
-    if anti > tol:
+    if not anti <= tol:
         raise NotAntisymmetric(f"beta antisymmetry residual {anti:.3e}")
-    if wrong > tol:
+    if not wrong <= tol:
         raise WrongType(f"beta has components off the (+0,-2) type, residual {wrong:.3e}")
     return BTransformation(S, beta, side=-1)
 
@@ -231,7 +227,7 @@ def compatibility_residual(T: BTransformation, sample) -> float:
         return 0.0
     batch = stack_points(sample)
     scale = np.maximum(1.0, coeff_max(T.b.at(batch, 1)))
-    return max(0.0, float(np.max(mc_form(T).at(batch, 0).max_abs() / scale)))
+    return float(np.max(mc_form(T).at(batch, 0).max_abs() / scale))
 
 
 # --------------------------------------------------------------------------
@@ -360,12 +356,8 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
     n = chart.split
     A = TensorField(chart, 1, 1, embed_block(chart, A_block))
 
-    cond = np.linalg.cond(A.at(point, 0).values()[..., :n, :n])
-    bad = ~(cond <= MAX_CONDITION)
-    if bad.any():
-        i, where = point.first(bad)
-        raise SingularFrame(f"frame block condition number {np.ravel(cond)[i]:.3e} "
-                            f"exceeds {MAX_CONDITION:.0e} at {where}")
+    require_within(point, np.linalg.cond(A.at(point, 0).values()[..., :n, :n]), MAX_CONDITION,
+                   SingularFrame, "frame block condition number")
 
     # e_a is column a of A, which is zero below the plus block; the dual
     # coframe e^c is row c of the inverse block, on the minus block.

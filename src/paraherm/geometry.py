@@ -24,11 +24,12 @@ run a gather-multiply-scatter of the truncated Cauchy product over the
 coefficient axis.  Partials, truncation and values are index operations on
 that axis.  Outside `jets`, only code here reads jet coefficients, and the
 other modules go through the helpers next to `tdot` and `jets_gradient`.
-A scalar jet is a 0-d JetArray: indexing down to one component,
-contracting fully and `ScalarField.jet` give one.  The elementwise
-arithmetic (`*`, `/`, integer powers, `sin`, `cos`, `exp`, `sqrt`) works on
-JetArrays of any shape, and `eval_expr` evaluates an `expr` tree with it,
-once for a point or a whole batch.
+A scalar is the (0,0) field, and a scalar jet is a 0-d JetArray: indexing
+down to one component, contracting fully and a (0,0) field's `at` give one.
+The elementwise arithmetic (`*`, `/`, integer powers, `sin`, `cos`, `exp`,
+`sqrt`) works on JetArrays of any shape, and `eval_expr` evaluates an `expr`
+tree with it, once for a point or a whole batch; `TensorField.at` calls it
+for each component.
 
 Each field remembers its last point or batch: `TensorField.at` and
 `DerivedField.at` (like `ParaHermitianStructure.at`, `Connection.gamma` and
@@ -70,10 +71,10 @@ from .errors import (
 from .jets import context
 
 __all__ = [
-    "Chart", "Point", "ScalarField", "TensorField", "DerivedField", "JetArray",
+    "Chart", "Point", "TensorField", "DerivedField", "JetArray",
     "lie_bracket", "exterior_derivative", "lie_derivative",
-    "interior_product", "wedge", "musical",
-    "invert_matrix_jets", "metric_inverse_at", "d_scalar",
+    "interior_product", "scalar_pairing", "wedge", "musical",
+    "invert_matrix_jets", "metric_inverse_at", "require_within",
 ]
 
 
@@ -155,38 +156,20 @@ def stack_points(points) -> Point:
     return Point(points[0].chart, np.stack([p.coords for p in points]))
 
 
+def require_within(point, residuals, bound, error, label):
+    """The one gate: raise `error` naming the first point of `point` (one
+    point or a batch) whose residual is not <= `bound`, a NaN included.
+    With `point` None the message names no point."""
+    bad = ~(np.asarray(residuals) <= bound)
+    if bad.any():
+        i = int(np.argmax(bad))
+        where = f" at {point.first(bad)[1]}" if point is not None else ""
+        raise error(f"{label} {np.ravel(residuals)[i]:.3e}{where} exceeds {bound:.3g}")
+
+
 # --------------------------------------------------------------------------
-# Scalar sources
+# Expressions
 # --------------------------------------------------------------------------
-
-class ScalarField:
-    """A chart scalar evaluable to jets; wraps an Expr or a jet procedure."""
-
-    def __init__(self, chart, source):
-        self.chart = chart
-        if isinstance(source, (int, np.integer)):
-            source = ex.Const(Fraction(int(source)))
-        elif isinstance(source, (float, np.floating)):
-            source = ex.Const(float(source))
-        if isinstance(source, str):
-            source = chart.parse(source)
-        self.source = source
-        if not callable(source):
-            _check_bound(source, chart.dim)
-
-    def jet(self, point, order):
-        """The jets at a point (a 0-d JetArray), or at a batch (with the
-        batch axis); an expression is evaluated once for the whole batch."""
-        ctx = self.chart.context(order)
-        if callable(self.source):
-            return self.source(point, ctx)
-        return eval_expr(self.source, point.coords, order)
-
-    def value(self, point):
-        """The value at a point (a float), or at a batch (one per point)."""
-        vals = self.jet(point, 0).values()
-        return vals if point.batch else float(vals)
-
 
 def eval_expr(e, coords, order) -> JetArray:
     """Truncated Taylor expansion of the expression `e` at `coords`, exact to
@@ -248,19 +231,26 @@ def _eval(e, coords, ctx):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _as_expr(chart, source):
+    """A chart scalar (an int, a float, source text or an `expr` tree) as a
+    tree over the chart's coordinates."""
+    if isinstance(source, (int, np.integer)):
+        source = ex.Const(Fraction(int(source)))
+    elif isinstance(source, (float, np.floating)):
+        source = ex.Const(float(source))
+    elif isinstance(source, str):
+        source = chart.parse(source)
+    if not isinstance(source, ex.Expr):
+        raise TypeError(f"not a chart scalar: {source!r}")
+    _check_bound(source, chart.dim)
+    return source
+
+
 def _check_bound(node, dim):
     if isinstance(node, ex.Coord) and node.index >= dim:
         raise DimensionMismatch(f"expression coordinate {node.index} out of range for dim {dim}")
     for child in node.children:
         _check_bound(child, dim)
-
-
-def _as_scalar(chart, obj):
-    if isinstance(obj, ScalarField):
-        if obj.chart is not chart:
-            raise DimensionMismatch("scalar bound to a different chart")
-        return obj
-    return ScalarField(chart, obj)
 
 
 # --------------------------------------------------------------------------
@@ -782,7 +772,8 @@ def _memo_at(at=None, *, cut=truncate_jets):
 
 
 class TensorField(Field):
-    """An (r,s) tensor with components given as chart scalars (usually Expr).
+    """An (r,s) tensor whose components are chart scalars: `expr` trees, or
+    ints, floats or source text made into trees.  A (0,0) field is a scalar.
 
     The component array is dense, shape (dim,)**(r+s), upper indices first.
     A symmetry tag is an assertion checked numerically by validation suites,
@@ -798,17 +789,24 @@ class TensorField(Field):
                 f"component array has shape {comps.shape}, expected {arr.shape}"
             )
         for idx in np.ndindex(arr.shape):
-            arr[idx] = _as_scalar(chart, comps[idx])
+            arr[idx] = _as_expr(chart, comps[idx])
         self.comps = arr
 
     @_memo_at
     def at(self, point, order=0) -> JetArray:
+        """Each component's expression evaluated once for the point or the
+        whole batch.  Raises DomainError naming the first point where a
+        component jet is not finite (so numpy's overflow warnings are off)."""
         ctx = self.chart.context(order)
         batch = point.batch
         coeffs = np.empty(batch + self.comps.shape + (ctx.n,))
         rows = np.moveaxis(coeffs, 0, -2) if batch else coeffs  # (*shape, *batch, n)
-        for idx, comp in np.ndenumerate(self.comps):
-            rows[idx] = comp.jet(point, order).coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            for idx, comp in np.ndenumerate(self.comps):
+                rows[idx] = eval_expr(comp, point.coords, order).coeffs
+        bad = ~np.isfinite(coeffs.reshape(batch + (-1,))).all(axis=-1)
+        if bad.any():
+            raise DomainError(f"component jets are not finite at {point.first(bad)[1]}")
         nonzero = ctx.degree[coeffs.reshape(-1, ctx.n).any(axis=0)]
         return JetArray(ctx, coeffs, int(nonzero.max()) if nonzero.size else -1, len(batch))
 
@@ -834,10 +832,6 @@ def coordinate_vector_field(chart, i):
     comps = np.zeros(chart.dim)
     comps[i] = 1.0
     return constant_field(chart, comps, 1, 0)
-
-
-def scalar_field(chart, source):
-    return _as_scalar(chart, source)
 
 
 # --------------------------------------------------------------------------
@@ -870,7 +864,8 @@ def lie_bracket(X: Field, Y: Field) -> Field:
 
 
 def exterior_derivative(T: Field) -> Field:
-    """Coordinate exterior derivative of an antisymmetric (0,k) field."""
+    """Coordinate exterior derivative of an antisymmetric (0,k) field; of a
+    (0,0) field, its differential."""
     _want_form(T)
     if T.s >= 1 and T.sym != "antisymmetric":
         raise NotAntisymmetric("exterior derivative needs the antisymmetry tag")
@@ -887,15 +882,6 @@ def exterior_derivative(T: Field) -> Field:
     return DerivedField(T.chart, 0, T.s + 1, fn, sym="antisymmetric")
 
 
-def d_scalar(f: ScalarField) -> Field:
-    """Differential of a scalar, as a (0,1) field."""
-
-    def fn(p, k):
-        return jets_gradient(f.jet(p, k + 1))
-
-    return DerivedField(f.chart, 0, 1, fn, sym="antisymmetric")
-
-
 def interior_product(X: Field, T: Field) -> Field:
     """iota_X T: contract X into the first covariant slot."""
     _want_vector(X)
@@ -910,47 +896,35 @@ def interior_product(X: Field, T: Field) -> Field:
     return DerivedField(X.chart, 0, T.s - 1, fn, sym=sym)
 
 
-def scalar_pairing(T: Field, fields) -> ScalarField:
-    """Full contraction of a (0,k) field with k vector fields, as a scalar."""
+def scalar_pairing(T: Field, fields) -> Field:
+    """Full contraction of a (0,k) field with k vector fields, each into the
+    first remaining slot of T, as a (0,0) field."""
 
-    def fn(p, ctx):
-        comps = T.at(p, ctx.order)
+    def fn(p, k):
+        comps = T.at(p, k)
         for X in fields:
-            comps = tdot(X.at(p, ctx.order), comps, ([0], [0]))
-        return comps[()]
+            comps = tdot(comps, X.at(p, k), ([0], [0]))
+        return comps
 
-    return ScalarField(T.chart, fn)
+    return DerivedField(T.chart, 0, 0, fn)
 
 
 def lie_derivative(X: Field, T: Field) -> Field:
-    """Cartan magic formula L_X = iota_X d + d iota_X on (0,k) forms, k >= 1."""
+    """Cartan magic formula L_X = d iota_X + iota_X d on (0,k) forms; on a
+    scalar (k = 0) it is iota_X d."""
     _want_vector(X)
     _want_form(T)
-    if T.s < 1:
-        raise RankMismatch("lie_derivative is defined here for (0,k) forms with k >= 1")
     if T.sym != "antisymmetric" and T.s > 1:
         raise NotAntisymmetric("Cartan formula needs an antisymmetric form")
-    inner = interior_product(X, T)
-    if T.s == 1:
-        first = d_scalar(ScalarField(T.chart, lambda p, ctx: inner.at(p, ctx.order)[()]))
-    else:
-        inner.sym = "antisymmetric"
-        first = exterior_derivative(inner)
-    tagged = T if T.sym == "antisymmetric" else DerivedField(
+    tagged = T if T.s == 0 or T.sym == "antisymmetric" else DerivedField(
         T.chart, 0, T.s, lambda p, k: T.at(p, k), sym="antisymmetric"
     )
     second = interior_product(X, exterior_derivative(tagged))
-    return first + second
-
-
-def lie_derivative_scalar(X: Field, f: ScalarField) -> ScalarField:
-    _want_vector(X)
-
-    def fn(p, ctx):
-        xj = X.at(p, ctx.order)
-        return tdot(xj, jets_gradient(f.jet(p, ctx.order + 1)), ([0], [0]))[()]
-
-    return ScalarField(X.chart, fn)
+    if T.s == 0:
+        return second
+    inner = interior_product(X, T)
+    inner.sym = "antisymmetric"
+    return exterior_derivative(inner) + second
 
 
 def wedge(a: Field, b: Field) -> Field:
@@ -994,14 +968,10 @@ def antisymmetry_residual(T: Field, points, order=0) -> float:
     points = list(points)
     if not points:
         return 0.0
-    worst = 0.0
-    k = T.r + T.s
     vals = T.at(stack_points(points), order).values()
-    for perm in permutations(range(k)):
-        sgn = _perm_sign(list(perm))
-        moved = np.transpose(vals, (0, *(a + 1 for a in perm)))
-        worst = max(worst, float(np.max(np.abs(moved - sgn * vals))))
-    return worst
+    return float(np.max([
+        np.max(np.abs(np.transpose(vals, (0, *(a + 1 for a in perm))) - _perm_sign(perm) * vals))
+        for perm in permutations(range(T.r + T.s))]))
 
 
 # --------------------------------------------------------------------------
@@ -1023,13 +993,7 @@ def invert_matrix_jets(M: JetArray, point=None) -> JetArray:
     X <- X (2 - M X) doubles the number of correct orders.
     """
     vals = M.values()
-    cond = np.linalg.cond(vals)
-    bad = ~(cond <= MAX_CONDITION)
-    if bad.any():
-        i = int(np.argmax(bad))
-        where = f" at {point.first(bad)[1]}" if point is not None else ""
-        raise SingularMetric(
-            f"condition number {np.ravel(cond)[i]:.3e} exceeds {MAX_CONDITION:.0e}{where}")
+    require_within(point, np.linalg.cond(vals), MAX_CONDITION, SingularMetric, "condition number")
     X = constant_jets(M.ctx, np.linalg.inv(vals), M.nb)
     two = constant_jets(M.ctx, 2.0 * np.eye(vals.shape[-1]))
     for _ in range(max(1, math.ceil(math.log2(M.ctx.order + 1)))):

@@ -209,7 +209,7 @@ def flatness_residual(model: TangentBundleModel, sample) -> float:
     batch = stack_points(sample)
     curv = model.riemann_g(batch, 0).max_abs()
     scale = np.maximum(1.0, model.g.at(batch, 0).max_abs())
-    return max(0.0, float(np.max(curv / scale)))
+    return float(np.max(curv / scale))
 
 
 def b_field_on_tm(model: TangentBundleModel, b_sources, sample=(),

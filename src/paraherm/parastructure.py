@@ -198,8 +198,9 @@ def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> Validati
         "isotropy_minus": per_point_max(T(Pm) @ eta @ Pm) / scale,
     }
     for key, vals in per_point.items():
-        res[key] = max(0.0, float(vals.max()))
-    min_det = float(np.abs(np.linalg.det(eta)).min())
+        res[key] = float(vals.max())
+    with np.errstate(over="ignore"):  # a determinant past the float range is inf
+        min_det = float(np.abs(np.linalg.det(eta)).min())
     return ValidationReport(res, tol, len(sample), min_det)
 
 
@@ -448,5 +449,5 @@ def _classify_batch(S, batch, res, cross):
     }
     for out, vals in ((res, per_point), (cross, per_cross)):
         for key, v in vals.items():
-            out[key] = max(0.0, float(np.max(v)))
+            out[key] = float(np.max(v))
 

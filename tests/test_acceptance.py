@@ -21,7 +21,7 @@ from paraherm.deformations import (
 )
 from paraherm.errors import NotParaKahler
 from paraherm.geometry import (
-    TensorField, apply_endomorphism, constant_field, eval_expr, lie_bracket, tdot,
+    TensorField, apply_endomorphism, constant_field, eval_expr, lie_bracket, scalar_pairing,
 )
 from paraherm.models import b_field_on_tm, build_flat
 from paraherm.parastructure import classify, rho, rho_field
@@ -195,17 +195,7 @@ def test_criterion_4_courant_axioms(flat2, flatg_tm):
     tol = 1e-9
 
     def eta_pair(S):
-        from paraherm.geometry import ScalarField
-
-        def pair(X, Y):
-            def fn(p, ctx):
-                b = S.at(p, ctx.order)
-                return tdot(tdot(b.eta, X.at(p, ctx.order), ([0], [0])),
-                            Y.at(p, ctx.order), ([0], [0]))[()]
-
-            return ScalarField(S.chart, fn)
-
-        return pair
+        return lambda X, Y: scalar_pairing(S.eta, [X, Y])
 
     for model, seed in ((flat2, 500), (flatg_tm, 501)):
         S = model.S

@@ -11,7 +11,8 @@ from paraherm.connections import flat_connection, levi_civita
 from paraherm.errors import NotIntegrable, NotTorsionless
 from paraherm.geometry import (
     TensorField, apply_endomorphism, constant_field,
-    coordinate_vector_field, jets_gradient, lie_bracket, scalar_field, tdot,
+    DerivedField, coordinate_vector_field, exterior_derivative, jets_gradient, lie_bracket,
+    lie_derivative, scalar_pairing, tdot,
 )
 from paraherm.parastructure import rho, rho_field
 from paraherm.randfields import (
@@ -23,17 +24,7 @@ from oracles import values
 
 
 def eta_pair(S):
-    from paraherm.geometry import ScalarField
-
-    def pair(X, Y):
-        def fn(p, ctx):
-            b = S.at(p, ctx.order)
-            return tdot(tdot(b.eta, X.at(p, ctx.order), ([0], [0])),
-                        Y.at(p, ctx.order), ([0], [0]))[()]
-
-        return ScalarField(S.chart, fn)
-
-    return pair
+    return lambda X, Y: scalar_pairing(S.eta, [X, Y])
 
 
 # -- associated and projected brackets -------------------------------------------
@@ -130,25 +121,24 @@ def test_derivation_properties(flat2):
     S = flat2.S
     X = random_vector_field(chart, rng)
     Y = random_vector_field(chart, rng)
-    f = scalar_field(chart, random_poly(rng, 4))
-    from paraherm.geometry import DerivedField, d_scalar, lie_derivative_scalar
+    f = TensorField(chart, 0, 0, random_poly(rng, 4))
 
-    fY = DerivedField(chart, 1, 0, lambda p, k: Y.at(p, k) * f.jet(p, k))
-    fX = DerivedField(chart, 1, 0, lambda p, k: X.at(p, k) * f.jet(p, k))
+    fY = DerivedField(chart, 1, 0, lambda p, k: Y.at(p, k) * f.at(p, k))
+    fX = DerivedField(chart, 1, 0, lambda p, k: X.at(p, k) * f.at(p, k))
     for p in sample_points(flat2, 3, 11):
-        fval = f.value(p)
+        fval = f.values(p)
         base = d_bracket(S, X, Y).values(p)
         # right argument: pure derivation
         lhs = d_bracket(S, X, fY).values(p)
-        rhs = fval * base + lie_derivative_scalar(X, f).value(p) * Y.values(p)
+        rhs = fval * base + lie_derivative(X, f).values(p) * Y.values(p)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
         # left argument: the computable correction
         lhs2 = d_bracket(S, fX, Y).values(p)
         b = S.at(p, 0)
         etaXY = X.values(p) @ values(b.eta) @ Y.values(p)
-        df = d_scalar(f).values(p)
+        df = exterior_derivative(f).values(p)
         grad = values(b.eta_inv) @ df
-        rhs2 = (fval * base - lie_derivative_scalar(Y, f).value(p) * X.values(p)
+        rhs2 = (fval * base - lie_derivative(Y, f).values(p) * X.values(p)
                 + etaXY * grad)
         assert np.max(np.abs(lhs2 - rhs2)) < 1e-10
 
@@ -202,12 +192,11 @@ def test_dorfman_leafwise_axiom2(flat2):
         e = GeneralizedVectorField(*rho_field(S, sign, X), sign)
         fgv = GeneralizedVectorField(*rho_field(S, sign, Y), sign)
         br = dorfman_leafwise(S, sign, e, e)
-        from paraherm.geometry import lie_derivative_scalar
 
         for p in sample_points(flat2, 3, 16):
-            lhs = pairing(br, fgv).value(p)
+            lhs = pairing(br, fgv).values(p)
             anchor = fgv.vec
-            rhs = 0.5 * lie_derivative_scalar(anchor, pairing(e, e)).value(p)
+            rhs = 0.5 * lie_derivative(anchor, pairing(e, e)).values(p)
             assert abs(lhs - rhs) < 1e-9
 
 

@@ -88,6 +88,7 @@ def test_unknown_suite_exits_two(tmp_path):
     ("sample", {"count": 2, "box": [[-1e308, 1e308]] + [[0, 1]] * 3}),
     ("tolerances", {"validate": float("nan")}),
 ])
+@pytest.mark.filterwarnings("error")
 def test_malformed_spec_section_exits_two(tmp_path, capsys, section, value):
     """A bad value in a spec section is a spec error (exit 2) naming the
     section, not a traceback (exit 1, the code for a failed suite)."""
@@ -281,6 +282,38 @@ def test_sample_point_outside_a_domain_is_a_spec_error(tmp_path, capsys):
     assert err.startswith("spec error: ") and "[sample]" in err
     assert "at Point([2.0, 0.25])" in err
     assert not out.exists()
+
+
+def _exp_spec(rate):
+    """An explicit model whose eta grows as exp(rate * x), at x = 1 and 0.5."""
+    eta = f"exp({rate}*x)"
+    return {
+        "model": {"name": "explicit", "coords": ["x", "xt"], "split": 1,
+                  "eta": [["0", eta], [eta, "0"]], "K": [["1", "0"], ["0", "-1"]]},
+        "sample": {"mode": "explicit", "points": [[1.0, 0.0], [0.5, 0.2]]},
+        "jet_order": 3,
+        "suites": ["validate", "classify", "adapted", "courant_plus", "courant_minus",
+                   "courant_d_full"],
+    }
+
+
+@pytest.mark.parametrize("rate, code", [(700, 2), (400, 1)])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_jets_are_a_spec_error(tmp_path, capsys, rate, code):
+    """exp(700 x) has finite values at the sample but its jets overflow at
+    order 2 and above: a spec error naming the first such point, with no
+    report (whose NaN tokens strict JSON would reject).  exp(400 x) has
+    finite jets, and its run ends as a failed suite."""
+    spec = write_spec(tmp_path, "s.json", _exp_spec(rate))
+    out = tmp_path / "r.json"
+    assert run(spec, str(out)) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert ("spec error in suite 'courant_plus': component jets are not finite "
+                "at Point([1.0, 0.0])") in err
+        assert not out.exists()
+    else:
+        assert "NaN" not in out.read_text()
 
 
 # -- per-point work does not creep back ------------------------------------------

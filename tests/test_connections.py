@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from paraherm.connections import (
-    canonical_connection, canonical_connection_contorsion, check_adapted,
+    Connection, canonical_connection, canonical_connection_contorsion, check_adapted,
     covariant_derivative, covariant_differential, curvature, flat_connection,
-    from_christoffels, levi_civita, torsion,
+    from_christoffels, levi_civita, require_torsionless, torsion,
 )
+from paraherm.errors import DomainError, NotTorsionless
 from paraherm.geometry import (
-    Chart, TensorField, constant_field, scalar_field,
+    Chart, TensorField, constant_field, constant_jets, lie_derivative, stack_points,
 )
 from paraherm.parastructure import n_scalar
 from paraherm.randfields import random_metric_perturbation, random_poly, random_vector_field
@@ -61,16 +62,14 @@ def test_levi_civita_metric_compatibility():
 def test_covd_scalar_is_directional(flat2):
     chart = flat2.chart
     rng = np.random.default_rng(3)
-    f = scalar_field(chart, random_poly(rng, 4))
+    f = TensorField(chart, 0, 0, random_poly(rng, 4))
     X = random_vector_field(chart, rng)
-    # nabla_X f = X[f]: realize f as a (0,0)-rank tensor field.
-    F = TensorField(chart, 0, 0, np.array(f.source, dtype=object))
-    D = covariant_derivative(flat_connection(chart), X, F)
-    from paraherm.geometry import lie_derivative_scalar
+    # nabla_X f = X[f] for the (0,0) field f.
+    D = covariant_derivative(flat_connection(chart), X, f)
 
     for p in sample_points(flat2, 3, 4):
         assert abs(float(D.at(p, 0).values())
-                   - lie_derivative_scalar(X, f).value(p)) < 1e-12
+                   - float(lie_derivative(X, f).values(p))) < 1e-12
 
 
 def test_covd_flat_is_coordinate_derivative(flat2):
@@ -247,3 +246,49 @@ def test_from_christoffels_roundtrip():
     conn = from_christoffels(chart, comps)
     p = chart.point([0.5, 0.1])
     assert conn.gamma(p, 0).values()[0, 0, 0] == 0.5
+
+
+def _fails_check_adapted(C, S, pts):
+    """True when check_adapted rejects C at pts: it raises, or reports a
+    failure with a witness."""
+    try:
+        rep = check_adapted(C, S, "p", pts)
+    except (DomainError, NotTorsionless):
+        return True
+    return not rep.passed and bool(rep.witnesses)
+
+
+def test_overflowing_christoffels_fail_the_gates(flat1):
+    """Gamma^0_{01} - Gamma^0_{10} is inf - inf = NaN at these points: the
+    torsion gate and the adapted check must fail, not read the NaN as 0."""
+    chart = flat1.chart
+    comps = np.zeros((2, 2, 2), dtype=object)
+    comps[0, 0, 1] = "exp(800*x1) + 1"
+    comps[0, 1, 0] = "exp(800*x1)"
+    C = from_christoffels(chart, comps)
+    pts = [chart.point([1.0, 0.0]), chart.point([0.9, 0.1])]
+    for p in pts:
+        with pytest.raises((DomainError, NotTorsionless)):
+            require_torsionless(C, p)
+    assert _fails_check_adapted(C, flat1.S, pts)
+
+
+def test_nan_residuals_fail_the_gates(flat1):
+    """A connection whose Christoffels are NaN (not built from expressions,
+    so no finiteness check sees them) fails the torsion gate at the first
+    point, and every condition of check_adapted reads NaN with a witness."""
+    chart = flat1.chart
+
+    def fn(point, order):
+        vals = np.zeros(point.batch + (2, 2, 2))
+        vals[..., 0, 0, 1] = np.nan
+        return constant_jets(chart.context(order), vals, len(point.batch))
+
+    C = Connection(chart, fn)
+    pts = [chart.point([0.2, 0.3]), chart.point([0.4, -0.1])]
+    with pytest.raises(NotTorsionless, match=r"nan at Point\(\[0\.2, 0\.3\]\)"):
+        require_torsionless(C, stack_points(pts))
+    rep = check_adapted(C, flat1.S, "p", pts)
+    assert not rep.passed
+    assert all(np.isnan(v) for v in rep.conditions.values())
+    assert {w["condition"] for w in rep.witnesses} == {1, 2, 3, 4}

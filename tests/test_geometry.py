@@ -7,10 +7,10 @@ from paraherm.errors import (
     DomainError, InsufficientJetOrder, NotAntisymmetric, RankMismatch, SingularMetric,
 )
 from paraherm.geometry import (
-    Chart, DerivedField, TensorField, constant_field, constant_jets,
-    coordinate_vector_field, d_scalar, exterior_derivative, interior_product, jets_gradient,
-    lie_bracket, lie_derivative, lie_derivative_scalar, metric_inverse_at, musical,
-    scalar_field, truncate_jets, wedge,
+    Chart, DerivedField, Point, TensorField, antisymmetry_residual, constant_field,
+    constant_jets, coordinate_vector_field, exterior_derivative, interior_product,
+    jets_gradient, lie_bracket, lie_derivative, metric_inverse_at, musical, require_within,
+    scalar_pairing, truncate_jets, wedge,
 )
 from paraherm.jets import context
 from paraherm.randfields import random_form, random_poly, random_vector_field
@@ -68,14 +68,13 @@ def test_bracket_leibniz_in_second_argument(chart4):
     rng = np.random.default_rng(4)
     X = random_vector_field(chart4, rng)
     Y = random_vector_field(chart4, rng)
-    f = scalar_field(chart4, random_poly(rng, 4))
-    from paraherm.geometry import DerivedField
+    f = TensorField(chart4, 0, 0, random_poly(rng, 4))
 
-    fY = DerivedField(chart4, 1, 0, lambda p, k: Y.at(p, k) * f.jet(p, k))
+    fY = DerivedField(chart4, 1, 0, lambda p, k: Y.at(p, k) * f.at(p, k))
     for p in pts(chart4, 3, 5):
         lhs = lie_bracket(X, fY).at(p, 0).values()
-        xf = lie_derivative_scalar(X, f).value(p)
-        rhs = f.value(p) * lie_bracket(X, Y).at(p, 0).values() + xf * Y.values(p)
+        xf = lie_derivative(X, f).values(p)
+        rhs = f.values(p) * lie_bracket(X, Y).at(p, 0).values() + xf * Y.values(p)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -104,14 +103,12 @@ def test_d_of_xt_dx(chart):
         q = chart.point(rng.uniform(-1, 1, 2))
         X = random_vector_field(chart, rng)
         Y = random_vector_field(chart, rng)
-        from paraherm.geometry import scalar_pairing, tdot
-
         aY = scalar_pairing(alpha, [Y])
         aX = scalar_pairing(alpha, [X])
         lhs = (
-            lie_derivative_scalar(X, aY).value(q)
-            - lie_derivative_scalar(Y, aX).value(q)
-            - scalar_pairing(alpha, [lie_bracket(X, Y)]).value(q)
+            lie_derivative(X, aY).values(q)
+            - lie_derivative(Y, aX).values(q)
+            - scalar_pairing(alpha, [lie_bracket(X, Y)]).values(q)
         )
         dv = exterior_derivative(alpha).values(q)
         rhs = X.values(q) @ dv @ Y.values(q)
@@ -155,17 +152,16 @@ def test_lie_derivative_leibniz(chart4):
     rng = np.random.default_rng(12)
     X = random_vector_field(chart4, rng)
     alpha = random_form(chart4, rng, k=1)
-    f = scalar_field(chart4, random_poly(rng, 4))
-    from paraherm.geometry import DerivedField
+    f = TensorField(chart4, 0, 0, random_poly(rng, 4))
 
     fa = DerivedField(chart4, 0, 1,
-                      lambda p, k: alpha.at(p, k) * f.jet(p, k),
+                      lambda p, k: alpha.at(p, k) * f.at(p, k),
                       sym="antisymmetric")
     for p in pts(chart4, 3, 13):
         lhs = lie_derivative(X, fa).values(p)
         rhs = (
-            lie_derivative_scalar(X, f).value(p) * alpha.values(p)
-            + f.value(p) * lie_derivative(X, alpha).values(p)
+            lie_derivative(X, f).values(p) * alpha.values(p)
+            + f.values(p) * lie_derivative(X, alpha).values(p)
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -199,15 +195,14 @@ def test_wedge_two_one_forms(chart):
 def test_wedge_consistent_with_d(chart):
     """d(f dg) = df ^ dg for scalars f, g."""
     rng = np.random.default_rng(16)
-    f = scalar_field(chart, random_poly(rng, 2))
-    g = scalar_field(chart, random_poly(rng, 2))
-    from paraherm.geometry import DerivedField
+    f = TensorField(chart, 0, 0, random_poly(rng, 2))
+    g = TensorField(chart, 0, 0, random_poly(rng, 2))
 
     fdg = DerivedField(chart, 0, 1,
-                       lambda p, k: d_scalar(g).at(p, k) * f.jet(p, k),
+                       lambda p, k: exterior_derivative(g).at(p, k) * f.at(p, k),
                        sym="antisymmetric")
     lhs = exterior_derivative(fdg)
-    rhs = wedge(d_scalar(f), d_scalar(g))
+    rhs = wedge(exterior_derivative(f), exterior_derivative(g))
     for p in pts(chart, 4, 17):
         assert (lhs - rhs).at(p, 0).max_abs() < 1e-11
 
@@ -264,8 +259,6 @@ def test_rank_guards(chart):
 
 def test_declared_antisymmetry_is_checkable(chart):
     """The symmetry tag is an assertion; the numeric checker catches lies."""
-    from paraherm.geometry import antisymmetry_residual
-
     honest = TensorField(chart, 0, 2,
                          np.array([["0", "x"], ["-x", "0"]], dtype=object),
                          sym="antisymmetric")
@@ -275,6 +268,56 @@ def test_declared_antisymmetry_is_checkable(chart):
     points = pts(chart, 3, 77)
     assert antisymmetry_residual(honest, points) < 1e-10
     assert antisymmetry_residual(liar, points) > 0.01
+
+
+def test_nan_components_fail_the_antisymmetry_check(chart):
+    """A NaN component reads NaN, not 0, in the residual."""
+    nan = DerivedField(chart, 0, 2, lambda p, k: constant_jets(
+        chart.context(k), np.full(p.batch + (2, 2), np.nan), len(p.batch)),
+        sym="antisymmetric")
+    assert np.isnan(antisymmetry_residual(nan, pts(chart, 2, 78)))
+
+
+def test_gate_fails_at_the_first_point_above_its_bound_or_nan(chart):
+    batch = Point(chart, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    require_within(batch, np.array([0.0, 1e-12, 0.0]), 1e-10, SingularMetric, "r")
+    require_within(chart.point([0.1, 0.2]), 1e-10, 1e-10, SingularMetric, "r")
+    with pytest.raises(SingularMetric, match=r"^r nan at Point\(\[0\.3, 0\.4\]\) exceeds"):
+        require_within(batch, np.array([0.0, np.nan, 5.0]), 1e-10, SingularMetric, "r")
+    with pytest.raises(SingularMetric, match=r"^r 5\.000e\+00 at Point\(\[0\.5, 0\.6\]\)"):
+        require_within(batch, np.array([0.0, 0.0, 5.0]), 1e-10, SingularMetric, "r")
+    with pytest.raises(SingularMetric, match=r"^r nan exceeds 1e-10$"):
+        require_within(None, np.nan, 1e-10, SingularMetric, "r")
+
+
+# -- scalars are (0,0) fields ---------------------------------------------------
+
+def test_scalar_is_the_rank_zero_field(chart):
+    """A (0,0) TensorField takes an expression, source text or a number, and
+    evaluates to 0-d jets (with the batch axis at a batch); d is its
+    gradient and L_X is X[f]."""
+    f = TensorField(chart, 0, 0, "x^2 * xt")
+    p = chart.point([0.5, -2.0])
+    batch = Point(chart, [[0.5, -2.0], [1.0, 3.0]])
+    assert f.at(p, 2).shape == () and float(f.values(p)) == -0.5
+    assert f.values(batch).tolist() == [-0.5, 3.0]
+    assert exterior_derivative(f).values(p).tolist() == [-2.0, 0.25]
+    X = TensorField(chart, 1, 0, np.array(["1", "xt"], dtype=object))
+    assert float(lie_derivative(X, f).values(p)) == -2.0 + -2.0 * 0.25
+    assert float(TensorField(chart, 0, 0, 3).values(p)) == 3.0
+    assert float(TensorField(chart, 0, 0, 0.25).values(p)) == 0.25
+    with pytest.raises(TypeError):
+        TensorField(chart, 0, 0, None)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_component_jets_are_a_domain_error(chart):
+    """exp(800 x) overflows at x = 1: the field names the first such point
+    of a batch instead of returning inf or NaN jets."""
+    f = TensorField(chart, 0, 0, "exp(800*x) - exp(800*x)")
+    with pytest.raises(DomainError, match=r"not finite at Point\(\[1\.0, 0\.0\]\)"):
+        f.at(Point(chart, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]), 0)
+    assert float(f.values(chart.point([0.5, 0.0]))) == 0.0
 
 
 def test_chart_dimension_must_be_even():

@@ -18,7 +18,11 @@ targets `_mul_t`, and `expr`, the syntax of expressions, imports neither
 `brackets.flat_coordinate_dbracket` stays independent of the path it
 checks: it calls no `tdot` and no connection or structure code.  Only
 `geometry` constructs a `JetArray` or sets its carried jet degree `deg`, so
-the degree bound that `tdot` and `*` rely on is kept in one module.  No
+the degree bound that `tdot` and `*` rely on is kept in one module.  There
+is one field protocol: a scalar is the (0,0) `Field`, so no module names a
+scalar field type or its operators (`ScalarField`, `scalar_field`,
+`d_scalar`, `lie_derivative_scalar`, `_as_scalar`, `_covector_on`), and no
+class defines a `jet` or `value` method beside `Field.at`.  No
 module keeps results keyed by a point: only `Point` and the one-entry
 `_memo_at` of `geometry` read `point.key`, so memory does not grow with the
 number of points evaluated.
@@ -35,6 +39,9 @@ SRC = Path(paraherm.__file__).resolve().parent
 MODULES = ("connections", "parastructure", "brackets", "deformations", "models", "cli")
 FORBIDDEN = {"ndindex", "coeffs", "truncate"}
 SECOND_JET_TYPE = {"Jet", "as_jets", "_scalar_jets", "eval_jet", "bincount"}
+SECOND_FIELD_PROTOCOL = {"ScalarField", "scalar_field", "d_scalar", "lie_derivative_scalar",
+                         "_as_scalar", "_covector_on"}
+SECOND_FIELD_METHODS = {"jet", "value"}
 PRODUCT_TABLE_READERS = {("geometry", "_product_tables")}
 KEY_READERS = {("geometry", "Point"), ("geometry", "_memo_at")}
 ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
@@ -196,9 +203,46 @@ def test_the_oracle_shares_no_code_with_the_connection_path():
     assert [name for _, name in _oracle_dependencies(tree)] == ["tdot"]
 
 
-@pytest.mark.parametrize("cls, name", [
-    ("TensorField", "at"), ("DerivedField", "at"), ("ScalarField", "jet"),
-])
+def _second_field_protocol(tree):
+    """(line, name) of each trace of a scalar field type beside `Field`: a
+    class, function, import or name in SECOND_FIELD_PROTOCOL, or a method
+    of a class named in SECOND_FIELD_METHODS."""
+    for node in ast.walk(tree):
+        if _name(node) in SECOND_FIELD_PROTOCOL:
+            yield node.lineno, _name(node)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name in SECOND_FIELD_METHODS:
+                    yield item.lineno, f"{node.name}.{item.name}"
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_one_field_protocol(module):
+    found = sorted(_second_field_protocol(_tree(module)))
+    assert not found, f"{module}.py has a second scalar field protocol at {found}"
+
+
+def test_one_field_protocol_guard_catches_a_scalar_field():
+    """The guard flags a scalar field class with its own `jet` and `value`
+    methods, its imports and its scalar-only operators."""
+    source = (
+        "from .geometry import ScalarField, d_scalar\n"
+        "class ScalarField:\n"
+        "    def jet(self, point, order):\n"
+        "        return eval_expr(self.source, point.coords, order)\n"
+        "    def value(self, point):\n"
+        "        return self.jet(point, 0).values()\n"
+        "def lie_derivative_scalar(X, f):\n"
+        "    return geometry._as_scalar(X.chart, f)\n"
+    )
+    found = sorted(_second_field_protocol(ast.parse(source)))
+    assert found == [
+        (1, "ScalarField"), (1, "d_scalar"), (2, "ScalarField"), (3, "ScalarField.jet"),
+        (5, "ScalarField.value"), (7, "lie_derivative_scalar"), (8, "_as_scalar"),
+    ]
+
+
+@pytest.mark.parametrize("cls, name", [("TensorField", "at"), ("DerivedField", "at")])
 def test_traced_field_methods_stay_on_their_classes(cls, name):
     """The benchmark's layer tracer (`perfbench/layertrace.py`) wraps these
     methods in each class's own namespace: one inherited from a base class

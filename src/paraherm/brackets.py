@@ -300,15 +300,19 @@ class BracketReport:
 
 
 def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
-                        seed=0, skip_pairing=False) -> BracketReport:
+                        seed=0, skip_pairing=False, scale=None) -> BracketReport:
     """Residuals of the three Courant axioms for a bracket/anchor/pairing triple.
 
     `elements` is a pool of test sections; axioms are evaluated on ordered
     triples drawn deterministically from the pool, each triple's fields built
-    once and evaluated on the sample as one batch.  The witness of an axiom
-    is its first worst (point, triple) in point-major order.  `skip_pairing`
-    drops axioms 1 and 2 (for the plain Lie bracket, whose pairing is
-    degenerate).
+    once and evaluated on the sample as one batch.  Each point's residuals
+    of axioms 1 and 2, which are linear in the pairing, are divided by its
+    entry of `scale` (one per sample point, 1 when None), so a caller can
+    make them relative to the size of the metric; the Jacobi defect of
+    axiom 3 is a vector field's and stays absolute.  The witness of an
+    axiom is its first worst (point, triple) in point-major order.
+    `skip_pairing` drops axioms 1 and 2 (for the plain Lie bracket, whose
+    pairing is degenerate).
     """
     sample = list(sample)
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
@@ -319,6 +323,7 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
         batch = stack_points(sample)
         # res[axiom][p, t]: |residual| at point p for triple t.
         res = {axiom: np.zeros((len(sample), n)) for axiom in worst}
+        scale = np.ones(len(sample)) if scale is None else np.asarray(scale, dtype=float)
         for ti, (X, Y, Z) in enumerate(triples):
             if not skip_pairing:
                 lhs = lie_derivative(anchor(X), pair(Y, Z)).values(batch)
@@ -327,8 +332,8 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
                 r2 = pair(bracket(X, X), Y).values(batch) - 0.5 * lie_derivative(
                     anchor(Y), pair(X, X)
                 ).values(batch)
-                res[1][:, ti] = np.abs(r1)
-                res[2][:, ti] = np.abs(r2)
+                res[1][:, ti] = np.abs(r1) / scale
+                res[2][:, ti] = np.abs(r2) / scale
             res[3][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
         # Witnesses in the order the axioms first had a nonzero residual.
         nonzero = [a for a in worst if res[a].any()]

@@ -334,6 +334,12 @@ def _field_pool(ctx, count=3, vars_subset=None):
             for _ in range(count)]
 
 
+def _eta_scale(ctx):
+    """max(1, max |eta|) at each sample point: the Courant suites divide the
+    residuals of the pairing axioms by it, as `validate` divides its own."""
+    return np.maximum(1.0, ctx.model.S.eta.at(ctx.batch, 0).max_abs())
+
+
 def _courant_projected(ctx, sign, name):
     S = ctx.model.S
     tol = ctx.tol["courant"]
@@ -345,8 +351,8 @@ def _courant_projected(ctx, sign, name):
     bracket = lambda X, Y: br.projected_bracket(S.canonical, S, sign, X, Y)
     anchor = lambda X: apply_endomorphism(S.projector(sign), X)
     pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
-    rep = br.courant_axiom_suite(bracket, anchor, pair, pool,
-                                 ctx.points, tol=tol, seed=ctx.seed)
+    rep = br.courant_axiom_suite(bracket, anchor, pair, pool, ctx.points, tol=tol,
+                                 seed=ctx.seed, scale=_eta_scale(ctx))
     res = {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3": rep.axiom3}
     return _suite_result(name, rep.passed(), res,
                          [w | {"axiom": k} for k, w in rep.witnesses.items()])
@@ -368,8 +374,8 @@ def suite_courant_d_full(ctx):
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
     anchor = lambda X: X
     pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
-    rep = br.courant_axiom_suite(bracket, anchor, pair, pool,
-                                 ctx.points, tol=tol, seed=ctx.seed)
+    rep = br.courant_axiom_suite(bracket, anchor, pair, pool, ctx.points, tol=tol,
+                                 seed=ctx.seed, scale=_eta_scale(ctx))
     res = {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3_defect": rep.axiom3}
     ok = rep.axiom1 <= tol and rep.axiom2 <= tol and rep.axiom3 > ctx.tol["witness_floor"]
     return _suite_result("courant_d_full", ok, res,

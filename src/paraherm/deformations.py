@@ -12,7 +12,7 @@ unnormalized cyclic-sum convention of the geometry module.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -287,7 +287,8 @@ class FluxReport:
     extras: dict = dc_field(default_factory=dict)
 
     def to_dict(self):
-        return asdict(self)
+        """The fields as a dict sharing their values (no deep copy)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def extract_fluxes(T: BTransformation, point, pk_tol=1e-8):

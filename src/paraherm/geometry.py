@@ -27,9 +27,15 @@ other modules go through the helpers next to `tdot` and `jets_gradient`.
 A scalar is the (0,0) field, and a scalar jet is a 0-d JetArray: indexing
 down to one component, contracting fully and a (0,0) field's `at` give one.
 The elementwise arithmetic (`*`, `/`, integer powers, `sin`, `cos`, `exp`,
-`sqrt`) works on JetArrays of any shape, and `eval_expr` evaluates an `expr`
-tree with it, once for a point or a whole batch; `TensorField.at` calls it
-for each component.
+`sqrt`) works on JetArrays of any shape.  A `TensorField` compiles the
+`expr` trees of its components once, at construction, into a levelled
+`Tape`: equal subtrees share a slot, each subtree that reads no coordinate
+is a constant row computed once per jet order, and the other nodes run
+level by level, one kernel call for all the nodes of a level that share an
+operation and the degree classes of their operands, over one stacked
+buffer.  Each component gets the bits it gets evaluated alone.
+`eval_expr` runs a tape (or one tree) for a point or a whole batch, and
+`TensorField.at` calls it once per evaluation.
 
 Each field remembers its last point or batch: `TensorField.at` and
 `DerivedField.at` (like `ParaHermitianStructure.at`, `Connection.gamma` and
@@ -51,6 +57,7 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations, permutations
@@ -172,63 +179,203 @@ def require_within(point, residuals, bound, error, label):
 # --------------------------------------------------------------------------
 
 def eval_expr(e, coords, order) -> JetArray:
-    """Truncated Taylor expansion of the expression `e` at `coords`, exact to
-    rounding: a 0-d JetArray for coords of shape (dim,), and one with the
-    batch axis for (B, dim), all B points in one pass.  A DomainError or
-    DivisionByZero names the first point where `e` cannot be evaluated."""
+    """Truncated Taylor expansion at `coords` of an expression tree, or of
+    the forest of a `Tape`, exact to rounding.
+
+    Coords of shape (dim,) give one point and (B, dim) a batch, all B points
+    in one pass.  A tree gives a 0-d JetArray (one axis for the batch); a
+    tape gives its tensor shape.  The coefficients are C-contiguous and
+    `deg` is the exact degree of their highest nonzero block.  A DomainError
+    or DivisionByZero names the first point where some component cannot be
+    evaluated."""
     coords = np.asarray(coords, dtype=float)
     ctx = context(coords.shape[-1], order)
+    tape = e if isinstance(e, Tape) else Tape([e], dim=ctx.dim)
     try:
-        out = _eval(e, coords, ctx)
+        return tape.run(coords, ctx)
     except (DomainError, DivisionByZero) as exc:
         if coords.ndim == 1:
             raise type(exc)(f"{exc} at Point({coords.tolist()})") from None
         for row in coords:  # raises at the first failing point
-            eval_expr(e, row, order)
+            eval_expr(tape, row, order)
         raise
-    if out.nb < coords.ndim - 1:  # `e` reads no coordinate
-        out = JetArray(ctx, np.broadcast_to(out.coeffs, coords.shape[:-1] + (ctx.n,)), out.deg, 1)
-    return out
 
 
-def _eval(e, coords, ctx):
-    # The leaves are built here, not by `constant_jets` and `coordinate_jets`,
-    # whose argument handling makes a single-point D-bracket 40% slower.
-    match e:
-        case ex.Const(value=v):
-            coeffs = np.zeros(ctx.n)
-            coeffs[0] = v
-            return JetArray(ctx, coeffs, 0 if v else -1)
-        case ex.Coord(index=i):
-            if i >= ctx.dim:
-                raise DimensionMismatch(
-                    f"expression uses coordinate {i} but the point has dim {ctx.dim}")
-            coeffs = np.zeros(coords.shape[:-1] + (ctx.n,))
-            coeffs[..., 0] = coords[..., i]
-            if ctx.order:
-                coeffs[..., 1 + i] = 1.0
-            return JetArray(ctx, coeffs, min(1, ctx.order), coords.ndim - 1)
-        case ex.Neg(arg=a):
-            return -_eval(a, coords, ctx)
-        case ex.Add(left=l, right=r):
-            return _eval(l, coords, ctx) + _eval(r, coords, ctx)
-        case ex.Sub(left=l, right=r):
-            return _eval(l, coords, ctx) - _eval(r, coords, ctx)
-        case ex.Mul(left=l, right=r):
-            return _eval(l, coords, ctx) * _eval(r, coords, ctx)
-        case ex.Div(left=l, right=r):
-            return _eval(l, coords, ctx) / _eval(r, coords, ctx)
-        case ex.Pow(base=b, exponent=n):
-            return _eval(b, coords, ctx) ** n
-        case ex.Sin(arg=a):
-            return _eval(a, coords, ctx).sin()
-        case ex.Cos(arg=a):
-            return _eval(a, coords, ctx).cos()
-        case ex.Exp(arg=a):
-            return _eval(a, coords, ctx).exp()
-        case ex.Sqrt(arg=a):
-            return _eval(a, coords, ctx).sqrt()
-    raise TypeError(f"not an expression node: {e!r}")
+# Degree classes of a tape node: all-zero (deg -1), constant (deg 0), or
+# deg >= 1 at jet orders K >= 1 (deg 0 at K = 0).  A group runs with these
+# degrees; each member alone has the same -1, 0 or positive degree, so the
+# kernel takes the product path it takes alone.
+_ZERO, _CONST, _VAR = 0, 1, 2
+
+_KERNELS = {
+    ex.Neg: operator.neg, ex.Add: operator.add, ex.Sub: operator.sub,
+    ex.Mul: operator.mul, ex.Div: operator.truediv, ex.Pow: operator.pow,
+    ex.Sin: operator.methodcaller("sin"), ex.Cos: operator.methodcaller("cos"),
+    ex.Exp: operator.methodcaller("exp"), ex.Sqrt: operator.methodcaller("sqrt"),
+}
+_BINARY = (ex.Add, ex.Sub, ex.Mul, ex.Div)
+# Kernels whose product paths follow their operands' degree classes; the
+# others only add, subtract or negate coefficients.
+_PATHED = (ex.Mul, ex.Div, ex.Pow, ex.Sin, ex.Cos, ex.Exp, ex.Sqrt)
+
+
+def _degree_class(t, args, exponent):
+    if t in (ex.Neg, ex.Add, ex.Sub):
+        return max(args)
+    if t in (ex.Mul, ex.Div):
+        return _ZERO if _ZERO in args else max(args)
+    if t is ex.Pow:
+        return _CONST if exponent == 0 else args[0]
+    return _VAR if args[0] == _VAR else _CONST  # sin, cos, exp, sqrt
+
+
+class Tape:
+    """A forest of expression trees compiled once into a levelled evaluation
+    tape (the Taylor-propagation tape of Griewank & Walther, Evaluating
+    Derivatives, 2008, with the nodes of one level run together).
+
+    Structurally equal subtrees share one slot; constants are keyed by the
+    type and the bits of their float value, so 0.0 and -0.0 stay apart.
+    Each subtree that reads no coordinate is folded into a constant row,
+    computed once per jet order by the same kernels (the Newton steps of a
+    reciprocal depend on the order) and kept on the tape.  The other nodes
+    are grouped by height, operation and the degree classes of their
+    operands, which fix every product path inside the kernel; a group is one
+    JetArray kernel call over the stacked slots of one buffer of shape
+    (*batch, slots, ncoef), so each slot gets the bits its tree alone gets.
+    A forest that reads no coordinate is one constant array per order.
+    """
+
+    def __init__(self, trees, shape=(), dim=None):
+        index, seen = {}, {}  # structural key -> node; id(tree) -> node
+        info = []  # node -> (degree class, reads a coordinate, height, children)
+        leaves, values, coords, coord_index, groups = [], [], [], [], {}
+
+        def visit(e):  # post-order: a node's index comes after its children's
+            i = seen.get(id(e))
+            if i is not None:
+                return i
+            t = type(e)
+            if t is ex.Const:
+                v = float(e.value)
+                key = (type(e.value), v.hex())
+            elif t is ex.Coord:
+                if dim is not None and e.index >= dim:
+                    raise DimensionMismatch(
+                        f"expression coordinate {e.index} out of range for dim {dim}")
+                key = (t, e.index)
+            elif t in _BINARY:
+                key = (t, (visit(e.left), visit(e.right)))
+            elif t is ex.Pow:
+                key = (t, (visit(e.base),), e.exponent, type(e.exponent))
+            elif t in _KERNELS:
+                key = (t, (visit(e.arg),))
+            else:
+                raise TypeError(f"not an expression node: {e!r}")
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(info)
+                if t is ex.Const:
+                    info.append((_CONST if v else _ZERO, False, 0, ()))
+                    leaves.append(i)
+                    values.append(v)
+                elif t is ex.Coord:
+                    info.append((_VAR, True, 0, ()))
+                    coords.append(i)
+                    coord_index.append(e.index)
+                else:
+                    args = key[1]
+                    a = info[args[0]]
+                    if len(args) == 2:
+                        b = info[args[1]]
+                        r = a[1] or b[1]
+                        h = 1 + max(a[2] if a[1] == r else 0, b[2] if b[1] == r else 0)
+                        arg_cls = (a[0], b[0])
+                    else:
+                        r, h, arg_cls = a[1], 1 + a[2], (a[0],)
+                    path = arg_cls if t in _PATHED else (_VAR,) * len(args)
+                    groups.setdefault((r, h, t, key[2:], path), []).append(i)
+                    exponent = key[2] if t is ex.Pow else None
+                    info.append((_degree_class(t, arg_cls, exponent), r, h, args))
+            seen[id(e)] = i
+            return i
+
+        roots = [visit(e) for e in trees]
+        # Slots: constant leaves, constant groups, coordinates, other groups.
+        order = sorted(groups, key=lambda g: g[:2])
+        layout = leaves + [i for g in order if not g[0] for i in groups[g]]
+        self.n_const = len(layout)
+        layout += coords + [i for g in order if g[0] for i in groups[g]]
+        slot = [0] * len(layout)
+        for s, i in enumerate(layout):
+            slot[i] = s
+        self.shape = tuple(shape)
+        self.size = len(layout)
+        self.leaf_values = np.array(values)
+        self.coord_index = np.array(coord_index, dtype=int)
+        self.out = np.array([slot[i] for i in roots], dtype=int)
+        self.const_groups, self.groups = [], []
+        for g in order:
+            (reads, _, t, exponent, path), members = g, groups[g]
+            operands = [(np.array([slot[info[i][3][k]] for i in members]), c)
+                        for k, c in enumerate(path)]
+            lo = slot[members[0]]
+            (self.groups if reads else self.const_groups).append(
+                (_KERNELS[t], operands, exponent[:1], lo, lo + len(members)))
+        self._per_order = {}  # order -> (leading rows of the buffer, fixed result or None)
+
+    def _constants(self, ctx):
+        """At ctx's order: the buffer's leading rows (the constants, then the
+        coordinates' unit gradients) and, for a forest that reads no
+        coordinate, its result as a JetArray.  Computed at the first request."""
+        entry = self._per_order.get(ctx.order)
+        if entry is None:
+            m = len(self.coord_index)
+            rows = np.zeros((self.n_const + m, ctx.n))
+            rows[: len(self.leaf_values), 0] = self.leaf_values
+            _run_groups(rows, self.const_groups, ctx, 0)
+            fixed = None
+            if not m:
+                out = rows.take(self.out, axis=0).reshape(self.shape + (ctx.n,))
+                fixed = _exact_deg(ctx, out, 0)
+                fixed.coeffs.flags.writeable = False
+            elif ctx.order:
+                rows[self.n_const + np.arange(m), 1 + self.coord_index] = 1.0
+            rows.flags.writeable = False
+            entry = self._per_order[ctx.order] = (rows, fixed)
+        return entry
+
+    def run(self, coords, ctx) -> JetArray:
+        """The forest's jets at coords of shape (*batch, dim); see `eval_expr`."""
+        batch = coords.shape[:-1]
+        rows, fixed = self._constants(ctx)
+        if fixed is not None:
+            if not batch:
+                return JetArray(ctx, fixed.coeffs, fixed.deg)
+            out = np.empty(batch + fixed.coeffs.shape)
+            out[...] = fixed.coeffs
+            return JetArray(ctx, out, fixed.deg, 1)
+        buf = np.empty(batch + (self.size, ctx.n))
+        buf[..., : len(rows), :] = rows
+        buf[..., self.n_const : len(rows), 0] = coords[..., self.coord_index]
+        _run_groups(buf, self.groups, ctx, len(batch))
+        out = buf.take(self.out, axis=-2).reshape(batch + self.shape + (ctx.n,))
+        return _exact_deg(ctx, out, len(batch))
+
+
+def _run_groups(buf, groups, ctx, nb):
+    """Run each group's kernel on its operand slots of `buf` (*batch, slots,
+    ncoef) and write the results to its own slots, level by level."""
+    degs = (-1, 0, ctx.order)
+    for kernel, operands, extra, lo, hi in groups:
+        args = [JetArray(ctx, buf.take(idx, axis=-2), degs[c], nb) for idx, c in operands]
+        buf[..., lo:hi, :] = kernel(*args, *extra).coeffs
+
+
+def _exact_deg(ctx, coeffs, nb):
+    """`coeffs` as a JetArray whose deg is its highest nonzero block."""
+    nonzero = np.flatnonzero(coeffs.reshape(-1, ctx.n).any(axis=0))
+    return JetArray(ctx, coeffs, int(ctx.degree[nonzero[-1]]) if nonzero.size else -1, nb)
 
 
 def _as_expr(chart, source):
@@ -242,15 +389,7 @@ def _as_expr(chart, source):
         source = chart.parse(source)
     if not isinstance(source, ex.Expr):
         raise TypeError(f"not a chart scalar: {source!r}")
-    _check_bound(source, chart.dim)
     return source
-
-
-def _check_bound(node, dim):
-    if isinstance(node, ex.Coord) and node.index >= dim:
-        raise DimensionMismatch(f"expression coordinate {node.index} out of range for dim {dim}")
-    for child in node.children:
-        _check_bound(child, dim)
 
 
 # --------------------------------------------------------------------------
@@ -346,7 +485,8 @@ class JetArray:
         the batch).  A zero or constant operand takes the degree rule of
         `tdot`; two non-constant operands run the truncated Cauchy product,
         each coefficient summed pair by pair in the order of
-        `_product_tables`, so the result does not depend on the shapes."""
+        `_product_tables`, starting from 0, so the result does not depend on
+        the shapes."""
         if not isinstance(other, JetArray):
             if not isinstance(other, Real):
                 return NotImplemented
@@ -367,7 +507,12 @@ class JetArray:
                 out = ca * cb[..., :1]
             else:
                 ga, gb, mask = _product_tables(a.ctx)[3:]
-                out = (ca[..., ga] * cb[..., gb] * mask).sum(axis=-2)
+                if max(ca.size, cb.size) * len(ga) <= _FUSED_PRODUCT_MAX:
+                    out = (ca[..., ga] * cb[..., gb] * mask).sum(axis=-2)
+                else:  # the same sum from 0, one pair at a time, without the R-fold temporaries
+                    out = np.zeros(np.broadcast_shapes(ca.shape, cb.shape))
+                    for r in range(len(ga)):
+                        out += ca[..., ga[r]] * cb[..., gb[r]] * mask[r]
         except ValueError:
             raise RankMismatch(f"tensor shapes {a.shape} and {b.shape} do not broadcast") from None
         return JetArray(a.ctx, out, deg, max(a.nb, b.nb))
@@ -411,14 +556,24 @@ class JetArray:
         """f(self), given derivs[m], the m-th derivative of f at the values
         (one per jet): the sum of derivs[m] / m! h^m, with h the
         nonconstant, nilpotent part of self."""
+        ctx, nb = self.ctx, self.nb
+
+        def const(values):  # deg 0 even where the values vanish, see below
+            coeffs = np.zeros(values.shape + (ctx.n,))
+            coeffs[..., 0] = values
+            return JetArray(ctx, coeffs, 0, nb)
+
+        # The degree of the result and the path of each product follow the
+        # degree of self alone, never the values of f's derivatives, so that
+        # a `Tape` group takes the path each of its members takes alone.
         h = self.coeffs.copy()
         h[..., 0] = 0.0
-        h = power = JetArray(self.ctx, h, self.deg, self.nb)
-        acc = constant_jets(self.ctx, derivs[0], self.nb)
-        for m in range(1, self.ctx.order + 1):
+        h = power = JetArray(ctx, h, self.deg, nb)
+        acc = const(derivs[0])
+        for m in range(1, ctx.order + 1):
             if m > 1:
                 power = power * h
-            acc = acc + power * constant_jets(self.ctx, derivs[m] / math.factorial(m), self.nb)
+            acc = acc + power * const(derivs[m] / math.factorial(m))
         return acc
 
     def sin(self):
@@ -463,6 +618,13 @@ class JetArray:
 
     def __repr__(self):
         return f"JetArray(batch={self.batch}, shape={self.shape}, deg={self.deg}, {self.ctx})"
+
+
+# Largest number of pair products (operand size times the pairs per
+# coefficient) that `*` builds as one temporary; a larger product sums its
+# pairs one at a time.  Past about 128 KB a temporary costs more per element
+# than the loop (measured with numpy 2.4 on x86-64).
+_FUSED_PRODUCT_MAX = 1 << 14
 
 
 def per_point_max(arr, nb=1):
@@ -791,24 +953,19 @@ class TensorField(Field):
         for idx in np.ndindex(arr.shape):
             arr[idx] = _as_expr(chart, comps[idx])
         self.comps = arr
+        self.tape = Tape(arr.flat, arr.shape, chart.dim)
 
     @_memo_at
     def at(self, point, order=0) -> JetArray:
-        """Each component's expression evaluated once for the point or the
-        whole batch.  Raises DomainError naming the first point where a
-        component jet is not finite (so numpy's overflow warnings are off)."""
-        ctx = self.chart.context(order)
-        batch = point.batch
-        coeffs = np.empty(batch + self.comps.shape + (ctx.n,))
-        rows = np.moveaxis(coeffs, 0, -2) if batch else coeffs  # (*shape, *batch, n)
+        """The components' tape run once for the point or the whole batch.
+        Raises DomainError naming the first point where a component jet is
+        not finite (so numpy's overflow warnings are off)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            for idx, comp in np.ndenumerate(self.comps):
-                rows[idx] = eval_expr(comp, point.coords, order).coeffs
-        bad = ~np.isfinite(coeffs.reshape(batch + (-1,))).all(axis=-1)
+            out = eval_expr(self.tape, point.coords, order)
+        bad = ~np.isfinite(out.coeffs.reshape(point.batch + (-1,))).all(axis=-1)
         if bad.any():
             raise DomainError(f"component jets are not finite at {point.first(bad)[1]}")
-        nonzero = ctx.degree[coeffs.reshape(-1, ctx.n).any(axis=0)]
-        return JetArray(ctx, coeffs, int(nonzero.max()) if nonzero.size else -1, len(batch))
+        return out
 
 
 class DerivedField(Field):

@@ -9,6 +9,8 @@ relative otherwise, and the carried degree is checked against the
 coefficients of every batched result.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,11 @@ from paraherm.brackets import GeneralizedVectorField, dorfman_leafwise
 from paraherm.deformations import BTransformation
 from paraherm.errors import DomainError, NotIntegrable, NotParaKahler, SingularMetric
 from paraherm.geometry import (
+    _FUSED_PRODUCT_MAX,
     Chart,
     JetArray,
     TensorField,
+    _product_tables,
     concat_jets,
     constant_field,
     constant_jets,
@@ -140,6 +144,28 @@ def test_elementwise_kernels_equal_stacked_points(dim, ka, kb, da, db, B, p, c, 
     # Values and max_abs give one entry per point.
     assert np.array_equal(a.values(), np.stack([at_point(a, i).values() for i in range(B)]))
     assert np.array_equal(a.max_abs(), [at_point(a, i).max_abs() for i in range(B)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 4), st.sampled_from([(), (3,)]), st.integers(0, 2),
+       seeds)
+def test_large_products_are_byte_equal_to_stacked_points(dim, k, shape, broadcast, seed):
+    """A product too large for one temporary sums its pairs one at a time;
+    each point still gets the bits of its own small product, signed zeros
+    and operand broadcasting included."""
+    rng = np.random.default_rng(seed)
+    ctx = context(dim, k)
+    pairs = len(_product_tables(ctx)[3])
+    points = _FUSED_PRODUCT_MAX // (pairs * ctx.n * max(1, math.prod(shape))) + 1
+    picks = np.array([-1.5, -1.0, -0.0, 0.0, 0.5, 2.0])
+    a = JetArray(ctx, rng.choice(picks, (points,) + shape + (ctx.n,)), k, 1)
+    b = JetArray(ctx, rng.choice(picks, (points,) + shape + (ctx.n,)), k, 1)
+    if broadcast == 1:
+        b = at_point(b, 0)          # unbatched, broadcast over the points
+    elif broadcast == 2 and shape:
+        b = b[:1]                   # one component, broadcast over the axis
+    got = a * b
+    assert_stacked(got, [at_point(a, i) * at_point(b, i) for i in range(points)], exact=True)
 
 
 @SETTINGS

@@ -297,13 +297,14 @@ def _exp_spec(rate):
     }
 
 
-@pytest.mark.parametrize("rate, code", [(700, 2), (400, 1)])
+@pytest.mark.parametrize("rate, code", [(700, 2), (400, 0)])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_jets_are_a_spec_error(tmp_path, capsys, rate, code):
     """exp(700 x) has finite values at the sample but its jets overflow at
     order 2 and above: a spec error naming the first such point, with no
     report (whose NaN tokens strict JSON would reject).  exp(400 x) has
-    finite jets, and its run ends as a failed suite."""
+    finite jets, values up to 5e173, and every suite passes: the Courant
+    pairing residuals are relative to max |eta|, as validate's are."""
     spec = write_spec(tmp_path, "s.json", _exp_spec(rate))
     out = tmp_path / "r.json"
     assert run(spec, str(out)) == code
@@ -314,6 +315,38 @@ def test_non_finite_jets_are_a_spec_error(tmp_path, capsys, rate, code):
         assert not out.exists()
     else:
         assert "NaN" not in out.read_text()
+        courant = [s for s in json.loads(out.read_text())["suites"]
+                   if s["name"].startswith("courant")]
+        assert len(courant) == 3
+        for suite in courant:
+            assert suite["residuals"]["axiom1"] <= 1e-9 and suite["residuals"]["axiom2"] <= 1e-9
+
+
+def _courant_residuals(tmp_path, c):
+    """The Courant suites' residuals with the constant eta c * [[0, I], [I, 0]]."""
+    eta = [["0", "0", c, "0"], ["0", "0", "0", c], [c, "0", "0", "0"], ["0", c, "0", "0"]]
+    K = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]
+    spec = write_spec(tmp_path, f"eta{c}.json", {
+        "model": {"name": "explicit", "coords": ["x", "y", "xt", "yt"], "split": 2,
+                  "eta": eta, "K": K},
+        "sample": {"mode": "uniform", "count": 4, "seed": 3},
+        "suites": ["courant_plus", "courant_minus", "courant_d_full"],
+    })
+    out = tmp_path / f"r{c}.json"
+    assert run(spec, str(out)) == 0
+    return {s["name"]: s["residuals"] for s in json.loads(out.read_text())["suites"]}
+
+
+def test_courant_residuals_are_relative_to_eta(tmp_path):
+    """Scaling a constant eta by 1e6 leaves the Courant residuals the same up
+    to rounding (absolute pairing residuals would grow to about 1e-9)."""
+    unit, big = _courant_residuals(tmp_path, "1"), _courant_residuals(tmp_path, "1000000")
+    for name, residuals in unit.items():
+        for axiom, r in residuals.items():
+            if axiom == "axiom3_defect":
+                assert big[name][axiom] == pytest.approx(r, rel=1e-9)
+            else:
+                assert big[name][axiom] == pytest.approx(r, abs=1e-14)
 
 
 # -- per-point work does not creep back ------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import math
 from fractions import Fraction
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraherm.errors import (
-    DivisionByZero, DomainError, ExprSyntaxError, NonIntegerExponent, UnknownIdentifier,
+    DimensionMismatch, DivisionByZero, DomainError, ExprSyntaxError, NonIntegerExponent,
+    UnknownIdentifier,
 )
 from paraherm.expr import (
     Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sqrt, Sub,
     parse_expr, to_source,
 )
-from paraherm.geometry import eval_expr
+from paraherm.geometry import Chart, JetArray, Tape, TensorField, eval_expr
 from oracles import central_diff_gradient, central_diff_hessian, derivative
 
 
@@ -193,12 +195,16 @@ def test_print_parse_roundtrip(e):
 
 # -- the evaluator on a batch of points ----------------------------------------
 
-def _smooth_exprs(nvars):
-    """Expressions over `nvars` coordinates, with every node kind; divisions,
-    negative powers and square roots only of expressions kept positive on
-    the sampled box [-1, 1]^nvars."""
-    coord = st.integers(0, nvars - 1).map(Coord)
-    leaves = st.one_of(coord, st.integers(-8, 8).map(lambda n: Const(Fraction(n, 4))))
+def _smooth_exprs(nvars, signed_zeros=False):
+    """Expressions over `nvars` coordinates (none: constant expressions),
+    with every node kind; divisions, negative powers and square roots only
+    of expressions kept positive on the sampled box [-1, 1]^nvars.  With
+    `signed_zeros`, the float constants 0.0 and -0.0 are leaves too."""
+    leaves = st.integers(-8, 8).map(lambda n: Const(Fraction(n, 4)))
+    if signed_zeros:
+        leaves = st.one_of(leaves, st.sampled_from([Const(0.0), Const(-0.0), Const(-1.5)]))
+    if nvars:
+        leaves = st.one_of(st.integers(0, nvars - 1).map(Coord), leaves)
 
     def positive(e):
         return Add(Const(Fraction(5, 2)), Mul(Const(Fraction(1, 4)), Sin(e)))
@@ -221,10 +227,14 @@ def _smooth_exprs(nvars):
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+# Built once: a strategy made inside a draw is validated again at every draw.
+_SMOOTH_EXPRS = [_smooth_exprs(nvars) for nvars in range(9)]
+
+
 @st.composite
 def _expr_and_points(draw):
     nvars = draw(st.integers(1, 8))
-    e = draw(_smooth_exprs(nvars))
+    e = draw(_SMOOTH_EXPRS[nvars])
     seed = draw(st.integers(0, 2**32 - 1))
     B = draw(st.integers(1, 5))
     return e, np.random.default_rng(seed).uniform(-1.0, 1.0, (B, nvars))
@@ -258,3 +268,124 @@ def test_constant_expression_at_a_batch_has_the_batch_axis():
     got = eval_expr(parse_expr("2 * 3", ["x1"]), np.zeros((4, 1)), 2)
     assert got.nb == 1 and got.coeffs.shape == (4, 3) and got.deg == 0
     assert np.array_equal(got.values(), [6.0] * 4)
+
+
+# -- the tape of a forest ------------------------------------------------------
+
+_SIGNED_ZERO_EXPRS = [_smooth_exprs(nvars, signed_zeros=True) for nvars in range(7)]
+
+
+@st.composite
+def _forest(draw):
+    """Trees over `nvars` coordinates: random ones, constant-only ones, and
+    ones made of the others' subtrees, both as the same objects and as
+    equal copies."""
+    nvars = draw(st.integers(1, 6))
+    trees = draw(st.lists(_SIGNED_ZERO_EXPRS[nvars], min_size=1, max_size=5))
+    trees += draw(st.lists(_SIGNED_ZERO_EXPRS[0], max_size=2))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = (trees[draw(st.integers(0, len(trees) - 1))] for _ in range(2))
+        op = draw(st.sampled_from([Add, Sub, Mul]))
+        trees.append(op(a, copy.deepcopy(b)) if draw(st.booleans()) else Neg(a))
+    return nvars, trees
+
+
+def _node_by_node(e, coords, ctx):
+    """The reference for the tape: `e` evaluated node by node with the
+    JetArray kernels, every node at the degree its own operands give it."""
+    match e:
+        case Const(value=v):
+            coeffs = np.zeros(ctx.n)
+            coeffs[0] = v
+            return JetArray(ctx, coeffs, 0 if v else -1)
+        case Coord(index=i):
+            coeffs = np.zeros(coords.shape[:-1] + (ctx.n,))
+            coeffs[..., 0] = coords[..., i]
+            if ctx.order:
+                coeffs[..., 1 + i] = 1.0
+            return JetArray(ctx, coeffs, min(1, ctx.order), coords.ndim - 1)
+        case Pow(base=b, exponent=n):
+            return _node_by_node(b, coords, ctx) ** n
+    args = [_node_by_node(c, coords, ctx) for c in e.children]
+    kernel = {Neg: lambda a: -a, Add: lambda a, b: a + b, Sub: lambda a, b: a - b,
+              Mul: lambda a, b: a * b, Div: lambda a, b: a / b, Sin: JetArray.sin,
+              Cos: JetArray.cos, Exp: JetArray.exp, Sqrt: JetArray.sqrt}[type(e)]
+    return kernel(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_forest(), st.integers(0, 4), st.sampled_from([(), (1,), (4,)]),
+       st.integers(0, 2**32 - 1))
+def test_forest_tape_is_byte_equal_to_each_tree_alone(forest, k, batch, seed):
+    """One tape over the forest gives every tree the bits it gets evaluated
+    alone, by its own tape and node by node, at a point and at a batch, and
+    a degree that never under-reports."""
+    nvars, trees = forest
+    coords = np.random.default_rng(seed).uniform(-1.0, 1.0, batch + (nvars,))
+    got = eval_expr(Tape(trees, (len(trees),)), coords, k)
+    assert got.nb == len(batch) and got.shape == (len(trees),)
+    assert got.coeffs.flags["C_CONTIGUOUS"]
+    assert not np.any(got.coeffs[..., got.ctx.degree > got.deg])
+    for i, e in enumerate(trees):
+        alone = eval_expr(e, coords, k).coeffs
+        reference = _node_by_node(e, coords, got.ctx).coeffs
+        want = np.broadcast_to(reference, coords.shape[:-1] + reference.shape[-1:])
+        assert got.coeffs[..., i, :].tobytes() == alone.tobytes() == want.tobytes()
+
+
+def test_signed_zero_constants_keep_their_bits():
+    """Const(0.0) and Const(-0.0) are equal dataclasses but different bits,
+    so the tape gives them separate slots."""
+    chart = Chart(["x", "xt"], split=1)
+    K = TensorField(chart, 0, 2, np.array([[1.0, -0.0], [0.0, -1.0]]).astype(object))
+    assert K.tape.n_const == 4
+    got = K.at(chart.point([0.3, 0.4]), 2).coeffs
+    assert np.array_equal(np.signbit(got[..., 0]), [[False, True], [False, True]])
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_tape_output_is_c_contiguous(batch):
+    chart = Chart(["x", "xt"], split=1)
+    coords = np.random.default_rng(5).uniform(-1.0, 1.0, batch + (2,))
+    for comps in (["x*xt", "sin(x) + xt^2"], [2, "3/4"]):
+        X = TensorField(chart, 1, 0, comps)
+        for k in (0, 3):
+            assert X.at(chart.point(coords), k).coeffs.flags["C_CONTIGUOUS"]
+
+
+def test_a_field_is_compiled_once(monkeypatch):
+    """Construction compiles the tape; evaluations at any number of points
+    and orders reuse it."""
+    compiled = []
+    init = Tape.__init__
+
+    def counting(self, *args, **kwargs):
+        compiled.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "__init__", counting)
+    chart = Chart(["x", "y", "xt", "yt"], split=2)
+    X = TensorField(chart, 1, 0, ["x*y", "sin(xt) / (2 + yt^2)", "1/3", "x - x"])
+    assert compiled == [X.tape]
+    rng = np.random.default_rng(6)
+    for k in (0, 3, 1, 2, 3):
+        for coords in (rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (5, 4))):
+            X.at(chart.point(coords), k)
+    assert compiled == [X.tape]
+
+
+def test_field_error_names_the_first_failing_point():
+    """The components run together, so the error comes from the first point
+    where any of them fails, whatever the component order."""
+    chart = Chart(["x", "xt"], split=1)
+    X = TensorField(chart, 1, 0, ["sqrt(x)", "1/xt"])
+    with pytest.raises(DivisionByZero, match=r"at Point\(\[1\.0, 0\.0\]\)"):
+        X.at(chart.point([[1.0, 1.0], [1.0, 0.0], [-1.0, 1.0]]), 1)
+
+
+def test_compiling_checks_the_coordinates():
+    chart = Chart(["x", "xt"], split=1)
+    with pytest.raises(DimensionMismatch, match="coordinate 2 out of range for dim 2"):
+        TensorField(chart, 0, 0, Add(Coord(0), Coord(2)))
+    with pytest.raises(DimensionMismatch, match="coordinate 2 out of range for dim 2"):
+        eval_expr(Coord(2), [0.1, 0.2], 1)

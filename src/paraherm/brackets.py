@@ -114,8 +114,9 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
         covA = tdot(nabla_jets(gamma, a1, 0, 1), x2, ([1], [0]))
         return vec, cov + covX + covA
 
-    vecf = DerivedField(chart, 1, 0, lambda p, k: comps(p, k)[0])
-    covf = DerivedField(chart, 0, 1, lambda p, k: comps(p, k)[1])
+    inputs = (C.christoffels, e1.vec, e1.cov, e2.vec, e2.cov)
+    vecf = DerivedField(chart, 1, 0, lambda p, k: comps(p, k)[0], inputs=inputs)
+    covf = DerivedField(chart, 0, 1, lambda p, k: comps(p, k)[1], inputs=inputs)
     return GeneralizedVectorField(vecf, covf)
 
 
@@ -126,31 +127,29 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
 def _bracket_core(C, S, X, Y, project=None):
     """Shared engine: eta([X,Y], Z) = eta(nabla_X Y - nabla_Y X, Z) + eta(nabla_Z X, Y),
     with all three connection arguments optionally projected by `project`."""
+    P = None if project is None else S.projector(project)
 
     def fn(p, k):
         gamma = C.gamma(p, k)
-        bundle = S.at(p, k)
+        eta, eta_inv = S.eta.at(p, k), S.eta_inv.at(p, k)
+        Pj = None if P is None else P.at(p, k)
         xj = X.at(p, k + 1)
         yj = Y.at(p, k + 1)
-        if project is None:
+        if P is None:
             dirx, diry = xj, yj
         else:
-            P = bundle.Pp if project > 0 else bundle.Pm
-            dirx = tdot(P, xj, ([1], [0]))
-            diry = tdot(P, yj, ([1], [0]))
+            dirx = tdot(Pj, xj, ([1], [0]))
+            diry = tdot(Pj, yj, ([1], [0]))
         w = covd_jets(gamma, dirx, yj, 1, 0) - covd_jets(gamma, diry, xj, 1, 0)
-        xi = tdot(bundle.eta, w, ([0], [0]))
+        xi = tdot(eta, w, ([0], [0]))
         # c_I = eta(nabla_{d_I} X, Y)
-        eta_y = tdot(bundle.eta, yj, ([0], [0]))
+        eta_y = tdot(eta, yj, ([0], [0]))
         full = tdot(nabla_jets(gamma, xj, 1, 0), eta_y, ([1], [0]))
-        if project is None:
-            xi = xi + full
-        else:
-            P = bundle.Pp if project > 0 else bundle.Pm
-            xi = xi + tdot(P, full, ([0], [0]))
-        return tdot(bundle.eta_inv, xi, ([1], [0]))
+        xi = xi + (full if P is None else tdot(Pj, full, ([0], [0])))
+        return tdot(eta_inv, xi, ([1], [0]))
 
-    return DerivedField(S.chart, 1, 0, fn)
+    inputs = (C.christoffels, S.eta, S.eta_inv, X, Y) + (() if P is None else (P,))
+    return DerivedField(S.chart, 1, 0, fn, inputs=inputs)
 
 
 def associated_bracket(C: Connection, S, X: Field, Y: Field) -> Field:
@@ -190,10 +189,10 @@ def leafwise_d(S, side, obj):
         def fn(p, k):
             return tdot(P.at(p, k), df.at(p, k), ([0], [0]))
 
-        return DerivedField(S.chart, 0, 1, fn, sym="antisymmetric")
+        return DerivedField(S.chart, 0, 1, fn, sym="antisymmetric", inputs=(P, df))
     if obj.rank == (0, 1):
         tagged = DerivedField(obj.chart, 0, 1, lambda p, k: obj.at(p, k),
-                              sym="antisymmetric")
+                              sym="antisymmetric", inputs=(obj,))
         dxi = exterior_derivative(tagged)
 
         def fn2(p, k):
@@ -202,7 +201,7 @@ def leafwise_d(S, side, obj):
                 S, dxi.at(p, k), 2 if side > 0 else 0, b
             )
 
-        return DerivedField(S.chart, 0, 2, fn2, sym="antisymmetric")
+        return DerivedField(S.chart, 0, 2, fn2, sym="antisymmetric", inputs=(dxi, *S.fields))
     raise RankMismatch("leafwise_d handles scalars and one-forms")
 
 
@@ -232,7 +231,7 @@ def dorfman_leafwise(S, side, e1: GeneralizedVectorField, e2: GeneralizedVectorF
         return vec.at(p, k)
 
     return GeneralizedVectorField(
-        DerivedField(S.chart, 1, 0, checked_vec), cov, side
+        DerivedField(S.chart, 1, 0, checked_vec, inputs=(vec, S.eta, S.K)), cov, side
     )
 
 
@@ -246,7 +245,7 @@ def jacobi_defect(bracket, X, Y, Z, point):
     defect = bracket(X, bracket(Y, Z)) - bracket(Y, bracket(X, Z)) - bracket(
         bracket(X, Y), Z
     )
-    return defect.at(point, 0).max_abs()
+    return defect.max_abs(point)
 
 
 def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
@@ -269,13 +268,13 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
         S1 = tdot(bj, D, ([1], [0]))
         return S1 + S1.transpose((1, 2, 0)) + S1.transpose((2, 0, 1))
 
-    return DerivedField(beta.chart, 3, 0, fn)
+    return DerivedField(beta.chart, 3, 0, fn, inputs=(C.christoffels, beta))
 
 
 def schouten_scalar(beta, C, lam, mu, nu, point, order=0, check_torsion=True):
     """[beta,beta](lam, mu, nu) for float covectors at a point (or batch)."""
     t = schouten_self(beta, C, check_torsion=check_torsion).at(point, order)
-    return contract_value(t, *(constant_jets(t.ctx, c) for c in (lam, mu, nu)))
+    return contract_value(point, t, *(constant_jets(t.ctx, c) for c in (lam, mu, nu)))
 
 
 # --------------------------------------------------------------------------
@@ -380,4 +379,4 @@ def flat_coordinate_dbracket(chart, eta_matrix, X: Field, Y: Field) -> Field:
         w = (dx * y_low[None, :]).sum(1)                           # [K]
         return out + (w[:, None] * constant_jets(ctx, eta_inv)).sum(0)
 
-    return DerivedField(chart, 1, 0, fn)
+    return DerivedField(chart, 1, 0, fn, inputs=(X, Y))

@@ -7,7 +7,7 @@ the same spec and seed give byte-identical JSON up to the wall-time field,
 which is excluded from the determinism hash stored in the report.
 
 Exit codes: 0 all requested suites pass, 1 at least one suite fails,
-2 the spec itself is invalid.
+2 the spec itself is invalid or the report cannot be written.
 """
 
 from __future__ import annotations
@@ -18,8 +18,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -337,7 +339,7 @@ def _field_pool(ctx, count=3, vars_subset=None):
 def _eta_scale(ctx):
     """max(1, max |eta|) at each sample point: the Courant suites divide the
     residuals of the pairing axioms by it, as `validate` divides its own."""
-    return np.maximum(1.0, ctx.model.S.eta.at(ctx.batch, 0).max_abs())
+    return np.maximum(1.0, ctx.model.S.eta.max_abs(ctx.batch))
 
 
 def _courant_projected(ctx, sign, name):
@@ -413,14 +415,14 @@ def suite_section_condition(ctx):
     # The flatness gate reads the first three points, but evaluates the whole
     # batch: it shares the other suites' jets, and the work does not depend
     # on the sample size.
-    curv = float(np.max(curvature(S.levi_civita).at(ctx.batch, 0).max_abs()[:3]))
+    curv = float(np.max(curvature(S.levi_civita).max_abs(ctx.batch)[:3]))
     if not curv <= tol:
         return _suite_result("section_condition", True, {"curvature": curv},
                              skipped=True, reason="eta is not flat")
     pool = _field_pool(ctx, vars_subset=list(range(chart.split)))
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
-    minus = br.projected_bracket(S.canonical, S, -1, pool[0], pool[1]).at(ctx.batch, 0)
-    worst_minus = float(np.max(minus.max_abs()))
+    minus = br.projected_bracket(S.canonical, S, -1, pool[0], pool[1])
+    worst_minus = float(np.max(minus.max_abs(ctx.batch)))
     jac = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], ctx.batch)
     worst_jac = float(np.max(jac))
     res = {"minus_bracket": worst_minus, "jacobi_defect": worst_jac}
@@ -512,9 +514,19 @@ def check_jet_order(ctx, suite_names):
                 f"suite {name!r} needs jet order {need}, the spec gives {ctx.jet_order}")
 
 
+def check_output(path):
+    """Raise SpecParseError unless `path` is a file name in a writable directory."""
+    path = Path(path)
+    if path.is_dir() or not path.parent.is_dir() or not os.access(path.parent, os.W_OK):
+        raise SpecParseError(f"cannot write report {str(path)!r}: not a file in a writable "
+                             "directory", "output")
+
+
 def run(spec_path, output_path=None, verbose=False) -> int:
     t0 = time.monotonic()
     try:
+        if output_path:
+            check_output(output_path)
         spec = load_spec(spec_path)
         ctx = _RunContext(spec)
         suite_names = spec["suites"]

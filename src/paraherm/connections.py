@@ -21,10 +21,11 @@ from .errors import NotTorsionless
 from .geometry import (
     DerivedField,
     Field,
-    _memo_at,
+    TensorField,
     constant_jets,
     jets_gradient,
     metric_inverse_at,
+    per_point,
     per_point_max,
     require_within,
     stack_points,
@@ -42,17 +43,16 @@ __all__ = [
 
 class Connection:
     """Christoffel symbols as an evaluation procedure over jets, at a point or
-    a batch, with the one-entry memo of `Field.at`."""
+    a batch: `christoffels`, a rank-(1,2) `DerivedField` reading the fields
+    `inputs` (not a tensor, so no tensor operator is applied to it)."""
 
-    def __init__(self, chart, fn, provenance="user_supplied"):
+    def __init__(self, chart, fn, provenance="user_supplied", inputs=()):
         self.chart = chart
-        self._fn = fn
         self.provenance = provenance
-        self._memo = None
+        self.christoffels = DerivedField(chart, 1, 2, fn, inputs=inputs)
 
-    @_memo_at
     def gamma(self, point, order):
-        return self._fn(point, order)
+        return self.christoffels.at(point, order)
 
     def __repr__(self):
         return f"Connection({self.provenance}, chart={self.chart.coord_names})"
@@ -67,14 +67,8 @@ def flat_connection(chart) -> Connection:
 
 def from_christoffels(chart, comps, provenance="user_supplied") -> Connection:
     """Connection from an explicit Gamma^k_{ij} array of chart scalars."""
-    from .geometry import TensorField
-
     tf = TensorField(chart, 1, 2, comps)
-
-    def fn(point, order):
-        return tf.at(point, order)
-
-    return Connection(chart, fn, provenance=provenance)
+    return Connection(chart, tf.at, provenance=provenance, inputs=(tf,))
 
 
 def christoffel_jets(inv, de):
@@ -92,7 +86,7 @@ def levi_civita(eta: Field) -> Connection:
         ej, inv = metric_inverse_at(eta, point, order + 1)
         return truncate_jets(christoffel_jets(inv, jets_gradient(ej)), order)
 
-    return Connection(eta.chart, fn, provenance="levi_civita")
+    return Connection(eta.chart, fn, provenance="levi_civita", inputs=(eta,))
 
 
 def canonical_connection(S) -> Connection:
@@ -101,7 +95,7 @@ def canonical_connection(S) -> Connection:
 
     def fn(point, order):
         g0 = lc.gamma(point, order)
-        bundle = S.at(point, order + 1)
+        bundle = S.at(point, order + 1)  # the brackets read eta^{-1} as its slice
         out = None
         for P in (bundle.Pp, bundle.Pm):
             dP = jets_gradient(P)  # dP[i, m, j] = d_i P^m_j
@@ -111,7 +105,7 @@ def canonical_connection(S) -> Connection:
             out = term if out is None else out + term
         return truncate_jets(out, order)
 
-    return Connection(S.chart, fn, provenance="canonical")
+    return Connection(S.chart, fn, provenance="canonical", inputs=(lc.christoffels, *S.fields))
 
 
 def canonical_connection_contorsion(S) -> Connection:
@@ -129,7 +123,7 @@ def canonical_connection_contorsion(S) -> Connection:
         gamma = g0 - 0.5 * tdot(bundle.eta_inv, corr, ([0], [2]))  # (k, i, j)
         return truncate_jets(gamma, order)
 
-    return Connection(S.chart, fn, provenance="canonical")
+    return Connection(S.chart, fn, provenance="canonical", inputs=(lc.christoffels, *S.fields))
 
 
 # --------------------------------------------------------------------------
@@ -165,7 +159,7 @@ def covariant_derivative(C: Connection, X: Field, T: Field) -> Field:
         tj = T.at(p, k + 1)
         return covd_jets(gamma, xj, tj, T.r, T.s)
 
-    return DerivedField(T.chart, T.r, T.s, fn)
+    return DerivedField(T.chart, T.r, T.s, fn, inputs=(C.christoffels, X, T))
 
 
 def covariant_differential(C: Connection, T: Field) -> Field:
@@ -175,7 +169,7 @@ def covariant_differential(C: Connection, T: Field) -> Field:
         out = nabla_jets(C.gamma(p, k), T.at(p, k + 1), T.r, T.s)
         return out.moveaxis(0, T.r)
 
-    return DerivedField(T.chart, T.r, T.s + 1, fn)
+    return DerivedField(T.chart, T.r, T.s + 1, fn, inputs=(C.christoffels, T))
 
 
 def torsion(C: Connection) -> Field:
@@ -185,11 +179,12 @@ def torsion(C: Connection) -> Field:
         g = C.gamma(p, k)
         return g - g.transpose((0, 2, 1))
 
-    return DerivedField(C.chart, 1, 2, fn)
+    return DerivedField(C.chart, 1, 2, fn, inputs=(C.christoffels,))
 
 
-def torsion_residual(C: Connection, point, order=0) -> float:
-    return torsion(C).at(point, order).max_abs()
+def torsion_residual(C: Connection, point, order=0):
+    """Largest |torsion| component: a float at a point, one per point at a batch."""
+    return per_point(point, torsion(C).at(point, order)).max_abs()
 
 
 def require_torsionless(C: Connection, point, tol=1e-10):
@@ -215,7 +210,7 @@ def curvature(C: Connection) -> Field:
         g = C.gamma(p, k + 1)
         return truncate_jets(riemann_jets(g, jets_gradient(g)), k)
 
-    return DerivedField(C.chart, 1, 3, fn)
+    return DerivedField(C.chart, 1, 3, fn, inputs=(C.christoffels,))
 
 
 # --------------------------------------------------------------------------
@@ -260,15 +255,16 @@ def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
     dim = S.chart.dim
     bundle = S.at(batch, 1)
     Pp, Pm = (bundle.Pm, bundle.Pp) if side == "n" else (bundle.Pp, bundle.Pm)
-    Ppv = Pp.values()  # (point, a, b)
-    Pmv = Pm.values()
-    etav = bundle.eta.values()
     gamma = C.gamma(batch, 0)
-    gv = gamma.values()
-    nabla_eta = nabla_jets(gamma, bundle.eta, 0, 2).values()
+    values = lambda x: per_point(batch, x).values()  # noqa: E731
+    Ppv = values(Pp)  # (point, a, b)
+    Pmv = values(Pm)
+    etav = values(bundle.eta)
+    gv = values(gamma)
+    nabla_eta = values(nabla_jets(gamma, bundle.eta, 0, 2))
     tors = gv - np.swapaxes(gv, -1, -2)
-    dPp = jets_gradient(Pp).values()  # dPp[point, i, a, b]
-    dPm = jets_gradient(Pm).values()
+    dPp = values(jets_gradient(Pp))  # dPp[point, i, a, b]
+    dPm = values(jets_gradient(Pm))
     scale = np.maximum(1.0, np.maximum(per_point_max(etav), per_point_max(gv)))
     rng = np.random.default_rng(seed)
     uvw = rng.uniform(-1.0, 1.0, (len(sample) * n_vectors, 3, dim))

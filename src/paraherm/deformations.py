@@ -39,6 +39,7 @@ from .geometry import (
     embed_block,
     exterior_derivative,
     invert_matrix_jets,
+    per_point,
     per_point_max,
     require_within,
     stack_points,
@@ -70,24 +71,24 @@ class BTransformation:
         chart = S.chart
 
         def B_fn(p, k):
-            bundle = S.at(p, k)
+            eta_inv = S.eta_inv.at(p, k)
             bj = b.at(p, k)
             # B^M_I = b_{IN} eta^{NM}
-            return tdot(bj, bundle.eta_inv, ([1], [0])).transpose((1, 0))
+            return tdot(bj, eta_inv, ([1], [0])).transpose((1, 0))
 
-        self.B = DerivedField(chart, 1, 1, B_fn)
+        self.B = DerivedField(chart, 1, 1, B_fn, inputs=(b, S.eta_inv))
         self.K_B = S.K + self.B * (2.0 * side)
-        self.e_B = DerivedField(chart, 1, 1, self._eB_comps)
+        self.e_B = DerivedField(chart, 1, 1, self._eB_comps, inputs=(self.B,))
         self.structure_B = ParaHermitianStructure(chart, S.eta, self.K_B)
         # Bivector with both slots raised: b^{MN} = b_{IJ} eta^{IM} eta^{JN}.
 
         def bivec_fn(p, k):
-            bundle = S.at(p, k)
-            bj = b.at(p, k)
-            up1 = tdot(bundle.eta_inv, bj, ([0], [0]))
-            return tdot(up1, bundle.eta_inv, ([1], [0]))
+            eta_inv = S.eta_inv.at(p, k)
+            up1 = tdot(eta_inv, b.at(p, k), ([0], [0]))
+            return tdot(up1, eta_inv, ([1], [0]))
 
-        self.b_bivector = DerivedField(chart, 2, 0, bivec_fn, sym="antisymmetric")
+        self.b_bivector = DerivedField(chart, 2, 0, bivec_fn, sym="antisymmetric",
+                                       inputs=(b, S.eta_inv))
         # [b,b] through the flat coordinate connection; any torsionless
         # connection gives the same bracket.
         self.schouten = schouten_self(self.b_bivector, flat_connection(chart),
@@ -109,8 +110,8 @@ class BTransformation:
     def base_parakahler_residual(self, point):
         """Para-Kahler residual of the base structure: a float at a point,
         one per point at a batch."""
-        dw = self._domega.at(point, 0).max_abs()
-        scale = np.maximum(1.0, self.S.at(point, 0).eta.max_abs())
+        dw = self._domega.max_abs(point)
+        scale = np.maximum(1.0, self.S.eta.max_abs(point))
         res = np.maximum(dw / scale, np.maximum(self.S.integrability_residual(+1, point),
                                                 self.S.integrability_residual(-1, point)))
         return res if point.batch else float(res)
@@ -128,9 +129,8 @@ def _type_residuals(S, b, sample, side):
     if not sample:
         return 0.0, 0.0
     batch = stack_points(sample)
-    vals = b.at(batch, 0).values()  # (point, i, j)
-    bundle = S.at(batch, 0)
-    Q = (bundle.Pm if side > 0 else bundle.Pp).values()
+    vals = b.values(batch)  # (point, i, j)
+    Q = S.projector(-side).values(batch)
     scale = np.maximum(1.0, per_point_max(vals))
     anti = per_point_max(vals + np.swapaxes(vals, 1, 2)) / scale
     wrong = np.maximum(per_point_max(np.swapaxes(Q, 1, 2) @ vals),
@@ -191,8 +191,8 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     bundle = S.at(point, 0)
     pbz = PB.at(point, 0)
     zj = tdot(pbz, Z.at(point, 0), ([1], [0]))
-    lhs = contract_value(bundle.eta, br, zj)
-    rhs = contract_value(mc_form(T).at(point, 0), X.at(point, 0),
+    lhs = contract_value(point, bundle.eta, br, zj)
+    rhs = contract_value(point, mc_form(T).at(point, 0), X.at(point, 0),
                          Y.at(point, 0), Z.at(point, 0))
     return MCSides(lhs, rhs)
 
@@ -200,7 +200,7 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
 def _lowered_schouten(T: BTransformation, p, k):
     """(Lambda^3 eta)[b,b] at a point: the Schouten bracket with all three
     slots lowered, which is the dual R-flux."""
-    eta = T.S.at(p, k).eta
+    eta = T.S.eta.at(p, k)
     low = tdot(eta, T.schouten.at(p, k), ([1], [0]))
     low = tdot(eta, low, ([1], [1]))
     low = tdot(eta, low, ([1], [2]))
@@ -217,7 +217,8 @@ def mc_form(T: BTransformation) -> Field:
         proj = bigraded_part_at(S, db.at(p, k), m_plus, S.at(p, k))
         return proj + _lowered_schouten(T, p, k)
 
-    return DerivedField(S.chart, 0, 3, fn, sym="antisymmetric")
+    return DerivedField(S.chart, 0, 3, fn, sym="antisymmetric",
+                        inputs=(db, T.schouten, *S.fields))
 
 
 def compatibility_residual(T: BTransformation, sample) -> float:
@@ -246,7 +247,7 @@ def twisted_d_bracket(T: BTransformation, X: Field, Y: Field, pk_tol=1e-8) -> Fi
         T.require_parakahler(p, tol=pk_tol)
         return inner.at(p, k)
 
-    return DerivedField(T.S.chart, 1, 0, fn)
+    return DerivedField(T.S.chart, 1, 0, fn, inputs=(inner, T.S.eta, T.S.K))
 
 
 def twisted_d_bracket_reference(T: BTransformation, X: Field, Y: Field) -> Field:
@@ -259,13 +260,13 @@ def twisted_d_bracket_reference(T: BTransformation, X: Field, Y: Field) -> Field
     db = exterior_derivative(T.b)
 
     def fn(p, k):
-        bundle = S.at(p, k)
+        eta_inv = S.eta_inv.at(p, k)
         dbj = db.at(p, k)
         xi = tdot(tdot(dbj, X.at(p, k), ([0], [0])), Y.at(p, k), ([0], [0]))
-        corr = tdot(bundle.eta_inv, xi, ([1], [0]))
+        corr = tdot(eta_inv, xi, ([1], [0]))
         return base.at(p, k) - corr
 
-    return DerivedField(S.chart, 1, 0, fn)
+    return DerivedField(S.chart, 1, 0, fn, inputs=(base, db, X, Y, S.eta_inv))
 
 
 # --------------------------------------------------------------------------
@@ -309,12 +310,12 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8):
         raise MissingSplit("flux extraction needs adapted (split) coordinates")
     T.require_parakahler(point, tol=pk_tol)
     n = chart.split
-    dbj = exterior_derivative(T.b).at(point, 0)
+    dbj = per_point(point, exterior_derivative(T.b).at(point, 0))
     base_bundle = S.at(point, 0)
     b_bundle = T.structure_B.at(point, 0)
 
     H = bigraded_part_at(S, dbj, 3, base_bundle)
-    R = _lowered_schouten(T, point, 0)
+    R = per_point(point, _lowered_schouten(T, point, 0))
     covH = H + R
 
     parts = {m: bigraded_part_at(S, dbj, m, b_bundle) for m in range(4)}
@@ -323,7 +324,7 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8):
     reassembly = (covH + parts[2] + parts[1] + parts[0] - dbj).max_abs()
 
     # Sheared frame: H'_i = (1 + B) e_i for the first n coordinates, V_j the rest.
-    plus = T.e_B.at(point, 0).values()[..., :n]
+    plus = T.e_B.values(point)[..., :n]
     minus = np.eye(chart.dim)[:, n:]
     h_frame = np.einsum("...abc,...ai,...bj,...ck->...ijk", covH.values(), plus, plus, plus)
     q_frame = np.einsum("...abc,ai,...bj,...ck->...ijk", dbj.values(), minus, plus, plus)
@@ -362,7 +363,7 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
 
     # e_a is column a of A, which is zero below the plus block; the dual
     # coframe e^c is row c of the inverse block, on the minus block.
-    frame = [DerivedField(chart, 1, 0, lambda p, k, a=a: A.at(p, k)[:, a])
+    frame = [DerivedField(chart, 1, 0, lambda p, k, a=a: A.at(p, k)[:, a], inputs=(A,))
              for a in range(n)]
     inv = invert_matrix_jets(A.at(point, order)[:n, :n], point)
     dual = concat_jets([constant_jets(inv.ctx, np.zeros((n, n))), inv.transpose()])

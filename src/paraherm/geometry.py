@@ -37,15 +37,19 @@ buffer.  Each component gets the bits it gets evaluated alone.
 `eval_expr` runs a tape (or one tree) for a point or a whole batch, and
 `TensorField.at` calls it once per evaluation.
 
-Each field remembers its last point or batch: `TensorField.at` and
-`DerivedField.at` (like `ParaHermitianStructure.at`, `Connection.gamma` and
-the tangent-bundle Christoffels) keep their result there at the highest
-order asked, keyed by the point or batch, and serve a request there at that
-order or lower as a prefix slice, so the nested operators, which ask their
-inputs for orders k, k+1 and k+2, evaluate each input once.  This needs a
-field's jets to depend only on (point, order), as every procedure here and
-above does.  One entry per object keeps memory flat in the number of
-points.  The jets `at` returns are read-only, since callers share them.
+`Field` is the one memoised object; the structure's eta^{-1}, omega and P+-,
+a connection's Christoffel symbols and the Nijenhuis gate are fields too.
+`Field.at` keeps its result at the last point or batch, at the highest order
+asked, and serves a request there at that order or lower as a prefix slice,
+so the nested operators, which ask their inputs for orders k, k+1 and k+2,
+evaluate each input once; so a field's jets depend only on (point, order).
+A field is `const` when it reads no coordinate (a `TensorField` whose tape
+reads none, or a `DerivedField` whose declared inputs are all `const`): its
+one entry ignores the point, is evaluated at the first point asked (so its
+errors name the first point of a batch) and has no batch axis, which the
+kernels broadcast; the readers that promise one entry per point go through
+`per_point`.  One entry per field keeps memory flat in the number of points,
+and the jets `at` returns are read-only, since callers share them.
 
 Conventions (fixed once, used everywhere):
   - exterior derivative of a k-form: (dT)_{I0..Ik} = sum_j (-1)^j d_{Ij} T_{..omit j..},
@@ -81,7 +85,7 @@ __all__ = [
     "Chart", "Point", "TensorField", "DerivedField", "JetArray",
     "lie_bracket", "exterior_derivative", "lie_derivative",
     "interior_product", "scalar_pairing", "wedge", "musical",
-    "invert_matrix_jets", "metric_inverse_at", "require_within",
+    "invert_matrix_jets", "metric_inverse_at", "require_within", "per_point",
 ]
 
 
@@ -127,12 +131,12 @@ class Point:
     """A chart point, or a batch of points evaluated together.
 
     `coords` has shape (dim,) for one point and (B, dim) for a batch of B;
-    `batch` is () or (B,), and every `Field.at` at a batch returns jets with
-    that leading batch axis.  `key` identifies the coordinates (and the
-    batch shape) for the last-point memos.
+    `batch` is () or (B,), and `Field.at` at a batch returns jets with that
+    leading batch axis, unless the field is `const`.  `key` identifies the
+    coordinates (and the batch shape) for the last-point memo of `Field.at`.
     """
 
-    __slots__ = ("chart", "coords", "batch", "key")
+    __slots__ = ("chart", "coords", "batch", "key", "_head")
 
     def __init__(self, chart, coords):
         arr = np.asarray(coords, dtype=float)
@@ -144,6 +148,15 @@ class Point:
         self.coords = arr
         self.batch = arr.shape[:-1]
         self.key = (arr.shape, arr.tobytes())
+        self._head = None
+
+    def head(self):
+        """Where a `const` field is evaluated: a batch's first point, built once."""
+        if not self.batch:
+            return self
+        if self._head is None:
+            self._head = Point(self.chart, self.coords[0])
+        return self._head
 
     def first(self, mask):
         """(i, point): the first point of the batch where `mask` holds, with
@@ -636,6 +649,15 @@ def per_point_max(arr, nb=1):
     return flat.max(axis=1) if flat.shape[1] else np.zeros(arr.shape[0])
 
 
+def per_point(point, x: JetArray) -> JetArray:
+    """`x`, jets evaluated at `point`, with one entry per point: jets of a
+    `const` field carry no batch axis, so at a batch they are broadcast to it
+    (a read-only view).  Every reader that promises one entry per point does."""
+    if x.nb or not point.batch:
+        return x
+    return JetArray(x.ctx, np.broadcast_to(x.coeffs, point.batch + x.coeffs.shape), x.deg, 1)
+
+
 def _common(a: JetArray, b: JetArray):
     """The two operands at the lower of their orders."""
     if a.ctx.dim != b.ctx.dim:
@@ -772,13 +794,14 @@ def tdot(a, b, axes) -> JetArray:
     return JetArray(a.ctx, out.reshape(so), _product_deg(a, b), nb)
 
 
-def contract_value(t, *vectors):
-    """Value of t with each vector contracted, in turn, into its first axis:
-    a float for one point, one per point for a batch."""
+def contract_value(point, t, *vectors):
+    """Value of t with each vector contracted, in turn, into its first axis,
+    all evaluated at `point`: a float for one point, one per point for a
+    batch."""
     for v in vectors:
         t = tdot(t, v, ([0], [0]))
-    vals = t.coeffs[..., 0]
-    return vals.copy() if t.nb else float(vals)
+    vals = per_point(point, t).values()
+    return vals if point.batch else float(vals)
 
 
 def coeff_max(comps: JetArray):
@@ -843,14 +866,16 @@ def embed_block(chart, block):
 # --------------------------------------------------------------------------
 
 class Field:
-    """Base: anything producing component jets at a point."""
+    """Base: anything producing component jets at a point.  `const` (set
+    only by the constructors here) marks a field that reads no coordinate."""
 
-    def __init__(self, chart, r, s, sym=None):
+    def __init__(self, chart, r, s, sym=None, const=False):
         self.chart = chart
         self.r = r
         self.s = s
         self.sym = sym
-        self._memo = None  # (point.key, order, JetArray), see _memo_at
+        self.const = const
+        self._memo = None  # (point.key or None if const, order, JetArray), see _memo_at
 
     @property
     def rank(self):
@@ -858,41 +883,42 @@ class Field:
 
     def at(self, point, order=0) -> JetArray:
         """Jets of the components at `point`, tensor shape (dim,)*(r+s); at a
-        batch of points the JetArray carries the batch axis too.
+        batch of points the JetArray carries the batch axis too, unless the
+        field is `const`: then it has none, at every point and batch.
 
         The subclasses memoise this with `_memo_at`: the jets of the most
-        recent point or batch are kept at the highest order asked there, and
-        a request there at that order or lower is their prefix slice.  So a
-        field's jets at a point must depend only on (point, order), and the
-        caller gets a read-only array it may share with other callers.
+        recent point or batch (of any point, for a `const` field) are kept
+        at the highest order asked there, and a request there at that order
+        or lower is their prefix slice.  So a field's jets at a point must
+        depend only on (point, order), and the caller gets a read-only array
+        it may share with other callers.
         """
         raise NotImplementedError
 
     def values(self, point) -> np.ndarray:
-        return self.at(point, 0).values()
+        """The components' values, one entry per point of a batch."""
+        return per_point(point, self.at(point, 0)).values()
+
+    def max_abs(self, point):
+        """Largest |value| over the components, one per point of a batch."""
+        return per_point(point, self.at(point, 0)).max_abs()
 
     def __add__(self, other):
         _same_rank(self, other)
         sym = self.sym if self.sym == other.sym else None
-        return DerivedField(
-            self.chart, self.r, self.s,
-            lambda p, k: self.at(p, k) + other.at(p, k), sym=sym,
-        )
+        return DerivedField(self.chart, self.r, self.s,
+                            lambda p, k: self.at(p, k) + other.at(p, k), sym, (self, other))
 
     def __sub__(self, other):
         _same_rank(self, other)
         sym = self.sym if self.sym == other.sym else None
-        return DerivedField(
-            self.chart, self.r, self.s,
-            lambda p, k: self.at(p, k) - other.at(p, k), sym=sym,
-        )
+        return DerivedField(self.chart, self.r, self.s,
+                            lambda p, k: self.at(p, k) - other.at(p, k), sym, (self, other))
 
     def __mul__(self, c):
         if isinstance(c, (int, float)):
-            return DerivedField(
-                self.chart, self.r, self.s,
-                lambda p, k: self.at(p, k) * float(c), sym=self.sym,
-            )
+            return DerivedField(self.chart, self.r, self.s,
+                                lambda p, k: self.at(p, k) * float(c), self.sym, (self,))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -901,36 +927,34 @@ class Field:
         return self * (-1.0)
 
 
-def _memo_at(at=None, *, cut=truncate_jets):
-    """Give a `(point, order)` method a one-entry memo: the most recent point
-    (or batch) and its result at the highest order asked there.
+def _memo_at(at):
+    """Give `Field.at` its one-entry memo: the most recent point (or batch)
+    and its result at the highest order asked there.
 
-    The instance keeps the entry in `_memo` and has a `chart`.  A request at
-    that point for the same order or lower is served by `cut(result, order)`
-    (a prefix slice by default); a new point or a higher order evaluates and
-    replaces the entry, unless the evaluation raises.  The entry records the
-    order asked, which was within the chart's jet-order budget, so a memo
-    never serves a request past it.  A JetArray result is made read-only,
-    because every caller of the point shares it.  Memory stays one entry per
-    memoised object, whatever the number of points.
+    A request at that point for the same order or lower is served by a
+    prefix slice; a new point or a higher order evaluates and replaces the
+    entry, unless the evaluation raises.  A `const` field's entry ignores
+    the point: it is evaluated at the first point asked, so without a batch
+    axis, and serves every point and batch.  The entry records the order
+    asked, which was within the chart's jet-order budget, so a memo never
+    serves a request past it.  The result is made read-only, because every
+    caller shares it.  Memory stays one entry per field, whatever the
+    number of points.
     """
 
-    def wrap(at):
-        @wraps(at)
-        def memo_at(self, point, order=0):
-            memo = self._memo
-            if memo is not None and memo[0] == point.key and order <= memo[1]:
-                return memo[2] if order == memo[1] else cut(memo[2], order)
-            self.chart.context(order)  # raises InsufficientJetOrder past the budget
-            value = at(self, point, order)
-            if isinstance(value, JetArray):
-                value.coeffs.flags.writeable = False
-            self._memo = (point.key, order, value)
-            return value
+    @wraps(at)
+    def memo_at(self, point, order=0):
+        memo = self._memo  # (key, order, jets); the key of a `const` field is None
+        if memo is not None and order <= memo[1] and (memo[0] is None or memo[0] == point.key):
+            return memo[2] if order == memo[1] else truncate_jets(memo[2], order)
+        self.chart.context(order)  # raises InsufficientJetOrder past the budget
+        key = None if self.const else point.key
+        value = at(self, point if key is not None else point.head(), order)
+        value.coeffs.flags.writeable = False
+        self._memo = (key, order, value)
+        return value
 
-        return memo_at
-
-    return wrap if at is None else wrap(at)
+    return memo_at
 
 
 class TensorField(Field):
@@ -939,11 +963,11 @@ class TensorField(Field):
 
     The component array is dense, shape (dim,)**(r+s), upper indices first.
     A symmetry tag is an assertion checked numerically by validation suites,
-    not a storage scheme.
+    not a storage scheme.  The field is `const` when its tape reads no
+    coordinate.
     """
 
     def __init__(self, chart, r, s, comps, sym=None):
-        super().__init__(chart, r, s, sym=sym)
         arr = np.empty((chart.dim,) * (r + s), dtype=object)
         comps = np.asarray(comps, dtype=object)
         if comps.shape != arr.shape:
@@ -954,6 +978,7 @@ class TensorField(Field):
             arr[idx] = _as_expr(chart, comps[idx])
         self.comps = arr
         self.tape = Tape(arr.flat, arr.shape, chart.dim)
+        super().__init__(chart, r, s, sym=sym, const=not len(self.tape.coord_index))
 
     @_memo_at
     def at(self, point, order=0) -> JetArray:
@@ -969,10 +994,13 @@ class TensorField(Field):
 
 
 class DerivedField(Field):
-    """A field backed by a procedure (point, order) -> JetArray."""
+    """A field backed by a procedure (point, order) -> JetArray.  It is
+    `const` when it declares the fields its procedure reads, as `inputs`,
+    and all of them are `const`; a procedure that declares none is not."""
 
-    def __init__(self, chart, r, s, fn, sym=None):
-        super().__init__(chart, r, s, sym=sym)
+    def __init__(self, chart, r, s, fn, sym=None, inputs=()):
+        super().__init__(chart, r, s, sym,
+                         bool(inputs) and all(map(operator.attrgetter("const"), inputs)))
         self.fn = fn
 
     @_memo_at
@@ -1017,7 +1045,7 @@ def lie_bracket(X: Field, Y: Field) -> Field:
         dy = jets_gradient(yj)
         return tdot(xj, dy, ([0], [0])) - tdot(yj, dx, ([0], [0]))
 
-    return DerivedField(X.chart, 1, 0, fn)
+    return DerivedField(X.chart, 1, 0, fn, inputs=(X, Y))
 
 
 def exterior_derivative(T: Field) -> Field:
@@ -1036,7 +1064,7 @@ def exterior_derivative(T: Field) -> Field:
             out = out - term if j % 2 else out + term
         return out
 
-    return DerivedField(T.chart, 0, T.s + 1, fn, sym="antisymmetric")
+    return DerivedField(T.chart, 0, T.s + 1, fn, sym="antisymmetric", inputs=(T,))
 
 
 def interior_product(X: Field, T: Field) -> Field:
@@ -1050,7 +1078,7 @@ def interior_product(X: Field, T: Field) -> Field:
         return tdot(X.at(p, k), T.at(p, k), ([0], [0]))
 
     sym = "antisymmetric" if T.s > 2 else None
-    return DerivedField(X.chart, 0, T.s - 1, fn, sym=sym)
+    return DerivedField(X.chart, 0, T.s - 1, fn, sym=sym, inputs=(X, T))
 
 
 def scalar_pairing(T: Field, fields) -> Field:
@@ -1063,7 +1091,7 @@ def scalar_pairing(T: Field, fields) -> Field:
             comps = tdot(comps, X.at(p, k), ([0], [0]))
         return comps
 
-    return DerivedField(T.chart, 0, 0, fn)
+    return DerivedField(T.chart, 0, 0, fn, inputs=(T, *fields))
 
 
 def lie_derivative(X: Field, T: Field) -> Field:
@@ -1074,7 +1102,7 @@ def lie_derivative(X: Field, T: Field) -> Field:
     if T.sym != "antisymmetric" and T.s > 1:
         raise NotAntisymmetric("Cartan formula needs an antisymmetric form")
     tagged = T if T.s == 0 or T.sym == "antisymmetric" else DerivedField(
-        T.chart, 0, T.s, lambda p, k: T.at(p, k), sym="antisymmetric"
+        T.chart, 0, T.s, lambda p, k: T.at(p, k), sym="antisymmetric", inputs=(T,)
     )
     second = interior_product(X, exterior_derivative(tagged))
     if T.s == 0:
@@ -1101,7 +1129,7 @@ def wedge(a: Field, b: Field) -> Field:
             out = term if out is None else out + term
         return out
 
-    return DerivedField(a.chart, 0, ka + kb, fn, sym="antisymmetric")
+    return DerivedField(a.chart, 0, ka + kb, fn, sym="antisymmetric", inputs=(a, b))
 
 
 def _perm_sign(perm):
@@ -1125,7 +1153,8 @@ def antisymmetry_residual(T: Field, points, order=0) -> float:
     points = list(points)
     if not points:
         return 0.0
-    vals = T.at(stack_points(points), order).values()
+    batch = stack_points(points)
+    vals = per_point(batch, T.at(batch, order)).values()
     return float(np.max([
         np.max(np.abs(np.transpose(vals, (0, *(a + 1 for a in perm))) - _perm_sign(perm) * vals))
         for perm in permutations(range(T.r + T.s))]))
@@ -1186,4 +1215,4 @@ def apply_endomorphism(E: Field, X: Field) -> Field:
     def fn(p, k):
         return tdot(E.at(p, k), X.at(p, k), ([1], [0]))
 
-    return DerivedField(X.chart, 1, 0, fn)
+    return DerivedField(X.chart, 1, 0, fn, inputs=(E, X))

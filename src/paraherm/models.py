@@ -28,9 +28,7 @@ from .errors import NotParaKahler, NotPositiveDefinite, RankMismatch
 from .geometry import (
     Chart,
     DerivedField,
-    Field,
     TensorField,
-    _memo_at,
     concat_jets,
     constant_field,
     constant_jets,
@@ -124,11 +122,19 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
     if g_arr.shape != (n, n):
         raise RankMismatch(f"base metric must be {n} x {n}")
     g_field = TensorField(chart, 0, 2, embed_block(chart, g_arr), sym="symmetric")
-    gamma_g = _BaseChristoffels(chart, g_field, n)
+
+    def base_christoffels(p, k):
+        """Gamma^k_{ij} of g, base indices only, from d_a g_{bc} for a < n."""
+        gj = g_field.at(p, k + 1)[:n, :n]
+        gamma = christoffel_jets(invert_matrix_jets(gj, p), jets_gradient(gj)[:n])
+        return truncate_jets(gamma, k)
+
+    # Rank-tagged (1,2), of shape (n, n, n) on the 2n chart; not a tensor.
+    gamma_g = DerivedField(chart, 1, 2, base_christoffels, inputs=(g_field,))
 
     def riemann_g(point, order=0):
         """R^k_{ijl} of g with the sign fixed by [H_i,H_j] = R^k_{ijl} v^l V_k."""
-        g1 = gamma_g(point, order + 1)
+        g1 = gamma_g.at(point, order + 1)
         return truncate_jets(riemann_jets(g1, jets_gradient(g1)[:n]), order)
 
     def frame_jets(p, k):
@@ -136,7 +142,7 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
         row i of V is the coframe V^i = dv^i + Gamma^i_{aj} v^j dx^a."""
         ctx = chart.context(k)
         v = coordinate_jets(ctx, p, range(n, 2 * n))
-        gv = tdot(gamma_g(p, k), v, ([2], [0]))  # gv[a, b] = Gamma^a_{bj} v^j
+        gv = tdot(gamma_g.at(p, k), v, ([2], [0]))  # gv[a, b] = Gamma^a_{bj} v^j
         unit = constant_jets(ctx, np.eye(n))
         return (concat_jets([unit, -gv]).transpose(),
                 concat_jets([gv.transpose(), unit]).transpose())
@@ -172,33 +178,13 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
     )
     sample = list(sample)
     if sample:
-        gvals = g_field.at(stack_points(sample), 0).values()[:, :n, :n]
+        gvals = g_field.values(stack_points(sample))[:, :n, :n]
         for p, gv in zip(sample, gvals):
             try:
                 np.linalg.cholesky(gv)
             except np.linalg.LinAlgError:
                 raise NotPositiveDefinite(f"base metric not positive definite at {p}")
     return model
-
-
-class _BaseChristoffels:
-    """Gamma^k_{ij} of the base metric g, base indices only, as jets on the
-    2n chart; called as (point, order), with the one-entry memo of
-    `Field.at`."""
-
-    def __init__(self, chart, g_field, n):
-        self.chart = chart
-        self.g_field = g_field
-        self.n = n
-        self._memo = None
-
-    @_memo_at
-    def __call__(self, point, order):
-        n = self.n
-        gj = self.g_field.at(point, order + 1)[:n, :n]
-        # Base directions only: d_a g_{bc} for a < n.
-        gamma = christoffel_jets(invert_matrix_jets(gj, point), jets_gradient(gj)[:n])
-        return truncate_jets(gamma, order)
 
 
 def flatness_residual(model: TangentBundleModel, sample) -> float:

@@ -24,7 +24,6 @@ from .geometry import (
     DerivedField,
     Field,
     JetArray,
-    _memo_at,
     apply_endomorphism,
     coeff_max,
     constant_field,
@@ -33,10 +32,10 @@ from .geometry import (
     exterior_derivative,
     invert_matrix_jets,
     lie_bracket,
+    per_point,
     per_point_max,
     stack_points,
     tdot,
-    truncate_jets,
 )
 
 __all__ = [
@@ -51,22 +50,17 @@ __all__ = [
 @dataclass
 class _Bundle:
     eta: JetArray
-    eta_inv: JetArray
     K: JetArray
+    eta_inv: JetArray
     omega: JetArray
     Pp: JetArray
     Pm: JetArray
 
-    def at_order(self, order):
-        """The bundle with every member truncated to `order`."""
-        if order == self.eta.ctx.order:
-            return self
-        return _Bundle(*(truncate_jets(x, order) for x in
-                         (self.eta, self.eta_inv, self.K, self.omega, self.Pp, self.Pm)))
-
 
 class ParaHermitianStructure:
-    """The pair (eta, K) with derived omega = eta K and projections (1 +- K)/2."""
+    """The pair (eta, K) with the fields derived from it: eta^{-1}, omega =
+    eta K and the projections (1 +- K)/2.  `fields` lists the six in the
+    order of `_Bundle`; each is `const` where eta and K are."""
 
     def __init__(self, chart, eta: Field, K: Field):
         if eta.rank != (0, 2) or K.rank != (1, 1):
@@ -74,26 +68,25 @@ class ParaHermitianStructure:
         self.chart = chart
         self.eta = eta
         self.K = K
-        self._memo = None
 
-        self.omega = DerivedField(chart, 0, 2, lambda p, k: self.at(p, k).omega,
-                                  sym="antisymmetric")
-        self.P_plus = DerivedField(chart, 1, 1, lambda p, k: self.at(p, k).Pp)
-        self.P_minus = DerivedField(chart, 1, 1, lambda p, k: self.at(p, k).Pm)
+        def eye(k):
+            return constant_jets(chart.context(k), np.eye(chart.dim))
 
-    @_memo_at(cut=_Bundle.at_order)
+        def omega(p, k):  # omega(d_A, d_B) = eta(K d_A, d_B) = K^m_A eta_{mB}
+            return tdot(K.at(p, k), eta.at(p, k), ([0], [0]))
+
+        self.eta_inv = DerivedField(chart, 2, 0, lambda p, k: invert_matrix_jets(eta.at(p, k), p),
+                                    inputs=(eta,))
+        self.omega = DerivedField(chart, 0, 2, omega, sym="antisymmetric", inputs=(eta, K))
+        self.P_plus = DerivedField(chart, 1, 1, lambda p, k: (eye(k) + K.at(p, k)) * 0.5,
+                                   inputs=(K,))
+        self.P_minus = DerivedField(chart, 1, 1, lambda p, k: (eye(k) - K.at(p, k)) * 0.5,
+                                    inputs=(K,))
+        self.fields = (eta, K, self.eta_inv, self.omega, self.P_plus, self.P_minus)
+
     def at(self, point, order) -> _Bundle:
-        """eta, its inverse, K, omega and P+- at a point or batch, with the
-        one-entry memo of `Field.at`."""
-        ej = self.eta.at(point, order)
-        kj = self.K.at(point, order)
-        inv = invert_matrix_jets(ej, point)
-        # omega(d_A, d_B) = eta(K d_A, d_B) = K^m_A eta_{mB}
-        omega = tdot(kj, ej, ([0], [0]))
-        eye = constant_jets(self.chart.context(order), np.eye(self.chart.dim))
-        Pp = (eye + kj) * 0.5
-        Pm = (eye - kj) * 0.5
-        return _Bundle(ej, inv, kj, omega, Pp, Pm)
+        """eta, its inverse, K, omega and P+- at a point or batch."""
+        return _Bundle(*(f.at(point, order) for f in self.fields))
 
     def projector(self, sign) -> Field:
         return self.P_plus if sign > 0 else self.P_minus
@@ -110,42 +103,32 @@ class ParaHermitianStructure:
         """Scale-normalized Nijenhuis residual on the `sign` eigenbundle, the
         worst over six seeded random vector triples: a float at a point, one
         per point at a batch."""
-        return self._nijenhuis_gates[sign].at(point)
+        return self._nijenhuis_gates[sign].max_abs(point)
 
     @cached_property
     def _nijenhuis_gates(self):
-        return {sign: _NijenhuisGate(self, sign) for sign in (+1, -1)}
+        return {sign: _nijenhuis_gate(self, sign) for sign in (+1, -1)}
 
 
-class _NijenhuisGate:
-    """`integrability_residual` of one side.  Its six Nijenhuis fields are
-    built once, and the residual has the one-entry memo of `Field.at`, so a
-    gate asked again at the same point or batch is not recomputed."""
+def _nijenhuis_gate(S, sign):
+    """`integrability_residual` of one side: a (0,0) field at order 0 over six
+    Nijenhuis fields built once, `const` where eta and K are."""
+    rng = np.random.default_rng(7)
+    P = S.projector(sign)
+    triples = []
+    for _ in range(6):
+        u, v, w = (_const_vec(S.chart, c) for c in rng.uniform(-1.0, 1.0, (3, S.chart.dim)))
+        triples.append((nijenhuis(S, apply_endomorphism(P, u), apply_endomorphism(P, v)), w))
 
-    def __init__(self, S, sign):
-        self.S, self.sign, self.chart = S, sign, S.chart
-        self._memo = None
-        rng = np.random.default_rng(7)
-        P = S.projector(sign)
-        self.triples = []
-        for _ in range(6):
-            u, v, w = (_const_vec(S.chart, c)
-                       for c in rng.uniform(-1.0, 1.0, (3, S.chart.dim)))
-            N = nijenhuis(S, apply_endomorphism(P, u), apply_endomorphism(P, v))
-            self.triples.append((N, w))
-
-    @_memo_at(cut=lambda value, order: value)
-    def at(self, point, order=0):
-        b = self.S.at(point, 1)
+    def fn(point, order):
+        b = S.at(point, 1)  # the whole bundle at order 1, which the suites read next
         scale = np.maximum(1.0, np.maximum(b.K.max_abs(), b.eta.max_abs()))
         worst = 0.0
-        for N, Z in self.triples:
-            val = _n_value(self.S, self.sign, N, Z, point, 0)
-            worst = np.maximum(worst, np.abs(val) / scale)
-        if not point.batch:
-            return float(worst)
-        worst.flags.writeable = False  # shared by every caller of the batch
-        return worst
+        for N, Z in triples:
+            worst = np.maximum(worst, np.abs(_n_value(S, sign, N, Z, point, 0)) / scale)
+        return constant_jets(S.chart.context(0), worst, np.ndim(worst))
+
+    return DerivedField(S.chart, 0, 0, fn, inputs=S.fields)
 
 
 def _const_vec(chart, comps):
@@ -176,16 +159,14 @@ def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> Validati
     sample = list(sample)
     if not sample:
         return ValidationReport(res, tol, 0)
-    b = S.at(stack_points(sample), 0)
-    K = b.K.values()  # (point, a, b)
-    eta = b.eta.values()
-    omega = b.omega.values()
-    Pp = b.Pp.values()
-    Pm = b.Pm.values()
+    batch = stack_points(sample)
+    b = S.at(batch, 0)
+    K, eta, omega, Pp, Pm = (per_point(batch, x).values()  # (point, a, b) each
+                             for x in (b.K, b.eta, b.omega, b.Pp, b.Pm))
     eye = np.eye(S.chart.dim)
     scale = np.maximum(1.0, np.maximum(per_point_max(eta), per_point_max(K)))
     T = lambda m: np.swapaxes(m, -1, -2)  # noqa: E731
-    per_point = {
+    worst = {
         "K_squared": per_point_max(K @ K - eye) / scale,
         "eta_symmetric": per_point_max(eta - T(eta)) / scale,
         "eta_anticompat": per_point_max(T(K) @ eta @ K + eta) / scale,
@@ -196,11 +177,9 @@ def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> Validati
         "isotropy_plus": per_point_max(T(Pp) @ eta @ Pp) / scale,
         "isotropy_minus": per_point_max(T(Pm) @ eta @ Pm) / scale,
     }
-    for key, vals in per_point.items():
+    for key, vals in worst.items():
         res[key] = float(vals.max())
     return ValidationReport(res, tol, len(sample))
-
-
 
 
 # --------------------------------------------------------------------------
@@ -241,17 +220,14 @@ def rho_field(S, sign, X: Field):
     QX = apply_endomorphism(Q, X)
 
     def cov_fn(p, k):
-        b = S.at(p, k)
-        return tdot(b.eta, QX.at(p, k), ([0], [0]))
+        return tdot(S.eta.at(p, k), QX.at(p, k), ([0], [0]))
 
-    return vec, DerivedField(S.chart, 0, 1, cov_fn)
+    return vec, DerivedField(S.chart, 0, 1, cov_fn, inputs=(S.eta, QX))
 
 
 def rho_inverse(S, sign, vec: JetArray, cov: JetArray, point, order=0) -> JetArray:
     """Reassemble X from rho_sign(X) = (vec, cov): X = vec + eta^{-1} cov."""
-    b = S.at(point, order)
-    other = tdot(b.eta_inv, cov, ([1], [0]))
-    return vec + other
+    return vec + tdot(S.eta_inv.at(point, order), cov, ([1], [0]))
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +265,7 @@ def nijenhuis_connection_form(S, X: Field, Y: Field, C) -> Field:
         d = dK.at(p, k)
         xj = X.at(p, k)
         yj = Y.at(p, k)
-        Kv = S.at(p, k).K
+        Kv = S.K.at(p, k)
         kx = tdot(Kv, xj, ([1], [0]))
         ky = tdot(Kv, yj, ([1], [0]))
         t1 = tdot(tdot(d, kx, ([1], [0])), yj, ([1], [0]))
@@ -298,7 +274,7 @@ def nijenhuis_connection_form(S, X: Field, Y: Field, C) -> Field:
         t4 = tdot(tdot(d, yj, ([1], [0])), kx, ([1], [0]))
         return (t1 + t2 - t3 - t4) * 0.25
 
-    return DerivedField(S.chart, 1, 0, fn)
+    return DerivedField(S.chart, 1, 0, fn, inputs=(dK, X, Y, S.K))
 
 
 def n_scalar(S, sign, X, Y, Z, point, order=0) -> float:
@@ -310,12 +286,10 @@ def n_scalar(S, sign, X, Y, Z, point, order=0) -> float:
 
 def _n_value(S, sign, N, Z, point, order):
     """eta(N, P+- Z) for N = N_K(P+- X, P+- Y) already built."""
-    b = S.at(point, order)
+    eta, P = S.eta.at(point, order), S.projector(sign).at(point, order)
     nv = N.at(point, order)
-    pz = tdot(
-        (b.Pp if sign > 0 else b.Pm), Z.at(point, order), ([1], [0])
-    )
-    return contract_value(b.eta, nv, pz)
+    pz = tdot(P, Z.at(point, order), ([1], [0]))
+    return contract_value(point, eta, nv, pz)
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +303,7 @@ def phi_field(S) -> Field:
 
 
 def phi_scalar(S, X, Y, Z, point, order=0) -> float:
-    return contract_value(phi_field(S).at(point, order), X.at(point, order),
+    return contract_value(point, phi_field(S).at(point, order), X.at(point, order),
                           Y.at(point, order), Z.at(point, order))
 
 
@@ -407,17 +381,17 @@ def _classify_batch(S, batch, res, cross):
     dim = S.chart.dim
     basis = [_const_vec(S.chart, row) for row in np.eye(dim)]
     b = S.at(batch, 1)
-    scale = np.maximum(1.0, np.maximum(b.eta.max_abs(), b.K.max_abs()))
-    dwj = exterior_derivative(S.omega).at(batch, 0)
-    dw_scale = np.maximum(1.0, coeff_max(S.omega.at(batch, 1)))
-    per_point = {"domega": dwj.max_abs() / dw_scale}
+    scale = np.maximum(1.0, np.maximum(S.eta.max_abs(batch), S.K.max_abs(batch)))
+    dwj = per_point(batch, exterior_derivative(S.omega).at(batch, 0))
+    dw_scale = np.maximum(1.0, coeff_max(per_point(batch, S.omega.at(batch, 1))))
+    worst = {"domega": dwj.max_abs() / dw_scale}
     parts = {m: bigraded_part_at(S, dwj, m, b).values() for m in range(4)}
     for m, key in ((3, "domega_30"), (2, "domega_21"), (1, "domega_12"), (0, "domega_03")):
-        per_point[key] = per_point_max(parts[m]) / dw_scale
-    phiv = phi_field(S).at(batch, 0).values()
-    per_point["phi_skew"] = per_point_max(phiv + np.swapaxes(phiv, 1, 2)) / dw_scale
+        worst[key] = per_point_max(parts[m]) / dw_scale
+    phiv = phi_field(S).values(batch)
+    worst["phi_skew"] = per_point_max(phiv + np.swapaxes(phiv, 1, 2)) / dw_scale
     dK = covariant_differential(S.levi_civita, S.K)
-    per_point["nabla_K"] = per_point_max(dK.at(batch, 0).values()) / dw_scale
+    worst["nabla_K"] = per_point_max(dK.values(batch)) / dw_scale
     # Pure-type Nijenhuis parts, as tensors over the coordinate basis:
     # n[sign][point, i, j, :] = eta(N(P e_i, P e_j), P .).
     n = {}
@@ -433,8 +407,8 @@ def _classify_batch(S, batch, res, cross):
                 row = etaN.values()
                 store[:, i, j, :] = row
                 store[:, j, i, :] = -row
-    per_point["n_plus"] = per_point_max(n[+1]) / scale
-    per_point["n_minus"] = per_point_max(n[-1]) / scale
+    worst["n_plus"] = per_point_max(n[+1]) / scale
+    worst["n_minus"] = per_point_max(n[-1]) / scale
     # Identity: (d omega)^{(+3,-0)} = cyclic sum of N_+,
     # (d omega)^{(+0,-3)} = -cyclic sum of N_-.
     # N_+- are already fully projected, so the cyclic sums compare directly.
@@ -444,7 +418,7 @@ def _classify_batch(S, batch, res, cross):
         "d_omega_30_vs_cyclic_n_plus": per_point_max(parts[3] - cyc[+1]) / dw_scale,
         "d_omega_03_vs_cyclic_n_minus": per_point_max(parts[0] + cyc[-1]) / dw_scale,
     }
-    for out, vals in ((res, per_point), (cross, per_cross)):
+    for out, vals in ((res, worst), (cross, per_cross)):
         for key, v in vals.items():
             out[key] = float(np.max(v))
 

@@ -284,6 +284,46 @@ def test_sample_point_outside_a_domain_is_a_spec_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eta, message", [
+    ([["1", "1"], ["1", "1"]], "condition number"),
+    ([["0", "sqrt(-1)"], ["sqrt(-1)", "0"]], "sqrt of non-positive value"),
+    ([["0", "1/0"], ["1/0", "0"]], "division by a jet with zero value"),
+])
+def test_coordinate_free_spec_fails_preflight(tmp_path, capsys, eta, message):
+    """An eta that reads no coordinate is evaluated once, not per point; it
+    still fails the pre-flight with exit 2, naming the first sample point."""
+    spec = write_spec(tmp_path, "s.json", {
+        "model": {"name": "explicit", "coords": ["x1", "xt1"], "split": 1,
+                  "eta": eta, "K": [["1", "0"], ["0", "-1"]]},
+        "sample": {"mode": "explicit", "points": [[0.5, 0.0], [2.0, 0.25]]},
+        "suites": ["validate", "courant_d_full"],
+    })
+    out = tmp_path / "r.json"
+    assert run(spec, str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and "[sample]" in err and "in suite" not in err
+    assert message in err and "at Point([0.5, 0.0])" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_unwritable_report_path_is_a_spec_error(tmp_path, capsys, monkeypatch, where):
+    """A report path in a missing directory, or a directory itself, is a
+    spec error (exit 2) before any suite runs, and no file is written."""
+    def boom(ctx):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setitem(cli.SUITES, "validate", boom)
+    spec = write_spec(tmp_path, "s.json", {
+        "model": {"name": "flat", "n": 1}, "sample": {"count": 2}, "suites": ["validate"],
+    })
+    out = tmp_path / where
+    assert run(spec, str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: cannot write report '{out}'") and "[output]" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
 def _exp_spec(rate):
     """An explicit model whose eta grows as exp(rate * x), at x = 1 and 0.5."""
     eta = f"exp({rate}*x)"

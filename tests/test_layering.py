@@ -24,8 +24,13 @@ scalar field type or its operators (`ScalarField`, `scalar_field`,
 `d_scalar`, `lie_derivative_scalar`, `_as_scalar`, `_covector_on`), and no
 class defines a `jet` or `value` method beside `Field.at`.  No
 module keeps results keyed by a point: only `Point` and the one-entry
-`_memo_at` of `geometry` read `point.key`, so memory does not grow with the
-number of points evaluated.
+`_memo_at` of `geometry` (the memo of `Field.at`, its one client) read
+`point.key`, so memory does not grow with the number of points evaluated.
+A `const` field's memo ignores the point and serves its one entry at every
+point, so the flag is structural: only the field constructors of
+`geometry` assign `.const` (no assignment, augmented assignment or
+`setattr` elsewhere), from a tape that reads no coordinate or from the
+declared inputs of a procedure.
 """
 
 import ast
@@ -44,6 +49,7 @@ SECOND_FIELD_PROTOCOL = {"ScalarField", "scalar_field", "d_scalar", "lie_derivat
 SECOND_FIELD_METHODS = {"jet", "value"}
 PRODUCT_TABLE_READERS = {("geometry", "_product_tables")}
 KEY_READERS = {("geometry", "Point"), ("geometry", "_memo_at")}
+CONST_WRITERS = {("geometry", "Field"), ("geometry", "TensorField"), ("geometry", "DerivedField")}
 ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 
@@ -277,3 +283,53 @@ def test_point_key_guard_catches_each_form():
         "key = p.coords\n"
     )
     assert sorted(_key_reads(ast.parse(source), "cli")) == [1, 2, 4]
+
+
+def _const_writes(tree, module):
+    """(line, form) of each write of a `.const` attribute outside the
+    `__init__` of the field classes of `geometry`."""
+    for top in tree.body:
+        allowed = (module, getattr(top, "name", None)) in CONST_WRITERS
+        skip = {id(item) for item in getattr(top, "body", ())
+                if allowed and isinstance(item, ast.FunctionDef) and item.name == "__init__"}
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            if id(node) in skip:
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if (isinstance(node, ast.Call) and _name(node.func) == "setattr"
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "const"):
+                yield node.lineno, "setattr const"
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Attribute) and sub.attr == "const":
+                        yield node.lineno, ".const ="
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_only_field_constructors_set_const(module):
+    found = sorted(_const_writes(_tree(module), module))
+    assert not found, f"{module}.py sets a field's const flag outside its constructor at {found}"
+
+
+def test_const_guard_catches_each_form():
+    source = (
+        "f.const = True\n"
+        "a.const, b = True, 1\n"
+        "f.const |= g.const\n"
+        "setattr(f, 'const', True)\n"
+        "ok = f.const and g.const\n"
+        "class Field:\n"
+        "    def __init__(self, const):\n"
+        "        self.const = const\n"
+        "    def freeze(self):\n"
+        "        self.const: bool = True\n"
+    )
+    tree = ast.parse(source)
+    assert sorted(line for line, _ in _const_writes(tree, "geometry")) == [1, 2, 3, 4, 10]
+    assert sorted(line for line, _ in _const_writes(tree, "cli")) == [1, 2, 3, 4, 8, 10]

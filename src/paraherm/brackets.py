@@ -22,6 +22,7 @@ from .errors import NotIntegrable, RankMismatch
 from .geometry import (
     DerivedField,
     Field,
+    as_batch,
     constant_jets,
     contract_value,
     exterior_derivative,
@@ -31,7 +32,6 @@ from .geometry import (
     lie_derivative,
     require_within,
     scalar_pairing,
-    stack_points,
     tdot,
 )
 from .parastructure import GeneralizedVector, bigraded_part_at
@@ -287,8 +287,6 @@ class BracketReport:
     axiom2: float
     axiom3: float
     tol: float
-    n_points: int
-    seed: int
     witnesses: dict = dc_field(default_factory=dict)
 
     def passed(self, expect_jacobi_failure=False) -> bool:
@@ -311,44 +309,38 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
     axiom 3 is a vector field's and stays absolute.  The witness of an
     axiom is its first worst (point, triple) in point-major order.
     `skip_pairing` drops axioms 1 and 2 (for the plain Lie bracket, whose
-    pairing is degenerate).
+    pairing is degenerate).  `seed` is not read: the triples are drawn in a
+    fixed order.
     """
-    sample = list(sample)
+    batch = as_batch(sample)
     worst = {1: 0.0, 2: 0.0, 3: 0.0}
     witnesses = {}
     n = len(elements)
     triples = [(elements[i], elements[(i + 1) % n], elements[(i + 2) % n]) for i in range(n)]
-    if sample and triples:
-        batch = stack_points(sample)
-        # res[axiom][p, t]: |residual| at point p for triple t.
-        res = {axiom: np.zeros((len(sample), n)) for axiom in worst}
-        scale = np.ones(len(sample)) if scale is None else np.asarray(scale, dtype=float)
-        for ti, (X, Y, Z) in enumerate(triples):
-            if not skip_pairing:
-                lhs = lie_derivative(anchor(X), pair(Y, Z)).values(batch)
-                r1 = (lhs - pair(bracket(X, Y), Z).values(batch)
-                      - pair(Y, bracket(X, Z)).values(batch))
-                r2 = pair(bracket(X, X), Y).values(batch) - 0.5 * lie_derivative(
-                    anchor(Y), pair(X, X)
-                ).values(batch)
-                res[1][:, ti] = np.abs(r1) / scale
-                res[2][:, ti] = np.abs(r2) / scale
-            res[3][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
-        # Witnesses in the order the axioms first had a nonzero residual.
-        nonzero = [a for a in worst if res[a].any()]
-        for axiom in sorted(nonzero, key=lambda a: (int(np.argmax(res[a] > 0.0)), a)):
-            i = int(np.argmax(res[axiom]))
-            worst[axiom] = float(res[axiom].flat[i])
-            p, ti = divmod(i, n)
-            witnesses[axiom] = {
-                "point": [float(c) for c in sample[p].coords], "triple": ti,
-                "residual": worst[axiom],
-            }
-    return BracketReport(
-        axiom1=worst[1], axiom2=worst[2], axiom3=worst[3], tol=tol,
-        n_points=len(sample), seed=seed,
-        witnesses={str(k): v for k, v in witnesses.items()},
-    )
+    # res[axiom][p, t]: |residual| at point p for triple t.
+    res = {axiom: np.zeros((len(batch.coords), n)) for axiom in worst}
+    scale = 1.0 if scale is None else np.asarray(scale, dtype=float)
+    for ti, (X, Y, Z) in enumerate(triples):
+        if not skip_pairing:
+            lhs = lie_derivative(anchor(X), pair(Y, Z)).values(batch)
+            r1 = (lhs - pair(bracket(X, Y), Z).values(batch)
+                  - pair(Y, bracket(X, Z)).values(batch))
+            r2 = pair(bracket(X, X), Y).values(batch) - 0.5 * lie_derivative(
+                anchor(Y), pair(X, X)
+            ).values(batch)
+            res[1][:, ti] = np.abs(r1) / scale
+            res[2][:, ti] = np.abs(r2) / scale
+        res[3][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
+    # Witnesses in the order the axioms first had a nonzero residual.
+    nonzero = [a for a in worst if res[a].any()]
+    for axiom in sorted(nonzero, key=lambda a: (int(np.argmax(res[a] > 0.0)), a)):
+        i = int(np.argmax(res[axiom]))
+        worst[axiom] = float(res[axiom].flat[i])
+        p, ti = divmod(i, n)
+        witnesses[str(axiom)] = {"point": batch.coords[p].tolist(), "triple": ti,
+                                 "residual": worst[axiom]}
+    return BracketReport(axiom1=worst[1], axiom2=worst[2], axiom3=worst[3], tol=tol,
+                         witnesses=witnesses)
 
 
 # --------------------------------------------------------------------------

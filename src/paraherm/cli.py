@@ -37,7 +37,7 @@ from .geometry import (
     scalar_pairing,
     stack_points,
 )
-from .models import build_flat, build_tm
+from .models import Model, build_flat, build_tm
 from .parastructure import ParaHermitianStructure, classify, validate_structure
 from .randfields import random_vector_field
 
@@ -134,9 +134,8 @@ class _RunContext:
         self.model = self._build_model(spec["model"])
         self.b_field = self._build_b_field(spec.get("b_field"))
         with _spec_section("sample"):
-            self.points, self.seed = self._sample(spec.get("sample", {}))
-        # Every suite evaluates its fields on the whole sample as this batch.
-        self.batch = stack_points(self.points)
+            # Every suite evaluates its fields on the whole sample as this batch.
+            self.batch, self.seed = self._sample(spec.get("sample", {}))
         self._gates = {}
 
     def check_domain(self):
@@ -164,7 +163,20 @@ class _RunContext:
     def transformation(self):
         """The B-transformation by `b_field`, validated at the sample on first
         use, so that its errors surface in the first suite that needs it."""
-        return df.b_transform(self.model.S, self.b_field, sample=self.points)
+        return df.b_transform(self.model.S, self.b_field, sample=self.batch)
+
+    @functools.cached_property
+    def pool(self):
+        """The random vector fields of the Courant, Jacobi-witness and deform
+        suites, built once per run."""
+        return self.field_pool()
+
+    def field_pool(self, vars_subset=None):
+        """Three random vector fields from the run's "fields" stream, reading
+        only the coordinates `vars_subset` when it is given."""
+        rng = self.rng_for("fields")
+        return [random_vector_field(self.model.chart, rng, vars_subset=vars_subset)
+                for _ in range(3)]
 
     # -- model ---------------------------------------------------------------
 
@@ -188,8 +200,7 @@ class _RunContext:
                 eta = TensorField(chart, 0, 2, np.asarray(mspec["eta"], dtype=object),
                                   sym="symmetric")
                 K = TensorField(chart, 1, 1, np.asarray(mspec["K"], dtype=object))
-                S = ParaHermitianStructure(chart, eta, K)
-                return _ExplicitModel(chart, S)
+                return Model(chart, ParaHermitianStructure(chart, eta, K))
         raise SpecParseError(f"unknown model {name!r}", "model")
 
     def _build_b_field(self, bspec):
@@ -220,7 +231,8 @@ class _RunContext:
             pts = sspec.get("points", [])
             if not pts:
                 raise SpecParseError("explicit sampling needs at least one point", "sample")
-            return [chart.point(p) for p in pts], _spec_int(sspec, "seed", 0, "sample")
+            return (stack_points([chart.point(p) for p in pts]),
+                    _spec_int(sspec, "seed", 0, "sample"))
         if mode != "uniform":
             raise SpecParseError(f"unknown sample mode {mode!r}", "sample")
         count = _spec_int(sspec, "count", 20, "sample")
@@ -245,25 +257,11 @@ class _RunContext:
                 raise SpecParseError("sampling rejected too many points", "sample")
             if self.model.point_ok(c):
                 pts.append(chart.point(c))
-        return pts, seed
+        return stack_points(pts), seed
 
     def rng_for(self, tag):
         digest = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big")
         return np.random.default_rng([self.seed, digest])
-
-
-class _ExplicitModel:
-    jet_margin = 0
-
-    def __init__(self, chart, S):
-        self.chart = chart
-        self.S = S
-
-    def default_box(self):
-        return [(-1.0, 1.0)] * self.chart.dim
-
-    def point_ok(self, coords):
-        return True
 
 
 # --------------------------------------------------------------------------
@@ -286,7 +284,7 @@ def _suite_result(name, passed, residuals, witnesses=(), expected_fail=False,
 
 
 def suite_validate(ctx):
-    rep = validate_structure(ctx.model.S, ctx.points, tol=ctx.tol["validate"])
+    rep = validate_structure(ctx.model.S, ctx.batch, tol=ctx.tol["validate"])
     wit = [
         {"residual": v, "invariant": k}
         for k, v in rep.residuals.items() if not v <= ctx.tol["validate"]
@@ -295,7 +293,7 @@ def suite_validate(ctx):
 
 
 def suite_classify(ctx):
-    rep = classify(ctx.model.S, ctx.points, tol=ctx.tol["classify"])
+    rep = classify(ctx.model.S, ctx.batch, tol=ctx.tol["classify"])
     residuals = dict(rep.residuals)
     residuals.update(rep.cross_checks)
     ok = all(v <= ctx.tol["classify"] for v in rep.cross_checks.values())
@@ -318,8 +316,7 @@ def suite_adapted(ctx):
             residuals[f"{side}_side_skipped_nijenhuis"] = integ
             continue
         checked = True
-        rep = check_adapted(S.canonical, S, side, ctx.points,
-                            seed=ctx.seed, tol=tol)
+        rep = check_adapted(S.canonical, S, side, ctx.batch, seed=ctx.seed, tol=tol)
         for cond, val in rep.conditions.items():
             residuals[f"{side}_cond{cond}"] = val
         witnesses.extend(rep.witnesses)
@@ -328,12 +325,6 @@ def suite_adapted(ctx):
         return _suite_result("adapted", True, residuals, skipped=True,
                              reason="no integrable side at tolerance")
     return _suite_result("adapted", ok, residuals, witnesses)
-
-
-def _field_pool(ctx, count=3, vars_subset=None):
-    rng = ctx.rng_for("fields")
-    return [random_vector_field(ctx.model.chart, rng, vars_subset=vars_subset)
-            for _ in range(count)]
 
 
 def _eta_scale(ctx):
@@ -349,12 +340,11 @@ def _courant_projected(ctx, sign, name):
     if not integ <= tol:
         return _suite_result(name, True, {"nijenhuis": integ}, skipped=True,
                              reason="eigenbundle not integrable at tolerance")
-    pool = _field_pool(ctx)
     bracket = lambda X, Y: br.projected_bracket(S.canonical, S, sign, X, Y)
     anchor = lambda X: apply_endomorphism(S.projector(sign), X)
     pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
-    rep = br.courant_axiom_suite(bracket, anchor, pair, pool, ctx.points, tol=tol,
-                                 seed=ctx.seed, scale=_eta_scale(ctx))
+    rep = br.courant_axiom_suite(bracket, anchor, pair, ctx.pool, ctx.batch, tol=tol,
+                                 scale=_eta_scale(ctx))
     res = {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3": rep.axiom3}
     return _suite_result(name, rep.passed(), res,
                          [w | {"axiom": k} for k, w in rep.witnesses.items()])
@@ -372,12 +362,11 @@ def suite_courant_d_full(ctx):
     """Full D-bracket: axioms 1-2 must pass, axiom 3 must fail with a witness."""
     S = ctx.model.S
     tol = ctx.tol["courant"]
-    pool = _field_pool(ctx)
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
     anchor = lambda X: X
     pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
-    rep = br.courant_axiom_suite(bracket, anchor, pair, pool, ctx.points, tol=tol,
-                                 seed=ctx.seed, scale=_eta_scale(ctx))
+    rep = br.courant_axiom_suite(bracket, anchor, pair, ctx.pool, ctx.batch, tol=tol,
+                                 scale=_eta_scale(ctx))
     res = {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3_defect": rep.axiom3}
     ok = rep.axiom1 <= tol and rep.axiom2 <= tol and rep.axiom3 > ctx.tol["witness_floor"]
     return _suite_result("courant_d_full", ok, res,
@@ -388,15 +377,14 @@ def suite_courant_d_full(ctx):
 def suite_jacobi_defect_witness(ctx):
     """Record a concrete Jacobi-defect witness for the full D-bracket."""
     S = ctx.model.S
-    pool = _field_pool(ctx)
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
-    defects = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], ctx.batch)
+    defects = br.jacobi_defect(bracket, *ctx.pool, ctx.batch)
     i = int(np.argmax(defects))  # the first worst point
     worst = float(defects[i])
     ok = worst > ctx.tol["witness_floor"]
     wit = []
     if worst > 0.0:
-        wit = [{"point": [float(c) for c in ctx.points[i].coords], "defect": worst}]
+        wit = [{"point": ctx.batch.coords[i].tolist(), "defect": worst}]
     return _suite_result("jacobi_defect_witness", ok, {"max_defect": worst}, wit,
                          expected_fail=True)
 
@@ -419,7 +407,7 @@ def suite_section_condition(ctx):
     if not curv <= tol:
         return _suite_result("section_condition", True, {"curvature": curv},
                              skipped=True, reason="eta is not flat")
-    pool = _field_pool(ctx, vars_subset=list(range(chart.split)))
+    pool = ctx.field_pool(vars_subset=list(range(chart.split)))
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
     minus = br.projected_bracket(S.canonical, S, -1, pool[0], pool[1])
     worst_minus = float(np.max(minus.max_abs(ctx.batch)))
@@ -436,12 +424,11 @@ def suite_deform(ctx):
                              reason="no b_field in spec")
     tol = ctx.tol["deform"]
     T = ctx.transformation
-    vrep = validate_structure(T.structure_B, ctx.points, tol=ctx.tol["validate"])
-    compat = df.compatibility_residual(T, ctx.points)
-    pool = _field_pool(ctx)
+    vrep = validate_structure(T.structure_B, ctx.batch, tol=ctx.tol["validate"])
+    compat = df.compatibility_residual(T, ctx.batch)
     # The two-sided check reads the first five points of the whole batch,
     # for the reason given in `suite_section_condition`.
-    sides = df.maurer_cartan_sides(T, pool[0], pool[1], pool[2], ctx.batch)
+    sides = df.maurer_cartan_sides(T, *ctx.pool, ctx.batch)
     agree = float(np.max(sides.agreement[:5]))
     res = {"structure_validation": max(vrep.residuals.values()),
            "mc_two_sides_agreement": agree, "mc_residual": compat}
@@ -551,7 +538,7 @@ def run(spec_path, output_path=None, verbose=False) -> int:
         "spec": spec,
         "seed": ctx.seed,
         "jet_order": ctx.jet_order,
-        "n_points": len(ctx.points),
+        "n_points": len(ctx.batch.coords),
         "suites": results,
         "passed": passed,
     }

@@ -22,13 +22,13 @@ from .geometry import (
     DerivedField,
     Field,
     TensorField,
+    as_batch,
     constant_jets,
+    invert_matrix_jets,
     jets_gradient,
-    metric_inverse_at,
     per_point,
     per_point_max,
     require_within,
-    stack_points,
     tdot,
     truncate_jets,
 )
@@ -83,7 +83,8 @@ def levi_civita(eta: Field) -> Connection:
     """The Levi-Civita connection of eta."""
 
     def fn(point, order):
-        ej, inv = metric_inverse_at(eta, point, order + 1)
+        ej = eta.at(point, order + 1)
+        inv = invert_matrix_jets(ej, point)
         return truncate_jets(christoffel_jets(inv, jets_gradient(ej)), order)
 
     return Connection(eta.chart, fn, provenance="levi_civita", inputs=(eta,))
@@ -221,9 +222,6 @@ def curvature(C: Connection) -> Field:
 class AdaptedReport:
     side: str
     conditions: dict
-    seed: int
-    n_points: int
-    n_vectors: int
     tol: float
     witnesses: list = field(default_factory=list)
 
@@ -232,7 +230,7 @@ class AdaptedReport:
         return all(v <= self.tol for v in self.conditions.values())
 
 
-def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
+def check_adapted(C: Connection, S, side, sample, n_vectors=20,
                   seed=2024, tol=1e-9) -> AdaptedReport:
     """Residuals of the four adapted-connection conditions over random frames.
 
@@ -244,14 +242,7 @@ def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
     the `n_vectors` triples of each point come from one draw, in the same
     order as one draw per triple.
     """
-    sample = list(sample)
-    worst = {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0}
-    witnesses = []
-    report = AdaptedReport(side=side, conditions=worst, seed=seed, n_points=len(sample),
-                           n_vectors=n_vectors, tol=tol, witnesses=witnesses)
-    if not sample:
-        return report
-    batch = stack_points(sample)
+    batch = as_batch(sample)
     dim = S.chart.dim
     bundle = S.at(batch, 1)
     Pp, Pm = (bundle.Pm, bundle.Pp) if side == "n" else (bundle.Pp, bundle.Pm)
@@ -267,8 +258,9 @@ def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
     dPm = values(jets_gradient(Pm))
     scale = np.maximum(1.0, np.maximum(per_point_max(etav), per_point_max(gv)))
     rng = np.random.default_rng(seed)
-    uvw = rng.uniform(-1.0, 1.0, (len(sample) * n_vectors, 3, dim))
-    u, v, w = np.moveaxis(uvw.reshape(len(sample), n_vectors, 3, dim), 2, 0)  # (point, vec, a)
+    npts = len(batch.coords)
+    uvw = rng.uniform(-1.0, 1.0, (npts * n_vectors, 3, dim))
+    u, v, w = np.moveaxis(uvw.reshape(npts, n_vectors, 3, dim), 2, 0)  # (point, vec, a)
     xp = np.einsum("pab,pvb->pva", Ppv, u)
     yp = np.einsum("pab,pvb->pva", Ppv, v)
     zp = np.einsum("pab,pvb->pva", Ppv, w)
@@ -290,13 +282,8 @@ def check_adapted(C: Connection, S, side="p", sample=(), n_vectors=20,
     # point_worst[p, cond - 1]: the worst triple of each point, scale-normalized.
     point_worst = np.stack([np.abs(r).max(axis=1) for r in (r1, r2, r3, r4)], axis=1)
     point_worst /= scale[:, None]
-    for cond in worst:
-        worst[cond] = float(point_worst[:, cond - 1].max())
-    for point, row in zip(sample, point_worst):
-        for cond, val in zip(worst, row):
-            if not val <= tol:
-                witnesses.append(
-                    {"condition": cond, "point": [float(c) for c in point.coords],
-                     "residual": float(val)}
-                )
-    return report
+    conditions = {cond: float(point_worst[:, cond - 1].max()) for cond in (1, 2, 3, 4)}
+    witnesses = [{"condition": cond, "point": coords.tolist(), "residual": float(val)}
+                 for coords, row in zip(batch.coords, point_worst)
+                 for cond, val in zip(conditions, row) if not val <= tol]
+    return AdaptedReport(side=side, conditions=conditions, tol=tol, witnesses=witnesses)

@@ -32,6 +32,7 @@ from .geometry import (
     MAX_CONDITION,
     TensorField,
     apply_endomorphism,
+    as_batch,
     coeff_max,
     concat_jets,
     constant_jets,
@@ -42,7 +43,6 @@ from .geometry import (
     per_point,
     per_point_max,
     require_within,
-    stack_points,
     tdot,
 )
 from .parastructure import ParaHermitianStructure, bigraded_part_at
@@ -123,38 +123,35 @@ class BTransformation:
                        "base structure fails para-Kahler residual")
 
 
-def _type_residuals(S, b, sample, side):
-    """(antisymmetry, wrong-type) residuals of the two-form at the sample."""
-    sample = list(sample)
-    if not sample:
-        return 0.0, 0.0
-    batch = stack_points(sample)
+def _require_type(S, b, sample, side, tol):
+    """Raise NotAntisymmetric, then WrongType, naming the first point of the
+    sample where the two-form is not antisymmetric or has components off
+    the pure type of `side`; with no sample, check nothing."""
+    if sample is None:
+        return
+    batch = as_batch(sample)
     vals = b.values(batch)  # (point, i, j)
     Q = S.projector(-side).values(batch)
     scale = np.maximum(1.0, per_point_max(vals))
     anti = per_point_max(vals + np.swapaxes(vals, 1, 2)) / scale
     wrong = np.maximum(per_point_max(np.swapaxes(Q, 1, 2) @ vals),
                        per_point_max(vals @ Q)) / scale
-    return float(anti.max()), float(wrong.max())
+    name, kind = ("b", "(+2,-0)") if side > 0 else ("beta", "(+0,-2)")
+    require_within(batch, anti, tol, NotAntisymmetric, f"{name} antisymmetry residual")
+    require_within(batch, wrong, tol, WrongType,
+                   f"{name} has components off the {kind} type, residual")
 
 
-def b_transform(S, b: Field, sample=(), tol=1e-10) -> BTransformation:
-    """Validate the two-form and build the sheared structure (plus side)."""
-    anti, wrong = _type_residuals(S, b, sample, +1)
-    if not anti <= tol:
-        raise NotAntisymmetric(f"b antisymmetry residual {anti:.3e}")
-    if not wrong <= tol:
-        raise WrongType(f"b has components off the (+2,-0) type, residual {wrong:.3e}")
+def b_transform(S, b: Field, sample=None, tol=1e-10) -> BTransformation:
+    """Validate the two-form on the sample and build the sheared structure
+    (plus side)."""
+    _require_type(S, b, sample, +1, tol)
     return BTransformation(S, b, side=+1)
 
 
-def b_minus_transform(S, beta: Field, sample=(), tol=1e-10) -> BTransformation:
+def b_minus_transform(S, beta: Field, sample=None, tol=1e-10) -> BTransformation:
     """Mirror shear of T- toward T+, driven by a type (+0,-2) two-form."""
-    anti, wrong = _type_residuals(S, beta, sample, -1)
-    if not anti <= tol:
-        raise NotAntisymmetric(f"beta antisymmetry residual {anti:.3e}")
-    if not wrong <= tol:
-        raise WrongType(f"beta has components off the (+0,-2) type, residual {wrong:.3e}")
+    _require_type(S, beta, sample, -1, tol)
     return BTransformation(S, beta, side=-1)
 
 
@@ -223,10 +220,7 @@ def mc_form(T: BTransformation) -> Field:
 
 def compatibility_residual(T: BTransformation, sample) -> float:
     """Max scale-normalized Maurer-Cartan component over the sample."""
-    sample = list(sample)
-    if not sample:
-        return 0.0
-    batch = stack_points(sample)
+    batch = as_batch(sample)
     scale = np.maximum(1.0, coeff_max(T.b.at(batch, 1)))
     return float(np.max(mc_form(T).at(batch, 0).max_abs() / scale))
 

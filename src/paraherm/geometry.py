@@ -42,7 +42,13 @@ a connection's Christoffel symbols and the Nijenhuis gate are fields too.
 `Field.at` keeps its result at the last point or batch, at the highest order
 asked, and serves a request there at that order or lower as a prefix slice,
 so the nested operators, which ask their inputs for orders k, k+1 and k+2,
-evaluate each input once; so a field's jets depend only on (point, order).
+evaluate each input once.  A field's jets are a function of (point, order)
+up to rounding; their bits also depend on the order the entry was made at,
+the highest asked at that point so far, since a jet made at a higher order
+and sliced can differ in its last bits from one made at the lower order
+(the Newton steps of `invert_matrix_jets` and `reciprocal`, and `tdot`'s
+pair sums, depend on the order).  A fixed sequence of requests gives fixed
+bits.
 A field is `const` when it reads no coordinate (a `TensorField` whose tape
 reads none, or a `DerivedField` whose declared inputs are all `const`): its
 one entry ignores the point, is evaluated at the first point asked (so its
@@ -85,7 +91,7 @@ __all__ = [
     "Chart", "Point", "TensorField", "DerivedField", "JetArray",
     "lie_bracket", "exterior_derivative", "lie_derivative",
     "interior_product", "scalar_pairing", "wedge", "musical",
-    "invert_matrix_jets", "metric_inverse_at", "require_within", "per_point",
+    "invert_matrix_jets", "require_within", "per_point", "stack_points", "as_batch",
 ]
 
 
@@ -174,6 +180,15 @@ def stack_points(points) -> Point:
     """One batch of a non-empty sequence of single points, in order."""
     points = list(points)
     return Point(points[0].chart, np.stack([p.coords for p in points]))
+
+
+def as_batch(sample) -> Point:
+    """The sample of a check as a batch: a batch `Point` as it is, a single
+    point as a batch of one.  A sample is always one `Point`, which cannot
+    be empty; anything else, such as a list of points, raises TypeError."""
+    if not isinstance(sample, Point):
+        raise TypeError(f"a sample is one Point (see stack_points), not {type(sample).__name__}")
+    return sample if sample.batch else Point(sample.chart, sample.coords[None])
 
 
 def require_within(point, residuals, bound, error, label):
@@ -890,8 +905,10 @@ class Field:
         recent point or batch (of any point, for a `const` field) are kept
         at the highest order asked there, and a request there at that order
         or lower is their prefix slice.  So a field's jets at a point must
-        depend only on (point, order), and the caller gets a read-only array
-        it may share with other callers.
+        be a function of (point, order) up to rounding, and the bits a
+        request gets are those of the highest order asked there since the
+        entry was made (see the module docstring).  The caller gets a
+        read-only array it may share with other callers.
         """
         raise NotImplementedError
 
@@ -1148,12 +1165,9 @@ def _perm_sign(perm):
     return sign
 
 
-def antisymmetry_residual(T: Field, points, order=0) -> float:
-    """Max violation of the full sign rule at the given points."""
-    points = list(points)
-    if not points:
-        return 0.0
-    batch = stack_points(points)
+def antisymmetry_residual(T: Field, sample, order=0) -> float:
+    """Max violation of the full sign rule over the sample."""
+    batch = as_batch(sample)
     vals = per_point(batch, T.at(batch, order)).values()
     return float(np.max([
         np.max(np.abs(np.transpose(vals, (0, *(a + 1 for a in perm))) - _perm_sign(perm) * vals))
@@ -1187,20 +1201,14 @@ def invert_matrix_jets(M: JetArray, point=None) -> JetArray:
     return X
 
 
-def metric_inverse_at(eta: Field, point, order) -> tuple[JetArray, JetArray]:
-    """(eta, eta^{-1}) jets at a point; raises SingularMetric as
-    `invert_matrix_jets` does."""
-    ej = eta.at(point, order)
-    return ej, invert_matrix_jets(ej, point)
-
-
 def musical(eta: Field, T: Field, slots, point, order=0) -> JetArray:
     """Raise or lower the given axes of T with eta at a point.
 
     Axes in T's contravariant range (below T.r) are lowered with eta and
     covariant axes are raised with eta^{-1}; axis positions are preserved.
     """
-    ej, inv = metric_inverse_at(eta, point, order)
+    ej = eta.at(point, order)
+    inv = invert_matrix_jets(ej, point)
     out = T.at(point, order)
     for axis in sorted(slots):
         g = ej if axis < T.r else inv

@@ -29,6 +29,7 @@ from .geometry import (
     Chart,
     DerivedField,
     TensorField,
+    as_batch,
     concat_jets,
     constant_field,
     constant_jets,
@@ -36,35 +37,46 @@ from .geometry import (
     embed_block,
     invert_matrix_jets,
     jets_gradient,
-    stack_points,
+    per_point,
+    require_within,
     tdot,
     truncate_jets,
 )
 from .parastructure import ParaHermitianStructure
 
 __all__ = [
-    "FlatModel", "TangentBundleModel", "build_flat", "build_tm",
-    "b_field_on_tm", "sphere_base", "BUILTIN_MODELS",
+    "Model", "FlatModel", "TangentBundleModel", "build_flat", "build_tm",
+    "b_field_on_tm", "sphere_base",
 ]
 
 
-@dataclass
-class FlatModel:
-    """`jet_margin` (here and on the other models): the jet orders beyond
-    its own that evaluating eta and K consumes from the model's data."""
+class Model:
+    """A structure `S` on a `chart`, with where to sample it: the box
+    `default_box` and the filter `point_ok`, which keeps every point unless
+    `_point_ok` is set.  `jet_margin`: the jet orders beyond its own that
+    evaluating eta and K consumes from the model's data."""
 
     jet_margin = 0
-    n: int
-    chart: Chart
-    S: ParaHermitianStructure
-    eta_matrix: np.ndarray
-    K_matrix: np.ndarray
+    _point_ok = None
+
+    def __init__(self, chart, S):
+        self.chart = chart
+        self.S = S
 
     def default_box(self):
         return [(-1.0, 1.0)] * self.chart.dim
 
     def point_ok(self, coords):
-        return True
+        return True if self._point_ok is None else self._point_ok(coords)
+
+
+@dataclass
+class FlatModel(Model):
+    n: int
+    chart: Chart
+    S: ParaHermitianStructure
+    eta_matrix: np.ndarray
+    K_matrix: np.ndarray
 
 
 def build_flat(n: int, jet_order=3, coord_names=None) -> FlatModel:
@@ -82,7 +94,7 @@ def build_flat(n: int, jet_order=3, coord_names=None) -> FlatModel:
     return FlatModel(n=n, chart=chart, S=S, eta_matrix=eta, K_matrix=K)
 
 
-class TangentBundleModel:
+class TangentBundleModel(Model):
     # eta and K at order k need the Christoffels of g, so g at order k + 1.
     jet_margin = 1
 
@@ -100,20 +112,14 @@ class TangentBundleModel:
         self.riemann_g = riemann_g
         self._point_ok = point_ok
 
-    def default_box(self):
-        return [(-1.0, 1.0)] * self.chart.dim
 
-    def point_ok(self, coords):
-        return True if self._point_ok is None else self._point_ok(coords)
-
-
-def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
+def build_tm(g_sources, base_coords, jet_order=3, sample=None, point_ok=None,
              v_prefix="v") -> TangentBundleModel:
     """Assemble the tangent-bundle model for a base metric g.
 
     `g_sources` is an n x n nested sequence of chart scalars in the base
-    coordinates; `sample` points (on the full 2n chart) are used for the
-    positive-definiteness check of g.
+    coordinates; g is checked positive definite at the `sample`, a `Point`
+    on the full 2n chart, when one is given.
     """
     n = len(base_coords)
     coord_names = list(base_coords) + [f"{v_prefix}{i + 1}" for i in range(n)]
@@ -176,45 +182,42 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=(), point_ok=None,
         n, chart, g_field, S, frames_h, frames_v, coframes_h, coframes_v,
         gamma_g, riemann_g, point_ok=point_ok,
     )
-    sample = list(sample)
-    if sample:
-        gvals = g_field.values(stack_points(sample))[:, :n, :n]
-        for p, gv in zip(sample, gvals):
+    if sample is not None:
+        batch = as_batch(sample)
+        for coords, gv in zip(batch.coords, g_field.values(batch)[:, :n, :n]):
             try:
                 np.linalg.cholesky(gv)
             except np.linalg.LinAlgError:
-                raise NotPositiveDefinite(f"base metric not positive definite at {p}")
+                raise NotPositiveDefinite(
+                    f"base metric not positive definite at {chart.point(coords)}")
     return model
 
 
-def flatness_residual(model: TangentBundleModel, sample) -> float:
-    """Max |Riemann of g| over the sample (scale-normalized)."""
-    sample = list(sample)
-    if not sample:
-        return 0.0
-    batch = stack_points(sample)
-    curv = model.riemann_g(batch, 0).max_abs()
-    scale = np.maximum(1.0, model.g.at(batch, 0).max_abs())
-    return float(np.max(curv / scale))
+def flatness_residual(model: TangentBundleModel, sample) -> np.ndarray:
+    """|Riemann of g| at each point of the sample (scale-normalized)."""
+    batch = as_batch(sample)
+    curv = per_point(batch, model.riemann_g(batch, 0)).max_abs()
+    return curv / np.maximum(1.0, model.g.max_abs(batch))
 
 
-def b_field_on_tm(model: TangentBundleModel, b_sources, sample=(),
+def b_field_on_tm(model: TangentBundleModel, b_sources, sample,
                   flat_tol=1e-9) -> BTransformation:
     """B-transformation of the tangent-bundle model by b = b_ij dx^i ^ dx^j.
 
-    Requires a flat base metric (checked through the curvature procedure);
-    `b_sources` is the n x n lower-block component array, functions of both
-    x and v.
+    Requires a flat base metric at every point of the sample (checked
+    through the curvature procedure; NotParaKahler names the first point
+    where it is not); `b_sources` is the n x n lower-block component array,
+    functions of both x and v.
     """
-    res = flatness_residual(model, sample)
-    if res > flat_tol:
-        raise NotParaKahler(f"base metric is not flat: curvature residual {res:.3e}")
+    batch = as_batch(sample)
+    require_within(batch, flatness_residual(model, batch), flat_tol, NotParaKahler,
+                   "base metric is not flat: curvature residual")
     n = model.n
     arr = np.asarray(b_sources, dtype=object)
     if arr.shape != (n, n):
         raise RankMismatch(f"b block must be {n} x {n}")
     b = TensorField(model.chart, 0, 2, embed_block(model.chart, arr), sym="antisymmetric")
-    return b_transform(model.S, b, sample=sample)
+    return b_transform(model.S, b, sample=batch)
 
 
 def sphere_base():
@@ -226,6 +229,3 @@ def sphere_base():
         return abs(np.sin(c[0])) > 0.05
 
     return g, coords, point_ok
-
-
-BUILTIN_MODELS = ("flat", "tangent_bundle")

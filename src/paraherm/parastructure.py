@@ -25,6 +25,7 @@ from .geometry import (
     Field,
     JetArray,
     apply_endomorphism,
+    as_batch,
     coeff_max,
     constant_field,
     constant_jets,
@@ -34,7 +35,6 @@ from .geometry import (
     lie_bracket,
     per_point,
     per_point_max,
-    stack_points,
     tdot,
 )
 
@@ -143,7 +143,6 @@ def _const_vec(chart, comps):
 class ValidationReport:
     residuals: dict
     tol: float
-    n_points: int
 
     @property
     def passed(self) -> bool:
@@ -153,13 +152,7 @@ class ValidationReport:
 def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> ValidationReport:
     """Pointwise residuals for every defining invariant of (eta, K), on the
     sample as one batch."""
-    res = dict.fromkeys((
-        "K_squared", "eta_symmetric", "eta_anticompat", "trace_K", "omega_antisymmetric",
-        "projectors", "partition", "isotropy_plus", "isotropy_minus"), 0.0)
-    sample = list(sample)
-    if not sample:
-        return ValidationReport(res, tol, 0)
-    batch = stack_points(sample)
+    batch = as_batch(sample)
     b = S.at(batch, 0)
     K, eta, omega, Pp, Pm = (per_point(batch, x).values()  # (point, a, b) each
                              for x in (b.K, b.eta, b.omega, b.Pp, b.Pm))
@@ -177,9 +170,7 @@ def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> Validati
         "isotropy_plus": per_point_max(T(Pp) @ eta @ Pp) / scale,
         "isotropy_minus": per_point_max(T(Pm) @ eta @ Pm) / scale,
     }
-    for key, vals in worst.items():
-        res[key] = float(vals.max())
-    return ValidationReport(res, tol, len(sample))
+    return ValidationReport({key: float(vals.max()) for key, vals in worst.items()}, tol)
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +324,6 @@ class ClassificationReport:
     flags: dict
     residuals: dict
     tol: float
-    n_points: int
     cross_checks: dict = field(default_factory=dict)
 
 
@@ -345,13 +335,7 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
     d omega = 0; para-Kahler additionally cross-checked against nablao K = 0
     and the (3,0)/(0,3) formulas relating d omega to the Nijenhuis parts.
     """
-    sample = list(sample)
-    res = {"n_plus": 0.0, "n_minus": 0.0, "phi_skew": 0.0, "domega": 0.0,
-           "domega_30": 0.0, "domega_21": 0.0, "domega_12": 0.0, "domega_03": 0.0,
-           "nabla_K": 0.0}
-    cross = {"d_omega_30_vs_cyclic_n_plus": 0.0, "d_omega_03_vs_cyclic_n_minus": 0.0}
-    if sample:
-        _classify_batch(S, stack_points(sample), res, cross)
+    res, cross = _classify_batch(S, as_batch(sample))
     flags = {
         "p_integrable": res["n_plus"] <= tol,
         "n_integrable": res["n_minus"] <= tol,
@@ -373,11 +357,12 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
     cross["para_kahler_iff_nabla_K"] = (
         0.0 if flags["para_kahler"] == (res["nabla_K"] <= tol) else 1.0
     )
-    return ClassificationReport(flags, res, tol, len(sample), cross)
+    return ClassificationReport(flags, res, tol, cross)
 
 
-def _classify_batch(S, batch, res, cross):
-    """Fill the classification residuals: the worst point of the batch."""
+def _classify_batch(S, batch):
+    """(residuals, cross checks) of the classification: the worst point of
+    the batch."""
     dim = S.chart.dim
     basis = [_const_vec(S.chart, row) for row in np.eye(dim)]
     b = S.at(batch, 1)
@@ -418,7 +403,6 @@ def _classify_batch(S, batch, res, cross):
         "d_omega_30_vs_cyclic_n_plus": per_point_max(parts[3] - cyc[+1]) / dw_scale,
         "d_omega_03_vs_cyclic_n_minus": per_point_max(parts[0] + cyc[-1]) / dw_scale,
     }
-    for out, vals in ((res, worst), (cross, per_cross)):
-        for key, v in vals.items():
-            out[key] = float(np.max(v))
+    return ({key: float(np.max(v)) for key, v in worst.items()},
+            {key: float(np.max(v)) for key, v in per_cross.items()})
 

@@ -22,6 +22,7 @@ from paraherm.deformations import (
 from paraherm.errors import NotParaKahler
 from paraherm.geometry import (
     TensorField, apply_endomorphism, constant_field, eval_expr, lie_bracket, scalar_pairing,
+    stack_points,
 )
 from paraherm.models import b_field_on_tm, build_flat
 from paraherm.parastructure import classify, rho, rho_field
@@ -148,7 +149,7 @@ def test_criterion_3_converse_witnesses(flat3):
     for cond, delta in _perturbations(chart, n).items():
         comps = delta.astype(object)
         C = from_christoffels(chart, comps, provenance="perturbed")
-        rep = check_adapted(C, S, "p", pts, seed=402)
+        rep = check_adapted(C, S, "p", stack_points(pts), seed=402)
         # exactly the intended condition is violated
         for other, val in rep.conditions.items():
             if other == cond:
@@ -205,8 +206,8 @@ def test_criterion_4_courant_axioms(flat2, flatg_tm):
         for sign in (+1, -1):
             bracket = lambda X, Y: projected_bracket(S.canonical, S, sign, X, Y)
             anchor = lambda X: apply_endomorphism(S.projector(sign), X)
-            rep = courant_axiom_suite(bracket, anchor, eta_pair(S), pool, pts,
-                                      tol=tol)
+            rep = courant_axiom_suite(bracket, anchor, eta_pair(S), pool,
+                                      stack_points(pts), tol=tol)
             assert rep.passed(), (sign, rep.axiom1, rep.axiom2, rep.axiom3)
     # full D-bracket: axioms 1-2 pass, 3 fails with a recorded witness
     S = flat2.S
@@ -214,7 +215,7 @@ def test_criterion_4_courant_axioms(flat2, flatg_tm):
     rng = np.random.default_rng(503)
     pool = [random_vector_field(S.chart, rng) for _ in range(3)]
     rep = courant_axiom_suite(lambda X, Y: d_bracket(S, X, Y), lambda X: X,
-                              eta_pair(S), pool, pts, tol=tol)
+                              eta_pair(S), pool, stack_points(pts), tol=tol)
     assert rep.axiom1 < tol and rep.axiom2 < tol
     assert rep.axiom3 > 1e-4
     assert rep.witnesses["3"]["point"]
@@ -265,7 +266,7 @@ def test_criterion_6_maurer_cartan_two_sided(flat2):
         comps[0, 1] = poly
         comps[1, 0] = Mul(Const(Fraction(-1)), poly)
         b = TensorField(flat2.chart, 0, 2, comps, sym="antisymmetric")
-        T = b_transform(S, b, sample=pts)
+        T = b_transform(S, b, sample=stack_points(pts))
         X = random_vector_field(flat2.chart, rng)
         Y = random_vector_field(flat2.chart, rng)
         Z = random_vector_field(flat2.chart, rng)
@@ -276,9 +277,9 @@ def test_criterion_6_maurer_cartan_two_sided(flat2):
     cb = np.zeros((4, 4))
     cb[0, 1], cb[1, 0] = 0.6, -0.6
     Tc = b_transform(S, constant_field(flat2.chart, cb, 0, 2, sym="antisymmetric"),
-                     sample=pts)
+                     sample=stack_points(pts))
     # the Maurer-Cartan residual is exactly zero for constant b
-    assert compatibility_residual(Tc, pts) == 0.0
+    assert compatibility_residual(Tc, stack_points(pts)) == 0.0
     sides = maurer_cartan_sides(
         Tc, *(random_vector_field(flat2.chart, rng) for _ in range(3)), pts[0])
     assert sides.form_side == 0.0
@@ -292,7 +293,7 @@ def test_criterion_6_maurer_cartan_two_sided(flat2):
         comps[i, j] = s
         comps[j, i] = f"-({s})"
     T3 = b_transform(flat3.S, TensorField(flat3.chart, 0, 2, comps,
-                                          sym="antisymmetric"), sample=pts3)
+                                          sym="antisymmetric"), sample=stack_points(pts3))
     saw = 0.0
     for p in pts3:
         sides = maurer_cartan_sides(
@@ -324,13 +325,13 @@ def test_criterion_7_twisted_two_way(flat2, flat3, flatg_tm, sphere_tm, sphere_p
             comps[i, j] = s
             comps[j, i] = f"-({s})"
         b = TensorField(model.chart, 0, 2, comps, sym="antisymmetric")
-        cases.append((model.S, b_transform(model.S, b, sample=pts), pts))
+        cases.append((model.S, b_transform(model.S, b, sample=stack_points(pts)), pts))
     tm_pts = sample_points(flatg_tm, 5, seed=803)
     bb = np.empty((3, 3), dtype=object)
     bb[...] = 0
     bb[0, 1], bb[1, 0] = "x1 + v1^2", "-(x1 + v1^2)"
     bb[1, 2], bb[2, 1] = "x3*v3", "-(x3*v3)"
-    cases.append((flatg_tm.S, b_field_on_tm(flatg_tm, bb, sample=tm_pts), tm_pts))
+    cases.append((flatg_tm.S, b_field_on_tm(flatg_tm, bb, sample=stack_points(tm_pts)), tm_pts))
     for S, T, pts in cases:
         X = random_vector_field(S.chart, rng)
         Y = random_vector_field(S.chart, rng)
@@ -343,7 +344,7 @@ def test_criterion_7_twisted_two_way(flat2, flat3, flatg_tm, sphere_tm, sphere_p
     bb2[...] = 0
     bb2[0, 1], bb2[1, 0] = "v1", "-v1"
     T = b_transform(sphere_tm.S, TensorField(sphere_tm.chart, 0, 2,
-                    _embed2(bb2, 2), sym="antisymmetric"), sample=sphere_pts[:2])
+                    _embed2(bb2, 2), sym="antisymmetric"), sample=stack_points(sphere_pts[:2]))
     X = random_vector_field(sphere_tm.chart, rng, degree=1)
     Y = random_vector_field(sphere_tm.chart, rng, degree=1)
     with pytest.raises(NotParaKahler):
@@ -375,7 +376,7 @@ def test_criterion_8_flux_reassembly(flatg_tm):
         bb[i, j] = s
         bb[j, i] = f"-({s})"
     pts = sample_points(flatg_tm, 20, seed=900)
-    T = b_field_on_tm(flatg_tm, bb, sample=pts)
+    T = b_field_on_tm(flatg_tm, bb, sample=stack_points(pts))
 
     # independent closed forms with hand derivatives (plain float arithmetic)
     def bval(x, v):
@@ -438,7 +439,7 @@ def test_criterion_9_curvature_obstruction(sphere_tm):
         err = float(np.max(np.abs(br - expect)))
         worst = max(worst, err)
         assert err < 1e-8
-    rep = classify(sphere_tm.S, pts[:4])
+    rep = classify(sphere_tm.S, stack_points(pts[:4]))
     assert rep.cross_checks["d_omega_30_vs_cyclic_n_plus"] < 1e-9
     report(9, f"[H_i,H_j] = R^k_ijl v^l V_k vs direct oracle at 20 points "
               f"(max err {worst:.2e}); d omega^(3,0) = cyclic N+ holds")

@@ -12,7 +12,7 @@ from paraherm.errors import NotIntegrable, NotTorsionless
 from paraherm.geometry import (
     TensorField, apply_endomorphism, constant_field,
     DerivedField, coordinate_vector_field, exterior_derivative, jets_gradient, lie_bracket,
-    lie_derivative, scalar_pairing, tdot,
+    lie_derivative, scalar_pairing, stack_points, tdot,
 )
 from paraherm.parastructure import rho, rho_field
 from paraherm.randfields import (
@@ -263,7 +263,7 @@ def test_shear_connection_is_adapted_and_distinct(flat2):
     C = shear_adapted_connection(S)
     pts = sample_points(flat2, 4, 21)
     for side in ("p", "n"):
-        rep = check_adapted(C, S, side, pts)
+        rep = check_adapted(C, S, side, stack_points(pts))
         assert rep.passed, rep.conditions
     p = pts[0]
     diff = values(C.gamma(p, 0)) - values(S.canonical.gamma(p, 0))
@@ -372,7 +372,7 @@ def test_courant_suite_projected_passes(flat2):
     for sign in (+1, -1):
         bracket = lambda X, Y: projected_bracket(S.canonical, S, sign, X, Y)
         anchor = lambda X: apply_endomorphism(S.projector(sign), X)
-        rep = courant_axiom_suite(bracket, anchor, eta_pair(S), pool, pts)
+        rep = courant_axiom_suite(bracket, anchor, eta_pair(S), pool, stack_points(pts))
         assert rep.passed(), (rep.axiom1, rep.axiom2, rep.axiom3)
 
 
@@ -382,7 +382,7 @@ def test_courant_suite_full_dbracket_fails_axiom3(flat2):
     pool = [random_vector_field(S.chart, rng) for _ in range(3)]
     pts = sample_points(flat2, 3, 33)
     bracket = lambda X, Y: d_bracket(S, X, Y)
-    rep = courant_axiom_suite(bracket, lambda X: X, eta_pair(S), pool, pts)
+    rep = courant_axiom_suite(bracket, lambda X: X, eta_pair(S), pool, stack_points(pts))
     assert rep.axiom1 < 1e-9 and rep.axiom2 < 1e-9
     assert rep.axiom3 > 1e-4
     assert rep.passed(expect_jacobi_failure=True)
@@ -393,7 +393,7 @@ def test_courant_suite_lie_bracket_axiom3(flat2):
     rng = np.random.default_rng(34)
     pool = [random_vector_field(flat2.chart, rng) for _ in range(3)]
     pts = sample_points(flat2, 3, 35)
-    rep = courant_axiom_suite(lie_bracket, lambda X: X, None, pool, pts,
+    rep = courant_axiom_suite(lie_bracket, lambda X: X, None, pool, stack_points(pts),
                               skip_pairing=True)
     assert rep.axiom3 < 1e-9
 
@@ -407,7 +407,7 @@ def test_courant_axioms_on_tm_minus_side(flatg_tm):
     pts = sample_points(flatg_tm, 3, 37)
     bracket = lambda X, Y: projected_bracket(S.canonical, S, -1, X, Y)
     anchor = lambda X: apply_endomorphism(S.P_minus, X)
-    rep = courant_axiom_suite(bracket, anchor, eta_pair(S), pool, pts)
+    rep = courant_axiom_suite(bracket, anchor, eta_pair(S), pool, stack_points(pts))
     assert rep.passed(), (rep.axiom1, rep.axiom2, rep.axiom3)
 
 
@@ -419,7 +419,7 @@ def test_dbracket_axiom1_without_integrability(sphere_tm, sphere_pts):
     pool = [random_vector_field(S.chart, rng, degree=1) for _ in range(3)]
     bracket = lambda X, Y: d_bracket(S, X, Y)
     rep = courant_axiom_suite(bracket, lambda X: X, eta_pair(S), pool,
-                              sphere_pts[:3])
+                              stack_points(sphere_pts[:3]))
     assert rep.axiom1 < 1e-9
     assert rep.axiom2 < 1e-9
 

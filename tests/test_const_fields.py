@@ -141,7 +141,7 @@ def test_readers_give_one_entry_per_point_for_const_fields():
     # A constant Christoffel symbol with torsion fails every point, each a witness.
     comps = np.zeros((4, 4, 4))
     comps[0, 0, 1] = 1.0
-    rep = check_adapted(from_christoffels(chart, comps), S, "p", points)
+    rep = check_adapted(from_christoffels(chart, comps), S, "p", stack_points(points))
     assert not rep.passed
     assert {tuple(w["point"]) for w in rep.witnesses} == {tuple(p.coords) for p in points}
 

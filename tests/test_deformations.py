@@ -36,7 +36,7 @@ def make_b(chart, entries):
 def flat3_b(flat3):
     pts = sample_points(flat3, 5, 0)
     b = make_b(flat3.chart, {(0, 1): "xt1", (0, 2): "x2*xt2", (1, 2): "x1"})
-    return b_transform(flat3.S, b, sample=pts), pts
+    return b_transform(flat3.S, b, sample=stack_points(pts)), pts
 
 
 # -- construction and validation ---------------------------------------------------
@@ -44,7 +44,7 @@ def flat3_b(flat3):
 def test_zero_b_is_identity(flat2):
     pts = sample_points(flat2, 3, 1)
     b = make_b(flat2.chart, {})
-    T = b_transform(flat2.S, b, sample=pts)
+    T = b_transform(flat2.S, b, sample=stack_points(pts))
     p = pts[0]
     assert np.allclose(values(T.e_B.at(p, 0)), np.eye(4))
     assert np.allclose(values(T.K_B.at(p, 0)), flat2.K_matrix)
@@ -55,21 +55,22 @@ def test_constant_b_gives_integrable_compatible_structure(flat2):
     comps = np.zeros((4, 4))
     comps[0, 1], comps[1, 0] = 0.7, -0.7
     b = constant_field(flat2.chart, comps, 0, 2, sym="antisymmetric")
-    T = b_transform(flat2.S, b, sample=pts)
-    rep = validate_structure(T.structure_B, pts)
+    T = b_transform(flat2.S, b, sample=stack_points(pts))
+    rep = validate_structure(T.structure_B, stack_points(pts))
     assert rep.passed
     from paraherm.parastructure import classify
 
-    crep = classify(T.structure_B, pts[:2])
+    crep = classify(T.structure_B, stack_points(pts[:2]))
     assert crep.flags["para_kahler"]
-    assert compatibility_residual(T, pts) == 0.0
+    assert compatibility_residual(T, stack_points(pts)) == 0.0
 
 
 def test_wrong_type_rejected(flat2):
     pts = sample_points(flat2, 2, 3)
     bad = make_b(flat2.chart, {(0, 2): "1"})  # dx ^ dxt component
-    with pytest.raises(WrongType):
-        b_transform(flat2.S, bad, sample=pts)
+    with pytest.raises(WrongType, match=r"\(\+2,-0\) type") as err:
+        b_transform(flat2.S, bad, sample=stack_points(pts))
+    assert str(pts[0]) in str(err.value)
 
 
 def test_not_antisymmetric_rejected(flat2):
@@ -77,13 +78,14 @@ def test_not_antisymmetric_rejected(flat2):
     comps = np.zeros((4, 4))
     comps[0, 1] = 1.0  # no matching -1
     b = constant_field(flat2.chart, comps, 0, 2, sym="antisymmetric")
-    with pytest.raises(NotAntisymmetric):
-        b_transform(flat2.S, b, sample=pts)
+    with pytest.raises(NotAntisymmetric, match="b antisymmetry") as err:
+        b_transform(flat2.S, b, sample=stack_points(pts))
+    assert str(pts[0]) in str(err.value)
 
 
 def test_kb_invariants(flat3_b):
     T, pts = flat3_b
-    rep = validate_structure(T.structure_B, pts)
+    rep = validate_structure(T.structure_B, stack_points(pts))
     assert rep.passed
     for p in pts[:2]:
         b0 = T.S.at(p, 0)
@@ -119,8 +121,8 @@ def test_mc_residual_0_for_closed_x_only_b(flat2):
     """b = x2 dx1 ^ dx2: d+b = 0 (n = 2) and [b,b] = 0: compatible."""
     pts = sample_points(flat2, 4, 6)
     b = make_b(flat2.chart, {(0, 1): "x2"})
-    T = b_transform(flat2.S, b, sample=pts)
-    assert compatibility_residual(T, pts) < 1e-14
+    T = b_transform(flat2.S, b, sample=stack_points(pts))
+    assert compatibility_residual(T, stack_points(pts)) < 1e-14
     rng = np.random.default_rng(7)
     X, Y, Z = (random_vector_field(flat2.chart, rng) for _ in range(3))
     sides = maurer_cartan_sides(T, X, Y, Z, pts[0])
@@ -133,8 +135,8 @@ def test_mc_residual_vs_twist_distinction(flat2):
     itself does not: compatibility is not closedness."""
     pts = sample_points(flat2, 4, 8)
     b = make_b(flat2.chart, {(0, 1): "xt1"})
-    T = b_transform(flat2.S, b, sample=pts)
-    assert compatibility_residual(T, pts) < 1e-14
+    T = b_transform(flat2.S, b, sample=stack_points(pts))
+    assert compatibility_residual(T, stack_points(pts)) < 1e-14
     db = exterior_derivative(b)
     assert max(db.at(p, 0).max_abs() for p in pts) == 1.0
     # Cross-check: the (+3,-0)_B part of db equals the MC form.
@@ -150,7 +152,7 @@ def test_mc_residual_vs_twist_distinction(flat2):
 
 def test_twisted_equals_untwisted_for_zero_b(flat2):
     pts = sample_points(flat2, 3, 9)
-    T = b_transform(flat2.S, make_b(flat2.chart, {}), sample=pts)
+    T = b_transform(flat2.S, make_b(flat2.chart, {}), sample=stack_points(pts))
     rng = np.random.default_rng(10)
     X = random_vector_field(flat2.chart, rng)
     Y = random_vector_field(flat2.chart, rng)
@@ -177,7 +179,7 @@ def test_twisted_requires_para_kahler(sphere_tm, sphere_pts):
     """The curved tangent-bundle base is not para-Kahler: gate must trip."""
     S = sphere_tm.S
     b = make_b(S.chart, {(0, 1): "v1"})
-    T = b_transform(S, b, sample=sphere_pts[:2])
+    T = b_transform(S, b, sample=stack_points(sphere_pts[:2]))
     rng = np.random.default_rng(12)
     X = random_vector_field(S.chart, rng, degree=1)
     Y = random_vector_field(S.chart, rng, degree=1)
@@ -190,7 +192,7 @@ def test_twisted_projected_is_h_twisted_dorfman(flat2):
     is the H-twisted Dorfman bracket with H = -d+b."""
     pts = sample_points(flat2, 3, 13)
     b = make_b(flat2.chart, {(0, 1): "x1*x2"})
-    T = b_transform(flat2.S, b, sample=pts)
+    T = b_transform(flat2.S, b, sample=stack_points(pts))
     S = flat2.S
     rng = np.random.default_rng(14)
     X = random_vector_field(S.chart, rng)
@@ -228,7 +230,7 @@ def test_constant_b_all_fluxes_zero(flat2):
     comps[0, 1], comps[1, 0] = 0.4, -0.4
     T = b_transform(flat2.S,
                     constant_field(flat2.chart, comps, 0, 2, sym="antisymmetric"),
-                    sample=pts)
+                    sample=stack_points(pts))
     rep = extract_fluxes(T, pts[0])
     for arr in (rep.h_flux, rep.r_flux, rep.q_flux, rep.covariantized_h):
         assert np.max(np.abs(arr)) == 0.0
@@ -238,7 +240,7 @@ def test_q_flux_example(flat2):
     """b = xt1 dx1 ^ dx2: H = 0, R = 0, Q in the B-coframe has the single
     independent component d~^1 b_12 = 1."""
     pts = sample_points(flat2, 2, 16)
-    T = b_transform(flat2.S, make_b(flat2.chart, {(0, 1): "xt1"}), sample=pts)
+    T = b_transform(flat2.S, make_b(flat2.chart, {(0, 1): "xt1"}), sample=stack_points(pts))
     rep = extract_fluxes(T, pts[0])
     assert np.max(np.abs(rep.h_flux)) == 0.0
     assert np.max(np.abs(rep.r_flux)) == 0.0
@@ -332,12 +334,12 @@ def test_error_messages_print_plain_coordinates(flat2):
 def test_b_minus_mirror(flat2):
     pts = sample_points(flat2, 3, 21)
     beta = make_b(flat2.chart, {(2, 3): "0.25"})
-    T = b_minus_transform(flat2.S, beta, sample=pts)
-    rep = validate_structure(T.structure_B, pts)
+    T = b_minus_transform(flat2.S, beta, sample=stack_points(pts))
+    rep = validate_structure(T.structure_B, stack_points(pts))
     assert rep.passed
-    assert compatibility_residual(T, pts) == 0.0
+    assert compatibility_residual(T, stack_points(pts)) == 0.0
     # zero beta is the identity
-    T0 = b_minus_transform(flat2.S, make_b(flat2.chart, {}), sample=pts)
+    T0 = b_minus_transform(flat2.S, make_b(flat2.chart, {}), sample=stack_points(pts))
     assert np.allclose(values(T0.K_B.at(pts[0], 0)), flat2.K_matrix)
     # shares the +1 eigenbundle instead
     p = pts[0]
@@ -348,8 +350,9 @@ def test_b_minus_mirror(flat2):
 
 def test_b_minus_wrong_type(flat2):
     pts = sample_points(flat2, 2, 22)
-    with pytest.raises(WrongType):
-        b_minus_transform(flat2.S, make_b(flat2.chart, {(0, 1): "1"}), sample=pts)
+    with pytest.raises(WrongType, match=r"beta has components off the \(\+0,-2\)") as err:
+        b_minus_transform(flat2.S, make_b(flat2.chart, {(0, 1): "1"}), sample=stack_points(pts))
+    assert str(pts[0]) in str(err.value)
 
 
 def test_simultaneous_unsupported(flat2):

@@ -30,7 +30,10 @@ A `const` field's memo ignores the point and serves its one entry at every
 point, so the flag is structural: only the field constructors of
 `geometry` assign `.const` (no assignment, augmented assignment or
 `setattr` elsewhere), from a tape that reads no coordinate or from the
-declared inputs of a procedure.
+declared inputs of a procedure.  A sample is one `Point`, a batch: only
+`geometry`, which defines `stack_points`, and `cli`, which draws the sample,
+build one from single points, so no other module calls `stack_points`,
+turns a sample into a list or tuple, or iterates over it.
 """
 
 import ast
@@ -51,6 +54,8 @@ PRODUCT_TABLE_READERS = {("geometry", "_product_tables")}
 KEY_READERS = {("geometry", "Point"), ("geometry", "_memo_at")}
 CONST_WRITERS = {("geometry", "Field"), ("geometry", "TensorField"), ("geometry", "DerivedField")}
 ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+BATCHING_MODULES = {"geometry", "cli"}
+SAMPLE_NAMES = {"sample", "points", "pts"}
 
 
 def _tree(module):
@@ -333,3 +338,39 @@ def test_const_guard_catches_each_form():
     tree = ast.parse(source)
     assert sorted(line for line, _ in _const_writes(tree, "geometry")) == [1, 2, 3, 4, 10]
     assert sorted(line for line, _ in _const_writes(tree, "cli")) == [1, 2, 3, 4, 8, 10]
+
+
+def _sample_lists(tree):
+    """(line, form) of each `stack_points` call, and of each `list(...)` or
+    `tuple(...)` of, or loop or comprehension over, a name in SAMPLE_NAMES."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _name(node.func)
+            if name == "stack_points":
+                yield node.lineno, name
+            elif name in ("list", "tuple") and node.args and _name(node.args[0]) in SAMPLE_NAMES:
+                yield node.lineno, f"{name}(sample)"
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            if isinstance(node.iter, ast.Name) and node.iter.id in SAMPLE_NAMES:
+                yield getattr(node, "lineno", node.iter.lineno), "iterates sample"
+
+
+@pytest.mark.parametrize("module", sorted(set(ALL_MODULES) - BATCHING_MODULES))
+def test_a_sample_is_one_point(module):
+    found = sorted(_sample_lists(_tree(module)))
+    assert not found, f"{module}.py builds a batch or lists a sample at {found}"
+
+
+def test_sample_guard_catches_each_form():
+    source = (
+        "batch = stack_points(sample)\n"
+        "batch = geometry.stack_points(pts)\n"
+        "sample = list(sample)\n"
+        "pts = tuple(points)\n"
+        "coords = [p.coords for p in sample]\n"
+        "for p in points:\n"
+        "    pass\n"
+        "batch = as_batch(sample)\n"
+        "n = len(sample.coords)\n"
+    )
+    assert sorted(line for line, _ in _sample_lists(ast.parse(source))) == [1, 2, 3, 4, 5, 6]

@@ -3,7 +3,7 @@ import pytest
 
 from paraherm.brackets import d_bracket, flat_coordinate_dbracket
 from paraherm.errors import NotPositiveDefinite
-from paraherm.geometry import exterior_derivative, lie_bracket
+from paraherm.geometry import exterior_derivative, lie_bracket, stack_points
 from paraherm.models import b_field_on_tm, build_tm, sphere_base
 from paraherm.parastructure import classify, validate_structure
 from paraherm.randfields import random_vector_field
@@ -13,16 +13,16 @@ from oracles import sphere_riemann, values
 
 def test_flat_model(flat2):
     pts = sample_points(flat2, 4, 0)
-    assert validate_structure(flat2.S, pts).passed
-    rep = classify(flat2.S, pts[:2])
+    assert validate_structure(flat2.S, stack_points(pts)).passed
+    rep = classify(flat2.S, stack_points(pts[:2]))
     assert rep.flags["para_kahler"]
 
 
 def test_tm_identity_metric_reduces_to_flat():
     m = build_tm([["1", "0"], ["0", "1"]], ["a", "b"])
     pts = sample_points(m, 4, 1)
-    assert validate_structure(m.S, pts).passed
-    rep = classify(m.S, pts[:2])
+    assert validate_structure(m.S, stack_points(pts)).passed
+    rep = classify(m.S, stack_points(pts[:2]))
     assert rep.flags["para_kahler"]
     # H_i = d_i
     p = pts[0]
@@ -39,7 +39,7 @@ def test_not_positive_definite():
     m = build_tm([["-1", "0"], ["0", "1"]], ["a", "b"])
     with pytest.raises(NotPositiveDefinite):
         build_tm([["-1", "0"], ["0", "1"]], ["a", "b"],
-                 sample=[m.chart.point([0.5, 0.5, 0.0, 0.0])])
+                 sample=m.chart.point([0.5, 0.5, 0.0, 0.0]))
 
 
 def test_frame_duality(sphere_tm, sphere_pts):
@@ -127,7 +127,7 @@ def test_domega_display(sphere_tm, curved3_tm, sphere_pts):
 
 
 def test_sphere_classification(sphere_tm, sphere_pts):
-    rep = classify(sphere_tm.S, sphere_pts[:3])
+    rep = classify(sphere_tm.S, stack_points(sphere_pts[:3]))
     assert rep.flags["n_para_kahler"]
     assert not rep.flags["p_integrable"]
 
@@ -163,7 +163,7 @@ def test_b_field_on_tm_x_dependent():
     bb[...] = 0
     bb[0, 1] = "x1"
     bb[1, 0] = "-x1"
-    T = b_field_on_tm(m, bb, sample=pts)
+    T = b_field_on_tm(m, bb, sample=stack_points(pts))
     from paraherm.deformations import extract_fluxes
 
     rep = extract_fluxes(T, pts[0])
@@ -180,7 +180,7 @@ def test_b_field_on_tm_v_dependent():
     bb[...] = 0
     bb[0, 1] = "v1"
     bb[1, 0] = "-v1"
-    T = b_field_on_tm(m, bb, sample=pts)
+    T = b_field_on_tm(m, bb, sample=stack_points(pts))
     from paraherm.deformations import extract_fluxes
 
     rep = extract_fluxes(T, pts[0])
@@ -197,8 +197,10 @@ def test_b_field_on_tm_curved_base_rejected(sphere_tm, sphere_pts):
     bb[...] = 0
     bb[0, 1] = "v1"
     bb[1, 0] = "-v1"
-    with pytest.raises(NotParaKahler):
-        b_field_on_tm(sphere_tm, bb, sample=sphere_pts[:2])
+    with pytest.raises(NotParaKahler, match="not flat") as err:
+        b_field_on_tm(sphere_tm, bb, sample=stack_points(sphere_pts[:2]))
+    # The round sphere is curved everywhere, so the first point is named.
+    assert str(sphere_pts[0]) in str(err.value)
 
 
 def test_sphere_base_pole_exclusion():

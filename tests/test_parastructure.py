@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from paraherm.connections import flat_connection
-from paraherm.geometry import apply_endomorphism, constant_field, exterior_derivative
+from paraherm.geometry import (
+    apply_endomorphism, constant_field, exterior_derivative, stack_points,
+)
 from paraherm.parastructure import (
     ParaHermitianStructure, bigraded_part_at, classify, n_scalar, nijenhuis,
     nijenhuis_connection_form, nijenhuis_projector_form, phi_scalar, rho,
@@ -21,7 +23,7 @@ def _const_vecs(chart, rng, count):
 
 def test_flat_validation_exact(flat2):
     pts = sample_points(flat2, 5, 0)
-    rep = validate_structure(flat2.S, pts)
+    rep = validate_structure(flat2.S, stack_points(pts))
     assert rep.passed
     assert max(rep.residuals.values()) == 0.0
 
@@ -31,14 +33,14 @@ def test_rank_skewed_K_fails(flat2):
     K = constant_field(chart, np.diag([1.0, 1.0, 1.0, -1.0]), 1, 1)
     eta = constant_field(chart, flat2.eta_matrix, 0, 2, sym="symmetric")
     S = ParaHermitianStructure(chart, eta, K)
-    rep = validate_structure(S, sample_points(flat2, 3, 1))
+    rep = validate_structure(S, stack_points(sample_points(flat2, 3, 1)))
     assert not rep.passed
     assert rep.residuals["trace_K"] > 1.0
 
 
 def test_sphere_tm_validation(sphere_tm):
     pts = sample_points(sphere_tm, 50, 2, box=sphere_box())
-    rep = validate_structure(sphere_tm.S, pts)
+    rep = validate_structure(sphere_tm.S, stack_points(pts))
     assert rep.passed
     assert max(rep.residuals.values()) < 1e-12
 
@@ -238,7 +240,7 @@ def test_bigrading_completeness(sphere_tm, sphere_pts):
 # -- classification --------------------------------------------------------------
 
 def test_flat_classifies_para_kahler(flat2):
-    rep = classify(flat2.S, sample_points(flat2, 4, 16))
+    rep = classify(flat2.S, stack_points(sample_points(flat2, 4, 16)))
     assert rep.flags["para_kahler"]
     assert rep.flags["p_integrable"] and rep.flags["n_integrable"]
     assert rep.flags["almost_para_kahler"] and rep.flags["nearly_para_kahler"]
@@ -247,13 +249,13 @@ def test_flat_classifies_para_kahler(flat2):
 
 def test_flatg_tm_is_n_para_kahler(flatg_tm):
     pts = sample_points(flatg_tm, 4, 17)
-    rep = classify(flatg_tm.S, pts)
+    rep = classify(flatg_tm.S, stack_points(pts))
     assert rep.flags["para_kahler"]  # flat metric, Levi-Civita: fully integrable
     assert rep.flags["n_para_kahler"]
 
 
 def test_sphere_tm_classification(sphere_tm, sphere_pts):
-    rep = classify(sphere_tm.S, sphere_pts[:4])
+    rep = classify(sphere_tm.S, stack_points(sphere_pts[:4]))
     assert not rep.flags["p_integrable"]
     assert rep.flags["n_integrable"]
     assert rep.flags["n_para_kahler"]
@@ -278,8 +280,8 @@ def test_nonvacuous_cyclic_nijenhuis_identity_on_sheared_structure(flat3):
         comps[i, j] = s
         comps[j, i] = f"-({s})"
     b = TensorField(flat3.chart, 0, 2, comps, sym="antisymmetric")
-    T = b_transform(flat3.S, b, sample=pts)
-    rep = classify(T.structure_B, pts)
+    T = b_transform(flat3.S, b, sample=stack_points(pts))
+    rep = classify(T.structure_B, stack_points(pts))
     assert rep.residuals["domega_30"] > 0.1
     assert rep.cross_checks["d_omega_30_vs_cyclic_n_plus"] < 1e-9
 
@@ -294,7 +296,7 @@ def test_nearly_pk_implies_skew_nijenhuis(flat2, sphere_tm, sphere_pts, curved3_
     ]
     triggered = 0
     for S, pts in cases:
-        rep = classify(S, pts)
+        rep = classify(S, stack_points(pts))
         if not rep.flags["nearly_para_kahler"]:
             continue
         triggered += 1
@@ -308,27 +310,55 @@ def test_nearly_pk_implies_skew_nijenhuis(flat2, sphere_tm, sphere_pts, curved3_
     assert triggered >= 1
 
 
-# -- samples given as iterators ---------------------------------------------------
+# -- a sample is one Point --------------------------------------------------------
 
-@pytest.mark.parametrize("check", ["validate", "classify", "adapted", "courant"])
-def test_sample_may_be_a_generator(flat1, check):
-    """n_points counts every point even when the sample can be iterated once."""
+CHECKS = ("validate", "classify", "adapted", "courant", "antisymmetry", "b_transform",
+          "compatibility", "build_tm", "flatness")
+
+
+def _run_check(name, flat1, sample):
+    """Each library function that evaluates over a sample, on flat1 or on the
+    tangent bundle of the flat line, reduced to a value that compares by ==.
+    Both charts have dimension 2, so one sample serves both."""
     from paraherm.brackets import courant_axiom_suite
     from paraherm.connections import check_adapted
-    from paraherm.geometry import lie_bracket
+    from paraherm.deformations import b_transform, compatibility_residual
+    from paraherm.geometry import antisymmetry_residual, lie_bracket
+    from paraherm.models import build_tm, flatness_residual
 
     S = flat1.S
-    pts = sample_points(flat1, 3, 11)
+    zero_b = constant_field(S.chart, np.zeros((2, 2)), 0, 2, sym="antisymmetric")
     rng = np.random.default_rng(4)
-    pool = [random_vector_field(flat1.chart, rng) for _ in range(3)]
-    run = {
-        "validate": lambda sample: validate_structure(S, sample),
-        "classify": lambda sample: classify(S, sample),
-        "adapted": lambda sample: check_adapted(S.canonical, S, "p", sample, n_vectors=2),
-        "courant": lambda sample: courant_axiom_suite(
-            lie_bracket, lambda X: X, None, pool, sample, skip_pairing=True),
-    }[check]
-    assert run(p for p in pts).n_points == len(pts)
+    pool = [random_vector_field(S.chart, rng) for _ in range(3)]
+    line_tm = lambda s=None: build_tm([["1 + x^2"]], ["x"], sample=s)  # noqa: E731
+    return {
+        "validate": lambda: validate_structure(S, sample),
+        "classify": lambda: classify(S, sample),
+        "adapted": lambda: check_adapted(S.canonical, S, "p", sample, n_vectors=2),
+        "courant": lambda: courant_axiom_suite(lie_bracket, lambda X: X, None, pool, sample,
+                                               skip_pairing=True),
+        "antisymmetry": lambda: antisymmetry_residual(S.omega, sample),
+        "b_transform": lambda: b_transform(S, zero_b, sample=sample).side,
+        "compatibility": lambda: compatibility_residual(b_transform(S, zero_b), sample),
+        "build_tm": lambda: line_tm(sample).n,
+        "flatness": lambda: flatness_residual(line_tm(), sample).tolist(),
+    }[name]()
+
+
+@pytest.mark.parametrize("kind", ["empty", "list"])
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_list_of_points_is_not_a_sample(flat1, check, kind):
+    """An empty list raises rather than passing vacuously, and so does a list
+    of points: a sample is one Point."""
+    pts = [] if kind == "empty" else sample_points(flat1, 2, 11)
+    with pytest.raises(TypeError, match="a sample is one Point"):
+        _run_check(check, flat1, pts)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_a_single_point_is_a_sample_of_one(flat1, check):
+    p = sample_points(flat1, 1, 12)[0]
+    assert _run_check(check, flat1, p) == _run_check(check, flat1, stack_points([p]))
 
 
 def test_integrability_gate_is_computed_once_per_point(sphere_tm, sphere_pts, monkeypatch):

@@ -297,7 +297,7 @@ class BracketReport:
 
 
 def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
-                        seed=0, skip_pairing=False, scale=None) -> BracketReport:
+                        skip_pairing=False, scale=None) -> BracketReport:
     """Residuals of the three Courant axioms for a bracket/anchor/pairing triple.
 
     `elements` is a pool of test sections; axioms are evaluated on ordered
@@ -309,8 +309,7 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
     axiom 3 is a vector field's and stays absolute.  The witness of an
     axiom is its first worst (point, triple) in point-major order.
     `skip_pairing` drops axioms 1 and 2 (for the plain Lie bracket, whose
-    pairing is degenerate).  `seed` is not read: the triples are drawn in a
-    fixed order.
+    pairing is degenerate).
     """
     batch = as_batch(sample)
     worst = {1: 0.0, 2: 0.0, 3: 0.0}

@@ -23,7 +23,6 @@ from .geometry import (
     Field,
     TensorField,
     as_batch,
-    constant_jets,
     invert_matrix_jets,
     jets_gradient,
     per_point,
@@ -59,10 +58,7 @@ class Connection:
 
 
 def flat_connection(chart) -> Connection:
-    def fn(point, order):
-        return constant_jets(chart.context(order), np.zeros((chart.dim,) * 3))
-
-    return Connection(chart, fn, provenance="flat")
+    return from_christoffels(chart, np.zeros((chart.dim,) * 3), provenance="flat")
 
 
 def from_christoffels(chart, comps, provenance="user_supplied") -> Connection:
@@ -96,17 +92,17 @@ def canonical_connection(S) -> Connection:
 
     def fn(point, order):
         g0 = lc.gamma(point, order)
-        bundle = S.at(point, order + 1)  # the brackets read eta^{-1} as its slice
         out = None
-        for P in (bundle.Pp, bundle.Pm):
+        for P in (S.P_plus.at(point, order + 1), S.P_minus.at(point, order + 1)):
             dP = jets_gradient(P)  # dP[i, m, j] = d_i P^m_j
             first = tdot(P, dP, ([1], [1]))                        # (k, i, j)
             second = tdot(tdot(P, g0, ([1], [0])), P, ([2], [0]))  # (k, i, j)
             term = first + second
             out = term if out is None else out + term
-        return truncate_jets(out, order)
+        return out
 
-    return Connection(S.chart, fn, provenance="canonical", inputs=(lc.christoffels, *S.fields))
+    return Connection(S.chart, fn, provenance="canonical",
+                      inputs=(lc.christoffels, S.P_plus, S.P_minus))
 
 
 def canonical_connection_contorsion(S) -> Connection:
@@ -118,13 +114,12 @@ def canonical_connection_contorsion(S) -> Connection:
 
     def fn(point, order):
         g0 = lc.gamma(point, order)
-        bundle = S.at(point, order + 1)
-        phi = nabla_jets(g0, bundle.omega, 0, 2)  # Phi[i, j, l] = (nablao_i omega)_{jl}
-        corr = tdot(phi, bundle.K, ([2], [0]))  # corr[i, j, l] = Phi_{ijm} K^m_l
-        gamma = g0 - 0.5 * tdot(bundle.eta_inv, corr, ([0], [2]))  # (k, i, j)
-        return truncate_jets(gamma, order)
+        phi = nabla_jets(g0, S.omega.at(point, order + 1), 0, 2)  # Phi_ijl = (nablao_i omega)_jl
+        corr = tdot(phi, S.K.at(point, order), ([2], [0]))  # corr[i, j, l] = Phi_{ijm} K^m_l
+        return g0 - 0.5 * tdot(S.eta_inv.at(point, order), corr, ([0], [2]))  # (k, i, j)
 
-    return Connection(S.chart, fn, provenance="canonical", inputs=(lc.christoffels, *S.fields))
+    return Connection(S.chart, fn, provenance="canonical",
+                      inputs=(lc.christoffels, S.omega, S.K, S.eta_inv))
 
 
 # --------------------------------------------------------------------------

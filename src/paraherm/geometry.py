@@ -20,8 +20,8 @@ it but never under-reports it.  Contractions (`tdot`) are einsum-style
 products over the tensor axes, carried over the batch, with three paths: a
 zero operand gives zeros, a constant operand is one matrix product of its
 values with the other operand's coefficients, and two non-constant operands
-run a gather-multiply-scatter of the truncated Cauchy product over the
-coefficient axis.  Partials, truncation and values are index operations on
+add up the pairs of the truncated Cauchy product, each coefficient's in a
+fixed order.  Partials, truncation and values are index operations on
 that axis.  Outside `jets`, only code here reads jet coefficients, and the
 other modules go through the helpers next to `tdot` and `jets_gradient`.
 A scalar is the (0,0) field, and a scalar jet is a 0-d JetArray: indexing
@@ -42,13 +42,10 @@ a connection's Christoffel symbols and the Nijenhuis gate are fields too.
 `Field.at` keeps its result at the last point or batch, at the highest order
 asked, and serves a request there at that order or lower as a prefix slice,
 so the nested operators, which ask their inputs for orders k, k+1 and k+2,
-evaluate each input once.  A field's jets are a function of (point, order)
-up to rounding; their bits also depend on the order the entry was made at,
-the highest asked at that point so far, since a jet made at a higher order
-and sliced can differ in its last bits from one made at the lower order
-(the Newton steps of `invert_matrix_jets` and `reciprocal`, and `tdot`'s
-pair sums, depend on the order).  A fixed sequence of requests gives fixed
-bits.
+evaluate each input once.  A field's jets are a function of (point, order),
+bit for bit: every kernel is order-stable (its result at order k is its
+result at order k + 1 truncated to k), as products sum each coefficient's
+pairs in a fixed order and 1/x and the inverse are series, one order a step.
 A field is `const` when it reads no coordinate (a `TensorField` whose tape
 reads none, or a `DerivedField` whose declared inputs are all `const`): its
 one entry ignores the point, is evaluated at the first point asked (so its
@@ -265,13 +262,12 @@ class Tape:
     Structurally equal subtrees share one slot; constants are keyed by the
     type and the bits of their float value, so 0.0 and -0.0 stay apart.
     Each subtree that reads no coordinate is folded into a constant row,
-    computed once per jet order by the same kernels (the Newton steps of a
-    reciprocal depend on the order) and kept on the tape.  The other nodes
-    are grouped by height, operation and the degree classes of their
-    operands, which fix every product path inside the kernel; a group is one
-    JetArray kernel call over the stacked slots of one buffer of shape
-    (*batch, slots, ncoef), so each slot gets the bits its tree alone gets.
-    A forest that reads no coordinate is one constant array per order.
+    computed once per jet order by the same kernels and kept on the tape.
+    The other nodes are grouped by height, operation and the degree classes
+    of their operands, which fix every product path inside the kernel; a
+    group is one JetArray kernel call over the stacked slots of one buffer
+    of shape (*batch, slots, ncoef), so each slot gets the bits its tree
+    alone gets.
     """
 
     def __init__(self, trees, shape=(), dim=None):
@@ -350,45 +346,29 @@ class Tape:
             lo = slot[members[0]]
             (self.groups if reads else self.const_groups).append(
                 (_KERNELS[t], operands, exponent[:1], lo, lo + len(members)))
-        self._per_order = {}  # order -> (leading rows of the buffer, fixed result or None)
-
-    def _constants(self, ctx):
-        """At ctx's order: the buffer's leading rows (the constants, then the
-        coordinates' unit gradients) and, for a forest that reads no
-        coordinate, its result as a JetArray.  Computed at the first request."""
-        entry = self._per_order.get(ctx.order)
-        if entry is None:
-            m = len(self.coord_index)
-            rows = np.zeros((self.n_const + m, ctx.n))
-            rows[: len(self.leaf_values), 0] = self.leaf_values
-            _run_groups(rows, self.const_groups, ctx, 0)
-            fixed = None
-            if not m:
-                out = rows.take(self.out, axis=0).reshape(self.shape + (ctx.n,))
-                fixed = _exact_deg(ctx, out, 0)
-                fixed.coeffs.flags.writeable = False
-            elif ctx.order:
-                rows[self.n_const + np.arange(m), 1 + self.coord_index] = 1.0
-            rows.flags.writeable = False
-            entry = self._per_order[ctx.order] = (rows, fixed)
-        return entry
+        self._rows = {}  # order -> the constants, then the coordinates' unit gradients
 
     def run(self, coords, ctx) -> JetArray:
         """The forest's jets at coords of shape (*batch, dim); see `eval_expr`."""
         batch = coords.shape[:-1]
-        rows, fixed = self._constants(ctx)
-        if fixed is not None:
-            if not batch:
-                return JetArray(ctx, fixed.coeffs, fixed.deg)
-            out = np.empty(batch + fixed.coeffs.shape)
-            out[...] = fixed.coeffs
-            return JetArray(ctx, out, fixed.deg, 1)
+        rows = self._rows.get(ctx.order)
+        if rows is None:  # the buffer's leading rows at this order, made once
+            m = len(self.coord_index)
+            rows = np.zeros((self.n_const + m, ctx.n))
+            rows[: len(self.leaf_values), 0] = self.leaf_values
+            _run_groups(rows, self.const_groups, ctx, 0)
+            if ctx.order:
+                rows[self.n_const + np.arange(m), 1 + self.coord_index] = 1.0
+            rows.flags.writeable = False
+            self._rows[ctx.order] = rows
         buf = np.empty(batch + (self.size, ctx.n))
         buf[..., : len(rows), :] = rows
         buf[..., self.n_const : len(rows), 0] = coords[..., self.coord_index]
         _run_groups(buf, self.groups, ctx, len(batch))
         out = buf.take(self.out, axis=-2).reshape(batch + self.shape + (ctx.n,))
-        return _exact_deg(ctx, out, len(batch))
+        nonzero = np.flatnonzero(out.reshape(-1, ctx.n).any(axis=0))
+        deg = int(ctx.degree[nonzero[-1]]) if nonzero.size else -1  # exact
+        return JetArray(ctx, out, deg, len(batch))
 
 
 def _run_groups(buf, groups, ctx, nb):
@@ -398,12 +378,6 @@ def _run_groups(buf, groups, ctx, nb):
     for kernel, operands, extra, lo, hi in groups:
         args = [JetArray(ctx, buf.take(idx, axis=-2), degs[c], nb) for idx, c in operands]
         buf[..., lo:hi, :] = kernel(*args, *extra).coeffs
-
-
-def _exact_deg(ctx, coeffs, nb):
-    """`coeffs` as a JetArray whose deg is its highest nonzero block."""
-    nonzero = np.flatnonzero(coeffs.reshape(-1, ctx.n).any(axis=0))
-    return JetArray(ctx, coeffs, int(ctx.degree[nonzero[-1]]) if nonzero.size else -1, nb)
 
 
 def _as_expr(chart, source):
@@ -551,16 +525,13 @@ class JetArray:
         return self * other.reciprocal() if isinstance(other, JetArray) else NotImplemented
 
     def reciprocal(self) -> "JetArray":
-        """Elementwise 1 / self.  From the inverse of the values, each Newton
-        step r <- r (2 - self r) doubles the number of correct orders."""
+        """Elementwise 1 / self, the series of 1/x about the values: its m-th
+        derivative there is (-1)^m m! / x^(m+1)."""
         vals = self.coeffs[..., 0]
         if not np.all(vals):
             raise DivisionByZero("division by a jet with zero value")
-        r = constant_jets(self.ctx, 1.0 / vals, self.nb)
-        two = constant_jets(self.ctx, np.full(self.shape, 2.0))
-        for _ in range(max(1, math.ceil(math.log2(self.ctx.order + 1)))):
-            r = r * (two - self * r)
-        return r
+        r = 1.0 / vals
+        return self._compose([math.factorial(m) * (-r) ** m * r for m in range(self.ctx.order + 1)])
 
     def __pow__(self, n):
         """Elementwise integer power, by squaring; a negative n inverts first."""
@@ -692,26 +663,32 @@ def _product_deg(a: JetArray, b: JetArray) -> int:
 
 @lru_cache(maxsize=None)
 def _product_tables(ctx):
-    """The truncated Cauchy product of `ctx` in two layouts: pair p
-    multiplies coefficients ia[p] and ib[p] and adds to coefficient
-    ctx._mul_t[p].
-
-    (ia, ib, scatter): scatter[p] is the one-hot row of the coefficient pair
-    p adds to, so `tdot` sums the pairs with one matrix product.
-    (ga, gb, mask), each of shape (R, ctx.n): column t lists the pairs that
-    add to coefficient t, in pair order, padded with mask 0 to the largest
-    count R; the elementwise `*` sums each column down.
+    """The truncated Cauchy product of `ctx`, each coefficient's pairs in
+    pair order, which is the same at every order, so sums in it are
+    order-stable.  (ia, ib, groups), for `tdot`: group g holds the pairs
+    2g and 2g + 1 of each coefficient, as pairs lo..hi-1 and a one-hot
+    `scatter` onto their coefficients; it adds at most two products into a
+    coefficient, alike in any order of summation, and the groups add up in
+    turn.  (ga, gb, mask), each of shape (R, ctx.n): column t lists the
+    pairs of coefficient t, padded with mask 0 to the largest count R; the
+    elementwise `*` sums each column down.
     """
     ia, ib, it = ctx._mul_a, ctx._mul_b, ctx._mul_t
-    scatter = np.zeros((len(it), ctx.n))
-    scatter[np.arange(len(it)), it] = 1.0
     by_target = np.argsort(it, kind="stable")
     t = it[by_target]
     rank = np.arange(len(t)) - np.searchsorted(t, t)  # place among t's pairs
     ga, gb = (np.zeros((rank.max() + 1, ctx.n), dtype=int) for _ in range(2))
     mask = np.zeros(ga.shape)
     ga[rank, t], gb[rank, t], mask[rank, t] = ia[by_target], ib[by_target], 1.0
-    return ia, ib, scatter, ga, gb, mask
+    group = rank // 2
+    by_group = np.argsort(group, kind="stable")
+    bounds = np.searchsorted(group[by_group], np.arange(group.max() + 2))
+    groups = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        scatter = np.zeros((hi - lo, ctx.n))
+        scatter[np.arange(hi - lo), t[by_group[lo:hi]]] = 1.0
+        groups.append((lo, hi, scatter))
+    return ia[by_target[by_group]], ib[by_target[by_group]], groups, ga, gb, mask
 
 
 def _same_rank(a, b):
@@ -731,20 +708,23 @@ def jets_gradient(comps: JetArray) -> JetArray:
 
 
 @lru_cache(maxsize=None)
-def _tdot_plan(shape_a, shape_b, axes, nb_a, nb_b, ctx):
-    """The shapes and transposes of `tdot` for one (shape_a, shape_b, axes),
-    the operands' batch ranks nb_a, nb_b and their jet context.
+def _tdot_plan(shape_a, shape_b, nb_a, nb_b, ctx, *axes):
+    """The shapes and transposes of `tdot` for the operands' tensor shapes,
+    batch ranks and jet context, and `axes`: a's axes, None, then b's.
 
-    Returns (shape, out, const_a, const_b, full): the result's tensor shape
-    and coefficient-array shape (with a -1 batch size), then per path the
-    axis orders (batch axes first) and 2-d (or batched 2-d) shapes of its
-    operands.  `const_a` takes a's values and b's coefficients, `const_b`
-    a's coefficients and b's values; `full` moves the coefficients right
-    after the batch and indexes the pairs of the Cauchy product there.
+    Returns (shape, out, vector, values, const_a, const_b, full): the
+    result's tensor shape and coefficient-array shape (with a -1 batch
+    size), whether a or b has no free axis (at an order >= 1), then per
+    path the axis orders (batch axes first) and 2-d (or batched 2-d) shapes
+    of its operands: both values, a's values and b's coefficients, a's
+    coefficients and b's values, and the pairs of the Cauchy product,
+    indexed on a coefficient axis right after the batch.  A vector's values
+    come with its first-order coefficients as a second row or column (`va`,
+    `vb`), cut off after the product, which is then matrix-matrix.
     """
-    na, nb = len(shape_a), len(shape_b)
-    ax_a = tuple(x % na for x in axes[0])
-    ax_b = tuple(x % nb for x in axes[1])
+    na, nb, cut = len(shape_a), len(shape_b), axes.index(None)
+    ax_a = tuple(x % na for x in axes[:cut])
+    ax_b = tuple(x % nb for x in axes[cut + 1:])
     free_a = tuple(i for i in range(na) if i not in ax_a)
     free_b = tuple(i for i in range(nb) if i not in ax_b)
     m = math.prod(shape_a[i] for i in free_a)
@@ -760,16 +740,21 @@ def _tdot_plan(shape_a, shape_b, axes, nb_a, nb_b, ctx):
     def perm_b(*axes_):
         return (*range(nb_b), *(x + nb_b for x in axes_))
 
-    ia, ib, scatter = _product_tables(ctx)[:3]
+    va = slice(0, 2) if m == 1 and n > 1 else 0
+    vb = slice(0, 2) if q == 1 and n > 1 else 0
+    ia, ib, groups = _product_tables(ctx)[:3]
     return (
         shape,
         lead + shape + (n,),
-        (perm_a(*free_a, *ax_a), lead_a + (m, c), perm_b(*ax_b, *free_b, nb), lead_b + (c, q * n)),
+        bool(va or vb),
+        (perm_a(*free_a, *ax_a), lead_a + (m, c), perm_b(*ax_b, *free_b), lead_b + (c, q)),
+        (va, perm_a(*free_a, *((na,) if va else ()), *ax_a), lead_a + (2 if va else m, c),
+         perm_b(*ax_b, *free_b, nb), lead_b + (c, q * n), m, lead + (m, q, n)),
         (perm_a(*free_a, na, *ax_a), lead_a + (m * n, c),
-         perm_b(*ax_b, *free_b), lead_b + (c, q), lead + (m, n, q)),
-        (perm_a(na, *free_a, *ax_a), lead_a + (n, m, c), (slice(None),) * nb_a + (ia,),
-         perm_b(nb, *ax_b, *free_b), lead_b + (n, c, q), (slice(None),) * nb_b + (ib,),
-         lead + (len(ia), m * q), scatter),
+         vb, perm_b(*ax_b, *free_b, *((nb,) if vb else ())), lead_b + (c, 2 if vb else q),
+         q, lead + (m, n, q)),
+        (perm_a(na, *free_a, *ax_a), lead_a + (n, m, c), ia,
+         perm_b(nb, *ax_b, *free_b), lead_b + (n, c, q), ib, lead + (len(ia), m * q), groups),
     )
 
 
@@ -783,29 +768,58 @@ def tdot(a, b, axes) -> JetArray:
     the coefficient axis moved right after the batch, each pair (i, j) of
     the truncated Cauchy product is one matrix product a[i] @ b[j] over the
     tensor axes, all pairs (and points) in one batched call, and the pairs
-    are then scattered onto the coefficients they add to.
+    are then added onto their coefficients, two of each at a time (see
+    `_product_tables`).
+
+    The result is order-stable (at order k, bit for bit, the result at
+    order k + 1 truncated to k), and a batch gives each point its own bits,
+    for a contraction over one axis of length at most 8.  Each coefficient
+    sums its own pairs in a fixed order; a pair product has one shape and
+    C-contiguous operands (`take`) at every order, or is an entry of a
+    matrix-matrix product, which BLAS sums in one order wherever it lies.
+    Its matrix-vector kernels do not, and depend on the operands' strides,
+    so with a vector (an operand with no free axis) the value is the product
+    of the two value arrays, copied to arrays of their own, as (0, 0) is.
     """
     if a.ctx is not b.ctx:
         a, b = _common(a, b)
     ca, cb = a.coeffs, b.coeffs
     nba, nbb = a.nb, b.nb
-    shape, so, const_a, const_b, full = _tdot_plan(
-        ca.shape[nba:-1], cb.shape[nbb:-1], (tuple(axes[0]), tuple(axes[1])), nba, nbb, a.ctx)
+    shape, so, vector, values, const_a, const_b, full = _tdot_plan(
+        ca.shape[nba:-1], cb.shape[nbb:-1], nba, nbb, a.ctx, *axes[0], None, *axes[1])
     nb = nba or nbb
     if a.deg < 0 or b.deg < 0:
         batch = ca.shape[:nba] or cb.shape[:nbb]
         return JetArray(a.ctx, np.zeros(batch + shape + (a.ctx.n,)), -1, nb)
-    if a.deg == 0:
-        pa, sa, pb, sb = const_a
-        out = ca[..., 0].transpose(pa).reshape(sa) @ cb.transpose(pb).reshape(sb)
+    if a.ctx.order == 0 or (vector and not (a.deg and b.deg)):
+        pa, sa, pb, sb = values
+        x0 = np.ascontiguousarray(ca[..., 0].transpose(pa).reshape(sa))
+        y0 = np.ascontiguousarray(cb[..., 0].transpose(pb).reshape(sb))
+        v = x0 @ y0
+        if a.ctx.order == 0:
+            return JetArray(a.ctx, v.reshape(so), 0, nb)
+    if a.deg == 0:  # a's values times b's coefficients
+        va, pa, sa, pb, sb, rows, s3 = const_a
+        x = x0 if vector and not va else ca[..., va].transpose(pa).reshape(sa)
+        out = (x @ cb.transpose(pb).reshape(sb))[..., :rows, :].reshape(s3)  # (*batch, m, q, n)
+        if vector:
+            out[..., 0] = v
         return JetArray(a.ctx, out.reshape(so), b.deg, nb)
-    if b.deg == 0:
-        pa, sa, pb, sb, sm = const_b
-        out = (ca.transpose(pa).reshape(sa) @ cb[..., 0].transpose(pb).reshape(sb)).reshape(sm)
+    if b.deg == 0:  # a's coefficients times b's values
+        pa, sa, vb, pb, sb, cols, sm = const_b
+        y = y0 if vector and not vb else cb[..., vb].transpose(pb).reshape(sb)
+        out = (ca.transpose(pa).reshape(sa) @ y)[..., :cols].reshape(sm)  # (*batch, m, n, q)
+        if vector:
+            out[..., 0, :] = v
         return JetArray(a.ctx, out.swapaxes(-1, -2).reshape(so), a.deg, nb)
-    pa, sa, ga, pb, sb, gb, sp, scatter = full
-    pairs = ca.transpose(pa).reshape(sa)[ga] @ cb.transpose(pb).reshape(sb)[gb]
-    out = pairs.reshape(sp).swapaxes(-1, -2) @ scatter
+    pa, sa, ga, pb, sb, gb, sp, groups = full
+    pairs = (ca.transpose(pa).reshape(sa).take(ga, axis=nba)
+             @ cb.transpose(pb).reshape(sb).take(gb, axis=nbb))
+    pairs = pairs.reshape(sp).swapaxes(-1, -2)  # (*batch, m q, pairs)
+    lo, hi, scatter = groups[0]
+    out = pairs[..., lo:hi] @ scatter
+    for lo, hi, scatter in groups[1:]:
+        out += pairs[..., lo:hi] @ scatter
     return JetArray(a.ctx, out.reshape(so), _product_deg(a, b), nb)
 
 
@@ -840,17 +854,6 @@ def constant_jets(ctx, values, nb=0) -> JetArray:
     coeffs = np.zeros(values.shape + (ctx.n,))
     coeffs[..., 0] = values
     return JetArray(ctx, coeffs, 0 if values.any() else -1, nb)
-
-
-def coordinate_jets(ctx, point, indices) -> JetArray:
-    """Jets of the coordinate functions x^i, i in `indices`, at a point or a
-    batch: a vector of jets with value x^i and unit gradient along i."""
-    idx = np.asarray(indices, dtype=int)
-    coeffs = np.zeros(point.batch + (len(idx), ctx.n))
-    coeffs[..., 0] = point.coords[..., idx]
-    if ctx.order >= 1:
-        coeffs[..., np.arange(len(idx)), 1 + idx] = 1.0
-    return JetArray(ctx, coeffs, min(1, ctx.order), len(point.batch))
 
 
 def concat_jets(parts) -> JetArray:
@@ -904,11 +907,10 @@ class Field:
         The subclasses memoise this with `_memo_at`: the jets of the most
         recent point or batch (of any point, for a `const` field) are kept
         at the highest order asked there, and a request there at that order
-        or lower is their prefix slice.  So a field's jets at a point must
-        be a function of (point, order) up to rounding, and the bits a
-        request gets are those of the highest order asked there since the
-        entry was made (see the module docstring).  The caller gets a
-        read-only array it may share with other callers.
+        or lower is their prefix slice.  So a field's jets must be a
+        function of (point, order), as the order-stable kernels make them
+        (see the module docstring).  The caller gets a read-only array it
+        may share with other callers.
         """
         raise NotImplementedError
 
@@ -949,14 +951,14 @@ def _memo_at(at):
     and its result at the highest order asked there.
 
     A request at that point for the same order or lower is served by a
-    prefix slice; a new point or a higher order evaluates and replaces the
-    entry, unless the evaluation raises.  A `const` field's entry ignores
-    the point: it is evaluated at the first point asked, so without a batch
-    axis, and serves every point and batch.  The entry records the order
-    asked, which was within the chart's jet-order budget, so a memo never
-    serves a request past it.  The result is made read-only, because every
-    caller shares it.  Memory stays one entry per field, whatever the
-    number of points.
+    prefix slice, bit for bit the jets that order gives; a new point or a
+    higher order evaluates and replaces the entry, unless it raises.  A
+    `const` field's entry ignores the point: it is evaluated at the first
+    point asked, so without a batch axis, and serves every point and batch.
+    The entry records the order asked, which was within the chart's
+    jet-order budget, so a memo never serves a request past it.  The result
+    is made read-only, because every caller shares it.  Memory stays one
+    entry per field, whatever the number of points.
     """
 
     @wraps(at)
@@ -1189,15 +1191,17 @@ def invert_matrix_jets(M: JetArray, point=None) -> JetArray:
     Raises SingularMetric when the condition number of the value matrix
     exceeds MAX_CONDITION at some point; when `point` (the point or batch
     M was evaluated at) is given, the message names the first such point.
-    Starting from the inverse of the values, each Newton step
-    X <- X (2 - M X) doubles the number of correct orders.
+    With X0 the inverse of the values and H = M - M(value), step d of the
+    Neumann series X <- X0 - (X0 H) X fixes the coefficients of degree d,
+    so the result is order-stable.  A constant M takes no step.
     """
     vals = M.values()
     require_within(point, np.linalg.cond(vals), MAX_CONDITION, SingularMetric, "condition number")
-    X = constant_jets(M.ctx, np.linalg.inv(vals), M.nb)
-    two = constant_jets(M.ctx, 2.0 * np.eye(vals.shape[-1]))
-    for _ in range(max(1, math.ceil(math.log2(M.ctx.order + 1)))):
-        X = tdot(X, two - tdot(M, X, ([1], [0])), ([1], [0]))
+    X0 = X = constant_jets(M.ctx, np.linalg.inv(vals), M.nb)
+    if M.deg > 0:
+        X0H = tdot(X0, M - constant_jets(M.ctx, vals, M.nb), ([1], [0]))
+        for _ in range(M.ctx.order):
+            X = X0 - tdot(X0H, X, ([1], [0]))
     return X
 
 

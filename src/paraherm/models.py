@@ -33,7 +33,6 @@ from .geometry import (
     concat_jets,
     constant_field,
     constant_jets,
-    coordinate_jets,
     embed_block,
     invert_matrix_jets,
     jets_gradient,
@@ -143,23 +142,25 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=None, point_ok=None,
         g1 = gamma_g.at(point, order + 1)
         return truncate_jets(riemann_jets(g1, jets_gradient(g1)[:n]), order)
 
+    # The fibre coordinates v^j, as the vector (v1..vn, 0..0).
+    fibre = TensorField(chart, 1, 0, coord_names[n:] + [0] * n)
+    frame_inputs = (gamma_g, fibre)
+
     def frame_jets(p, k):
         """(H, V): row i of H is the frame H_i = d_i - Gamma^a_{ij} v^j d_{v^a},
         row i of V is the coframe V^i = dv^i + Gamma^i_{aj} v^j dx^a."""
-        ctx = chart.context(k)
-        v = coordinate_jets(ctx, p, range(n, 2 * n))
-        gv = tdot(gamma_g.at(p, k), v, ([2], [0]))  # gv[a, b] = Gamma^a_{bj} v^j
-        unit = constant_jets(ctx, np.eye(n))
+        gv = tdot(gamma_g.at(p, k), fibre.at(p, k)[:n], ([2], [0]))  # gv[a, b] = Gamma^a_{bj} v^j
+        unit = constant_jets(gv.ctx, np.eye(n))
         return (concat_jets([unit, -gv]).transpose(),
                 concat_jets([gv.transpose(), unit]).transpose())
 
     eye = np.eye(2 * n)
-    frames_h = [DerivedField(chart, 1, 0, lambda p, k, i=i: frame_jets(p, k)[0][i])
-                for i in range(n)]
+    frames_h = [DerivedField(chart, 1, 0, lambda p, k, i=i: frame_jets(p, k)[0][i],
+                             inputs=frame_inputs) for i in range(n)]
     frames_v = [constant_field(chart, eye[n + i], 1, 0) for i in range(n)]
     coframes_h = [constant_field(chart, eye[i], 0, 1) for i in range(n)]
-    coframes_v = [DerivedField(chart, 0, 1, lambda p, k, i=i: frame_jets(p, k)[1][i])
-                  for i in range(n)]
+    coframes_v = [DerivedField(chart, 0, 1, lambda p, k, i=i: frame_jets(p, k)[1][i],
+                               inputs=frame_inputs) for i in range(n)]
 
     def eta_fn(p, k):
         # eta = g_ij (V^i (x) H^j + H^i (x) V^j), with H^j = dx^j
@@ -175,8 +176,8 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=None, point_ok=None,
         return (tdot(h, constant_jets(h.ctx, eye[:n]), ([0], [0]))
                 - tdot(constant_jets(h.ctx, eye[n:]), vco, ([0], [0])))
 
-    eta = DerivedField(chart, 0, 2, eta_fn, sym="symmetric")
-    K = DerivedField(chart, 1, 1, K_fn)
+    eta = DerivedField(chart, 0, 2, eta_fn, sym="symmetric", inputs=(g_field, *frame_inputs))
+    K = DerivedField(chart, 1, 1, K_fn, inputs=frame_inputs)
     S = ParaHermitianStructure(chart, eta, K)
     model = TangentBundleModel(
         n, chart, g_field, S, frames_h, frames_v, coframes_h, coframes_v,

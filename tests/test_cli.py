@@ -425,3 +425,25 @@ def test_call_counts_do_not_grow_with_the_sample(tmp_path, monkeypatch, runspec)
         seen.append(dict(counts))
     assert seen[0]["tdot"] > 0 and seen[0]["Field.at"] > 0
     assert seen[0] == seen[1]
+
+
+def _suite_residuals(tmp_path, spec, tag):
+    path = write_spec(tmp_path, f"{tag}.json", spec)
+    run(path, str(tmp_path / f"{tag}-report.json"))
+    report = json.loads((tmp_path / f"{tag}-report.json").read_text())
+    return {s["name"]: json.dumps(s["residuals"], sort_keys=True) for s in report["suites"]}
+
+
+@pytest.mark.parametrize("runspec", ["flat.json", "tangent_bundle.json"])
+def test_suite_residuals_do_not_depend_on_the_suite_order(tmp_path, runspec):
+    """A field's jets are a function of (point, order), bit for bit, so a
+    suite reports the same residuals whichever suites ran before it on the
+    shared fields: in the shipped order, reversed, or alone."""
+    spec = json.loads((RUNSPECS / runspec).read_text())
+    shipped = _suite_residuals(tmp_path, spec, "shipped")
+    assert set(shipped) == set(spec["suites"])
+    reverse = _suite_residuals(tmp_path, dict(spec, suites=spec["suites"][::-1]), "reversed")
+    assert reverse == shipped
+    for name in spec["suites"]:
+        alone = _suite_residuals(tmp_path, dict(spec, suites=[name]), name)
+        assert alone == {name: shipped[name]}

@@ -7,6 +7,7 @@ from paraherm.connections import (
     from_christoffels, levi_civita, require_torsionless, torsion,
 )
 from paraherm.errors import DomainError, NotTorsionless
+from paraherm.models import build_tm, sphere_base
 from paraherm.geometry import (
     Chart, TensorField, constant_field, constant_jets, lie_derivative, stack_points,
 )
@@ -113,6 +114,21 @@ def test_canonical_two_defining_formulas_agree(sphere_tm, sphere_pts):
     for p in sphere_pts[:5]:
         d = np.max(np.abs(gamma_values(c1, p, 4) - gamma_values(c2, p, 4)))
         assert d < 1e-9
+
+
+def test_canonical_forms_read_only_the_fields_they_use(sphere_pts):
+    """Neither form evaluates the whole structure bundle: the projector
+    form reads P+- one order up, the contorsion form omega one order up
+    and K and eta^{-1} at the order asked."""
+    g, coords, _ = sphere_base()
+    S = build_tm(g, coords).S
+
+    def whole_bundle(point, order):
+        raise AssertionError("the canonical connection read S.at")
+
+    S.at = whole_bundle
+    for C in (canonical_connection(S), canonical_connection_contorsion(S)):
+        assert C.gamma(sphere_pts[0], 1).ctx.order == 1
 
 
 def test_canonical_parallelism(sphere_tm, sphere_pts):

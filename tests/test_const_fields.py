@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from paraherm import geometry
 from paraherm.brackets import d_bracket, flat_coordinate_dbracket, jacobi_defect
-from paraherm.connections import check_adapted, from_christoffels
+from paraherm.connections import check_adapted, flat_connection, from_christoffels
 from paraherm.errors import SingularMetric
 from paraherm.geometry import (
     Chart,
@@ -30,7 +30,7 @@ from paraherm.geometry import (
     eval_expr,
     stack_points,
 )
-from paraherm.models import build_flat
+from paraherm.models import build_flat, build_tm
 from paraherm.parastructure import ParaHermitianStructure
 from paraherm.randfields import random_vector_field
 
@@ -153,3 +153,31 @@ def test_const_errors_name_the_first_point_of_a_batch():
     batch = chart.point([[0.25, 0.5], [0.75, 1.0]])
     with pytest.raises(SingularMetric, match=r"at Point\(\[0\.25, 0\.5\]\)"):
         S.at(batch, 1)
+
+
+def test_flat_connection_is_a_const_zero_field():
+    chart = build_flat(2).chart
+    C = flat_connection(chart)
+    batch = chart.point(np.random.default_rng(3).uniform(-1.0, 1.0, (4, 4)))
+    assert C.christoffels.const and C.provenance == "flat"
+    gamma = C.gamma(batch, 2)
+    assert gamma.deg == -1 and gamma.nb == 0 and gamma.shape == (4, 4, 4)
+    assert not np.any(gamma.coeffs)
+
+
+def test_flat_base_tangent_bundle_reads_the_fibre_coordinates():
+    """On a flat base the Christoffel symbols of g read no coordinate and are
+    `const`, but eta, K and the frames read the fibre coordinates through a
+    declared field, so they are not, and each point of a batch gets the
+    jets it gets alone."""
+    model = build_tm([["1", "0"], ["0", "1"]], ["x", "y"])
+    S = model.S
+    assert model.gamma_g.const
+    assert not any(f.const for f in (S.eta, S.K, *model.H, *model.V_co))
+    coords = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 4))
+    batch = model.chart.point(coords)
+    for field in (S.eta, S.K, model.H[0], model.V_co[1]):
+        got = field.at(batch, 2)
+        assert got.nb == 1
+        for i, row in enumerate(coords):
+            assert got.coeffs[i].tobytes() == field.at(model.chart.point(row), 2).coeffs.tobytes()

@@ -33,7 +33,10 @@ point, so the flag is structural: only the field constructors of
 declared inputs of a procedure.  A sample is one `Point`, a batch: only
 `geometry`, which defines `stack_points`, and `cli`, which draws the sample,
 build one from single points, so no other module calls `stack_points`,
-turns a sample into a list or tuple, or iterates over it.
+turns a sample into a list or tuple, or iterates over it.  Every procedure
+declares every field it reads: each `DerivedField(...)` and `Connection(...)`
+built in `src/` passes its `inputs`, by keyword or by position, since a
+procedure that declares none reads fields the `const` rule cannot see.
 """
 
 import ast
@@ -374,3 +377,37 @@ def test_sample_guard_catches_each_form():
         "n = len(sample.coords)\n"
     )
     assert sorted(line for line, _ in _sample_lists(ast.parse(source))) == [1, 2, 3, 4, 5, 6]
+
+
+# Position of `inputs` among the positional arguments of each procedure type.
+INPUTS_POSITION = {"DerivedField": 5, "Connection": 3}
+
+
+def _undeclared_inputs(tree):
+    """(line, name) of each `DerivedField(...)` or `Connection(...)` call that
+    passes no `inputs`, by keyword or by position."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) in INPUTS_POSITION:
+            name = _name(node.func)
+            if (not any(k.arg == "inputs" for k in node.keywords)
+                    and len(node.args) <= INPUTS_POSITION[name]):
+                yield node.lineno, name
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_every_procedure_declares_inputs(module):
+    found = sorted(_undeclared_inputs(_tree(module)))
+    assert not found, f"{module}.py builds a procedure that declares no inputs at {found}"
+
+
+def test_inputs_guard_catches_a_missing_declaration():
+    source = (
+        "eta = DerivedField(chart, 0, 2, eta_fn, sym='symmetric')\n"
+        "K = geometry.DerivedField(chart, 1, 1, K_fn)\n"
+        "flat = Connection(chart, fn, provenance='flat')\n"
+        "ok = DerivedField(chart, 0, 2, eta_fn, inputs=(g,))\n"
+        "ok = DerivedField(chart, 1, 0, fn, None, (X, Y))\n"
+        "ok = Connection(chart, fn, 'canonical', (P,))\n"
+    )
+    assert sorted(_undeclared_inputs(ast.parse(source))) == [
+        (1, "DerivedField"), (2, "DerivedField"), (3, "Connection")]

@@ -1,0 +1,314 @@
+"""Property tests: every jet kernel of `geometry` is order-stable.
+
+A kernel's result at order k equals, byte for byte, its result at order
+k + 1 truncated to k, on operands that are themselves truncations, as
+slices of the higher order's coefficients or as arrays of their own: random
+operands over dims 1-6 and orders k <= 3, at one point or a batch, with
+zero, constant and full degrees.  So a field's jets are a function of
+(point, order) and `Field.at` may serve a lower order as a prefix slice.
+The one exception is the sign of an exact zero (0.0 + -0.0 is 0.0, so a
+sum over more terms can lose a -0.0), which compares equal, and which no
+report shows, since residuals are magnitudes.
+
+The kernels that replaced order-dependent ones (the series `reciprocal` and
+`invert_matrix_jets`, `tdot`'s fixed-order pair sums) are also checked
+against the paths they replaced, the Newton iterations and the one-hot
+scatter, and against the reference jet arithmetic of `oracles.py`, to 1e-12.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paraherm.expr import Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sqrt, Sub
+from paraherm.geometry import (
+    JetArray,
+    Tape,
+    constant_jets,
+    eval_expr,
+    invert_matrix_jets,
+    jets_gradient,
+    tdot,
+    truncate_jets,
+)
+from paraherm.jets import context
+from oracles import jet_product, jet_reciprocal
+
+SETTINGS = settings(max_examples=80, deadline=None)
+dims = st.integers(1, 6)
+orders = st.integers(0, 3)
+seeds = st.integers(0, 2**32 - 1)
+batches = st.sampled_from([None, 1, 4])
+# Degree of an operand: all-zero, constant, or carried at its full order.
+degrees = st.sampled_from(["zero", "const", "full"])
+
+
+def jets(rng, dim, order, shape, deg="full", batch=None, low=-1.0, high=1.0):
+    """Random jets at order `order`, zero above the degree class `deg`."""
+    ctx = context(dim, order)
+    lead = () if batch is None else (batch,)
+    coeffs = rng.uniform(low, high, lead + tuple(shape) + (ctx.n,))
+    d = {"zero": -1, "const": 0, "full": order}[deg]
+    coeffs[..., ctx.degree > d] = 0.0
+    return JetArray(ctx, coeffs, d, 0 if batch is None else 1)
+
+
+def fresh(x):
+    """`x` in memory of its own, laid out as a kernel would make it at its
+    order, and not as a slice of a higher order's coefficients."""
+    return JetArray(x.ctx, np.ascontiguousarray(x.coeffs), x.deg, x.nb)
+
+
+def same_bits(x, y):
+    """Byte-equal coefficients, a zero of either sign counting as 0.0."""
+    return x.shape == y.shape and (x + 0.0).tobytes() == (y + 0.0).tobytes()
+
+
+def assert_order_stable(kernel, operands, k):
+    """`kernel` on `operands` (at order k + 1) truncated to k equals, byte for
+    byte, `kernel` on the operands truncated to k, whether these are slices
+    of the order-(k + 1) coefficients or arrays of their own."""
+    high = truncate_jets(kernel(*operands), k)
+    for low in (kernel(*(truncate_jets(x, k) for x in operands)),
+                kernel(*(fresh(truncate_jets(x, k)) for x in operands))):
+        assert high.ctx is low.ctx and high.nb == low.nb
+        assert same_bits(high.coeffs, low.coeffs)
+    return low
+
+
+def assert_close(got, want, tol=1e-12):
+    want = np.asarray(want)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=tol, atol=tol * max(1.0, float(np.max(np.abs(want)))))
+
+
+# -- elementwise kernels ------------------------------------------------------------
+
+@SETTINGS
+@given(dims, orders, degrees, degrees, batches, seeds)
+def test_product_is_order_stable(dim, k, da, db, batch, seed):
+    rng = np.random.default_rng(seed)
+    a = jets(rng, dim, k + 1, (2, 3), da, batch)
+    b = jets(rng, dim, k + 1, (3,), db, batch if seed % 2 else None)
+    assert_order_stable(lambda x, y: x * y, (a, b), k)
+
+
+def newton_reciprocal(x):
+    """The replaced path: r <- r (2 - x r) from the inverse of the values."""
+    r = constant_jets(x.ctx, 1.0 / x.coeffs[..., 0], x.nb)
+    two = constant_jets(x.ctx, np.full(x.shape, 2.0))
+    for _ in range(max(1, math.ceil(math.log2(x.ctx.order + 1)))):
+        r = r * (two - x * r)
+    return r
+
+
+@SETTINGS
+@given(dims, orders, st.sampled_from(["const", "full"]), batches, seeds)
+def test_reciprocal_and_division_are_order_stable(dim, k, deg, batch, seed):
+    rng = np.random.default_rng(seed)
+    x = jets(rng, dim, k + 1, (3,), deg, batch, 0.5, 2.0)
+    y = jets(rng, dim, k + 1, (3,), "full", batch)
+    r = assert_order_stable(JetArray.reciprocal, (x,), k)
+    assert_order_stable(lambda u, v: u / v, (y, x), k)
+    assert_order_stable(lambda u: u ** -2, (x,), k)
+    # The series against the Newton steps it replaced and the reference.
+    xk = truncate_jets(x, k)
+    assert_close(r.coeffs, newton_reciprocal(xk).coeffs)
+    flat = xk.coeffs.reshape(-1, xk.ctx.n)
+    assert_close(r.coeffs, np.array([jet_reciprocal(xk.ctx, c) for c in flat]).reshape(
+        r.coeffs.shape))
+
+
+@SETTINGS
+@given(dims, orders, st.sampled_from(["const", "full"]), batches, seeds)
+def test_series_functions_are_order_stable(dim, k, deg, batch, seed):
+    rng = np.random.default_rng(seed)
+    x = jets(rng, dim, k + 1, (2,), deg, batch, 0.25, 1.5)
+    for name in ("sin", "cos", "exp", "sqrt"):
+        assert_order_stable(lambda u: getattr(u, name)(), (x,), k)
+
+
+@SETTINGS
+@given(dims, orders, degrees, batches, seeds)
+def test_gradient_is_order_stable(dim, k, deg, batch, seed):
+    rng = np.random.default_rng(seed)
+    x = jets(rng, dim, k + 2, (2, 2), deg, batch)  # its gradient has order k + 1
+    high = truncate_jets(jets_gradient(x), k)
+    low = truncate_jets(x, k + 1)
+    for low in (jets_gradient(low), jets_gradient(fresh(low))):
+        assert high.ctx is low.ctx and same_bits(high.coeffs, low.coeffs)
+
+
+# -- contractions -----------------------------------------------------------------
+
+@st.composite
+def contractions(draw):
+    """Tensor shapes of a and b and the axes of a tdot that contracts
+    nothing (an outer product) or one pair of axes; the contracted length
+    is at most 8, the bound of `tdot`'s guarantee."""
+    rank_a, rank_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shape_a = draw(st.lists(st.integers(1, 3), min_size=rank_a, max_size=rank_a))
+    shape_b = draw(st.lists(st.integers(1, 3), min_size=rank_b, max_size=rank_b))
+    if draw(st.booleans()):
+        return tuple(shape_a), tuple(shape_b), ([], [])
+    i, j = draw(st.integers(0, rank_a - 1)), draw(st.integers(0, rank_b - 1))
+    shape_b[j] = shape_a[i] = draw(st.integers(1, 8))
+    return tuple(shape_a), tuple(shape_b), ([i], [j])
+
+
+@SETTINGS
+@given(dims, orders, contractions(), degrees, degrees,
+       st.sampled_from([(None, None), (3, 3), (3, None), (None, 3), (1, 1)]), seeds)
+def test_tdot_is_order_stable(dim, k, layout, da, db, batch, seed):
+    """Every path of `tdot`: a zero operand, a constant one on either side,
+    or two non-constant ones, vectors (a side with no free axis) included."""
+    rng = np.random.default_rng(seed)
+    shape_a, shape_b, axes = layout
+    a = jets(rng, dim, k + 1, shape_a, da, batch[0])
+    b = jets(rng, dim, k + 1, shape_b, db, batch[1])
+    assert_order_stable(lambda x, y: tdot(x, y, axes), (a, b), k)
+
+
+def scatter_tdot(a, b, axes):
+    """The replaced general path: every pair product a[i] @ b[j], scattered
+    onto its coefficient with one matrix product by a one-hot table."""
+    ctx = a.ctx
+    ia, ib, it = ctx._mul_a, ctx._mul_b, ctx._mul_t
+    scatter = np.zeros((len(it), ctx.n))
+    scatter[np.arange(len(it)), it] = 1.0
+    pairs = np.stack([np.tensordot(a.coeffs[..., i], b.coeffs[..., j], axes)
+                      for i, j in zip(ia, ib)], axis=-1)
+    return pairs @ scatter
+
+
+def reference_tdot(a, b, axes):
+    """Each component of the contraction as its sum of scalar jet products."""
+    shape = np.tensordot(a.coeffs[..., 0], b.coeffs[..., 0], axes).shape
+    out = np.zeros(shape + (a.ctx.n,))
+    for i in np.ndindex(a.shape):
+        for j in np.ndindex(b.shape):
+            if all(i[x] == j[y] for x, y in zip(*axes)):
+                free = (tuple(v for p, v in enumerate(i) if p not in axes[0])
+                        + tuple(v for p, v in enumerate(j) if p not in axes[1]))
+                out[free] += jet_product(a.ctx, a.coeffs[i], b.coeffs[j])
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), contractions(), seeds)
+def test_tdot_full_path_matches_the_scatter_and_the_reference(dim, k, layout, seed):
+    rng = np.random.default_rng(seed)
+    shape_a, shape_b, axes = layout
+    a = jets(rng, dim, k, shape_a)
+    b = jets(rng, dim, k, shape_b)
+    got = tdot(a, b, axes).coeffs
+    assert_close(got, scatter_tdot(a, b, axes))
+    assert_close(got, reference_tdot(a, b, axes))
+
+
+# -- the matrix inverse -------------------------------------------------------------
+
+def newton_inverse(M):
+    """The replaced path: X <- X (2 - M X) from the inverse of the values."""
+    vals = M.values()
+    X = constant_jets(M.ctx, np.linalg.inv(vals), M.nb)
+    two = constant_jets(M.ctx, 2.0 * np.eye(vals.shape[-1]))
+    for _ in range(max(1, math.ceil(math.log2(M.ctx.order + 1)))):
+        X = tdot(X, two - tdot(M, X, ([1], [0])), ([1], [0]))
+    return X
+
+
+@SETTINGS
+@given(dims, orders, st.integers(1, 5), st.sampled_from(["const", "full"]), batches, seeds)
+def test_inverse_is_order_stable(dim, k, size, deg, batch, seed):
+    rng = np.random.default_rng(seed)
+    M = jets(rng, dim, k + 1, (size, size), deg, batch, -0.3, 0.3)
+    eye = np.eye(size) * (2.0 + rng.uniform(0.0, 1.0, size))
+    M = M + constant_jets(M.ctx, eye)
+    X = assert_order_stable(invert_matrix_jets, (M,), k)
+    Mk = truncate_jets(M, k)
+    assert_close(X.coeffs, newton_inverse(Mk).coeffs)
+    # The reference: M X is the identity, product by product.
+    lead = Mk.coeffs.shape[:Mk.nb]
+    for p in np.ndindex(lead):
+        for i in range(size):
+            for j in range(size):
+                got = sum(jet_product(Mk.ctx, Mk.coeffs[p + (i, l)], X.coeffs[p + (l, j)])
+                          for l in range(size))
+                want = np.zeros(Mk.ctx.n)
+                want[0] = float(i == j)
+                assert_close(got, want)
+
+
+def test_constant_matrix_takes_no_series_step():
+    ctx = context(3, 2)
+    M = constant_jets(ctx, [[2.0, 1.0], [1.0, 3.0]])
+    X = invert_matrix_jets(M)
+    assert X.deg == 0
+    assert X.coeffs.tobytes() == constant_jets(ctx, np.linalg.inv(M.values())).coeffs.tobytes()
+
+
+# -- expressions ------------------------------------------------------------------
+
+def _trees(nvars):
+    leaves = st.one_of(st.integers(0, nvars - 1).map(Coord),
+                       st.integers(-8, 8).map(lambda n: Const(Fraction(n, 4))),
+                       st.sampled_from([Const(0.0), Const(-0.0), Const(-1.5)]))
+
+    def positive(e):
+        return Add(Const(Fraction(5, 2)), Mul(Const(Fraction(1, 4)), Sin(e)))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda t: Add(*t)),
+            st.tuples(children, children).map(lambda t: Sub(*t)),
+            st.tuples(children, children).map(lambda t: Mul(*t)),
+            st.tuples(children, children).map(lambda t: Div(t[0], positive(t[1]))),
+            children.map(Neg),
+            children.map(Sin),
+            children.map(Cos),
+            children.map(lambda e: Exp(Mul(Const(Fraction(1, 4)), Sin(e)))),
+            children.map(lambda e: Sqrt(positive(e))),
+            st.tuples(children, st.integers(-3, 4)).map(
+                lambda t: Pow(positive(t[0]) if t[1] < 0 else t[0], t[1])),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+_TREES = [_trees(nvars) for nvars in range(1, 7)]
+
+
+@st.composite
+def forests(draw):
+    nvars = draw(dims)
+    trees = draw(st.lists(_TREES[nvars - 1], min_size=1, max_size=3))
+    return nvars, trees
+
+
+@SETTINGS
+@given(forests(), orders, batches, seeds)
+def test_expression_tapes_are_order_stable(forest, k, batch, seed):
+    nvars, trees = forest
+    tape = Tape(trees, (len(trees),), nvars)
+    rng = np.random.default_rng(seed)
+    coords = rng.uniform(-1.0, 1.0, (nvars,) if batch is None else (batch, nvars))
+    high = truncate_jets(eval_expr(tape, coords, k + 1), k)
+    assert same_bits(high.coeffs, eval_expr(tape, coords, k).coeffs)
+
+
+@SETTINGS
+@given(dims, st.integers(1, 3), contractions(), degrees, degrees, st.integers(2, 5), seeds)
+def test_tdot_batch_is_byte_equal_to_stacked_points(dim, k, layout, da, db, B, seed):
+    """A batch gives each point the bits that point gets alone."""
+    rng = np.random.default_rng(seed)
+    shape_a, shape_b, axes = layout
+    a = jets(rng, dim, k, shape_a, da, B)
+    b = jets(rng, dim, k, shape_b, db, B)
+    got = tdot(a, b, axes)
+    each = [tdot(JetArray(a.ctx, a.coeffs[p], a.deg), JetArray(b.ctx, b.coeffs[p], b.deg), axes)
+            for p in range(B)]
+    assert same_bits(got.coeffs, np.stack([x.coeffs for x in each]))

@@ -526,12 +526,15 @@ class JetArray:
 
     def reciprocal(self) -> "JetArray":
         """Elementwise 1 / self, the series of 1/x about the values: its m-th
-        derivative there is (-1)^m m! / x^(m+1)."""
+        derivative there is d_m = (-1)^m m! / x^(m+1) = d_(m-1) (-m / x),
+        formed by products alone, so a batch gets each jet's own bits."""
         vals = self.coeffs[..., 0]
         if not np.all(vals):
             raise DivisionByZero("division by a jet with zero value")
-        r = 1.0 / vals
-        return self._compose([math.factorial(m) * (-r) ** m * r for m in range(self.ctx.order + 1)])
+        derivs = [1.0 / vals]
+        for m in range(1, self.ctx.order + 1):
+            derivs.append(derivs[-1] * (-m * derivs[0]))
+        return self._compose(derivs)
 
     def __pow__(self, n):
         """Elementwise integer power, by squaring; a negative n inverts first."""

@@ -27,11 +27,11 @@ from .geometry import (
     apply_endomorphism,
     as_batch,
     coeff_max,
-    constant_field,
     constant_jets,
     contract_value,
     exterior_derivative,
     invert_matrix_jets,
+    jets_gradient,
     lie_bracket,
     per_point,
     per_point_max,
@@ -40,7 +40,7 @@ from .geometry import (
 
 __all__ = [
     "ParaHermitianStructure", "GeneralizedVector", "validate_structure",
-    "ValidationReport", "rho", "rho_field", "rho_inverse", "nijenhuis",
+    "ValidationReport", "rho", "rho_field", "rho_inverse", "nijenhuis", "nijenhuis_tensor",
     "nijenhuis_projector_form", "nijenhuis_connection_form", "n_scalar",
     "phi_field", "phi_scalar", "bigraded_part_at",
     "classify", "ClassificationReport",
@@ -99,6 +99,10 @@ class ParaHermitianStructure:
     def canonical(self):
         return canonical_connection(self)
 
+    @cached_property
+    def nijenhuis_tensor(self):
+        return nijenhuis_tensor(self)
+
     def integrability_residual(self, sign, point):
         """Scale-normalized Nijenhuis residual on the `sign` eigenbundle, the
         worst over six seeded random vector triples: a float at a point, one
@@ -111,28 +115,23 @@ class ParaHermitianStructure:
 
 
 def _nijenhuis_gate(S, sign):
-    """`integrability_residual` of one side: a (0,0) field at order 0 over six
-    Nijenhuis fields built once, `const` where eta and K are."""
-    rng = np.random.default_rng(7)
-    P = S.projector(sign)
-    triples = []
-    for _ in range(6):
-        u, v, w = (_const_vec(S.chart, c) for c in rng.uniform(-1.0, 1.0, (3, S.chart.dim)))
-        triples.append((nijenhuis(S, apply_endomorphism(P, u), apply_endomorphism(P, v)), w))
+    """`integrability_residual` of one side: a (0,0) field at order 0, N_K
+    contracted with six seeded vector triples projected to the eigenbundle,
+    `const` where eta and K are."""
+    draws = np.random.default_rng(7).uniform(-1.0, 1.0, (6, 3, S.chart.dim))
 
     def fn(point, order):
         b = S.at(point, 1)  # the whole bundle at order 1, which the suites read next
         scale = np.maximum(1.0, np.maximum(b.K.max_abs(), b.eta.max_abs()))
-        worst = 0.0
-        for N, Z in triples:
-            worst = np.maximum(worst, np.abs(_n_value(S, sign, N, Z, point, 0)) / scale)
+        P = (b.Pp if sign > 0 else b.Pm).values()
+        x, y, z = np.moveaxis(np.einsum("...ab,tvb->...tva", P, draws), -2, 0)
+        N = S.nijenhuis_tensor.values(point)
+        nv = np.einsum("...tak,...tk->...ta", np.einsum("...ajk,...tj->...tak", N, x), y)
+        r = np.einsum("...tb,...tb->...t", np.einsum("...ab,...ta->...tb", b.eta.values(), nv), z)
+        worst = np.abs(r).max(axis=-1) / scale
         return constant_jets(S.chart.context(0), worst, np.ndim(worst))
 
-    return DerivedField(S.chart, 0, 0, fn, inputs=S.fields)
-
-
-def _const_vec(chart, comps):
-    return constant_field(chart, comps, 1, 0)
+    return DerivedField(S.chart, 0, 0, fn, inputs=(*S.fields, S.nijenhuis_tensor))
 
 
 # --------------------------------------------------------------------------
@@ -272,15 +271,22 @@ def n_scalar(S, sign, X, Y, Z, point, order=0) -> float:
     """N_+-(X,Y,Z) = eta(N_K(P+- X, P+- Y), P+- Z)."""
     P = S.projector(sign)
     N = nijenhuis(S, apply_endomorphism(P, X), apply_endomorphism(P, Y))
-    return _n_value(S, sign, N, Z, point, order)
+    pz = tdot(P.at(point, order), Z.at(point, order), ([1], [0]))
+    return contract_value(point, S.eta.at(point, order), N.at(point, order), pz)
 
 
-def _n_value(S, sign, N, Z, point, order):
-    """eta(N, P+- Z) for N = N_K(P+- X, P+- Y) already built."""
-    eta, P = S.eta.at(point, order), S.projector(sign).at(point, order)
-    nv = N.at(point, order)
-    pz = tdot(P, Z.at(point, order), ([1], [0]))
-    return contract_value(point, eta, nv, pz)
+def nijenhuis_tensor(S) -> Field:
+    """N_K as a (1,2) field from K and its first derivatives: 4 N^i_jk =
+    K^l_j d_l K^i_k - K^l_k d_l K^i_j - K^i_l (d_j K^l_k - d_k K^l_j), so that
+    N^i_jk X^j Y^k = nijenhuis(S, X, Y)^i, exactly antisymmetric in j, k; the
+    gates and `classify` contract `S.nijenhuis_tensor`, built once."""
+
+    def fn(p, k):
+        Kv, dK = S.K.at(p, k), jets_gradient(S.K.at(p, k + 1))  # dK[l, i, j] = d_l K^i_j
+        t = tdot(Kv, dK, ([0], [0])).transpose((1, 0, 2)) - tdot(Kv, dK, ([1], [1]))
+        return (t - t.transpose((0, 2, 1))) * 0.25
+
+    return DerivedField(S.chart, 1, 2, fn, inputs=(S.K,))
 
 
 # --------------------------------------------------------------------------
@@ -363,8 +369,6 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
 def _classify_batch(S, batch):
     """(residuals, cross checks) of the classification: the worst point of
     the batch."""
-    dim = S.chart.dim
-    basis = [_const_vec(S.chart, row) for row in np.eye(dim)]
     b = S.at(batch, 1)
     scale = np.maximum(1.0, np.maximum(S.eta.max_abs(batch), S.K.max_abs(batch)))
     dwj = per_point(batch, exterior_derivative(S.omega).at(batch, 0))
@@ -377,21 +381,7 @@ def _classify_batch(S, batch):
     worst["phi_skew"] = per_point_max(phiv + np.swapaxes(phiv, 1, 2)) / dw_scale
     dK = covariant_differential(S.levi_civita, S.K)
     worst["nabla_K"] = per_point_max(dK.values(batch)) / dw_scale
-    # Pure-type Nijenhuis parts, as tensors over the coordinate basis:
-    # n[sign][point, i, j, :] = eta(N(P e_i, P e_j), P .).
-    n = {}
-    for sign in (+1, -1):
-        P = S.projector(sign)
-        Pc = b.Pp if sign > 0 else b.Pm
-        store = n[sign] = np.zeros(batch.batch + (dim, dim, dim))
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                N = nijenhuis(S, apply_endomorphism(P, basis[i]),
-                              apply_endomorphism(P, basis[j]))
-                etaN = tdot(tdot(b.eta, N.at(batch, 0), ([0], [0])), Pc, ([0], [0]))
-                row = etaN.values()
-                store[:, i, j, :] = row
-                store[:, j, i, :] = -row
+    n = _nijenhuis_parts(S, batch)
     worst["n_plus"] = per_point_max(n[+1]) / scale
     worst["n_minus"] = per_point_max(n[-1]) / scale
     # Identity: (d omega)^{(+3,-0)} = cyclic sum of N_+,
@@ -406,3 +396,14 @@ def _classify_batch(S, batch):
     return ({key: float(np.max(v)) for key, v in worst.items()},
             {key: float(np.max(v)) for key, v in per_cross.items()})
 
+
+def _nijenhuis_parts(S, batch):
+    """n[sign][point, i, j, c] = eta(N(P e_i, P e_j), P e_c), the pure-type
+    Nijenhuis parts over the coordinate basis, one entry per point of `batch`."""
+    Nv, etav = S.nijenhuis_tensor.values(batch), S.eta.values(batch)
+    n = {}
+    for sign in (+1, -1):
+        P = S.projector(sign).values(batch)
+        t = np.einsum("pail,plj->paij", np.einsum("pakl,pki->pail", Nv, P), P)
+        n[sign] = np.einsum("pijb,pbc->pijc", np.einsum("pab,paij->pijb", etav, t), P)
+    return n

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paraherm.errors import DimensionMismatch, DivisionByZero, DomainError
 from paraherm.expr import Coord
@@ -250,6 +250,7 @@ def test_analytic_function_matches_reference(name, dim, k, batch, seed):
 
 @SETTINGS
 @given(dims, orders, st.integers(2, 4), seeds)
+@example(dim=2, k=4, batch=4, seed=1274855)  # `**` on a numpy scalar called libm's pow
 def test_batch_of_scalars_equals_each_jet(dim, k, batch, seed):
     """Every kernel at a batch is byte-equal to the same kernel on each jet."""
     rng = np.random.default_rng(seed)

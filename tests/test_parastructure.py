@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraherm.connections import flat_connection
 from paraherm.geometry import (
-    apply_endomorphism, constant_field, exterior_derivative, stack_points,
+    apply_endomorphism, constant_field, exterior_derivative, stack_points, tdot,
 )
 from paraherm.parastructure import (
     ParaHermitianStructure, bigraded_part_at, classify, n_scalar, nijenhuis,
@@ -135,6 +136,124 @@ def test_nijenhuis_forms_agree(curved3_tm):
         v1 = f1.values(p)
         for other in (f2, f3, f4):
             assert np.max(np.abs(v1 - other.values(p))) < 1e-9
+
+
+def _sheared(flat3, pts):
+    """flat3 B-transformed by a non-closed b-field, so that d omega^(3,0) and
+    the Nijenhuis tensor do not vanish."""
+    from paraherm.deformations import b_transform
+    from paraherm.geometry import TensorField
+
+    comps = np.empty((6, 6), dtype=object)
+    comps[...] = 0
+    for (i, j), s in {(0, 1): "xt1", (0, 2): "x2*xt2", (1, 2): "x1"}.items():
+        comps[i, j] = s
+        comps[j, i] = f"-({s})"
+    b = TensorField(flat3.chart, 0, 2, comps, sym="antisymmetric")
+    return b_transform(flat3.S, b, sample=stack_points(pts)).structure_B
+
+
+@pytest.fixture(scope="module")
+def nijenhuis_models(sphere_tm, curved3_tm, flat3):
+    """name -> (structure, count, seed -> sample points)."""
+    return {
+        "sphere_tm": (sphere_tm.S, lambda n, seed: sample_points(sphere_tm, n, seed,
+                                                                 box=sphere_box())),
+        "curved3_tm": (curved3_tm.S, lambda n, seed: sample_points(
+            curved3_tm, n, seed, box=[(-0.8, 0.8)] * 6)),
+        "sheared_flat3": (_sheared(flat3, sample_points(flat3, 3, 18)),
+                          lambda n, seed: sample_points(flat3, n, seed)),
+    }
+
+
+def _loop_nijenhuis_parts(S, batch):
+    """The pure-type Nijenhuis parts as `classify` computed them before the
+    Nijenhuis tensor field: one Lie-bracket `nijenhuis` field per pair of
+    basis vectors and sign, n[sign][point, i, j, :] = eta(N(P e_i, P e_j), P .)."""
+    dim = S.chart.dim
+    basis = [constant_field(S.chart, row, 1, 0) for row in np.eye(dim)]
+    b = S.at(batch, 1)
+    n = {}
+    for sign in (+1, -1):
+        P = S.projector(sign)
+        Pc = b.Pp if sign > 0 else b.Pm
+        store = n[sign] = np.zeros(batch.batch + (dim, dim, dim))
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                N = nijenhuis(S, apply_endomorphism(P, basis[i]),
+                              apply_endomorphism(P, basis[j]))
+                row = tdot(tdot(b.eta, N.at(batch, 0), ([0], [0])), Pc, ([0], [0])).values()
+                store[:, i, j, :] = row
+                store[:, j, i, :] = -row
+    return n
+
+
+NIJENHUIS_MODELS = ("sphere_tm", "curved3_tm", "sheared_flat3")
+
+
+@pytest.mark.parametrize("model", NIJENHUIS_MODELS)
+@settings(max_examples=25, deadline=None)
+@given(order=st.integers(0, 1), batch=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_nijenhuis_tensor_contracts_to_the_lie_bracket_form(nijenhuis_models, model, order,
+                                                            batch, seed):
+    """N^i_jk X^j Y^k equals the Lie-bracket form N_K(X, Y) to 1e-12 relative,
+    coefficient by coefficient, for random polynomial X and Y, at one point
+    or a batch; N is exactly antisymmetric in j, k."""
+    S, draw = nijenhuis_models[model]
+    rng = np.random.default_rng(seed)
+    pts = draw(3 if batch else 1, seed)
+    point = stack_points(pts) if batch else pts[0]
+    X, Y = (random_vector_field(S.chart, rng) for _ in range(2))
+    N = S.nijenhuis_tensor.at(point, order)
+    got = tdot(tdot(N, X.at(point, order), ([1], [0])), Y.at(point, order), ([1], [0]))
+    want = nijenhuis(S, X, Y).at(point, order)
+    assert got.ctx is want.ctx and got.nb == want.nb == int(batch)
+    scale = max(1.0, np.max(np.abs(want.coeffs)))
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-12 * scale
+    assert np.array_equal(N.coeffs, -np.swapaxes(N.coeffs, -3, -2))
+
+
+@pytest.mark.parametrize("model", NIJENHUIS_MODELS)
+@settings(max_examples=8, deadline=None)
+@given(count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_nijenhuis_parts_equal_the_lie_bracket_loop(nijenhuis_models, model, count, seed):
+    """`classify`'s pure-type parts, contracted from the tensor field, equal
+    the loop over Lie-bracket fields they replace, to 1e-12 relative."""
+    from paraherm.parastructure import _nijenhuis_parts
+
+    S, draw = nijenhuis_models[model]
+    batch = stack_points(draw(count, seed))
+    got = _nijenhuis_parts(S, batch)
+    want = _loop_nijenhuis_parts(S, batch)
+    for sign in (+1, -1):
+        assert got[sign].shape == want[sign].shape == (count,) + (S.chart.dim,) * 3
+        scale = max(1.0, np.max(np.abs(want[sign])))
+        assert np.max(np.abs(got[sign] - want[sign])) <= 1e-12 * scale
+
+
+def test_nijenhuis_tensor_is_const_and_zero_on_flat(flat2):
+    N = flat2.S.nijenhuis_tensor
+    assert N.const and N is flat2.S.nijenhuis_tensor
+    jets = N.at(flat2.chart.point(np.zeros(4)), 2)
+    assert jets.deg == -1 and not jets.coeffs.any()
+
+
+def test_gates_and_classify_build_no_lie_bracket_graph(sphere_tm, sphere_pts, monkeypatch):
+    """The integrability gates and `classify` contract the Nijenhuis tensor
+    field: they run with the Lie-bracket form and `lie_bracket` disabled."""
+    from paraherm import parastructure
+
+    def disabled(*args):
+        raise AssertionError("a Lie-bracket Nijenhuis graph was built")
+
+    monkeypatch.setattr(parastructure, "nijenhuis", disabled)
+    monkeypatch.setattr(parastructure, "lie_bracket", disabled)
+    S = ParaHermitianStructure(sphere_tm.chart, sphere_tm.S.eta, sphere_tm.S.K)
+    batch = stack_points(sphere_pts)
+    for sign in (+1, -1):
+        assert S.integrability_residual(sign, batch).shape == (len(sphere_pts),)
+    rep = classify(S, batch)
+    assert rep.flags["n_integrable"] and not rep.flags["p_integrable"]
 
 
 def test_sphere_tm_half_integrability(sphere_tm, sphere_pts):
@@ -364,8 +483,6 @@ def test_a_single_point_is_a_sample_of_one(flat1, check):
 def test_integrability_gate_is_computed_once_per_point(sphere_tm, sphere_pts, monkeypatch):
     """The residual is the worst of six seeded n_scalar triples; asked again
     at the same point it does no new work, and a new point replaces it."""
-    from paraherm import parastructure
-
     S = ParaHermitianStructure(sphere_tm.chart, sphere_tm.S.eta, sphere_tm.S.K)
     p, q = sphere_pts[:2]
     for sign in (+1, -1):
@@ -376,10 +493,11 @@ def test_integrability_gate_is_computed_once_per_point(sphere_tm, sphere_pts, mo
                    for _ in range(6))
         assert S.integrability_residual(sign, p) == pytest.approx(want, rel=1e-12, abs=1e-15)
     calls = []
-    n_value = parastructure._n_value
-    monkeypatch.setattr(parastructure, "_n_value", lambda *a: calls.append(1) or n_value(*a))
+    gate = S._nijenhuis_gates[+1]
+    body = gate.fn
+    monkeypatch.setattr(gate, "fn", lambda *a: calls.append(1) or body(*a))
     S.integrability_residual(+1, p)
     assert len(calls) == 0
     S.integrability_residual(+1, q)
     S.integrability_residual(+1, q)
-    assert len(calls) == 6
+    assert len(calls) == 1

@@ -101,7 +101,7 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
     def comps(p, k):
         if check:
             require_torsionless(C, p)
-        gamma = C.gamma(p, k)
+        gamma = C.christoffels.at(p, k)
         x1 = e1.vec.at(p, k + 1)
         x2 = e2.vec.at(p, k + 1)
         a1 = e1.cov.at(p, k + 1)
@@ -130,7 +130,7 @@ def _bracket_core(C, S, X, Y, project=None):
     P = None if project is None else S.projector(project)
 
     def fn(p, k):
-        gamma = C.gamma(p, k)
+        gamma = C.christoffels.at(p, k)
         eta, eta_inv = S.eta.at(p, k), S.eta_inv.at(p, k)
         Pj = None if P is None else P.at(p, k)
         xj = X.at(p, k + 1)
@@ -196,12 +196,11 @@ def leafwise_d(S, side, obj):
         dxi = exterior_derivative(tagged)
 
         def fn2(p, k):
-            b = S.at(p, k)
-            return bigraded_part_at(
-                S, dxi.at(p, k), 2 if side > 0 else 0, b
-            )
+            return bigraded_part_at(dxi.at(p, k), 2 if side > 0 else 0,
+                                    S.P_plus.at(p, k), S.P_minus.at(p, k))
 
-        return DerivedField(S.chart, 0, 2, fn2, sym="antisymmetric", inputs=(dxi, *S.fields))
+        return DerivedField(S.chart, 0, 2, fn2, sym="antisymmetric",
+                            inputs=(dxi, S.P_plus, S.P_minus))
     raise RankMismatch("leafwise_d handles scalars and one-forms")
 
 
@@ -260,7 +259,7 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
     def fn(p, k):
         if check_torsion:
             require_torsionless(C, p)
-        gamma = C.gamma(p, k)
+        gamma = C.christoffels.at(p, k)
         bj = beta.at(p, k + 1)
         D = nabla_jets(gamma, bj, 2, 0)  # D[M, J, K] = (nabla_M beta)^{JK}
         # S1[I, J, K] = beta^{IM} (nabla_M beta)^{JK}: the direction slot of

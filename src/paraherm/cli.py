@@ -136,14 +136,15 @@ class _RunContext:
         with _spec_section("sample"):
             # Every suite evaluates its fields on the whole sample as this batch.
             self.batch, self.seed = self._sample(spec.get("sample", {}))
-        self._gates = {}
 
     def check_domain(self):
-        """Evaluate eta, K (and the b-field) at order 0 on the sample, so that
-        a sample point outside an expression's domain, or where eta is
-        singular, is a spec error naming the point before any suite runs."""
+        """Evaluate the structure's six fields (and the b-field) at order 0 on
+        the sample, so that a sample point outside an expression's domain, or
+        where eta is singular (its inverse raises SingularMetric), is a spec
+        error naming the point before any suite runs."""
         with _spec_section("sample"):
-            self.model.S.at(self.batch, 0)
+            for f in self.model.S.fields:
+                f.at(self.batch, 0)
             if self.b_field is not None:
                 self.b_field.at(self.batch, 0)
 
@@ -152,12 +153,9 @@ class _RunContext:
 
         The single skip rule: `adapted` (per side) and `courant_plus` /
         `courant_minus` skip a side whose gate exceeds the suite's tolerance.
-        Evaluated once per side and run.
+        The gate is a memoised field, evaluated once per side and run.
         """
-        if sign not in self._gates:
-            res = self.model.S.integrability_residual(sign, self.batch)
-            self._gates[sign] = float(np.max(res))
-        return self._gates[sign]
+        return float(np.max(self.model.S.integrability_residual(sign, self.batch)))
 
     @functools.cached_property
     def transformation(self):
@@ -194,9 +192,10 @@ class _RunContext:
                     mspec["metric"], mspec["base_coords"], jet_order=self.jet_order,
                 )
             if name == "explicit":
-                chart = Chart(
-                    mspec["coords"], split=mspec.get("split"), jet_order=self.jet_order
-                )
+                split = mspec.get("split")  # absent or null: no split
+                if split is not None:
+                    split = _spec_int(mspec, "split", None, "model")
+                chart = Chart(mspec["coords"], split=split, jet_order=self.jet_order)
                 eta = TensorField(chart, 0, 2, np.asarray(mspec["eta"], dtype=object),
                                   sym="symmetric")
                 K = TensorField(chart, 1, 1, np.asarray(mspec["K"], dtype=object))
@@ -517,6 +516,9 @@ def run(spec_path, output_path=None, verbose=False) -> int:
         spec = load_spec(spec_path)
         ctx = _RunContext(spec)
         suite_names = spec["suites"]
+        if not isinstance(suite_names, list) or not all(isinstance(n, str) for n in suite_names):
+            raise SpecParseError(f"suites must be a JSON list of names, got {suite_names!r}",
+                                 "suites")
         for name in suite_names:
             if name not in SUITES:
                 raise SpecParseError(f"unknown suite {name!r}", "suites")

@@ -43,15 +43,14 @@ __all__ = [
 class Connection:
     """Christoffel symbols as an evaluation procedure over jets, at a point or
     a batch: `christoffels`, a rank-(1,2) `DerivedField` reading the fields
-    `inputs` (not a tensor, so no tensor operator is applied to it)."""
+    `inputs`, which callers read as `C.christoffels.at(point, order)`.  The
+    class keeps the symbols apart from (1,2) tensors: they are not a
+    tensor, so no tensor operator is applied to them."""
 
     def __init__(self, chart, fn, provenance="user_supplied", inputs=()):
         self.chart = chart
         self.provenance = provenance
         self.christoffels = DerivedField(chart, 1, 2, fn, inputs=inputs)
-
-    def gamma(self, point, order):
-        return self.christoffels.at(point, order)
 
     def __repr__(self):
         return f"Connection({self.provenance}, chart={self.chart.coord_names})"
@@ -91,7 +90,7 @@ def canonical_connection(S) -> Connection:
     lc = S.levi_civita
 
     def fn(point, order):
-        g0 = lc.gamma(point, order)
+        g0 = lc.christoffels.at(point, order)
         out = None
         for P in (S.P_plus.at(point, order + 1), S.P_minus.at(point, order + 1)):
             dP = jets_gradient(P)  # dP[i, m, j] = d_i P^m_j
@@ -113,7 +112,7 @@ def canonical_connection_contorsion(S) -> Connection:
     lc = S.levi_civita
 
     def fn(point, order):
-        g0 = lc.gamma(point, order)
+        g0 = lc.christoffels.at(point, order)
         phi = nabla_jets(g0, S.omega.at(point, order + 1), 0, 2)  # Phi_ijl = (nablao_i omega)_jl
         corr = tdot(phi, S.K.at(point, order), ([2], [0]))  # corr[i, j, l] = Phi_{ijm} K^m_l
         return g0 - 0.5 * tdot(S.eta_inv.at(point, order), corr, ([0], [2]))  # (k, i, j)
@@ -150,7 +149,7 @@ def covariant_derivative(C: Connection, X: Field, T: Field) -> Field:
     """nabla_X T as a derived field of the same rank."""
 
     def fn(p, k):
-        gamma = C.gamma(p, k)
+        gamma = C.christoffels.at(p, k)
         xj = X.at(p, k)
         tj = T.at(p, k + 1)
         return covd_jets(gamma, xj, tj, T.r, T.s)
@@ -162,7 +161,7 @@ def covariant_differential(C: Connection, T: Field) -> Field:
     """Total nabla T, rank (r, s+1); the derivative slot is the first covariant axis."""
 
     def fn(p, k):
-        out = nabla_jets(C.gamma(p, k), T.at(p, k + 1), T.r, T.s)
+        out = nabla_jets(C.christoffels.at(p, k), T.at(p, k + 1), T.r, T.s)
         return out.moveaxis(0, T.r)
 
     return DerivedField(T.chart, T.r, T.s + 1, fn, inputs=(C.christoffels, T))
@@ -172,7 +171,7 @@ def torsion(C: Connection) -> Field:
     """T^k_{ij} = Gamma^k_{ij} - Gamma^k_{ji}, a (1,2) tensor field."""
 
     def fn(p, k):
-        g = C.gamma(p, k)
+        g = C.christoffels.at(p, k)
         return g - g.transpose((0, 2, 1))
 
     return DerivedField(C.chart, 1, 2, fn, inputs=(C.christoffels,))
@@ -203,7 +202,7 @@ def curvature(C: Connection) -> Field:
     """The curvature R^k_{ijl} of C as a (1,3) field."""
 
     def fn(p, k):
-        g = C.gamma(p, k + 1)
+        g = C.christoffels.at(p, k + 1)
         return truncate_jets(riemann_jets(g, jets_gradient(g)), k)
 
     return DerivedField(C.chart, 1, 3, fn, inputs=(C.christoffels,))
@@ -239,15 +238,16 @@ def check_adapted(C: Connection, S, side, sample, n_vectors=20,
     """
     batch = as_batch(sample)
     dim = S.chart.dim
-    bundle = S.at(batch, 1)
-    Pp, Pm = (bundle.Pm, bundle.Pp) if side == "n" else (bundle.Pp, bundle.Pm)
-    gamma = C.gamma(batch, 0)
+    eta, Pp, Pm = (f.at(batch, 1) for f in (S.eta, S.P_plus, S.P_minus))
+    if side == "n":
+        Pp, Pm = Pm, Pp
+    gamma = C.christoffels.at(batch, 0)
     values = lambda x: per_point(batch, x).values()  # noqa: E731
     Ppv = values(Pp)  # (point, a, b)
     Pmv = values(Pm)
-    etav = values(bundle.eta)
+    etav = values(eta)
     gv = values(gamma)
-    nabla_eta = values(nabla_jets(gamma, bundle.eta, 0, 2))
+    nabla_eta = values(nabla_jets(gamma, eta, 0, 2))
     tors = gv - np.swapaxes(gv, -1, -2)
     dPp = values(jets_gradient(Pp))  # dPp[point, i, a, b]
     dPm = values(jets_gradient(Pm))

@@ -99,10 +99,6 @@ class BTransformation:
         eye = constant_jets(self.S.chart.context(k), np.eye(self.S.chart.dim))
         return eye + self.B.at(p, k)
 
-    @property
-    def omega_B(self) -> Field:
-        return self.S.omega + self.b * (2.0 * self.side)
-
     def sheared_projector(self) -> Field:
         """Projector onto the deformed eigenbundle (T+^B for side +1)."""
         return self.structure_B.projector(self.side)
@@ -185,10 +181,8 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     PBX = apply_endomorphism(PB, X)
     PBY = apply_endomorphism(PB, Y)
     br = d_bracket(S, PBX, PBY).at(point, 0)
-    bundle = S.at(point, 0)
-    pbz = PB.at(point, 0)
-    zj = tdot(pbz, Z.at(point, 0), ([1], [0]))
-    lhs = contract_value(point, bundle.eta, br, zj)
+    zj = tdot(PB.at(point, 0), Z.at(point, 0), ([1], [0]))
+    lhs = contract_value(point, S.eta.at(point, 0), br, zj)
     rhs = contract_value(point, mc_form(T).at(point, 0), X.at(point, 0),
                          Y.at(point, 0), Z.at(point, 0))
     return MCSides(lhs, rhs)
@@ -211,11 +205,11 @@ def mc_form(T: BTransformation) -> Field:
     m_plus = 3 if T.side > 0 else 0
 
     def fn(p, k):
-        proj = bigraded_part_at(S, db.at(p, k), m_plus, S.at(p, k))
+        proj = bigraded_part_at(db.at(p, k), m_plus, S.P_plus.at(p, k), S.P_minus.at(p, k))
         return proj + _lowered_schouten(T, p, k)
 
     return DerivedField(S.chart, 0, 3, fn, sym="antisymmetric",
-                        inputs=(db, T.schouten, *S.fields))
+                        inputs=(db, T.schouten, S.eta, S.P_plus, S.P_minus))
 
 
 def compatibility_residual(T: BTransformation, sample) -> float:
@@ -305,14 +299,13 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8):
     T.require_parakahler(point, tol=pk_tol)
     n = chart.split
     dbj = per_point(point, exterior_derivative(T.b).at(point, 0))
-    base_bundle = S.at(point, 0)
-    b_bundle = T.structure_B.at(point, 0)
 
-    H = bigraded_part_at(S, dbj, 3, base_bundle)
+    H = bigraded_part_at(dbj, 3, S.P_plus.at(point, 0), S.P_minus.at(point, 0))
     R = per_point(point, _lowered_schouten(T, point, 0))
     covH = H + R
 
-    parts = {m: bigraded_part_at(S, dbj, m, b_bundle) for m in range(4)}
+    PBp, PBm = (f.at(point, 0) for f in (T.structure_B.P_plus, T.structure_B.P_minus))
+    parts = {m: bigraded_part_at(dbj, m, PBp, PBm) for m in range(4)}
     cross = (covH - parts[3]).max_abs()
     vanishing = np.maximum(parts[1].max_abs(), parts[0].max_abs())
     reassembly = (covH + parts[2] + parts[1] + parts[0] - dbj).max_abs()
@@ -361,7 +354,7 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
              for a in range(n)]
     inv = invert_matrix_jets(A.at(point, order)[:n, :n], point)
     dual = concat_jets([constant_jets(inv.ctx, np.zeros((n, n))), inv.transpose()])
-    eta = S.at(point, order).eta
+    eta = S.eta.at(point, order)
     out = np.zeros(point.batch + (n, n, n))
     for a in range(n):
         for b in range(n):

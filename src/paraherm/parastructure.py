@@ -47,20 +47,11 @@ __all__ = [
 ]
 
 
-@dataclass
-class _Bundle:
-    eta: JetArray
-    K: JetArray
-    eta_inv: JetArray
-    omega: JetArray
-    Pp: JetArray
-    Pm: JetArray
-
-
 class ParaHermitianStructure:
     """The pair (eta, K) with the fields derived from it: eta^{-1}, omega =
-    eta K and the projections (1 +- K)/2.  `fields` lists the six in the
-    order of `_Bundle`; each is `const` where eta and K are."""
+    eta K and the projections (1 +- K)/2.  Each is one memoised `Field`,
+    `const` where eta and K are, and callers read the ones they need
+    (`S.eta.at(point, order)`); `fields` lists all six."""
 
     def __init__(self, chart, eta: Field, K: Field):
         if eta.rank != (0, 2) or K.rank != (1, 1):
@@ -83,10 +74,6 @@ class ParaHermitianStructure:
         self.P_minus = DerivedField(chart, 1, 1, lambda p, k: (eye(k) - K.at(p, k)) * 0.5,
                                     inputs=(K,))
         self.fields = (eta, K, self.eta_inv, self.omega, self.P_plus, self.P_minus)
-
-    def at(self, point, order) -> _Bundle:
-        """eta, its inverse, K, omega and P+- at a point or batch."""
-        return _Bundle(*(f.at(point, order) for f in self.fields))
 
     def projector(self, sign) -> Field:
         return self.P_plus if sign > 0 else self.P_minus
@@ -121,13 +108,13 @@ def _nijenhuis_gate(S, sign):
     draws = np.random.default_rng(7).uniform(-1.0, 1.0, (6, 3, S.chart.dim))
 
     def fn(point, order):
-        b = S.at(point, 1)  # the whole bundle at order 1, which the suites read next
-        scale = np.maximum(1.0, np.maximum(b.K.max_abs(), b.eta.max_abs()))
-        P = (b.Pp if sign > 0 else b.Pm).values()
+        eta, K, _, _, Pp, Pm = (f.at(point, 1) for f in S.fields)  # order 1: the suites read it
+        scale = np.maximum(1.0, np.maximum(K.max_abs(), eta.max_abs()))
+        P = (Pp if sign > 0 else Pm).values()
         x, y, z = np.moveaxis(np.einsum("...ab,tvb->...tva", P, draws), -2, 0)
         N = S.nijenhuis_tensor.values(point)
         nv = np.einsum("...tak,...tk->...ta", np.einsum("...ajk,...tj->...tak", N, x), y)
-        r = np.einsum("...tb,...tb->...t", np.einsum("...ab,...ta->...tb", b.eta.values(), nv), z)
+        r = np.einsum("...tb,...tb->...t", np.einsum("...ab,...ta->...tb", eta.values(), nv), z)
         worst = np.abs(r).max(axis=-1) / scale
         return constant_jets(S.chart.context(0), worst, np.ndim(worst))
 
@@ -152,9 +139,8 @@ def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> Validati
     """Pointwise residuals for every defining invariant of (eta, K), on the
     sample as one batch."""
     batch = as_batch(sample)
-    b = S.at(batch, 0)
-    K, eta, omega, Pp, Pm = (per_point(batch, x).values()  # (point, a, b) each
-                             for x in (b.K, b.eta, b.omega, b.Pp, b.Pm))
+    K, eta, omega, Pp, Pm = (f.values(batch)  # (point, a, b) each
+                             for f in (S.K, S.eta, S.omega, S.P_plus, S.P_minus))
     eye = np.eye(S.chart.dim)
     scale = np.maximum(1.0, np.maximum(per_point_max(eta), per_point_max(K)))
     T = lambda m: np.swapaxes(m, -1, -2)  # noqa: E731
@@ -192,14 +178,9 @@ class GeneralizedVector:
 
 
 def rho(S, sign, X: Field, point, order=0) -> GeneralizedVector:
-    """rho_+-(X) = x_+- + eta(x_-+), pointwise."""
-    b = S.at(point, order)
-    xj = X.at(point, order)
-    P = b.Pp if sign > 0 else b.Pm
-    Q = b.Pm if sign > 0 else b.Pp
-    vec = tdot(P, xj, ([1], [0]))
-    cov = tdot(b.eta, tdot(Q, xj, ([1], [0])), ([0], [0]))
-    return GeneralizedVector(vec, cov, sign)
+    """rho_+-(X) = x_+- + eta(x_-+), pointwise: `rho_field` at the point."""
+    vec, cov = rho_field(S, sign, X)
+    return GeneralizedVector(vec.at(point, order), cov.at(point, order), sign)
 
 
 def rho_field(S, sign, X: Field):
@@ -308,14 +289,15 @@ def phi_scalar(S, X, Y, Z, point, order=0) -> float:
 # Bigrading
 # --------------------------------------------------------------------------
 
-def bigraded_part_at(S, T: JetArray, m_plus: int, bundle) -> JetArray:
-    """(+m,-n) part of a (0,k) tensor value: sum over slot assignments."""
+def bigraded_part_at(T: JetArray, m_plus: int, Pp: JetArray, Pm: JetArray) -> JetArray:
+    """(+m,-n) part of a (0,k) tensor value, from the jets Pp and Pm of
+    P+- at its point: sum over slot assignments."""
     k = T.ndim
     out = None
     for plus_slots in combinations(range(k), m_plus):
         comps = T
         for slot in range(k):
-            P = bundle.Pp if slot in plus_slots else bundle.Pm
+            P = Pp if slot in plus_slots else Pm
             comps = tdot(P, comps, ([0], [slot])).moveaxis(0, slot)
         out = comps if out is None else out + comps
     return out
@@ -369,12 +351,12 @@ def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationRepor
 def _classify_batch(S, batch):
     """(residuals, cross checks) of the classification: the worst point of
     the batch."""
-    b = S.at(batch, 1)
+    Pp, Pm = (f.at(batch, 1) for f in (S.P_plus, S.P_minus))
     scale = np.maximum(1.0, np.maximum(S.eta.max_abs(batch), S.K.max_abs(batch)))
     dwj = per_point(batch, exterior_derivative(S.omega).at(batch, 0))
     dw_scale = np.maximum(1.0, coeff_max(per_point(batch, S.omega.at(batch, 1))))
     worst = {"domega": dwj.max_abs() / dw_scale}
-    parts = {m: bigraded_part_at(S, dwj, m, b).values() for m in range(4)}
+    parts = {m: bigraded_part_at(dwj, m, Pp, Pm).values() for m in range(4)}
     for m, key in ((3, "domega_30"), (2, "domega_21"), (1, "domega_12"), (0, "domega_03")):
         worst[key] = per_point_max(parts[m]) / dw_scale
     phiv = phi_field(S).values(batch)

@@ -23,12 +23,12 @@ def shear_adapted_connection(S, scale=0.35):
     v[0] = 1.0
 
     def fn(point, order):
-        g0 = S.canonical.gamma(point, order)
-        b = S.at(point, order)
-        uc = tdot(b.Pm, constant_jets(b.eta.ctx, u), ([1], [0]))
-        vc = tdot(b.Pp, constant_jets(b.eta.ctx, v), ([1], [0]))
-        eta_u = tdot(b.eta, uc, ([0], [0]))
-        eta_v = tdot(b.eta, vc, ([0], [0]))
+        g0 = S.canonical.christoffels.at(point, order)
+        eta, Pp, Pm = (f.at(point, order) for f in (S.eta, S.P_plus, S.P_minus))
+        uc = tdot(Pm, constant_jets(eta.ctx, u), ([1], [0]))
+        vc = tdot(Pp, constant_jets(eta.ctx, v), ([1], [0]))
+        eta_u = tdot(eta, uc, ([0], [0]))
+        eta_v = tdot(eta, vc, ([0], [0]))
         # E[k, i, j] = eta_u[i] (eta_u[j] vc[k] - eta_v[j] uc[k])
         outer = lambda x, y, z: tdot(x, tdot(y, z, ([], [])), ([], []))  # noqa: E731
         E = outer(vc, eta_u, eta_u) - outer(uc, eta_u, eta_v)

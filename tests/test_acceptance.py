@@ -160,9 +160,7 @@ def test_criterion_3_converse_witnesses(flat3):
         X = random_vector_field(chart, rng)
         Y = random_vector_field(chart, rng)
         p = pts[0]
-        b0 = S.at(p, 0)
-        Pp, Pm = values(b0.Pp), values(b0.Pm)
-        etav = values(b0.eta)
+        Pp, Pm, etav = (values(f.at(p, 0)) for f in (S.P_plus, S.P_minus, S.eta))
         PX = apply_endomorphism(S.P_plus, X)
         PY = apply_endomorphism(S.P_plus, Y)
         MY = apply_endomorphism(S.P_minus, Y)

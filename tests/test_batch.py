@@ -220,9 +220,10 @@ def test_singular_metric_names_the_point():
     with pytest.raises(SingularMetric, match=r"at Point\(\[0\.0, 0\.5\]\)"):
         invert_matrix_jets(constant_jets(context(2, 1), vals, nb=1), batch)
     eta_bad = TensorField(chart, 0, 2, [["0", "x"], ["x", "0"]], sym="symmetric")
-    ParaHermitianStructure(chart, eta, K).at(batch, 1)
+    for f in ParaHermitianStructure(chart, eta, K).fields:
+        f.at(batch, 1)
     with pytest.raises(SingularMetric, match=r"at Point\(\[0\.0, 0\.5\]\)"):
-        ParaHermitianStructure(chart, eta_bad, K).at(batch, 1)
+        ParaHermitianStructure(chart, eta_bad, K).eta_inv.at(batch, 1)
 
 
 def test_domain_error_names_the_point():

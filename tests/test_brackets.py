@@ -87,10 +87,8 @@ def test_weak_involutivity_of_eigenbundles(flat2, sphere_tm, sphere_pts):
             P = S.projector(sign)
             br = d_bracket(S, apply_endomorphism(P, X), apply_endomorphism(P, Y))
             for p in pts:
-                b = S.at(p, 0)
-                Pc = (b.Pp if sign > 0 else b.Pm)
-                pz = tdot(Pc, Z.at(p, 0), ([1], [0]))
-                val = float(tdot(tdot(b.eta, br.at(p, 0), ([0], [0])), pz,
+                pz = tdot(P.at(p, 0), Z.at(p, 0), ([1], [0]))
+                val = float(tdot(tdot(S.eta.at(p, 0), br.at(p, 0), ([0], [0])), pz,
                                  ([0], [0])).values())
                 assert abs(val) < 1e-9
 
@@ -134,10 +132,9 @@ def test_derivation_properties(flat2):
         assert np.max(np.abs(lhs - rhs)) < 1e-10
         # left argument: the computable correction
         lhs2 = d_bracket(S, fX, Y).values(p)
-        b = S.at(p, 0)
-        etaXY = X.values(p) @ values(b.eta) @ Y.values(p)
+        etaXY = X.values(p) @ S.eta.values(p) @ Y.values(p)
         df = exterior_derivative(f).values(p)
-        grad = values(b.eta_inv) @ df
+        grad = S.eta_inv.values(p) @ df
         rhs2 = (fval * base - lie_derivative(Y, f).values(p) * X.values(p)
                 + etaXY * grad)
         assert np.max(np.abs(lhs2 - rhs2)) < 1e-10
@@ -213,8 +210,7 @@ def test_leafwise_objects_annihilate_other_distribution(flat2, flatg_tm):
             e2 = GeneralizedVectorField(*rho_field(S, sign, Y), sign)
             out = dorfman_leafwise(S, sign, e1, e2)
             for p in sample_points(model, 2, seed):
-                b = S.at(p, 0)
-                Q = values((b.Pm if sign > 0 else b.Pp))
+                Q = S.projector(-sign).values(p)
                 for obj in (e1.at(p, 0), out.at(p, 0)):
                     assert np.max(np.abs(obj.cov.values() @ Q)) < 1e-12
 
@@ -266,7 +262,7 @@ def test_shear_connection_is_adapted_and_distinct(flat2):
         rep = check_adapted(C, S, side, stack_points(pts))
         assert rep.passed, rep.conditions
     p = pts[0]
-    diff = values(C.gamma(p, 0)) - values(S.canonical.gamma(p, 0))
+    diff = values(C.christoffels.at(p, 0)) - values(S.canonical.christoffels.at(p, 0))
     assert np.max(np.abs(diff)) > 0.01
 
 

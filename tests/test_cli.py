@@ -87,13 +87,21 @@ def test_unknown_suite_exits_two(tmp_path):
     ("sample", {"count": 2, "box": [[0, float("inf")]] + [[0, 1]] * 3}),
     ("sample", {"count": 2, "box": [[-1e308, 1e308]] + [[0, 1]] * 3}),
     ("tolerances", {"validate": float("nan")}),
+    # `suites` is a JSON list of names; `split` an integer, absent or null.
+    ("suites", 5),
+    ("suites", [["validate"]]),
+    ("suites", {"validate": 1}),
+    ("model", {"name": "explicit", "coords": ["x1", "xt1"], "split": 1.0,
+               "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}),
+    ("model", {"name": "explicit", "coords": ["x1", "xt1"], "split": True,
+               "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_spec_section_exits_two(tmp_path, capsys, section, value):
     """A bad value in a spec section is a spec error (exit 2) naming the
     section, not a traceback (exit 1, the code for a failed suite)."""
     spec = write_spec(tmp_path, "s.json", {
-        "model": {"name": "flat", "n": 2}, section: value, "suites": ["validate"],
+        "model": {"name": "flat", "n": 2}, "suites": ["validate"], section: value,
     })
     assert run(spec) == 2
     err = capsys.readouterr().err
@@ -391,9 +399,11 @@ def test_courant_residuals_are_relative_to_eta(tmp_path):
 
 # -- per-point work does not creep back ------------------------------------------
 
-def _count_calls(monkeypatch):
+def _count_calls(monkeypatch, runs=None):
     """Count `geometry.tdot` calls (in every module that imported it) and
-    `Field.at` calls (both subclasses' own methods)."""
+    `Field.at` calls (both subclasses' own methods); with a Counter `runs`,
+    also count into it each field's evaluations, the calls its memo does
+    not serve."""
     counts = Counter()
     tdot = geometry.tdot
 
@@ -407,7 +417,11 @@ def _count_calls(monkeypatch):
     for cls in (geometry.TensorField, geometry.DerivedField):
         def counted_at(self, *args, _at=cls.at, **kwargs):
             counts["Field.at"] += 1
-            return _at(self, *args, **kwargs)
+            memo = self._memo
+            out = _at(self, *args, **kwargs)
+            if runs is not None and self._memo is not memo:
+                runs[self] += 1
+            return out
         monkeypatch.setattr(cls, "at", counted_at)
     return counts
 
@@ -425,6 +439,33 @@ def test_call_counts_do_not_grow_with_the_sample(tmp_path, monkeypatch, runspec)
         seen.append(dict(counts))
     assert seen[0]["tdot"] > 0 and seen[0]["Field.at"] > 0
     assert seen[0] == seen[1]
+
+
+# Evaluations per run of either shipped runspec: each field is evaluated once
+# per order it is first asked at (0, then 1, then 2 for a bracket's inputs).
+FIELD_RUNS = {"eta": 3, "K": 3, "eta_inv": 2, "omega": 2, "P_plus": 3, "P_minus": 3,
+              "levi_civita": 2, "canonical": 2, "nijenhuis": 1}
+
+
+@pytest.mark.parametrize("runspec", ["flat.json", "tangent_bundle.json"])
+def test_structure_fields_are_evaluated_once_per_order(tmp_path, monkeypatch, runspec):
+    """One run evaluates the structure's six fields, the Christoffel symbols
+    of both its connections and its Nijenhuis tensor at most FIELD_RUNS
+    times: no read that serves the suites a higher order first is lost, so
+    no memo climbs the orders again."""
+    runs = Counter()
+    _count_calls(monkeypatch, runs)
+    contexts = []
+    check_domain = cli._RunContext.check_domain
+    monkeypatch.setattr(cli._RunContext, "check_domain",
+                        lambda ctx: contexts.append(ctx) or check_domain(ctx))
+    assert run(str(RUNSPECS / runspec), str(tmp_path / "report.json")) == 0
+    S = contexts[0].model.S
+    fields = dict(zip(("eta", "K", "eta_inv", "omega", "P_plus", "P_minus"), S.fields),
+                  levi_civita=S.levi_civita.christoffels, canonical=S.canonical.christoffels,
+                  nijenhuis=S.nijenhuis_tensor)
+    got = {name: runs[f] for name, f in fields.items()}
+    assert all(1 <= got[name] <= most for name, most in FIELD_RUNS.items()), got
 
 
 def _suite_residuals(tmp_path, spec, tag):

@@ -18,7 +18,7 @@ from oracles import sphere_gamma, sphere_riemann, values
 
 
 def gamma_values(conn, p, dim):
-    g = conn.gamma(p, 0)
+    g = conn.christoffels.at(p, 0)
     return values(g)
 
 
@@ -128,7 +128,7 @@ def test_canonical_forms_read_only_the_fields_they_use(sphere_pts):
 
     S.at = whole_bundle
     for C in (canonical_connection(S), canonical_connection_contorsion(S)):
-        assert C.gamma(sphere_pts[0], 1).ctx.order == 1
+        assert C.christoffels.at(sphere_pts[0], 1).ctx.order == 1
 
 
 def test_canonical_parallelism(sphere_tm, sphere_pts):
@@ -226,13 +226,13 @@ def test_sphere_p_side_condition4_is_nijenhuis(sphere_tm, sphere_pts):
     # exact equality with -N_+ for specific vectors
     rng = np.random.default_rng(15)
     p = sphere_pts[0]
-    b = S.at(p, 1)
-    Ppv = values(b.Pp)
-    etav = values(b.eta)
-    gv = values(S.canonical.gamma(p, 0))
+    Pp = S.P_plus.at(p, 1)
+    Ppv = values(Pp)
+    etav = values(S.eta.at(p, 1))
+    gv = values(S.canonical.christoffels.at(p, 0))
     from paraherm.geometry import jets_gradient
 
-    dPp = values(jets_gradient(b.Pp))
+    dPp = values(jets_gradient(Pp))
     tors = gv - np.transpose(gv, (0, 2, 1))
     u, v, w = rng.uniform(-1, 1, (3, 4))
     xp, yp, zp = Ppv @ u, Ppv @ v, Ppv @ w
@@ -261,7 +261,7 @@ def test_from_christoffels_roundtrip():
     comps[0, 0, 0] = "x"
     conn = from_christoffels(chart, comps)
     p = chart.point([0.5, 0.1])
-    assert conn.gamma(p, 0).values()[0, 0, 0] == 0.5
+    assert conn.christoffels.at(p, 0).values()[0, 0, 0] == 0.5
 
 
 def _fails_check_adapted(C, S, pts):

@@ -72,7 +72,7 @@ def test_const_fields_equal_each_row_of_a_per_point_evaluation(n, order, B, seed
                 assert np.max(np.abs(row - got.coeffs), initial=0.0) <= 1e-12, name
             else:
                 assert row.tobytes() == got.coeffs.tobytes(), name
-    assert S.canonical.gamma(batch, order).deg == -1  # exactly zero
+    assert S.canonical.christoffels.at(batch, order).deg == -1  # exactly zero
     for sign in (+1, -1):
         assert S._nijenhuis_gates[sign].const
         got = S.integrability_residual(sign, batch)
@@ -152,7 +152,7 @@ def test_const_errors_name_the_first_point_of_a_batch():
                                constant_field(chart, np.diag([1.0, -1.0]), 1, 1))
     batch = chart.point([[0.25, 0.5], [0.75, 1.0]])
     with pytest.raises(SingularMetric, match=r"at Point\(\[0\.25, 0\.5\]\)"):
-        S.at(batch, 1)
+        S.eta_inv.at(batch, 1)
 
 
 def test_flat_connection_is_a_const_zero_field():
@@ -160,7 +160,7 @@ def test_flat_connection_is_a_const_zero_field():
     C = flat_connection(chart)
     batch = chart.point(np.random.default_rng(3).uniform(-1.0, 1.0, (4, 4)))
     assert C.christoffels.const and C.provenance == "flat"
-    gamma = C.gamma(batch, 2)
+    gamma = C.christoffels.at(batch, 2)
     assert gamma.deg == -1 and gamma.nb == 0 and gamma.shape == (4, 4, 4)
     assert not np.any(gamma.coeffs)
 

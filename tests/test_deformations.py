@@ -88,15 +88,14 @@ def test_kb_invariants(flat3_b):
     rep = validate_structure(T.structure_B, stack_points(pts))
     assert rep.passed
     for p in pts[:2]:
-        b0 = T.S.at(p, 0)
         KB = values(T.K_B.at(p, 0))
         assert np.max(np.abs(KB @ KB - np.eye(6))) < 1e-12
         # shared -1 eigenbundle: P+ P^B- = 0
-        PBm = values(T.structure_B.at(p, 0).Pm)
-        assert np.max(np.abs(values(b0.Pp) @ PBm)) < 1e-12
+        PBm = values(T.structure_B.P_minus.at(p, 0))
+        assert np.max(np.abs(values(T.S.P_plus.at(p, 0)) @ PBm)) < 1e-12
         # omega_B = omega + 2b
-        wB = values(T.structure_B.at(p, 0).omega)
-        w = values(b0.omega)
+        wB = values(T.structure_B.omega.at(p, 0))
+        w = values(T.S.omega.at(p, 0))
         bv = T.b.at(p, 0).values()
         assert np.max(np.abs(wB - w - 2 * bv)) < 1e-12
 
@@ -144,7 +143,8 @@ def test_mc_residual_vs_twist_distinction(flat2):
 
     for p in pts[:2]:
         lhs = mc_form(T).at(p, 0).values()
-        rhs = bigraded_part_at(T.S, db.at(p, 0), 3, T.structure_B.at(p, 0)).values()
+        rhs = bigraded_part_at(db.at(p, 0), 3, T.structure_B.P_plus.at(p, 0),
+                               T.structure_B.P_minus.at(p, 0)).values()
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -204,12 +204,12 @@ def test_twisted_projected_is_h_twisted_dorfman(flat2):
     for p in pts:
         lhs = projected_bracket(CB, S, +1, X, Y).at(p, 0)
         base = projected_bracket(S.canonical, S, +1, X, Y).at(p, 0)
-        b0 = S.at(p, 0)
-        dplus = bigraded_part_at(S, db.at(p, 0), 3, b0)
+        eta = S.eta.at(p, 0)
+        dplus = bigraded_part_at(db.at(p, 0), 3, S.P_plus.at(p, 0), S.P_minus.at(p, 0))
         corr = tdot(tdot(dplus, X.at(p, 0), ([0], [0])),
                     Y.at(p, 0), ([0], [0]))
-        lhs_cov = values(tdot(b0.eta, lhs, ([0], [0])))
-        rhs_cov = values(tdot(b0.eta, base, ([0], [0]))) - values(corr)
+        lhs_cov = values(tdot(eta, lhs, ([0], [0])))
+        rhs_cov = values(tdot(eta, base, ([0], [0]))) - values(corr)
         assert np.max(np.abs(lhs_cov - rhs_cov)) < 1e-9
         # under rho_+: H-twisted Dorfman with the extra one-form -iota_Y iota_X d+b
         e1 = GeneralizedVectorField(*rho_field(S, +1, X), +1)
@@ -343,8 +343,8 @@ def test_b_minus_mirror(flat2):
     assert np.allclose(values(T0.K_B.at(pts[0], 0)), flat2.K_matrix)
     # shares the +1 eigenbundle instead
     p = pts[0]
-    PBp = values(T.structure_B.at(p, 0).Pp)
-    Pm = values(flat2.S.at(p, 0).Pm)
+    PBp = values(T.structure_B.P_plus.at(p, 0))
+    Pm = values(flat2.S.P_minus.at(p, 0))
     assert np.max(np.abs(Pm @ PBp)) < 1e-13
 
 
@@ -401,7 +401,7 @@ def test_adapted_nabla_b_stays_plus_type(flat3_b):
     dB = covariant_differential(S.canonical, T.b)  # (0,3): (X; Y, Z)
     for p in pts[:3]:
         d = dB.at(p, 0).values()
-        Pm = values(S.at(p, 0).Pm)
+        Pm = values(S.P_minus.at(p, 0))
         # minus leg in either argument slot must vanish
         assert np.max(np.abs(np.einsum("xyz,ya->xaz", d, Pm))) < 1e-12
         assert np.max(np.abs(np.einsum("xyz,za->xya", d, Pm))) < 1e-12

@@ -240,7 +240,7 @@ def test_musical_lowers_every_contravariant_slot(sphere_tm):
                       for i in range(4)], dtype=object)
     B = TensorField(chart, 2, 0, comps)
     p = chart.point([1.0, 0.3, 0.2, -0.4])
-    E = sphere_tm.S.at(p, 0).eta.values()
+    E = sphere_tm.S.eta.at(p, 0).values()
     low = musical(sphere_tm.S.eta, B, [0, 1], p)
     assert np.max(np.abs(low.values() - E @ B.values(p) @ E.T)) < 1e-12
 
@@ -352,7 +352,7 @@ def test_near_singular_metric_rejected(chart):
     K = constant_field(chart, [[1.0, 0.0], [0.0, -1.0]], 1, 1)
     S = ParaHermitianStructure(chart, eta, K)
     with pytest.raises(SingularMetric):
-        S.at(chart.point([0.1, 0.2]), 0)
+        S.eta_inv.at(chart.point([0.1, 0.2]), 0)
 
 
 def test_rescaled_metric_accepted(chart4):

@@ -30,7 +30,7 @@ def test_tm_identity_metric_reduces_to_flat():
         hv = m.H[i].at(p, 0).values()
         assert np.allclose(hv, np.eye(4)[i])
     # eta equals the flat off-diagonal-identity matrix
-    assert np.allclose(m.S.at(p, 0).eta.values(),
+    assert np.allclose(m.S.eta.at(p, 0).values(),
                        np.block([[np.zeros((2, 2)), np.eye(2)],
                                  [np.eye(2), np.zeros((2, 2))]]))
 
@@ -66,7 +66,7 @@ def test_eta_frame_values(sphere_tm, sphere_pts):
     S = sphere_tm.S
     n = sphere_tm.n
     for p in sphere_pts[:3]:
-        etav = S.at(p, 0).eta.values()
+        etav = S.eta.at(p, 0).values()
         gv = sphere_tm.g.at(p, 0).values()[:n, :n]
         H = [sphere_tm.H[i].at(p, 0).values() for i in range(n)]
         V = [sphere_tm.V[i].at(p, 0).values() for i in range(n)]
@@ -137,7 +137,7 @@ def test_flatg_eta_christoffels_vanish(flatg_tm):
     chosen coordinates; verified numerically rather than assumed."""
     lc = flatg_tm.S.levi_civita
     for p in sample_points(flatg_tm, 4, 8):
-        assert np.max(np.abs(values(lc.gamma(p, 0)))) == 0.0
+        assert np.max(np.abs(values(lc.christoffels.at(p, 0)))) == 0.0
 
 
 def test_flatg_dbracket_takes_coordinate_form(flatg_tm):
@@ -145,7 +145,7 @@ def test_flatg_dbracket_takes_coordinate_form(flatg_tm):
     capital indices split into (x, v)."""
     S = flatg_tm.S
     rng = np.random.default_rng(4)
-    eta = S.at(flatg_tm.chart.point(np.zeros(6)), 0).eta.values()
+    eta = S.eta.at(flatg_tm.chart.point(np.zeros(6)), 0).values()
     X = random_vector_field(S.chart, rng)
     Y = random_vector_field(S.chart, rng)
     got = d_bracket(S, X, Y)

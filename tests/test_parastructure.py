@@ -77,8 +77,7 @@ def test_rho_isometry(sphere_tm, sphere_pts):
     rng = np.random.default_rng(4)
     S = sphere_tm.S
     for p in sphere_pts[:2]:
-        b = S.at(p, 0)
-        etav = b.eta.values()
+        etav = S.eta.values(p)
         for _ in range(50):
             X, Y = _const_vecs(S.chart, rng, 2)
             for sign in (+1, -1):
@@ -172,17 +171,17 @@ def _loop_nijenhuis_parts(S, batch):
     basis vectors and sign, n[sign][point, i, j, :] = eta(N(P e_i, P e_j), P .)."""
     dim = S.chart.dim
     basis = [constant_field(S.chart, row, 1, 0) for row in np.eye(dim)]
-    b = S.at(batch, 1)
+    eta = S.eta.at(batch, 1)
     n = {}
     for sign in (+1, -1):
         P = S.projector(sign)
-        Pc = b.Pp if sign > 0 else b.Pm
+        Pc = P.at(batch, 1)
         store = n[sign] = np.zeros(batch.batch + (dim, dim, dim))
         for i in range(dim):
             for j in range(i + 1, dim):
                 N = nijenhuis(S, apply_endomorphism(P, basis[i]),
                               apply_endomorphism(P, basis[j]))
-                row = tdot(tdot(b.eta, N.at(batch, 0), ([0], [0])), Pc, ([0], [0])).values()
+                row = tdot(tdot(eta, N.at(batch, 0), ([0], [0])), Pc, ([0], [0])).values()
                 store[:, i, j, :] = row
                 store[:, j, i, :] = -row
     return n
@@ -273,11 +272,10 @@ def test_sphere_tm_half_integrability(sphere_tm, sphere_pts):
     for _ in range(5):
         X, Y, Z = _const_vecs(S.chart, rng, 3)
         lhs = n_scalar(S, +1, X, Y, Z, p)
-        b = S.at(p, 0)
         P = S.projector(+1)
         br = lie_bracket(apply_endomorphism(P, X), apply_endomorphism(P, Y))
-        pz = tdot(b.Pp, Z.at(p, 0), ([1], [0]))
-        rhs = float(tdot(tdot(b.eta, br.at(p, 0), ([0], [0])), pz,
+        pz = tdot(P.at(p, 0), Z.at(p, 0), ([1], [0]))
+        rhs = float(tdot(tdot(S.eta.at(p, 0), br.at(p, 0), ([0], [0])), pz,
                          ([0], [0])).values())
         assert abs(lhs - rhs) < 1e-10
         worst = max(worst, abs(lhs))
@@ -333,10 +331,7 @@ def test_nijenhuis_from_phi(curved3_tm):
 def test_omega_is_type_one_one(sphere_tm, sphere_pts):
     S = sphere_tm.S
     for p in sphere_pts[:3]:
-        b = S.at(p, 0)
-        w = b.omega.values()
-        Pp = b.Pp.values()
-        Pm = b.Pm.values()
+        w, Pp, Pm = (f.values(p) for f in (S.omega, S.P_plus, S.P_minus))
         assert np.max(np.abs(Pp.T @ w @ Pp)) < 1e-12
         assert np.max(np.abs(Pm.T @ w @ Pm)) < 1e-12
 
@@ -351,7 +346,7 @@ def test_bigrading_completeness(sphere_tm, sphere_pts):
         tj = T.at(p, 0)
         total = None
         for m in range(4):
-            part = bigraded_part_at(S, tj, m, S.at(p, 0))
+            part = bigraded_part_at(tj, m, S.P_plus.at(p, 0), S.P_minus.at(p, 0))
             total = part if total is None else total + part
         assert (total - tj).max_abs() < 1e-12
 
@@ -487,8 +482,7 @@ def test_integrability_gate_is_computed_once_per_point(sphere_tm, sphere_pts, mo
     p, q = sphere_pts[:2]
     for sign in (+1, -1):
         rng = np.random.default_rng(7)
-        b = S.at(p, 1)
-        scale = max(1.0, b.K.max_abs(), b.eta.max_abs())
+        scale = max(1.0, S.K.at(p, 1).max_abs(), S.eta.at(p, 1).max_abs())
         want = max(abs(n_scalar(S, sign, *_const_vecs(S.chart, rng, 3), p)) / scale
                    for _ in range(6))
         assert S.integrability_residual(sign, p) == pytest.approx(want, rel=1e-12, abs=1e-15)

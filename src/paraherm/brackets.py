@@ -210,12 +210,12 @@ def leafwise_lie(S, side, X: Field, xi: Field) -> Field:
     return leafwise_d(S, side, inner) + interior_product(X, leafwise_d(S, side, xi))
 
 
-def dorfman_leafwise(S, side, e1: GeneralizedVectorField, e2: GeneralizedVectorField,
-                     integrability_tol=1e-8) -> GeneralizedVectorField:
+def dorfman_leafwise(S, side, e1: GeneralizedVectorField,
+                     e2: GeneralizedVectorField) -> GeneralizedVectorField:
     """Dorfman bracket of the foliation Courant algebroid on the `side` leaf.
 
     Raises NotIntegrable at evaluation points where the corresponding
-    Nijenhuis residual exceeds the tolerance.
+    Nijenhuis residual exceeds 1e-8.
     """
     vec = lie_bracket(e1.vec, e2.vec)
     cov = (
@@ -225,8 +225,8 @@ def dorfman_leafwise(S, side, e1: GeneralizedVectorField, e2: GeneralizedVectorF
     )
 
     def checked_vec(p, k):
-        require_within(p, S.integrability_residual(side, p), integrability_tol,
-                       NotIntegrable, f"side {side:+d} Nijenhuis residual")
+        require_within(p, S.integrability_residual(side, p), 1e-8, NotIntegrable,
+                       f"side {side:+d} Nijenhuis residual")
         return vec.at(p, k)
 
     return GeneralizedVectorField(

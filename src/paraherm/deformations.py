@@ -112,10 +112,10 @@ class BTransformation:
                                                 self.S.integrability_residual(-1, point)))
         return res if point.batch else float(res)
 
-    def require_parakahler(self, point, tol=1e-8):
+    def require_parakahler(self, point):
         """Raise NotParaKahler naming the first point (of a batch) where the
         base structure fails."""
-        require_within(point, self.base_parakahler_residual(point), tol, NotParaKahler,
+        require_within(point, self.base_parakahler_residual(point), 1e-8, NotParaKahler,
                        "base structure fails para-Kahler residual")
 
 
@@ -223,7 +223,7 @@ def compatibility_residual(T: BTransformation, sample) -> float:
 # Twisted D-bracket
 # --------------------------------------------------------------------------
 
-def twisted_d_bracket(T: BTransformation, X: Field, Y: Field, pk_tol=1e-8) -> Field:
+def twisted_d_bracket(T: BTransformation, X: Field, Y: Field) -> Field:
     """D-bracket of (eta, K_B) via its own canonical connection.
 
     Only defined here over a para-Kahler base; the gate is checked at every
@@ -232,7 +232,7 @@ def twisted_d_bracket(T: BTransformation, X: Field, Y: Field, pk_tol=1e-8) -> Fi
     inner = d_bracket(T.structure_B, X, Y)
 
     def fn(p, k):
-        T.require_parakahler(p, tol=pk_tol)
+        T.require_parakahler(p)
         return inner.at(p, k)
 
     return DerivedField(T.S.chart, 1, 0, fn, inputs=(inner, T.S.eta, T.S.K))
@@ -280,7 +280,7 @@ class FluxReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def extract_fluxes(T: BTransformation, point, pk_tol=1e-8):
+def extract_fluxes(T: BTransformation, point):
     """Flux decomposition of db at a point, in both coframes: one FluxReport,
     or a list of them, one per point, at a batch.
 
@@ -296,7 +296,7 @@ def extract_fluxes(T: BTransformation, point, pk_tol=1e-8):
     chart = S.chart
     if chart.split is None:
         raise MissingSplit("flux extraction needs adapted (split) coordinates")
-    T.require_parakahler(point, tol=pk_tol)
+    T.require_parakahler(point)
     n = chart.split
     dbj = per_point(point, exterior_derivative(T.b).at(point, 0))
 

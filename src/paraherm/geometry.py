@@ -17,12 +17,12 @@ Each JetArray also carries `deg`, an upper bound on the degree of its
 highest nonzero coefficient block: -1 for all-zero, 0 for constant, at most
 the order.  Only this module sets it, and every rule here may over-report
 it but never under-reports it.  Contractions (`tdot`) are einsum-style
-products over the tensor axes, carried over the batch, with three paths: a
-zero operand gives zeros, a constant operand is one matrix product of its
-values with the other operand's coefficients, and two non-constant operands
-add up the pairs of the truncated Cauchy product, each coefficient's in a
-fixed order.  Partials, truncation and values are index operations on
-that axis.  Outside `jets`, only code here reads jet coefficients, and the
+products over the tensor axes, carried over the batch: a zero operand gives
+zeros, and every other contraction is one batched matrix product of
+coefficient pairs (a constant's value with each coefficient of the other
+operand, or the truncated Cauchy product's pairs, each coefficient's added
+in a fixed order).  Partials, truncation and values are index operations
+on that axis.  Outside `jets`, only code here reads jet coefficients, and the
 other modules go through the helpers next to `tdot` and `jets_gradient`.
 A scalar is the (0,0) field, and a scalar jet is a 0-d JetArray: indexing
 down to one component, contracting fully and a (0,0) field's `at` give one.
@@ -499,7 +499,7 @@ class JetArray:
             rank = max(a.ndim, b.ndim)
             ca = ca.reshape(a.batch + (1,) * (rank - a.ndim) + ca.shape[a.nb:])
             cb = cb.reshape(b.batch + (1,) * (rank - b.ndim) + cb.shape[b.nb:])
-        deg = _product_deg(a, b)
+        deg = -1 if a.deg < 0 or b.deg < 0 else min(a.deg + b.deg, a.ctx.order)
         try:
             if deg < 0:
                 out = np.zeros(np.broadcast_shapes(ca.shape, cb.shape))
@@ -657,13 +657,6 @@ def _common(a: JetArray, b: JetArray):
     return truncate_jets(a, k), truncate_jets(b, k)
 
 
-def _product_deg(a: JetArray, b: JetArray) -> int:
-    """Degree bound of a product of two operands of one context."""
-    if a.deg < 0 or b.deg < 0:
-        return -1
-    return min(a.deg + b.deg, a.ctx.order)
-
-
 @lru_cache(maxsize=None)
 def _product_tables(ctx):
     """The truncated Cauchy product of `ctx`, each coefficient's pairs in
@@ -711,19 +704,20 @@ def jets_gradient(comps: JetArray) -> JetArray:
 
 
 @lru_cache(maxsize=None)
-def _tdot_plan(shape_a, shape_b, nb_a, nb_b, ctx, *axes):
-    """The shapes and transposes of `tdot` for the operands' tensor shapes,
-    batch ranks and jet context, and `axes`: a's axes, None, then b's.
+def _tdot_plan(shape_a, shape_b, nb_a, nb_b, ctx, const_a, const_b, *axes):
+    """The layout of `tdot` for the operands' tensor shapes, batch ranks, jet
+    context and constancy (deg 0), and `axes`: a's axes, None, then b's.
 
-    Returns (shape, out, vector, values, const_a, const_b, full): the
-    result's tensor shape and coefficient-array shape (with a -1 batch
-    size), whether a or b has no free axis (at an order >= 1), then per
-    path the axis orders (batch axes first) and 2-d (or batched 2-d) shapes
-    of its operands: both values, a's values and b's coefficients, a's
-    coefficients and b's values, and the pairs of the Cauchy product,
-    indexed on a coefficient axis right after the batch.  A vector's values
-    come with its first-order coefficients as a second row or column (`va`,
-    `vb`), cut off after the product, which is then matrix-matrix.
+    Returns ((ka, pa, sa, ia), (kb, pb, sb, ib), po, so, sp, groups).  Operand a
+    is a.coeffs[ka].transpose(pa).reshape(sa), one (m, c) matrix per
+    coefficient after its batch axes, and `ia` gathers each pair's; b the
+    same, with (c, q) matrices.  A constant operand (a if both are) is its
+    value alone, broadcast over the other's coefficients: the pairs are
+    (0, t) or (t, 0), pair t is coefficient t, and `ia`, `ib`, `sp` and
+    `groups` are None.  Otherwise the pairs are the truncated Cauchy
+    product's, `sp` is their batched (m q, pairs) shape and `groups` are
+    those of `_product_tables`.  `po` moves the pair axis of the products
+    last; `so` is the result's coefficient-array shape, with a -1 batch size.
     """
     na, nb, cut = len(shape_a), len(shape_b), axes.index(None)
     ax_a = tuple(x % na for x in axes[:cut])
@@ -733,31 +727,21 @@ def _tdot_plan(shape_a, shape_b, nb_a, nb_b, ctx, *axes):
     m = math.prod(shape_a[i] for i in free_a)
     c = math.prod(shape_a[i] for i in ax_a)
     q = math.prod(shape_b[i] for i in free_b)
-    n = ctx.n
-    lead_a, lead_b, lead = (-1,) * nb_a, (-1,) * nb_b, (-1,) * max(nb_a, nb_b)
-    shape = tuple(shape_a[i] for i in free_a) + tuple(shape_b[i] for i in free_b)
+    lead = (-1,) * max(nb_a, nb_b)
+    ia, ib, groups = (None,) * 3 if const_a or const_b else _product_tables(ctx)[:3]
 
-    def perm_a(*axes_):
-        return (*range(nb_a), *(x + nb_a for x in axes_))
+    def operand(nbo, coef, axes_, rows, cols, const, take):
+        count = 1 if const else ctx.n
+        return ((..., slice(count)), (*range(nbo), *(x + nbo for x in (coef, *axes_))),
+                (-1,) * nbo + (count, rows, cols), take)
 
-    def perm_b(*axes_):
-        return (*range(nb_b), *(x + nb_b for x in axes_))
-
-    va = slice(0, 2) if m == 1 and n > 1 else 0
-    vb = slice(0, 2) if q == 1 and n > 1 else 0
-    ia, ib, groups = _product_tables(ctx)[:3]
     return (
-        shape,
-        lead + shape + (n,),
-        bool(va or vb),
-        (perm_a(*free_a, *ax_a), lead_a + (m, c), perm_b(*ax_b, *free_b), lead_b + (c, q)),
-        (va, perm_a(*free_a, *((na,) if va else ()), *ax_a), lead_a + (2 if va else m, c),
-         perm_b(*ax_b, *free_b, nb), lead_b + (c, q * n), m, lead + (m, q, n)),
-        (perm_a(*free_a, na, *ax_a), lead_a + (m * n, c),
-         vb, perm_b(*ax_b, *free_b, *((nb,) if vb else ())), lead_b + (c, 2 if vb else q),
-         q, lead + (m, n, q)),
-        (perm_a(na, *free_a, *ax_a), lead_a + (n, m, c), ia,
-         perm_b(nb, *ax_b, *free_b), lead_b + (n, c, q), ib, lead + (len(ia), m * q), groups),
+        operand(nb_a, na, free_a + ax_a, m, c, const_a, ia),
+        operand(nb_b, nb, ax_b + free_b, c, q, const_b and not const_a, ib),
+        (*range(len(lead)), *(x + len(lead) for x in (1, 2, 0))),
+        lead + tuple(shape_a[i] for i in free_a) + tuple(shape_b[i] for i in free_b) + (ctx.n,),
+        None if ia is None else lead + (m * q, len(ia)),
+        groups,
     )
 
 
@@ -765,65 +749,40 @@ def tdot(a, b, axes) -> JetArray:
     """np.tensordot for tensors of jets; a full contraction gives a 0-d array.
 
     The batch axes are carried: a batched and an unbatched operand broadcast
-    as numpy's matmul does.  The operands' degrees pick one of three paths.
-    A zero operand gives zeros.  A constant operand is one matrix product of
-    its values with the other operand's coefficient array.  Otherwise, with
-    the coefficient axis moved right after the batch, each pair (i, j) of
-    the truncated Cauchy product is one matrix product a[i] @ b[j] over the
-    tensor axes, all pairs (and points) in one batched call, and the pairs
-    are then added onto their coefficients, two of each at a time (see
-    `_product_tables`).
+    as numpy's matmul does.  A zero operand gives zeros.  Every other
+    contraction is one batched matrix product of coefficient pairs, a[i] @
+    b[j] over the tensor axes for each pair (i, j) (and each point).  With a
+    constant operand the pairs are its value times each coefficient of the
+    other, one per coefficient of the result; otherwise they are the pairs
+    of the truncated Cauchy product, added onto their coefficients two at a
+    time (see `_product_tables`).
 
     The result is order-stable (at order k, bit for bit, the result at
     order k + 1 truncated to k), and a batch gives each point its own bits,
-    for a contraction over one axis of length at most 8.  Each coefficient
-    sums its own pairs in a fixed order; a pair product has one shape and
-    C-contiguous operands (`take`) at every order, or is an entry of a
-    matrix-matrix product, which BLAS sums in one order wherever it lies.
-    Its matrix-vector kernels do not, and depend on the operands' strides,
-    so with a vector (an operand with no free axis) the value is the product
-    of the two value arrays, copied to arrays of their own, as (0, 0) is.
+    for any contraction.  Each coefficient sums its own pairs in a fixed
+    order, and each pair product is a matrix product of C-contiguous
+    matrices (`take` or `np.ascontiguousarray` copies them) whose shapes do
+    not depend on the order or the batch, so BLAS computes it with the same
+    kernel, on the same strides, wherever it is asked.
     """
     if a.ctx is not b.ctx:
         a, b = _common(a, b)
-    ca, cb = a.coeffs, b.coeffs
-    nba, nbb = a.nb, b.nb
-    shape, so, vector, values, const_a, const_b, full = _tdot_plan(
-        ca.shape[nba:-1], cb.shape[nbb:-1], nba, nbb, a.ctx, *axes[0], None, *axes[1])
-    nb = nba or nbb
+    ca, cb, ctx, nb = a.coeffs, b.coeffs, a.ctx, a.nb or b.nb
+    (ka, pa, sa, ia), (kb, pb, sb, ib), po, so, sp, groups = _tdot_plan(
+        ca.shape[a.nb:-1], cb.shape[b.nb:-1], a.nb, b.nb, ctx, a.deg == 0, b.deg == 0,
+        *axes[0], None, *axes[1])
     if a.deg < 0 or b.deg < 0:
-        batch = ca.shape[:nba] or cb.shape[:nbb]
-        return JetArray(a.ctx, np.zeros(batch + shape + (a.ctx.n,)), -1, nb)
-    if a.ctx.order == 0 or (vector and not (a.deg and b.deg)):
-        pa, sa, pb, sb = values
-        x0 = np.ascontiguousarray(ca[..., 0].transpose(pa).reshape(sa))
-        y0 = np.ascontiguousarray(cb[..., 0].transpose(pb).reshape(sb))
-        v = x0 @ y0
-        if a.ctx.order == 0:
-            return JetArray(a.ctx, v.reshape(so), 0, nb)
-    if a.deg == 0:  # a's values times b's coefficients
-        va, pa, sa, pb, sb, rows, s3 = const_a
-        x = x0 if vector and not va else ca[..., va].transpose(pa).reshape(sa)
-        out = (x @ cb.transpose(pb).reshape(sb))[..., :rows, :].reshape(s3)  # (*batch, m, q, n)
-        if vector:
-            out[..., 0] = v
-        return JetArray(a.ctx, out.reshape(so), b.deg, nb)
-    if b.deg == 0:  # a's coefficients times b's values
-        pa, sa, vb, pb, sb, cols, sm = const_b
-        y = y0 if vector and not vb else cb[..., vb].transpose(pb).reshape(sb)
-        out = (ca.transpose(pa).reshape(sa) @ y)[..., :cols].reshape(sm)  # (*batch, m, n, q)
-        if vector:
-            out[..., 0, :] = v
-        return JetArray(a.ctx, out.swapaxes(-1, -2).reshape(so), a.deg, nb)
-    pa, sa, ga, pb, sb, gb, sp, groups = full
-    pairs = (ca.transpose(pa).reshape(sa).take(ga, axis=nba)
-             @ cb.transpose(pb).reshape(sb).take(gb, axis=nbb))
-    pairs = pairs.reshape(sp).swapaxes(-1, -2)  # (*batch, m q, pairs)
-    lo, hi, scatter = groups[0]
-    out = pairs[..., lo:hi] @ scatter
-    for lo, hi, scatter in groups[1:]:
-        out += pairs[..., lo:hi] @ scatter
-    return JetArray(a.ctx, out.reshape(so), _product_deg(a, b), nb)
+        return JetArray(ctx, np.zeros((ca.shape[:a.nb] or cb.shape[:b.nb]) + so[nb:]), -1, nb)
+    x, y = ca[ka].transpose(pa).reshape(sa), cb[kb].transpose(pb).reshape(sb)
+    out = ((np.ascontiguousarray(x) if ia is None else x.take(ia, axis=a.nb))
+           @ (np.ascontiguousarray(y) if ib is None else y.take(ib, axis=b.nb))).transpose(po)
+    if groups is not None:  # (*batch, m, q, pairs) -> (*batch, m q, coefficients)
+        pairs = out.reshape(sp)
+        lo, hi, scatter = groups[0]
+        out = pairs[..., lo:hi] @ scatter
+        for lo, hi, scatter in groups[1:]:
+            out += pairs[..., lo:hi] @ scatter
+    return JetArray(ctx, out.reshape(so), min(a.deg + b.deg, ctx.order), nb)
 
 
 def contract_value(point, t, *vectors):

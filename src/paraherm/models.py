@@ -112,8 +112,8 @@ class TangentBundleModel(Model):
         self._point_ok = point_ok
 
 
-def build_tm(g_sources, base_coords, jet_order=3, sample=None, point_ok=None,
-             v_prefix="v") -> TangentBundleModel:
+def build_tm(g_sources, base_coords, jet_order=3, sample=None,
+             point_ok=None) -> TangentBundleModel:
     """Assemble the tangent-bundle model for a base metric g.
 
     `g_sources` is an n x n nested sequence of chart scalars in the base
@@ -121,7 +121,7 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=None, point_ok=None,
     on the full 2n chart, when one is given.
     """
     n = len(base_coords)
-    coord_names = list(base_coords) + [f"{v_prefix}{i + 1}" for i in range(n)]
+    coord_names = list(base_coords) + [f"v{i + 1}" for i in range(n)]
     chart = Chart(coord_names, split=n, jet_order=jet_order)
     g_arr = np.asarray(g_sources, dtype=object)
     if g_arr.shape != (n, n):
@@ -201,17 +201,16 @@ def flatness_residual(model: TangentBundleModel, sample) -> np.ndarray:
     return curv / np.maximum(1.0, model.g.max_abs(batch))
 
 
-def b_field_on_tm(model: TangentBundleModel, b_sources, sample,
-                  flat_tol=1e-9) -> BTransformation:
+def b_field_on_tm(model: TangentBundleModel, b_sources, sample) -> BTransformation:
     """B-transformation of the tangent-bundle model by b = b_ij dx^i ^ dx^j.
 
-    Requires a flat base metric at every point of the sample (checked
-    through the curvature procedure; NotParaKahler names the first point
-    where it is not); `b_sources` is the n x n lower-block component array,
+    Requires a flat base metric at every point of the sample (a curvature
+    residual of at most 1e-9; NotParaKahler names the first point where it
+    is not); `b_sources` is the n x n lower-block component array,
     functions of both x and v.
     """
     batch = as_batch(sample)
-    require_within(batch, flatness_residual(model, batch), flat_tol, NotParaKahler,
+    require_within(batch, flatness_residual(model, batch), 1e-9, NotParaKahler,
                    "base metric is not flat: curvature residual")
     n = model.n
     arr = np.asarray(b_sources, dtype=object)

@@ -106,11 +106,12 @@ def _nijenhuis_gate(S, sign):
     contracted with six seeded vector triples projected to the eigenbundle,
     `const` where eta and K are."""
     draws = np.random.default_rng(7).uniform(-1.0, 1.0, (6, 3, S.chart.dim))
+    proj = S.P_plus if sign > 0 else S.P_minus
 
     def fn(point, order):
-        eta, K, _, _, Pp, Pm = (f.at(point, 1) for f in S.fields)  # order 1: the suites read it
+        eta, K = S.eta.at(point, 0), S.K.at(point, 0)
         scale = np.maximum(1.0, np.maximum(K.max_abs(), eta.max_abs()))
-        P = (Pp if sign > 0 else Pm).values()
+        P = proj.at(point, 0).values()
         x, y, z = np.moveaxis(np.einsum("...ab,tvb->...tva", P, draws), -2, 0)
         N = S.nijenhuis_tensor.values(point)
         nv = np.einsum("...tak,...tk->...ta", np.einsum("...ajk,...tj->...tak", N, x), y)
@@ -118,7 +119,7 @@ def _nijenhuis_gate(S, sign):
         worst = np.abs(r).max(axis=-1) / scale
         return constant_jets(S.chart.context(0), worst, np.ndim(worst))
 
-    return DerivedField(S.chart, 0, 0, fn, inputs=(*S.fields, S.nijenhuis_tensor))
+    return DerivedField(S.chart, 0, 0, fn, inputs=(S.eta, S.K, proj, S.nijenhuis_tensor))
 
 
 # --------------------------------------------------------------------------

@@ -116,19 +116,31 @@ def test_canonical_two_defining_formulas_agree(sphere_tm, sphere_pts):
         assert d < 1e-9
 
 
-def test_canonical_forms_read_only_the_fields_they_use(sphere_pts):
-    """Neither form evaluates the whole structure bundle: the projector
-    form reads P+- one order up, the contorsion form omega one order up
-    and K and eta^{-1} at the order asked."""
+def test_canonical_forms_read_only_the_fields_they_use(sphere_pts, monkeypatch):
+    """Each form reads only the fields it declares: the projector form the
+    Levi-Civita symbols and P+- one order up, the contorsion form the
+    Levi-Civita symbols, omega one order up, K and eta^{-1}.  With those
+    evaluated at the point and every other structure field made to raise,
+    its Christoffel symbols still evaluate there."""
     g, coords, _ = sphere_base()
     S = build_tm(g, coords).S
+    p = sphere_pts[0]
+    lc = S.levi_civita.christoffels
+    # Each form's inputs, with the order it reads them at for order 1.
+    forms = {canonical_connection: {lc: 1, S.P_plus: 2, S.P_minus: 2},
+             canonical_connection_contorsion: {lc: 1, S.omega: 2, S.K: 1, S.eta_inv: 1}}
 
-    def whole_bundle(point, order):
-        raise AssertionError("the canonical connection read S.at")
+    def undeclared(point, order=0):
+        raise AssertionError("a canonical form read a field it does not declare")
 
-    S.at = whole_bundle
-    for C in (canonical_connection(S), canonical_connection_contorsion(S)):
-        assert C.christoffels.at(sphere_pts[0], 1).ctx.order == 1
+    for form, inputs in forms.items():
+        for f, order in inputs.items():
+            f.at(p, order)
+        with monkeypatch.context() as patch:
+            for f in S.fields:
+                if all(f is not g for g in inputs):
+                    patch.setattr(f, "at", undeclared)
+            assert form(S).christoffels.at(p, 1).ctx.order == 1
 
 
 def test_canonical_parallelism(sphere_tm, sphere_pts):

@@ -114,9 +114,11 @@ def test_const_fields_run_once_per_order(monkeypatch):
         assert np.max(np.abs(bracket(X, Y).values(p) - oracle.values(p))) < 1e-12
         jacobi_defect(bracket, X, Y, Z, p)
         S.integrability_residual(+1, p)
+        S.omega.at(p, 1)  # no bracket or gate reads omega
     batch = chart.point(coords[25:])
     assert jacobi_defect(bracket, X, Y, Z, batch).shape == (20,)
     S.integrability_residual(-1, batch)
+    S.omega.at(batch, 1)
     assert set(runs) == set(fields)
     for name, (field, _) in fields.items():
         assert 1 <= runs[name] <= order_budget + 1, (name, runs[name])

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraherm.expr import Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sqrt, Sub
@@ -147,24 +147,37 @@ def test_gradient_is_order_stable(dim, k, deg, batch, seed):
 @st.composite
 def contractions(draw):
     """Tensor shapes of a and b and the axes of a tdot that contracts
-    nothing (an outer product) or one pair of axes; the contracted length
-    is at most 8, the bound of `tdot`'s guarantee."""
-    rank_a, rank_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    nothing (an outer product), one pair of axes (of length up to 8) or two
+    (of lengths up to 6 each), so up to 36 contracted entries."""
+    count = draw(st.integers(0, 2))
+    rank_a, rank_b = draw(st.integers(max(1, count), 3)), draw(st.integers(max(1, count), 3))
     shape_a = draw(st.lists(st.integers(1, 3), min_size=rank_a, max_size=rank_a))
     shape_b = draw(st.lists(st.integers(1, 3), min_size=rank_b, max_size=rank_b))
-    if draw(st.booleans()):
-        return tuple(shape_a), tuple(shape_b), ([], [])
-    i, j = draw(st.integers(0, rank_a - 1)), draw(st.integers(0, rank_b - 1))
-    shape_b[j] = shape_a[i] = draw(st.integers(1, 8))
-    return tuple(shape_a), tuple(shape_b), ([i], [j])
+    ax_a = draw(st.permutations(range(rank_a)))[:count]
+    ax_b = draw(st.permutations(range(rank_b)))[:count]
+    for i, j in zip(ax_a, ax_b):
+        shape_b[j] = shape_a[i] = draw(st.integers(1, 8 if count == 1 else 6))
+    return tuple(shape_a), tuple(shape_b), (list(ax_a), list(ax_b))
 
 
-@SETTINGS
+@settings(max_examples=300, deadline=None)
 @given(dims, orders, contractions(), degrees, degrees,
        st.sampled_from([(None, None), (3, 3), (3, None), (None, 3), (1, 1)]), seeds)
+# Pinned draws: two 36-entry contractions with a constant operand, which one
+# matrix product of the constant's values with all of the other's
+# coefficients summed in an order that depended on the jet order; and a
+# 24-entry one whose pair operands are strided views at order 1 but not at
+# order 0, unless they are copied to C-contiguous arrays.
+@example(dim=3, k=1, layout=((6, 6), (6, 6), ([1, 0], [0, 1])), da="const", db="full",
+         batch=(None, None), seed=0)
+@example(dim=2, k=1, layout=((2, 6, 6), (6, 6), ([1, 2], [0, 1])), da="full", db="const",
+         batch=(3, None), seed=0)
+@example(dim=3, k=0, layout=((6, 4, 2), (2, 6, 4), ([0, 1], [1, 2])), da="full", db="full",
+         batch=(None, None), seed=0)
 def test_tdot_is_order_stable(dim, k, layout, da, db, batch, seed):
-    """Every path of `tdot`: a zero operand, a constant one on either side,
-    or two non-constant ones, vectors (a side with no free axis) included."""
+    """Every degree class of `tdot`'s operands: a zero operand, a constant
+    one on either side, or two non-constant ones, vectors (a side with no
+    free axis) and contractions over two axes included."""
     rng = np.random.default_rng(seed)
     shape_a, shape_b, axes = layout
     a = jets(rng, dim, k + 1, shape_a, da, batch[0])

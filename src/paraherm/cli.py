@@ -44,7 +44,6 @@ from .randfields import random_vector_field
 REPORT_VERSION = 1
 
 DEFAULT_TOLERANCES = {
-    "default": 1e-9,
     "validate": 1e-10,
     "classify": 1e-9,
     "adapted": 1e-9,
@@ -114,6 +113,15 @@ def _spec_int(obj, key, default, section):
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecParseError(f"{key} must be an integer, got {value!r}", section)
+    return value
+
+
+def _spec_names(mspec, key):
+    """`mspec[key]` as a JSON list of coordinate names, never a string split
+    into one-letter names: anything else is a `[model]` SpecParseError."""
+    value = mspec[key]
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise SpecParseError(f"{key} must be a list of names, got {value!r}", "model")
     return value
 
 
@@ -188,14 +196,13 @@ class _RunContext:
                 n = _spec_int(mspec, "n", 2, "model")
                 return build_flat(n, jet_order=self.jet_order)
             if name == "tangent_bundle":
-                return build_tm(
-                    mspec["metric"], mspec["base_coords"], jet_order=self.jet_order,
-                )
+                return build_tm(mspec["metric"], _spec_names(mspec, "base_coords"),
+                                jet_order=self.jet_order)
             if name == "explicit":
                 split = mspec.get("split")  # absent or null: no split
                 if split is not None:
                     split = _spec_int(mspec, "split", None, "model")
-                chart = Chart(mspec["coords"], split=split, jet_order=self.jet_order)
+                chart = Chart(_spec_names(mspec, "coords"), split=split, jet_order=self.jet_order)
                 eta = TensorField(chart, 0, 2, np.asarray(mspec["eta"], dtype=object),
                                   sym="symmetric")
                 K = TensorField(chart, 1, 1, np.asarray(mspec["K"], dtype=object))
@@ -239,13 +246,16 @@ class _RunContext:
             raise SpecParseError("sample count must be >= 1", "sample")
         seed = _spec_int(sspec, "seed", 2024, "sample")
         box = sspec.get("box") or self.model.default_box()
-        if len(box) != chart.dim:
-            raise SpecParseError(f"box must have {chart.dim} intervals", "sample")
+        if not (isinstance(box, (list, tuple)) and len(box) == chart.dim and all(
+                isinstance(b, (list, tuple)) and len(b) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in b)
+                for b in box)):
+            raise SpecParseError(f"box must be {chart.dim} intervals, each a pair of numbers, "
+                                 f"got {box!r}", "sample")
         rng = np.random.default_rng(seed)
         pts = []
         guard = 0
-        lo = np.array([b[0] for b in box])
-        hi = np.array([b[1] for b in box])
+        lo, hi = np.array(box, dtype=float).T
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(hi - lo)):
                 raise SpecParseError("box intervals must have a finite width", "sample")

@@ -20,8 +20,8 @@ it but never under-reports it.  Contractions (`tdot`) are einsum-style
 products over the tensor axes, carried over the batch: a zero operand gives
 zeros, and every other contraction is one batched matrix product of
 coefficient pairs (a constant's value with each coefficient of the other
-operand, or the truncated Cauchy product's pairs, each coefficient's added
-in a fixed order).  Partials, truncation and values are index operations
+operand, or the truncated Cauchy product's pairs, summed down the one
+table `*` sums too).  Partials, truncation and values are index operations
 on that axis.  Outside `jets`, only code here reads jet coefficients, and the
 other modules go through the helpers next to `tdot` and `jets_gradient`.
 A scalar is the (0,0) field, and a scalar jet is a 0-d JetArray: indexing
@@ -44,8 +44,9 @@ asked, and serves a request there at that order or lower as a prefix slice,
 so the nested operators, which ask their inputs for orders k, k+1 and k+2,
 evaluate each input once.  A field's jets are a function of (point, order),
 bit for bit: every kernel is order-stable (its result at order k is its
-result at order k + 1 truncated to k), as products sum each coefficient's
-pairs in a fixed order and 1/x and the inverse are series, one order a step.
+result at order k + 1 truncated to k), as `*` and `tdot` sum each
+coefficient's pairs in the fixed order of their one table, and 1/x and the
+inverse are series, one order a step.
 A field is `const` when it reads no coordinate (a `TensorField` whose tape
 reads none, or a `DerivedField` whose declared inputs are all `const`): its
 one entry ignores the point, is evaluated at the first point asked (so its
@@ -486,9 +487,9 @@ class JetArray:
         against this one over the tensor axes as numpy broadcasts (and over
         the batch).  A zero or constant operand takes the degree rule of
         `tdot`; two non-constant operands run the truncated Cauchy product,
-        each coefficient summed pair by pair in the order of
-        `_product_tables`, starting from 0, so the result does not depend on
-        the shapes."""
+        each coefficient's pairs summed down its column of `_product_tables`
+        from 0, as `tdot` sums them, so the result does not depend on the
+        shapes."""
         if not isinstance(other, JetArray):
             if not isinstance(other, Real):
                 return NotImplemented
@@ -508,13 +509,8 @@ class JetArray:
             elif b.deg == 0:
                 out = ca * cb[..., :1]
             else:
-                ga, gb, mask = _product_tables(a.ctx)[3:]
-                if max(ca.size, cb.size) * len(ga) <= _FUSED_PRODUCT_MAX:
-                    out = (ca[..., ga] * cb[..., gb] * mask).sum(axis=-2)
-                else:  # the same sum from 0, one pair at a time, without the R-fold temporaries
-                    out = np.zeros(np.broadcast_shapes(ca.shape, cb.shape))
-                    for r in range(len(ga)):
-                        out += ca[..., ga[r]] * cb[..., gb[r]] * mask[r]
+                ga, gb, mask = _product_tables(a.ctx)
+                out = (ca[..., ga] * cb[..., gb]).sum(axis=-2, where=mask)
         except ValueError:
             raise RankMismatch(f"tensor shapes {a.shape} and {b.shape} do not broadcast") from None
         return JetArray(a.ctx, out, deg, max(a.nb, b.nb))
@@ -622,13 +618,6 @@ class JetArray:
         return f"JetArray(batch={self.batch}, shape={self.shape}, deg={self.deg}, {self.ctx})"
 
 
-# Largest number of pair products (operand size times the pairs per
-# coefficient) that `*` builds as one temporary; a larger product sums its
-# pairs one at a time.  Past about 128 KB a temporary costs more per element
-# than the loop (measured with numpy 2.4 on x86-64).
-_FUSED_PRODUCT_MAX = 1 << 14
-
-
 def per_point_max(arr, nb=1):
     """max |arr| over all but its `nb` (0 or 1) leading batch axes, 0 where
     there is nothing: a float for nb = 0, one value per point for nb = 1."""
@@ -659,32 +648,21 @@ def _common(a: JetArray, b: JetArray):
 
 @lru_cache(maxsize=None)
 def _product_tables(ctx):
-    """The truncated Cauchy product of `ctx`, each coefficient's pairs in
-    pair order, which is the same at every order, so sums in it are
-    order-stable.  (ia, ib, groups), for `tdot`: group g holds the pairs
-    2g and 2g + 1 of each coefficient, as pairs lo..hi-1 and a one-hot
-    `scatter` onto their coefficients; it adds at most two products into a
-    coefficient, alike in any order of summation, and the groups add up in
-    turn.  (ga, gb, mask), each of shape (R, ctx.n): column t lists the
-    pairs of coefficient t, padded with mask 0 to the largest count R; the
-    elementwise `*` sums each column down.
+    """The truncated Cauchy product of `ctx` as (ga, gb, mask), each of shape
+    (R, ctx.n): column t lists the pairs (ga, gb) of coefficient t in pair
+    order, padded with mask False to the largest count R.  `*` and `tdot`
+    both sum each column down, from 0 and skipping the padding, so a
+    coefficient's sum is the same at every order (order-stable) and in
+    either kernel.
     """
     ia, ib, it = ctx._mul_a, ctx._mul_b, ctx._mul_t
     by_target = np.argsort(it, kind="stable")
     t = it[by_target]
     rank = np.arange(len(t)) - np.searchsorted(t, t)  # place among t's pairs
     ga, gb = (np.zeros((rank.max() + 1, ctx.n), dtype=int) for _ in range(2))
-    mask = np.zeros(ga.shape)
-    ga[rank, t], gb[rank, t], mask[rank, t] = ia[by_target], ib[by_target], 1.0
-    group = rank // 2
-    by_group = np.argsort(group, kind="stable")
-    bounds = np.searchsorted(group[by_group], np.arange(group.max() + 2))
-    groups = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        scatter = np.zeros((hi - lo, ctx.n))
-        scatter[np.arange(hi - lo), t[by_group[lo:hi]]] = 1.0
-        groups.append((lo, hi, scatter))
-    return ia[by_target[by_group]], ib[by_target[by_group]], groups, ga, gb, mask
+    mask = np.zeros(ga.shape, dtype=bool)
+    ga[rank, t], gb[rank, t], mask[rank, t] = ia[by_target], ib[by_target], True
+    return ga, gb, mask
 
 
 def _same_rank(a, b):
@@ -708,16 +686,13 @@ def _tdot_plan(shape_a, shape_b, nb_a, nb_b, ctx, const_a, const_b, *axes):
     """The layout of `tdot` for the operands' tensor shapes, batch ranks, jet
     context and constancy (deg 0), and `axes`: a's axes, None, then b's.
 
-    Returns ((ka, pa, sa, ia), (kb, pb, sb, ib), po, so, sp, groups).  Operand a
-    is a.coeffs[ka].transpose(pa).reshape(sa), one (m, c) matrix per
-    coefficient after its batch axes, and `ia` gathers each pair's; b the
-    same, with (c, q) matrices.  A constant operand (a if both are) is its
-    value alone, broadcast over the other's coefficients: the pairs are
-    (0, t) or (t, 0), pair t is coefficient t, and `ia`, `ib`, `sp` and
-    `groups` are None.  Otherwise the pairs are the truncated Cauchy
-    product's, `sp` is their batched (m q, pairs) shape and `groups` are
-    those of `_product_tables`.  `po` moves the pair axis of the products
-    last; `so` is the result's coefficient-array shape, with a -1 batch size.
+    Returns ((ka, pa, sa), (kb, pb, sb), po, so).  Operand a is
+    a.coeffs[ka].transpose(pa).reshape(sa), one (m, c) matrix per
+    coefficient after its batch axes; b the same, with (c, q) matrices.  A
+    constant operand (a if both are) is its value alone, one matrix, which
+    broadcasts over the other's coefficients.  `po` moves the coefficient
+    axis of the products last; `so` is the result's coefficient-array shape,
+    with a -1 batch size.
     """
     na, nb, cut = len(shape_a), len(shape_b), axes.index(None)
     ax_a = tuple(x % na for x in axes[:cut])
@@ -728,20 +703,17 @@ def _tdot_plan(shape_a, shape_b, nb_a, nb_b, ctx, const_a, const_b, *axes):
     c = math.prod(shape_a[i] for i in ax_a)
     q = math.prod(shape_b[i] for i in free_b)
     lead = (-1,) * max(nb_a, nb_b)
-    ia, ib, groups = (None,) * 3 if const_a or const_b else _product_tables(ctx)[:3]
 
-    def operand(nbo, coef, axes_, rows, cols, const, take):
+    def operand(nbo, coef, axes_, rows, cols, const):
         count = 1 if const else ctx.n
         return ((..., slice(count)), (*range(nbo), *(x + nbo for x in (coef, *axes_))),
-                (-1,) * nbo + (count, rows, cols), take)
+                (-1,) * nbo + (count, rows, cols))
 
     return (
-        operand(nb_a, na, free_a + ax_a, m, c, const_a, ia),
-        operand(nb_b, nb, ax_b + free_b, c, q, const_b and not const_a, ib),
+        operand(nb_a, na, free_a + ax_a, m, c, const_a),
+        operand(nb_b, nb, ax_b + free_b, c, q, const_b and not const_a),
         (*range(len(lead)), *(x + len(lead) for x in (1, 2, 0))),
         lead + tuple(shape_a[i] for i in free_a) + tuple(shape_b[i] for i in free_b) + (ctx.n,),
-        None if ia is None else lead + (m * q, len(ia)),
-        groups,
     )
 
 
@@ -754,8 +726,8 @@ def tdot(a, b, axes) -> JetArray:
     b[j] over the tensor axes for each pair (i, j) (and each point).  With a
     constant operand the pairs are its value times each coefficient of the
     other, one per coefficient of the result; otherwise they are the pairs
-    of the truncated Cauchy product, added onto their coefficients two at a
-    time (see `_product_tables`).
+    of the truncated Cauchy product, summed down the table of
+    `_product_tables` as `*` sums them: an outer product is the broadcast `*`.
 
     The result is order-stable (at order k, bit for bit, the result at
     order k + 1 truncated to k), and a batch gives each point its own bits,
@@ -768,21 +740,19 @@ def tdot(a, b, axes) -> JetArray:
     if a.ctx is not b.ctx:
         a, b = _common(a, b)
     ca, cb, ctx, nb = a.coeffs, b.coeffs, a.ctx, a.nb or b.nb
-    (ka, pa, sa, ia), (kb, pb, sb, ib), po, so, sp, groups = _tdot_plan(
+    (ka, pa, sa), (kb, pb, sb), po, so = _tdot_plan(
         ca.shape[a.nb:-1], cb.shape[b.nb:-1], a.nb, b.nb, ctx, a.deg == 0, b.deg == 0,
         *axes[0], None, *axes[1])
     if a.deg < 0 or b.deg < 0:
         return JetArray(ctx, np.zeros((ca.shape[:a.nb] or cb.shape[:b.nb]) + so[nb:]), -1, nb)
     x, y = ca[ka].transpose(pa).reshape(sa), cb[kb].transpose(pb).reshape(sb)
-    out = ((np.ascontiguousarray(x) if ia is None else x.take(ia, axis=a.nb))
-           @ (np.ascontiguousarray(y) if ib is None else y.take(ib, axis=b.nb))).transpose(po)
-    if groups is not None:  # (*batch, m, q, pairs) -> (*batch, m q, coefficients)
-        pairs = out.reshape(sp)
-        lo, hi, scatter = groups[0]
-        out = pairs[..., lo:hi] @ scatter
-        for lo, hi, scatter in groups[1:]:
-            out += pairs[..., lo:hi] @ scatter
-    return JetArray(ctx, out.reshape(so), min(a.deg + b.deg, ctx.order), nb)
+    if a.deg == 0 or b.deg == 0:
+        out = np.ascontiguousarray(x) @ np.ascontiguousarray(y)
+    else:  # (*batch, R, n, m, q) pair products, each coefficient's summed down its column
+        ga, gb, mask = _product_tables(ctx)
+        out = (x.take(ga, axis=a.nb) @ y.take(gb, axis=b.nb)).sum(
+            axis=nb, where=mask[:, :, None, None])
+    return JetArray(ctx, out.transpose(po).reshape(so), min(a.deg + b.deg, ctx.order), nb)
 
 
 def contract_value(point, t, *vectors):

@@ -20,7 +20,6 @@ from paraherm.brackets import GeneralizedVectorField, dorfman_leafwise
 from paraherm.deformations import BTransformation
 from paraherm.errors import DomainError, NotIntegrable, NotParaKahler, SingularMetric
 from paraherm.geometry import (
-    _FUSED_PRODUCT_MAX,
     Chart,
     JetArray,
     TensorField,
@@ -150,13 +149,13 @@ def test_elementwise_kernels_equal_stacked_points(dim, ka, kb, da, db, B, p, c, 
 @given(st.integers(2, 8), st.integers(1, 4), st.sampled_from([(), (3,)]), st.integers(0, 2),
        seeds)
 def test_large_products_are_byte_equal_to_stacked_points(dim, k, shape, broadcast, seed):
-    """A product too large for one temporary sums its pairs one at a time;
-    each point still gets the bits of its own small product, signed zeros
-    and operand broadcasting included."""
+    """A product of more than 1 << 14 pair products sums the same table as a
+    small one; each point still gets the bits of its own small product,
+    signed zeros and operand broadcasting included."""
     rng = np.random.default_rng(seed)
     ctx = context(dim, k)
-    pairs = len(_product_tables(ctx)[3])
-    points = _FUSED_PRODUCT_MAX // (pairs * ctx.n * max(1, math.prod(shape))) + 1
+    pairs = len(_product_tables(ctx)[0])
+    points = (1 << 14) // (pairs * ctx.n * max(1, math.prod(shape))) + 1
     picks = np.array([-1.5, -1.0, -0.0, 0.0, 0.5, 2.0])
     a = JetArray(ctx, rng.choice(picks, (points,) + shape + (ctx.n,)), k, 1)
     b = JetArray(ctx, rng.choice(picks, (points,) + shape + (ctx.n,)), k, 1)

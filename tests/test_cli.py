@@ -95,6 +95,16 @@ def test_unknown_suite_exits_two(tmp_path):
                "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}),
     ("model", {"name": "explicit", "coords": ["x1", "xt1"], "split": True,
                "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}),
+    # No tolerance key goes unread; a box interval is a pair of numbers; the
+    # coordinate names are a JSON list of strings, not one string of letters.
+    ("tolerances", {"default": 1e-30}),
+    ("sample", {"count": 2, "box": [[0]] * 4}),
+    ("sample", {"count": 2, "box": "abcd"}),
+    ("sample", {"count": 2, "box": [[0, 1, 5]] * 4}),
+    ("model", {"name": "explicit", "coords": "ab", "split": 1,
+               "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}),
+    ("model", {"name": "tangent_bundle", "base_coords": "th",
+               "metric": [["1", "0"], ["0", "2"]]}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_spec_section_exits_two(tmp_path, capsys, section, value):

@@ -14,6 +14,8 @@ The kernels that replaced order-dependent ones (the series `reciprocal` and
 `invert_matrix_jets`, `tdot`'s fixed-order pair sums) are also checked
 against the paths they replaced, the Newton iterations and the one-hot
 scatter, and against the reference jet arithmetic of `oracles.py`, to 1e-12.
+`tdot` and `*` sum the Cauchy pairs down one table in one order, so an
+outer-product `tdot` equals the broadcast `*` bit for bit.
 """
 
 import math
@@ -220,6 +222,28 @@ def test_tdot_full_path_matches_the_scatter_and_the_reference(dim, k, layout, se
     got = tdot(a, b, axes).coeffs
     assert_close(got, scatter_tdot(a, b, axes))
     assert_close(got, reference_tdot(a, b, axes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(1, 3), st.integers(1, 3), degrees,
+       degrees, st.sampled_from([(None, None), (3, 3), (3, None), (None, 3)]), seeds)
+def test_outer_tdot_is_the_broadcast_product(dim, k, p, q, da, db, batch, seed):
+    """`tdot` and `*` sum each coefficient's pairs down one table in one
+    order, so an outer product is the broadcast `*`, bit for bit (a zero of
+    either sign counting as 0.0), for every degree class and batching."""
+    rng = np.random.default_rng(seed)
+    ctx = context(dim, k)
+
+    def draw(length, deg, lead):
+        d = {"zero": -1, "const": 0, "full": k}[deg]
+        coeffs = rng.standard_normal(((lead,) if lead else ()) + (length, ctx.n))
+        coeffs[..., ctx.degree > d] = 0.0
+        return JetArray(ctx, coeffs, d, 0 if lead is None else 1)
+
+    a, b = draw(p, da, batch[0]), draw(q, db, batch[1])
+    got, want = tdot(a, b, ([], [])), a[:, None] * b[None, :]
+    assert (got.nb, got.deg) == (want.nb, want.deg)
+    assert np.array_equal(got.coeffs, want.coeffs)
 
 
 # -- the matrix inverse -------------------------------------------------------------

@@ -124,9 +124,11 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
 # Brackets associated to a connection on an almost para-Hermitian manifold
 # --------------------------------------------------------------------------
 
-def _bracket_core(C, S, X, Y, project=None):
-    """Shared engine: eta([X,Y], Z) = eta(nabla_X Y - nabla_Y X, Z) + eta(nabla_Z X, Y),
-    with all three connection arguments optionally projected by `project`."""
+def _bracket_core(C, S, X, Y, project):
+    """The one builder of bracket fields, which callers reach through S's
+    table (`_shared_bracket`): eta([X,Y], Z) = eta(nabla_X Y - nabla_Y X, Z)
+    + eta(nabla_Z X, Y), with all three connection arguments projected by
+    P_project when `project` is a sign (+1 or -1), none when it is None."""
     P = None if project is None else S.projector(project)
 
     def fn(p, k):
@@ -152,14 +154,26 @@ def _bracket_core(C, S, X, Y, project=None):
     return DerivedField(S.chart, 1, 0, fn, inputs=inputs)
 
 
+def _shared_bracket(C, S, X, Y, project):
+    """S's one bracket field of (C, X, Y, project), built by `_bracket_core`
+    on first request, so every caller shares its memo.  The entry holds C, X
+    and Y beside the field, so no id in its key is reused while it lives;
+    the table lives and dies with S."""
+    key = (id(C), id(X), id(Y), project)
+    entry = S.bracket_table.get(key)
+    if entry is None:
+        entry = S.bracket_table[key] = (_bracket_core(C, S, X, Y, project), C, X, Y)
+    return entry[0]
+
+
 def associated_bracket(C: Connection, S, X: Field, Y: Field) -> Field:
     """The bracket associated to a connection, returned as a vector field."""
-    return _bracket_core(C, S, X, Y, project=None)
+    return _shared_bracket(C, S, X, Y, None)
 
 
 def projected_bracket(C: Connection, S, sign, X: Field, Y: Field) -> Field:
     """P+- projected bracket: all three connection directions projected."""
-    return _bracket_core(C, S, X, Y, project=sign)
+    return _shared_bracket(C, S, X, Y, sign)
 
 
 def d_bracket(S, X: Field, Y: Field) -> Field:
@@ -300,8 +314,13 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
     """Residuals of the three Courant axioms for a bracket/anchor/pairing triple.
 
     `elements` is a pool of test sections; axioms are evaluated on ordered
-    triples drawn deterministically from the pool, each triple's fields built
-    once and evaluated on the sample as one batch.  Each point's residuals
+    triples drawn deterministically from the pool, the cyclic shifts of
+    (e0, e1, e2, ...), each on the sample as one batch.  A triple's Jacobi
+    defect (axiom 3) is evaluated before axioms 1 and 2: with a bracket
+    that returns one shared field per pair (`d_bracket`,
+    `projected_bracket`), its inner brackets are then evaluated once, at
+    order 1, and axiom 1 and later triples read them from the memo, so a
+    pool of three builds 18 brackets, not 27.  Each point's residuals
     of axioms 1 and 2, which are linear in the pairing, are divided by its
     entry of `scale` (one per sample point, 1 when None), so a caller can
     make them relative to the size of the metric; the Jacobi defect of
@@ -319,6 +338,7 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
     res = {axiom: np.zeros((len(batch.coords), n)) for axiom in worst}
     scale = 1.0 if scale is None else np.asarray(scale, dtype=float)
     for ti, (X, Y, Z) in enumerate(triples):
+        res[3][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
         if not skip_pairing:
             lhs = lie_derivative(anchor(X), pair(Y, Z)).values(batch)
             r1 = (lhs - pair(bracket(X, Y), Z).values(batch)
@@ -328,7 +348,6 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
             ).values(batch)
             res[1][:, ti] = np.abs(r1) / scale
             res[2][:, ti] = np.abs(r2) / scale
-        res[3][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
     # Witnesses in the order the axioms first had a nonzero residual.
     nonzero = [a for a in worst if res[a].any()]
     for axiom in sorted(nonzero, key=lambda a: (int(np.argmax(res[a] > 0.0)), a)):

@@ -125,6 +125,12 @@ def _spec_names(mspec, key):
     return value
 
 
+def _numbers(seq):
+    """Whether `seq` is a list of JSON numbers; a bool is not one."""
+    return isinstance(seq, (list, tuple)) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in seq)
+
+
 class _RunContext:
     def __init__(self, spec):
         self.spec = spec
@@ -144,15 +150,27 @@ class _RunContext:
         with _spec_section("sample"):
             # Every suite evaluates its fields on the whole sample as this batch.
             self.batch, self.seed = self._sample(spec.get("sample", {}))
+        self.suites = spec["suites"]
+        if not isinstance(self.suites, list) or not all(isinstance(n, str) for n in self.suites):
+            raise SpecParseError(f"suites must be a JSON list of names, got {self.suites!r}",
+                                 "suites")
+        for name in self.suites:
+            if name not in SUITES:
+                raise SpecParseError(f"unknown suite {name!r}", "suites")
 
     def check_domain(self):
-        """Evaluate the structure's six fields (and the b-field) at order 0 on
-        the sample, so that a sample point outside an expression's domain, or
-        where eta is singular (its inverse raises SingularMetric), is a spec
-        error naming the point before any suite runs."""
+        """Evaluate the structure's six fields on the sample at the highest
+        order the run's suites read (SUITE_JET_ORDERS; 0 for `validate`
+        alone), and the b-field at order 0, so that a sample point outside
+        an expression's domain, where eta is singular (its inverse raises
+        SingularMetric) or where the jets overflow at that order, is a spec
+        error naming the point before any suite runs.  Every suite then
+        reads the six fields' lower orders as memo slices, so each is
+        evaluated once per run."""
+        order = max((SUITE_JET_ORDERS[name] for name in self.suites), default=0)
         with _spec_section("sample"):
             for f in self.model.S.fields:
-                f.at(self.batch, 0)
+                f.at(self.batch, order)
             if self.b_field is not None:
                 self.b_field.at(self.batch, 0)
 
@@ -237,6 +255,8 @@ class _RunContext:
             pts = sspec.get("points", [])
             if not pts:
                 raise SpecParseError("explicit sampling needs at least one point", "sample")
+            if not isinstance(pts, list) or not all(map(_numbers, pts)):
+                raise SpecParseError(f"points must be lists of numbers, got {pts!r}", "sample")
             return (stack_points([chart.point(p) for p in pts]),
                     _spec_int(sspec, "seed", 0, "sample"))
         if mode != "uniform":
@@ -246,10 +266,8 @@ class _RunContext:
             raise SpecParseError("sample count must be >= 1", "sample")
         seed = _spec_int(sspec, "seed", 2024, "sample")
         box = sspec.get("box") or self.model.default_box()
-        if not (isinstance(box, (list, tuple)) and len(box) == chart.dim and all(
-                isinstance(b, (list, tuple)) and len(b) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in b)
-                for b in box)):
+        if not (isinstance(box, (list, tuple)) and len(box) == chart.dim
+                and all(_numbers(b) and len(b) == 2 for b in box)):
             raise SpecParseError(f"box must be {chart.dim} intervals, each a pair of numbers, "
                                  f"got {box!r}", "sample")
         rng = np.random.default_rng(seed)
@@ -499,11 +517,11 @@ SUITES = {
 # Run, report, print
 # --------------------------------------------------------------------------
 
-def check_jet_order(ctx, suite_names):
-    """Raise InsufficientJetOrder naming the first suite whose jet order
-    (SUITE_JET_ORDERS, plus the orders the model's eta and K consume) exceeds
-    the spec's `jet_order`."""
-    for name in suite_names:
+def check_jet_order(ctx):
+    """Raise InsufficientJetOrder naming the first of the run's suites whose
+    jet order (SUITE_JET_ORDERS, plus the orders the model's eta and K
+    consume) exceeds the spec's `jet_order`."""
+    for name in ctx.suites:
         need = SUITE_JET_ORDERS[name] + ctx.model.jet_margin
         if need > ctx.jet_order:
             raise InsufficientJetOrder(
@@ -525,20 +543,13 @@ def run(spec_path, output_path=None, verbose=False) -> int:
             check_output(output_path)
         spec = load_spec(spec_path)
         ctx = _RunContext(spec)
-        suite_names = spec["suites"]
-        if not isinstance(suite_names, list) or not all(isinstance(n, str) for n in suite_names):
-            raise SpecParseError(f"suites must be a JSON list of names, got {suite_names!r}",
-                                 "suites")
-        for name in suite_names:
-            if name not in SUITES:
-                raise SpecParseError(f"unknown suite {name!r}", "suites")
-        check_jet_order(ctx, suite_names)
+        check_jet_order(ctx)
         ctx.check_domain()
     except ParahermError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 2
     results = []
-    for name in suite_names:
+    for name in ctx.suites:
         try:
             results.append(SUITES[name](ctx))
         except ParahermError as exc:

@@ -51,7 +51,9 @@ class ParaHermitianStructure:
     """The pair (eta, K) with the fields derived from it: eta^{-1}, omega =
     eta K and the projections (1 +- K)/2.  Each is one memoised `Field`,
     `const` where eta and K are, and callers read the ones they need
-    (`S.eta.at(point, order)`); `fields` lists all six."""
+    (`S.eta.at(point, order)`); `fields` lists all six.  `bracket_table`
+    holds the brackets built on it, one field per (connection, X, Y,
+    projection) (`brackets.associated_bracket`)."""
 
     def __init__(self, chart, eta: Field, K: Field):
         if eta.rank != (0, 2) or K.rank != (1, 1):
@@ -74,6 +76,7 @@ class ParaHermitianStructure:
         self.P_minus = DerivedField(chart, 1, 1, lambda p, k: (eye(k) - K.at(p, k)) * 0.5,
                                     inputs=(K,))
         self.fields = (eta, K, self.eta_inv, self.omega, self.P_plus, self.P_minus)
+        self.bracket_table = {}
 
     def projector(self, sign) -> Field:
         return self.P_plus if sign > 0 else self.P_minus

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paraherm.brackets import (
     GeneralizedVectorField, associated_bracket, c_bracket, courant_axiom_suite,
@@ -14,12 +16,13 @@ from paraherm.geometry import (
     DerivedField, coordinate_vector_field, exterior_derivative, jets_gradient, lie_bracket,
     lie_derivative, scalar_pairing, stack_points, tdot,
 )
+from paraherm.models import build_flat, build_tm, sphere_base
 from paraherm.parastructure import rho, rho_field
 from paraherm.randfields import (
     random_bivector, random_form, random_metric_perturbation, random_poly,
     random_vector_field,
 )
-from conftest import sample_points
+from conftest import sample_points, sphere_box
 from oracles import values
 
 
@@ -138,6 +141,100 @@ def test_derivation_properties(flat2):
         rhs2 = (fval * base - lie_derivative(Y, f).values(p) * X.values(p)
                 + etaXY * grad)
         assert np.max(np.abs(lhs2 - rhs2)) < 1e-10
+
+
+# -- one bracket field per (connection, X, Y, projection) -------------------------
+
+TABLE_SETTINGS = settings(max_examples=25, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def table_models():
+    """A flat and a curved structure, each with budget for brackets at order 2."""
+    g, coords, ok = sphere_base()
+    sphere = build_tm(g, coords, jet_order=4)
+    sphere._point_ok = ok
+    return {"flat": build_flat(2), "sphere": sphere}
+
+
+def _kinds(S):
+    """Every public way to ask a bracket of S, with the `_bracket_core`
+    arguments it stands for."""
+    C, L = S.canonical, S.levi_civita
+    return {
+        "d": (lambda X, Y: d_bracket(S, X, Y), (C, None)),
+        "canonical": (lambda X, Y: associated_bracket(C, S, X, Y), (C, None)),
+        "levi_civita": (lambda X, Y: associated_bracket(L, S, X, Y), (L, None)),
+        "plus": (lambda X, Y: projected_bracket(C, S, +1, X, Y), (C, +1)),
+        "minus": (lambda X, Y: projected_bracket(C, S, -1, X, Y), (C, -1)),
+    }
+
+
+def _bits(jets):
+    """The bytes of a jet array, with -0.0 read as 0.0: the sign of an exact
+    zero is the one thing order stability does not fix."""
+    return (jets.coeffs + 0.0).tobytes()
+
+
+@TABLE_SETTINGS
+@given(model=st.sampled_from(["flat", "sphere"]), seed=st.integers(0, 2**16))
+def test_table_returns_one_field_per_inputs(table_models, model, seed):
+    """The same (connection, X, Y, projection) gives the same field object;
+    (Y, X), another connection or another projection gives another one."""
+    S = table_models[model].S
+    rng = np.random.default_rng(seed)
+    X, Y = (random_vector_field(S.chart, rng, degree=1) for _ in range(2))
+    kinds = _kinds(S)
+    got = {name: bracket(X, Y) for name, (bracket, _) in kinds.items()}
+    for name, (bracket, _) in kinds.items():
+        assert bracket(X, Y) is got[name]
+        assert bracket(Y, X) is not got[name]
+    assert got["d"] is got["canonical"]
+    distinct = [got[name] for name in ("canonical", "levi_civita", "plus", "minus")]
+    assert len(set(map(id, distinct))) == 4
+
+
+@TABLE_SETTINGS
+@given(model=st.sampled_from(["flat", "sphere"]),
+       kind=st.sampled_from(["d", "levi_civita", "plus", "minus"]),
+       orders=st.permutations([0, 1, 2]), batch=st.booleans(), seed=st.integers(0, 2**16))
+def test_table_bracket_equals_a_fresh_build(table_models, model, kind, orders, batch, seed):
+    """A bracket from the table, asked at orders 0-2 in any sequence (so
+    partly served by its memo), has the bits of a `_bracket_core` field
+    built afresh for each order, at a point and at a batch."""
+    import paraherm.brackets as br
+
+    m = table_models[model]
+    S = m.S
+    rng = np.random.default_rng(seed)
+    X, Y = (random_vector_field(S.chart, rng, degree=2) for _ in range(2))
+    pts = sample_points(m, 3, seed, box=sphere_box() if model == "sphere" else None)
+    point = stack_points(pts) if batch else pts[0]
+    bracket, (C, project) = _kinds(S)[kind]
+    for k in orders:
+        fresh = br._bracket_core(C, S, X, Y, project).at(point, k)
+        assert _bits(bracket(X, Y).at(point, k)) == _bits(fresh)
+
+
+def test_rebuilt_fields_never_get_a_stale_entry(flat2):
+    """Fields dropped and rebuilt in a loop each get their own bracket: an
+    entry keeps its inputs alive, so no new field reuses the id in its key."""
+    import gc
+
+    import paraherm.brackets as br
+    from paraherm.parastructure import ParaHermitianStructure
+
+    S = ParaHermitianStructure(flat2.chart, flat2.S.eta, flat2.S.K)
+    rng = np.random.default_rng(44)
+    p = sample_points(flat2, 1, 45)[0]
+    for i in range(40):
+        X, Y = (random_vector_field(S.chart, rng, degree=1) for _ in range(2))
+        got = d_bracket(S, X, Y).at(p, 1)
+        assert len(S.bracket_table) == i + 1
+        assert _bits(got) == _bits(br._bracket_core(S.canonical, S, X, Y, None).at(p, 1))
+        del X, Y, got
+        gc.collect()
 
 
 # -- Dorfman brackets --------------------------------------------------------------
@@ -423,25 +520,31 @@ def test_dbracket_axiom1_without_integrability(sphere_tm, sphere_pts):
 # -- bounded memory ----------------------------------------------------------------
 
 def test_dbracket_memory_does_not_grow_with_the_point_count():
-    """A D-bracket evaluated at 2,000 fresh single points retains no more
-    memory than after 200: each field, structure and connection keeps the
-    jets of its last point only.  (With per-point caches the retained memory
-    grew by about 9.3 KB a point.)"""
+    """The stream's access pattern, a D-bracket asked afresh and one Jacobi
+    defect at each of 2,000 fresh single points, retains no more memory than
+    after 200: each field, structure and connection keeps the jets of its
+    last point only, and the structure's bracket table grows with the
+    distinct field pairs (six here), not with the points.  (With per-point
+    caches the retained memory grew by about 9.3 KB a point.)"""
     import gc
     import tracemalloc
 
     from paraherm.models import build_flat
 
     model = build_flat(2)
+    S = model.S
     rng = np.random.default_rng(47)
-    X, Y = (random_vector_field(model.chart, rng, degree=1, terms=1) for _ in range(2))
-    D = d_bracket(model.S, X, Y)
+    X, Y, Z = (random_vector_field(model.chart, rng, degree=1, terms=1) for _ in range(3))
     coords = iter(rng.uniform(-1.0, 1.0, (2200, model.chart.dim)))
+    bracket = lambda A, B: d_bracket(S, A, B)
 
     def evaluate(count):
         for _ in range(count):
-            D.at(model.chart.point(next(coords)), 0)
+            p = model.chart.point(next(coords))
+            d_bracket(S, X, Y).at(p, 0)
+            jacobi_defect(bracket, X, Y, Z, p)
         gc.collect()
+        assert len(S.bracket_table) == 6
         return tracemalloc.get_traced_memory()[0]
 
     tracemalloc.start()

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import paraherm
-from paraherm import cli, geometry
+from paraherm import brackets as br, cli, geometry
 from paraherm.cli import load_spec, main, print_report, run
 from paraherm.errors import InsufficientJetOrder, SpecParseError
 
@@ -105,6 +105,9 @@ def test_unknown_suite_exits_two(tmp_path):
                "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}),
     ("model", {"name": "tangent_bundle", "base_coords": "th",
                "metric": [["1", "0"], ["0", "2"]]}),
+    # Explicit points are lists of JSON numbers: neither a bool nor a string.
+    ("sample", {"mode": "explicit", "points": [[True, 0, 0, 0]]}),
+    ("sample", {"mode": "explicit", "points": [["0.5", 0, 0, 0]]}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_spec_section_exits_two(tmp_path, capsys, section, value):
@@ -359,8 +362,9 @@ def _exp_spec(rate):
 @pytest.mark.filterwarnings("error")
 def test_non_finite_jets_are_a_spec_error(tmp_path, capsys, rate, code):
     """exp(700 x) has finite values at the sample but its jets overflow at
-    order 2 and above: a spec error naming the first such point, with no
-    report (whose NaN tokens strict JSON would reject).  exp(400 x) has
+    order 2 and above, the order the Courant suites read: a spec error
+    naming the first such point before any suite runs, with no report
+    (whose NaN tokens strict JSON would reject).  exp(400 x) has
     finite jets, values up to 5e173, and every suite passes: the Courant
     pairing residuals are relative to max |eta|, as validate's are."""
     spec = write_spec(tmp_path, "s.json", _exp_spec(rate))
@@ -368,8 +372,8 @@ def test_non_finite_jets_are_a_spec_error(tmp_path, capsys, rate, code):
     assert run(spec, str(out)) == code
     err = capsys.readouterr().err
     if code == 2:
-        assert ("spec error in suite 'courant_plus': component jets are not finite "
-                "at Point([1.0, 0.0])") in err
+        assert ("spec error: sample error: component jets are not finite "
+                "at Point([1.0, 0.0]) [sample]") in err
         assert not out.exists()
     else:
         assert "NaN" not in out.read_text()
@@ -451,9 +455,10 @@ def test_call_counts_do_not_grow_with_the_sample(tmp_path, monkeypatch, runspec)
     assert seen[0] == seen[1]
 
 
-# Evaluations per run of either shipped runspec: each field is evaluated once
-# per order it is first asked at (0, then 1, then 2 for a bracket's inputs).
-FIELD_RUNS = {"eta": 3, "K": 3, "eta_inv": 2, "omega": 2, "P_plus": 3, "P_minus": 3,
+# Evaluations per run of either shipped runspec.  `check_domain` evaluates the
+# structure's six fields at the highest order the suites read, so once each;
+# the Christoffel symbols are evaluated once per order they are first asked at.
+FIELD_RUNS = {"eta": 1, "K": 1, "eta_inv": 1, "omega": 1, "P_plus": 1, "P_minus": 1,
               "levi_civita": 2, "canonical": 2, "nijenhuis": 1}
 
 
@@ -461,8 +466,8 @@ FIELD_RUNS = {"eta": 3, "K": 3, "eta_inv": 2, "omega": 2, "P_plus": 3, "P_minus"
 def test_structure_fields_are_evaluated_once_per_order(tmp_path, monkeypatch, runspec):
     """One run evaluates the structure's six fields, the Christoffel symbols
     of both its connections and its Nijenhuis tensor at most FIELD_RUNS
-    times: no read that serves the suites a higher order first is lost, so
-    no memo climbs the orders again."""
+    times: the pre-flight read serves the suites the structure's highest
+    order first, so its memos never climb the orders."""
     runs = Counter()
     _count_calls(monkeypatch, runs)
     contexts = []
@@ -476,6 +481,34 @@ def test_structure_fields_are_evaluated_once_per_order(tmp_path, monkeypatch, ru
                   nijenhuis=S.nijenhuis_tensor)
     got = {name: runs[f] for name, f in fields.items()}
     assert all(1 <= got[name] <= most for name, most in FIELD_RUNS.items()), got
+
+
+@pytest.mark.parametrize("runspec, suites, built", [
+    ("tangent_bundle.json", ["courant_minus"], 18),
+    ("flat.json", None, 62),
+])
+def test_each_bracket_is_built_once_per_structure(tmp_path, monkeypatch, runspec, suites,
+                                                  built):
+    """A Courant suite on a pool of three fields asks 27 brackets, of which
+    18 are distinct, and builds only those; the flat runspec's suites share
+    their brackets too (27 and 95 at one field per request).  Each bracket's
+    body runs once: the Jacobi defects ask the inner brackets at order 1
+    before axiom 1 reads their order-0 slice."""
+    runs = Counter()
+    _count_calls(monkeypatch, runs)
+    fields = []
+    core = br._bracket_core
+
+    def counted_core(*args):
+        fields.append(core(*args))
+        return fields[-1]
+
+    monkeypatch.setattr(br, "_bracket_core", counted_core)
+    spec = write_spec(tmp_path, "s.json", _spec_from(runspec, **(
+        {"suites": suites} if suites else {})))
+    assert run(spec, str(tmp_path / "report.json")) == 0
+    assert len(fields) == built
+    assert [runs[f] for f in fields] == [1] * built
 
 
 def _suite_residuals(tmp_path, spec, tag):

@@ -126,8 +126,9 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
 
 def _bracket_core(C, S, X, Y, project):
     """The one builder of bracket fields, which callers reach through S's
-    table (`_shared_bracket`): eta([X,Y], Z) = eta(nabla_X Y - nabla_Y X, Z)
-    + eta(nabla_Z X, Y), with all three connection arguments projected by
+    table (`_shared_bracket`), apart from `maurer_cartan_sides` and `f_flux`,
+    which bracket fields they build per call and share with no one:
+    eta([X,Y], Z) = eta(nabla_X Y - nabla_Y X, Z) + eta(nabla_Z X, Y), with all three connection arguments projected by
     P_project when `project` is a sign (+1 or -1), none when it is None."""
     P = None if project is None else S.projector(project)
 

@@ -4,7 +4,9 @@ The spec file is JSON and is the whole experiment record: model, optional
 b-field, sampling (explicit points or a seeded uniform box), jet order,
 tolerances and the list of suites.  Reports are versioned and deterministic:
 the same spec and seed give byte-identical JSON up to the wall-time field,
-which is excluded from the determinism hash stored in the report.
+which is excluded from the determinism hash stored in the report.  The
+report file is compact JSON with sorted keys on one line, encoded as the
+hash is (`python3 -m json.tool` indents it).
 
 Exit codes: 0 all requested suites pass, 1 at least one suite fails,
 2 the spec itself is invalid or the report cannot be written.
@@ -157,6 +159,8 @@ class _RunContext:
         for name in self.suites:
             if name not in SUITES:
                 raise SpecParseError(f"unknown suite {name!r}", "suites")
+        # The highest order the run's suites read the structure at.
+        self.order = max((SUITE_JET_ORDERS[name] for name in self.suites), default=0)
 
     def check_domain(self):
         """Evaluate the structure's six fields on the sample at the highest
@@ -167,12 +171,21 @@ class _RunContext:
         error naming the point before any suite runs.  Every suite then
         reads the six fields' lower orders as memo slices, so each is
         evaluated once per run."""
-        order = max((SUITE_JET_ORDERS[name] for name in self.suites), default=0)
         with _spec_section("sample"):
             for f in self.model.S.fields:
-                f.at(self.batch, order)
+                f.at(self.batch, self.order)
             if self.b_field is not None:
                 self.b_field.at(self.batch, 0)
+
+    def prepare(self, C):
+        """C, with its Christoffel symbols evaluated on the sample at the
+        highest order the run's suites read them: one below `order`, as the
+        symbols at order k read eta at k + 1.  A suite calls it before its
+        first read of a connection, after its gates, so a connection no
+        suite reads is never evaluated, and one that is read is evaluated
+        once per run: every later read is a memo slice."""
+        C.christoffels.at(self.batch, self.order - 1)
+        return C
 
     def nijenhuis_gate(self, sign):
         """Largest Nijenhuis residual of the `sign` eigenbundle over the sample.
@@ -320,6 +333,7 @@ def suite_validate(ctx):
 
 
 def suite_classify(ctx):
+    ctx.prepare(ctx.model.S.levi_civita)
     rep = classify(ctx.model.S, ctx.batch, tol=ctx.tol["classify"])
     residuals = dict(rep.residuals)
     residuals.update(rep.cross_checks)
@@ -343,7 +357,8 @@ def suite_adapted(ctx):
             residuals[f"{side}_side_skipped_nijenhuis"] = integ
             continue
         checked = True
-        rep = check_adapted(S.canonical, S, side, ctx.batch, seed=ctx.seed, tol=tol)
+        rep = check_adapted(ctx.prepare(S.canonical), S, side, ctx.batch, seed=ctx.seed,
+                            tol=tol)
         for cond, val in rep.conditions.items():
             residuals[f"{side}_cond{cond}"] = val
         witnesses.extend(rep.witnesses)
@@ -367,7 +382,8 @@ def _courant_projected(ctx, sign, name):
     if not integ <= tol:
         return _suite_result(name, True, {"nijenhuis": integ}, skipped=True,
                              reason="eigenbundle not integrable at tolerance")
-    bracket = lambda X, Y: br.projected_bracket(S.canonical, S, sign, X, Y)
+    C = ctx.prepare(S.canonical)
+    bracket = lambda X, Y: br.projected_bracket(C, S, sign, X, Y)
     anchor = lambda X: apply_endomorphism(S.projector(sign), X)
     pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
     rep = br.courant_axiom_suite(bracket, anchor, pair, ctx.pool, ctx.batch, tol=tol,
@@ -389,6 +405,7 @@ def suite_courant_d_full(ctx):
     """Full D-bracket: axioms 1-2 must pass, axiom 3 must fail with a witness."""
     S = ctx.model.S
     tol = ctx.tol["courant"]
+    ctx.prepare(S.canonical)
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
     anchor = lambda X: X
     pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
@@ -404,6 +421,7 @@ def suite_courant_d_full(ctx):
 def suite_jacobi_defect_witness(ctx):
     """Record a concrete Jacobi-defect witness for the full D-bracket."""
     S = ctx.model.S
+    ctx.prepare(S.canonical)
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
     defects = br.jacobi_defect(bracket, *ctx.pool, ctx.batch)
     i = int(np.argmax(defects))  # the first worst point
@@ -430,13 +448,13 @@ def suite_section_condition(ctx):
     # The flatness gate reads the first three points, but evaluates the whole
     # batch: it shares the other suites' jets, and the work does not depend
     # on the sample size.
-    curv = float(np.max(curvature(S.levi_civita).max_abs(ctx.batch)[:3]))
+    curv = float(np.max(curvature(ctx.prepare(S.levi_civita)).max_abs(ctx.batch)[:3]))
     if not curv <= tol:
         return _suite_result("section_condition", True, {"curvature": curv},
                              skipped=True, reason="eta is not flat")
     pool = ctx.field_pool(vars_subset=list(range(chart.split)))
     bracket = lambda X, Y: br.d_bracket(S, X, Y)
-    minus = br.projected_bracket(S.canonical, S, -1, pool[0], pool[1])
+    minus = br.projected_bracket(ctx.prepare(S.canonical), S, -1, pool[0], pool[1])
     worst_minus = float(np.max(minus.max_abs(ctx.batch)))
     jac = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], ctx.batch)
     worst_jac = float(np.max(jac))
@@ -455,6 +473,7 @@ def suite_deform(ctx):
     compat = df.compatibility_residual(T, ctx.batch)
     # The two-sided check reads the first five points of the whole batch,
     # for the reason given in `suite_section_condition`.
+    ctx.prepare(ctx.model.S.canonical)
     sides = df.maurer_cartan_sides(T, *ctx.pool, ctx.batch)
     agree = float(np.max(sides.agreement[:5]))
     res = {"structure_validation": max(vrep.residuals.values()),
@@ -571,9 +590,9 @@ def run(spec_path, output_path=None, verbose=False) -> int:
     report["determinism_hash"] = digest
     report["wall_time_s"] = time.monotonic() - t0
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        # The file is the hash's encoding of the whole report, on one line.
+        Path(output_path).write_text(json.dumps(report, sort_keys=True) + "\n",
+                                     encoding="utf-8")
     if verbose or not output_path:
         print_report(report)
     return 0 if passed else 1

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field as dc_field, fields
 
 import numpy as np
 
+from . import brackets
 from .brackets import d_bracket, schouten_self
 from .connections import flat_connection
 from .errors import (
@@ -180,7 +181,9 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     PB = T.sheared_projector()
     PBX = apply_endomorphism(PB, X)
     PBY = apply_endomorphism(PB, Y)
-    br = d_bracket(S, PBX, PBY).at(point, 0)
+    # P^B X and P^B Y are built per call and shared with no other caller, so
+    # their bracket is built outside S's table, which would keep it for S's life.
+    br = brackets._bracket_core(S.canonical, S, PBX, PBY, None).at(point, 0)
     zj = tdot(PB.at(point, 0), Z.at(point, 0), ([1], [0]))
     lhs = contract_value(point, S.eta.at(point, 0), br, zj)
     rhs = contract_value(point, mc_form(T).at(point, 0), X.at(point, 0),
@@ -358,6 +361,8 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
     out = np.zeros(point.batch + (n, n, n))
     for a in range(n):
         for b in range(n):
-            br = d_bracket(S, frame[a], frame[b]).at(point, order)
+            # The frame fields are built per call: see `maurer_cartan_sides`.
+            br = brackets._bracket_core(S.canonical, S, frame[a], frame[b],
+                                        None).at(point, order)
             out[..., :, a, b] = tdot(dual, tdot(eta, br, ([0], [0])), ([0], [0])).values()
     return out

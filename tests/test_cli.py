@@ -262,10 +262,14 @@ PREFLIGHT_CASES = (
 
 
 @pytest.mark.parametrize("runspec, suite", PREFLIGHT_CASES)
-def test_suite_jet_order_table(runspec, suite):
+def test_suite_jet_order_table(monkeypatch, runspec, suite):
     """Each suite runs at its declared jet order (plus the model's margin)
     and raises InsufficientJetOrder one order below, so the table used by
-    the pre-flight cannot drift from what the suites evaluate."""
+    the pre-flight cannot drift from what the suites evaluate.  The
+    context's `prepare` reads the connections at the table's order, so it
+    would raise one order below whatever the suite reads: it is left out,
+    and the suite's own reads decide."""
+    monkeypatch.setattr(cli._RunContext, "prepare", lambda ctx, C: C)
     spec = _spec_from(runspec, sample={"count": 2})
     ctx = cli._RunContext(spec)
     need = cli.SUITE_JET_ORDERS[suite] + ctx.model.jet_margin
@@ -455,11 +459,22 @@ def test_call_counts_do_not_grow_with_the_sample(tmp_path, monkeypatch, runspec)
     assert seen[0] == seen[1]
 
 
+def _run_structure(monkeypatch, spec, tmp_path):
+    """Run `spec`, which must pass, and return the run's structure."""
+    contexts = []
+    check_domain = cli._RunContext.check_domain
+    monkeypatch.setattr(cli._RunContext, "check_domain",
+                        lambda ctx: contexts.append(ctx) or check_domain(ctx))
+    assert run(spec, str(tmp_path / "report.json")) == 0
+    return contexts[0].model.S
+
+
 # Evaluations per run of either shipped runspec.  `check_domain` evaluates the
-# structure's six fields at the highest order the suites read, so once each;
-# the Christoffel symbols are evaluated once per order they are first asked at.
+# structure's six fields at the highest order the suites read, and
+# `_RunContext.prepare` each connection's Christoffel symbols at the highest
+# order the suites read them, so once each.
 FIELD_RUNS = {"eta": 1, "K": 1, "eta_inv": 1, "omega": 1, "P_plus": 1, "P_minus": 1,
-              "levi_civita": 2, "canonical": 2, "nijenhuis": 1}
+              "levi_civita": 1, "canonical": 1, "nijenhuis": 1}
 
 
 @pytest.mark.parametrize("runspec", ["flat.json", "tangent_bundle.json"])
@@ -470,17 +485,62 @@ def test_structure_fields_are_evaluated_once_per_order(tmp_path, monkeypatch, ru
     order first, so its memos never climb the orders."""
     runs = Counter()
     _count_calls(monkeypatch, runs)
-    contexts = []
-    check_domain = cli._RunContext.check_domain
-    monkeypatch.setattr(cli._RunContext, "check_domain",
-                        lambda ctx: contexts.append(ctx) or check_domain(ctx))
-    assert run(str(RUNSPECS / runspec), str(tmp_path / "report.json")) == 0
-    S = contexts[0].model.S
+    S = _run_structure(monkeypatch, str(RUNSPECS / runspec), tmp_path)
     fields = dict(zip(("eta", "K", "eta_inv", "omega", "P_plus", "P_minus"), S.fields),
                   levi_civita=S.levi_civita.christoffels, canonical=S.canonical.christoffels,
                   nijenhuis=S.nijenhuis_tensor)
     got = {name: runs[f] for name, f in fields.items()}
     assert all(1 <= got[name] <= most for name, most in FIELD_RUNS.items()), got
+
+
+# Christoffel evaluations [Levi-Civita, canonical] of each suite run alone: a
+# suite that skips reads no connection, and the canonical symbols read the
+# Levi-Civita ones.
+_READS_BOTH = dict.fromkeys(cli.SUITES, [1, 1])
+CONNECTION_RUNS = {
+    "flat.json": _READS_BOTH | {"validate": [0, 0], "classify": [1, 0], "fluxes": [0, 0]},
+    # courant_plus skips the non-integrable side, section_condition stops at
+    # its flatness gate, and deform and fluxes have no b-field.
+    "tangent_bundle.json": _READS_BOTH | {
+        "validate": [0, 0], "classify": [1, 0], "courant_plus": [0, 0],
+        "section_condition": [1, 0], "deform": [0, 0], "fluxes": [0, 0]},
+}
+
+
+@pytest.mark.parametrize("runspec, suites",
+                         [(r, [s]) for r in CONNECTION_RUNS for s in cli.SUITES]
+                         + [(r, list(cli.SUITES)[::-1]) for r in CONNECTION_RUNS])
+def test_each_connection_a_suite_reads_is_evaluated_once(tmp_path, monkeypatch, runspec,
+                                                         suites):
+    """Each suite of a shipped runspec, run alone, evaluates the Christoffel
+    symbols of each connection it reads once, and a suite that reads none,
+    or skips before reading one, evaluates none.  So do all suites in
+    reverse order, where `deform` reads the canonical connection first, at
+    the lowest order of the run's readers."""
+    runs = Counter()
+    _count_calls(monkeypatch, runs)
+    spec = write_spec(tmp_path, "s.json", _spec_from(runspec, suites=suites))
+    S = _run_structure(monkeypatch, spec, tmp_path)
+    got = [runs[C.christoffels] for C in (S.levi_civita, S.canonical)]
+    assert got == (CONNECTION_RUNS[runspec][suites[0]] if len(suites) == 1 else [1, 1])
+
+
+@pytest.mark.parametrize("runspec", ["flat.json", "tangent_bundle.json"])
+def test_report_file_is_the_hashed_encoding(tmp_path, runspec):
+    """The report file is the compact sorted JSON of the whole report on one
+    line, and its determinism hash is the SHA-256 of that encoding of the
+    report without the hash and the wall time (the README's contract),
+    recomputed here from the file alone."""
+    import hashlib
+
+    out = tmp_path / "report.json"
+    assert run(str(RUNSPECS / runspec), str(out)) == 0
+    text = out.read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    body = {k: v for k, v in report.items() if k not in ("determinism_hash", "wall_time_s")}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+    assert report["determinism_hash"] == digest
 
 
 @pytest.mark.parametrize("runspec, suites, built", [

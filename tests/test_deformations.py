@@ -296,6 +296,30 @@ def test_f_flux_matches_lie_structure_functions(flat2, flat1):
     assert f[0, 0, 1] == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_repeated_calls_leave_no_bracket_entries_behind():
+    """`maurer_cartan_sides` brackets P^B X and P^B Y and `f_flux` its frame
+    fields, all built anew on each call: 50 calls of each on one structure
+    leave its bracket table, after a collection, no larger than the first
+    call did."""
+    import gc
+
+    from paraherm.models import build_flat
+
+    model = build_flat(2)
+    T = b_transform(model.S, make_b(model.chart, {(0, 1): "xt1"}))
+    rng = np.random.default_rng(60)
+    X, Y, Z = (random_vector_field(model.chart, rng) for _ in range(3))
+    p = sample_points(model, 1, 61)[0]
+    A = np.array([["exp(x2)", "0"], ["x1", "1"]], dtype=object)
+    sizes = []
+    for _ in range(50):
+        maurer_cartan_sides(T, X, Y, Z, p)
+        f_flux(T.S, A, p)
+        gc.collect()
+        sizes.append(len(T.S.bracket_table))
+    assert max(sizes) <= sizes[0], sizes
+
+
 def test_f_flux_singular_frame(flat2):
     p = sample_points(flat2, 1, 20)[0]
     A = np.array([["0", "0"], ["0", "1"]], dtype=object)

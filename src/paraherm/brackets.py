@@ -17,11 +17,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .connections import Connection, covd_jets, nabla_jets, require_torsionless
+from .connections import (Connection, covariant_differential, covd_jets, nabla_jets,
+                          require_torsionless)
 from .errors import NotIntegrable, RankMismatch
 from .geometry import (
     DerivedField,
     Field,
+    apply_endomorphism,
     as_batch,
     constant_jets,
     contract_value,
@@ -106,12 +108,13 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
         x2 = e2.vec.at(p, k + 1)
         a1 = e1.cov.at(p, k + 1)
         a2 = e2.cov.at(p, k + 1)
-        vec = covd_jets(gamma, x1, x2, 1, 0) - covd_jets(gamma, x2, x1, 1, 0)
-        cov = covd_jets(gamma, x1, a2, 0, 1) - covd_jets(gamma, x2, a1, 0, 1)
+        nx1, na1 = nabla_jets(gamma, x1, 1, 0), nabla_jets(gamma, a1, 0, 1)
+        vec = covd_jets(gamma, x1, x2, 1, 0) - tdot(x2, nx1, ([0], [0]))
+        cov = covd_jets(gamma, x1, a2, 0, 1) - tdot(x2, na1, ([0], [0]))
         # + <nabla_Z e1, e2> as a covector in Z:
         #   alpha2(nabla_Z X1) + (nabla_Z alpha1)(X2)
-        covX = tdot(nabla_jets(gamma, x1, 1, 0), a2, ([1], [0]))
-        covA = tdot(nabla_jets(gamma, a1, 0, 1), x2, ([1], [0]))
+        covX = tdot(nx1, a2, ([1], [0]))
+        covA = tdot(na1, x2, ([1], [0]))
         return vec, cov + covX + covA
 
     inputs = (C.christoffels, e1.vec, e1.cov, e2.vec, e2.cov)
@@ -124,47 +127,58 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
 # Brackets associated to a connection on an almost para-Hermitian manifold
 # --------------------------------------------------------------------------
 
-def _bracket_core(C, S, X, Y, project):
+def _bracket_core(C, S, X, Y, project, operands):
     """The one builder of bracket fields, which callers reach through S's
     table (`_shared_bracket`), apart from `maurer_cartan_sides` and `f_flux`,
     which bracket fields they build per call and share with no one:
     eta([X,Y], Z) = eta(nabla_X Y - nabla_Y X, Z) + eta(nabla_Z X, Y), with all three connection arguments projected by
-    P_project when `project` is a sign (+1 or -1), none when it is None."""
+    P_project when `project` is a sign (+1 or -1), none when it is None.
+    The body reads its operands, nabla X, nabla Y, eta(Y, .) and P X, P Y,
+    as fields of the table `operands` (S.operand_table, or a per-call
+    dict), so brackets that share an operand evaluate it once per point."""
     P = None if project is None else S.projector(project)
 
-    def fn(p, k):
-        gamma = C.christoffels.at(p, k)
-        eta, eta_inv = S.eta.at(p, k), S.eta_inv.at(p, k)
-        Pj = None if P is None else P.at(p, k)
-        xj = X.at(p, k + 1)
-        yj = Y.at(p, k + 1)
-        if P is None:
-            dirx, diry = xj, yj
-        else:
-            dirx = tdot(Pj, xj, ([1], [0]))
-            diry = tdot(Pj, yj, ([1], [0]))
-        w = covd_jets(gamma, dirx, yj, 1, 0) - covd_jets(gamma, diry, xj, 1, 0)
-        xi = tdot(eta, w, ([0], [0]))
-        # c_I = eta(nabla_{d_I} X, Y)
-        eta_y = tdot(eta, yj, ([0], [0]))
-        full = tdot(nabla_jets(gamma, xj, 1, 0), eta_y, ([1], [0]))
-        xi = xi + (full if P is None else tdot(Pj, full, ([0], [0])))
-        return tdot(eta_inv, xi, ([1], [0]))
+    def operand(build, a, b):
+        return _table_field(operands, (id(a), id(b)), lambda: build(a, b), a, b)
 
-    inputs = (C.christoffels, S.eta, S.eta_inv, X, Y) + (() if P is None else (P,))
+    NX, NY = (operand(covariant_differential, C, V) for V in (X, Y))  # [A, I] = nabla_I V^A
+    EY = operand(_lowered, S.eta, Y)
+    DX, DY = (X, Y) if P is None else (operand(apply_endomorphism, P, V) for V in (X, Y))
+
+    def fn(p, k):
+        nx, ny = NX.at(p, k), NY.at(p, k)
+        w = tdot(DX.at(p, k), ny, ([0], [1])) - tdot(DY.at(p, k), nx, ([0], [1]))
+        xi = tdot(S.eta.at(p, k), w, ([0], [0]))
+        # c_I = eta(nabla_{d_I} X, Y)
+        full = tdot(nx, EY.at(p, k), ([0], [0]))
+        xi = xi + (full if P is None else tdot(P.at(p, k), full, ([0], [0])))
+        return tdot(S.eta_inv.at(p, k), xi, ([1], [0]))
+
+    inputs = (NX, NY, EY, DX, DY, S.eta, S.eta_inv) + (() if P is None else (P,))
     return DerivedField(S.chart, 1, 0, fn, inputs=inputs)
+
+
+def _lowered(eta, Y):
+    """eta(Y, .), the covector Y^A eta_AB."""
+    return DerivedField(Y.chart, 0, 1, lambda p, k: tdot(eta.at(p, k), Y.at(p, k), ([0], [0])),
+                        inputs=(eta, Y))
+
+
+def _table_field(table, key, build, *alive):
+    """`table`'s field under `key`, built by `build()` on first request, so
+    every caller shares its memo.  The entry holds `alive`, the objects
+    whose ids are in `key`, so no id in its key is reused while it lives."""
+    entry = table.get(key)
+    if entry is None:
+        entry = table[key] = (build(), *alive)
+    return entry[0]
 
 
 def _shared_bracket(C, S, X, Y, project):
     """S's one bracket field of (C, X, Y, project), built by `_bracket_core`
-    on first request, so every caller shares its memo.  The entry holds C, X
-    and Y beside the field, so no id in its key is reused while it lives;
-    the table lives and dies with S."""
-    key = (id(C), id(X), id(Y), project)
-    entry = S.bracket_table.get(key)
-    if entry is None:
-        entry = S.bracket_table[key] = (_bracket_core(C, S, X, Y, project), C, X, Y)
-    return entry[0]
+    on first request from S's shared operands."""
+    return _table_field(S.bracket_table, (id(C), id(X), id(Y), project),
+                        lambda: _bracket_core(C, S, X, Y, project, S.operand_table), C, X, Y)
 
 
 def associated_bracket(C: Connection, S, X: Field, Y: Field) -> Field:

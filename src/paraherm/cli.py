@@ -31,6 +31,7 @@ from . import brackets as br
 from . import deformations as df
 from .connections import check_adapted
 from .errors import InsufficientJetOrder, ParahermError, SpecParseError
+from .expr import Coord, parse_expr
 from .geometry import (
     Chart,
     TensorField,
@@ -120,10 +121,18 @@ def _spec_int(obj, key, default, section):
 
 def _spec_names(mspec, key):
     """`mspec[key]` as a JSON list of coordinate names, never a string split
-    into one-letter names: anything else is a `[model]` SpecParseError."""
+    into one-letter names, each of which an expression reads as its
+    coordinate (one identifier, not a function name such as `sin`):
+    anything else is a `[model]` SpecParseError."""
     value = mspec[key]
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise SpecParseError(f"{key} must be a list of names, got {value!r}", "model")
+    for name in value:
+        with contextlib.suppress(ParahermError):
+            if parse_expr(name, [name]) == Coord(0):
+                continue
+        raise SpecParseError(f"{key} name {name!r} is not an identifier an expression "
+                             "can read", "model")
     return value
 
 

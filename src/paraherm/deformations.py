@@ -182,8 +182,9 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     PBX = apply_endomorphism(PB, X)
     PBY = apply_endomorphism(PB, Y)
     # P^B X and P^B Y are built per call and shared with no other caller, so
-    # their bracket is built outside S's table, which would keep it for S's life.
-    br = brackets._bracket_core(S.canonical, S, PBX, PBY, None).at(point, 0)
+    # their bracket and its operands are built outside S's tables, which
+    # would keep them for S's life.
+    br = brackets._bracket_core(S.canonical, S, PBX, PBY, None, {}).at(point, 0)
     zj = tdot(PB.at(point, 0), Z.at(point, 0), ([1], [0]))
     lhs = contract_value(point, S.eta.at(point, 0), br, zj)
     rhs = contract_value(point, mc_form(T).at(point, 0), X.at(point, 0),
@@ -359,10 +360,11 @@ def f_flux(S, A_block, point, order=0) -> np.ndarray:
     dual = concat_jets([constant_jets(inv.ctx, np.zeros((n, n))), inv.transpose()])
     eta = S.eta.at(point, order)
     out = np.zeros(point.batch + (n, n, n))
+    operands = {}
     for a in range(n):
         for b in range(n):
             # The frame fields are built per call: see `maurer_cartan_sides`.
             br = brackets._bracket_core(S.canonical, S, frame[a], frame[b],
-                                        None).at(point, order)
+                                        None, operands).at(point, order)
             out[..., :, a, b] = tdot(dual, tdot(eta, br, ([0], [0])), ([0], [0])).values()
     return out

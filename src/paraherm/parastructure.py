@@ -53,7 +53,9 @@ class ParaHermitianStructure:
     `const` where eta and K are, and callers read the ones they need
     (`S.eta.at(point, order)`); `fields` lists all six.  `bracket_table`
     holds the brackets built on it, one field per (connection, X, Y,
-    projection) (`brackets.associated_bracket`)."""
+    projection) (`brackets.associated_bracket`), and `operand_table` the
+    fields their bodies read, one per (connection, X) for nabla X, per
+    (projector, X) for P X and per (eta, Y) for eta(Y, .)."""
 
     def __init__(self, chart, eta: Field, K: Field):
         if eta.rank != (0, 2) or K.rank != (1, 1):
@@ -77,6 +79,7 @@ class ParaHermitianStructure:
                                     inputs=(K,))
         self.fields = (eta, K, self.eta_inv, self.omega, self.P_plus, self.P_minus)
         self.bracket_table = {}
+        self.operand_table = {}
 
     def projector(self, sign) -> Field:
         return self.P_plus if sign > 0 else self.P_minus

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +11,7 @@ from paraherm.brackets import (
     jacobi_defect, pairing, projected_bracket, schouten_scalar, schouten_self,
     standard_dorfman,
 )
-from paraherm.connections import flat_connection, levi_civita
+from paraherm.connections import flat_connection, levi_civita, nabla_jets
 from paraherm.errors import NotIntegrable, NotTorsionless
 from paraherm.geometry import (
     TensorField, apply_endomorphism, constant_field,
@@ -17,7 +19,7 @@ from paraherm.geometry import (
     lie_derivative, scalar_pairing, stack_points, tdot,
 )
 from paraherm.models import build_flat, build_tm, sphere_base
-from paraherm.parastructure import rho, rho_field
+from paraherm.parastructure import ParaHermitianStructure, rho, rho_field
 from paraherm.randfields import (
     random_bivector, random_form, random_metric_perturbation, random_poly,
     random_vector_field,
@@ -213,8 +215,71 @@ def test_table_bracket_equals_a_fresh_build(table_models, model, kind, orders, b
     point = stack_points(pts) if batch else pts[0]
     bracket, (C, project) = _kinds(S)[kind]
     for k in orders:
-        fresh = br._bracket_core(C, S, X, Y, project).at(point, k)
+        fresh = br._bracket_core(C, S, X, Y, project, {}).at(point, k)
         assert _bits(bracket(X, Y).at(point, k)) == _bits(fresh)
+
+
+def _reference_bracket(C, S, X, Y, project, point, k):
+    """The bracket of (C, X, Y, project) at (point, k) from `nabla_jets` and
+    `tdot` directly, in the order of the bracket's own arithmetic, with no
+    operand field in between."""
+    gamma = C.christoffels.at(point, k)
+    eta, eta_inv = S.eta.at(point, k), S.eta_inv.at(point, k)
+    xj, yj = X.at(point, k + 1), Y.at(point, k + 1)
+    nx, ny = nabla_jets(gamma, xj, 1, 0), nabla_jets(gamma, yj, 1, 0)  # [I, A]
+    P = None if project is None else S.projector(project).at(point, k)
+    dirx, diry = (xj, yj) if P is None else (tdot(P, v, ([1], [0])) for v in (xj, yj))
+    w = tdot(dirx, ny, ([0], [0])) - tdot(diry, nx, ([0], [0]))
+    full = tdot(nx, tdot(eta, yj, ([0], [0])), ([1], [0]))
+    full = full if P is None else tdot(P, full, ([0], [0]))
+    return tdot(eta_inv, tdot(eta, w, ([0], [0])) + full, ([1], [0]))
+
+
+@TABLE_SETTINGS
+@given(model=st.sampled_from(["flat", "sphere"]),
+       kind=st.sampled_from(["d", "levi_civita", "plus", "minus"]),
+       orders=st.permutations([0, 1, 2]), batch=st.booleans(), seed=st.integers(0, 2**16))
+def test_shared_operands_give_the_bits_of_a_direct_reference(table_models, model, kind,
+                                                             orders, batch, seed):
+    """[X,Y] and [Y,X], which read the same nabla X, nabla Y and P X, P Y
+    from S's operand table, asked at orders 0-2 in any sequence, have the
+    bits of the bracket formula computed directly, at a point and at a
+    batch."""
+    m = table_models[model]
+    S = m.S
+    rng = np.random.default_rng(seed)
+    X, Y = (random_vector_field(S.chart, rng, degree=2) for _ in range(2))
+    pts = sample_points(m, 3, seed, box=sphere_box() if model == "sphere" else None)
+    point = stack_points(pts) if batch else pts[0]
+    bracket, (C, project) = _kinds(S)[kind]
+    for k in orders:
+        for A, B in ((X, Y), (Y, X)):
+            want = _reference_bracket(C, S, A, B, project, point, k)
+            assert _bits(bracket(A, B).at(point, k)) == _bits(want)
+
+
+def test_each_operand_runs_once_per_point_and_order(flat2):
+    """A D-bracket and a Jacobi defect at each of a few fresh points, and a
+    batch of them, run each operand's body at most once per (point, order):
+    the brackets that read it share its memo."""
+    S = ParaHermitianStructure(flat2.chart, flat2.S.eta, flat2.S.K)
+    rng = np.random.default_rng(48)
+    X, Y, Z = (random_vector_field(S.chart, rng, degree=2) for _ in range(3))
+    bracket = lambda A, B: d_bracket(S, A, B)  # noqa: E731
+    pts = sample_points(flat2, 4, 49)
+    jacobi_defect(bracket, X, Y, Z, pts[0])
+    runs = Counter()
+    for entry in S.operand_table.values():
+        def counted(p, k, _fn=entry[0].fn, _field=entry[0]):
+            runs[(_field, p.key, k)] += 1
+            return _fn(p, k)
+        entry[0].fn = counted
+    for point in pts[1:] + [stack_points(pts)]:
+        d_bracket(S, X, Y).at(point, 0)
+        jacobi_defect(bracket, X, Y, Z, point)
+    assert len(S.operand_table) == 10
+    assert len({field for field, _, _ in runs}) == 10
+    assert set(runs.values()) == {1}, runs
 
 
 def test_rebuilt_fields_never_get_a_stale_entry(flat2):
@@ -223,7 +288,6 @@ def test_rebuilt_fields_never_get_a_stale_entry(flat2):
     import gc
 
     import paraherm.brackets as br
-    from paraherm.parastructure import ParaHermitianStructure
 
     S = ParaHermitianStructure(flat2.chart, flat2.S.eta, flat2.S.K)
     rng = np.random.default_rng(44)
@@ -232,7 +296,7 @@ def test_rebuilt_fields_never_get_a_stale_entry(flat2):
         X, Y = (random_vector_field(S.chart, rng, degree=1) for _ in range(2))
         got = d_bracket(S, X, Y).at(p, 1)
         assert len(S.bracket_table) == i + 1
-        assert _bits(got) == _bits(br._bracket_core(S.canonical, S, X, Y, None).at(p, 1))
+        assert _bits(got) == _bits(br._bracket_core(S.canonical, S, X, Y, None, {}).at(p, 1))
         del X, Y, got
         gc.collect()
 
@@ -523,9 +587,10 @@ def test_dbracket_memory_does_not_grow_with_the_point_count():
     """The stream's access pattern, a D-bracket asked afresh and one Jacobi
     defect at each of 2,000 fresh single points, retains no more memory than
     after 200: each field, structure and connection keeps the jets of its
-    last point only, and the structure's bracket table grows with the
-    distinct field pairs (six here), not with the points.  (With per-point
-    caches the retained memory grew by about 9.3 KB a point.)"""
+    last point only, and the structure's bracket and operand tables grow
+    with the distinct field pairs (six brackets, ten operands here), not
+    with the points.  (With per-point caches the retained memory grew by
+    about 9.3 KB a point.)"""
     import gc
     import tracemalloc
 
@@ -544,7 +609,7 @@ def test_dbracket_memory_does_not_grow_with_the_point_count():
             d_bracket(S, X, Y).at(p, 0)
             jacobi_defect(bracket, X, Y, Z, p)
         gc.collect()
-        assert len(S.bracket_table) == 6
+        assert (len(S.bracket_table), len(S.operand_table)) == (6, 10)
         return tracemalloc.get_traced_memory()[0]
 
     tracemalloc.start()

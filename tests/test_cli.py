@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import paraherm
-from paraherm import brackets as br, cli, geometry
+from paraherm import brackets as br, cli, connections, geometry
 from paraherm.cli import load_spec, main, print_report, run
 from paraherm.errors import InsufficientJetOrder, SpecParseError
 
@@ -108,6 +108,14 @@ def test_unknown_suite_exits_two(tmp_path):
     # Explicit points are lists of JSON numbers: neither a bool nor a string.
     ("sample", {"mode": "explicit", "points": [[True, 0, 0, 0]]}),
     ("sample", {"mode": "explicit", "points": [["0.5", 0, 0, 0]]}),
+    # Each coordinate name is one identifier an expression can read: not an
+    # expression, and not a function name, which always parses as the function.
+    ("model", {"name": "explicit", "coords": ["x", "x^-1"], "split": 1,
+               "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}),
+    ("model", {"name": "explicit", "coords": ["x", "sin"], "split": 1,
+               "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}),
+    ("model", {"name": "tangent_bundle", "base_coords": ["th", "cos"],
+               "metric": [["1", "0"], ["0", "2"]]}),
 ])
 @pytest.mark.filterwarnings("error")
 def test_malformed_spec_section_exits_two(tmp_path, capsys, section, value):
@@ -569,6 +577,42 @@ def test_each_bracket_is_built_once_per_structure(tmp_path, monkeypatch, runspec
     assert run(spec, str(tmp_path / "report.json")) == 0
     assert len(fields) == built
     assert [runs[f] for f in fields] == [1] * built
+
+
+# nabla_jets calls per run of each shipped runspec: one per nabla X of S's
+# operand table at each order it is read, and the few calls outside brackets.
+NABLA_RUNS = {"flat.json": 37, "tangent_bundle.json": 13}
+
+
+@pytest.mark.parametrize("runspec", sorted(NABLA_RUNS))
+def test_each_covariant_derivative_is_computed_once_per_order(tmp_path, monkeypatch,
+                                                             runspec):
+    """The brackets of a run read nabla X, P X and eta(Y, .) from S's
+    operand table, so each operand's body runs once per (point, order) it
+    is read at, and a run calls `nabla_jets` at most NABLA_RUNS times (191
+    and 57 when each bracket body computed its own)."""
+    calls, runs = [], Counter()
+    nabla_jets = connections.nabla_jets
+    for module in vars(paraherm).values():
+        if getattr(module, "nabla_jets", None) is nabla_jets:
+            monkeypatch.setattr(module, "nabla_jets",
+                                lambda *args: calls.append(1) or nabla_jets(*args))
+    at = geometry.DerivedField.at
+
+    def recorded_at(self, point, order=0):
+        memo = self._memo
+        out = at(self, point, order)
+        if self._memo is not memo:
+            runs[self, self._memo[0], order] += 1
+        return out
+
+    monkeypatch.setattr(geometry.DerivedField, "at", recorded_at)
+    S = _run_structure(monkeypatch, str(RUNSPECS / runspec), tmp_path)
+    assert 0 < len(calls) <= NABLA_RUNS[runspec]
+    operands = {entry[0] for entry in S.operand_table.values()}
+    got = [n for (field, _, _), n in runs.items() if field in operands]
+    assert len(got) >= len(operands) > 0
+    assert set(got) == {1}
 
 
 def _suite_residuals(tmp_path, spec, tag):

@@ -299,8 +299,8 @@ def test_f_flux_matches_lie_structure_functions(flat2, flat1):
 def test_repeated_calls_leave_no_bracket_entries_behind():
     """`maurer_cartan_sides` brackets P^B X and P^B Y and `f_flux` its frame
     fields, all built anew on each call: 50 calls of each on one structure
-    leave its bracket table, after a collection, no larger than the first
-    call did."""
+    leave every table it holds (its brackets and their operands), after a
+    collection, no larger than the first call did."""
     import gc
 
     from paraherm.models import build_flat
@@ -316,8 +316,9 @@ def test_repeated_calls_leave_no_bracket_entries_behind():
         maurer_cartan_sides(T, X, Y, Z, p)
         f_flux(T.S, A, p)
         gc.collect()
-        sizes.append(len(T.S.bracket_table))
-    assert max(sizes) <= sizes[0], sizes
+        sizes.append({name: len(t) for name, t in vars(T.S).items() if isinstance(t, dict)})
+    assert {"bracket_table", "operand_table"} <= set(sizes[0])
+    assert all(size == sizes[0] for size in sizes), sizes
 
 
 def test_f_flux_singular_frame(flat2):

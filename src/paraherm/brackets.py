@@ -25,6 +25,7 @@ from .geometry import (
     Field,
     apply_endomorphism,
     as_batch,
+    concat_jets,
     constant_jets,
     contract_value,
     exterior_derivative,
@@ -100,7 +101,7 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
     """
     chart = e1.chart
 
-    def comps(p, k):
+    def both(p, k):
         if check:
             require_torsionless(C, p)
         gamma = C.christoffels.at(p, k)
@@ -115,11 +116,14 @@ def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVec
         #   alpha2(nabla_Z X1) + (nabla_Z alpha1)(X2)
         covX = tdot(nx1, a2, ([1], [0]))
         covA = tdot(na1, x2, ([1], [0]))
-        return vec, cov + covX + covA
+        return concat_jets([vec, cov + covX + covA])
 
-    inputs = (C.christoffels, e1.vec, e1.cov, e2.vec, e2.cov)
-    vecf = DerivedField(chart, 1, 0, lambda p, k: comps(p, k)[0], inputs=inputs)
-    covf = DerivedField(chart, 0, 1, lambda p, k: comps(p, k)[1], inputs=inputs)
+    # One field of [vec; cov], so an evaluation computes both parts once.
+    comps = DerivedField(chart, 1, 0, both,
+                         inputs=(C.christoffels, e1.vec, e1.cov, e2.vec, e2.cov))
+    n = chart.dim
+    vecf = DerivedField(chart, 1, 0, lambda p, k: comps.at(p, k)[:n], inputs=(comps,))
+    covf = DerivedField(chart, 0, 1, lambda p, k: comps.at(p, k)[n:], inputs=(comps,))
     return GeneralizedVectorField(vecf, covf)
 
 
@@ -269,10 +273,13 @@ def dorfman_leafwise(S, side, e1: GeneralizedVectorField,
 
 def jacobi_defect(bracket, X, Y, Z, point):
     """Max-abs of [X,[Y,Z]] - [Y,[X,Z]] - [[X,Y],Z] at a point (a float), or
-    at a batch (one per point)."""
-    defect = bracket(X, bracket(Y, Z)) - bracket(Y, bracket(X, Z)) - bracket(
-        bracket(X, Y), Z
-    )
+    at a batch (one per point).  The inner brackets are evaluated first, at
+    the order 1 the outer ones read, so the operands they share with the
+    outer ones are not first evaluated at order 0."""
+    yz, xz, xy = bracket(Y, Z), bracket(X, Z), bracket(X, Y)
+    for inner in (yz, xz, xy):
+        inner.at(point, 1)
+    defect = bracket(X, yz) - bracket(Y, xz) - bracket(xy, Z)
     return defect.max_abs(point)
 
 

@@ -42,7 +42,9 @@ a connection's Christoffel symbols and the Nijenhuis gate are fields too.
 `Field.at` keeps its result at the last point or batch, at the highest order
 asked, and serves a request there at that order or lower as a prefix slice,
 so the nested operators, which ask their inputs for orders k, k+1 and k+2,
-evaluate each input once.  A field's jets are a function of (point, order),
+evaluate each input once.  A new point or batch is evaluated at the order
+the entry it replaces had reached, so a stream of fresh points evaluates
+each field once per point.  A field's jets are a function of (point, order),
 bit for bit: every kernel is order-stable (its result at order k is its
 result at order k + 1 truncated to k), as `*` and `tdot` sum each
 coefficient's pairs in the fixed order of their one table, and 1/x and the
@@ -80,6 +82,7 @@ from .errors import (
     DomainError,
     InsufficientJetOrder,
     NotAntisymmetric,
+    ParahermError,
     RankMismatch,
     SingularMetric,
 )
@@ -839,10 +842,11 @@ class Field:
         The subclasses memoise this with `_memo_at`: the jets of the most
         recent point or batch (of any point, for a `const` field) are kept
         at the highest order asked there, and a request there at that order
-        or lower is their prefix slice.  So a field's jets must be a
-        function of (point, order), as the order-stable kernels make them
-        (see the module docstring).  The caller gets a read-only array it
-        may share with other callers.
+        or lower is their prefix slice; a new point or batch is evaluated
+        at that order too, if it is higher than the one asked.  So a field's
+        jets must be a function of (point, order), as the order-stable
+        kernels make them (see the module docstring).  The caller gets a
+        read-only array it may share with other callers.
         """
         raise NotImplementedError
 
@@ -883,14 +887,21 @@ def _memo_at(at):
     and its result at the highest order asked there.
 
     A request at that point for the same order or lower is served by a
-    prefix slice, bit for bit the jets that order gives; a new point or a
-    higher order evaluates and replaces the entry, unless it raises.  A
-    `const` field's entry ignores the point: it is evaluated at the first
-    point asked, so without a batch axis, and serves every point and batch.
-    The entry records the order asked, which was within the chart's
-    jet-order budget, so a memo never serves a request past it.  The result
-    is made read-only, because every caller shares it.  Memory stays one
-    entry per field, whatever the number of points.
+    prefix slice, bit for bit the jets that order gives; a higher order
+    evaluates and replaces the entry, unless it raises.  A new point or
+    batch is evaluated at the higher of the order asked and the entry's, and
+    served by the slice, so fresh points read at the same orders evaluate
+    the field once each; the price is that a field once read at order k
+    evaluates every later point at k.  If that raises a ParahermError, the
+    order asked is evaluated instead, so a request returns or raises what
+    it would on an empty memo: a retry only on an error path, once per
+    nesting level.  A `const` field's entry ignores the point: it is
+    evaluated at the first point asked, so without a batch axis, and serves
+    every point and batch.  The entry records the order it was evaluated
+    at, which was within the chart's jet-order budget, so a memo never
+    serves a request past it.  The result is made read-only, because every
+    caller shares it.  Memory stays one entry per field, whatever the
+    number of points.
     """
 
     @wraps(at)
@@ -900,10 +911,17 @@ def _memo_at(at):
             return memo[2] if order == memo[1] else truncate_jets(memo[2], order)
         self.chart.context(order)  # raises InsufficientJetOrder past the budget
         key = None if self.const else point.key
-        value = at(self, point if key is not None else point.head(), order)
+        point = point if key is not None else point.head()
+        top = order if memo is None else max(order, memo[1])  # memo[1] < order at its key
+        try:
+            value = at(self, point, top)
+        except ParahermError:
+            if top == order:
+                raise
+            top, value = order, at(self, point, order)
         value.coeffs.flags.writeable = False
-        self._memo = (key, order, value)
-        return value
+        self._memo = (key, top, value)
+        return value if top == order else truncate_jets(value, order)
 
     return memo_at
 

@@ -282,6 +282,43 @@ def test_each_operand_runs_once_per_point_and_order(flat2):
     assert set(runs.values()) == {1}, runs
 
 
+def test_each_field_body_runs_once_per_fresh_point(flat2, monkeypatch):
+    """After a first point, a D-bracket and a Jacobi defect at each fresh
+    point, and then at their batch, run every field body (tapes, operands,
+    brackets) exactly once there, whatever orders are read: each field is
+    evaluated at the order its previous point reached.  The counter keys
+    hold the tapes and fields, so no id is reused while it counts."""
+    import paraherm.geometry as geometry
+
+    runs = Counter()
+    eval_expr, init = geometry.eval_expr, DerivedField.__init__
+
+    def counted_eval(tape, coords, order):
+        runs[(tape, coords.tobytes())] += 1
+        return eval_expr(tape, coords, order)
+
+    def counted_init(self, chart, r, s, fn, *args, **kwargs):
+        def counted(p, k):
+            runs[(self, p.coords.tobytes())] += 1
+            return fn(p, k)
+        init(self, chart, r, s, counted, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "eval_expr", counted_eval)
+    monkeypatch.setattr(DerivedField, "__init__", counted_init)
+    S = ParaHermitianStructure(flat2.chart, flat2.S.eta, flat2.S.K)
+    rng = np.random.default_rng(50)
+    X, Y, Z = (random_vector_field(S.chart, rng, degree=2) for _ in range(3))
+    bracket = lambda A, B: d_bracket(S, A, B)  # noqa: E731
+    pts = sample_points(flat2, 4, 51)
+    for point in pts + [stack_points(pts[1:])]:
+        runs.clear()
+        d_bracket(S, X, Y).at(point, 0)
+        jacobi_defect(bracket, X, Y, Z, point)
+        assert point is pts[0] or set(runs.values()) == {1}, runs
+    assert {V.tape for V in (X, Y, Z)} <= {body for body, _ in runs}
+    assert len(runs) > len(S.operand_table) + len(S.bracket_table)
+
+
 def test_rebuilt_fields_never_get_a_stale_entry(flat2):
     """Fields dropped and rebuilt in a loop each get their own bracket: an
     entry keeps its inputs alive, so no new field reuses the id in its key."""
@@ -322,6 +359,29 @@ def test_standard_dorfman_vs_connection_form(flat2):
             a, b = sd.at(p, 0), dc.at(p, 0)
             assert np.max(np.abs(a.vec.values() - b.vec.values())) < 1e-9
             assert np.max(np.abs(a.cov.values() - b.cov.values())) < 1e-9
+
+
+def test_dorfman_via_connection_computes_its_parts_once(flat2, monkeypatch):
+    """One evaluation of the connection form computes its vector and
+    covector parts together: four covariant derivatives (nabla X1, nabla
+    alpha1 and the two in nabla_{X1} e2), not eight."""
+    import paraherm.brackets as br
+    import paraherm.connections as connections
+
+    calls = []
+    nabla_jets = connections.nabla_jets
+    for module in (br, connections):
+        monkeypatch.setattr(module, "nabla_jets",
+                            lambda *args: calls.append(1) or nabla_jets(*args))
+    rng = np.random.default_rng(16)
+    chart = flat2.chart
+    e1, e2 = (GeneralizedVectorField(random_vector_field(chart, rng),
+                                     random_form(chart, rng, k=1)) for _ in range(2))
+    dc = dorfman_via_connection(flat_connection(chart), e1, e2)
+    for p in sample_points(flat2, 2, 17):
+        calls.clear()
+        dc.at(p, 1)
+        assert len(calls) == 4
 
 
 def test_dorfman_connection_requires_torsionless(flat2):

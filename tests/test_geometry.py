@@ -399,7 +399,8 @@ def test_memo_serves_lower_orders_from_one_evaluation(chart4):
     assert len(calls) == 2
     F.at(q, 0)
     F.at(p, 0)
-    assert calls == [2, 3, 0, 0]
+    # A new point is evaluated at the order its predecessor reached.
+    assert calls == [2, 3, 3, 3]
 
 
 @settings(max_examples=60, deadline=None)
@@ -451,7 +452,49 @@ def test_failed_evaluation_keeps_the_entry(chart4):
             F.at(bad, k)
     assert F.at(p, 2) is kept
     assert np.array_equal(F.at(p, 1).coeffs, truncate_jets(kept, 1).coeffs)
-    assert len(calls) == 3
+    # q is tried at the entry's order 2, then at the order 0 asked.
+    assert calls == [2, 2, 0, 3]
+
+
+def _bits(jets):
+    """The bytes of a jet array, with -0.0 read as 0.0: the sign of an exact
+    zero is the one thing order stability does not fix."""
+    return (jets.coeffs + 0.0).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), npts=st.integers(2, 3),
+       requests=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                         max_size=12))
+def test_memo_sequences_match_fresh_fields(seed, npts, requests):
+    """Any sequence of (point, order) requests over a few points and their
+    batch gets, from a field and from a bracket of fields, the bits a fresh
+    field gives at that point and order, however high the memo's order."""
+    chart = Chart(["x1", "x2", "xt1", "xt2"], split=2, jet_order=4)
+    rng = np.random.default_rng(seed)
+    X, Y = (random_vector_field(chart, rng) for _ in range(2))
+    points = pts(chart, npts, seed % 1000)
+    points.append(stack_points(points))
+    F = lie_bracket(X, Y)
+    for i, k in requests:
+        point = points[min(i, npts)]
+        fresh = lie_bracket(*(TensorField(chart, 1, 0, V.comps) for V in (X, Y)))
+        assert _bits(F.at(point, k)) == _bits(fresh.at(point, k))
+        assert _bits(X.at(point, k)) == _bits(TensorField(chart, 1, 0, X.comps).at(point, k))
+
+
+def test_memo_falls_back_to_the_order_asked():
+    """x^-2 at x = 1e-120 is finite at order 0 but not at order 1: after an
+    order-2 read elsewhere, order 0 there still gives a fresh field's jets,
+    and order 1 still raises."""
+    chart = Chart(["x", "xt"], split=1)
+    comps = np.array(["x^-2", "xt"], dtype=object)
+    F = TensorField(chart, 1, 0, comps)
+    p, q = chart.point([0.5, 0.3]), chart.point([1e-120, 0.3])
+    F.at(p, 2)
+    assert _bits(F.at(q, 0)) == _bits(TensorField(chart, 1, 0, comps).at(q, 0))
+    with pytest.raises(DomainError):
+        F.at(q, 1)
 
 
 def test_field_jets_are_read_only(chart4):

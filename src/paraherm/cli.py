@@ -8,8 +8,15 @@ which is excluded from the determinism hash stored in the report.  The
 report file is compact JSON with sorted keys on one line, encoded as the
 hash is (`python3 -m json.tool` indents it).
 
-Exit codes: 0 all requested suites pass, 1 at least one suite fails,
-2 the spec itself is invalid or the report cannot be written.
+Each suite is a `Suite` record in `SUITES`: its jet order, tolerance key,
+gates, integrable sides and connections, and a body that measures.  Calling
+a record runs the shared part: it evaluates the gates once per run, writes
+the skip row (or, for a structure that is not para-Hermitian, the failure
+row), reads the declared connections, calls the body and builds the row.
+
+Exit codes: 0 all requested suites pass, 1 at least one suite fails (every
+suite but `validate` fails where the structure does), 2 the spec itself is
+invalid or the report cannot be written.
 """
 
 from __future__ import annotations
@@ -23,13 +30,14 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import brackets as br
 from . import deformations as df
-from .connections import check_adapted
+from .connections import check_adapted, curvature
 from .errors import InsufficientJetOrder, ParahermError, SpecParseError
 from .expr import Coord, parse_expr
 from .geometry import (
@@ -169,41 +177,72 @@ class _RunContext:
             if name not in SUITES:
                 raise SpecParseError(f"unknown suite {name!r}", "suites")
         # The highest order the run's suites read the structure at.
-        self.order = max((SUITE_JET_ORDERS[name] for name in self.suites), default=0)
+        self.order = max((SUITES[name].order for name in self.suites), default=0)
+        self._nijenhuis = {}
 
     def check_domain(self):
         """Evaluate the structure's six fields on the sample at the highest
-        order the run's suites read (SUITE_JET_ORDERS; 0 for `validate`
-        alone), and the b-field at order 0, so that a sample point outside
-        an expression's domain, where eta is singular (its inverse raises
-        SingularMetric) or where the jets overflow at that order, is a spec
-        error naming the point before any suite runs.  Every suite then
-        reads the six fields' lower orders as memo slices, so each is
-        evaluated once per run."""
+        order the run's suites read (their records' `order`; 0 for
+        `validate` alone), and the b-field at order 0, so that a sample
+        point outside an expression's domain, where eta is singular (its
+        inverse raises SingularMetric) or where the jets overflow at that
+        order, is a spec error naming the point before any suite runs.
+        Every suite then reads the six fields' lower orders as memo slices,
+        so each is evaluated once per run.  Last it computes the structure's
+        invariants, which every run reads, so that one that overflows is a
+        spec error too."""
         with _spec_section("sample"):
             for f in self.model.S.fields:
                 f.at(self.batch, self.order)
             if self.b_field is not None:
                 self.b_field.at(self.batch, 0)
+            self.structure
 
-    def prepare(self, C):
-        """C, with its Christoffel symbols evaluated on the sample at the
-        highest order the run's suites read them: one below `order`, as the
-        symbols at order k read eta at k + 1.  A suite calls it before its
-        first read of a connection, after its gates, so a connection no
-        suite reads is never evaluated, and one that is read is evaluated
-        once per run: every later read is a memo slice."""
-        C.christoffels.at(self.batch, self.order - 1)
-        return C
+    # -- gates, each computed once per run ------------------------------------
 
-    def nijenhuis_gate(self, sign):
-        """Largest Nijenhuis residual of the `sign` eigenbundle over the sample.
+    def shut(self, gate, tol):
+        """None if `gate` lets a suite of tolerance `tol` run, else the
+        (reason, residuals) of the row it writes instead."""
+        if gate == "structure":
+            failing = self.failing
+            return ("structure is not para-Hermitian at tolerance", failing) if failing else None
+        if gate == "split":
+            split = self.model.chart.split
+            return ("needs adapted (split) coordinates", {}) if split is None else None
+        if gate == "b_field":
+            return ("no b_field in spec", {}) if self.b_field is None else None
+        if gate == "flat":
+            curv = self.curvature
+            return None if curv <= tol else ("eta is not flat", {"curvature": curv})
+        raise ValueError(f"unknown gate {gate!r}")
 
-        The single skip rule: `adapted` (per side) and `courant_plus` /
-        `courant_minus` skip a side whose gate exceeds the suite's tolerance.
-        The gate is a memoised field, evaluated once per side and run.
-        """
-        return float(np.max(self.model.S.integrability_residual(sign, self.batch)))
+    @functools.cached_property
+    def structure(self):
+        """`validate_structure` on the sample from the order-0 slices of the
+        fields `check_domain` evaluated, so it evaluates none: what `validate`
+        reports, the `structure` gate, and the verdict of a run of no suite."""
+        return validate_structure(self.model.S, self.batch, tol=self.tol["validate"])
+
+    @functools.cached_property
+    def failing(self):
+        """The structure's invariants above `tolerances.validate`, by name."""
+        return {k: v for k, v in self.structure.residuals.items() if not v <= self.tol["validate"]}
+
+    @functools.cached_property
+    def curvature(self):
+        """The flatness gate: the largest curvature component of eta's
+        Levi-Civita connection at the first three points.  It evaluates the
+        whole batch: it shares the other suites' jets, and the work does
+        not depend on the sample size."""
+        return float(np.max(curvature(self.model.S.levi_civita).max_abs(self.batch)[:3]))
+
+    def nijenhuis(self, sign):
+        """The Nijenhuis gate of the `sign` eigenbundle: its largest
+        residual over the sample (`integrability_residual`)."""
+        if sign not in self._nijenhuis:
+            self._nijenhuis[sign] = float(np.max(
+                self.model.S.integrability_residual(sign, self.batch)))
+        return self._nijenhuis[sign]
 
     @functools.cached_property
     def transformation(self):
@@ -317,228 +356,180 @@ class _RunContext:
 # Suites
 # --------------------------------------------------------------------------
 
-def _suite_result(name, passed, residuals, witnesses=(), expected_fail=False,
-                  skipped=False, reason=None):
-    finite = [v for v in residuals.values() if isinstance(v, (int, float))]
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "expected_fail": bool(expected_fail),
-        "skipped": bool(skipped),
-        "reason": reason,
-        "max_residual": float(max(finite)) if finite else 0.0,
-        "residuals": {k: float(v) for k, v in residuals.items()},
-        "witnesses": list(witnesses),
-    }
+@dataclass(frozen=True)
+class Suite:
+    """One check suite as data: its name, jet order (the depth of its deepest
+    bracket nesting on a model whose eta and K are given directly, which
+    `tests/test_cli.py` checks), tolerance key, `gates` (as `_RunContext.shut`
+    names them), the eigenbundle `sides` it needs integrable, the
+    connections of the structure it `reads`, and a body `(ctx, tol, *open
+    sides) -> dict` of `passed`, `residuals`, and optionally `witnesses` and
+    the suite's own report keys.  Calling it runs it: a shut gate writes its
+    row (a failure for `structure`, a skip for the others), as do all sides
+    shut; past them, the declared connections are evaluated at one below
+    the run's order (the symbols at order k read eta at k + 1), so each is
+    evaluated once per run and only if read; then the body runs."""
+
+    name: str
+    order: int
+    tol: str
+    body: object
+    gates: tuple = ("structure",)
+    sides: tuple = ()
+    reads: tuple = ()
+    expected_fail: bool = False
+
+    def __call__(self, ctx):
+        tol = ctx.tol[self.tol]
+        for gate in self.gates:
+            if shut := ctx.shut(gate, tol):
+                reason, residuals = shut
+                failed = gate == "structure"
+                return self._result(not failed, residuals, skipped=not failed, reason=reason)
+        closed = {sign: g for sign in self.sides if not (g := ctx.nijenhuis(sign)) <= tol}
+        one = len(self.sides) == 1  # v1 names a one-sided suite's gate apart
+        noted = {"nijenhuis" if one else f"{_SIDE[sign]}_side_skipped_nijenhuis": g
+                 for sign, g in closed.items()}
+        if self.sides and len(closed) == len(self.sides):
+            reason = ("eigenbundle not integrable at tolerance" if one
+                      else "no integrable side at tolerance")
+            return self._result(True, noted, skipped=True, reason=reason)
+        for name in self.reads:
+            getattr(ctx.model.S, name).christoffels.at(ctx.batch, ctx.order - 1)
+        out = self.body(ctx, tol, *(sign for sign in self.sides if sign not in closed))
+        return self._result(out.pop("passed"), noted | out.pop("residuals"), **out)
+
+    def _result(self, passed, residuals, witnesses=(), skipped=False, reason=None, **extra):
+        """The suite's report v1 row; `max_residual` folds in every residual."""
+        return {"name": self.name, "passed": bool(passed), "expected_fail": self.expected_fail,
+                "skipped": skipped, "reason": reason,
+                "max_residual": float(max(residuals.values(), default=0.0)),
+                "residuals": {k: float(v) for k, v in residuals.items()},
+                "witnesses": list(witnesses), **extra}
 
 
-def suite_validate(ctx):
-    rep = validate_structure(ctx.model.S, ctx.batch, tol=ctx.tol["validate"])
-    wit = [
-        {"residual": v, "invariant": k}
-        for k, v in rep.residuals.items() if not v <= ctx.tol["validate"]
-    ]
-    return _suite_result("validate", rep.passed, rep.residuals, wit)
+_SIDE = {+1: "p", -1: "n"}
 
 
-def suite_classify(ctx):
-    ctx.prepare(ctx.model.S.levi_civita)
-    rep = classify(ctx.model.S, ctx.batch, tol=ctx.tol["classify"])
-    residuals = dict(rep.residuals)
-    residuals.update(rep.cross_checks)
-    ok = all(v <= ctx.tol["classify"] for v in rep.cross_checks.values())
-    out = _suite_result("classify", ok, residuals)
-    out["flags"] = rep.flags
-    return out
+def _validate(ctx, tol):
+    failing = ctx.failing
+    return {"passed": not failing, "residuals": ctx.structure.residuals,
+            "witnesses": [{"residual": v, "invariant": k} for k, v in failing.items()]}
 
 
-def suite_adapted(ctx):
+def _classify(ctx, tol):
+    rep = classify(ctx.model.S, ctx.batch, tol=tol)
+    ok = all(v <= tol for v in rep.cross_checks.values())
+    return {"passed": ok, "residuals": rep.residuals | rep.cross_checks, "flags": rep.flags}
+
+
+def _adapted(ctx, tol, *signs):
     """Canonical-connection adapted check, per integrable side."""
     S = ctx.model.S
-    tol = ctx.tol["adapted"]
-    residuals = {}
-    witnesses = []
-    checked = False
-    ok = True
-    for side, sign in (("p", +1), ("n", -1)):
-        integ = ctx.nijenhuis_gate(sign)
-        if not integ <= tol:
-            residuals[f"{side}_side_skipped_nijenhuis"] = integ
-            continue
-        checked = True
-        rep = check_adapted(ctx.prepare(S.canonical), S, side, ctx.batch, seed=ctx.seed,
-                            tol=tol)
-        for cond, val in rep.conditions.items():
-            residuals[f"{side}_cond{cond}"] = val
+    residuals, witnesses, ok = {}, [], True
+    for sign in signs:
+        rep = check_adapted(S.canonical, S, _SIDE[sign], ctx.batch, seed=ctx.seed, tol=tol)
+        residuals.update({f"{_SIDE[sign]}_cond{c}": v for c, v in rep.conditions.items()})
         witnesses.extend(rep.witnesses)
         ok = ok and rep.passed
-    if not checked:
-        return _suite_result("adapted", True, residuals, skipped=True,
-                             reason="no integrable side at tolerance")
-    return _suite_result("adapted", ok, residuals, witnesses)
+    return {"passed": ok, "residuals": residuals, "witnesses": witnesses}
 
 
-def _eta_scale(ctx):
-    """max(1, max |eta|) at each sample point: the Courant suites divide the
-    residuals of the pairing axioms by it, as `validate` divides its own."""
-    return np.maximum(1.0, ctx.model.S.eta.max_abs(ctx.batch))
-
-
-def _courant_projected(ctx, sign, name):
+def _courant(ctx, tol, bracket, anchor):
+    """The Courant axioms of `bracket` with `anchor` and the pairing eta on
+    the run's pool; the residuals of the pairing axioms are divided by
+    max(1, max |eta|) at each sample point, as `validate` divides its own."""
     S = ctx.model.S
-    tol = ctx.tol["courant"]
-    integ = ctx.nijenhuis_gate(sign)
-    if not integ <= tol:
-        return _suite_result(name, True, {"nijenhuis": integ}, skipped=True,
-                             reason="eigenbundle not integrable at tolerance")
-    C = ctx.prepare(S.canonical)
-    bracket = lambda X, Y: br.projected_bracket(C, S, sign, X, Y)
-    anchor = lambda X: apply_endomorphism(S.projector(sign), X)
     pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
     rep = br.courant_axiom_suite(bracket, anchor, pair, ctx.pool, ctx.batch, tol=tol,
-                                 scale=_eta_scale(ctx))
-    res = {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3": rep.axiom3}
-    return _suite_result(name, rep.passed(), res,
-                         [w | {"axiom": k} for k, w in rep.witnesses.items()])
+                                 scale=np.maximum(1.0, S.eta.max_abs(ctx.batch)))
+    return rep, [w | {"axiom": k} for k, w in rep.witnesses.items()]
 
 
-def suite_courant_plus(ctx):
-    return _courant_projected(ctx, +1, "courant_plus")
+def _courant_projected(ctx, tol, sign):
+    S = ctx.model.S
+    rep, witnesses = _courant(
+        ctx, tol, lambda X, Y: br.projected_bracket(S.canonical, S, sign, X, Y),
+        lambda X: apply_endomorphism(S.projector(sign), X))
+    return {"passed": rep.passed(), "witnesses": witnesses,
+            "residuals": {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3": rep.axiom3}}
 
 
-def suite_courant_minus(ctx):
-    return _courant_projected(ctx, -1, "courant_minus")
-
-
-def suite_courant_d_full(ctx):
+def _courant_d_full(ctx, tol):
     """Full D-bracket: axioms 1-2 must pass, axiom 3 must fail with a witness."""
     S = ctx.model.S
-    tol = ctx.tol["courant"]
-    ctx.prepare(S.canonical)
-    bracket = lambda X, Y: br.d_bracket(S, X, Y)
-    anchor = lambda X: X
-    pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
-    rep = br.courant_axiom_suite(bracket, anchor, pair, ctx.pool, ctx.batch, tol=tol,
-                                 scale=_eta_scale(ctx))
-    res = {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3_defect": rep.axiom3}
+    rep, witnesses = _courant(ctx, tol, lambda X, Y: br.d_bracket(S, X, Y), lambda X: X)
     ok = rep.axiom1 <= tol and rep.axiom2 <= tol and rep.axiom3 > ctx.tol["witness_floor"]
-    return _suite_result("courant_d_full", ok, res,
-                         [w | {"axiom": k} for k, w in rep.witnesses.items()],
-                         expected_fail=True)
+    return {"passed": ok, "witnesses": witnesses, "residuals": {
+        "axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3_defect": rep.axiom3}}
 
 
-def suite_jacobi_defect_witness(ctx):
+def _jacobi_defect_witness(ctx, floor):
     """Record a concrete Jacobi-defect witness for the full D-bracket."""
     S = ctx.model.S
-    ctx.prepare(S.canonical)
-    bracket = lambda X, Y: br.d_bracket(S, X, Y)
-    defects = br.jacobi_defect(bracket, *ctx.pool, ctx.batch)
+    defects = br.jacobi_defect(lambda X, Y: br.d_bracket(S, X, Y), *ctx.pool, ctx.batch)
     i = int(np.argmax(defects))  # the first worst point
     worst = float(defects[i])
-    ok = worst > ctx.tol["witness_floor"]
-    wit = []
-    if worst > 0.0:
-        wit = [{"point": ctx.batch.coords[i].tolist(), "defect": worst}]
-    return _suite_result("jacobi_defect_witness", ok, {"max_defect": worst}, wit,
-                         expected_fail=True)
+    wit = [{"point": ctx.batch.coords[i].tolist(), "defect": worst}] if worst > 0.0 else []
+    return {"passed": worst > floor, "residuals": {"max_defect": worst}, "witnesses": wit}
 
 
-def suite_section_condition(ctx):
+def _section_condition(ctx, tol):
     """Fields depending only on the plus coordinates: minus bracket and
-    Jacobi defect must vanish.  Needs a flat model in adapted coordinates."""
+    Jacobi defect must vanish.  Needs a flat model in adapted coordinates.
+    The defect reads the pool's brackets at order 1 first, so the minus
+    bracket reads their order-0 slices."""
     S = ctx.model.S
-    chart = ctx.model.chart
-    tol = ctx.tol["section"]
-    if chart.split is None:
-        return _suite_result("section_condition", True, {}, skipped=True,
-                             reason="needs adapted (split) coordinates")
-    from .connections import curvature
-
-    # The flatness gate reads the first three points, but evaluates the whole
-    # batch: it shares the other suites' jets, and the work does not depend
-    # on the sample size.
-    curv = float(np.max(curvature(ctx.prepare(S.levi_civita)).max_abs(ctx.batch)[:3]))
-    if not curv <= tol:
-        return _suite_result("section_condition", True, {"curvature": curv},
-                             skipped=True, reason="eta is not flat")
-    pool = ctx.field_pool(vars_subset=list(range(chart.split)))
-    bracket = lambda X, Y: br.d_bracket(S, X, Y)
-    minus = br.projected_bracket(ctx.prepare(S.canonical), S, -1, pool[0], pool[1])
-    worst_minus = float(np.max(minus.max_abs(ctx.batch)))
-    jac = br.jacobi_defect(bracket, pool[0], pool[1], pool[2], ctx.batch)
-    worst_jac = float(np.max(jac))
-    res = {"minus_bracket": worst_minus, "jacobi_defect": worst_jac}
-    ok = worst_minus <= tol and worst_jac <= tol
-    return _suite_result("section_condition", ok, res)
+    X, Y, Z = ctx.field_pool(vars_subset=list(range(ctx.model.chart.split)))
+    jac = float(np.max(br.jacobi_defect(lambda U, V: br.d_bracket(S, U, V), X, Y, Z,
+                                        ctx.batch)))
+    minus = float(np.max(br.projected_bracket(S.canonical, S, -1, X, Y).max_abs(ctx.batch)))
+    return {"passed": minus <= tol and jac <= tol,
+            "residuals": {"minus_bracket": minus, "jacobi_defect": jac}}
 
 
-def suite_deform(ctx):
-    if ctx.b_field is None:
-        return _suite_result("deform", True, {}, skipped=True,
-                             reason="no b_field in spec")
-    tol = ctx.tol["deform"]
+def _deform(ctx, tol):
+    """The B-transformed structure: valid, and its Maurer-Cartan sides agree.
+    The two-sided check reads the first five points of the whole batch, for
+    the reason given at `_RunContext.curvature`, and reads the sheared
+    fields at order 1 before the validation reads their order-0 slices."""
     T = ctx.transformation
+    agree = float(np.max(df.maurer_cartan_sides(T, *ctx.pool, ctx.batch).agreement[:5]))
     vrep = validate_structure(T.structure_B, ctx.batch, tol=ctx.tol["validate"])
     compat = df.compatibility_residual(T, ctx.batch)
-    # The two-sided check reads the first five points of the whole batch,
-    # for the reason given in `suite_section_condition`.
-    ctx.prepare(ctx.model.S.canonical)
-    sides = df.maurer_cartan_sides(T, *ctx.pool, ctx.batch)
-    agree = float(np.max(sides.agreement[:5]))
-    res = {"structure_validation": max(vrep.residuals.values()),
-           "mc_two_sides_agreement": agree, "mc_residual": compat}
-    ok = vrep.passed and agree <= tol
-    out = _suite_result("deform", ok, res)
-    out["compatible"] = bool(compat <= tol)
-    return out
+    return {"passed": vrep.passed and agree <= tol, "compatible": bool(compat <= tol),
+            "residuals": {"structure_validation": max(vrep.residuals.values()),
+                          "mc_two_sides_agreement": agree, "mc_residual": compat}}
 
 
-def suite_fluxes(ctx):
-    if ctx.b_field is None:
-        return _suite_result("fluxes", True, {}, skipped=True,
-                             reason="no b_field in spec")
-    tol = ctx.tol["fluxes"]
+def _fluxes(ctx, tol):
     reports = df.extract_fluxes(ctx.transformation, ctx.batch)
-    res = {
-        "reassembly": max(r.reassembly_residual for r in reports),
-        "vanishing_parts": max(r.vanishing_residual for r in reports),
-        "h_plus_r_vs_B_part": max(r.cross_check_residual for r in reports),
-    }
-    ok = all(v <= tol for v in res.values())
-    out = _suite_result("fluxes", ok, res)
-    out["flux_reports"] = [r.to_dict() for r in reports]
-    return out
+    res = {"reassembly": max(r.reassembly_residual for r in reports),
+           "vanishing_parts": max(r.vanishing_residual for r in reports),
+           "h_plus_r_vs_B_part": max(r.cross_check_residual for r in reports)}
+    return {"passed": all(v <= tol for v in res.values()), "residuals": res,
+            "flux_reports": [r.to_dict() for r in reports]}
 
 
-# The jet order each suite evaluates its fields at, on a model whose eta and
-# K are given directly (`jet_margin` 0): the depth of its deepest bracket
-# nesting.  `tests/test_cli.py` runs each suite one order below this and
-# expects InsufficientJetOrder, so the table cannot drift.
-SUITE_JET_ORDERS = {
-    "validate": 0,
-    "classify": 1,
-    "adapted": 1,
-    "courant_plus": 2,
-    "courant_minus": 2,
-    "courant_d_full": 2,
-    "jacobi_defect_witness": 2,
-    "section_condition": 2,
-    "deform": 1,
-    "fluxes": 1,
-}
+_CANONICAL = ("canonical",)
 
-SUITES = {
-    "validate": suite_validate,
-    "classify": suite_classify,
-    "adapted": suite_adapted,
-    "courant_plus": suite_courant_plus,
-    "courant_minus": suite_courant_minus,
-    "courant_d_full": suite_courant_d_full,
-    "jacobi_defect_witness": suite_jacobi_defect_witness,
-    "section_condition": suite_section_condition,
-    "deform": suite_deform,
-    "fluxes": suite_fluxes,
-}
+# Every suite by name; `validate` alone has no structure gate, since it
+# reports the structure's invariants itself.
+SUITES = {suite.name: suite for suite in (
+    Suite("validate", 0, "validate", _validate, gates=()),
+    Suite("classify", 1, "classify", _classify, reads=("levi_civita",)),
+    Suite("adapted", 1, "adapted", _adapted, sides=(+1, -1), reads=_CANONICAL),
+    Suite("courant_plus", 2, "courant", _courant_projected, sides=(+1,), reads=_CANONICAL),
+    Suite("courant_minus", 2, "courant", _courant_projected, sides=(-1,), reads=_CANONICAL),
+    Suite("courant_d_full", 2, "courant", _courant_d_full, reads=_CANONICAL,
+          expected_fail=True),
+    Suite("jacobi_defect_witness", 2, "witness_floor", _jacobi_defect_witness,
+          reads=_CANONICAL, expected_fail=True),
+    Suite("section_condition", 2, "section", _section_condition,
+          gates=("structure", "split", "flat"), reads=_CANONICAL),
+    Suite("deform", 1, "deform", _deform, gates=("structure", "b_field"), reads=_CANONICAL),
+    Suite("fluxes", 1, "fluxes", _fluxes, gates=("structure", "b_field")),
+)}
 
 
 # --------------------------------------------------------------------------
@@ -547,10 +538,10 @@ SUITES = {
 
 def check_jet_order(ctx):
     """Raise InsufficientJetOrder naming the first of the run's suites whose
-    jet order (SUITE_JET_ORDERS, plus the orders the model's eta and K
+    jet order (its record's `order`, plus the orders the model's eta and K
     consume) exceeds the spec's `jet_order`."""
     for name in ctx.suites:
-        need = SUITE_JET_ORDERS[name] + ctx.model.jet_margin
+        need = SUITES[name].order + ctx.model.jet_margin
         if need > ctx.jet_order:
             raise InsufficientJetOrder(
                 f"suite {name!r} needs jet order {need}, the spec gives {ctx.jet_order}")
@@ -583,7 +574,9 @@ def run(spec_path, output_path=None, verbose=False) -> int:
         except ParahermError as exc:
             print(f"spec error in suite {name!r}: {exc}", file=sys.stderr)
             return 2
-    passed = all(r["passed"] for r in results)
+    # The structure gate holds for the whole run, so a run of no suite
+    # passes only on a para-Hermitian structure too.
+    passed = all(r["passed"] for r in results) and not ctx.failing
     report = {
         "report_version": REPORT_VERSION,
         "spec": spec,
@@ -623,10 +616,7 @@ def print_report(report):
             status = "FAIL"
         wit = ""
         if r["witnesses"]:
-            w = sorted(
-                r["witnesses"],
-                key=lambda x: x.get("point", []),
-            )[0]
+            w = min(r["witnesses"], key=lambda x: x.get("point", []))
             if "point" in w:
                 wit = "@ " + ", ".join(f"{c:+.3f}" for c in w["point"])
             if r["reason"]:

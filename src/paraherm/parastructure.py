@@ -19,7 +19,7 @@ from .connections import (
     covariant_differential,
     levi_civita,
 )
-from .errors import RankMismatch
+from .errors import DomainError, RankMismatch
 from .geometry import (
     DerivedField,
     Field,
@@ -142,9 +142,11 @@ class ValidationReport:
         return all(v <= self.tol for v in self.residuals.values())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> ValidationReport:
     """Pointwise residuals for every defining invariant of (eta, K), on the
-    sample as one batch."""
+    sample as one batch.  Raises DomainError naming the first point where
+    one is not finite (finite values whose products overflow)."""
     batch = as_batch(sample)
     K, eta, omega, Pp, Pm = (f.values(batch)  # (point, a, b) each
                              for f in (S.K, S.eta, S.omega, S.P_plus, S.P_minus))
@@ -162,6 +164,9 @@ def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> Validati
         "isotropy_plus": per_point_max(T(Pp) @ eta @ Pp) / scale,
         "isotropy_minus": per_point_max(T(Pm) @ eta @ Pm) / scale,
     }
+    finite = np.all([np.isfinite(vals) for vals in worst.values()], axis=0)
+    if not finite.all():
+        raise DomainError(f"structure invariants are not finite at {batch.first(~finite)[1]}")
     return ValidationReport({key: float(vals.max()) for key, vals in worst.items()}, tol)
 
 

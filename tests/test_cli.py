@@ -2,6 +2,7 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import paraherm
@@ -253,6 +254,100 @@ def test_nijenhuis_gate_is_shared(tmp_path, monkeypatch):
     assert courant["residuals"] == {"nijenhuis": 5e-9}
 
 
+def _skip(name, reason, residuals):
+    """The report v1 row of a suite that one of its gates skipped."""
+    return {"name": name, "passed": True, "expected_fail": False, "skipped": True,
+            "reason": reason, "max_residual": max(residuals.values(), default=0.0),
+            "residuals": residuals, "witnesses": []}
+
+
+def _tm_gates():
+    """The tangent-bundle runspec's flatness gate (curvature over the first
+    three points) and its plus-side Nijenhuis gate, from a fresh context."""
+    from paraherm.connections import curvature
+
+    ctx = cli._RunContext(_spec_from("tangent_bundle.json"))
+    S = ctx.model.S
+    return (float(np.max(curvature(S.levi_civita).max_abs(ctx.batch)[:3])),
+            float(np.max(S.integrability_residual(+1, ctx.batch))))
+
+
+SPLITLESS = {"name": "explicit", "coords": ["x", "y"],
+             "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}
+
+
+@pytest.mark.parametrize("case", ["no_b_field", "no_split", "curved", "not_integrable",
+                                  "both_sides"])
+def test_each_gate_writes_the_v1_skip_result(tmp_path, monkeypatch, case):
+    """Every gate a suite declares skips it with report v1's exact row: its
+    reason, and the gate's residuals under their v1 names."""
+    curv, nij = _tm_gates() if case in ("curved", "not_integrable") else (None, None)
+    spec, expected = {
+        "no_b_field": (_spec_from("flat.json", b_field=None, suites=["deform", "fluxes"]),
+                       [_skip("deform", "no b_field in spec", {}),
+                        _skip("fluxes", "no b_field in spec", {})]),
+        "no_split": (dict(_spec_from("flat.json", suites=["section_condition"]),
+                          model=SPLITLESS, b_field=None),
+                     [_skip("section_condition", "needs adapted (split) coordinates", {})]),
+        "curved": (_spec_from("tangent_bundle.json", suites=["section_condition"]),
+                   [_skip("section_condition", "eta is not flat", {"curvature": curv})]),
+        "not_integrable": (_spec_from("tangent_bundle.json", suites=["courant_plus"]),
+                           [_skip("courant_plus", "eigenbundle not integrable at tolerance",
+                                  {"nijenhuis": nij})]),
+        "both_sides": (_spec_from("flat.json", suites=["adapted"]),
+                       [_skip("adapted", "no integrable side at tolerance",
+                              {"p_side_skipped_nijenhuis": 5e-9,
+                               "n_side_skipped_nijenhuis": 5e-9})]),
+    }[case]
+    if case == "both_sides":
+        from paraherm.parastructure import ParaHermitianStructure
+
+        monkeypatch.setattr(ParaHermitianStructure, "integrability_residual",
+                            lambda self, sign, point: 5e-9)
+    spec = {k: v for k, v in spec.items() if v is not None}
+    out = tmp_path / "r.json"
+    assert run(write_spec(tmp_path, "s.json", spec), str(out)) == 0
+    assert json.loads(out.read_text())["suites"] == expected
+    assert curv is None or curv > 1e-9 and nij > 1e-9
+
+
+
+@pytest.mark.parametrize("eta, K, suites, failing", [
+    # eta = identity is not anti-preserved by K: eta(K., K.) = eta.
+    ([["1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]], ["classify", "adapted"],
+     {"eta_anticompat", "omega_antisymmetric", "isotropy_plus", "isotropy_minus"}),
+    # K^2 != 1 and tr K != 0, where courant_plus alone once read 2.2e-16.
+    ([["0", "1"], ["1", "0"]], [["0.5", "0"], ["0", "-1"]], ["courant_plus"],
+     {"K_squared", "trace_K", "eta_anticompat", "omega_antisymmetric", "projectors",
+      "isotropy_minus"}),
+])
+def test_a_structure_that_is_not_para_hermitian_fails_every_suite(tmp_path, capsys, eta, K,
+                                                                  suites, failing):
+    """Every suite but `validate` reads (eta, K) as an almost para-Hermitian
+    structure, so where `validate` fails, each of them fails too (exit 1),
+    naming the failing invariants as its residuals; so does a run of no
+    suite, which passes on a para-Hermitian structure."""
+    base = {
+        "model": {"name": "explicit", "coords": ["x", "y"], "split": 1, "eta": eta, "K": K},
+        "sample": {"mode": "explicit", "points": [[0.1, 0.2], [-0.3, 0.5]]},
+    }
+    assert run(write_spec(tmp_path, "none.json", dict(base, suites=[]))) == 1
+    assert run(write_spec(tmp_path, "flat.json", _spec_from("flat.json", suites=[]))) == 0
+    spec = write_spec(tmp_path, "s.json", dict(base, suites=suites + ["validate"]))
+    out = tmp_path / "r.json"
+    assert run(spec, str(out)) == 1
+    rows = {r["name"]: r for r in json.loads(out.read_text())["suites"]}
+    invariants = {k: v for k, v in rows.pop("validate")["residuals"].items() if v > 1e-10}
+    assert set(invariants) == failing
+    for name in suites:
+        assert rows[name] == {
+            "name": name, "passed": False, "expected_fail": False, "skipped": False,
+            "reason": "structure is not para-Hermitian at tolerance",
+            "max_residual": max(invariants.values()), "residuals": invariants,
+            "witnesses": []}
+    assert run(spec) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+
 # -- pre-flight: a spec that cannot be evaluated is rejected before any suite ------
 
 def _spec_from(name, **changes):
@@ -270,20 +365,24 @@ PREFLIGHT_CASES = (
 
 
 @pytest.mark.parametrize("runspec, suite", PREFLIGHT_CASES)
-def test_suite_jet_order_table(monkeypatch, runspec, suite):
-    """Each suite runs at its declared jet order (plus the model's margin)
-    and raises InsufficientJetOrder one order below, so the table used by
-    the pre-flight cannot drift from what the suites evaluate.  The
-    context's `prepare` reads the connections at the table's order, so it
-    would raise one order below whatever the suite reads: it is left out,
-    and the suite's own reads decide."""
-    monkeypatch.setattr(cli._RunContext, "prepare", lambda ctx, C: C)
+def test_suite_jet_order_table(runspec, suite):
+    """Each suite's body runs at its record's jet order (plus the model's
+    margin) and raises InsufficientJetOrder one order below, so the order
+    used by the pre-flight cannot drift from what the suites evaluate.  The
+    runner reads the connections at the run's order before the body, so it
+    would raise one order below whatever the body reads: the body is called
+    without it, on all of the record's sides, and its own reads decide."""
+    record = cli.SUITES[suite]
     spec = _spec_from(runspec, sample={"count": 2})
-    ctx = cli._RunContext(spec)
-    need = cli.SUITE_JET_ORDERS[suite] + ctx.model.jet_margin
-    cli.SUITES[suite](cli._RunContext(dict(spec, jet_order=need)))
+    need = record.order + cli._RunContext(spec).model.jet_margin
+
+    def body(jet_order):
+        ctx = cli._RunContext(dict(spec, jet_order=jet_order))
+        return record.body(ctx, ctx.tol[record.tol], *record.sides)
+
+    body(need)
     with pytest.raises(InsufficientJetOrder):
-        cli.SUITES[suite](cli._RunContext(dict(spec, jet_order=need - 1)))
+        body(need - 1)
 
 
 def test_jet_order_preflight_runs_no_suite(tmp_path, capsys):
@@ -337,6 +436,22 @@ def test_coordinate_free_spec_fails_preflight(tmp_path, capsys, eta, message):
     assert err.startswith("spec error: ") and "[sample]" in err and "in suite" not in err
     assert message in err and "at Point([0.5, 0.0])" in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_invariants_that_overflow_are_a_spec_error(tmp_path, capsys):
+    """K = diag(1e308, -1) has finite jets, but K K overflows: the pre-flight
+    names the point (exit 2) rather than report an infinite residual."""
+    spec = write_spec(tmp_path, "s.json", {
+        "model": {"name": "explicit", "coords": ["x", "y"], "split": 1,
+                  "eta": [["0", "1"], ["1", "0"]], "K": [[1e308, "0"], ["0", "-1"]]},
+        "sample": {"mode": "explicit", "points": [[0.5, 0.0], [2.0, 0.25]]},
+        "suites": [],
+    })
+    assert run(spec, str(tmp_path / "r.json")) == 2
+    err = capsys.readouterr().err
+    assert err == ("spec error: sample error: structure invariants are not finite at "
+                   "Point([0.5, 0.0]) [sample]\n")
 
 
 @pytest.mark.parametrize("where", ["missing/r.json", "."])
@@ -615,6 +730,34 @@ def test_each_covariant_derivative_is_computed_once_per_order(tmp_path, monkeypa
     assert len(got) >= len(operands) > 0
     assert set(got) == {1}
 
+
+
+# Fields evaluated twice at one batch per run of each shipped runspec: one
+# operand of `courant_axiom_suite` (flat `courant_plus`, tm `courant_minus`),
+# read at order 0 by one triple's axioms 1-2 and at order 1 by the next
+# triple's Jacobi defect.  Flat made 8 while `section_condition` read its
+# minus bracket before its defect and `deform` validated the sheared
+# structure before its Maurer-Cartan sides.
+CLIMBS = {"flat.json": 1, "tangent_bundle.json": 1}
+
+
+@pytest.mark.parametrize("runspec", sorted(CLIMBS))
+def test_suites_read_each_field_at_its_highest_order_first(tmp_path, monkeypatch, runspec):
+    """A suite that reads a field at two orders on one batch reads the higher
+    first, so the lower is a memo slice and not a second evaluation."""
+    runs = Counter()
+    at = geometry.DerivedField.at
+
+    def recorded_at(self, point, order=0):
+        memo = self._memo
+        out = at(self, point, order)
+        if self._memo is not memo:
+            runs[self, self._memo[0]] += 1
+        return out
+
+    monkeypatch.setattr(geometry.DerivedField, "at", recorded_at)
+    assert run(str(RUNSPECS / runspec), str(tmp_path / "report.json")) == 0
+    assert sum(n > 1 for n in runs.values()) == CLIMBS[runspec]
 
 def _suite_residuals(tmp_path, spec, tag):
     path = write_spec(tmp_path, f"{tag}.json", spec)

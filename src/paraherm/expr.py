@@ -22,9 +22,7 @@ parse time; evaluation never does name lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import (
     DimensionMismatch,
@@ -41,73 +39,81 @@ __all__ = [
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Union[Fraction, float]
+class Expr:
+    """An expression node.  Nodes are immutable; a node equals a node of its
+    own type with equal fields (so Const(0.0) == Const(-0.0)) and hashes as
+    it, and `match` reads the fields by keyword (`case Const(value=v)`).
+    Plain slotted classes, which import faster than dataclasses."""
+
+    __slots__ = ()
+    __match_args__ = ()  # the fields, in order
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__match_args__):
+            raise TypeError(f"{type(self).__name__} takes fields {self.__match_args__}")
+        for name, value in zip(self.__match_args__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     @property
     def children(self):
-        return ()
+        """The fields that are nodes, in order."""
+        return tuple(f for f in self._fields() if isinstance(f, Expr))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an expression node")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an expression node")
+
+    def __reduce__(self):  # copy and pickle through __init__
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Coord:
-    index: int
+class Const(Expr):
+    """A number: a `Fraction` when parsed from a literal that allows it, or a float."""
 
-    @property
-    def children(self):
-        return ()
+    __slots__ = __match_args__ = ("value",)
 
 
-def _unary(name):
-    @dataclass(frozen=True)
-    class Node:
-        arg: "Expr"
+class Coord(Expr):
+    """The coordinate at position `index` of the chart's coordinate names."""
 
-        @property
-        def children(self):
-            return (self.arg,)
-
-    Node.__name__ = Node.__qualname__ = name
-    return Node
+    __slots__ = __match_args__ = ("index",)
 
 
-def _binary(name):
-    @dataclass(frozen=True)
-    class Node:
-        left: "Expr"
-        right: "Expr"
-
-        @property
-        def children(self):
-            return (self.left, self.right)
-
-    Node.__name__ = Node.__qualname__ = name
-    return Node
+class _Unary(Expr):
+    __slots__ = __match_args__ = ("arg",)
 
 
-Neg = _unary("Neg")
-Sin = _unary("Sin")
-Cos = _unary("Cos")
-Exp = _unary("Exp")
-Sqrt = _unary("Sqrt")
-Add = _binary("Add")
-Sub = _binary("Sub")
-Mul = _binary("Mul")
-Div = _binary("Div")
+class _Binary(Expr):
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-    @property
-    def children(self):
-        return (self.base,)
+Neg, Sin, Cos, Exp, Sqrt = (type(name, (_Unary,), {"__slots__": ()})
+                            for name in ("Neg", "Sin", "Cos", "Exp", "Sqrt"))
+Add, Sub, Mul, Div = (type(name, (_Binary,), {"__slots__": ()})
+                      for name in ("Add", "Sub", "Mul", "Div"))
 
 
-Expr = Union[Const, Coord, Neg, Add, Sub, Mul, Div, Pow, Sin, Cos, Exp, Sqrt]
+class Pow(Expr):
+    """`base` to the integer power `exponent`."""
+
+    __slots__ = __match_args__ = ("base", "exponent")
 
 
 # --------------------------------------------------------------------------

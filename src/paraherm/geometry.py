@@ -27,13 +27,17 @@ other modules go through the helpers next to `tdot` and `jets_gradient`.
 A scalar is the (0,0) field, and a scalar jet is a 0-d JetArray: indexing
 down to one component, contracting fully and a (0,0) field's `at` give one.
 The elementwise arithmetic (`*`, `/`, integer powers, `sin`, `cos`, `exp`,
-`sqrt`) works on JetArrays of any shape.  A `TensorField` compiles the
-`expr` trees of its components once, at construction, into a levelled
-`Tape`: equal subtrees share a slot, each subtree that reads no coordinate
-is a constant row computed once per jet order, and the other nodes run
-level by level, one kernel call for all the nodes of a level that share an
-operation and the degree classes of their operands, over one stacked
-buffer.  Each component gets the bits it gets evaluated alone.
+`sqrt`) works on JetArrays of any shape; `+`, `-`, `*` and powers n >= 0 are
+array kernels on (coefficients, degree bound) pairs, which the JetArray
+operators call.  A `TensorField` compiles the `expr` trees of its
+components once, at construction, into a levelled `Tape`: equal subtrees
+share a slot, each subtree that reads no coordinate is a constant row
+computed once per jet order, and the other nodes run level by level, one
+kernel call for all the nodes of a level that share an operation and the
+degree classes of their operands, over one stacked buffer.  `+`, `-`, `*`
+and powers n >= 0 run on that buffer through the same array kernels;
+division, negative powers, sin, cos, exp and sqrt call JetArray methods.
+Each component gets the bits it gets evaluated alone.
 `eval_expr` runs a tape (or one tree) for a point or a whole batch, and
 `TensorField.at` calls it once per evaluation.
 
@@ -204,6 +208,61 @@ def require_within(point, residuals, bound, error, label):
 
 
 # --------------------------------------------------------------------------
+# Jet arithmetic on coefficient arrays
+# --------------------------------------------------------------------------
+
+# Each kernel takes the jet context and its operands as coefficient arrays,
+# each followed by its degree bound (see `JetArray`), and returns the
+# result's (coeffs, deg).  JetArray's `+`, `-`, `*` and powers call them, and
+# a `Tape` runs them on the slots of its buffer.
+
+def _add(ctx, ca, da, cb, db):
+    return np.add(ca, cb), max(da, db)
+
+
+def _subtract(ctx, ca, da, cb, db):
+    return np.subtract(ca, cb), max(da, db)
+
+
+def _negative(ctx, c, d):
+    return np.negative(c), d
+
+
+def _product(ctx, ca, da, cb, db):
+    """The elementwise product, broadcast as numpy broadcasts.  A zero
+    operand gives zeros and a constant one its value times the other; two
+    non-constant operands run the truncated Cauchy product, each
+    coefficient's pairs summed down its column of `_product_tables` from 0,
+    as `tdot` sums them."""
+    if da < 0 or db < 0:
+        return np.zeros(np.broadcast_shapes(ca.shape, cb.shape)), -1
+    if da == 0:
+        out = ca[..., :1] * cb
+    elif db == 0:
+        out = ca * cb[..., :1]
+    else:
+        ga, gb, mask = _product_tables(ctx)
+        out = (ca[..., ga] * cb[..., gb]).sum(axis=-2, where=mask)
+    return out, min(da + db, ctx.order)
+
+
+def _power(ctx, c, d, n):
+    """The elementwise power c ** n for an integer n >= 0, by squaring."""
+    if n == 0:
+        ones = np.zeros(c.shape)
+        ones[..., 0] = 1.0
+        return ones, 0
+    result, base = None, (c, d)
+    while n:
+        if n & 1:
+            result = base if result is None else _product(ctx, *result, *base)
+        n >>= 1
+        if n:
+            base = _product(ctx, *base, *base)
+    return result
+
+
+# --------------------------------------------------------------------------
 # Expressions
 # --------------------------------------------------------------------------
 
@@ -236,12 +295,16 @@ def eval_expr(e, coords, order) -> JetArray:
 # kernel takes the product path it takes alone.
 _ZERO, _CONST, _VAR = 0, 1, 2
 
-_KERNELS = {
-    ex.Neg: operator.neg, ex.Add: operator.add, ex.Sub: operator.sub,
-    ex.Mul: operator.mul, ex.Div: operator.truediv, ex.Pow: operator.pow,
+# A tape runs these on its own buffer; the other operations, and negative or
+# non-integer powers, are JetArray calls.
+_ARRAY_KERNELS = {ex.Neg: _negative, ex.Add: _add, ex.Sub: _subtract, ex.Mul: _product,
+                  ex.Pow: _power}
+_JET_KERNELS = {
+    ex.Div: operator.truediv, ex.Pow: operator.pow,
     ex.Sin: operator.methodcaller("sin"), ex.Cos: operator.methodcaller("cos"),
     ex.Exp: operator.methodcaller("exp"), ex.Sqrt: operator.methodcaller("sqrt"),
 }
+_UNARY = (ex.Neg, ex.Sin, ex.Cos, ex.Exp, ex.Sqrt)
 _BINARY = (ex.Add, ex.Sub, ex.Mul, ex.Div)
 # Kernels whose product paths follow their operands' degree classes; the
 # others only add, subtract or negate coefficients.
@@ -269,9 +332,11 @@ class Tape:
     computed once per jet order by the same kernels and kept on the tape.
     The other nodes are grouped by height, operation and the degree classes
     of their operands, which fix every product path inside the kernel; a
-    group is one JetArray kernel call over the stacked slots of one buffer
-    of shape (*batch, slots, ncoef), so each slot gets the bits its tree
-    alone gets.
+    group is one kernel call over the stacked slots of one buffer of shape
+    (*batch, slots, ncoef), so each slot gets the bits its tree alone gets.
+    `+`, `-`, `*` and powers n >= 0 run on the buffer's slots through the
+    array kernels the JetArray operators call; division, negative powers,
+    sin, cos, exp and sqrt wrap their operand slots in JetArrays.
     """
 
     def __init__(self, trees, shape=(), dim=None):
@@ -296,7 +361,7 @@ class Tape:
                 key = (t, (visit(e.left), visit(e.right)))
             elif t is ex.Pow:
                 key = (t, (visit(e.base),), e.exponent, type(e.exponent))
-            elif t in _KERNELS:
+            elif t in _UNARY:
                 key = (t, (visit(e.arg),))
             else:
                 raise TypeError(f"not an expression node: {e!r}")
@@ -348,8 +413,12 @@ class Tape:
             operands = [(np.array([slot[info[i][3][k]] for i in members]), c)
                         for k, c in enumerate(path)]
             lo = slot[members[0]]
+            # `**` by a negative or non-integer exponent stays a JetArray call.
+            n = exponent[0] if exponent else 0
+            on_array = t in _ARRAY_KERNELS and isinstance(n, (int, np.integer)) and n >= 0
+            kernel = _ARRAY_KERNELS[t] if on_array else _JET_KERNELS[t]
             (self.groups if reads else self.const_groups).append(
-                (_KERNELS[t], operands, exponent[:1], lo, lo + len(members)))
+                (kernel, on_array, operands, exponent[:1], lo, lo + len(members)))
         self._rows = {}  # order -> the constants, then the coordinates' unit gradients
 
     def run(self, coords, ctx) -> JetArray:
@@ -377,11 +446,22 @@ class Tape:
 
 def _run_groups(buf, groups, ctx, nb):
     """Run each group's kernel on its operand slots of `buf` (*batch, slots,
-    ncoef) and write the results to its own slots, level by level."""
+    ncoef) and write the results to its own slots, level by level.  `+`,
+    `-`, `*` and powers n >= 0 run on the gathered slots themselves; only
+    division, negative powers, sin, cos, exp and sqrt wrap them in
+    JetArrays."""
     degs = (-1, 0, ctx.order)
-    for kernel, operands, extra, lo, hi in groups:
-        args = [JetArray(ctx, buf.take(idx, axis=-2), degs[c], nb) for idx, c in operands]
-        buf[..., lo:hi, :] = kernel(*args, *extra).coeffs
+    for kernel, on_array, operands, extra, lo, hi in groups:
+        if not on_array:
+            args = [JetArray(ctx, buf.take(idx, axis=-2), degs[c], nb) for idx, c in operands]
+            buf[..., lo:hi, :] = kernel(*args, *extra).coeffs
+        elif len(operands) == 1:  # negation and powers
+            (idx, c), = operands
+            buf[..., lo:hi, :] = kernel(ctx, buf.take(idx, axis=-2), degs[c], *extra)[0]
+        else:
+            (ia, a), (ib, b) = operands
+            buf[..., lo:hi, :] = kernel(ctx, buf.take(ia, axis=-2), degs[a],
+                                        buf.take(ib, axis=-2), degs[b])[0]
 
 
 def _as_expr(chart, source):
@@ -465,12 +545,12 @@ class JetArray:
         return per_point_max(self.coeffs[..., 0], self.nb)
 
     def __add__(self, other):
-        return self._combine(other, np.add)
+        return self._combine(other, _add)
 
     def __sub__(self, other):
-        return self._combine(other, np.subtract)
+        return self._combine(other, _subtract)
 
-    def _combine(self, other, op):
+    def _combine(self, other, kernel):
         if not isinstance(other, JetArray):
             return NotImplemented
         a, b = self, other
@@ -480,10 +560,10 @@ class JetArray:
         if a.ctx is not b.ctx:
             a, b = _common(a, b)
             ca, cb = a.coeffs, b.coeffs
-        return JetArray(a.ctx, op(ca, cb), max(a.deg, b.deg), max(a.nb, b.nb))
+        return JetArray(a.ctx, *kernel(a.ctx, ca, a.deg, cb, b.deg), max(a.nb, b.nb))
 
     def __neg__(self):
-        return JetArray(self.ctx, -self.coeffs, self.deg, self.nb)
+        return JetArray(self.ctx, *_negative(self.ctx, self.coeffs, self.deg), self.nb)
 
     def __mul__(self, other):
         """Elementwise product: with a float, or with a JetArray broadcast
@@ -503,17 +583,8 @@ class JetArray:
             rank = max(a.ndim, b.ndim)
             ca = ca.reshape(a.batch + (1,) * (rank - a.ndim) + ca.shape[a.nb:])
             cb = cb.reshape(b.batch + (1,) * (rank - b.ndim) + cb.shape[b.nb:])
-        deg = -1 if a.deg < 0 or b.deg < 0 else min(a.deg + b.deg, a.ctx.order)
         try:
-            if deg < 0:
-                out = np.zeros(np.broadcast_shapes(ca.shape, cb.shape))
-            elif a.deg == 0:
-                out = ca[..., :1] * cb
-            elif b.deg == 0:
-                out = ca * cb[..., :1]
-            else:
-                ga, gb, mask = _product_tables(a.ctx)
-                out = (ca[..., ga] * cb[..., gb]).sum(axis=-2, where=mask)
+            out, deg = _product(a.ctx, ca, a.deg, cb, b.deg)
         except ValueError:
             raise RankMismatch(f"tensor shapes {a.shape} and {b.shape} do not broadcast") from None
         return JetArray(a.ctx, out, deg, max(a.nb, b.nb))
@@ -542,16 +613,7 @@ class JetArray:
         n = int(n)
         if n < 0:
             return self.reciprocal() ** -n
-        if n == 0:
-            return constant_jets(self.ctx, np.ones(self.batch + self.shape), self.nb)
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return JetArray(self.ctx, *_power(self.ctx, self.coeffs, self.deg, n), self.nb)
 
     def _compose(self, derivs):
         """f(self), given derivs[m], the m-th derivative of f at the values

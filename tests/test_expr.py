@@ -333,8 +333,31 @@ def test_forest_tape_is_byte_equal_to_each_tree_alone(forest, k, batch, seed):
         assert got.coeffs[..., i, :].tobytes() == alone.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("k", [0, 2])
+def test_tape_arithmetic_runs_on_its_buffer(monkeypatch, batch, k):
+    """`+`, `-`, negation, `*` (by zero, by a constant and by a jet) and
+    squares run on the tape's buffer: a run builds one JetArray, its result,
+    also where it computes its constant rows."""
+    names = ["x", "y", "z"]
+    trees = [parse_expr(s, names) for s in
+             ("x*y - 2*z^2", "-(x + y)^2 * z", "3*4 - x*x + (y - z)^2", "0*x + y", "(3 - 4)^2")]
+    tape = Tape(trees, (len(trees),))
+    built = []
+    init = JetArray.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JetArray, "__init__", counting)
+    coords = np.random.default_rng(7).uniform(-1.0, 1.0, batch + (3,))
+    got = eval_expr(tape, coords, k)
+    assert built == [got]
+
+
 def test_signed_zero_constants_keep_their_bits():
-    """Const(0.0) and Const(-0.0) are equal dataclasses but different bits,
+    """Const(0.0) and Const(-0.0) are equal nodes but different bits,
     so the tape gives them separate slots."""
     chart = Chart(["x", "xt"], split=1)
     K = TensorField(chart, 0, 2, np.array([[1.0, -0.0], [0.0, -1.0]]).astype(object))

@@ -337,12 +337,12 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
 
     `elements` is a pool of test sections; axioms are evaluated on ordered
     triples drawn deterministically from the pool, the cyclic shifts of
-    (e0, e1, e2, ...), each on the sample as one batch.  A triple's Jacobi
-    defect (axiom 3) is evaluated before axioms 1 and 2: with a bracket
-    that returns one shared field per pair (`d_bracket`,
-    `projected_bracket`), its inner brackets are then evaluated once, at
-    order 1, and axiom 1 and later triples read them from the memo, so a
-    pool of three builds 18 brackets, not 27.  Each point's residuals
+    (e0, e1, e2, ...), each on the sample as one batch.  Every triple's
+    Jacobi defect (axiom 3) is evaluated before any triple's axioms 1 and
+    2: with a bracket that returns one shared field per pair (`d_bracket`,
+    `projected_bracket`), the inner brackets and their operands are then
+    evaluated once, at order 1, and axioms 1 and 2 read them from the memo,
+    so a pool of three builds 18 brackets, not 27.  Each point's residuals
     of axioms 1 and 2, which are linear in the pairing, are divided by its
     entry of `scale` (one per sample point, 1 when None), so a caller can
     make them relative to the size of the metric; the Jacobi defect of
@@ -361,7 +361,8 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
     scale = 1.0 if scale is None else np.asarray(scale, dtype=float)
     for ti, (X, Y, Z) in enumerate(triples):
         res[3][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
-        if not skip_pairing:
+    if not skip_pairing:
+        for ti, (X, Y, Z) in enumerate(triples):
             lhs = lie_derivative(anchor(X), pair(Y, Z)).values(batch)
             r1 = (lhs - pair(bracket(X, Y), Z).values(batch)
                   - pair(Y, bracket(X, Z)).values(batch))

@@ -127,8 +127,19 @@ def canonical_connection_contorsion(S) -> Connection:
 
 def nabla_jets(gamma, tj, r, s):
     """nabla T at a point (or batch) from the jets of an (r,s) tensor, one order lower,
-    with the derivative index first: out[I, ...] = d_I T + Gamma corrections."""
+    with the derivative index first: out[I, ...] = d_I T + Gamma corrections.
+
+    Symbols that are exactly zero (deg -1, which never under-reports) give
+    the partials alone, truncated to Gamma's order where that is lower, as
+    the corrections would: each correction is out +- 0, so this skips r + s
+    contractions and sums with the same bits, except that -0.0 + 0.0 is
+    +0.0, so the sign of an exact zero may differ.  A scalar has no
+    correction, so it keeps the gradient's order; a batched zero Gamma with
+    an unbatched T takes the general path, which gives the batch axis.
+    """
     out = jets_gradient(tj)
+    if r + s and gamma.deg < 0 and gamma.nb <= tj.nb:
+        return truncate_jets(out, gamma.ctx.order)
     for axis in range(r):
         # + Gamma^A_{IM} T^{..M..}
         corr = tdot(gamma, tj, ([2], [axis])).moveaxis(1, 0)  # (I, A, rest)

@@ -319,6 +319,44 @@ def test_each_field_body_runs_once_per_fresh_point(flat2, monkeypatch):
     assert len(runs) > len(S.operand_table) + len(S.bracket_table)
 
 
+def test_zero_symbols_make_no_zero_operand_kernel_call(flat3, monkeypatch):
+    """At a fresh point of the stream (a D-bracket, the flat oracle and a
+    Jacobi defect, on the flat model, whose canonical symbols are exactly
+    zero), no `tdot` and no `+` or `-` has an all-zero operand: nabla_jets
+    differentiates by partials alone, where it made 6 and 6 such calls by
+    adding zero corrections."""
+    import paraherm
+    import paraherm.geometry as geometry
+
+    zero = Counter()
+    tdot, combine = geometry.tdot, geometry.JetArray._combine
+
+    def counted_tdot(a, b, axes):
+        zero["tdot"] += a.deg < 0 or b.deg < 0
+        return tdot(a, b, axes)
+
+    def counted_combine(self, other, kernel):
+        zero["+-"] += isinstance(other, geometry.JetArray) and min(self.deg, other.deg) < 0
+        return combine(self, other, kernel)
+
+    for module in vars(paraherm).values():
+        if getattr(module, "tdot", None) is tdot:
+            monkeypatch.setattr(module, "tdot", counted_tdot)
+    monkeypatch.setattr(geometry.JetArray, "_combine", counted_combine)
+    S, chart = flat3.S, flat3.chart
+    rng = np.random.default_rng(52)
+    X, Y, Z = (random_vector_field(chart, rng) for _ in range(3))
+    dbracket = lambda A, B: d_bracket(S, A, B)  # noqa: E731
+    for coords in rng.uniform(-1.0, 1.0, (2, chart.dim)):
+        zero.clear()
+        p = chart.point(coords)
+        dbracket(X, Y).values(p)
+        flat_coordinate_dbracket(chart, flat3.eta_matrix, X, Y).values(p)
+        jacobi_defect(dbracket, X, Y, Z, p)
+    assert S.canonical.christoffels.at(p, 0).deg < 0
+    assert (zero["tdot"], zero["+-"]) == (0, 0), zero
+
+
 def test_rebuilt_fields_never_get_a_stale_entry(flat2):
     """Fields dropped and rebuilt in a loop each get their own bracket: an
     entry keeps its inputs alive, so no new field reuses the id in its key."""

@@ -541,16 +541,17 @@ def test_courant_residuals_are_relative_to_eta(tmp_path):
 # -- per-point work does not creep back ------------------------------------------
 
 def _count_calls(monkeypatch, runs=None):
-    """Count `geometry.tdot` calls (in every module that imported it) and
-    `Field.at` calls (both subclasses' own methods); with a Counter `runs`,
-    also count into it each field's evaluations, the calls its memo does
-    not serve."""
+    """Count `geometry.tdot` calls (in every module that imported it), those
+    of them with an all-zero operand (deg < 0) and `Field.at` calls (both
+    subclasses' own methods); with a Counter `runs`, also count into it each
+    field's evaluations, the calls its memo does not serve."""
     counts = Counter()
     tdot = geometry.tdot
 
-    def counted_tdot(*args, **kwargs):
+    def counted_tdot(a, b, axes):
         counts["tdot"] += 1
-        return tdot(*args, **kwargs)
+        counts["zero tdot"] += a.deg < 0 or b.deg < 0
+        return tdot(a, b, axes)
 
     for name, module in vars(paraherm).items():
         if getattr(module, "tdot", None) is tdot:
@@ -580,6 +581,21 @@ def test_call_counts_do_not_grow_with_the_sample(tmp_path, monkeypatch, runspec)
         seen.append(dict(counts))
     assert seen[0]["tdot"] > 0 and seen[0]["Field.at"] > 0
     assert seen[0] == seen[1]
+
+
+# Contractions with an all-zero operand per flat run (73 while nabla_jets
+# added a zero correction per tensor slot for the flat structure's canonical
+# symbols, which are exactly zero).
+ZERO_TDOTS = 34
+
+
+def test_zero_symbols_are_not_contracted(tmp_path, monkeypatch):
+    """The flat runspec's canonical symbols are exactly zero, and nabla_jets
+    contracts nothing with them: a run makes at most ZERO_TDOTS contractions
+    with an all-zero operand."""
+    counts = _count_calls(monkeypatch)
+    assert run(str(RUNSPECS / "flat.json"), str(tmp_path / "report.json")) == 0
+    assert 0 < counts["tdot"] and counts["zero tdot"] <= ZERO_TDOTS, counts
 
 
 def _run_structure(monkeypatch, spec, tmp_path):
@@ -732,13 +748,13 @@ def test_each_covariant_derivative_is_computed_once_per_order(tmp_path, monkeypa
 
 
 
-# Fields evaluated twice at one batch per run of each shipped runspec: one
-# operand of `courant_axiom_suite` (flat `courant_plus`, tm `courant_minus`),
-# read at order 0 by one triple's axioms 1-2 and at order 1 by the next
-# triple's Jacobi defect.  Flat made 8 while `section_condition` read its
-# minus bracket before its defect and `deform` validated the sheared
-# structure before its Maurer-Cartan sides.
-CLIMBS = {"flat.json": 1, "tangent_bundle.json": 1}
+# Fields evaluated twice at one batch per run of each shipped runspec.  Flat
+# made 8 while `section_condition` read its minus bracket before its defect
+# and `deform` validated the sheared structure before its Maurer-Cartan
+# sides, and flat and tm made 1 each while `courant_axiom_suite` read one
+# operand at order 0 by a triple's axioms 1-2 and at order 1 by the next
+# triple's Jacobi defect.
+CLIMBS = {"flat.json": 0, "tangent_bundle.json": 0}
 
 
 @pytest.mark.parametrize("runspec", sorted(CLIMBS))

@@ -1,19 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paraherm.connections import (
     Connection, canonical_connection, canonical_connection_contorsion, check_adapted,
     covariant_derivative, covariant_differential, curvature, flat_connection,
-    from_christoffels, levi_civita, require_torsionless, torsion,
+    from_christoffels, levi_civita, nabla_jets, require_torsionless, torsion,
 )
 from paraherm.errors import DomainError, NotTorsionless
 from paraherm.models import build_tm, sphere_base
 from paraherm.geometry import (
-    Chart, TensorField, constant_field, constant_jets, lie_derivative, stack_points,
+    Chart, TensorField, constant_field, constant_jets, jets_gradient, lie_derivative,
+    stack_points, tdot,
 )
 from paraherm.parastructure import n_scalar
 from paraherm.randfields import random_metric_perturbation, random_poly, random_vector_field
-from conftest import sample_points
+from conftest import sample_points, sphere_box
 from oracles import sphere_gamma, sphere_riemann, values
 
 
@@ -79,7 +84,6 @@ def test_covd_flat_is_coordinate_derivative(flat2):
     X = random_vector_field(chart, rng)
     Y = random_vector_field(chart, rng)
     D = covariant_derivative(flat2.S.levi_civita, X, Y)
-    from paraherm.geometry import jets_gradient, tdot
 
     for p in sample_points(flat2, 3, 6):
         yj = Y.at(p, 1)
@@ -97,6 +101,67 @@ def test_covd_omega_frame_vs_coordinate(flatg_tm):
         # flat g: Christoffels of eta vanish, so nabla omega = d omega comps,
         # and omega has constant coefficients: everything must vanish.
         assert dOmega.at(p, 0).max_abs() < 1e-12
+
+
+def _general_nabla(gamma, tj, r, s):
+    """nabla T by the general formula, whatever Gamma is: the gradient, then
+    one contraction with Gamma, two `moveaxis` calls and a sum per slot."""
+    out = jets_gradient(tj)
+    for axis in range(r):
+        corr = tdot(gamma, tj, ([2], [axis])).moveaxis(1, 0)
+        out = out + corr.moveaxis(1, axis + 1)
+    for axis in range(r, r + s):
+        corr = tdot(gamma, tj, ([0], [axis]))
+        out = out - corr.moveaxis(1, axis + 1)
+    return out
+
+
+@pytest.fixture(scope="module")
+def nabla_connections(flat2):
+    """Connections on the flat model whose symbols are exactly zero: the
+    canonical ones and `flat_connection`'s (both `const`, so unbatched), and
+    one whose expressions read a coordinate, so it is batched at a batch;
+    and the sphere's Levi-Civita connection, with budget for order 2."""
+    g, coords, ok = sphere_base()
+    sphere = build_tm(g, coords, jet_order=4)
+    sphere._point_ok = ok
+    zero = np.full((flat2.chart.dim,) * 3, "x1 - x1", dtype=object)
+    return {"canonical": (flat2, flat2.S.canonical),
+            "flat": (flat2, flat_connection(flat2.chart)),
+            "zero_expr": (flat2, from_christoffels(flat2.chart, zero)),
+            "sphere": (sphere, sphere.S.levi_civita)}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(connection=st.sampled_from(["canonical", "flat", "zero_expr", "sphere"]),
+       rank=st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (2, 0)]),
+       order=st.integers(0, 2), data=st.data(), batch=st.booleans(),
+       const=st.booleans(), seed=st.integers(0, 2**16))
+def test_nabla_jets_equals_the_general_formula(nabla_connections, connection, rank, order,
+                                               data, batch, const, seed):
+    """nabla_jets gives the bits of the general formula, up to the sign of an
+    exact zero, with its order, degree bound and batch axes: for symbols
+    that are exactly zero, unbatched or batched, and for the sphere's
+    non-zero ones; at the tensor's order less one or lower, at a point and
+    at a batch, for a tensor that reads the coordinates or a constant one."""
+    model, C = nabla_connections[connection]
+    chart = model.chart
+    rng = np.random.default_rng(seed)
+    r, s = rank
+    shape = (chart.dim,) * (r + s)
+    if const:
+        T = constant_field(chart, rng.integers(-8, 9, shape) / 4, r, s)
+    else:
+        polys = [random_poly(rng, chart.dim) for _ in range(math.prod(shape))]
+        T = TensorField(chart, r, s, np.array(polys, dtype=object).reshape(shape))
+    pts = sample_points(model, 3, seed, box=sphere_box() if connection == "sphere" else None)
+    point = stack_points(pts) if batch else pts[0]
+    gamma = C.christoffels.at(point, data.draw(st.integers(0, order), label="gamma order"))
+    tj = T.at(point, order + 1)
+    got, want = nabla_jets(gamma, tj, r, s), _general_nabla(gamma, tj, r, s)
+    assert (got.ctx, got.deg, got.nb) == (want.ctx, want.deg, want.nb)
+    assert got.coeffs.shape == want.coeffs.shape
+    assert (got.coeffs + 0.0).tobytes() == (want.coeffs + 0.0).tobytes()
 
 
 # -- canonical connection ----------------------------------------------------------
@@ -242,8 +307,6 @@ def test_sphere_p_side_condition4_is_nijenhuis(sphere_tm, sphere_pts):
     Ppv = values(Pp)
     etav = values(S.eta.at(p, 1))
     gv = values(S.canonical.christoffels.at(p, 0))
-    from paraherm.geometry import jets_gradient
-
     dPp = values(jets_gradient(Pp))
     tors = gv - np.transpose(gv, (0, 2, 1))
     u, v, w = rng.uniform(-1, 1, (3, 4))

@@ -13,7 +13,7 @@ it is used to check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ __all__ = [
     "dorfman_via_connection", "associated_bracket", "projected_bracket",
     "d_bracket", "c_bracket", "dorfman_leafwise", "leafwise_d",
     "jacobi_defect", "schouten_self", "schouten_scalar",
-    "courant_axiom_suite", "BracketReport", "flat_coordinate_dbracket",
+    "courant_axiom_suite", "flat_coordinate_dbracket",
 ]
 
 
@@ -316,24 +316,11 @@ def schouten_scalar(beta, C, lam, mu, nu, point, order=0, check_torsion=True):
 # Courant axiom suite
 # --------------------------------------------------------------------------
 
-@dataclass
-class BracketReport:
-    axiom1: float
-    axiom2: float
-    axiom3: float
-    tol: float
-    witnesses: dict = dc_field(default_factory=dict)
-
-    def passed(self, expect_jacobi_failure=False) -> bool:
-        ok12 = self.axiom1 <= self.tol and self.axiom2 <= self.tol
-        if expect_jacobi_failure:
-            return ok12 and self.axiom3 > self.tol
-        return ok12 and self.axiom3 <= self.tol
-
-
-def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
-                        skip_pairing=False, scale=None) -> BracketReport:
-    """Residuals of the three Courant axioms for a bracket/anchor/pairing triple.
+def courant_axiom_suite(bracket, anchor, pair, elements, sample, skip_pairing=False,
+                        scale=None):
+    """Residuals of the three Courant axioms for a bracket/anchor/pairing
+    triple: `{"axiom1": r1, "axiom2": r2, "axiom3": r3}`, with r[point,
+    triple] the |residual| at a sample point for one triple.
 
     `elements` is a pool of test sections; axioms are evaluated on ordered
     triples drawn deterministically from the pool, the cyclic shifts of
@@ -346,21 +333,17 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
     of axioms 1 and 2, which are linear in the pairing, are divided by its
     entry of `scale` (one per sample point, 1 when None), so a caller can
     make them relative to the size of the metric; the Jacobi defect of
-    axiom 3 is a vector field's and stays absolute.  The witness of an
-    axiom is its first worst (point, triple) in point-major order.
-    `skip_pairing` drops axioms 1 and 2 (for the plain Lie bracket, whose
-    pairing is degenerate).
+    axiom 3 is a vector field's and stays absolute.  `skip_pairing` leaves
+    axioms 1 and 2 at zero (for the plain Lie bracket, whose pairing is
+    degenerate).
     """
     batch = as_batch(sample)
-    worst = {1: 0.0, 2: 0.0, 3: 0.0}
-    witnesses = {}
     n = len(elements)
     triples = [(elements[i], elements[(i + 1) % n], elements[(i + 2) % n]) for i in range(n)]
-    # res[axiom][p, t]: |residual| at point p for triple t.
-    res = {axiom: np.zeros((len(batch.coords), n)) for axiom in worst}
+    res = {f"axiom{axiom}": np.zeros((len(batch.coords), n)) for axiom in (1, 2, 3)}
     scale = 1.0 if scale is None else np.asarray(scale, dtype=float)
     for ti, (X, Y, Z) in enumerate(triples):
-        res[3][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
+        res["axiom3"][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
     if not skip_pairing:
         for ti, (X, Y, Z) in enumerate(triples):
             lhs = lie_derivative(anchor(X), pair(Y, Z)).values(batch)
@@ -369,18 +352,9 @@ def courant_axiom_suite(bracket, anchor, pair, elements, sample, tol=1e-9,
             r2 = pair(bracket(X, X), Y).values(batch) - 0.5 * lie_derivative(
                 anchor(Y), pair(X, X)
             ).values(batch)
-            res[1][:, ti] = np.abs(r1) / scale
-            res[2][:, ti] = np.abs(r2) / scale
-    # Witnesses in the order the axioms first had a nonzero residual.
-    nonzero = [a for a in worst if res[a].any()]
-    for axiom in sorted(nonzero, key=lambda a: (int(np.argmax(res[a] > 0.0)), a)):
-        i = int(np.argmax(res[axiom]))
-        worst[axiom] = float(res[axiom].flat[i])
-        p, ti = divmod(i, n)
-        witnesses[str(axiom)] = {"point": batch.coords[p].tolist(), "triple": ti,
-                                 "residual": worst[axiom]}
-    return BracketReport(axiom1=worst[1], axiom2=worst[2], axiom3=worst[3], tol=tol,
-                         witnesses=witnesses)
+            res["axiom1"][:, ti] = np.abs(r1) / scale
+            res["axiom2"][:, ti] = np.abs(r2) / scale
+    return res
 
 
 # --------------------------------------------------------------------------

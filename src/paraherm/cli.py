@@ -30,7 +30,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,7 @@ from .geometry import (
     TensorField,
     apply_endomorphism,
     embed_block,
+    reduce_points,
     scalar_pairing,
     stack_points,
 )
@@ -183,71 +184,88 @@ class _RunContext:
     def check_domain(self):
         """Evaluate the structure's six fields on the sample at the highest
         order the run's suites read (their records' `order`; 0 for
-        `validate` alone), and the b-field at order 0, so that a sample
-        point outside an expression's domain, where eta is singular (its
-        inverse raises SingularMetric) or where the jets overflow at that
-        order, is a spec error naming the point before any suite runs.
-        Every suite then reads the six fields' lower orders as memo slices,
-        so each is evaluated once per run.  Last it computes the structure's
-        invariants, which every run reads, so that one that overflows is a
-        spec error too."""
+        `validate` alone), and the b-field at the highest order of the
+        suites its gate admits, so that a sample point outside an
+        expression's domain, where eta is singular (its inverse raises
+        SingularMetric) or where the jets overflow at that order, is a spec
+        error naming the point before any suite runs.  Every suite then
+        reads the fields' lower orders as memo slices, so each is evaluated
+        once per run.  Then it computes the structure's invariants, which
+        every run reads, so that one that overflows is a spec error too, and
+        the B-transformation of a para-Hermitian structure that a suite
+        reads, so that a b-field off its type is a `[b_field]` spec error."""
+        readers = [SUITES[name].order for name in self.suites if "b_field" in SUITES[name].gates]
         with _spec_section("sample"):
             for f in self.model.S.fields:
                 f.at(self.batch, self.order)
             if self.b_field is not None:
-                self.b_field.at(self.batch, 0)
+                self.b_field.at(self.batch, max(readers, default=0))
             self.structure
+        if self.b_field is not None and readers and not self.failing:
+            with _spec_section("b_field"):
+                self.transformation
 
     # -- gates, each computed once per run ------------------------------------
 
     def shut(self, gate, tol):
         """None if `gate` lets a suite of tolerance `tol` run, else the
-        (reason, residuals) of the row it writes instead."""
-        if gate == "structure":
-            failing = self.failing
-            return ("structure is not para-Hermitian at tolerance", failing) if failing else None
+        (reason, per-point arrays or their maxima) of the row it writes
+        instead."""
         if gate == "split":
             split = self.model.chart.split
             return ("needs adapted (split) coordinates", {}) if split is None else None
         if gate == "b_field":
             return ("no b_field in spec", {}) if self.b_field is None else None
+        if gate == "structure":
+            reason = "structure is not para-Hermitian at tolerance"
+            return (reason, self.failing) if self.failing else None
         if gate == "flat":
-            curv = self.curvature
-            return None if curv <= tol else ("eta is not flat", {"curvature": curv})
-        raise ValueError(f"unknown gate {gate!r}")
+            reason, arrays, bound = "eta is not flat", self.curvature, tol
+        elif gate == "para_kahler":
+            reason, arrays, bound = "base is not para-Kähler", self.parakahler, df.PARAKAHLER_TOL
+        else:
+            raise ValueError(f"unknown gate {gate!r}")
+        return None if reduce_points(arrays, bound).passed else (reason, arrays)
 
     @functools.cached_property
     def structure(self):
         """`validate_structure` on the sample from the order-0 slices of the
         fields `check_domain` evaluated, so it evaluates none: what `validate`
         reports, the `structure` gate, and the verdict of a run of no suite."""
-        return validate_structure(self.model.S, self.batch, tol=self.tol["validate"])
+        return validate_structure(self.model.S, self.batch)
 
     @functools.cached_property
     def failing(self):
-        """The structure's invariants above `tolerances.validate`, by name."""
-        return {k: v for k, v in self.structure.residuals.items() if not v <= self.tol["validate"]}
+        """The maxima of the structure's invariants above `tolerances.validate`,
+        by name."""
+        maxima = reduce_points(self.structure).maxima
+        return {k: v for k, v in maxima.items() if not v <= self.tol["validate"]}
 
     @functools.cached_property
     def curvature(self):
         """The flatness gate: the largest curvature component of eta's
-        Levi-Civita connection at the first three points.  It evaluates the
-        whole batch: it shares the other suites' jets, and the work does
-        not depend on the sample size."""
-        return float(np.max(curvature(self.model.S.levi_civita).max_abs(self.batch)[:3]))
+        Levi-Civita connection at each of the first three points.  It
+        evaluates the whole batch: it shares the other suites' jets, and the
+        work does not depend on the sample size."""
+        return {"curvature": curvature(self.model.S.levi_civita).max_abs(self.batch)[:3]}
+
+    @functools.cached_property
+    def parakahler(self):
+        """The para-Kahler gate of `fluxes`, which needs a para-Kahler base:
+        the base structure's residual at each point."""
+        return {"para_kahler": self.transformation.base_parakahler_residual(self.batch)}
 
     def nijenhuis(self, sign):
-        """The Nijenhuis gate of the `sign` eigenbundle: its largest
-        residual over the sample (`integrability_residual`)."""
+        """The Nijenhuis gate of the `sign` eigenbundle: its residual at each
+        point (`integrability_residual`)."""
         if sign not in self._nijenhuis:
-            self._nijenhuis[sign] = float(np.max(
-                self.model.S.integrability_residual(sign, self.batch)))
+            self._nijenhuis[sign] = self.model.S.integrability_residual(sign, self.batch)
         return self._nijenhuis[sign]
 
     @functools.cached_property
     def transformation(self):
-        """The B-transformation by `b_field`, validated at the sample on first
-        use, so that its errors surface in the first suite that needs it."""
+        """The B-transformation by `b_field`, validated at the sample;
+        `check_domain` builds it for the runs that read it."""
         return df.b_transform(self.model.S, self.b_field, sample=self.batch)
 
     @functools.cached_property
@@ -363,12 +381,14 @@ class Suite:
     `tests/test_cli.py` checks), tolerance key, `gates` (as `_RunContext.shut`
     names them), the eigenbundle `sides` it needs integrable, the
     connections of the structure it `reads`, and a body `(ctx, tol, *open
-    sides) -> dict` of `passed`, `residuals`, and optionally `witnesses` and
-    the suite's own report keys.  Calling it runs it: a shut gate writes its
-    row (a failure for `structure`, a skip for the others), as do all sides
-    shut; past them, the declared connections are evaluated at one below
-    the run's order (the symbols at order k read eta at k + 1), so each is
-    evaluated once per run and only if read; then the body runs."""
+    sides) -> dict` of its named per-point `arrays` and its own report keys;
+    an array is a gate at the suite's tolerance unless `limits` gives its
+    (kind, tolerance key), and `witness` is its rule in `reduce_points`.
+    Calling it runs it: a shut gate writes its row (a failure for
+    `structure`, a skip for the others), as do all sides shut; past them,
+    the declared connections are evaluated at one below the run's order
+    (the symbols at order k read eta at k + 1), so each is evaluated once
+    per run and only if read; then the body runs."""
 
     name: str
     order: int
@@ -378,100 +398,87 @@ class Suite:
     sides: tuple = ()
     reads: tuple = ()
     expected_fail: bool = False
+    limits: dict = field(default_factory=dict)
+    witness: tuple = None
 
     def __call__(self, ctx):
         tol = ctx.tol[self.tol]
         for gate in self.gates:
             if shut := ctx.shut(gate, tol):
-                reason, residuals = shut
-                failed = gate == "structure"
-                return self._result(not failed, residuals, skipped=not failed, reason=reason)
-        closed = {sign: g for sign in self.sides if not (g := ctx.nijenhuis(sign)) <= tol}
+                reason, arrays = shut
+                return self._row(ctx, tol, {}, arrays, gate != "structure", reason)
+        closed = {sign: g for sign in self.sides
+                  if not reduce_points({"nijenhuis": (g := ctx.nijenhuis(sign))}, tol).passed}
         one = len(self.sides) == 1  # v1 names a one-sided suite's gate apart
         noted = {"nijenhuis" if one else f"{_SIDE[sign]}_side_skipped_nijenhuis": g
                  for sign, g in closed.items()}
         if self.sides and len(closed) == len(self.sides):
             reason = ("eigenbundle not integrable at tolerance" if one
                       else "no integrable side at tolerance")
-            return self._result(True, noted, skipped=True, reason=reason)
+            return self._row(ctx, tol, {}, noted, True, reason)
         for name in self.reads:
             getattr(ctx.model.S, name).christoffels.at(ctx.batch, ctx.order - 1)
         out = self.body(ctx, tol, *(sign for sign in self.sides if sign not in closed))
-        return self._result(out.pop("passed"), noted | out.pop("residuals"), **out)
+        return self._row(ctx, tol, out.pop("arrays"), noted, **out)
 
-    def _result(self, passed, residuals, witnesses=(), skipped=False, reason=None, **extra):
-        """The suite's report v1 row; `max_residual` folds in every residual."""
-        return {"name": self.name, "passed": bool(passed), "expected_fail": self.expected_fail,
-                "skipped": skipped, "reason": reason,
-                "max_residual": float(max(residuals.values(), default=0.0)),
-                "residuals": {k: float(v) for k, v in residuals.items()},
-                "witnesses": list(witnesses), **extra}
+    def _row(self, ctx, tol, arrays, measured, skipped=None, reason=None, **extra):
+        """The report v1 row of `reduce_points` of `arrays` and the `measured`
+        ones, and the body's own keys (`validate`'s replace the `witnesses`);
+        a gate's row is `skipped` (True) or failed (False)."""
+        limits = {name: (kind, key and ctx.tol[key]) for name, (kind, key) in self.limits.items()}
+        red = reduce_points(arrays | measured, tol, ctx.batch.coords,
+                            limits | dict.fromkeys(measured, _MEASURED), self.witness)
+        return {"name": self.name, "passed": bool(red.passed if skipped is None else skipped),
+                "expected_fail": self.expected_fail, "skipped": bool(skipped), "reason": reason,
+                "max_residual": red.max_residual, "residuals": red.maxima,
+                "witnesses": red.witnesses, **extra}
 
 
 _SIDE = {+1: "p", -1: "n"}
+_MEASURED, _DEFECT = ("measurement", None), ("defect", "witness_floor")
+_WORST_AXIOM = ("worst", "residual", "triple", "axiom")
 
 
 def _validate(ctx, tol):
-    failing = ctx.failing
-    return {"passed": not failing, "residuals": ctx.structure.residuals,
-            "witnesses": [{"residual": v, "invariant": k} for k, v in failing.items()]}
+    return {"arrays": ctx.structure,
+            "witnesses": [{"residual": v, "invariant": k} for k, v in ctx.failing.items()]}
 
 
 def _classify(ctx, tol):
-    rep = classify(ctx.model.S, ctx.batch, tol=tol)
-    ok = all(v <= tol for v in rep.cross_checks.values())
-    return {"passed": ok, "residuals": rep.residuals | rep.cross_checks, "flags": rep.flags}
+    flags, arrays = classify(ctx.model.S, ctx.batch, tol=tol)
+    return {"arrays": arrays, "flags": flags}
 
 
 def _adapted(ctx, tol, *signs):
     """Canonical-connection adapted check, per integrable side."""
     S = ctx.model.S
-    residuals, witnesses, ok = {}, [], True
-    for sign in signs:
-        rep = check_adapted(S.canonical, S, _SIDE[sign], ctx.batch, seed=ctx.seed, tol=tol)
-        residuals.update({f"{_SIDE[sign]}_cond{c}": v for c, v in rep.conditions.items()})
-        witnesses.extend(rep.witnesses)
-        ok = ok and rep.passed
-    return {"passed": ok, "residuals": residuals, "witnesses": witnesses}
+    return {"arrays": {name: r for sign in signs for name, r in check_adapted(
+        S.canonical, S, _SIDE[sign], ctx.batch, seed=ctx.seed).items()}}
 
 
-def _courant(ctx, tol, bracket, anchor):
-    """The Courant axioms of `bracket` with `anchor` and the pairing eta on
-    the run's pool; the residuals of the pairing axioms are divided by
+def _courant(ctx, tol, sign=0):
+    """The Courant axioms on the run's pool of the bracket projected to the
+    `sign` eigenbundle with its projector as anchor, or for sign 0 of the
+    full D-bracket with the identity anchor (whose axiom 3 is a defect),
+    with the pairing eta; the residuals of the pairing axioms are divided by
     max(1, max |eta|) at each sample point, as `validate` divides its own."""
     S = ctx.model.S
-    pair = lambda X, Y: scalar_pairing(S.eta, [X, Y])
-    rep = br.courant_axiom_suite(bracket, anchor, pair, ctx.pool, ctx.batch, tol=tol,
-                                 scale=np.maximum(1.0, S.eta.max_abs(ctx.batch)))
-    return rep, [w | {"axiom": k} for k, w in rep.witnesses.items()]
-
-
-def _courant_projected(ctx, tol, sign):
-    S = ctx.model.S
-    rep, witnesses = _courant(
-        ctx, tol, lambda X, Y: br.projected_bracket(S.canonical, S, sign, X, Y),
-        lambda X: apply_endomorphism(S.projector(sign), X))
-    return {"passed": rep.passed(), "witnesses": witnesses,
-            "residuals": {"axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3": rep.axiom3}}
-
-
-def _courant_d_full(ctx, tol):
-    """Full D-bracket: axioms 1-2 must pass, axiom 3 must fail with a witness."""
-    S = ctx.model.S
-    rep, witnesses = _courant(ctx, tol, lambda X, Y: br.d_bracket(S, X, Y), lambda X: X)
-    ok = rep.axiom1 <= tol and rep.axiom2 <= tol and rep.axiom3 > ctx.tol["witness_floor"]
-    return {"passed": ok, "witnesses": witnesses, "residuals": {
-        "axiom1": rep.axiom1, "axiom2": rep.axiom2, "axiom3_defect": rep.axiom3}}
+    bracket = lambda X, Y: (br.projected_bracket(S.canonical, S, sign, X, Y)  # noqa: E731
+                            if sign else br.d_bracket(S, X, Y))
+    anchor = lambda X: apply_endomorphism(S.projector(sign), X) if sign else X  # noqa: E731
+    arrays = br.courant_axiom_suite(bracket, anchor, lambda X, Y: scalar_pairing(S.eta, [X, Y]),
+                                    ctx.pool, ctx.batch,
+                                    scale=np.maximum(1.0, S.eta.max_abs(ctx.batch)))
+    if not sign:
+        arrays["axiom3_defect"] = arrays.pop("axiom3")
+    return {"arrays": arrays}
 
 
 def _jacobi_defect_witness(ctx, floor):
-    """Record a concrete Jacobi-defect witness for the full D-bracket."""
+    """A concrete Jacobi-defect witness for the full D-bracket."""
     S = ctx.model.S
-    defects = br.jacobi_defect(lambda X, Y: br.d_bracket(S, X, Y), *ctx.pool, ctx.batch)
-    i = int(np.argmax(defects))  # the first worst point
-    worst = float(defects[i])
-    wit = [{"point": ctx.batch.coords[i].tolist(), "defect": worst}] if worst > 0.0 else []
-    return {"passed": worst > floor, "residuals": {"max_defect": worst}, "witnesses": wit}
+    return {"arrays": {"max_defect": br.jacobi_defect(lambda X, Y: br.d_bracket(S, X, Y),
+                                                      *ctx.pool, ctx.batch)}}
 
 
 def _section_condition(ctx, tol):
@@ -481,11 +488,9 @@ def _section_condition(ctx, tol):
     bracket reads their order-0 slices."""
     S = ctx.model.S
     X, Y, Z = ctx.field_pool(vars_subset=list(range(ctx.model.chart.split)))
-    jac = float(np.max(br.jacobi_defect(lambda U, V: br.d_bracket(S, U, V), X, Y, Z,
-                                        ctx.batch)))
-    minus = float(np.max(br.projected_bracket(S.canonical, S, -1, X, Y).max_abs(ctx.batch)))
-    return {"passed": minus <= tol and jac <= tol,
-            "residuals": {"minus_bracket": minus, "jacobi_defect": jac}}
+    jac = br.jacobi_defect(lambda U, V: br.d_bracket(S, U, V), X, Y, Z, ctx.batch)
+    return {"arrays": {"jacobi_defect": jac, "minus_bracket": br.projected_bracket(
+        S.canonical, S, -1, X, Y).max_abs(ctx.batch)}}
 
 
 def _deform(ctx, tol):
@@ -494,21 +499,17 @@ def _deform(ctx, tol):
     the reason given at `_RunContext.curvature`, and reads the sheared
     fields at order 1 before the validation reads their order-0 slices."""
     T = ctx.transformation
-    agree = float(np.max(df.maurer_cartan_sides(T, *ctx.pool, ctx.batch).agreement[:5]))
-    vrep = validate_structure(T.structure_B, ctx.batch, tol=ctx.tol["validate"])
+    agree = df.maurer_cartan_sides(T, *ctx.pool, ctx.batch).agreement[:5]
+    invariants = validate_structure(T.structure_B, ctx.batch)
     compat = df.compatibility_residual(T, ctx.batch)
-    return {"passed": vrep.passed and agree <= tol, "compatible": bool(compat <= tol),
-            "residuals": {"structure_validation": max(vrep.residuals.values()),
-                          "mc_two_sides_agreement": agree, "mc_residual": compat}}
+    return {"arrays": {"structure_validation": np.max(list(invariants.values()), axis=0),
+                       "mc_two_sides_agreement": agree, "mc_residual": compat},
+            "compatible": reduce_points({"mc_residual": compat}, tol).passed}
 
 
 def _fluxes(ctx, tol):
-    reports = df.extract_fluxes(ctx.transformation, ctx.batch)
-    res = {"reassembly": max(r.reassembly_residual for r in reports),
-           "vanishing_parts": max(r.vanishing_residual for r in reports),
-           "h_plus_r_vs_B_part": max(r.cross_check_residual for r in reports)}
-    return {"passed": all(v <= tol for v in res.values()), "residuals": res,
-            "flux_reports": [r.to_dict() for r in reports]}
+    arrays, reports = df.extract_fluxes(ctx.transformation, ctx.batch)
+    return {"arrays": arrays, "flux_reports": [r.to_dict() for r in reports]}
 
 
 _CANONICAL = ("canonical",)
@@ -517,18 +518,26 @@ _CANONICAL = ("canonical",)
 # reports the structure's invariants itself.
 SUITES = {suite.name: suite for suite in (
     Suite("validate", 0, "validate", _validate, gates=()),
-    Suite("classify", 1, "classify", _classify, reads=("levi_civita",)),
-    Suite("adapted", 1, "adapted", _adapted, sides=(+1, -1), reads=_CANONICAL),
-    Suite("courant_plus", 2, "courant", _courant_projected, sides=(+1,), reads=_CANONICAL),
-    Suite("courant_minus", 2, "courant", _courant_projected, sides=(-1,), reads=_CANONICAL),
-    Suite("courant_d_full", 2, "courant", _courant_d_full, reads=_CANONICAL,
-          expected_fail=True),
+    # classify's flags read these arrays; its three cross checks are gates.
+    Suite("classify", 1, "classify", _classify, reads=("levi_civita",),
+          limits=dict.fromkeys(("domega", "domega_30", "domega_21", "domega_12", "domega_03",
+                                "phi_skew", "nabla_K", "n_plus", "n_minus"), _MEASURED)),
+    Suite("adapted", 1, "adapted", _adapted, sides=(+1, -1), reads=_CANONICAL,
+          witness=("failures", "residual", "condition")),
+    Suite("courant_plus", 2, "courant", _courant, sides=(+1,), reads=_CANONICAL,
+          witness=_WORST_AXIOM),
+    Suite("courant_minus", 2, "courant", _courant, sides=(-1,), reads=_CANONICAL,
+          witness=_WORST_AXIOM),
+    Suite("courant_d_full", 2, "courant", _courant, reads=_CANONICAL, expected_fail=True,
+          limits={"axiom3_defect": _DEFECT}, witness=_WORST_AXIOM),
     Suite("jacobi_defect_witness", 2, "witness_floor", _jacobi_defect_witness,
-          reads=_CANONICAL, expected_fail=True),
+          reads=_CANONICAL, expected_fail=True, limits={"max_defect": _DEFECT},
+          witness=("worst", "defect")),
     Suite("section_condition", 2, "section", _section_condition,
           gates=("structure", "split", "flat"), reads=_CANONICAL),
-    Suite("deform", 1, "deform", _deform, gates=("structure", "b_field"), reads=_CANONICAL),
-    Suite("fluxes", 1, "fluxes", _fluxes, gates=("structure", "b_field")),
+    Suite("deform", 1, "deform", _deform, gates=("structure", "b_field"), reads=_CANONICAL,
+          limits={"structure_validation": ("gate", "validate"), "mc_residual": _MEASURED}),
+    Suite("fluxes", 1, "fluxes", _fluxes, gates=("structure", "b_field", "split", "para_kahler")),
 )}
 
 

@@ -56,6 +56,9 @@ __all__ = [
     "extract_fluxes", "FluxReport", "f_flux",
 ]
 
+# The base structure's para-Kahler residual above which fluxes are undefined.
+PARAKAHLER_TOL = 1e-8
+
 
 class BTransformation:
     """A shear of T+ toward T- (side=+1) or the mirror (side=-1).
@@ -116,8 +119,8 @@ class BTransformation:
     def require_parakahler(self, point):
         """Raise NotParaKahler naming the first point (of a batch) where the
         base structure fails."""
-        require_within(point, self.base_parakahler_residual(point), 1e-8, NotParaKahler,
-                       "base structure fails para-Kahler residual")
+        require_within(point, self.base_parakahler_residual(point), PARAKAHLER_TOL,
+                       NotParaKahler, "base structure fails para-Kahler residual")
 
 
 def _require_type(S, b, sample, side, tol):
@@ -216,11 +219,11 @@ def mc_form(T: BTransformation) -> Field:
                         inputs=(db, T.schouten, S.eta, S.P_plus, S.P_minus))
 
 
-def compatibility_residual(T: BTransformation, sample) -> float:
-    """Max scale-normalized Maurer-Cartan component over the sample."""
+def compatibility_residual(T: BTransformation, sample):
+    """The largest scale-normalized Maurer-Cartan component at each point."""
     batch = as_batch(sample)
-    scale = np.maximum(1.0, coeff_max(T.b.at(batch, 1)))
-    return float(np.max(mc_form(T).at(batch, 0).max_abs() / scale))
+    scale = np.maximum(1.0, coeff_max(per_point(batch, T.b.at(batch, 1))))
+    return per_point(batch, mc_form(T).at(batch, 0)).max_abs() / scale
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +270,8 @@ def twisted_d_bracket_reference(T: BTransformation, X: Field, Y: Field) -> Field
 
 @dataclass
 class FluxReport:
+    """One point's flux tensors and residuals: a row of v1's `flux_reports`."""
+
     point: list
     h_flux: list
     r_flux: list
@@ -284,9 +289,10 @@ class FluxReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def extract_fluxes(T: BTransformation, point):
-    """Flux decomposition of db at a point, in both coframes: one FluxReport,
-    or a list of them, one per point, at a batch.
+def extract_fluxes(T: BTransformation, sample):
+    """Flux decomposition of db over the sample, in both coframes: the
+    residuals `reassembly`, `vanishing_parts` and `h_plus_r_vs_B_part`, one
+    per point, and a FluxReport per point.
 
     H is the (+3,-0) part of db with respect to the base structure, the dual
     R-flux is the triple-lowered Schouten bracket, the covariantized H-flux
@@ -300,6 +306,7 @@ def extract_fluxes(T: BTransformation, point):
     chart = S.chart
     if chart.split is None:
         raise MissingSplit("flux extraction needs adapted (split) coordinates")
+    point = as_batch(sample)
     T.require_parakahler(point)
     n = chart.split
     dbj = per_point(point, exterior_derivative(T.b).at(point, 0))
@@ -310,29 +317,26 @@ def extract_fluxes(T: BTransformation, point):
 
     PBp, PBm = (f.at(point, 0) for f in (T.structure_B.P_plus, T.structure_B.P_minus))
     parts = {m: bigraded_part_at(dbj, m, PBp, PBm) for m in range(4)}
-    cross = (covH - parts[3]).max_abs()
-    vanishing = np.maximum(parts[1].max_abs(), parts[0].max_abs())
-    reassembly = (covH + parts[2] + parts[1] + parts[0] - dbj).max_abs()
+    residuals = {
+        "reassembly": (covH + parts[2] + parts[1] + parts[0] - dbj).max_abs(),
+        "vanishing_parts": np.maximum(parts[1].max_abs(), parts[0].max_abs()),
+        "h_plus_r_vs_B_part": (covH - parts[3]).max_abs(),
+    }
 
     # Sheared frame: H'_i = (1 + B) e_i for the first n coordinates, V_j the rest.
     plus = T.e_B.values(point)[..., :n]
     minus = np.eye(chart.dim)[:, n:]
     h_frame = np.einsum("...abc,...ai,...bj,...ck->...ijk", covH.values(), plus, plus, plus)
     q_frame = np.einsum("...abc,ai,...bj,...ck->...ijk", dbj.values(), minus, plus, plus)
-    arrays = dict(h_flux=H.values(), r_flux=R.values(), q_flux=parts[2].values(),
-                  covariantized_h=covH.values(), h_frame=h_frame, q_frame=q_frame)
-    residuals = dict(reassembly_residual=reassembly, vanishing_residual=vanishing,
-                     cross_check_residual=cross)
-
-    def report(coords, i=()):
-        """The FluxReport of the point at `coords`, entry `i` of the batch."""
-        return FluxReport(point=[float(c) for c in coords],
-                          **{k: v[i].tolist() for k, v in arrays.items()},
-                          **{k: float(np.asarray(v)[i]) for k, v in residuals.items()})
-
-    if not point.batch:
-        return report(point.coords)
-    return [report(coords, i) for i, coords in enumerate(point.coords)]
+    tensors = {"h_flux": H.values(), "r_flux": R.values(), "q_flux": parts[2].values(),
+               "covariantized_h": covH.values(), "h_frame": h_frame, "q_frame": q_frame}
+    reports = [FluxReport([float(c) for c in coords],
+                          **{name: t[i].tolist() for name, t in tensors.items()},
+                          reassembly_residual=float(residuals["reassembly"][i]),
+                          vanishing_residual=float(residuals["vanishing_parts"][i]),
+                          cross_check_residual=float(residuals["h_plus_r_vs_B_part"][i]))
+               for i, coords in enumerate(point.coords)]
+    return residuals, reports
 
 
 def f_flux(S, A_block, point, order=0) -> np.ndarray:

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations, permutations
@@ -97,6 +98,7 @@ __all__ = [
     "lie_bracket", "exterior_derivative", "lie_derivative",
     "interior_product", "scalar_pairing", "wedge", "musical",
     "invert_matrix_jets", "require_within", "per_point", "stack_points", "as_batch",
+    "reduce_points", "Reduction",
 ]
 
 
@@ -690,6 +692,59 @@ def per_point_max(arr, nb=1):
         return float(np.max(np.abs(arr))) if arr.size else 0.0
     flat = np.abs(arr.reshape(arr.shape[0], -1))
     return flat.max(axis=1) if flat.shape[1] else np.zeros(arr.shape[0])
+
+
+Reduction = namedtuple("Reduction", "maxima passed witnesses max_residual")
+
+
+def reduce_points(arrays, tol=0.0, coords=None, limits=None, witness=None) -> Reduction:
+    """The one reduction of a check's per-point arrays: each maximum, the
+    verdict, the witnesses and the largest, NaN if one is.  Arrays computed
+    on consecutive blocks of a sample and concatenated reduce as the whole's.
+
+    `arrays` maps a name to an array of shape (B,), or (B, k) with an index
+    such as a triple or a condition; a 0-d array is a value of the whole
+    sample.  `limits` maps a name to its (kind, bound): a "gate" passes where
+    every entry is <= bound, a "defect" where its maximum is > bound, and a
+    "measurement" is not judged; an array it does not name is a gate at
+    `tol`.  Each array has one maximum, under its name.
+
+    `witness` is None or (rule, value key, index key, array key).  Gates and
+    defects give the witnesses, each with its point (a row of `coords`) and
+    its value under the value key:
+    - "worst": one per array with a nonzero entry, at its first maximum in
+      point-major order, with its index from 0 and the array's number in
+      declaration order (from 1, a string) under the array key; ordered by
+      the array's first positive entry, then by that number;
+    - "failures": every entry of a gate that is not <= its bound, array by
+      array in point-major order, with its index from 1.  Here an array with
+      an index has one maximum per index entry: its name and that number.
+    """
+    rule, value, index, label = (*(witness or ()), None, None, None, None)[:4]
+    maxima, passed, found = {}, True, []
+    for number, (name, arr) in enumerate(arrays.items(), 1):
+        kind, bound = (limits or {}).get(name, ("gate", tol))
+        rows = np.atleast_1d(np.asarray(arr, dtype=float))
+        indexed, rows = rows.ndim == 2, rows.reshape(len(rows), -1)
+        split = rule == "failures" and indexed
+        for j, col in enumerate(rows.T if split else [rows]):
+            worst = float(col.max()) if col.size else 0.0
+            maxima[f"{name}{j + 1}" if split else name] = worst
+            if kind != "measurement":
+                passed &= worst <= bound if kind == "gate" else worst > bound
+        if kind == "measurement":
+            continue
+        if rule == "worst" and rows.any():
+            p, j = divmod(i := int(rows.argmax()), rows.shape[1])
+            wit = {"point": coords[p].tolist(), value: float(rows.flat[i])}
+            wit |= ({index: j} if indexed else {}) | ({label: str(number)} if label else {})
+            found.append(((int(np.argmax(rows > 0.0)), number), wit))
+        elif rule == "failures" and kind == "gate":
+            found += [((0, 0), {"point": coords[p].tolist(), value: float(rows[p, j])}
+                       | ({index: int(j) + 1} if indexed else {}))
+                      for p, j in zip(*np.nonzero(~(rows <= bound)))]
+    witnesses = [wit for _, wit in sorted(found, key=lambda f: f[0])]
+    return Reduction(maxima, passed, witnesses, float(np.max([0.0, *maxima.values()])))
 
 
 def per_point(point, x: JetArray) -> JetArray:

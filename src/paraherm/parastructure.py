@@ -8,7 +8,7 @@ the operator-level formulas the checks are written in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -35,15 +35,16 @@ from .geometry import (
     lie_bracket,
     per_point,
     per_point_max,
+    reduce_points,
     tdot,
 )
 
 __all__ = [
     "ParaHermitianStructure", "GeneralizedVector", "validate_structure",
-    "ValidationReport", "rho", "rho_field", "rho_inverse", "nijenhuis", "nijenhuis_tensor",
+    "rho", "rho_field", "rho_inverse", "nijenhuis", "nijenhuis_tensor",
     "nijenhuis_projector_form", "nijenhuis_connection_form", "n_scalar",
     "phi_field", "phi_scalar", "bigraded_part_at",
-    "classify", "ClassificationReport",
+    "classify",
 ]
 
 
@@ -132,21 +133,12 @@ def _nijenhuis_gate(S, sign):
 # Validation
 # --------------------------------------------------------------------------
 
-@dataclass
-class ValidationReport:
-    residuals: dict
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return all(v <= self.tol for v in self.residuals.values())
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> ValidationReport:
-    """Pointwise residuals for every defining invariant of (eta, K), on the
-    sample as one batch.  Raises DomainError naming the first point where
-    one is not finite (finite values whose products overflow)."""
+def validate_structure(S: ParaHermitianStructure, sample):
+    """The residual of every defining invariant of (eta, K) by name, one per
+    point of the sample, evaluated as one batch.  Raises DomainError naming
+    the first point where one is not finite (finite values whose products
+    overflow)."""
     batch = as_batch(sample)
     K, eta, omega, Pp, Pm = (f.values(batch)  # (point, a, b) each
                              for f in (S.K, S.eta, S.omega, S.P_plus, S.P_minus))
@@ -167,7 +159,7 @@ def validate_structure(S: ParaHermitianStructure, sample, tol=1e-10) -> Validati
     finite = np.all([np.isfinite(vals) for vals in worst.values()], axis=0)
     if not finite.all():
         raise DomainError(f"structure invariants are not finite at {batch.first(~finite)[1]}")
-    return ValidationReport({key: float(vals.max()) for key, vals in worst.items()}, tol)
+    return worst
 
 
 # --------------------------------------------------------------------------
@@ -319,50 +311,34 @@ def bigraded_part_at(T: JetArray, m_plus: int, Pp: JetArray, Pm: JetArray) -> Je
 # Classification
 # --------------------------------------------------------------------------
 
-@dataclass
-class ClassificationReport:
-    flags: dict
-    residuals: dict
-    tol: float
-    cross_checks: dict = field(default_factory=dict)
-
-
-def classify(S: ParaHermitianStructure, sample, tol=1e-9) -> ClassificationReport:
-    """Scale-normalized classification flags over the sampled points.
+def classify(S: ParaHermitianStructure, sample, tol=1e-9):
+    """(flags, arrays): scale-normalized classification flags from the
+    maxima of the per-point `arrays` of `_classify_batch`.
 
     p/n-integrability from the pure-type Nijenhuis parts, nearly para-Kahler
     from skewness of Phi in its first two slots, almost para-Kahler from
     d omega = 0; para-Kahler additionally cross-checked against nablao K = 0
     and the (3,0)/(0,3) formulas relating d omega to the Nijenhuis parts.
+    That cross-check, `para_kahler_iff_nabla_K`, reads the flags of the
+    whole sample, so it is a 0-d array.
     """
-    res, cross = _classify_batch(S, as_batch(sample))
-    flags = {
-        "p_integrable": res["n_plus"] <= tol,
-        "n_integrable": res["n_minus"] <= tol,
-        "nearly_para_kahler": res["phi_skew"] <= tol,
-        "almost_para_kahler": res["domega"] <= tol,
-    }
-    flags["para_kahler"] = (
-        flags["almost_para_kahler"] and res["n_plus"] <= tol and res["n_minus"] <= tol
-    )
+    arrays = _classify_batch(S, as_batch(sample))
+    ok = {key: worst <= tol for key, worst in reduce_points(arrays).maxima.items()}
+    flags = {"p_integrable": ok["n_plus"], "n_integrable": ok["n_minus"],
+             "nearly_para_kahler": ok["phi_skew"], "almost_para_kahler": ok["domega"]}
+    flags["para_kahler"] = ok["domega"] and ok["n_plus"] and ok["n_minus"]
     # n(p)-para-Kahler: the half-integrable case with no mixed-down components,
     # the way the tangent-bundle construction comes out.
-    flags["n_para_kahler"] = (
-        flags["n_integrable"] and res["domega_12"] <= tol and res["domega_03"] <= tol
-    )
-    flags["p_para_kahler"] = (
-        flags["p_integrable"] and res["domega_21"] <= tol and res["domega_30"] <= tol
-    )
+    flags["n_para_kahler"] = ok["n_minus"] and ok["domega_12"] and ok["domega_03"]
+    flags["p_para_kahler"] = ok["n_plus"] and ok["domega_21"] and ok["domega_30"]
     # para-Kahler iff nablao K = 0 (Levi-Civita cross-check).
-    cross["para_kahler_iff_nabla_K"] = (
-        0.0 if flags["para_kahler"] == (res["nabla_K"] <= tol) else 1.0
-    )
-    return ClassificationReport(flags, res, tol, cross)
+    iff = 0.0 if flags["para_kahler"] == ok["nabla_K"] else 1.0
+    return flags, arrays | {"para_kahler_iff_nabla_K": np.asarray(iff)}
 
 
 def _classify_batch(S, batch):
-    """(residuals, cross checks) of the classification: the worst point of
-    the batch."""
+    """The classification's residuals and the two cross checks of d omega
+    against the Nijenhuis parts, by name, one per point of the batch."""
     Pp, Pm = (f.at(batch, 1) for f in (S.P_plus, S.P_minus))
     scale = np.maximum(1.0, np.maximum(S.eta.max_abs(batch), S.K.max_abs(batch)))
     dwj = per_point(batch, exterior_derivative(S.omega).at(batch, 0))
@@ -383,12 +359,9 @@ def _classify_batch(S, batch):
     # N_+- are already fully projected, so the cyclic sums compare directly.
     cyc = {sign: t + np.transpose(t, (0, 2, 3, 1)) + np.transpose(t, (0, 3, 1, 2))
            for sign, t in n.items()}
-    per_cross = {
-        "d_omega_30_vs_cyclic_n_plus": per_point_max(parts[3] - cyc[+1]) / dw_scale,
-        "d_omega_03_vs_cyclic_n_minus": per_point_max(parts[0] + cyc[-1]) / dw_scale,
-    }
-    return ({key: float(np.max(v)) for key, v in worst.items()},
-            {key: float(np.max(v)) for key, v in per_cross.items()})
+    worst["d_omega_30_vs_cyclic_n_plus"] = per_point_max(parts[3] - cyc[+1]) / dw_scale
+    worst["d_omega_03_vs_cyclic_n_minus"] = per_point_max(parts[0] + cyc[-1]) / dw_scale
+    return worst
 
 
 def _nijenhuis_parts(S, batch):

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from paraherm.connections import Connection
-from paraherm.geometry import constant_jets, tdot
+from paraherm.cli import SUITES
+from paraherm.connections import Connection, check_adapted
+from paraherm.geometry import as_batch, constant_jets, reduce_points, tdot
 
 
 def shear_adapted_connection(S, scale=0.35):
@@ -35,3 +36,22 @@ def shear_adapted_connection(S, scale=0.35):
         return g0 + E * scale
 
     return Connection(chart, fn, provenance="user_supplied")
+
+
+# The witness rules the `adapted` and Courant suites declare.
+ADAPTED_RULE = SUITES["adapted"].witness
+COURANT_RULE = SUITES["courant_plus"].witness
+
+
+def reduce_adapted(C, S, side, sample, tol=1e-9, **kwargs):
+    """`check_adapted` reduced as the `adapted` suite reduces it: the
+    `Reduction`, and the maximum of each condition by its number."""
+    arrays = check_adapted(C, S, side, sample, **kwargs)
+    red = reduce_points(arrays, tol, as_batch(sample).coords, witness=ADAPTED_RULE)
+    return red, {c: red.maxima[f"{side}_cond{c}"] for c in range(1, 5)}
+
+
+def reduce_courant(arrays, sample, tol=1e-9, limits=None):
+    """`courant_axiom_suite`'s arrays reduced as the Courant suites reduce
+    them, every axiom a gate at `tol` unless `limits` says otherwise."""
+    return reduce_points(arrays, tol, as_batch(sample).coords, limits, COURANT_RULE)

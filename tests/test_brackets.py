@@ -508,18 +508,16 @@ def test_adapted_connections_reproduce_leafwise_dorfman(flat2, flatg_tm):
                     assert np.max(np.abs(got.cov.values() - want.cov.values())) < 1e-9
 
 
-from helpers import shear_adapted_connection  # noqa: E402
+from helpers import reduce_adapted, reduce_courant, shear_adapted_connection  # noqa: E402
 
 
 def test_shear_connection_is_adapted_and_distinct(flat2):
-    from paraherm.connections import check_adapted
-
     S = flat2.S
     C = shear_adapted_connection(S)
     pts = sample_points(flat2, 4, 21)
     for side in ("p", "n"):
-        rep = check_adapted(C, S, side, stack_points(pts))
-        assert rep.passed, rep.conditions
+        rep, conditions = reduce_adapted(C, S, side, stack_points(pts))
+        assert rep.passed, conditions
     p = pts[0]
     diff = values(C.christoffels.at(p, 0)) - values(S.canonical.christoffels.at(p, 0))
     assert np.max(np.abs(diff)) > 0.01
@@ -627,8 +625,9 @@ def test_courant_suite_projected_passes(flat2):
     for sign in (+1, -1):
         bracket = lambda X, Y: projected_bracket(S.canonical, S, sign, X, Y)
         anchor = lambda X: apply_endomorphism(S.projector(sign), X)
-        rep = courant_axiom_suite(bracket, anchor, eta_pair(S), pool, stack_points(pts))
-        assert rep.passed(), (rep.axiom1, rep.axiom2, rep.axiom3)
+        rep = reduce_courant(courant_axiom_suite(bracket, anchor, eta_pair(S), pool,
+                                                 stack_points(pts)), stack_points(pts))
+        assert rep.passed, rep.maxima
 
 
 def test_courant_suite_full_dbracket_fails_axiom3(flat2):
@@ -637,20 +636,22 @@ def test_courant_suite_full_dbracket_fails_axiom3(flat2):
     pool = [random_vector_field(S.chart, rng) for _ in range(3)]
     pts = sample_points(flat2, 3, 33)
     bracket = lambda X, Y: d_bracket(S, X, Y)
-    rep = courant_axiom_suite(bracket, lambda X: X, eta_pair(S), pool, stack_points(pts))
-    assert rep.axiom1 < 1e-9 and rep.axiom2 < 1e-9
-    assert rep.axiom3 > 1e-4
-    assert rep.passed(expect_jacobi_failure=True)
-    assert "3" in rep.witnesses
+    arrays = courant_axiom_suite(bracket, lambda X: X, eta_pair(S), pool, stack_points(pts))
+    rep = reduce_courant(arrays, stack_points(pts), limits={"axiom3": ("defect", 1e-9)})
+    assert rep.maxima["axiom1"] < 1e-9 and rep.maxima["axiom2"] < 1e-9
+    assert rep.maxima["axiom3"] > 1e-4
+    assert rep.passed
+    assert "3" in {w["axiom"] for w in rep.witnesses}
 
 
 def test_courant_suite_lie_bracket_axiom3(flat2):
     rng = np.random.default_rng(34)
     pool = [random_vector_field(flat2.chart, rng) for _ in range(3)]
     pts = sample_points(flat2, 3, 35)
-    rep = courant_axiom_suite(lie_bracket, lambda X: X, None, pool, stack_points(pts),
-                              skip_pairing=True)
-    assert rep.axiom3 < 1e-9
+    rep = reduce_courant(courant_axiom_suite(lie_bracket, lambda X: X, None, pool,
+                                             stack_points(pts), skip_pairing=True),
+                         stack_points(pts))
+    assert rep.maxima["axiom3"] < 1e-9
 
 
 def test_courant_axioms_on_tm_minus_side(flatg_tm):
@@ -662,8 +663,9 @@ def test_courant_axioms_on_tm_minus_side(flatg_tm):
     pts = sample_points(flatg_tm, 3, 37)
     bracket = lambda X, Y: projected_bracket(S.canonical, S, -1, X, Y)
     anchor = lambda X: apply_endomorphism(S.P_minus, X)
-    rep = courant_axiom_suite(bracket, anchor, eta_pair(S), pool, stack_points(pts))
-    assert rep.passed(), (rep.axiom1, rep.axiom2, rep.axiom3)
+    rep = reduce_courant(courant_axiom_suite(bracket, anchor, eta_pair(S), pool,
+                                             stack_points(pts)), stack_points(pts))
+    assert rep.passed, rep.maxima
 
 
 def test_dbracket_axiom1_without_integrability(sphere_tm, sphere_pts):
@@ -673,10 +675,11 @@ def test_dbracket_axiom1_without_integrability(sphere_tm, sphere_pts):
     rng = np.random.default_rng(38)
     pool = [random_vector_field(S.chart, rng, degree=1) for _ in range(3)]
     bracket = lambda X, Y: d_bracket(S, X, Y)
-    rep = courant_axiom_suite(bracket, lambda X: X, eta_pair(S), pool,
-                              stack_points(sphere_pts[:3]))
-    assert rep.axiom1 < 1e-9
-    assert rep.axiom2 < 1e-9
+    rep = reduce_courant(courant_axiom_suite(bracket, lambda X: X, eta_pair(S), pool,
+                                             stack_points(sphere_pts[:3])),
+                         stack_points(sphere_pts[:3]))
+    assert rep.maxima["axiom1"] < 1e-9
+    assert rep.maxima["axiom2"] < 1e-9
 
 
 # -- bounded memory ----------------------------------------------------------------

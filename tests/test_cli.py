@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 import paraherm
 from paraherm import brackets as br, cli, connections, geometry
+from paraherm import deformations as df
 from paraherm.cli import load_spec, main, print_report, run
 from paraherm.errors import InsufficientJetOrder, SpecParseError
 
@@ -274,14 +276,33 @@ def _tm_gates():
 
 SPLITLESS = {"name": "explicit", "coords": ["x", "y"],
              "eta": [["0", "1"], ["1", "0"]], "K": [["1", "0"], ["0", "-1"]]}
+# A splitless model of dimension 4 and a b-field of its plus type.
+SPLITLESS4 = {"name": "explicit", "coords": ["a", "b", "c", "d"],
+              "eta": [["0", "0", "1", "0"], ["0", "0", "0", "1"],
+                      ["1", "0", "0", "0"], ["0", "1", "0", "0"]],
+              "K": [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                    ["0", "0", "-1", "0"], ["0", "0", "0", "-1"]]}
+PLUS_B4 = [["0", "a", "0", "0"], ["-a", "0", "0", "0"], ["0"] * 4, ["0"] * 4]
+# The tangent bundle of the round sphere with b = v1 dth ^ dph: a valid
+# b-field on a base that is not para-Kahler.
+TM_B = [["0", "v1"], ["-v1", "0"]]
+
+
+def _base_parakahler(spec):
+    """The largest para-Kahler residual of `spec`'s base structure over its
+    sample, from a fresh context."""
+    ctx = cli._RunContext(spec)
+    T = df.b_transform(ctx.model.S, ctx.b_field)
+    return float(np.max(T.base_parakahler_residual(ctx.batch)))
 
 
 @pytest.mark.parametrize("case", ["no_b_field", "no_split", "curved", "not_integrable",
-                                  "both_sides"])
+                                  "both_sides", "fluxes_no_split", "not_para_kahler"])
 def test_each_gate_writes_the_v1_skip_result(tmp_path, monkeypatch, case):
     """Every gate a suite declares skips it with report v1's exact row: its
     reason, and the gate's residuals under their v1 names."""
     curv, nij = _tm_gates() if case in ("curved", "not_integrable") else (None, None)
+    tm_b = _spec_from("tangent_bundle.json", b_field=TM_B, suites=["fluxes"])
     spec, expected = {
         "no_b_field": (_spec_from("flat.json", b_field=None, suites=["deform", "fluxes"]),
                        [_skip("deform", "no b_field in spec", {}),
@@ -298,6 +319,11 @@ def test_each_gate_writes_the_v1_skip_result(tmp_path, monkeypatch, case):
                        [_skip("adapted", "no integrable side at tolerance",
                               {"p_side_skipped_nijenhuis": 5e-9,
                                "n_side_skipped_nijenhuis": 5e-9})]),
+        "fluxes_no_split": (dict(_spec_from("flat.json", suites=["fluxes"]),
+                                 model=SPLITLESS4, b_field=PLUS_B4),
+                            [_skip("fluxes", "needs adapted (split) coordinates", {})]),
+        "not_para_kahler": (tm_b, [_skip("fluxes", "base is not para-K\u00e4hler",
+                                         {"para_kahler": _base_parakahler(tm_b)})]),
     }[case]
     if case == "both_sides":
         from paraherm.parastructure import ParaHermitianStructure
@@ -795,3 +821,112 @@ def test_suite_residuals_do_not_depend_on_the_suite_order(tmp_path, runspec):
     for name in spec["suites"]:
         alone = _suite_residuals(tmp_path, dict(spec, suites=[name]), name)
         assert alone == {name: shipped[name]}
+
+
+# -- a valid spec ends in a report; a bad b-field is rejected before any suite -----
+
+def _record_bodies(monkeypatch):
+    """The names of the suites whose bodies run, in order."""
+    ran = []
+    for name, suite in cli.SUITES.items():
+        body = lambda *args, _suite=suite: ran.append(_suite.name) or _suite.body(*args)
+        monkeypatch.setitem(cli.SUITES, name, dataclasses.replace(suite, body=body))
+    return ran
+
+
+def test_a_b_field_off_its_type_is_a_spec_error_before_any_suite(tmp_path, capsys,
+                                                                 monkeypatch):
+    """b = x1 dx1 ^ dxt1 mixes the two eigenbundles: the pre-flight rejects
+    it as a `[b_field]` spec error (exit 2), with no suite body run and no
+    report, and not in `deform` after `validate` and `classify` ran."""
+    ran = _record_bodies(monkeypatch)
+    spec = _spec_from("flat.json", suites=["validate", "classify", "deform"], b_field=[
+        ["0", "0", "x1", "0"], ["0", "0", "0", "0"], ["-x1", "0", "0", "0"], ["0", "0", "0", "0"]])
+    out = tmp_path / "r.json"
+    assert run(write_spec(tmp_path, "s.json", spec), str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ") and "[b_field]" in err and "in suite" not in err
+    assert "off the (+2,-0) type" in err
+    assert ran == [] and not out.exists()
+
+
+def test_a_b_field_whose_jets_overflow_is_a_spec_error_before_any_suite(tmp_path, capsys,
+                                                                       monkeypatch):
+    """exp(709 x1) is finite at x1 = 1, but its first derivatives, which
+    `deform` reads, overflow: the pre-flight evaluates the b-field at the
+    order its suites read it and names the point (exit 2, no suite run)."""
+    ran = _record_bodies(monkeypatch)
+    b = "exp(709*x1)"
+    points = [[0.5, 0.1, 0.2, 0.3], [1.0, 0, 0, 0]]
+    spec = _spec_from("flat.json", suites=["validate", "deform"],
+                      b_field=[["0", b], [f"-{b}", "0"]],
+                      sample={"mode": "explicit", "points": points})
+    out = tmp_path / "r.json"
+    assert run(write_spec(tmp_path, "s.json", spec), str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == ("spec error: sample error: component jets are not finite at "
+                   "Point([1.0, 0.0, 0.0, 0.0]) [sample]\n")
+    assert ran == [] and not out.exists()
+
+
+def test_fluxes_skip_on_a_base_that_is_not_para_kahler(tmp_path, capsys, monkeypatch):
+    """The sphere's tangent bundle with b = v1 dth ^ dph is a valid spec: its
+    base is simply not para-Kahler (residual 0.258 at the first point, 0.331
+    at worst).  `validate` and `deform` run, `fluxes` skips by its
+    `para_kahler` gate without running its body, and the run writes its
+    report (exit 0)."""
+    ran = _record_bodies(monkeypatch)
+    spec = _spec_from("tangent_bundle.json", b_field=TM_B,
+                      suites=["validate", "deform", "fluxes"])
+    out = tmp_path / "r.json"
+    assert run(write_spec(tmp_path, "s.json", spec), str(out)) == 0
+    assert "spec error" not in capsys.readouterr().err
+    assert ran == ["validate", "deform"]
+    rows = {r["name"]: r for r in json.loads(out.read_text())["suites"]}
+    assert rows["deform"]["passed"] and not rows["deform"]["skipped"]
+    fluxes = rows["fluxes"]
+    assert fluxes["skipped"] and fluxes["reason"] == "base is not para-K\u00e4hler"
+    assert fluxes["residuals"]["para_kahler"] == pytest.approx(0.331, abs=5e-4)
+
+
+_OK, _XFAIL = (True, False, False), (True, True, False)
+_SKIPPED = (True, False, True)
+# Each shipped runspec's (passed, expected_fail, skipped) by suite, its
+# skip reasons and its classify flags.
+RUNSPEC_STATUS = {
+    "flat.json": (
+        {name: _XFAIL if cli.SUITES[name].expected_fail else _OK for name in cli.SUITES}, {},
+        dict.fromkeys(["almost_para_kahler", "n_integrable", "n_para_kahler",
+                       "nearly_para_kahler", "p_integrable", "p_para_kahler",
+                       "para_kahler"], True)),
+    "tangent_bundle.json": (
+        dict.fromkeys(["validate", "classify", "adapted", "courant_minus"], _OK), {},
+        {"almost_para_kahler": True, "n_integrable": True, "n_para_kahler": True,
+         "nearly_para_kahler": False, "p_integrable": False, "p_para_kahler": False,
+         "para_kahler": False}),
+    # Both eigenbundles integrable, d omega of type (+2,-1) only: n- but not
+    # p-para-Kahler.  eta is curved, and the base is not para-Kahler.
+    "drinfeld_double.json": (
+        {"validate": _OK, "classify": _OK, "adapted": _OK, "courant_plus": _OK,
+         "courant_minus": _OK, "courant_d_full": _XFAIL, "jacobi_defect_witness": _XFAIL,
+         "section_condition": _SKIPPED, "deform": _OK, "fluxes": _SKIPPED},
+        {"section_condition": "eta is not flat", "fluxes": "base is not para-K\u00e4hler"},
+        {"almost_para_kahler": False, "n_integrable": True, "n_para_kahler": True,
+         "nearly_para_kahler": False, "p_integrable": True, "p_para_kahler": False,
+         "para_kahler": False}),
+}
+
+
+@pytest.mark.parametrize("runspec", sorted(RUNSPEC_STATUS))
+def test_shipped_runspec_statuses(tmp_path, capsys, runspec):
+    """Each shipped runspec runs every suite it lists to the status pinned
+    here, prints no spec error and exits 0."""
+    statuses, reasons, flags = RUNSPEC_STATUS[runspec]
+    out = tmp_path / "r.json"
+    assert run(str(RUNSPECS / runspec), str(out)) == 0
+    assert "spec error" not in capsys.readouterr().err
+    rows = {r["name"]: r for r in json.loads(out.read_text())["suites"]}
+    assert {name: (r["passed"], r["expected_fail"], r["skipped"])
+            for name, r in rows.items()} == statuses
+    assert {name: r["reason"] for name, r in rows.items() if r["skipped"]} == reasons
+    assert rows["classify"]["flags"] == flags

@@ -1,22 +1,27 @@
 """Property test of the whole command line: random specs, valid or not.
 
 The strategy draws flat, tangent-bundle and explicit models with small
-polynomial or trigonometric entries (n <= 2), a `jet_order` of at most 3,
-1-4 sample points (a seeded uniform box or explicit points), a random list
-of suites, and at times one leaf of the spec replaced by a malformed value.
-Whatever it draws, `main` returns 0, 1 or 2 and raises nothing; exit 0
-means `validate_structure` passes on the run's sample; a written report is
-its own hash's encoding and carries no NaN; exit 2 writes no report.
+polynomial or trigonometric entries (n <= 2), at times a b-field (of its
+pure type or not), a `jet_order` of at most 3, 1-4 sample points (a seeded
+uniform box or explicit points), a random list of suites, and at times one
+leaf of the spec replaced by a malformed value.  Whatever it draws, `main`
+returns 0, 1 or 2 and raises nothing; exit 0 means `validate_structure`
+passes on the run's sample; a written report is its own hash's encoding
+and carries no NaN; exit 2 writes no report and comes before any suite's
+body runs.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paraherm import cli
+from paraherm.geometry import reduce_points
 from paraherm.parastructure import validate_structure
 
 ENTRIES = ["0", "1", "-1", "2", "0.5", "{x}", "{y}", "{x}*{y}", "1 + {x}^2/4", "sin({x})",
@@ -81,9 +86,12 @@ def _spec(draw):
             "suites": draw(st.lists(st.sampled_from(sorted(cli.SUITES)), max_size=4))}
     if draw(st.booleans()):
         spec["jet_order"] = draw(st.integers(0, 3))
-    if model["name"] != "tangent_bundle" and draw(st.booleans()):
-        spec["b_field"] = [["0", "xt1" if model["name"] == "flat" else "1"],
-                           ["-xt1" if model["name"] == "flat" else "-1", "0"]]
+    if draw(st.booleans()):
+        # The n x n block of the plus type at n = 2, the whole 2 x 2 matrix,
+        # which mixes the two types, at n = 1.
+        entry = {"flat": "xt1", "explicit": "1"}.get(model["name"])
+        entry = entry or draw(st.sampled_from(["v1", "1", model.get("base_coords", ["u"])[0]]))
+        spec["b_field"] = [["0", entry], [f"-({entry})", "0"]]
     if draw(st.booleans()):
         leaves = list(_leaves(spec))
         path = draw(st.sampled_from(leaves))
@@ -113,10 +121,15 @@ def test_any_spec_exits_with_a_code_and_a_sound_report(tmp_path_factory, spec):
     tmp = tmp_path_factory.mktemp("cli")
     path, out = tmp / "spec.json", tmp / "report.json"
     path.write_text(json.dumps(spec))
-    code = cli.main(["run", str(path), "-o", str(out)])
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, suite in cli.SUITES.items():
+            mp.setitem(cli.SUITES, name, dataclasses.replace(suite, body=_recorded(suite, ran)))
+        code = cli.main(["run", str(path), "-o", str(out)])
     assert code in (0, 1, 2)
     if code == 2:
         assert not out.exists()
+        assert not ran, f"exit 2 after the bodies of {ran} ran"
         return
     text = out.read_text(encoding="utf-8")
     report = json.loads(text)
@@ -128,4 +141,13 @@ def test_any_spec_exits_with_a_code_and_a_sound_report(tmp_path_factory, spec):
         assert not any(map(math.isnan, [row["max_residual"], *row["residuals"].values()])), row
     if code == 0:
         ctx = cli._RunContext(spec)
-        assert validate_structure(ctx.model.S, ctx.batch, tol=ctx.tol["validate"]).passed
+        invariants = validate_structure(ctx.model.S, ctx.batch)
+        assert reduce_points(invariants, ctx.tol["validate"]).passed
+
+
+def _recorded(suite, ran):
+    """`suite`'s body, noting its name in `ran` when it is called."""
+    def body(*args):
+        ran.append(suite.name)
+        return suite.body(*args)
+    return body

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paraherm.connections import (
-    Connection, canonical_connection, canonical_connection_contorsion, check_adapted,
+    Connection, canonical_connection, canonical_connection_contorsion,
     covariant_derivative, covariant_differential, curvature, flat_connection,
     from_christoffels, levi_civita, nabla_jets, require_torsionless, torsion,
 )
@@ -19,6 +19,7 @@ from paraherm.geometry import (
 from paraherm.parastructure import n_scalar
 from paraherm.randfields import random_metric_perturbation, random_poly, random_vector_field
 from conftest import sample_points, sphere_box
+from helpers import reduce_adapted
 from oracles import sphere_gamma, sphere_riemann, values
 
 
@@ -269,37 +270,39 @@ def test_tm_riemann_procedure_matches_oracle(sphere_tm, sphere_pts):
 def test_canonical_adapted_on_flat(flat2):
     pts = sample_points(flat2, 4, 12)
     for side in ("p", "n"):
-        rep = check_adapted(flat2.S.canonical, flat2.S, side, stack_points(pts))
-        assert rep.passed, rep.conditions
+        rep, conditions = reduce_adapted(flat2.S.canonical, flat2.S, side, stack_points(pts))
+        assert rep.passed, conditions
 
 
 def test_canonical_adapted_on_flatg_tm(flatg_tm):
     pts = sample_points(flatg_tm, 4, 13)
     for side in ("p", "n"):
-        rep = check_adapted(flatg_tm.S.canonical, flatg_tm.S, side, stack_points(pts))
-        assert rep.passed, rep.conditions
+        rep, conditions = reduce_adapted(flatg_tm.S.canonical, flatg_tm.S, side,
+                                         stack_points(pts))
+        assert rep.passed, conditions
 
 
 def test_lc_adapted_on_flat_para_kahler(flat2):
     pts = sample_points(flat2, 4, 14)
-    rep = check_adapted(flat2.S.levi_civita, flat2.S, "p", stack_points(pts))
+    rep, conditions = reduce_adapted(flat2.S.levi_civita, flat2.S, "p", stack_points(pts))
     assert rep.passed
 
 
 def test_canonical_adapted_n_side_on_sphere(sphere_tm, sphere_pts):
-    rep = check_adapted(sphere_tm.S.canonical, sphere_tm.S, "n", stack_points(sphere_pts[:4]))
-    assert rep.passed, rep.conditions
+    rep, conditions = reduce_adapted(sphere_tm.S.canonical, sphere_tm.S, "n",
+                                     stack_points(sphere_pts[:4]))
+    assert rep.passed, conditions
 
 
 def test_sphere_p_side_condition4_is_nijenhuis(sphere_tm, sphere_pts):
     """On the curved model the canonical connection violates condition (4)
     on the non-integrable side by exactly the Nijenhuis obstruction."""
     S = sphere_tm.S
-    rep = check_adapted(S.canonical, S, "p", stack_points(sphere_pts[:3]))
-    assert rep.conditions[1] < 1e-9
-    assert rep.conditions[2] < 1e-9
-    assert rep.conditions[3] < 1e-9
-    assert rep.conditions[4] > 1e-3
+    rep, conditions = reduce_adapted(S.canonical, S, "p", stack_points(sphere_pts[:3]))
+    assert conditions[1] < 1e-9
+    assert conditions[2] < 1e-9
+    assert conditions[3] < 1e-9
+    assert conditions[4] > 1e-3
     # exact equality with -N_+ for specific vectors
     rng = np.random.default_rng(15)
     p = sphere_pts[0]
@@ -323,10 +326,11 @@ def test_lc_not_adapted_on_curved_tm(sphere_tm, sphere_pts):
     """Levi-Civita is not p-adapted on the curved model.  A Koszul computation
     shows it does preserve T- along T+ here (condition 2 holds); the failure
     is the curvature term in condition (4)."""
-    rep = check_adapted(sphere_tm.S.levi_civita, sphere_tm.S, "p", stack_points(sphere_pts[:4]))
+    rep, conditions = reduce_adapted(sphere_tm.S.levi_civita, sphere_tm.S, "p",
+                                     stack_points(sphere_pts[:4]))
     assert not rep.passed
-    assert rep.conditions[2] < 1e-9
-    assert rep.conditions[4] > 1e-3
+    assert conditions[2] < 1e-9
+    assert conditions[4] > 1e-3
 
 
 def test_from_christoffels_roundtrip():
@@ -343,7 +347,7 @@ def _fails_check_adapted(C, S, pts):
     """True when check_adapted rejects C at pts: it raises, or reports a
     failure with a witness."""
     try:
-        rep = check_adapted(C, S, "p", stack_points(pts))
+        rep, _ = reduce_adapted(C, S, "p", stack_points(pts))
     except (DomainError, NotTorsionless):
         return True
     return not rep.passed and bool(rep.witnesses)
@@ -379,7 +383,7 @@ def test_nan_residuals_fail_the_gates(flat1):
     pts = [chart.point([0.2, 0.3]), chart.point([0.4, -0.1])]
     with pytest.raises(NotTorsionless, match=r"nan at Point\(\[0\.2, 0\.3\]\)"):
         require_torsionless(C, stack_points(pts))
-    rep = check_adapted(C, flat1.S, "p", stack_points(pts))
+    rep, conditions = reduce_adapted(C, flat1.S, "p", stack_points(pts))
     assert not rep.passed
-    assert all(np.isnan(v) for v in rep.conditions.values())
+    assert all(np.isnan(v) for v in conditions.values())
     assert {w["condition"] for w in rep.witnesses} == {1, 2, 3, 4}

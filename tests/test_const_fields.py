@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from paraherm import geometry
 from paraherm.brackets import d_bracket, flat_coordinate_dbracket, jacobi_defect
-from paraherm.connections import check_adapted, flat_connection, from_christoffels
+from paraherm.connections import flat_connection, from_christoffels
 from paraherm.errors import SingularMetric
 from paraherm.geometry import (
     Chart,
@@ -33,6 +33,7 @@ from paraherm.geometry import (
 from paraherm.models import build_flat, build_tm
 from paraherm.parastructure import ParaHermitianStructure
 from paraherm.randfields import random_vector_field
+from helpers import reduce_adapted
 
 
 def _per_point(field):
@@ -143,7 +144,7 @@ def test_readers_give_one_entry_per_point_for_const_fields():
     # A constant Christoffel symbol with torsion fails every point, each a witness.
     comps = np.zeros((4, 4, 4))
     comps[0, 0, 1] = 1.0
-    rep = check_adapted(from_christoffels(chart, comps), S, "p", stack_points(points))
+    rep, _ = reduce_adapted(from_christoffels(chart, comps), S, "p", stack_points(points))
     assert not rep.passed
     assert {tuple(w["point"]) for w in rep.witnesses} == {tuple(p.coords) for p in points}
 

@@ -37,6 +37,10 @@ turns a sample into a list or tuple, or iterates over it.  Every procedure
 declares every field it reads: each `DerivedField(...)` and `Connection(...)`
 built in `src/` passes its `inputs`, by keyword or by position, since a
 procedure that declares none reads fields the `const` rule cannot see.
+A check reduces its per-point arrays in one place, `geometry.reduce_points`:
+no other function builds a witness (a dict naming a `"point"`) or takes an
+argmax or argmin, except `Point.first` and `require_within`, which name the
+first point where a mask holds, so a witness rule cannot fork.
 """
 
 import ast
@@ -58,6 +62,8 @@ KEY_READERS = {("geometry", "Point"), ("geometry", "_memo_at")}
 CONST_WRITERS = {("geometry", "Field"), ("geometry", "TensorField"), ("geometry", "DerivedField")}
 ALL_MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 BATCHING_MODULES = {"geometry", "cli"}
+REDUCERS = {("geometry", "reduce_points"), ("geometry", "Point"), ("geometry", "require_within")}
+ARG_EXTREMA = {"argmax", "argmin", "nanargmax", "nanargmin"}
 SAMPLE_NAMES = {"sample", "points", "pts"}
 
 
@@ -411,3 +417,44 @@ def test_inputs_guard_catches_a_missing_declaration():
     )
     assert sorted(_undeclared_inputs(ast.parse(source))) == [
         (1, "DerivedField"), (2, "DerivedField"), (3, "Connection")]
+
+
+def _reductions(tree, module):
+    """(line, form) of each argmax or argmin, and of each dict with a
+    `"point"` key (a display or a `dict(point=...)` call), outside REDUCERS."""
+    for top in tree.body:
+        if (module, getattr(top, "name", None)) in REDUCERS:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) in ARG_EXTREMA:
+                yield node.lineno, _name(node)
+            elif isinstance(node, ast.Dict) and any(
+                    isinstance(k, ast.Constant) and k.value == "point" for k in node.keys):
+                yield node.lineno, "witness dict"
+            elif (isinstance(node, ast.Call) and _name(node.func) == "dict"
+                  and any(k.arg == "point" for k in node.keywords)):
+                yield node.lineno, "witness dict"
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_one_reducer_builds_every_witness(module):
+    found = sorted(_reductions(_tree(module), module))
+    assert not found, f"{module}.py reduces per-point arrays outside reduce_points at {found}"
+
+
+def test_reducer_guard_catches_each_form():
+    """The guard flags the per-suite witness code that `reduce_points`
+    replaced: an argmax over points, a witness dict, `dict(point=...)`."""
+    source = (
+        "i = int(np.argmax(defects))\n"
+        "wit = [{'point': batch.coords[i].tolist(), 'defect': float(defects[i])}]\n"
+        "j = res.argmin()\n"
+        "w = dict(point=coords, residual=val)\n"
+        "k = argmax(x)\n"
+        "row = {'name': name, 'witnesses': []}\n"
+        "def reduce_points(arrays):\n"
+        "    return {'point': int(np.argmax(arrays))}\n"
+    )
+    tree = ast.parse(source)
+    assert sorted(line for line, _ in _reductions(tree, "cli")) == [1, 2, 3, 4, 5, 8, 8]
+    assert sorted(line for line, _ in _reductions(tree, "geometry")) == [1, 2, 3, 4, 5]

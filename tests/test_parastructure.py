@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paraherm.cli import SUITES
 from paraherm.connections import flat_connection
 from paraherm.geometry import (
-    apply_endomorphism, constant_field, exterior_derivative, stack_points, tdot,
+    apply_endomorphism, constant_field, exterior_derivative, reduce_points, stack_points, tdot,
 )
 from paraherm.parastructure import (
     ParaHermitianStructure, bigraded_part_at, classify, n_scalar, nijenhuis,
@@ -24,9 +25,9 @@ def _const_vecs(chart, rng, count):
 
 def test_flat_validation_exact(flat2):
     pts = sample_points(flat2, 5, 0)
-    rep = validate_structure(flat2.S, stack_points(pts))
+    rep = reduce_points(validate_structure(flat2.S, stack_points(pts)), 1e-10)
     assert rep.passed
-    assert max(rep.residuals.values()) == 0.0
+    assert max(rep.maxima.values()) == 0.0
 
 
 def test_rank_skewed_K_fails(flat2):
@@ -34,16 +35,17 @@ def test_rank_skewed_K_fails(flat2):
     K = constant_field(chart, np.diag([1.0, 1.0, 1.0, -1.0]), 1, 1)
     eta = constant_field(chart, flat2.eta_matrix, 0, 2, sym="symmetric")
     S = ParaHermitianStructure(chart, eta, K)
-    rep = validate_structure(S, stack_points(sample_points(flat2, 3, 1)))
+    sample = stack_points(sample_points(flat2, 3, 1))
+    rep = reduce_points(validate_structure(S, sample), 1e-10)
     assert not rep.passed
-    assert rep.residuals["trace_K"] > 1.0
+    assert rep.maxima["trace_K"] > 1.0
 
 
 def test_sphere_tm_validation(sphere_tm):
     pts = sample_points(sphere_tm, 50, 2, box=sphere_box())
-    rep = validate_structure(sphere_tm.S, stack_points(pts))
+    rep = reduce_points(validate_structure(sphere_tm.S, stack_points(pts)), 1e-10)
     assert rep.passed
-    assert max(rep.residuals.values()) < 1e-12
+    assert max(rep.maxima.values()) < 1e-12
 
 
 # -- rho maps -------------------------------------------------------------------
@@ -251,8 +253,8 @@ def test_gates_and_classify_build_no_lie_bracket_graph(sphere_tm, sphere_pts, mo
     batch = stack_points(sphere_pts)
     for sign in (+1, -1):
         assert S.integrability_residual(sign, batch).shape == (len(sphere_pts),)
-    rep = classify(S, batch)
-    assert rep.flags["n_integrable"] and not rep.flags["p_integrable"]
+    flags, _ = classify(S, batch)
+    assert flags["n_integrable"] and not flags["p_integrable"]
 
 
 def test_sphere_tm_half_integrability(sphere_tm, sphere_pts):
@@ -354,31 +356,34 @@ def test_bigrading_completeness(sphere_tm, sphere_pts):
 # -- classification --------------------------------------------------------------
 
 def test_flat_classifies_para_kahler(flat2):
-    rep = classify(flat2.S, stack_points(sample_points(flat2, 4, 16)))
-    assert rep.flags["para_kahler"]
-    assert rep.flags["p_integrable"] and rep.flags["n_integrable"]
-    assert rep.flags["almost_para_kahler"] and rep.flags["nearly_para_kahler"]
-    assert max(rep.cross_checks.values()) < 1e-12
+    flags, arrays = classify(flat2.S, stack_points(sample_points(flat2, 4, 16)))
+    assert flags["para_kahler"]
+    assert flags["p_integrable"] and flags["n_integrable"]
+    assert flags["almost_para_kahler"] and flags["nearly_para_kahler"]
+    cross_checks = {k: v for k, v in reduce_points(arrays).maxima.items()
+                    if k not in SUITES["classify"].limits}
+    assert len(cross_checks) == 3 and max(cross_checks.values()) < 1e-12
 
 
 def test_flatg_tm_is_n_para_kahler(flatg_tm):
     pts = sample_points(flatg_tm, 4, 17)
-    rep = classify(flatg_tm.S, stack_points(pts))
-    assert rep.flags["para_kahler"]  # flat metric, Levi-Civita: fully integrable
-    assert rep.flags["n_para_kahler"]
+    flags, _ = classify(flatg_tm.S, stack_points(pts))
+    assert flags["para_kahler"]  # flat metric, Levi-Civita: fully integrable
+    assert flags["n_para_kahler"]
 
 
 def test_sphere_tm_classification(sphere_tm, sphere_pts):
-    rep = classify(sphere_tm.S, stack_points(sphere_pts[:4]))
-    assert not rep.flags["p_integrable"]
-    assert rep.flags["n_integrable"]
-    assert rep.flags["n_para_kahler"]
-    assert not rep.flags["para_kahler"]
+    flags, arrays = classify(sphere_tm.S, stack_points(sphere_pts[:4]))
+    maxima = reduce_points(arrays).maxima
+    assert not flags["p_integrable"]
+    assert flags["n_integrable"]
+    assert flags["n_para_kahler"]
+    assert not flags["para_kahler"]
     # d omega (3,0) equals the cyclic sum of N_+ (both sides here
     # vanish by the first Bianchi identity; the equality is the assertion).
-    assert rep.cross_checks["d_omega_30_vs_cyclic_n_plus"] < 1e-9
-    assert rep.cross_checks["d_omega_03_vs_cyclic_n_minus"] < 1e-9
-    assert rep.cross_checks["para_kahler_iff_nabla_K"] == 0.0
+    assert maxima["d_omega_30_vs_cyclic_n_plus"] < 1e-9
+    assert maxima["d_omega_03_vs_cyclic_n_minus"] < 1e-9
+    assert maxima["para_kahler_iff_nabla_K"] == 0.0
 
 
 def test_nonvacuous_cyclic_nijenhuis_identity_on_sheared_structure(flat3):
@@ -395,9 +400,10 @@ def test_nonvacuous_cyclic_nijenhuis_identity_on_sheared_structure(flat3):
         comps[j, i] = f"-({s})"
     b = TensorField(flat3.chart, 0, 2, comps, sym="antisymmetric")
     T = b_transform(flat3.S, b, sample=stack_points(pts))
-    rep = classify(T.structure_B, stack_points(pts))
-    assert rep.residuals["domega_30"] > 0.1
-    assert rep.cross_checks["d_omega_30_vs_cyclic_n_plus"] < 1e-9
+    _, arrays = classify(T.structure_B, stack_points(pts))
+    maxima = reduce_points(arrays).maxima
+    assert maxima["domega_30"] > 0.1
+    assert maxima["d_omega_30_vs_cyclic_n_plus"] < 1e-9
 
 
 def test_nearly_pk_implies_skew_nijenhuis(flat2, sphere_tm, sphere_pts, curved3_tm):
@@ -410,8 +416,8 @@ def test_nearly_pk_implies_skew_nijenhuis(flat2, sphere_tm, sphere_pts, curved3_
     ]
     triggered = 0
     for S, pts in cases:
-        rep = classify(S, stack_points(pts))
-        if not rep.flags["nearly_para_kahler"]:
+        flags, _ = classify(S, stack_points(pts))
+        if not flags["nearly_para_kahler"]:
             continue
         triggered += 1
         for p in pts:
@@ -432,7 +438,8 @@ CHECKS = ("validate", "classify", "adapted", "courant", "antisymmetry", "b_trans
 
 def _run_check(name, flat1, sample):
     """Each library function that evaluates over a sample, on flat1 or on the
-    tangent bundle of the flat line, reduced to a value that compares by ==.
+    tangent bundle of the flat line, as a value that compares by ==: a
+    checker's per-point arrays as nested lists.
     Both charts have dimension 2, so one sample serves both."""
     from paraherm.brackets import courant_axiom_suite
     from paraherm.connections import check_adapted
@@ -445,15 +452,24 @@ def _run_check(name, flat1, sample):
     rng = np.random.default_rng(4)
     pool = [random_vector_field(S.chart, rng) for _ in range(3)]
     line_tm = lambda s=None: build_tm([["1 + x^2"]], ["x"], sample=s)  # noqa: E731
+
+    def listed(arrays):
+        return {name: arr.tolist() for name, arr in arrays.items()}
+
+    def listed_classify():
+        flags, arrays = classify(S, sample)
+        return flags, listed(arrays)
+
     return {
-        "validate": lambda: validate_structure(S, sample),
-        "classify": lambda: classify(S, sample),
-        "adapted": lambda: check_adapted(S.canonical, S, "p", sample, n_vectors=2),
-        "courant": lambda: courant_axiom_suite(lie_bracket, lambda X: X, None, pool, sample,
-                                               skip_pairing=True),
+        "validate": lambda: listed(validate_structure(S, sample)),
+        "classify": lambda: listed_classify(),
+        "adapted": lambda: listed(check_adapted(S.canonical, S, "p", sample, n_vectors=2)),
+        "courant": lambda: listed(courant_axiom_suite(lie_bracket, lambda X: X, None, pool,
+                                                      sample, skip_pairing=True)),
         "antisymmetry": lambda: antisymmetry_residual(S.omega, sample),
         "b_transform": lambda: b_transform(S, zero_b, sample=sample).side,
-        "compatibility": lambda: compatibility_residual(b_transform(S, zero_b), sample),
+        "compatibility": lambda: compatibility_residual(b_transform(S, zero_b),
+                                                        sample).tolist(),
         "build_tm": lambda: line_tm(sample).n,
         "flatness": lambda: flatness_residual(line_tm(), sample).tolist(),
     }[name]()

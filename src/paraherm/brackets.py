@@ -135,11 +135,22 @@ def _bracket_core(C, S, X, Y, project, operands):
     """The one builder of bracket fields, which callers reach through S's
     table (`_shared_bracket`), apart from `maurer_cartan_sides` and `f_flux`,
     which bracket fields they build per call and share with no one:
-    eta([X,Y], Z) = eta(nabla_X Y - nabla_Y X, Z) + eta(nabla_Z X, Y), with all three connection arguments projected by
-    P_project when `project` is a sign (+1 or -1), none when it is None.
-    The body reads its operands, nabla X, nabla Y, eta(Y, .) and P X, P Y,
-    as fields of the table `operands` (S.operand_table, or a per-call
-    dict), so brackets that share an operand evaluate it once per point."""
+
+        eta([X,Y], Z) = eta(nabla_X Y - nabla_Y X, Z) + eta(nabla_Z X, Y),
+
+    with all three connection arguments projected by P_project when
+    `project` is a sign (+1 or -1), none when it is None.  Only the second
+    term needs raising, so the bracket is
+
+        [X,Y]^J = w^J + R_X[J, A] eta(Y, .)_A,  w = P X . nabla Y - P Y . nabla X,
+
+    with R_X[J, A] = M[J, I] nabla_I X^A, M = eta^-1 P^T (eta^-1 when
+    unprojected): three contractions a point.  The body reads its operands,
+    nabla X, nabla Y, eta(Y, .), P X, P Y and R_X, as fields of the table
+    `operands` (S.operand_table, or a per-call dict), so brackets that share
+    an operand evaluate it once per point; M is an operand there too, one
+    per (eta^-1, P).  It reads nabla X and nabla Y first: they read X and Y
+    one order above P X and P Y, so X's and Y's memos never climb."""
     P = None if project is None else S.projector(project)
 
     def operand(build, a, b):
@@ -148,24 +159,33 @@ def _bracket_core(C, S, X, Y, project, operands):
     NX, NY = (operand(covariant_differential, C, V) for V in (X, Y))  # [A, I] = nabla_I V^A
     EY = operand(_lowered, S.eta, Y)
     DX, DY = (X, Y) if P is None else (operand(apply_endomorphism, P, V) for V in (X, Y))
+    M = S.eta_inv if P is None else operand(_raiser, S.eta_inv, P)
+    RX = operand(_raised, M, NX)
 
     def fn(p, k):
         nx, ny = NX.at(p, k), NY.at(p, k)
         w = tdot(DX.at(p, k), ny, ([0], [1])) - tdot(DY.at(p, k), nx, ([0], [1]))
-        xi = tdot(S.eta.at(p, k), w, ([0], [0]))
-        # c_I = eta(nabla_{d_I} X, Y)
-        full = tdot(nx, EY.at(p, k), ([0], [0]))
-        xi = xi + (full if P is None else tdot(P.at(p, k), full, ([0], [0])))
-        return tdot(S.eta_inv.at(p, k), xi, ([1], [0]))
+        return w + tdot(RX.at(p, k), EY.at(p, k), ([1], [0]))
 
-    inputs = (NX, NY, EY, DX, DY, S.eta, S.eta_inv) + (() if P is None else (P,))
-    return DerivedField(S.chart, 1, 0, fn, inputs=inputs)
+    return DerivedField(S.chart, 1, 0, fn, inputs=(NX, NY, EY, DX, DY, RX))
 
 
 def _lowered(eta, Y):
     """eta(Y, .), the covector Y^A eta_AB."""
     return DerivedField(Y.chart, 0, 1, lambda p, k: tdot(eta.at(p, k), Y.at(p, k), ([0], [0])),
                         inputs=(eta, Y))
+
+
+def _raiser(eta_inv, P):
+    """eta^-1 P^T, the (2,0) field eta^{JB} P^I_B."""
+    return DerivedField(P.chart, 2, 0, lambda p, k: tdot(eta_inv.at(p, k), P.at(p, k), ([1], [1])),
+                        inputs=(eta_inv, P))
+
+
+def _raised(M, NX):
+    """R_X[J, A] = M[J, I] nabla_I X^A, from NX[A, I] = nabla_I X^A."""
+    return DerivedField(NX.chart, 2, 0, lambda p, k: tdot(M.at(p, k), NX.at(p, k), ([1], [1])),
+                        inputs=(M, NX))
 
 
 def _table_field(table, key, build, *alive):

@@ -77,8 +77,8 @@ def levi_civita(eta: Field) -> Connection:
 
     def fn(point, order):
         ej = eta.at(point, order + 1)
-        inv = invert_matrix_jets(ej, point)
-        return truncate_jets(christoffel_jets(inv, jets_gradient(ej)), order)
+        inv = invert_matrix_jets(truncate_jets(ej, order), point)
+        return christoffel_jets(inv, jets_gradient(ej))
 
     return Connection(eta.chart, fn, provenance="levi_civita", inputs=(eta,))
 
@@ -212,7 +212,7 @@ def curvature(C: Connection) -> Field:
 
     def fn(p, k):
         g = C.christoffels.at(p, k + 1)
-        return truncate_jets(riemann_jets(g, jets_gradient(g)), k)
+        return riemann_jets(truncate_jets(g, k), jets_gradient(g))
 
     return DerivedField(C.chart, 1, 3, fn, inputs=(C.christoffels,))
 

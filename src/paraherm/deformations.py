@@ -46,7 +46,7 @@ from .geometry import (
     require_within,
     tdot,
 )
-from .parastructure import ParaHermitianStructure, bigraded_part_at
+from .parastructure import ParaHermitianStructure, bigraded_part_at, bigraded_parts
 
 __all__ = [
     "BTransformation", "b_transform", "b_minus_transform",
@@ -316,7 +316,7 @@ def extract_fluxes(T: BTransformation, sample):
     covH = H + R
 
     PBp, PBm = (f.at(point, 0) for f in (T.structure_B.P_plus, T.structure_B.P_minus))
-    parts = {m: bigraded_part_at(dbj, m, PBp, PBm) for m in range(4)}
+    parts = bigraded_parts(dbj, PBp, PBm, range(4))
     residuals = {
         "reassembly": (covH + parts[2] + parts[1] + parts[0] - dbj).max_abs(),
         "vanishing_parts": np.maximum(parts[1].max_abs(), parts[0].max_abs()),

@@ -131,8 +131,7 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=None,
     def base_christoffels(p, k):
         """Gamma^k_{ij} of g, base indices only, from d_a g_{bc} for a < n."""
         gj = g_field.at(p, k + 1)[:n, :n]
-        gamma = christoffel_jets(invert_matrix_jets(gj, p), jets_gradient(gj)[:n])
-        return truncate_jets(gamma, k)
+        return christoffel_jets(invert_matrix_jets(truncate_jets(gj, k), p), jets_gradient(gj)[:n])
 
     # Rank-tagged (1,2), of shape (n, n, n) on the 2n chart; not a tensor.
     gamma_g = DerivedField(chart, 1, 2, base_christoffels, inputs=(g_field,))
@@ -140,7 +139,7 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=None,
     def riemann_g(point, order=0):
         """R^k_{ijl} of g with the sign fixed by [H_i,H_j] = R^k_{ijl} v^l V_k."""
         g1 = gamma_g.at(point, order + 1)
-        return truncate_jets(riemann_jets(g1, jets_gradient(g1)[:n]), order)
+        return riemann_jets(truncate_jets(g1, order), jets_gradient(g1)[:n])
 
     # The fibre coordinates v^j, as the vector (v1..vn, 0..0).
     fibre = TensorField(chart, 1, 0, coord_names[n:] + [0] * n)

@@ -9,8 +9,9 @@ the operator-level formulas the checks are written in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import add
 
 import numpy as np
 
@@ -43,7 +44,7 @@ __all__ = [
     "ParaHermitianStructure", "GeneralizedVector", "validate_structure",
     "rho", "rho_field", "rho_inverse", "nijenhuis", "nijenhuis_tensor",
     "nijenhuis_projector_form", "nijenhuis_connection_form", "n_scalar",
-    "phi_field", "phi_scalar", "bigraded_part_at",
+    "phi_field", "phi_scalar", "bigraded_parts", "bigraded_part_at",
     "classify",
 ]
 
@@ -56,7 +57,8 @@ class ParaHermitianStructure:
     holds the brackets built on it, one field per (connection, X, Y,
     projection) (`brackets.associated_bracket`), and `operand_table` the
     fields their bodies read, one per (connection, X) for nabla X, per
-    (projector, X) for P X and per (eta, Y) for eta(Y, .)."""
+    (projector, X) for P X, per (eta, Y) for eta(Y, .), per (eta^-1, P) for
+    eta^-1 P^T and per (M, nabla X) for the raised R_X = M nabla X."""
 
     def __init__(self, chart, eta: Field, K: Field):
         if eta.rank != (0, 2) or K.rank != (1, 1):
@@ -293,18 +295,30 @@ def phi_scalar(S, X, Y, Z, point, order=0) -> float:
 # Bigrading
 # --------------------------------------------------------------------------
 
+def bigraded_parts(T: JetArray, Pp: JetArray, Pm: JetArray, parts) -> dict:
+    """{m: (+m,-n) part} of a (0,k) tensor value for each m in `parts`, from
+    the jets Pp and Pm of P+- at its point.  Part m sums, in `combinations`
+    order, T with each slot assignment of m plus slots projected.  The
+    assignments are one tree: slot 0, then 1, then 2 ... is projected, and
+    assignments share the contractions of their common prefix, each branch
+    grown only while it can still reach a part asked for."""
+    k = T.ndim
+    leaves = {(): T}  # plus slots so far -> T with the slots so far projected
+    for slot in range(k):
+        grown = {}
+        for plus, comps in leaves.items():
+            for P, then in ((Pp, plus + (slot,)), (Pm, plus)):
+                if any(len(then) <= m <= len(then) + k - 1 - slot for m in parts):
+                    grown[then] = tdot(P, comps, ([0], [slot])).moveaxis(0, slot)
+        leaves = grown
+    return {m: reduce(add, (leaves[c] for c in combinations(range(k), m)))
+            for m in parts}
+
+
 def bigraded_part_at(T: JetArray, m_plus: int, Pp: JetArray, Pm: JetArray) -> JetArray:
     """(+m,-n) part of a (0,k) tensor value, from the jets Pp and Pm of
-    P+- at its point: sum over slot assignments."""
-    k = T.ndim
-    out = None
-    for plus_slots in combinations(range(k), m_plus):
-        comps = T
-        for slot in range(k):
-            P = Pp if slot in plus_slots else Pm
-            comps = tdot(P, comps, ([0], [slot])).moveaxis(0, slot)
-        out = comps if out is None else out + comps
-    return out
+    P+- at its point (`bigraded_parts` of the one part)."""
+    return bigraded_parts(T, Pp, Pm, (m_plus,))[m_plus]
 
 
 # --------------------------------------------------------------------------
@@ -344,7 +358,7 @@ def _classify_batch(S, batch):
     dwj = per_point(batch, exterior_derivative(S.omega).at(batch, 0))
     dw_scale = np.maximum(1.0, coeff_max(per_point(batch, S.omega.at(batch, 1))))
     worst = {"domega": dwj.max_abs() / dw_scale}
-    parts = {m: bigraded_part_at(dwj, m, Pp, Pm).values() for m in range(4)}
+    parts = {m: part.values() for m, part in bigraded_parts(dwj, Pp, Pm, range(4)).items()}
     for m, key in ((3, "domega_30"), (2, "domega_21"), (1, "domega_12"), (0, "domega_03")):
         worst[key] = per_point_max(parts[m]) / dw_scale
     phiv = phi_field(S).values(batch)

@@ -1,7 +1,11 @@
 """Shared test-side constructions (not part of the library)."""
 
+from collections import Counter
+
 import numpy as np
 
+import paraherm
+from paraherm import geometry
 from paraherm.cli import SUITES
 from paraherm.connections import Connection, check_adapted
 from paraherm.geometry import as_batch, constant_jets, reduce_points, tdot
@@ -55,3 +59,38 @@ def reduce_courant(arrays, sample, tol=1e-9, limits=None):
     """`courant_axiom_suite`'s arrays reduced as the Courant suites reduce
     them, every axiom a gate at `tol` unless `limits` says otherwise."""
     return reduce_points(arrays, tol, as_batch(sample).coords, limits, COURANT_RULE)
+
+
+def count_calls(monkeypatch, runs=None):
+    """Count `geometry.tdot` calls (in every module that imported it), those
+    of them with an all-zero operand (deg < 0), the `+` and `-` of two jet
+    arrays with an all-zero operand and `Field.at` calls (both subclasses'
+    own methods), as "tdot", "zero tdot", "zero +-" and "Field.at"; with a
+    Counter `runs`, also count into it each field's evaluations, the calls
+    its memo does not serve."""
+    counts = Counter()
+    tdot, combine = geometry.tdot, geometry.JetArray._combine
+
+    def counted_tdot(a, b, axes):
+        counts["tdot"] += 1
+        counts["zero tdot"] += a.deg < 0 or b.deg < 0
+        return tdot(a, b, axes)
+
+    def counted_combine(self, other, kernel):
+        counts["zero +-"] += isinstance(other, geometry.JetArray) and min(self.deg, other.deg) < 0
+        return combine(self, other, kernel)
+
+    for module in vars(paraherm).values():
+        if getattr(module, "tdot", None) is tdot:
+            monkeypatch.setattr(module, "tdot", counted_tdot)
+    monkeypatch.setattr(geometry.JetArray, "_combine", counted_combine)
+    for cls in (geometry.TensorField, geometry.DerivedField):
+        def counted_at(self, *args, _at=cls.at, **kwargs):
+            counts["Field.at"] += 1
+            memo = self._memo
+            out = _at(self, *args, **kwargs)
+            if runs is not None and self._memo is not memo:
+                runs[self] += 1
+            return out
+        monkeypatch.setattr(cls, "at", counted_at)
+    return counts

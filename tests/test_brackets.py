@@ -25,6 +25,7 @@ from paraherm.randfields import (
     random_vector_field,
 )
 from conftest import sample_points, sphere_box
+from helpers import count_calls, reduce_adapted, reduce_courant, shear_adapted_connection
 from oracles import values
 
 
@@ -222,7 +223,7 @@ def test_table_bracket_equals_a_fresh_build(table_models, model, kind, orders, b
 def _reference_bracket(C, S, X, Y, project, point, k):
     """The bracket of (C, X, Y, project) at (point, k) from `nabla_jets` and
     `tdot` directly, in the order of the bracket's own arithmetic, with no
-    operand field in between."""
+    operand field in between: w + R_X eta(Y, .), R_X = eta^-1 P^T nabla X."""
     gamma = C.christoffels.at(point, k)
     eta, eta_inv = S.eta.at(point, k), S.eta_inv.at(point, k)
     xj, yj = X.at(point, k + 1), Y.at(point, k + 1)
@@ -230,9 +231,63 @@ def _reference_bracket(C, S, X, Y, project, point, k):
     P = None if project is None else S.projector(project).at(point, k)
     dirx, diry = (xj, yj) if P is None else (tdot(P, v, ([1], [0])) for v in (xj, yj))
     w = tdot(dirx, ny, ([0], [0])) - tdot(diry, nx, ([0], [0]))
-    full = tdot(nx, tdot(eta, yj, ([0], [0])), ([1], [0]))
+    M = eta_inv if P is None else tdot(eta_inv, P, ([1], [1]))
+    return w + tdot(tdot(M, nx, ([1], [0])), tdot(eta, yj, ([0], [0])), ([1], [0]))
+
+
+def _lowered_form_bracket(C, S, X, Y, project, point, k):
+    """The paper's lowered form of the bracket, raised at the end:
+    eta^-1 (eta(w, .) + P^T eta(nabla X, Y)), from `nabla_jets` and `tdot`."""
+    gamma = C.christoffels.at(point, k)
+    eta, eta_inv = S.eta.at(point, k), S.eta_inv.at(point, k)
+    xj, yj = X.at(point, k + 1), Y.at(point, k + 1)
+    nx, ny = nabla_jets(gamma, xj, 1, 0), nabla_jets(gamma, yj, 1, 0)  # [I, A]
+    P = None if project is None else S.projector(project).at(point, k)
+    dirx, diry = (xj, yj) if P is None else (tdot(P, v, ([1], [0])) for v in (xj, yj))
+    w = tdot(dirx, ny, ([0], [0])) - tdot(diry, nx, ([0], [0]))
+    full = tdot(nx, tdot(eta, yj, ([0], [0])), ([1], [0]))  # [I] = eta(nabla_I X, Y)
     full = full if P is None else tdot(P, full, ([0], [0]))
     return tdot(eta_inv, tdot(eta, w, ([0], [0])) + full, ([1], [0]))
+
+
+@pytest.fixture(scope="module")
+def lowered_form_models(table_models):
+    """The table models and the Drinfel'd double of the shipped runspec, each
+    with budget for brackets at order 2."""
+    import json
+    from pathlib import Path
+
+    from paraherm.geometry import Chart
+    from paraherm.models import Model
+
+    spec = json.loads((Path(__file__).resolve().parent.parent / "runspecs"
+                       / "drinfeld_double.json").read_text())["model"]
+    chart = Chart(spec["coords"], split=spec["split"], jet_order=4)
+    eta = TensorField(chart, 0, 2, np.asarray(spec["eta"], dtype=object), sym="symmetric")
+    K = TensorField(chart, 1, 1, np.asarray(spec["K"], dtype=object))
+    return table_models | {"double": Model(chart, ParaHermitianStructure(chart, eta, K))}
+
+
+@TABLE_SETTINGS
+@given(model=st.sampled_from(["flat", "sphere", "double"]),
+       kind=st.sampled_from(["d", "levi_civita", "plus", "minus"]),
+       order=st.integers(0, 2), batch=st.booleans(), seed=st.integers(0, 2**16))
+def test_bracket_equals_its_lowered_form(lowered_form_models, model, kind, order, batch,
+                                         seed):
+    """A bracket from the table, which raises only eta(Y, .) (through R_X =
+    eta^-1 P^T nabla X), equals the paper's lowered form raised at the end,
+    eta^-1 (eta(w, .) + P^T eta(nabla X, Y)), in every jet coefficient, to
+    1e-12 of max(1, max |D|), at a point and at a batch."""
+    m = lowered_form_models[model]
+    S = m.S
+    rng = np.random.default_rng(seed)
+    X, Y = (random_vector_field(S.chart, rng, degree=2) for _ in range(2))
+    pts = sample_points(m, 3, seed, box=sphere_box() if model == "sphere" else None)
+    point = stack_points(pts) if batch else pts[0]
+    bracket, (C, project) = _kinds(S)[kind]
+    got = bracket(X, Y).at(point, order).coeffs
+    want = _lowered_form_bracket(C, S, X, Y, project, point, order).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(got)))
 
 
 @TABLE_SETTINGS
@@ -277,8 +332,8 @@ def test_each_operand_runs_once_per_point_and_order(flat2):
     for point in pts[1:] + [stack_points(pts)]:
         d_bracket(S, X, Y).at(point, 0)
         jacobi_defect(bracket, X, Y, Z, point)
-    assert len(S.operand_table) == 10
-    assert len({field for field, _, _ in runs}) == 10
+    assert len(S.operand_table) == 13
+    assert len({field for field, _, _ in runs}) == 13
     assert set(runs.values()) == {1}, runs
 
 
@@ -324,37 +379,23 @@ def test_zero_symbols_make_no_zero_operand_kernel_call(flat3, monkeypatch):
     Jacobi defect, on the flat model, whose canonical symbols are exactly
     zero), no `tdot` and no `+` or `-` has an all-zero operand: nabla_jets
     differentiates by partials alone, where it made 6 and 6 such calls by
-    adding zero corrections."""
-    import paraherm
-    import paraherm.geometry as geometry
-
-    zero = Counter()
-    tdot, combine = geometry.tdot, geometry.JetArray._combine
-
-    def counted_tdot(a, b, axes):
-        zero["tdot"] += a.deg < 0 or b.deg < 0
-        return tdot(a, b, axes)
-
-    def counted_combine(self, other, kernel):
-        zero["+-"] += isinstance(other, geometry.JetArray) and min(self.deg, other.deg) < 0
-        return combine(self, other, kernel)
-
-    for module in vars(paraherm).values():
-        if getattr(module, "tdot", None) is tdot:
-            monkeypatch.setattr(module, "tdot", counted_tdot)
-    monkeypatch.setattr(geometry.JetArray, "_combine", counted_combine)
+    adding zero corrections.  The point makes at most 25 contractions (34
+    while each bracket lowered both its terms with eta and raised their sum
+    with eta^-1)."""
+    counts = count_calls(monkeypatch)
     S, chart = flat3.S, flat3.chart
     rng = np.random.default_rng(52)
     X, Y, Z = (random_vector_field(chart, rng) for _ in range(3))
     dbracket = lambda A, B: d_bracket(S, A, B)  # noqa: E731
     for coords in rng.uniform(-1.0, 1.0, (2, chart.dim)):
-        zero.clear()
+        counts.clear()
         p = chart.point(coords)
         dbracket(X, Y).values(p)
         flat_coordinate_dbracket(chart, flat3.eta_matrix, X, Y).values(p)
         jacobi_defect(dbracket, X, Y, Z, p)
     assert S.canonical.christoffels.at(p, 0).deg < 0
-    assert (zero["tdot"], zero["+-"]) == (0, 0), zero
+    assert (counts["zero tdot"], counts["zero +-"]) == (0, 0), counts
+    assert 0 < counts["tdot"] <= 25, counts
 
 
 def test_rebuilt_fields_never_get_a_stale_entry(flat2):
@@ -506,9 +547,6 @@ def test_adapted_connections_reproduce_leafwise_dorfman(flat2, flatg_tm):
                     want = dorf.at(p, 0)
                     assert np.max(np.abs(got.vec.values() - want.vec.values())) < 1e-9
                     assert np.max(np.abs(got.cov.values() - want.cov.values())) < 1e-9
-
-
-from helpers import reduce_adapted, reduce_courant, shear_adapted_connection  # noqa: E402
 
 
 def test_shear_connection_is_adapted_and_distinct(flat2):
@@ -689,7 +727,7 @@ def test_dbracket_memory_does_not_grow_with_the_point_count():
     defect at each of 2,000 fresh single points, retains no more memory than
     after 200: each field, structure and connection keeps the jets of its
     last point only, and the structure's bracket and operand tables grow
-    with the distinct field pairs (six brackets, ten operands here), not
+    with the distinct field pairs (six brackets, 13 operands here), not
     with the points.  (With per-point caches the retained memory grew by
     about 9.3 KB a point.)"""
     import gc
@@ -710,7 +748,7 @@ def test_dbracket_memory_does_not_grow_with_the_point_count():
             d_bracket(S, X, Y).at(p, 0)
             jacobi_defect(bracket, X, Y, Z, p)
         gc.collect()
-        assert (len(S.bracket_table), len(S.operand_table)) == (6, 10)
+        assert (len(S.bracket_table), len(S.operand_table)) == (6, 13)
         return tracemalloc.get_traced_memory()[0]
 
     tracemalloc.start()

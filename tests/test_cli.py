@@ -12,6 +12,8 @@ from paraherm import deformations as df
 from paraherm.cli import load_spec, main, print_report, run
 from paraherm.errors import InsufficientJetOrder, SpecParseError
 
+from helpers import count_calls
+
 RUNSPECS = Path(__file__).resolve().parent.parent / "runspecs"
 
 
@@ -566,39 +568,11 @@ def test_courant_residuals_are_relative_to_eta(tmp_path):
 
 # -- per-point work does not creep back ------------------------------------------
 
-def _count_calls(monkeypatch, runs=None):
-    """Count `geometry.tdot` calls (in every module that imported it), those
-    of them with an all-zero operand (deg < 0) and `Field.at` calls (both
-    subclasses' own methods); with a Counter `runs`, also count into it each
-    field's evaluations, the calls its memo does not serve."""
-    counts = Counter()
-    tdot = geometry.tdot
-
-    def counted_tdot(a, b, axes):
-        counts["tdot"] += 1
-        counts["zero tdot"] += a.deg < 0 or b.deg < 0
-        return tdot(a, b, axes)
-
-    for name, module in vars(paraherm).items():
-        if getattr(module, "tdot", None) is tdot:
-            monkeypatch.setattr(module, "tdot", counted_tdot)
-    for cls in (geometry.TensorField, geometry.DerivedField):
-        def counted_at(self, *args, _at=cls.at, **kwargs):
-            counts["Field.at"] += 1
-            memo = self._memo
-            out = _at(self, *args, **kwargs)
-            if runs is not None and self._memo is not memo:
-                runs[self] += 1
-            return out
-        monkeypatch.setattr(cls, "at", counted_at)
-    return counts
-
-
 @pytest.mark.parametrize("runspec", ["flat.json", "tangent_bundle.json"])
 def test_call_counts_do_not_grow_with_the_sample(tmp_path, monkeypatch, runspec):
     """Every suite evaluates its fields on the sample as one batch: 4 and 8
     points make the same number of contractions and field evaluations."""
-    counts = _count_calls(monkeypatch)
+    counts = count_calls(monkeypatch)
     seen = []
     for count in (4, 8):
         spec = write_spec(tmp_path, f"{count}.json", _spec_from(runspec, sample={"count": count}))
@@ -611,17 +585,33 @@ def test_call_counts_do_not_grow_with_the_sample(tmp_path, monkeypatch, runspec)
 
 # Contractions with an all-zero operand per flat run (73 while nabla_jets
 # added a zero correction per tensor slot for the flat structure's canonical
-# symbols, which are exactly zero).
-ZERO_TDOTS = 34
+# symbols, which are exactly zero, and 34 while `classify` projected each of
+# the 8 slot assignments of d omega, which is zero there, anew).
+ZERO_TDOTS = 24
 
 
 def test_zero_symbols_are_not_contracted(tmp_path, monkeypatch):
     """The flat runspec's canonical symbols are exactly zero, and nabla_jets
     contracts nothing with them: a run makes at most ZERO_TDOTS contractions
     with an all-zero operand."""
-    counts = _count_calls(monkeypatch)
+    counts = count_calls(monkeypatch)
     assert run(str(RUNSPECS / "flat.json"), str(tmp_path / "report.json")) == 0
     assert 0 < counts["tdot"] and counts["zero tdot"] <= ZERO_TDOTS, counts
+
+
+# Contractions per run of each shipped runspec (603 and 236 while each
+# bracket lowered both its terms with eta and raised their sum with eta^-1,
+# the Christoffel symbols inverted the metric one order above their own, and
+# the bigraded parts of d omega and db projected each slot assignment anew).
+TDOTS = {"flat.json": 447, "tangent_bundle.json": 177}
+
+
+@pytest.mark.parametrize("runspec", sorted(TDOTS))
+def test_contractions_per_run_stay_bounded(tmp_path, monkeypatch, runspec):
+    """A run of each shipped runspec makes at most TDOTS contractions."""
+    counts = count_calls(monkeypatch)
+    assert run(str(RUNSPECS / runspec), str(tmp_path / "report.json")) == 0
+    assert 0 < counts["tdot"] <= TDOTS[runspec], counts
 
 
 def _run_structure(monkeypatch, spec, tmp_path):
@@ -649,7 +639,7 @@ def test_structure_fields_are_evaluated_once_per_order(tmp_path, monkeypatch, ru
     times: the pre-flight read serves the suites the structure's highest
     order first, so its memos never climb the orders."""
     runs = Counter()
-    _count_calls(monkeypatch, runs)
+    count_calls(monkeypatch, runs)
     S = _run_structure(monkeypatch, str(RUNSPECS / runspec), tmp_path)
     fields = dict(zip(("eta", "K", "eta_inv", "omega", "P_plus", "P_minus"), S.fields),
                   levi_civita=S.levi_civita.christoffels, canonical=S.canonical.christoffels,
@@ -683,7 +673,7 @@ def test_each_connection_a_suite_reads_is_evaluated_once(tmp_path, monkeypatch, 
     reverse order, where `deform` reads the canonical connection first, at
     the lowest order of the run's readers."""
     runs = Counter()
-    _count_calls(monkeypatch, runs)
+    count_calls(monkeypatch, runs)
     spec = write_spec(tmp_path, "s.json", _spec_from(runspec, suites=suites))
     S = _run_structure(monkeypatch, spec, tmp_path)
     got = [runs[C.christoffels] for C in (S.levi_civita, S.canonical)]
@@ -720,7 +710,7 @@ def test_each_bracket_is_built_once_per_structure(tmp_path, monkeypatch, runspec
     body runs once: the Jacobi defects ask the inner brackets at order 1
     before axiom 1 reads their order-0 slice."""
     runs = Counter()
-    _count_calls(monkeypatch, runs)
+    count_calls(monkeypatch, runs)
     fields = []
     core = br._bracket_core
 

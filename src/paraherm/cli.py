@@ -38,7 +38,7 @@ import numpy as np
 from . import brackets as br
 from . import deformations as df
 from .connections import check_adapted, curvature
-from .errors import InsufficientJetOrder, ParahermError, SpecParseError
+from .errors import DomainError, InsufficientJetOrder, ParahermError, SpecParseError
 from .expr import Coord, parse_expr
 from .geometry import (
     Chart,
@@ -193,9 +193,12 @@ class _RunContext:
         once per run.  Then it computes the structure's invariants, which
         every run reads, so that one that overflows is a spec error too, and
         the B-transformation of a para-Hermitian structure that a suite
-        reads, so that a b-field off its type is a `[b_field]` spec error."""
+        reads, so that a b-field off its type, or one whose shear products
+        overflow (see `check_shear`), is a `[b_field]` spec error."""
         readers = [SUITES[name].order for name in self.suites if "b_field" in SUITES[name].gates]
-        with _spec_section("sample"):
+        # Overflow is reported as the DomainError of non-finite jets or
+        # invariants, so numpy's warnings are off.
+        with _spec_section("sample"), np.errstate(over="ignore", invalid="ignore"):
             for f in self.model.S.fields:
                 f.at(self.batch, self.order)
             if self.b_field is not None:
@@ -203,7 +206,36 @@ class _RunContext:
             self.structure
         if self.b_field is not None and readers and not self.failing:
             with _spec_section("b_field"):
-                self.transformation
+                self.check_shear()
+
+    def check_shear(self):
+        """Raise DomainError naming the first sample point where a product of
+        the shear that a suite writes is not finite: the Schouten bracket
+        [b, b], quadratic in b, which `deform` and `fluxes` read, and, for
+        `deform`, the two Maurer-Cartan sides, cubic in the shear.  The b-field's
+        own jets can be finite where these overflow.  Both are computed
+        once per run, and the suites read them from here.  The connections
+        and the pool the sides read are evaluated first at the highest order
+        any suite reads them, so that no later suite evaluates them again."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = [self.transformation.schouten.values(self.batch)]
+            if "deform" in self.suites:
+                self.read_connections(SUITES["deform"].reads)
+                for X in self.pool:
+                    X.at(self.batch, self.order)
+                values += [self.mc_sides.d_bracket_side, self.mc_sides.form_side]
+        finite = np.logical_and.reduce(
+            [np.isfinite(v.reshape(len(self.batch.coords), -1)).all(axis=1) for v in values])
+        if not finite.all():
+            raise DomainError(f"the shear's products are not finite at "
+                              f"{self.batch.first(~finite)[1]}")
+
+    def read_connections(self, names):
+        """Evaluate the structure's connections `names` on the sample at one
+        below the run's order, the highest any suite reads them at, so that
+        each is evaluated once per run."""
+        for name in names:
+            getattr(self.model.S, name).christoffels.at(self.batch, self.order - 1)
 
     # -- gates, each computed once per run ------------------------------------
 
@@ -267,6 +299,12 @@ class _RunContext:
         """The B-transformation by `b_field`, validated at the sample;
         `check_domain` builds it for the runs that read it."""
         return df.b_transform(self.model.S, self.b_field, sample=self.batch)
+
+    @functools.cached_property
+    def mc_sides(self):
+        """Both Maurer-Cartan sides of the B-transformation on the pool, at
+        every point: what `deform` writes, and `check_shear` checks."""
+        return df.maurer_cartan_sides(self.transformation, *self.pool, self.batch)
 
     @functools.cached_property
     def pool(self):
@@ -416,8 +454,7 @@ class Suite:
             reason = ("eigenbundle not integrable at tolerance" if one
                       else "no integrable side at tolerance")
             return self._row(ctx, tol, {}, noted, True, reason)
-        for name in self.reads:
-            getattr(ctx.model.S, name).christoffels.at(ctx.batch, ctx.order - 1)
+        ctx.read_connections(self.reads)
         out = self.body(ctx, tol, *(sign for sign in self.sides if sign not in closed))
         return self._row(ctx, tol, out.pop("arrays"), noted, **out)
 
@@ -499,7 +536,7 @@ def _deform(ctx, tol):
     the reason given at `_RunContext.curvature`, and reads the sheared
     fields at order 1 before the validation reads their order-0 slices."""
     T = ctx.transformation
-    agree = df.maurer_cartan_sides(T, *ctx.pool, ctx.batch).agreement[:5]
+    agree = ctx.mc_sides.agreement[:5]
     invariants = validate_structure(T.structure_B, ctx.batch)
     compat = df.compatibility_residual(T, ctx.batch)
     return {"arrays": {"structure_validation": np.max(list(invariants.values()), axis=0),

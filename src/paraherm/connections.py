@@ -31,7 +31,7 @@ from .geometry import (
 )
 
 __all__ = [
-    "Connection", "flat_connection", "levi_civita", "from_christoffels",
+    "Connection", "flat_connection", "inverse_metric", "levi_civita", "from_christoffels",
     "canonical_connection", "canonical_connection_contorsion",
     "covariant_derivative", "covariant_differential", "torsion", "curvature",
     "check_adapted",
@@ -72,15 +72,24 @@ def christoffel_jets(inv, de):
     return 0.5 * tdot(inv, bracket, ([1], [2]))  # (k, i, j)
 
 
-def levi_civita(eta: Field) -> Connection:
-    """The Levi-Civita connection of eta."""
+def inverse_metric(eta: Field) -> Field:
+    """eta^{-1} as a (2,0) field: the inverse of eta's matrix of jets, at the
+    order asked."""
+    return DerivedField(eta.chart, 2, 0, lambda p, k: invert_matrix_jets(eta.at(p, k), p),
+                        inputs=(eta,))
+
+
+def levi_civita(eta: Field, eta_inv: Field = None) -> Connection:
+    """The Levi-Civita connection of eta.  It reads eta's inverse from
+    `eta_inv`, such as a structure's, so that eta is inverted once, or from
+    an `inverse_metric` of its own."""
+    inv = inverse_metric(eta) if eta_inv is None else eta_inv
 
     def fn(point, order):
         ej = eta.at(point, order + 1)
-        inv = invert_matrix_jets(truncate_jets(ej, order), point)
-        return christoffel_jets(inv, jets_gradient(ej))
+        return christoffel_jets(inv.at(point, order), jets_gradient(ej))
 
-    return Connection(eta.chart, fn, provenance="levi_civita", inputs=(eta,))
+    return Connection(eta.chart, fn, provenance="levi_civita", inputs=(eta, inv))
 
 
 def canonical_connection(S) -> Connection:

@@ -33,7 +33,7 @@ from .errors import (
 
 __all__ = [
     "Expr", "Const", "Coord", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
-    "Sin", "Cos", "Exp", "Sqrt", "parse_expr", "to_source",
+    "Sin", "Cos", "Exp", "Sqrt", "parse_expr", "monomial_terms", "to_source",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -256,6 +256,49 @@ def parse_expr(source: str, coord_names) -> Expr:
     if len(set(names)) != len(names):
         raise DimensionMismatch("coordinate names must be distinct")
     return _Parser(_tokenize(source), names).parse()
+
+
+def monomial_terms(e: Expr):
+    """`e` as a sum of monomial terms, [(coefficient, {coordinate index:
+    power})] in the order the tree lists them, or None if it is not one.
+
+    A term is a product of constants, coordinates and `Coord ^ n` with an
+    integer n >= 0; terms are joined by `+`, `-` and unary `-`, and a
+    product with one single-term factor multiplies that term into each
+    term of the other.  A product of two sums, such as (x - 1000)^2, is not
+    one: expanding it could cancel.  Coefficients are the constants'
+    product, exact for `Fraction`s; zero ones are kept, and so is a
+    coordinate to the power 0, so every coordinate the tree reads is a key
+    of some term."""
+    match e:
+        case Const(value=v):
+            return [(v, {})]
+        case Coord(index=i):
+            return [(1, {i: 1})]
+        case Pow(base=Coord(index=i), exponent=n) if isinstance(n, int) and n >= 0:
+            return [(1, {i: n})]
+        case Neg(arg=a):
+            terms = monomial_terms(a)
+            return None if terms is None else [(-c, m) for c, m in terms]
+        case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b):
+            left, right = monomial_terms(a), monomial_terms(b)
+            if left is None or right is None:
+                return None
+            if type(e) is Add:
+                return left + right
+            if type(e) is Sub:
+                return left + [(-c, m) for c, m in right]
+            if len(left) == 1 or len(right) == 1:
+                return [(ca * cb, _times(ma, mb)) for ca, ma in left for cb, mb in right]
+    return None
+
+
+def _times(ma, mb):
+    """The powers of the product of two monomials."""
+    out = dict(ma)
+    for i, n in mb.items():
+        out[i] = out.get(i, 0) + n
+    return out
 
 
 # --------------------------------------------------------------------------

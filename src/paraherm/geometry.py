@@ -30,16 +30,24 @@ The elementwise arithmetic (`*`, `/`, integer powers, `sin`, `cos`, `exp`,
 `sqrt`) works on JetArrays of any shape; `+`, `-`, `*` and powers n >= 0 are
 array kernels on (coefficients, degree bound) pairs, which the JetArray
 operators call.  A `TensorField` compiles the `expr` trees of its
-components once, at construction, into a levelled `Tape`: equal subtrees
+components once, at construction, into one of two evaluators
+(`compile_components`).  Components that are all sums of monomials
+(`expr.monomial_terms`), in a field that reads a coordinate, become a
+`RecentringTable`: the Taylor coefficients of a polynomial at p have a
+closed form, so a run is one power table, one gather and product of each
+entry's powers and one sum per coefficient, with no level-by-level
+propagation.  Every other field becomes a levelled `Tape`: equal subtrees
 share a slot, each subtree that reads no coordinate is a constant row
 computed once per jet order, and the other nodes run level by level, one
 kernel call for all the nodes of a level that share an operation and the
 degree classes of their operands, over one stacked buffer.  `+`, `-`, `*`
 and powers n >= 0 run on that buffer through the same array kernels;
 division, negative powers, sin, cos, exp and sqrt call JetArray methods.
-Each component gets the bits it gets evaluated alone.
-`eval_expr` runs a tape (or one tree) for a point or a whole batch, and
-`TensorField.at` calls it once per evaluation.
+So `const` fields, the transcendental and rational functions, and products
+of sums such as (x - 1000)^2, whose expansion could cancel, stay on the
+tape.  Each component gets the bits it gets evaluated alone.
+`eval_expr` runs either evaluator (or one tree, on a tape) for a point or
+a whole batch, and `TensorField.at` calls it once per evaluation.
 
 `Field` is the one memoised object; the structure's eta^{-1}, omega and P+-,
 a connection's Christoffel symbols and the Nijenhuis gate are fields too.
@@ -270,7 +278,8 @@ def _power(ctx, c, d, n):
 
 def eval_expr(e, coords, order) -> JetArray:
     """Truncated Taylor expansion at `coords` of an expression tree, or of
-    the forest of a `Tape`, exact to rounding.
+    the components a `Tape` or a `RecentringTable` was compiled from, exact
+    to rounding.
 
     Coords of shape (dim,) give one point and (B, dim) a batch, all B points
     in one pass.  A tree gives a 0-d JetArray (one axis for the batch); a
@@ -280,7 +289,7 @@ def eval_expr(e, coords, order) -> JetArray:
     evaluated."""
     coords = np.asarray(coords, dtype=float)
     ctx = context(coords.shape[-1], order)
-    tape = e if isinstance(e, Tape) else Tape([e], dim=ctx.dim)
+    tape = e if isinstance(e, (Tape, RecentringTable)) else Tape([e], dim=ctx.dim)
     try:
         return tape.run(coords, ctx)
     except (DomainError, DivisionByZero) as exc:
@@ -326,7 +335,10 @@ def _degree_class(t, args, exponent):
 class Tape:
     """A forest of expression trees compiled once into a levelled evaluation
     tape (the Taylor-propagation tape of Griewank & Walther, Evaluating
-    Derivatives, 2008, with the nodes of one level run together).
+    Derivatives, 2008, with the nodes of one level run together).  A field
+    takes a tape when some component is not a monomial sum, or when it reads
+    no coordinate (see `compile_components`); a monomial sum's coefficients
+    have a closed form that `RecentringTable` computes without levels.
 
     Structurally equal subtrees share one slot; constants are keyed by the
     type and the bits of their float value, so 0.0 and -0.0 stay apart.
@@ -408,6 +420,7 @@ class Tape:
         self.size = len(layout)
         self.leaf_values = np.array(values)
         self.coord_index = np.array(coord_index, dtype=int)
+        self.reads = bool(coord_index)  # whether the forest reads a coordinate
         self.out = np.array([slot[i] for i in roots], dtype=int)
         self.const_groups, self.groups = [], []
         for g in order:
@@ -441,9 +454,7 @@ class Tape:
         buf[..., self.n_const : len(rows), 0] = coords[..., self.coord_index]
         _run_groups(buf, self.groups, ctx, len(batch))
         out = buf.take(self.out, axis=-2).reshape(batch + self.shape + (ctx.n,))
-        nonzero = np.flatnonzero(out.reshape(-1, ctx.n).any(axis=0))
-        deg = int(ctx.degree[nonzero[-1]]) if nonzero.size else -1  # exact
-        return JetArray(ctx, out, deg, len(batch))
+        return _exact_jets(ctx, out, len(batch))
 
 
 def _run_groups(buf, groups, ctx, nb):
@@ -464,6 +475,133 @@ def _run_groups(buf, groups, ctx, nb):
             (ia, a), (ib, b) = operands
             buf[..., lo:hi, :] = kernel(ctx, buf.take(ia, axis=-2), degs[a],
                                         buf.take(ib, axis=-2), degs[b])[0]
+
+
+def _exact_jets(ctx, out, nb) -> JetArray:
+    """The coefficients `out` as jets whose `deg` is the exact degree of
+    their highest nonzero block."""
+    nonzero = np.flatnonzero(out.reshape(-1, ctx.n).any(axis=0))
+    return JetArray(ctx, out, int(ctx.degree[nonzero[-1]]) if nonzero.size else -1, nb)
+
+
+class RecentringTable:
+    """The components of a field that are sums of monomial terms (see
+    `expr.monomial_terms`), evaluated in closed form instead of by a `Tape`.
+
+    A term c x^beta has at p the stored coefficient of alpha
+    c prod_v C(beta_v, alpha_v) p_v^(beta_v - alpha_v): the polynomial
+    re-centred at p needs no level-by-level propagation.  Per jet order, a
+    table built once lists the entries of each target (component, alpha):
+    the terms with alpha <= beta, in the order the tree lists them, each
+    with its weight c prod_v C(beta_v, alpha_v) and the powers its monomial
+    reads.  A run builds one power table p_v^j by repeated multiplication,
+    gathers each entry's powers and multiplies them in coordinate order and
+    then by its weight, and sums each target's entries down its column of
+    the padded table, as `*` sums its pairs.  So a target's bits do not
+    depend on the order asked or the batch, and the field is order-stable.
+    Terms with a zero coefficient are dropped, as a tape's product by an
+    exact zero drops them.
+    """
+
+    reads = True  # a coordinate, which `compile_components` requires
+
+    def __init__(self, terms, shape, dim):
+        comp, coef, beta = [], [], []
+        for c, comp_terms in enumerate(terms):
+            for w, powers in comp_terms:
+                if w:
+                    comp.append(c)
+                    coef.append(float(w))
+                    beta.append([powers.get(v, 0) for v in range(dim)])
+        self.shape = tuple(shape)
+        self.size = len(terms)
+        self.comp = np.array(comp, dtype=int)
+        self.coef = np.array(coef)
+        self.beta = np.array(beta, dtype=int).reshape(len(coef), dim)
+        self.top = int(self.beta.max(initial=0))  # the highest power read
+        # Each term's coordinates, those it reads first, in coordinate order:
+        # an entry multiplies its powers in this order, p_v^0 = 1 for the rest.
+        k = max(1, int(np.count_nonzero(self.beta, axis=1).max(initial=0)))
+        self.factors = np.argsort(self.beta == 0, axis=1, kind="stable")[:, :k]
+        self._tables = {}  # order -> (index, weights, mask, live), see _table
+
+    def _table(self, ctx):
+        """The padded column table of `ctx`, shape (R, L) with L >= 2 columns,
+        one per live target (flat index `live` into (component, alpha)), its
+        entries down the rows: the power-table `index` (k, R, L) of each
+        entry's monomial, its `weights` and the `mask` of real entries."""
+        alphas = _exponents(ctx)
+        t, a = np.nonzero((alphas <= self.beta[:, None, :]).all(axis=-1))
+        target = self.comp[t] * ctx.n + a
+        by = np.argsort(target, kind="stable")  # target-major, terms in tree order
+        t, a, target = t[by], a[by], target[by]
+        new = np.ones(len(target), dtype=bool)
+        new[1:] = target[1:] != target[:-1]
+        col = np.cumsum(new) - 1
+        start = np.flatnonzero(new)
+        rank = np.arange(len(target)) - start[col]
+        beta, gamma = self.beta[t], self.beta[t] - alphas[a]
+        weight = self.coef[t] * _binomials(self.top, ctx.order)[beta, alphas[a]].prod(axis=-1)
+        v = self.factors[t]
+        reads = v * (self.top + 1) + np.take_along_axis(gamma, v, axis=1)
+        # Two columns at least: numpy sums a single column pairwise.
+        shape = (int(rank.max(initial=-1)) + 1, max(len(start), 2))
+        index, weights = np.zeros((v.shape[1],) + shape, dtype=int), np.zeros(shape)
+        mask = np.zeros(shape, dtype=bool)
+        index[:, rank, col], weights[rank, col], mask[rank, col] = reads.T, weight, True
+        return index, weights, mask, target[start]
+
+    def run(self, coords, ctx) -> JetArray:
+        """The components' jets at coords of shape (*batch, dim); see `eval_expr`."""
+        table = self._tables.get(ctx.order)
+        if table is None:
+            table = self._tables[ctx.order] = self._table(ctx)
+        index, weights, mask, live = table
+        batch = coords.shape[:-1]
+        powers = np.empty(batch + (ctx.dim, self.top + 1))
+        powers[..., 0] = 1.0
+        powers[..., 1:] = coords[..., None]
+        powers = np.multiply.accumulate(powers, axis=-1).reshape(batch + (-1,))
+        terms = np.multiply.reduce(powers.take(index, axis=-1), axis=-3) * weights
+        out = np.zeros(batch + (self.size * ctx.n,))
+        out[..., live] = terms.sum(axis=-2, where=mask)[..., : len(live)]
+        return _exact_jets(ctx, out.reshape(batch + self.shape + (ctx.n,)), len(batch))
+
+
+@lru_cache(maxsize=None)
+def _exponents(ctx):
+    """The multi-indices of `ctx` as an (n, dim) integer array."""
+    return np.array(ctx.alphas, dtype=int).reshape(ctx.n, ctx.dim)
+
+
+@lru_cache(maxsize=None)
+def _binomials(top, order):
+    """C(b, a) for b <= top and a <= order, as floats, zero for a > b."""
+    return np.array([[math.comb(b, a) for a in range(order + 1)] for b in range(top + 1)],
+                    dtype=float)
+
+
+# A re-centring table holds every power of a coordinate up to the highest one
+# its terms read, one multiplication each; a tape squares.  So a higher
+# power, which a spec may give, stays on the tape.
+MAX_TABLE_POWER = 64
+
+
+def compile_components(trees, shape, dim):
+    """A field's evaluator: a `RecentringTable` when every component tree is
+    a monomial sum, one reads a coordinate and no power exceeds
+    MAX_TABLE_POWER, else a levelled `Tape`.  So `const` fields, division,
+    negative powers, sin, cos, exp, sqrt and products of sums stay on the
+    tape; a coordinate out of range goes there too, which raises on it."""
+    trees = list(trees)
+    terms = [ex.monomial_terms(e) for e in trees]
+    if all(t is not None for t in terms):
+        powers = [p for comp in terms for _, p in comp]
+        read = {v for p in powers for v in p}
+        if (read and max(read) < dim
+                and max(n for p in powers for n in p.values()) <= MAX_TABLE_POWER):
+            return RecentringTable(terms, shape, dim)
+    return Tape(trees, shape, dim)
 
 
 def _as_expr(chart, source):
@@ -1063,8 +1201,8 @@ class TensorField(Field):
         for idx in np.ndindex(arr.shape):
             arr[idx] = _as_expr(chart, comps[idx])
         self.comps = arr
-        self.tape = Tape(arr.flat, arr.shape, chart.dim)
-        super().__init__(chart, r, s, sym=sym, const=not len(self.tape.coord_index))
+        self.tape = compile_components(arr.flat, arr.shape, chart.dim)
+        super().__init__(chart, r, s, sym=sym, const=not self.tape.reads)
 
     @_memo_at
     def at(self, point, order=0) -> JetArray:

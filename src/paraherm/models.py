@@ -162,9 +162,10 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=None,
                                inputs=frame_inputs) for i in range(n)]
 
     def eta_fn(p, k):
-        # eta = g_ij (V^i (x) H^j + H^i (x) V^j), with H^j = dx^j
-        gj = g_field.at(p, k)[:n, :n]
+        # eta = g_ij (V^i (x) H^j + H^i (x) V^j), with H^j = dx^j.  The frames
+        # read g at k + 1 first, so g at k is a memo slice.
         vco = frame_jets(p, k)[1]
+        gj = g_field.at(p, k)[:n, :n]
         hco = constant_jets(vco.ctx, eye[:n])
         return (tdot(tdot(vco, gj, ([0], [0])), hco, ([1], [0]))
                 + tdot(tdot(hco, gj, ([0], [0])), vco, ([1], [0])))

@@ -18,6 +18,7 @@ import numpy as np
 from .connections import (
     canonical_connection,
     covariant_differential,
+    inverse_metric,
     levi_civita,
 )
 from .errors import DomainError, RankMismatch
@@ -31,7 +32,6 @@ from .geometry import (
     constant_jets,
     contract_value,
     exterior_derivative,
-    invert_matrix_jets,
     jets_gradient,
     lie_bracket,
     per_point,
@@ -73,8 +73,7 @@ class ParaHermitianStructure:
         def omega(p, k):  # omega(d_A, d_B) = eta(K d_A, d_B) = K^m_A eta_{mB}
             return tdot(K.at(p, k), eta.at(p, k), ([0], [0]))
 
-        self.eta_inv = DerivedField(chart, 2, 0, lambda p, k: invert_matrix_jets(eta.at(p, k), p),
-                                    inputs=(eta,))
+        self.eta_inv = inverse_metric(eta)
         self.omega = DerivedField(chart, 0, 2, omega, sym="antisymmetric", inputs=(eta, K))
         self.P_plus = DerivedField(chart, 1, 1, lambda p, k: (eye(k) + K.at(p, k)) * 0.5,
                                    inputs=(K,))
@@ -89,7 +88,7 @@ class ParaHermitianStructure:
 
     @cached_property
     def levi_civita(self):
-        return levi_civita(self.eta)
+        return levi_civita(self.eta, self.eta_inv)
 
     @cached_property
     def canonical(self):

@@ -1,5 +1,6 @@
 """Shared test-side constructions (not part of the library)."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -94,3 +95,11 @@ def count_calls(monkeypatch, runs=None):
             return out
         monkeypatch.setattr(cls, "at", counted_at)
     return counts
+
+
+def strict_json(text):
+    """`text` parsed as strict JSON: a NaN, Infinity or -Infinity token,
+    which `json` writes for non-finite floats, raises ValueError."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+    return json.loads(text, parse_constant=reject)

@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from paraherm.brackets import (
 )
 from paraherm.connections import flat_connection, levi_civita, nabla_jets
 from paraherm.errors import NotIntegrable, NotTorsionless
+from paraherm.cli import run
 from paraherm.geometry import (
-    TensorField, apply_endomorphism, constant_field,
+    RecentringTable, Tape, TensorField, apply_endomorphism, constant_field,
     DerivedField, coordinate_vector_field, exterior_derivative, jets_gradient, lie_bracket,
     lie_derivative, scalar_pairing, stack_points, tdot,
 )
@@ -396,6 +398,43 @@ def test_zero_symbols_make_no_zero_operand_kernel_call(flat3, monkeypatch):
     assert S.canonical.christoffels.at(p, 0).deg < 0
     assert (counts["zero tdot"], counts["zero +-"]) == (0, 0), counts
     assert 0 < counts["tdot"] <= 25, counts
+
+
+def _count_runs(monkeypatch):
+    """Count the runs of each `Tape` and `RecentringTable`, by evaluator."""
+    runs = Counter()
+    for cls in (Tape, RecentringTable):
+        def counted(self, coords, ctx, _run=cls.run):
+            runs[self] += 1
+            return _run(self, coords, ctx)
+        monkeypatch.setattr(cls, "run", counted)
+    return runs
+
+
+def test_monomial_sum_fields_run_no_tape(flat3, tmp_path, monkeypatch):
+    """Random polynomial fields are monomial sums, compiled to re-centring
+    tables.  A fresh point of the dim-6 stream (a D-bracket, the flat oracle
+    and a Jacobi defect) runs no `Tape`, and each of X, Y and Z's tables
+    once (it ran their 3 levelled tapes); a flat run runs a tape only for
+    the fields that read no coordinate, its constant eta and K."""
+    runs = _count_runs(monkeypatch)
+    S, chart = flat3.S, flat3.chart
+    rng = np.random.default_rng(53)
+    X, Y, Z = (random_vector_field(chart, rng) for _ in range(3))
+    dbracket = lambda A, B: d_bracket(S, A, B)  # noqa: E731
+    for i, coords in enumerate(rng.uniform(-1.0, 1.0, (3, chart.dim))):
+        runs.clear()
+        p = chart.point(coords)
+        dbracket(X, Y).values(p)
+        flat_coordinate_dbracket(chart, flat3.eta_matrix, X, Y).values(p)
+        jacobi_defect(dbracket, X, Y, Z, p)
+        assert i == 0 or runs == Counter({X.tape: 1, Y.tape: 1, Z.tape: 1}), runs
+    runs.clear()
+    runspec = Path(__file__).resolve().parent.parent / "runspecs" / "flat.json"
+    assert run(str(runspec), str(tmp_path / "r.json")) == 0
+    tapes = [ev for ev in runs if isinstance(ev, Tape)]
+    assert tapes and not any(tape.reads for tape in tapes), runs
+    assert any(isinstance(ev, RecentringTable) for ev in runs)
 
 
 def test_rebuilt_fields_never_get_a_stale_entry(flat2):

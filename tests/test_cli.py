@@ -12,7 +12,7 @@ from paraherm import deformations as df
 from paraherm.cli import load_spec, main, print_report, run
 from paraherm.errors import InsufficientJetOrder, SpecParseError
 
-from helpers import count_calls
+from helpers import count_calls, strict_json
 
 RUNSPECS = Path(__file__).resolve().parent.parent / "runspecs"
 
@@ -776,18 +776,19 @@ CLIMBS = {"flat.json": 0, "tangent_bundle.json": 0}
 @pytest.mark.parametrize("runspec", sorted(CLIMBS))
 def test_suites_read_each_field_at_its_highest_order_first(tmp_path, monkeypatch, runspec):
     """A suite that reads a field at two orders on one batch reads the higher
-    first, so the lower is a memo slice and not a second evaluation."""
+    first, so the lower is a memo slice and not a second evaluation; so does
+    the pre-flight, for the expression fields too (the pool it reads for
+    the shear's Maurer-Cartan sides)."""
     runs = Counter()
-    at = geometry.DerivedField.at
+    for cls in (geometry.TensorField, geometry.DerivedField):
+        def recorded_at(self, point, order=0, _at=cls.at):
+            memo = self._memo
+            out = _at(self, point, order)
+            if self._memo is not memo:
+                runs[self, self._memo[0]] += 1
+            return out
 
-    def recorded_at(self, point, order=0):
-        memo = self._memo
-        out = at(self, point, order)
-        if self._memo is not memo:
-            runs[self, self._memo[0]] += 1
-        return out
-
-    monkeypatch.setattr(geometry.DerivedField, "at", recorded_at)
+        monkeypatch.setattr(cls, "at", recorded_at)
     assert run(str(RUNSPECS / runspec), str(tmp_path / "report.json")) == 0
     assert sum(n > 1 for n in runs.values()) == CLIMBS[runspec]
 
@@ -859,6 +860,40 @@ def test_a_b_field_whose_jets_overflow_is_a_spec_error_before_any_suite(tmp_path
     assert ran == [] and not out.exists()
 
 
+def test_a_b_field_whose_shear_overflows_is_a_spec_error_before_any_suite(tmp_path, capsys,
+                                                                          monkeypatch):
+    """b = 1e300 dx1 ^ dxt1 has finite jets, but the shear's products that
+    `deform` writes, its Maurer-Cartan sides, overflow, and their difference
+    was a NaN that the report wrote as a token strict JSON rejects.  The
+    pre-flight names the point as a `[b_field]` spec error (exit 2, no
+    suite run); a b-field of 1e150 runs, and its report is strict JSON."""
+    ran = _record_bodies(monkeypatch)
+    spec = _spec_from("flat.json", suites=["validate", "deform", "fluxes"],
+                      b_field=[["0", 1e300], [-1e300, "0"]], sample={"count": 3})
+    out = tmp_path / "r.json"
+    assert run(write_spec(tmp_path, "s.json", spec), str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: b_field error: the shear's products are not finite at ")
+    assert err.endswith("[b_field]\n")
+    assert ran == [] and not out.exists()
+    spec["b_field"] = [["0", 1e150], [-1e150, "0"]]
+    assert run(write_spec(tmp_path, "s.json", spec), str(out)) == 1
+    assert ran == ["validate", "deform", "fluxes"]
+    rows = {r["name"]: r for r in strict_json(out.read_text())["suites"]}
+    assert not rows["deform"]["passed"]
+
+
+def test_an_overflowing_structure_is_a_spec_error_with_no_warning(tmp_path, capsys):
+    """K = diag(1e308, -1) has finite jets, but omega = K eta overflows: the
+    pre-flight names the point as a spec error through the structure's
+    non-finite invariants (exit 2), and numpy warns of no overflow."""
+    spec = {"model": {"name": "explicit", "coords": ["u", "ut"], "split": 1,
+                      "eta": [["0", "2"], ["2", "0"]], "K": [[1e308, "0"], ["0", "-1"]]},
+            "sample": {"mode": "uniform", "count": 1, "seed": 0}, "suites": []}
+    assert run(write_spec(tmp_path, "s.json", spec), str(tmp_path / "r.json")) == 2
+    assert "structure invariants are not finite" in capsys.readouterr().err
+
+
 def test_fluxes_skip_on_a_base_that_is_not_para_kahler(tmp_path, capsys, monkeypatch):
     """The sphere's tangent bundle with b = v1 dth ^ dph is a valid spec: its
     base is simply not para-Kahler (residual 0.258 at the first point, 0.331
@@ -915,7 +950,7 @@ def test_shipped_runspec_statuses(tmp_path, capsys, runspec):
     out = tmp_path / "r.json"
     assert run(str(RUNSPECS / runspec), str(out)) == 0
     assert "spec error" not in capsys.readouterr().err
-    rows = {r["name"]: r for r in json.loads(out.read_text())["suites"]}
+    rows = {r["name"]: r for r in strict_json(out.read_text())["suites"]}
     assert {name: (r["passed"], r["expected_fail"], r["skipped"])
             for name, r in rows.items()} == statuses
     assert {name: r["reason"] for name, r in rows.items() if r["skipped"]} == reasons

@@ -6,9 +6,9 @@ pure type or not), a `jet_order` of at most 3, 1-4 sample points (a seeded
 uniform box or explicit points), a random list of suites, and at times one
 leaf of the spec replaced by a malformed value.  Whatever it draws, `main`
 returns 0, 1 or 2 and raises nothing; exit 0 means `validate_structure`
-passes on the run's sample; a written report is its own hash's encoding
-and carries no NaN; exit 2 writes no report and comes before any suite's
-body runs.
+passes on the run's sample; a written report is strict JSON (no NaN or
+Infinity token), its own hash's encoding and carries no NaN; exit 2 writes
+no report and comes before any suite's body runs.
 """
 
 import dataclasses
@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from paraherm import cli
 from paraherm.geometry import reduce_points
 from paraherm.parastructure import validate_structure
+
+from helpers import strict_json
 
 ENTRIES = ["0", "1", "-1", "2", "0.5", "{x}", "{y}", "{x}*{y}", "1 + {x}^2/4", "sin({x})",
            "cos({y})^2", "exp({x}/2)"]
@@ -89,9 +91,13 @@ def _spec(draw):
     if draw(st.booleans()):
         # The n x n block of the plus type at n = 2, the whole 2 x 2 matrix,
         # which mixes the two types, at n = 1.
+        # A numeric entry of 1e300 has finite jets but overflowing shear
+        # products.
         entry = {"flat": "xt1", "explicit": "1"}.get(model["name"])
         entry = entry or draw(st.sampled_from(["v1", "1", model.get("base_coords", ["u"])[0]]))
-        spec["b_field"] = [["0", entry], [f"-({entry})", "0"]]
+        entry = draw(st.sampled_from([entry, 1e300]))
+        minus = -entry if isinstance(entry, float) else f"-({entry})"
+        spec["b_field"] = [["0", entry], [minus, "0"]]
     if draw(st.booleans()):
         leaves = list(_leaves(spec))
         path = draw(st.sampled_from(leaves))
@@ -132,7 +138,7 @@ def test_any_spec_exits_with_a_code_and_a_sound_report(tmp_path_factory, spec):
         assert not ran, f"exit 2 after the bodies of {ran} ran"
         return
     text = out.read_text(encoding="utf-8")
-    report = json.loads(text)
+    report = strict_json(text)
     assert text == json.dumps(report, sort_keys=True) + "\n"
     body = {k: v for k, v in report.items() if k not in ("determinism_hash", "wall_time_s")}
     digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()

@@ -14,7 +14,7 @@ from paraherm.expr import (
     Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sqrt, Sub,
     parse_expr, to_source,
 )
-from paraherm.geometry import Chart, JetArray, Tape, TensorField, eval_expr
+from paraherm.geometry import Chart, JetArray, RecentringTable, Tape, TensorField, eval_expr
 from oracles import central_diff_gradient, central_diff_hessian, derivative
 
 
@@ -370,31 +370,35 @@ def test_signed_zero_constants_keep_their_bits():
 def test_tape_output_is_c_contiguous(batch):
     chart = Chart(["x", "xt"], split=1)
     coords = np.random.default_rng(5).uniform(-1.0, 1.0, batch + (2,))
-    for comps in (["x*xt", "sin(x) + xt^2"], [2, "3/4"]):
+    for comps in (["x*xt", "sin(x) + xt^2"], [2, "3/4"], ["x*xt - 2*xt^3", "-(x^2) + 1"]):
         X = TensorField(chart, 1, 0, comps)
         for k in (0, 3):
             assert X.at(chart.point(coords), k).coeffs.flags["C_CONTIGUOUS"]
 
 
 def test_a_field_is_compiled_once(monkeypatch):
-    """Construction compiles the tape; evaluations at any number of points
-    and orders reuse it."""
+    """Construction compiles the tape, or the re-centring table of a
+    monomial sum whose powers are at most MAX_TABLE_POWER (64); evaluations
+    at any number of points and orders reuse it."""
     compiled = []
-    init = Tape.__init__
+    for cls in (Tape, RecentringTable):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            compiled.append(self)
+            _init(self, *args, **kwargs)
 
-    def counting(self, *args, **kwargs):
-        compiled.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tape, "__init__", counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     chart = Chart(["x", "y", "xt", "yt"], split=2)
-    X = TensorField(chart, 1, 0, ["x*y", "sin(xt) / (2 + yt^2)", "1/3", "x - x"])
-    assert compiled == [X.tape]
     rng = np.random.default_rng(6)
-    for k in (0, 3, 1, 2, 3):
-        for coords in (rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (5, 4))):
-            X.at(chart.point(coords), k)
-    assert compiled == [X.tape]
+    for comps, kind in ((["x*y", "sin(xt) / (2 + yt^2)", "1/3", "x - x"], Tape),
+                        (["x*y", "2*xt^2 - x*yt", "0.25", "x - x"], RecentringTable),
+                        (["x*y", "2*xt^65 - x*yt", "0.25", "x - x"], Tape)):
+        compiled.clear()
+        X = TensorField(chart, 1, 0, comps)
+        assert compiled == [X.tape] and type(X.tape) is kind
+        for k in (0, 3, 1, 2, 3):
+            for coords in (rng.uniform(-1, 1, 4), rng.uniform(-1, 1, (5, 4))):
+                X.at(chart.point(coords), k)
+        assert compiled == [X.tape]
 
 
 def test_field_error_names_the_first_failing_point():

@@ -15,7 +15,9 @@ The kernels that replaced order-dependent ones (the series `reciprocal` and
 against the paths they replaced, the Newton iterations and the one-hot
 scatter, and against the reference jet arithmetic of `oracles.py`, to 1e-12.
 `tdot` and `*` sum the Cauchy pairs down one table in one order, so an
-outer-product `tdot` equals the broadcast `*` bit for bit.
+outer-product `tdot` equals the broadcast `*` bit for bit.  The re-centring
+table of monomial-sum fields is checked the same way, and against the tape
+it replaces for them and the reference jets, to 1e-13.
 """
 
 import math
@@ -28,7 +30,9 @@ from hypothesis import strategies as st
 from paraherm.expr import Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sqrt, Sub
 from paraherm.geometry import (
     JetArray,
+    RecentringTable,
     Tape,
+    compile_components,
     constant_jets,
     eval_expr,
     invert_matrix_jets,
@@ -37,7 +41,7 @@ from paraherm.geometry import (
     truncate_jets,
 )
 from paraherm.jets import context
-from oracles import jet_product, jet_reciprocal
+from oracles import jet_power, jet_product, jet_reciprocal
 
 SETTINGS = settings(max_examples=80, deadline=None)
 dims = st.integers(1, 6)
@@ -349,3 +353,132 @@ def test_tdot_batch_is_byte_equal_to_stacked_points(dim, k, layout, da, db, B, s
     each = [tdot(JetArray(a.ctx, a.coeffs[p], a.deg), JetArray(b.ctx, b.coeffs[p], b.deg), axes)
             for p in range(B)]
     assert same_bits(got.coeffs, np.stack([x.coeffs for x in each]))
+
+
+# -- monomial sums: the re-centring table -------------------------------------------
+
+def _monomials(nvars):
+    """Single terms: products of constants, coordinates and `Coord ^ n`, n >= 0."""
+    factors = st.one_of(
+        st.integers(0, nvars - 1).map(Coord),
+        st.tuples(st.integers(0, nvars - 1), st.integers(0, 4)).map(
+            lambda t: Pow(Coord(t[0]), t[1])),
+        st.integers(-8, 8).map(lambda n: Const(Fraction(n, 4))),
+        st.sampled_from([Const(0.0), Const(-0.0), Const(-1.5), Const(0.1)]))
+    return st.recursive(factors, lambda m: st.tuples(m, m).map(lambda t: Mul(*t)),
+                        max_leaves=4)
+
+
+def _monomial_sums(nvars):
+    """Monomial terms joined by `+`, `-` and unary `-`, and products of a
+    single term with a sum, on either side."""
+    terms = _monomials(nvars)
+
+    def extend(sums):
+        return st.one_of(
+            st.tuples(sums, sums).map(lambda t: Add(*t)),
+            st.tuples(sums, sums).map(lambda t: Sub(*t)),
+            sums.map(Neg),
+            st.tuples(terms, sums).map(lambda t: Mul(*t)),
+            st.tuples(sums, terms).map(lambda t: Mul(*t)))
+
+    return st.recursive(terms, extend, max_leaves=6)
+
+
+_SUMS = [_monomial_sums(nvars) for nvars in range(1, 7)]
+
+
+def _reads(e):
+    return isinstance(e, Coord) or any(map(_reads, e.children))
+
+
+@st.composite
+def monomial_forests(draw):
+    """Monomial sums over 1-6 coordinates, one of which reads a coordinate,
+    each followed by Mul(Const(-1), tree), its negation as `random_form`
+    builds it."""
+    nvars = draw(dims)
+    trees = draw(st.lists(_SUMS[nvars - 1], min_size=1, max_size=3).filter(
+        lambda ts: any(map(_reads, ts))))
+    return nvars, [t for tree in trees for t in (tree, Mul(Const(Fraction(-1)), tree))]
+
+
+def _reference_jets(e, x, ctx):
+    """`e`'s jets at the single point x from the multi-index definition."""
+    match e:
+        case Const(value=v):
+            out = np.zeros(ctx.n)
+            out[0] = float(v)
+            return out
+        case Coord(index=i):
+            out = np.zeros(ctx.n)
+            out[0] = x[i]
+            if ctx.order:
+                out[ctx.index[tuple(int(v == i) for v in range(ctx.dim))]] = 1.0
+            return out
+        case Pow(base=b, exponent=n):
+            return jet_power(ctx, _reference_jets(b, x, ctx), n)
+        case Neg(arg=a):
+            return -_reference_jets(a, x, ctx)
+    a, b = (_reference_jets(c, x, ctx) for c in e.children)
+    return {Add: np.add, Sub: np.subtract}.get(type(e), lambda a, b: jet_product(ctx, a, b))(a, b)
+
+
+def _magnitude(e):
+    """`e` with every constant, coordinate and sign made non-negative: its
+    jets at |x| bound the sum of |terms| in each coefficient."""
+    match e:
+        case Const(value=v):
+            return Const(abs(v))
+        case Coord() | Pow():
+            return e
+        case Neg(arg=a):
+            return _magnitude(a)
+    return (Mul if type(e) is Mul else Add)(*map(_magnitude, e.children))
+
+
+@SETTINGS
+@given(monomial_forests(), orders, st.integers(2, 4), seeds)
+def test_recentring_tables_are_order_stable_and_exact(forest, k, B, seed):
+    """A field whose components are monomial sums compiles to a
+    `RecentringTable`.  It is order-stable and gives a batch its stacked
+    points' bytes; its `deg` is exact; each component built as
+    Mul(Const(-1), poly) is the exact negation of poly; and it matches a
+    `Tape` of the same trees and the reference jets, to 1e-13 relative to
+    the sum of the terms' magnitudes."""
+    nvars, trees = forest
+    table = compile_components(trees, (len(trees),), nvars)
+    assert isinstance(table, RecentringTable)
+    tape = Tape(trees, (len(trees),), nvars)
+    coords = np.random.default_rng(seed).uniform(-1.0, 1.0, (B, nvars))
+    got = eval_expr(table, coords, k)
+    high = truncate_jets(eval_expr(table, coords, k + 1), k)
+    assert same_bits(high.coeffs, got.coeffs)
+    each = np.stack([eval_expr(table, x, k).coeffs for x in coords])
+    assert each.tobytes() == got.coeffs.tobytes()
+    nonzero = got.coeffs.reshape(-1, got.ctx.n).any(axis=0)
+    assert got.deg == max(got.ctx.degree[nonzero], default=-1)
+    assert same_bits(got.coeffs[:, 1::2], -got.coeffs[:, ::2])
+    want = eval_expr(tape, coords, k).coeffs
+    for i, e in enumerate(trees):
+        bound = eval_expr(Tape([_magnitude(e)], dim=nvars), np.abs(coords), k).coeffs
+        tol = 1e-13 * np.maximum(1.0, bound)
+        reference = np.stack([_reference_jets(e, x, got.ctx) for x in coords])
+        for other in (want[:, i], reference):
+            assert np.all(np.abs(got.coeffs[:, i] - other) <= tol)
+
+
+def test_a_long_scalar_sum_is_order_stable():
+    """A one-component sum of 40 terms sums its one order-0 target down two
+    columns, never one: numpy sums a single column pairwise, which would
+    round it differently from its order-1 sum."""
+    rng = np.random.default_rng(3)
+    tree = Const(0.0)
+    for c, n in zip(rng.standard_normal(40) * 10.0 ** rng.integers(-8, 9, 40),
+                    rng.integers(0, 5, 40)):
+        tree = Add(tree, Mul(Const(float(c)), Pow(Coord(0), int(n))))
+    table = compile_components([tree], (), 1)
+    assert isinstance(table, RecentringTable)
+    coords = rng.uniform(-1.0, 1.0, (50, 1))
+    low, high = (eval_expr(table, coords, k) for k in (0, 1))
+    assert same_bits(truncate_jets(high, 0).coeffs, low.coeffs)

@@ -13,6 +13,7 @@ it is used to check.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .geometry import (
     DerivedField,
     Field,
     apply_endomorphism,
-    as_batch,
     concat_jets,
     constant_jets,
     contract_value,
@@ -35,7 +35,9 @@ from .geometry import (
     lie_derivative,
     require_within,
     scalar_pairing,
+    stack_fields,
     tdot,
+    tile_points,
 )
 from .parastructure import GeneralizedVector, bigraded_part_at
 
@@ -43,8 +45,9 @@ __all__ = [
     "GeneralizedVectorField", "pairing", "standard_dorfman",
     "dorfman_via_connection", "associated_bracket", "projected_bracket",
     "d_bracket", "c_bracket", "dorfman_leafwise", "leafwise_d",
-    "jacobi_defect", "schouten_self", "schouten_scalar",
-    "courant_axiom_suite", "flat_coordinate_dbracket",
+    "jacobi_defect", "schouten_self", "schouten_scalar", "eta_pairing", "projected_anchor",
+    "cyclic_triples", "stacked_courant_axioms", "courant_axiom_suite",
+    "flat_coordinate_dbracket",
 ]
 
 
@@ -152,15 +155,13 @@ def _bracket_core(C, S, X, Y, project, operands):
     per (eta^-1, P).  It reads nabla X and nabla Y first: they read X and Y
     one order above P X and P Y, so X's and Y's memos never climb."""
     P = None if project is None else S.projector(project)
-
-    def operand(build, a, b):
-        return _table_field(operands, (id(a), id(b)), lambda: build(a, b), a, b)
-
-    NX, NY = (operand(covariant_differential, C, V) for V in (X, Y))  # [A, I] = nabla_I V^A
-    EY = operand(_lowered, S.eta, Y)
-    DX, DY = (X, Y) if P is None else (operand(apply_endomorphism, P, V) for V in (X, Y))
-    M = S.eta_inv if P is None else operand(_raiser, S.eta_inv, P)
-    RX = operand(_raised, M, NX)
+    # NV[A, I] = nabla_I V^A
+    NX, NY = (_operand(operands, covariant_differential, C, V) for V in (X, Y))
+    EY = _operand(operands, _lowered, S.eta, Y)
+    DX, DY = (X, Y) if P is None else (_operand(operands, apply_endomorphism, P, V)
+                                       for V in (X, Y))
+    M = S.eta_inv if P is None else _operand(operands, _raiser, S.eta_inv, P)
+    RX = _operand(operands, _raised, M, NX)
 
     def fn(p, k):
         nx, ny = NX.at(p, k), NY.at(p, k)
@@ -188,6 +189,11 @@ def _raised(M, NX):
                         inputs=(M, NX))
 
 
+def _operand(table, build, a, b):
+    """`table`'s field build(a, b), built on first request."""
+    return _table_field(table, (id(a), id(b)), lambda: build(a, b), a, b)
+
+
 def _table_field(table, key, build, *alive):
     """`table`'s field under `key`, built by `build()` on first request, so
     every caller shares its memo.  The entry holds `alive`, the objects
@@ -203,6 +209,20 @@ def _shared_bracket(C, S, X, Y, project):
     on first request from S's shared operands."""
     return _table_field(S.bracket_table, (id(C), id(X), id(Y), project),
                         lambda: _bracket_core(C, S, X, Y, project, S.operand_table), C, X, Y)
+
+
+def eta_pairing(S, X: Field, Y: Field) -> Field:
+    """eta(X, Y) as a (0,0) field of S's operand table: the lowered operand
+    eta(X, .), which the brackets read, contracted with Y.  So it has the
+    bits of scalar_pairing(S.eta, [X, Y]), and is built once per (X, Y)."""
+    EX = _operand(S.operand_table, _lowered, S.eta, X)
+    return _operand(S.operand_table, lambda E, V: scalar_pairing(E, [V]), EX, Y)
+
+
+def projected_anchor(S, sign, X: Field) -> Field:
+    """The anchor P_sign X, from S's operand table, where the projected
+    brackets read it; X itself for sign 0."""
+    return _operand(S.operand_table, apply_endomorphism, S.projector(sign), X) if sign else X
 
 
 def associated_bracket(C: Connection, S, X: Field, Y: Field) -> Field:
@@ -336,45 +356,75 @@ def schouten_scalar(beta, C, lam, mu, nu, point, order=0, check_torsion=True):
 # Courant axiom suite
 # --------------------------------------------------------------------------
 
+# The cyclic triples of a pool on its tiled sample: `point` tiles the sample
+# `blocks` times, and `fields` are X, Y and Z, stacked so that block i holds
+# triple i.
+CyclicTriples = namedtuple("CyclicTriples", "point blocks fields")
+
+
+def cyclic_triples(elements, sample) -> CyclicTriples:
+    """The ordered triples drawn deterministically from a pool of n test
+    sections, the cyclic shifts (e_i, e_i+1, e_i+2) of (e0, e1, e2, ...),
+    as three fields stacked by blocks (`geometry.stack_fields`) on the
+    sample tiled n times (`geometry.tile_points`)."""
+    n = len(elements)
+    fields = tuple(stack_fields([elements[(i + shift) % n] for i in range(n)])
+                   for shift in range(3))
+    return CyclicTriples(tile_points(sample, n), n, fields)
+
+
 def courant_axiom_suite(bracket, anchor, pair, elements, sample, skip_pairing=False,
                         scale=None):
     """Residuals of the three Courant axioms for a bracket/anchor/pairing
     triple: `{"axiom1": r1, "axiom2": r2, "axiom3": r3}`, with r[point,
     triple] the |residual| at a sample point for one triple.
 
-    `elements` is a pool of test sections; axioms are evaluated on ordered
-    triples drawn deterministically from the pool, the cyclic shifts of
-    (e0, e1, e2, ...), each on the sample as one batch.  Every triple's
-    Jacobi defect (axiom 3) is evaluated before any triple's axioms 1 and
-    2: with a bracket that returns one shared field per pair (`d_bracket`,
-    `projected_bracket`), the inner brackets and their operands are then
-    evaluated once, at order 1, and axioms 1 and 2 read them from the memo,
-    so a pool of three builds 18 brackets, not 27.  Each point's residuals
-    of axioms 1 and 2, which are linear in the pairing, are divided by its
-    entry of `scale` (one per sample point, 1 when None), so a caller can
-    make them relative to the size of the metric; the Jacobi defect of
-    axiom 3 is a vector field's and stays absolute.  `skip_pairing` leaves
-    axioms 1 and 2 at zero (for the plain Lie bracket, whose pairing is
-    degenerate).
+    `elements` is a pool of test sections; axioms are evaluated on the
+    ordered triples of `cyclic_triples`, all on one tiled batch (see
+    `stacked_courant_axioms`).  Each point's residuals of axioms 1 and 2,
+    which are linear in the pairing, are divided by its entry of `scale`
+    (one per sample point, 1 when None), so a caller can make them relative
+    to the size of the metric; the Jacobi defect of axiom 3 is a vector
+    field's and stays absolute.  `skip_pairing` leaves axioms 1 and 2 at
+    zero (for the plain Lie bracket, whose pairing is degenerate).
     """
-    batch = as_batch(sample)
-    n = len(elements)
-    triples = [(elements[i], elements[(i + 1) % n], elements[(i + 2) % n]) for i in range(n)]
-    res = {f"axiom{axiom}": np.zeros((len(batch.coords), n)) for axiom in (1, 2, 3)}
+    return stacked_courant_axioms(bracket, anchor, pair, cyclic_triples(elements, sample),
+                                  skip_pairing, scale)
+
+
+def stacked_courant_axioms(bracket, anchor, pair, triples: CyclicTriples, skip_pairing=False,
+                           scale=None):
+    """`courant_axiom_suite` on the stacked triples of `cyclic_triples`:
+    one Jacobi defect (axiom 3) and one pass of axioms 1 and 2 for all n
+    triples, each point of each block with the bits its triple gets alone,
+    but for the sign of an exact zero (a stack's `deg` is its blocks'
+    highest, so a constant block takes the Cauchy product, which adds
+    zeros).
+
+    The defect is evaluated first: with a bracket that returns one shared
+    field per pair (`d_bracket`, `projected_bracket`), its inner brackets
+    and their operands are evaluated once, at order 1, and axioms 1 and 2
+    read them from the memo, so a pool builds 7 brackets; with
+    `eta_pairing` and `projected_anchor`, the pairings and anchors are
+    operands of S's table too, shared with the brackets and with every
+    caller of the same stacked fields.  Axiom 2's Lie derivative reads
+    eta(X, X) at order 1 before its bracket term reads eta(X, .) at 0.
+    """
+    tiled, n, (X, Y, Z) = triples
     scale = 1.0 if scale is None else np.asarray(scale, dtype=float)
-    for ti, (X, Y, Z) in enumerate(triples):
-        res["axiom3"][:, ti] = np.abs(jacobi_defect(bracket, X, Y, Z, batch))
-    if not skip_pairing:
-        for ti, (X, Y, Z) in enumerate(triples):
-            lhs = lie_derivative(anchor(X), pair(Y, Z)).values(batch)
-            r1 = (lhs - pair(bracket(X, Y), Z).values(batch)
-                  - pair(Y, bracket(X, Z)).values(batch))
-            r2 = pair(bracket(X, X), Y).values(batch) - 0.5 * lie_derivative(
-                anchor(Y), pair(X, X)
-            ).values(batch)
-            res["axiom1"][:, ti] = np.abs(r1) / scale
-            res["axiom2"][:, ti] = np.abs(r2) / scale
-    return res
+
+    def by_triple(values, scale=1.0):  # (point, triple) from one value per tiled point
+        return (np.abs(values).reshape(n, -1) / scale).T
+
+    axiom3 = by_triple(jacobi_defect(bracket, X, Y, Z, tiled))
+    if skip_pairing:
+        return {"axiom1": np.zeros(axiom3.shape), "axiom2": np.zeros(axiom3.shape),
+                "axiom3": axiom3}
+    lhs = lie_derivative(anchor(X), pair(Y, Z)).values(tiled)
+    r1 = lhs - pair(bracket(X, Y), Z).values(tiled) - pair(Y, bracket(X, Z)).values(tiled)
+    half = 0.5 * lie_derivative(anchor(Y), pair(X, X)).values(tiled)
+    r2 = pair(bracket(X, X), Y).values(tiled) - half
+    return {"axiom1": by_triple(r1, scale), "axiom2": by_triple(r2, scale), "axiom3": axiom3}
 
 
 # --------------------------------------------------------------------------

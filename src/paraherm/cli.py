@@ -43,10 +43,8 @@ from .expr import Coord, parse_expr
 from .geometry import (
     Chart,
     TensorField,
-    apply_endomorphism,
     embed_block,
     reduce_points,
-    scalar_pairing,
     stack_points,
 )
 from .models import Model, build_flat, build_tm
@@ -312,6 +310,14 @@ class _RunContext:
         suites, built once per run."""
         return self.field_pool()
 
+    @functools.cached_property
+    def triples(self):
+        """The pool's cyclic triples, stacked by blocks on the sample tiled
+        three times (`brackets.cyclic_triples`), built once per run: the
+        Courant suites and the Jacobi witness share their brackets and
+        operands."""
+        return br.cyclic_triples(self.pool, self.batch)
+
     def field_pool(self, vars_subset=None):
         """Three random vector fields from the run's "fields" stream, reading
         only the coordinates `vars_subset` when it is given."""
@@ -494,28 +500,31 @@ def _adapted(ctx, tol, *signs):
 
 
 def _courant(ctx, tol, sign=0):
-    """The Courant axioms on the run's pool of the bracket projected to the
-    `sign` eigenbundle with its projector as anchor, or for sign 0 of the
-    full D-bracket with the identity anchor (whose axiom 3 is a defect),
-    with the pairing eta; the residuals of the pairing axioms are divided by
-    max(1, max |eta|) at each sample point, as `validate` divides its own."""
+    """The Courant axioms on the run's stacked triples of the bracket
+    projected to the `sign` eigenbundle with its projector as anchor, or
+    for sign 0 of the full D-bracket with the identity anchor (whose axiom
+    3 is a defect), with the pairing eta; the residuals of the pairing
+    axioms are divided by max(1, max |eta|) at each sample point, as
+    `validate` divides its own."""
     S = ctx.model.S
     bracket = lambda X, Y: (br.projected_bracket(S.canonical, S, sign, X, Y)  # noqa: E731
                             if sign else br.d_bracket(S, X, Y))
-    anchor = lambda X: apply_endomorphism(S.projector(sign), X) if sign else X  # noqa: E731
-    arrays = br.courant_axiom_suite(bracket, anchor, lambda X, Y: scalar_pairing(S.eta, [X, Y]),
-                                    ctx.pool, ctx.batch,
-                                    scale=np.maximum(1.0, S.eta.max_abs(ctx.batch)))
+    arrays = br.stacked_courant_axioms(bracket, lambda X: br.projected_anchor(S, sign, X),
+                                       lambda X, Y: br.eta_pairing(S, X, Y), ctx.triples,
+                                       scale=np.maximum(1.0, S.eta.max_abs(ctx.batch)))
     if not sign:
         arrays["axiom3_defect"] = arrays.pop("axiom3")
     return {"arrays": arrays}
 
 
 def _jacobi_defect_witness(ctx, floor):
-    """A concrete Jacobi-defect witness for the full D-bracket."""
+    """A concrete Jacobi-defect witness for the full D-bracket: the pool's
+    own, block 0 of the defect of the run's stacked triples, which
+    `courant_d_full` evaluates too."""
     S = ctx.model.S
-    return {"arrays": {"max_defect": br.jacobi_defect(lambda X, Y: br.d_bracket(S, X, Y),
-                                                      *ctx.pool, ctx.batch)}}
+    tiled, _, triple = ctx.triples
+    defect = br.jacobi_defect(lambda X, Y: br.d_bracket(S, X, Y), *triple, tiled)
+    return {"arrays": {"max_defect": defect[:len(ctx.batch.coords)]}}
 
 
 def _section_condition(ctx, tol):

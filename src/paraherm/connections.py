@@ -260,25 +260,35 @@ def check_adapted(C: Connection, S, side, sample, n_vectors=20, seed=2024):
     scale = np.maximum(1.0, np.maximum(per_point_max(etav), per_point_max(gv)))
     rng = np.random.default_rng(seed)
     npts = len(batch.coords)
-    uvw = rng.uniform(-1.0, 1.0, (npts * n_vectors, 3, dim))
-    u, v, w = np.moveaxis(uvw.reshape(npts, n_vectors, 3, dim), 2, 0)  # (point, vec, a)
-    xp = np.einsum("pab,pvb->pva", Ppv, u)
-    yp = np.einsum("pab,pvb->pva", Ppv, v)
-    zp = np.einsum("pab,pvb->pva", Ppv, w)
-    ym = np.einsum("pab,pvb->pva", Pmv, v)
-    zm = np.einsum("pab,pvb->pva", Pmv, w)
+    uvw = rng.uniform(-1.0, 1.0, (npts * n_vectors, 3, dim)).reshape(npts, n_vectors, 3, dim)
+    u, v, w = np.moveaxis(uvw, 2, 0)  # (point, vec, a)
+    xp, yp, zp = np.moveaxis(np.einsum("pab,pvkb->pvka", Ppv, uvw), 2, 0)
+    ym, zm = np.moveaxis(np.einsum("pab,pvkb->pvka", Pmv, uvw[:, :, 1:]), 2, 0)
     # (1) nabla_{x+} eta = 0
-    r1 = np.einsum("pijk,pvi,pvj,pvk->pv", nabla_eta, xp, v, w)
+    r1 = _contract(nabla_eta, xp, v, w)
     # (2) P+ nabla_{x+} (P- v) = 0
     dy = np.einsum("piab,pvb->pvia", dPm, v)  # d_i (P- v)^a
-    w2 = np.einsum("pvi,pvia->pva", xp, dy) + np.einsum("pkim,pvi,pvm->pvk", gv, xp, ym)
+    w2 = np.einsum("pvi,pvia->pva", xp, dy) + _contract(gv, xp, ym)
     r2 = np.abs(np.einsum("pab,pvb->pva", Ppv, w2)).max(axis=2)
     # (3) eta(T(x+, y+), z-) = 0
-    tv = np.einsum("pkij,pvi,pvj->pvk", tors, xp, yp)
-    r3 = np.einsum("pij,pvi,pvj->pv", etav, tv, zm)
+    tv = _contract(tors, xp, yp)
+    r3 = _contract(etav, tv, zm)
     # (4) eta(T(x+, y+), z+) + eta(nabla_{z+} x+, y+) = 0
     dx = np.einsum("piab,pvb->pvia", dPp, u)
-    nz = np.einsum("pvi,pvia->pva", zp, dx) + np.einsum("pkim,pvi,pvm->pvk", gv, zp, xp)
-    r4 = np.einsum("pij,pvi,pvj->pv", etav, tv, zp) + np.einsum("pij,pvi,pvj->pv", etav, nz, yp)
+    nz = np.einsum("pvi,pvia->pva", zp, dx) + _contract(gv, zp, xp)
+    r4 = _contract(etav, tv, zp) + _contract(etav, nz, yp)
     point_worst = np.stack([np.abs(r).max(axis=1) for r in (r1, r2, r3, r4)], axis=1)
     return {f"{side}_cond": point_worst / scale[:, None]}
+
+
+def _contract(T, *vectors):
+    """T[p, ..., i, j] evaluated on the vectors (..., x, y), which fill its
+    trailing axes: [p, v, ...], for each point p and vector v.  The
+    vectors' outer product x[p, v, i] y[p, v, j] ... is formed first, by
+    elementwise products, then contracted with T by one two-operand
+    `einsum`."""
+    outer = vectors[0]
+    for x in vectors[1:]:
+        outer = (outer[:, :, :, None] * x[:, :, None, :]).reshape(outer.shape[:2] + (-1,))
+    flat = T.reshape(T.shape[:T.ndim - len(vectors)] + (-1,))
+    return np.einsum("p...I,pvI->pv...", flat, outer)

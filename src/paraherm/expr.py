@@ -266,10 +266,13 @@ def monomial_terms(e: Expr):
     integer n >= 0; terms are joined by `+`, `-` and unary `-`, and a
     product with one single-term factor multiplies that term into each
     term of the other.  A product of two sums, such as (x - 1000)^2, is not
-    one: expanding it could cancel.  Coefficients are the constants'
-    product, exact for `Fraction`s; zero ones are kept, and so is a
-    coordinate to the power 0, so every coordinate the tree reads is a key
-    of some term."""
+    one: expanding it could cancel.  A quotient by a sum of constants, such
+    as x^2/4 or 1/(2 + 1), divides each term's coefficient by that sum,
+    unless it is zero: a division by zero stays a quotient, which the tape
+    evaluates and names the point where it fails.  Coefficients are the
+    constants' product, exact for `Fraction`s; zero ones are kept, and so
+    is a coordinate to the power 0, so every coordinate the tree reads is a
+    key of some term."""
     match e:
         case Const(value=v):
             return [(v, {})]
@@ -290,6 +293,12 @@ def monomial_terms(e: Expr):
                 return left + [(-c, m) for c, m in right]
             if len(left) == 1 or len(right) == 1:
                 return [(ca * cb, _times(ma, mb)) for ca, ma in left for cb, mb in right]
+        case Div(left=a, right=b):
+            terms, divisor = monomial_terms(a), monomial_terms(b)
+            if terms is None or divisor is None or any(m for _, m in divisor):
+                return None
+            d = sum((c for c, _ in divisor), Fraction(0))
+            return [(c / d, m) for c, m in terms] if d else None
     return None
 
 

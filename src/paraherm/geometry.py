@@ -32,20 +32,22 @@ array kernels on (coefficients, degree bound) pairs, which the JetArray
 operators call.  A `TensorField` compiles the `expr` trees of its
 components once, at construction, into one of two evaluators
 (`compile_components`).  Components that are all sums of monomials
-(`expr.monomial_terms`), in a field that reads a coordinate, become a
-`RecentringTable`: the Taylor coefficients of a polynomial at p have a
-closed form, so a run is one power table, one gather and product of each
-entry's powers and one sum per coefficient, with no level-by-level
-propagation.  Every other field becomes a levelled `Tape`: equal subtrees
-share a slot, each subtree that reads no coordinate is a constant row
-computed once per jet order, and the other nodes run level by level, one
-kernel call for all the nodes of a level that share an operation and the
-degree classes of their operands, over one stacked buffer.  `+`, `-`, `*`
-and powers n >= 0 run on that buffer through the same array kernels;
+(`expr.monomial_terms`, quotients by nonzero sums of constants included),
+in a field that reads a coordinate, become a `RecentringTable`: the Taylor
+coefficients of a polynomial at p have a closed form, so a run is one
+power table, one gather and product of each entry's powers and one sum per
+coefficient, with no level-by-level propagation.  Every other field
+becomes a levelled `Tape`: equal subtrees share a slot, each subtree that
+reads no coordinate is a constant row computed once per jet order, and the
+other nodes run level by level, one kernel call for all the nodes of a
+level that share an operation and the degree classes of their operands,
+over one stacked buffer.  `+`, `-`, `*` and powers n >= 0 run on that
+buffer through the same array kernels;
 division, negative powers, sin, cos, exp and sqrt call JetArray methods.
-So `const` fields, the transcendental and rational functions, and products
-of sums such as (x - 1000)^2, whose expansion could cancel, stay on the
-tape.  Each component gets the bits it gets evaluated alone.
+So `const` fields, the transcendental and rational functions (a division
+by zero too, which the tape reports at the point), and products of sums
+such as (x - 1000)^2, whose expansion could cancel, stay on the tape.
+Each component gets the bits it gets evaluated alone.
 `eval_expr` runs either evaluator (or one tree, on a tape) for a point or
 a whole batch, and `TensorField.at` calls it once per evaluation.
 
@@ -68,6 +70,18 @@ errors name the first point of a batch) and has no batch axis, which the
 kernels broadcast; the readers that promise one entry per point go through
 `per_point`.  One entry per field keeps memory flat in the number of points,
 and the jets `at` returns are read-only, since callers share them.
+A tiled point (`tile_points`) repeats a batch, its `base`, n times, one
+block after another, and `stack_fields` stacks n fields by blocks: at a
+tiled point block i holds field i at the base.  A field is `blocked` when
+it is such a stack or declares a blocked input, a structural flag set with
+`const` and never inferred: a blocked field is evaluated at the tiled
+point, and every other field is served there by its entry at the base,
+repeated over the blocks, so the base entry stays.  A check over n cases
+then runs its field graph once on n blocks, and since every kernel gives
+each point of a batch its own bits, each block gets the bits of its case
+alone, except that a stack's `deg` is its blocks' highest, so a constant
+block takes the Cauchy product, whose added zeros can flip the sign of an
+exact zero.  Only this module reads a tiled point's `base`.
 
 Conventions (fixed once, used everywhere):
   - exterior derivative of a k-form: (dT)_{I0..Ik} = sum_j (-1)^j d_{Ij} T_{..omit j..},
@@ -106,7 +120,7 @@ __all__ = [
     "lie_bracket", "exterior_derivative", "lie_derivative",
     "interior_product", "scalar_pairing", "wedge", "musical",
     "invert_matrix_jets", "require_within", "per_point", "stack_points", "as_batch",
-    "reduce_points", "Reduction",
+    "tile_points", "stack_fields", "reduce_points", "Reduction",
 ]
 
 
@@ -155,9 +169,10 @@ class Point:
     `batch` is () or (B,), and `Field.at` at a batch returns jets with that
     leading batch axis, unless the field is `const`.  `key` identifies the
     coordinates (and the batch shape) for the last-point memo of `Field.at`.
+    `base` is None, or the batch this point tiles (`tile_points`).
     """
 
-    __slots__ = ("chart", "coords", "batch", "key", "_head")
+    __slots__ = ("chart", "coords", "batch", "key", "_head", "base")
 
     def __init__(self, chart, coords):
         arr = np.asarray(coords, dtype=float)
@@ -170,6 +185,7 @@ class Point:
         self.batch = arr.shape[:-1]
         self.key = (arr.shape, arr.tobytes())
         self._head = None
+        self.base = None
 
     def head(self):
         """Where a `const` field is evaluated: a batch's first point, built once."""
@@ -195,6 +211,17 @@ def stack_points(points) -> Point:
     """One batch of a non-empty sequence of single points, in order."""
     points = list(points)
     return Point(points[0].chart, np.stack([p.coords for p in points]))
+
+
+def tile_points(sample, n) -> Point:
+    """The sample as a batch repeated n times, one block after another: a
+    tiled point, whose `base` is that batch.  There a field that reads no
+    field stacked by blocks (`stack_fields`) is served from its jets at the
+    base, tiled, and a stacked field gives block i its i-th field's."""
+    batch = as_batch(sample)
+    tiled = Point(batch.chart, np.tile(batch.coords, (n, 1)))
+    tiled.base = batch
+    return tiled
 
 
 def as_batch(sample) -> Point:
@@ -590,9 +617,10 @@ MAX_TABLE_POWER = 64
 def compile_components(trees, shape, dim):
     """A field's evaluator: a `RecentringTable` when every component tree is
     a monomial sum, one reads a coordinate and no power exceeds
-    MAX_TABLE_POWER, else a levelled `Tape`.  So `const` fields, division,
-    negative powers, sin, cos, exp, sqrt and products of sums stay on the
-    tape; a coordinate out of range goes there too, which raises on it."""
+    MAX_TABLE_POWER, else a levelled `Tape`.  So `const` fields, division
+    by a subtree that reads a coordinate or is zero, negative powers, sin,
+    cos, exp, sqrt and products of sums stay on the tape; a coordinate out
+    of range goes there too, which raises on it."""
     trees = list(trees)
     terms = [ex.monomial_terms(e) for e in trees]
     if all(t is not None for t in terms):
@@ -1057,6 +1085,30 @@ def concat_jets(parts) -> JetArray:
                     max(x.deg for x in parts), len(batch))
 
 
+def stack_fields(fields) -> Field:
+    """The fields, all of one rank, stacked by blocks: at a point that tiles
+    a batch len(fields) times (`tile_points`), block i holds fields[i] at
+    that batch, each point with the bits it gets there; the `deg` is the
+    highest of the blocks'.  It and every field that reads it are `blocked`,
+    and it evaluates only at such a point."""
+    fields = tuple(fields)
+    first = fields[0]
+    for f in fields:
+        _same_rank(first, f)
+    sym = first.sym if all(f.sym == first.sym for f in fields) else None
+
+    def fn(p, k):
+        base = p.base
+        if base is None or len(p.coords) != len(fields) * len(base.coords):
+            raise DimensionMismatch(f"a stack of {len(fields)} fields evaluates only at a "
+                                    f"point tiling a batch {len(fields)} times")
+        parts = [per_point(base, f.at(base, k)) for f in fields]
+        return JetArray(parts[0].ctx, np.concatenate([x.coeffs for x in parts]),
+                        max(x.deg for x in parts), 1)
+
+    return DerivedField(first.chart, first.r, first.s, fn, sym, fields, blocks=True)
+
+
 def embed_block(chart, block):
     """The n x n `block` of chart scalars in the top-left of a dim x dim
     component array, zero elsewhere; n is the chart's split."""
@@ -1075,14 +1127,18 @@ def embed_block(chart, block):
 
 class Field:
     """Base: anything producing component jets at a point.  `const` (set
-    only by the constructors here) marks a field that reads no coordinate."""
+    only by the constructors here) marks a field that reads no coordinate,
+    and `blocked` (set there too) one that reads a field stacked by blocks
+    (`stack_fields`), whose jets differ from block to block of a tiled
+    point."""
 
-    def __init__(self, chart, r, s, sym=None, const=False):
+    def __init__(self, chart, r, s, sym=None, const=False, blocked=False):
         self.chart = chart
         self.r = r
         self.s = s
         self.sym = sym
         self.const = const
+        self.blocked = blocked
         self._memo = None  # (point.key or None if const, order, JetArray), see _memo_at
 
     @property
@@ -1152,9 +1208,12 @@ def _memo_at(at):
     it would on an empty memo: a retry only on an error path, once per
     nesting level.  A `const` field's entry ignores the point: it is
     evaluated at the first point asked, so without a batch axis, and serves
-    every point and batch.  The entry records the order it was evaluated
-    at, which was within the chart's jet-order budget, so a memo never
-    serves a request past it.  The result is made read-only, because every
+    every point and batch.  A field that is not `blocked` is served at a
+    tiled point (`tile_points`) by its jets at the base, tiled, and keeps
+    its entry there: every block reads the same jets, and the entry stays
+    for the readers of the base.  The entry records the order it was
+    evaluated at, which was within the chart's jet-order budget, so a memo
+    never serves a request past it.  The result is made read-only, because every
     caller shares it.  Memory stays one entry per field, whatever the
     number of points.
     """
@@ -1164,6 +1223,8 @@ def _memo_at(at):
         memo = self._memo  # (key, order, jets); the key of a `const` field is None
         if memo is not None and order <= memo[1] and (memo[0] is None or memo[0] == point.key):
             return memo[2] if order == memo[1] else truncate_jets(memo[2], order)
+        if point.base is not None and not (self.blocked or self.const):
+            return _tiled(memo_at(self, point.base, order), point)
         self.chart.context(order)  # raises InsufficientJetOrder past the budget
         key = None if self.const else point.key
         point = point if key is not None else point.head()
@@ -1179,6 +1240,16 @@ def _memo_at(at):
         return value if top == order else truncate_jets(value, order)
 
     return memo_at
+
+
+def _tiled(x: JetArray, point) -> JetArray:
+    """Jets evaluated at the base of the tiled `point`, repeated over its
+    blocks (read-only); jets without a batch axis are kept as they are."""
+    if not x.nb:
+        return x
+    coeffs = np.tile(x.coeffs, (len(point.coords) // len(x.coeffs),) + (1,) * (x.coeffs.ndim - 1))
+    coeffs.flags.writeable = False
+    return JetArray(x.ctx, coeffs, x.deg, 1)
 
 
 class TensorField(Field):
@@ -1220,11 +1291,17 @@ class TensorField(Field):
 class DerivedField(Field):
     """A field backed by a procedure (point, order) -> JetArray.  It is
     `const` when it declares the fields its procedure reads, as `inputs`,
-    and all of them are `const`; a procedure that declares none is not."""
+    and all of them are `const`; a procedure that declares none is not.  It
+    is `blocked` when one of its inputs is, or when it stacks them by blocks
+    itself (`blocks`, which only `stack_fields` sets; such a field is never
+    `const`)."""
 
-    def __init__(self, chart, r, s, fn, sym=None, inputs=()):
-        super().__init__(chart, r, s, sym,
-                         bool(inputs) and all(map(operator.attrgetter("const"), inputs)))
+    def __init__(self, chart, r, s, fn, sym=None, inputs=(), blocks=False):
+        const, blocked = bool(inputs) and not blocks, blocks
+        for f in inputs:
+            const = const and f.const
+            blocked = blocked or f.blocked
+        super().__init__(chart, r, s, sym, const, blocked)
         self.fn = fn
 
     @_memo_at

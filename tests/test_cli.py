@@ -602,8 +602,10 @@ def test_zero_symbols_are_not_contracted(tmp_path, monkeypatch):
 # Contractions per run of each shipped runspec (603 and 236 while each
 # bracket lowered both its terms with eta and raised their sum with eta^-1,
 # the Christoffel symbols inverted the metric one order above their own, and
-# the bigraded parts of d omega and db projected each slot assignment anew).
-TDOTS = {"flat.json": 447, "tangent_bundle.json": 177}
+# the bigraded parts of d omega and db projected each slot assignment anew;
+# 447 and 175 while each Courant suite evaluated its three triples apart,
+# with pairings and anchors of its own).
+TDOTS = {"flat.json": 224, "tangent_bundle.json": 96}
 
 
 @pytest.mark.parametrize("runspec", sorted(TDOTS))
@@ -699,16 +701,21 @@ def test_report_file_is_the_hashed_encoding(tmp_path, runspec):
 
 
 @pytest.mark.parametrize("runspec, suites, built", [
-    ("tangent_bundle.json", ["courant_minus"], 18),
-    ("flat.json", None, 62),
+    ("tangent_bundle.json", ["courant_minus"], 7),
+    ("flat.json", None, 29),
 ])
 def test_each_bracket_is_built_once_per_structure(tmp_path, monkeypatch, runspec, suites,
                                                   built):
-    """A Courant suite on a pool of three fields asks 27 brackets, of which
-    18 are distinct, and builds only those; the flat runspec's suites share
-    their brackets too (27 and 95 at one field per request).  Each bracket's
-    body runs once: the Jacobi defects ask the inner brackets at order 1
-    before axiom 1 reads their order-0 slice."""
+    """A Courant suite evaluates the pool's three triples as one stacked
+    triple (X, Y, Z) on the tiled sample, and asks 9 brackets of it, of
+    which 7 are distinct: the three inner and three outer ones of the
+    Jacobi defect, and [X, X].  It builds only those, and the flat
+    runspec's suites share theirs too: 7 for each Courant suite, none more
+    for the Jacobi witness, 7 for `section_condition` and 1 for `deform`
+    (18 and 62 while each triple was evaluated apart; 27 and 95 at one
+    field per request).  Each bracket's body runs once: the Jacobi defects
+    ask the inner brackets at order 1 before axiom 1 reads their order-0
+    slice."""
     runs = Counter()
     count_calls(monkeypatch, runs)
     fields = []

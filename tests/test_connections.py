@@ -333,6 +333,35 @@ def test_lc_not_adapted_on_curved_tm(sphere_tm, sphere_pts):
     assert conditions[4] > 1e-3
 
 
+# The multi-operand contractions `check_adapted` stages as two-operand ones:
+# (subscripts, the axes of its tensor, the number of vectors).
+ADAPTED_FORMS = [("pijk,pvi,pvj,pvk->pv", 3, 3), ("pkim,pvi,pvm->pvk", 3, 2),
+                 ("pij,pvi,pvj->pv", 2, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(form=st.sampled_from(ADAPTED_FORMS), dim=st.integers(1, 6), points=st.integers(1, 6),
+       vectors=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_staged_adapted_contractions_equal_the_einsum_forms(form, dim, points, vectors, seed):
+    """`check_adapted`'s tensors evaluated on its vectors, through the outer
+    product of the vectors, equal the multi-operand `einsum` forms they
+    replaced, on random batches, within the rounding bound of either: n eps
+    times the sum of the terms' magnitudes, n the number of terms plus the
+    factors of one (the order of the products and sums differs)."""
+    from paraherm.connections import _contract
+
+    subscripts, rank, count = form
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(-1.0, 1.0, (points,) + (dim,) * rank) * 10.0 ** rng.integers(-3, 4)
+    vecs = [rng.uniform(-1.0, 1.0, (points, vectors, dim)) for _ in range(count)]
+    got = _contract(T, *vecs)
+    want = np.einsum(subscripts, T, *vecs)
+    bound = np.einsum(subscripts, np.abs(T), *map(np.abs, vecs))
+    assert got.shape == want.shape
+    tol = (dim ** rank + count + 1) * np.finfo(float).eps * bound
+    assert np.all(np.abs(got - want) <= tol)
+
+
 def test_from_christoffels_roundtrip():
     chart = Chart(["x", "xt"], split=1)
     comps = np.empty((2, 2, 2), dtype=object)

@@ -26,6 +26,10 @@ class defines a `jet` or `value` method beside `Field.at`.  No
 module keeps results keyed by a point: only `Point` and the one-entry
 `_memo_at` of `geometry` (the memo of `Field.at`, its one client) read
 `point.key`, so memory does not grow with the number of points evaluated.
+Only `geometry` reads a tiled point's `base` or stacks fields by blocks
+(`tile_points`, `stack_fields`, `_memo_at`): no other module reads a
+`.base` attribute or passes `blocks` to a field, so a field that reads no
+stacked field is served from its jets at the base in one place.
 A `const` field's memo ignores the point and serves its one entry at every
 point, so the flag is structural: only the field constructors of
 `geometry` assign `.const` (no assignment, augmented assignment or
@@ -297,6 +301,34 @@ def test_point_key_guard_catches_each_form():
         "key = p.coords\n"
     )
     assert sorted(_key_reads(ast.parse(source), "cli")) == [1, 2, 4]
+
+
+def _tiling_reads(tree):
+    """Lines reading a `.base` attribute or passing `blocks=` to a call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "base":
+            yield node.lineno
+        elif isinstance(node, ast.Call) and any(kw.arg == "blocks" for kw in node.keywords):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "geometry"])
+def test_only_geometry_reads_a_tiled_points_base(module):
+    found = sorted(_tiling_reads(_tree(module)))
+    assert not found, f"{module}.py reads a tiled point's base or stacks by blocks at {found}"
+
+
+def test_tiling_guard_catches_each_form():
+    source = (
+        "batch = tiled.base\n"
+        "n = len(p.coords) // len(p.base.coords)\n"
+        "X = DerivedField(chart, 1, 0, fn, inputs=(A,), blocks=True)\n"
+        "base = tiled\n"
+        "match e:\n"
+        "    case Pow(base=b):\n"
+        "        pass\n"
+    )
+    assert sorted(_tiling_reads(ast.parse(source))) == [1, 2, 3]
 
 
 def _const_writes(tree, module):

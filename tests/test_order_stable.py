@@ -16,18 +16,22 @@ against the paths they replaced, the Newton iterations and the one-hot
 scatter, and against the reference jet arithmetic of `oracles.py`, to 1e-12.
 `tdot` and `*` sum the Cauchy pairs down one table in one order, so an
 outer-product `tdot` equals the broadcast `*` bit for bit.  The re-centring
-table of monomial-sum fields is checked the same way, and against the tape
-it replaces for them and the reference jets, to 1e-13.
+table of monomial-sum fields (quotients by nonzero sums of constants
+included) is checked the same way, and against the tape it replaces for
+them and the reference jets, to 1e-13.
 """
 
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paraherm.expr import Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sqrt, Sub
+from paraherm.errors import DivisionByZero
+from paraherm.expr import (Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sqrt, Sub,
+                           monomial_terms)
 from paraherm.geometry import (
     JetArray,
     RecentringTable,
@@ -369,9 +373,24 @@ def _monomials(nvars):
                         max_leaves=4)
 
 
+def _constant_value(e):
+    """The value of a tree that reads no coordinate, from its monomial terms."""
+    return float(sum((c for c, _ in monomial_terms(e)), Fraction(0)))
+
+
+# Sums of constants, such as 4 or 1.5 - 0.5, as divisors; never zero.
+_DIVISORS = st.recursive(
+    st.one_of(st.integers(1, 8).map(lambda n: Const(Fraction(n))),
+              st.sampled_from([Const(-1.5), Const(0.1), Const(Fraction(-3, 4))])),
+    lambda c: st.one_of(st.tuples(c, c).map(lambda t: Add(*t)),
+                        st.tuples(c, c).map(lambda t: Sub(*t))),
+    max_leaves=3).filter(_constant_value)
+
+
 def _monomial_sums(nvars):
-    """Monomial terms joined by `+`, `-` and unary `-`, and products of a
-    single term with a sum, on either side."""
+    """Monomial terms joined by `+`, `-` and unary `-`, products of a
+    single term with a sum, on either side, and quotients of a sum by a
+    nonzero sum of constants."""
     terms = _monomials(nvars)
 
     def extend(sums):
@@ -380,7 +399,8 @@ def _monomial_sums(nvars):
             st.tuples(sums, sums).map(lambda t: Sub(*t)),
             sums.map(Neg),
             st.tuples(terms, sums).map(lambda t: Mul(*t)),
-            st.tuples(sums, terms).map(lambda t: Mul(*t)))
+            st.tuples(sums, terms).map(lambda t: Mul(*t)),
+            st.tuples(sums, _DIVISORS).map(lambda t: Div(*t)))
 
     return st.recursive(terms, extend, max_leaves=6)
 
@@ -420,6 +440,8 @@ def _reference_jets(e, x, ctx):
             return jet_power(ctx, _reference_jets(b, x, ctx), n)
         case Neg(arg=a):
             return -_reference_jets(a, x, ctx)
+        case Div(left=a, right=b):
+            return _reference_jets(a, x, ctx) / _constant_value(b)
     a, b = (_reference_jets(c, x, ctx) for c in e.children)
     return {Add: np.add, Sub: np.subtract}.get(type(e), lambda a, b: jet_product(ctx, a, b))(a, b)
 
@@ -434,6 +456,8 @@ def _magnitude(e):
             return e
         case Neg(arg=a):
             return _magnitude(a)
+        case Div(left=a, right=b):
+            return Mul(_magnitude(a), Const(1.0 / abs(_constant_value(b))))
     return (Mul if type(e) is Mul else Add)(*map(_magnitude, e.children))
 
 
@@ -466,6 +490,20 @@ def test_recentring_tables_are_order_stable_and_exact(forest, k, B, seed):
         reference = np.stack([_reference_jets(e, x, got.ctx) for x in coords])
         for other in (want[:, i], reference):
             assert np.all(np.abs(got.coeffs[:, i] - other) <= tol)
+
+
+def test_a_division_by_zero_stays_on_the_tape():
+    """A quotient by a sum of constants that is zero is no monomial sum: the
+    field stays on the tape, whose division raises DivisionByZero naming
+    the first point of the batch."""
+    tree = Add(Coord(0), Div(Coord(1), Sub(Const(Fraction(1)), Const(Fraction(1)))))
+    assert monomial_terms(tree) is None
+    tape = compile_components([tree, Coord(0)], (2,), 2)
+    assert isinstance(tape, Tape)
+    with pytest.raises(DivisionByZero, match=r"at Point\(\[0\.5, 0\.25\]\)"):
+        eval_expr(tape, np.array([[0.5, 0.25], [1.0, 2.0]]), 1)
+    assert isinstance(compile_components([Div(Coord(0), Const(Fraction(4))), Coord(1)],
+                                         (2,), 2), RecentringTable)
 
 
 def test_a_long_scalar_sum_is_order_stable():

@@ -46,7 +46,7 @@ __all__ = [
     "dorfman_via_connection", "associated_bracket", "projected_bracket",
     "d_bracket", "c_bracket", "dorfman_leafwise", "leafwise_d",
     "jacobi_defect", "schouten_self", "schouten_scalar", "eta_pairing", "projected_anchor",
-    "cyclic_triples", "stacked_courant_axioms", "courant_axiom_suite",
+    "cyclic_triples", "courant_axiom_suite",
     "flat_coordinate_dbracket",
 ]
 
@@ -373,33 +373,23 @@ def cyclic_triples(elements, sample) -> CyclicTriples:
     return CyclicTriples(tile_points(sample, n), n, fields)
 
 
-def courant_axiom_suite(bracket, anchor, pair, elements, sample, skip_pairing=False,
+def courant_axiom_suite(bracket, anchor, pair, triples: CyclicTriples, skip_pairing=False,
                         scale=None):
     """Residuals of the three Courant axioms for a bracket/anchor/pairing
-    triple: `{"axiom1": r1, "axiom2": r2, "axiom3": r3}`, with r[point,
-    triple] the |residual| at a sample point for one triple.
+    triple on the stacked triples of `cyclic_triples`: `{"axiom1": r1,
+    "axiom2": r2, "axiom3": r3}`, with r[point, triple] the |residual| at a
+    sample point for one triple.
 
-    `elements` is a pool of test sections; axioms are evaluated on the
-    ordered triples of `cyclic_triples`, all on one tiled batch (see
-    `stacked_courant_axioms`).  Each point's residuals of axioms 1 and 2,
-    which are linear in the pairing, are divided by its entry of `scale`
-    (one per sample point, 1 when None), so a caller can make them relative
-    to the size of the metric; the Jacobi defect of axiom 3 is a vector
-    field's and stays absolute.  `skip_pairing` leaves axioms 1 and 2 at
-    zero (for the plain Lie bracket, whose pairing is degenerate).
-    """
-    return stacked_courant_axioms(bracket, anchor, pair, cyclic_triples(elements, sample),
-                                  skip_pairing, scale)
-
-
-def stacked_courant_axioms(bracket, anchor, pair, triples: CyclicTriples, skip_pairing=False,
-                           scale=None):
-    """`courant_axiom_suite` on the stacked triples of `cyclic_triples`:
-    one Jacobi defect (axiom 3) and one pass of axioms 1 and 2 for all n
+    One Jacobi defect (axiom 3) and one pass of axioms 1 and 2 serve all n
     triples, each point of each block with the bits its triple gets alone,
     but for the sign of an exact zero (a stack's `deg` is its blocks'
     highest, so a constant block takes the Cauchy product, which adds
-    zeros).
+    zeros).  Each point's residuals of axioms 1 and 2, which are linear in
+    the pairing, are divided by its entry of `scale` (one per sample point,
+    1 when None), so a caller can make them relative to the size of the
+    metric; the Jacobi defect of axiom 3 is a vector field's and stays
+    absolute.  `skip_pairing` leaves axioms 1 and 2 at zero (for the plain
+    Lie bracket, whose pairing is degenerate).
 
     The defect is evaluated first: with a bracket that returns one shared
     field per pair (`d_bracket`, `projected_bracket`), its inner brackets
@@ -407,8 +397,9 @@ def stacked_courant_axioms(bracket, anchor, pair, triples: CyclicTriples, skip_p
     read them from the memo, so a pool builds 7 brackets; with
     `eta_pairing` and `projected_anchor`, the pairings and anchors are
     operands of S's table too, shared with the brackets and with every
-    caller of the same stacked fields.  Axiom 2's Lie derivative reads
-    eta(X, X) at order 1 before its bracket term reads eta(X, .) at 0.
+    caller of the same triples, so a second call on them builds no field.
+    Axiom 2's Lie derivative reads eta(X, X) at order 1 before its bracket
+    term reads eta(X, .) at 0.
     """
     tiled, n, (X, Y, Z) = triples
     scale = 1.0 if scale is None else np.asarray(scale, dtype=float)

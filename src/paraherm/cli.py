@@ -177,7 +177,6 @@ class _RunContext:
                 raise SpecParseError(f"unknown suite {name!r}", "suites")
         # The highest order the run's suites read the structure at.
         self.order = max((SUITES[name].order for name in self.suites), default=0)
-        self._nijenhuis = {}
 
     def check_domain(self):
         """Evaluate the structure's six fields on the sample at the highest
@@ -284,13 +283,6 @@ class _RunContext:
         """The para-Kahler gate of `fluxes`, which needs a para-Kahler base:
         the base structure's residual at each point."""
         return {"para_kahler": self.transformation.base_parakahler_residual(self.batch)}
-
-    def nijenhuis(self, sign):
-        """The Nijenhuis gate of the `sign` eigenbundle: its residual at each
-        point (`integrability_residual`)."""
-        if sign not in self._nijenhuis:
-            self._nijenhuis[sign] = self.model.S.integrability_residual(sign, self.batch)
-        return self._nijenhuis[sign]
 
     @functools.cached_property
     def transformation(self):
@@ -451,8 +443,9 @@ class Suite:
             if shut := ctx.shut(gate, tol):
                 reason, arrays = shut
                 return self._row(ctx, tol, {}, arrays, gate != "structure", reason)
-        closed = {sign: g for sign in self.sides
-                  if not reduce_points({"nijenhuis": (g := ctx.nijenhuis(sign))}, tol).passed}
+        S = ctx.model.S  # its Nijenhuis gates are memoised fields: a second read is a memo hit
+        closed = {sign: g for sign in self.sides if not reduce_points(
+            {"nijenhuis": (g := S.integrability_residual(sign, ctx.batch))}, tol).passed}
         one = len(self.sides) == 1  # v1 names a one-sided suite's gate apart
         noted = {"nijenhuis" if one else f"{_SIDE[sign]}_side_skipped_nijenhuis": g
                  for sign, g in closed.items()}
@@ -509,9 +502,9 @@ def _courant(ctx, tol, sign=0):
     S = ctx.model.S
     bracket = lambda X, Y: (br.projected_bracket(S.canonical, S, sign, X, Y)  # noqa: E731
                             if sign else br.d_bracket(S, X, Y))
-    arrays = br.stacked_courant_axioms(bracket, lambda X: br.projected_anchor(S, sign, X),
-                                       lambda X, Y: br.eta_pairing(S, X, Y), ctx.triples,
-                                       scale=np.maximum(1.0, S.eta.max_abs(ctx.batch)))
+    arrays = br.courant_axiom_suite(bracket, lambda X: br.projected_anchor(S, sign, X),
+                                    lambda X, Y: br.eta_pairing(S, X, Y), ctx.triples,
+                                    scale=np.maximum(1.0, S.eta.max_abs(ctx.batch)))
     if not sign:
         arrays["axiom3_defect"] = arrays.pop("axiom3")
     return {"arrays": arrays}

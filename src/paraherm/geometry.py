@@ -26,28 +26,24 @@ on that axis.  Outside `jets`, only code here reads jet coefficients, and the
 other modules go through the helpers next to `tdot` and `jets_gradient`.
 A scalar is the (0,0) field, and a scalar jet is a 0-d JetArray: indexing
 down to one component, contracting fully and a (0,0) field's `at` give one.
-The elementwise arithmetic (`*`, `/`, integer powers, `sin`, `cos`, `exp`,
-`sqrt`) works on JetArrays of any shape; `+`, `-`, `*` and powers n >= 0 are
-array kernels on (coefficients, degree bound) pairs, which the JetArray
-operators call.  A `TensorField` compiles the `expr` trees of its
-components once, at construction, into one of two evaluators
-(`compile_components`).  Components that are all sums of monomials
-(`expr.monomial_terms`, quotients by nonzero sums of constants included),
-in a field that reads a coordinate, become a `RecentringTable`: the Taylor
-coefficients of a polynomial at p have a closed form, so a run is one
-power table, one gather and product of each entry's powers and one sum per
-coefficient, with no level-by-level propagation.  Every other field
-becomes a levelled `Tape`: equal subtrees share a slot, each subtree that
-reads no coordinate is a constant row computed once per jet order, and the
-other nodes run level by level, one kernel call for all the nodes of a
-level that share an operation and the degree classes of their operands,
-over one stacked buffer.  `+`, `-`, `*` and powers n >= 0 run on that
-buffer through the same array kernels;
-division, negative powers, sin, cos, exp and sqrt call JetArray methods.
-So `const` fields, the transcendental and rational functions (a division
-by zero too, which the tape reports at the point), and products of sums
-such as (x - 1000)^2, whose expansion could cancel, stay on the tape.
-Each component gets the bits it gets evaluated alone.
+The elementwise arithmetic (`+`, `-`, `*`, `/`, integer powers, `sin`,
+`cos`, `exp`, `sqrt`) works on JetArrays of any shape: each operation is
+one array kernel on (coefficients, degree bound) pairs, in one table,
+`_KERNELS`, which the JetArray operators and methods call.  A `TensorField`
+compiles the `expr` trees of its components once, at construction, into
+one of two evaluators (`compile_components`).  Components that are all
+sums of monomials (`expr.monomial_terms`, quotients by nonzero sums of
+constants included), in a field that reads a coordinate, become a
+`RecentringTable`: the Taylor coefficients of a polynomial at p have a
+closed form, so a run is one power table, one gather and product of each
+entry's powers and one sum per coefficient, with no node-by-node
+propagation.  Every other field becomes a `Tape`: equal subtrees share a
+slot of one buffer, and each other node is one step, its kernel of
+`_KERNELS` on its operands' slots, in post-order.  So `const` fields, the
+transcendental and rational functions (a division by zero too, which the
+tape reports at the point), and products of sums such as (x - 1000)^2,
+whose expansion could cancel, stay on the tape.  Each component gets the
+bits it gets evaluated alone.
 `eval_expr` runs either evaluator (or one tree, on a tape) for a point or
 a whole batch, and `TensorField.at` calls it once per evaluation.
 
@@ -93,7 +89,6 @@ Conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, wraps
@@ -250,8 +245,9 @@ def require_within(point, residuals, bound, error, label):
 
 # Each kernel takes the jet context and its operands as coefficient arrays,
 # each followed by its degree bound (see `JetArray`), and returns the
-# result's (coeffs, deg).  JetArray's `+`, `-`, `*` and powers call them, and
-# a `Tape` runs them on the slots of its buffer.
+# result's (coeffs, deg).  `_KERNELS` names the kernel of each operation of
+# an expression tree: a `Tape` runs it on the slots of its buffer, and the
+# JetArray operators and methods call the same one.
 
 def _add(ctx, ca, da, cb, db):
     return np.add(ca, cb), max(da, db)
@@ -283,12 +279,21 @@ def _product(ctx, ca, da, cb, db):
     return out, min(da + db, ctx.order)
 
 
+def _quotient(ctx, ca, da, cb, db):
+    """The elementwise quotient: a times the reciprocal of b."""
+    return _product(ctx, ca, da, *_reciprocal(ctx, cb, db))
+
+
 def _power(ctx, c, d, n):
-    """The elementwise power c ** n for an integer n >= 0, by squaring."""
+    """The elementwise power c ** n for an integer n, by squaring; a
+    negative n inverts first."""
+    if not isinstance(n, (int, np.integer)):
+        raise DomainError("jet exponent must be an integer")
+    n = int(n)
+    if n < 0:
+        return _power(ctx, *_reciprocal(ctx, c, d), -n)
     if n == 0:
-        ones = np.zeros(c.shape)
-        ones[..., 0] = 1.0
-        return ones, 0
+        return _constant(ctx, np.ones(c.shape[:-1]))
     result, base = None, (c, d)
     while n:
         if n & 1:
@@ -297,6 +302,75 @@ def _power(ctx, c, d, n):
         if n:
             base = _product(ctx, *base, *base)
     return result
+
+
+def _constant(ctx, values):
+    """Constant jets of `values`, degree 0 even where the values vanish."""
+    coeffs = np.zeros(np.shape(values) + (ctx.n,))
+    coeffs[..., 0] = values
+    return coeffs, 0
+
+
+def _compose(ctx, c, d, derivs):
+    """f(c), given derivs[m], the m-th derivative of f at the values (one
+    per jet): the sum of derivs[m] / m! h^m, with h the nonconstant,
+    nilpotent part of c.  The degree of the result and the path of each
+    product follow d alone, never the values of f's derivatives."""
+    h = c.copy()
+    h[..., 0] = 0.0
+    power, acc = (h, d), _constant(ctx, derivs[0])
+    for m in range(1, ctx.order + 1):
+        if m > 1:
+            power = _product(ctx, *power, h, d)
+        term = _product(ctx, *power, *_constant(ctx, derivs[m] / math.factorial(m)))
+        acc = _add(ctx, *acc, *term)
+    return acc
+
+
+def _reciprocal(ctx, c, d):
+    """Elementwise 1 / c, the series of 1/x about the values: its m-th
+    derivative there is d_m = (-1)^m m! / x^(m+1) = d_(m-1) (-m / x),
+    formed by products alone, so a batch gets each jet's own bits."""
+    vals = c[..., 0]
+    if not np.all(vals):
+        raise DivisionByZero("division by a jet with zero value")
+    derivs = [1.0 / vals]
+    for m in range(1, ctx.order + 1):
+        derivs.append(derivs[-1] * (-m * derivs[0]))
+    return _compose(ctx, c, d, derivs)
+
+
+def _sin(ctx, c, d):
+    x = c[..., 0]
+    cycle = [np.sin(x), np.cos(x), -np.sin(x), -np.cos(x)]
+    return _compose(ctx, c, d, [cycle[m % 4] for m in range(ctx.order + 1)])
+
+
+def _cos(ctx, c, d):
+    x = c[..., 0]
+    cycle = [np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)]
+    return _compose(ctx, c, d, [cycle[m % 4] for m in range(ctx.order + 1)])
+
+
+def _exp(ctx, c, d):
+    return _compose(ctx, c, d, [np.exp(c[..., 0])] * (ctx.order + 1))
+
+
+def _sqrt(ctx, c, d):
+    x = c[..., 0]
+    bad = x <= 0.0
+    if bad.any():
+        raise DomainError(f"sqrt of non-positive value {x[bad].flat[0]}")
+    derivs, coef = [], 1.0
+    for m in range(ctx.order + 1):
+        derivs.append(coef * x ** (0.5 - m))
+        coef *= 0.5 - m
+    return _compose(ctx, c, d, derivs)
+
+
+_KERNELS = {ex.Neg: _negative, ex.Add: _add, ex.Sub: _subtract, ex.Mul: _product,
+            ex.Div: _quotient, ex.Pow: _power, ex.Sin: _sin, ex.Cos: _cos, ex.Exp: _exp,
+            ex.Sqrt: _sqrt}
 
 
 # --------------------------------------------------------------------------
@@ -327,181 +401,86 @@ def eval_expr(e, coords, order) -> JetArray:
         raise
 
 
-# Degree classes of a tape node: all-zero (deg -1), constant (deg 0), or
-# deg >= 1 at jet orders K >= 1 (deg 0 at K = 0).  A group runs with these
-# degrees; each member alone has the same -1, 0 or positive degree, so the
-# kernel takes the product path it takes alone.
-_ZERO, _CONST, _VAR = 0, 1, 2
-
-# A tape runs these on its own buffer; the other operations, and negative or
-# non-integer powers, are JetArray calls.
-_ARRAY_KERNELS = {ex.Neg: _negative, ex.Add: _add, ex.Sub: _subtract, ex.Mul: _product,
-                  ex.Pow: _power}
-_JET_KERNELS = {
-    ex.Div: operator.truediv, ex.Pow: operator.pow,
-    ex.Sin: operator.methodcaller("sin"), ex.Cos: operator.methodcaller("cos"),
-    ex.Exp: operator.methodcaller("exp"), ex.Sqrt: operator.methodcaller("sqrt"),
-}
-_UNARY = (ex.Neg, ex.Sin, ex.Cos, ex.Exp, ex.Sqrt)
-_BINARY = (ex.Add, ex.Sub, ex.Mul, ex.Div)
-# Kernels whose product paths follow their operands' degree classes; the
-# others only add, subtract or negate coefficients.
-_PATHED = (ex.Mul, ex.Div, ex.Pow, ex.Sin, ex.Cos, ex.Exp, ex.Sqrt)
-
-
-def _degree_class(t, args, exponent):
-    if t in (ex.Neg, ex.Add, ex.Sub):
-        return max(args)
-    if t in (ex.Mul, ex.Div):
-        return _ZERO if _ZERO in args else max(args)
-    if t is ex.Pow:
-        return _CONST if exponent == 0 else args[0]
-    return _VAR if args[0] == _VAR else _CONST  # sin, cos, exp, sqrt
-
-
 class Tape:
-    """A forest of expression trees compiled once into a levelled evaluation
-    tape (the Taylor-propagation tape of Griewank & Walther, Evaluating
-    Derivatives, 2008, with the nodes of one level run together).  A field
-    takes a tape when some component is not a monomial sum, or when it reads
-    no coordinate (see `compile_components`); a monomial sum's coefficients
-    have a closed form that `RecentringTable` computes without levels.
+    """A forest of expression trees compiled once into an evaluation tape
+    (the Taylor-propagation tape of Griewank & Walther, Evaluating
+    Derivatives, 2008).  A field takes a tape when some component is not a
+    monomial sum, or when it reads no coordinate (see `compile_components`);
+    a monomial sum's coefficients have a closed form that `RecentringTable`
+    computes without a tape.
 
-    Structurally equal subtrees share one slot; constants are keyed by the
-    type and the bits of their float value, so 0.0 and -0.0 stay apart.
-    Each subtree that reads no coordinate is folded into a constant row,
-    computed once per jet order by the same kernels and kept on the tape.
-    The other nodes are grouped by height, operation and the degree classes
-    of their operands, which fix every product path inside the kernel; a
-    group is one kernel call over the stacked slots of one buffer of shape
-    (*batch, slots, ncoef), so each slot gets the bits its tree alone gets.
-    `+`, `-`, `*` and powers n >= 0 run on the buffer's slots through the
-    array kernels the JetArray operators call; division, negative powers,
-    sin, cos, exp and sqrt wrap their operand slots in JetArrays.
+    Each distinct node has one slot of a buffer of shape (*batch, slots,
+    ncoef): structurally equal subtrees share it, and constants are keyed
+    by the type and the bits of their float value, so 0.0 and -0.0 stay
+    apart.  A run fills the leaves' slots, then takes the other nodes in
+    post-order, one step each: its operation's kernel in `_KERNELS` on its
+    operands' slots.  It carries each slot's degree bound as the kernel
+    returns it, so every product takes the zero, constant or Cauchy path
+    its tree alone takes, and each slot gets the bits its tree alone gets.
     """
 
     def __init__(self, trees, shape=(), dim=None):
-        index, seen = {}, {}  # structural key -> node; id(tree) -> node
-        info = []  # node -> (degree class, reads a coordinate, height, children)
-        leaves, values, coords, coord_index, groups = [], [], [], [], {}
+        index, seen = {}, {}  # structural key -> slot; id(tree) -> slot
+        consts, coords, self.steps = [], [], []  # (slot, value), (slot, coordinate), steps
 
-        def visit(e):  # post-order: a node's index comes after its children's
+        def visit(e):  # post-order: a node's slot comes after its operands'
             i = seen.get(id(e))
             if i is not None:
                 return i
             t = type(e)
             if t is ex.Const:
-                v = float(e.value)
-                key = (type(e.value), v.hex())
+                key = (t, type(e.value), float(e.value).hex())
             elif t is ex.Coord:
                 if dim is not None and e.index >= dim:
                     raise DimensionMismatch(
                         f"expression coordinate {e.index} out of range for dim {dim}")
                 key = (t, e.index)
-            elif t in _BINARY:
-                key = (t, (visit(e.left), visit(e.right)))
-            elif t is ex.Pow:
-                key = (t, (visit(e.base),), e.exponent, type(e.exponent))
-            elif t in _UNARY:
-                key = (t, (visit(e.arg),))
+            elif t in _KERNELS:
+                extra = (e.exponent,) if t is ex.Pow else ()
+                args = tuple(visit(getattr(e, f)) for f in e.__match_args__ if f != "exponent")
+                key = (t, args, extra, tuple(map(type, extra)))
             else:
                 raise TypeError(f"not an expression node: {e!r}")
             i = index.get(key)
             if i is None:
-                i = index[key] = len(info)
+                i = index[key] = len(index)
                 if t is ex.Const:
-                    info.append((_CONST if v else _ZERO, False, 0, ()))
-                    leaves.append(i)
-                    values.append(v)
+                    consts.append((i, float(e.value)))
                 elif t is ex.Coord:
-                    info.append((_VAR, True, 0, ()))
-                    coords.append(i)
-                    coord_index.append(e.index)
+                    coords.append((i, e.index))
                 else:
-                    args = key[1]
-                    a = info[args[0]]
-                    if len(args) == 2:
-                        b = info[args[1]]
-                        r = a[1] or b[1]
-                        h = 1 + max(a[2] if a[1] == r else 0, b[2] if b[1] == r else 0)
-                        arg_cls = (a[0], b[0])
-                    else:
-                        r, h, arg_cls = a[1], 1 + a[2], (a[0],)
-                    path = arg_cls if t in _PATHED else (_VAR,) * len(args)
-                    groups.setdefault((r, h, t, key[2:], path), []).append(i)
-                    exponent = key[2] if t is ex.Pow else None
-                    info.append((_degree_class(t, arg_cls, exponent), r, h, args))
+                    self.steps.append((i, _KERNELS[t], args, extra))
             seen[id(e)] = i
             return i
 
-        roots = [visit(e) for e in trees]
-        # Slots: constant leaves, constant groups, coordinates, other groups.
-        order = sorted(groups, key=lambda g: g[:2])
-        layout = leaves + [i for g in order if not g[0] for i in groups[g]]
-        self.n_const = len(layout)
-        layout += coords + [i for g in order if g[0] for i in groups[g]]
-        slot = [0] * len(layout)
-        for s, i in enumerate(layout):
-            slot[i] = s
+        self.out = np.array([visit(e) for e in trees], dtype=int)
         self.shape = tuple(shape)
-        self.size = len(layout)
-        self.leaf_values = np.array(values)
-        self.coord_index = np.array(coord_index, dtype=int)
-        self.reads = bool(coord_index)  # whether the forest reads a coordinate
-        self.out = np.array([slot[i] for i in roots], dtype=int)
-        self.const_groups, self.groups = [], []
-        for g in order:
-            (reads, _, t, exponent, path), members = g, groups[g]
-            operands = [(np.array([slot[info[i][3][k]] for i in members]), c)
-                        for k, c in enumerate(path)]
-            lo = slot[members[0]]
-            # `**` by a negative or non-integer exponent stays a JetArray call.
-            n = exponent[0] if exponent else 0
-            on_array = t in _ARRAY_KERNELS and isinstance(n, (int, np.integer)) and n >= 0
-            kernel = _ARRAY_KERNELS[t] if on_array else _JET_KERNELS[t]
-            (self.groups if reads else self.const_groups).append(
-                (kernel, on_array, operands, exponent[:1], lo, lo + len(members)))
-        self._rows = {}  # order -> the constants, then the coordinates' unit gradients
+        self.size = len(index)
+        self.const_slots = np.array([i for i, _ in consts], dtype=int)
+        self.const_values = np.array([v for _, v in consts])
+        self.coord_slots = np.array([i for i, _ in coords], dtype=int)
+        self.coord_index = np.array([v for _, v in coords], dtype=int)
+        self.reads = bool(coords)  # whether the forest reads a coordinate
+        self.degrees = [0] * self.size  # each leaf's degree bound at orders >= 1
+        for i, v in consts:
+            self.degrees[i] = 0 if v else -1
+        for i, _ in coords:
+            self.degrees[i] = 1
 
     def run(self, coords, ctx) -> JetArray:
         """The forest's jets at coords of shape (*batch, dim); see `eval_expr`."""
         batch = coords.shape[:-1]
-        rows = self._rows.get(ctx.order)
-        if rows is None:  # the buffer's leading rows at this order, made once
-            m = len(self.coord_index)
-            rows = np.zeros((self.n_const + m, ctx.n))
-            rows[: len(self.leaf_values), 0] = self.leaf_values
-            _run_groups(rows, self.const_groups, ctx, 0)
-            if ctx.order:
-                rows[self.n_const + np.arange(m), 1 + self.coord_index] = 1.0
-            rows.flags.writeable = False
-            self._rows[ctx.order] = rows
-        buf = np.empty(batch + (self.size, ctx.n))
-        buf[..., : len(rows), :] = rows
-        buf[..., self.n_const : len(rows), 0] = coords[..., self.coord_index]
-        _run_groups(buf, self.groups, ctx, len(batch))
+        buf = np.zeros(batch + (self.size, ctx.n))
+        buf[..., self.const_slots, 0] = self.const_values
+        buf[..., self.coord_slots, 0] = coords[..., self.coord_index]
+        if ctx.order:
+            buf[..., self.coord_slots, 1 + self.coord_index] = 1.0
+        deg = [min(d, ctx.order) for d in self.degrees]  # a step sets its own from its kernel
+        for i, kernel, args, extra in self.steps:
+            operands = [x for a in args for x in (buf[..., a, :], deg[a])]
+            buf[..., i, :], deg[i] = kernel(ctx, *operands, *extra)
         out = buf.take(self.out, axis=-2).reshape(batch + self.shape + (ctx.n,))
         return _exact_jets(ctx, out, len(batch))
-
-
-def _run_groups(buf, groups, ctx, nb):
-    """Run each group's kernel on its operand slots of `buf` (*batch, slots,
-    ncoef) and write the results to its own slots, level by level.  `+`,
-    `-`, `*` and powers n >= 0 run on the gathered slots themselves; only
-    division, negative powers, sin, cos, exp and sqrt wrap them in
-    JetArrays."""
-    degs = (-1, 0, ctx.order)
-    for kernel, on_array, operands, extra, lo, hi in groups:
-        if not on_array:
-            args = [JetArray(ctx, buf.take(idx, axis=-2), degs[c], nb) for idx, c in operands]
-            buf[..., lo:hi, :] = kernel(*args, *extra).coeffs
-        elif len(operands) == 1:  # negation and powers
-            (idx, c), = operands
-            buf[..., lo:hi, :] = kernel(ctx, buf.take(idx, axis=-2), degs[c], *extra)[0]
-        else:
-            (ia, a), (ib, b) = operands
-            buf[..., lo:hi, :] = kernel(ctx, buf.take(ia, axis=-2), degs[a],
-                                        buf.take(ib, axis=-2), degs[b])[0]
 
 
 def _exact_jets(ctx, out, nb) -> JetArray:
@@ -517,7 +496,7 @@ class RecentringTable:
 
     A term c x^beta has at p the stored coefficient of alpha
     c prod_v C(beta_v, alpha_v) p_v^(beta_v - alpha_v): the polynomial
-    re-centred at p needs no level-by-level propagation.  Per jet order, a
+    re-centred at p needs no node-by-node propagation.  Per jet order, a
     table built once lists the entries of each target (component, alpha):
     the terms with alpha <= beta, in the order the tree lists them, each
     with its weight c prod_v C(beta_v, alpha_v) and the powers its monomial
@@ -617,7 +596,7 @@ MAX_TABLE_POWER = 64
 def compile_components(trees, shape, dim):
     """A field's evaluator: a `RecentringTable` when every component tree is
     a monomial sum, one reads a coordinate and no power exceeds
-    MAX_TABLE_POWER, else a levelled `Tape`.  So `const` fields, division
+    MAX_TABLE_POWER, else a `Tape`.  So `const` fields, division
     by a subtree that reads a coordinate or is zero, negative powers, sin,
     cos, exp, sqrt and products of sums stay on the tape; a coordinate out
     of range goes there too, which raises on it."""
@@ -731,7 +710,11 @@ class JetArray:
         return JetArray(a.ctx, *kernel(a.ctx, ca, a.deg, cb, b.deg), max(a.nb, b.nb))
 
     def __neg__(self):
-        return JetArray(self.ctx, *_negative(self.ctx, self.coeffs, self.deg), self.nb)
+        return self._apply(_negative)
+
+    def _apply(self, kernel, *extra):
+        """This array's image under an elementwise kernel of `_KERNELS`."""
+        return JetArray(self.ctx, *kernel(self.ctx, self.coeffs, self.deg, *extra), self.nb)
 
     def __mul__(self, other):
         """Elementwise product: with a float, or with a JetArray broadcast
@@ -763,73 +746,24 @@ class JetArray:
         return self * other.reciprocal() if isinstance(other, JetArray) else NotImplemented
 
     def reciprocal(self) -> "JetArray":
-        """Elementwise 1 / self, the series of 1/x about the values: its m-th
-        derivative there is d_m = (-1)^m m! / x^(m+1) = d_(m-1) (-m / x),
-        formed by products alone, so a batch gets each jet's own bits."""
-        vals = self.coeffs[..., 0]
-        if not np.all(vals):
-            raise DivisionByZero("division by a jet with zero value")
-        derivs = [1.0 / vals]
-        for m in range(1, self.ctx.order + 1):
-            derivs.append(derivs[-1] * (-m * derivs[0]))
-        return self._compose(derivs)
+        """Elementwise 1 / self; raises DivisionByZero at a zero value."""
+        return self._apply(_reciprocal)
 
     def __pow__(self, n):
         """Elementwise integer power, by squaring; a negative n inverts first."""
-        if not isinstance(n, (int, np.integer)):
-            raise DomainError("jet exponent must be an integer")
-        n = int(n)
-        if n < 0:
-            return self.reciprocal() ** -n
-        return JetArray(self.ctx, *_power(self.ctx, self.coeffs, self.deg, n), self.nb)
-
-    def _compose(self, derivs):
-        """f(self), given derivs[m], the m-th derivative of f at the values
-        (one per jet): the sum of derivs[m] / m! h^m, with h the
-        nonconstant, nilpotent part of self."""
-        ctx, nb = self.ctx, self.nb
-
-        def const(values):  # deg 0 even where the values vanish, see below
-            coeffs = np.zeros(values.shape + (ctx.n,))
-            coeffs[..., 0] = values
-            return JetArray(ctx, coeffs, 0, nb)
-
-        # The degree of the result and the path of each product follow the
-        # degree of self alone, never the values of f's derivatives, so that
-        # a `Tape` group takes the path each of its members takes alone.
-        h = self.coeffs.copy()
-        h[..., 0] = 0.0
-        h = power = JetArray(ctx, h, self.deg, nb)
-        acc = const(derivs[0])
-        for m in range(1, ctx.order + 1):
-            if m > 1:
-                power = power * h
-            acc = acc + power * const(derivs[m] / math.factorial(m))
-        return acc
+        return self._apply(_power, n)
 
     def sin(self):
-        x = self.coeffs[..., 0]
-        cycle = [np.sin(x), np.cos(x), -np.sin(x), -np.cos(x)]
-        return self._compose([cycle[m % 4] for m in range(self.ctx.order + 1)])
+        return self._apply(_sin)
 
     def cos(self):
-        x = self.coeffs[..., 0]
-        cycle = [np.cos(x), -np.sin(x), -np.cos(x), np.sin(x)]
-        return self._compose([cycle[m % 4] for m in range(self.ctx.order + 1)])
+        return self._apply(_cos)
 
     def exp(self):
-        return self._compose([np.exp(self.coeffs[..., 0])] * (self.ctx.order + 1))
+        return self._apply(_exp)
 
     def sqrt(self):
-        x = self.coeffs[..., 0]
-        bad = x <= 0.0
-        if bad.any():
-            raise DomainError(f"sqrt of non-positive value {x[bad].flat[0]}")
-        derivs, coef = [], 1.0
-        for m in range(self.ctx.order + 1):
-            derivs.append(coef * x ** (0.5 - m))
-            coef *= 0.5 - m
-        return self._compose(derivs)
+        return self._apply(_sqrt)
 
     def sum(self, axis=0):
         """Sum over one tensor axis."""

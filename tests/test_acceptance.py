@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from paraherm.brackets import (
-    GeneralizedVectorField, courant_axiom_suite, d_bracket,
+    GeneralizedVectorField, courant_axiom_suite, cyclic_triples, d_bracket,
     flat_coordinate_dbracket, jacobi_defect, projected_bracket,
 )
 from paraherm.connections import from_christoffels
@@ -204,8 +204,8 @@ def test_criterion_4_courant_axioms(flat2, flatg_tm):
         for sign in (+1, -1):
             bracket = lambda X, Y: projected_bracket(S.canonical, S, sign, X, Y)
             anchor = lambda X: apply_endomorphism(S.projector(sign), X)
-            rep = reduce_courant(courant_axiom_suite(bracket, anchor, eta_pair(S), pool,
-                                                     stack_points(pts)), stack_points(pts), tol)
+            rep = reduce_courant(courant_axiom_suite(bracket, anchor, eta_pair(S), cyclic_triples(
+                pool, stack_points(pts))), stack_points(pts), tol)
             assert rep.passed, (sign, rep.maxima)
     # full D-bracket: axioms 1-2 pass, 3 fails with a recorded witness
     S = flat2.S
@@ -213,7 +213,7 @@ def test_criterion_4_courant_axioms(flat2, flatg_tm):
     rng = np.random.default_rng(503)
     pool = [random_vector_field(S.chart, rng) for _ in range(3)]
     rep = reduce_courant(courant_axiom_suite(lambda X, Y: d_bracket(S, X, Y), lambda X: X,
-                                             eta_pair(S), pool, stack_points(pts)),
+                                             eta_pair(S), cyclic_triples(pool, stack_points(pts))),
                          stack_points(pts), tol)
     axiom1, axiom2, axiom3 = (rep.maxima[f"axiom{a}"] for a in (1, 2, 3))
     assert axiom1 < tol and axiom2 < tol

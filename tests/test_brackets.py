@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from paraherm.brackets import (
-    GeneralizedVectorField, associated_bracket, c_bracket, courant_axiom_suite,
+    GeneralizedVectorField, associated_bracket, c_bracket, courant_axiom_suite, cyclic_triples,
     d_bracket, dorfman_leafwise, dorfman_via_connection, flat_coordinate_dbracket,
     jacobi_defect, pairing, projected_bracket, schouten_scalar, schouten_self,
     standard_dorfman,
@@ -702,8 +702,8 @@ def test_courant_suite_projected_passes(flat2):
     for sign in (+1, -1):
         bracket = lambda X, Y: projected_bracket(S.canonical, S, sign, X, Y)
         anchor = lambda X: apply_endomorphism(S.projector(sign), X)
-        rep = reduce_courant(courant_axiom_suite(bracket, anchor, eta_pair(S), pool,
-                                                 stack_points(pts)), stack_points(pts))
+        rep = reduce_courant(courant_axiom_suite(bracket, anchor, eta_pair(S), cyclic_triples(
+            pool, stack_points(pts))), stack_points(pts))
         assert rep.passed, rep.maxima
 
 
@@ -713,7 +713,8 @@ def test_courant_suite_full_dbracket_fails_axiom3(flat2):
     pool = [random_vector_field(S.chart, rng) for _ in range(3)]
     pts = sample_points(flat2, 3, 33)
     bracket = lambda X, Y: d_bracket(S, X, Y)
-    arrays = courant_axiom_suite(bracket, lambda X: X, eta_pair(S), pool, stack_points(pts))
+    arrays = courant_axiom_suite(bracket, lambda X: X, eta_pair(S),
+                                 cyclic_triples(pool, stack_points(pts)))
     rep = reduce_courant(arrays, stack_points(pts), limits={"axiom3": ("defect", 1e-9)})
     assert rep.maxima["axiom1"] < 1e-9 and rep.maxima["axiom2"] < 1e-9
     assert rep.maxima["axiom3"] > 1e-4
@@ -725,8 +726,9 @@ def test_courant_suite_lie_bracket_axiom3(flat2):
     rng = np.random.default_rng(34)
     pool = [random_vector_field(flat2.chart, rng) for _ in range(3)]
     pts = sample_points(flat2, 3, 35)
-    rep = reduce_courant(courant_axiom_suite(lie_bracket, lambda X: X, None, pool,
-                                             stack_points(pts), skip_pairing=True),
+    rep = reduce_courant(courant_axiom_suite(lie_bracket, lambda X: X, None,
+                                             cyclic_triples(pool, stack_points(pts)),
+                                             skip_pairing=True),
                          stack_points(pts))
     assert rep.maxima["axiom3"] < 1e-9
 
@@ -740,8 +742,8 @@ def test_courant_axioms_on_tm_minus_side(flatg_tm):
     pts = sample_points(flatg_tm, 3, 37)
     bracket = lambda X, Y: projected_bracket(S.canonical, S, -1, X, Y)
     anchor = lambda X: apply_endomorphism(S.P_minus, X)
-    rep = reduce_courant(courant_axiom_suite(bracket, anchor, eta_pair(S), pool,
-                                             stack_points(pts)), stack_points(pts))
+    rep = reduce_courant(courant_axiom_suite(bracket, anchor, eta_pair(S), cyclic_triples(
+        pool, stack_points(pts))), stack_points(pts))
     assert rep.passed, rep.maxima
 
 
@@ -752,8 +754,8 @@ def test_dbracket_axiom1_without_integrability(sphere_tm, sphere_pts):
     rng = np.random.default_rng(38)
     pool = [random_vector_field(S.chart, rng, degree=1) for _ in range(3)]
     bracket = lambda X, Y: d_bracket(S, X, Y)
-    rep = reduce_courant(courant_axiom_suite(bracket, lambda X: X, eta_pair(S), pool,
-                                             stack_points(sphere_pts[:3])),
+    rep = reduce_courant(courant_axiom_suite(bracket, lambda X: X, eta_pair(S), cyclic_triples(
+        pool, stack_points(sphere_pts[:3]))),
                          stack_points(sphere_pts[:3]))
     assert rep.maxima["axiom1"] < 1e-9
     assert rep.maxima["axiom2"] < 1e-9

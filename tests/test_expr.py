@@ -336,12 +336,15 @@ def test_forest_tape_is_byte_equal_to_each_tree_alone(forest, k, batch, seed):
 @pytest.mark.parametrize("batch", [(), (3,)])
 @pytest.mark.parametrize("k", [0, 2])
 def test_tape_arithmetic_runs_on_its_buffer(monkeypatch, batch, k):
-    """`+`, `-`, negation, `*` (by zero, by a constant and by a jet) and
-    squares run on the tape's buffer: a run builds one JetArray, its result,
-    also where it computes its constant rows."""
+    """Every operation runs on the tape's buffer: `+`, `-`, negation, `*`
+    (by zero, by a constant and by a jet), `/`, powers of either sign,
+    `sin`, `cos`, `exp` and `sqrt`, on subtrees that read a coordinate and
+    on constant ones.  A run builds one JetArray, its result."""
     names = ["x", "y", "z"]
     trees = [parse_expr(s, names) for s in
-             ("x*y - 2*z^2", "-(x + y)^2 * z", "3*4 - x*x + (y - z)^2", "0*x + y", "(3 - 4)^2")]
+             ("x*y - 2*z^2", "-(x + y)^2 * z", "3*4 - x*x + (y - z)^2", "0*x + y", "(3 - 4)^2",
+              "x / (2 + y^2)", "(1 + x^2)^-2 - 2^-1", "sin(x) * cos(y - z) + exp(z) / 3",
+              "sqrt(2 + x*y) + sin(1) - cos(0) * exp(0) + sqrt(4)")]
     tape = Tape(trees, (len(trees),))
     built = []
     init = JetArray.__init__
@@ -361,7 +364,7 @@ def test_signed_zero_constants_keep_their_bits():
     so the tape gives them separate slots."""
     chart = Chart(["x", "xt"], split=1)
     K = TensorField(chart, 0, 2, np.array([[1.0, -0.0], [0.0, -1.0]]).astype(object))
-    assert K.tape.n_const == 4
+    assert len(K.tape.const_slots) == 4
     got = K.at(chart.point([0.3, 0.4]), 2).coeffs
     assert np.array_equal(np.signbit(got[..., 0]), [[False, True], [False, True]])
 

@@ -45,6 +45,9 @@ A check reduces its per-point arrays in one place, `geometry.reduce_points`:
 no other function builds a witness (a dict naming a `"point"`) or takes an
 argmax or argmin, except `Point.first` and `require_within`, which name the
 first point where a mask holds, so a witness rule cannot fork.
+A field's components are compiled in one place: only `geometry` builds a
+`Tape` or a `RecentringTable` or calls `compile_components` (or imports
+them), so every evaluator runs behind `TensorField` and `eval_expr`.
 """
 
 import ast
@@ -69,6 +72,7 @@ BATCHING_MODULES = {"geometry", "cli"}
 REDUCERS = {("geometry", "reduce_points"), ("geometry", "Point"), ("geometry", "require_within")}
 ARG_EXTREMA = {"argmax", "argmin", "nanargmax", "nanargmin"}
 SAMPLE_NAMES = {"sample", "points", "pts"}
+EVALUATORS = {"Tape", "RecentringTable", "compile_components"}
 
 
 def _tree(module):
@@ -490,3 +494,30 @@ def test_reducer_guard_catches_each_form():
     tree = ast.parse(source)
     assert sorted(line for line, _ in _reductions(tree, "cli")) == [1, 2, 3, 4, 5, 8, 8]
     assert sorted(line for line, _ in _reductions(tree, "geometry")) == [1, 2, 3, 4, 5]
+
+
+def _evaluator_builds(tree):
+    """(line, name) of each call or import of a name in EVALUATORS."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) in EVALUATORS:
+            yield node.lineno, _name(node.func)
+        elif isinstance(node, ast.alias) and node.name in EVALUATORS:
+            yield node.lineno, node.name
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "geometry"])
+def test_only_geometry_compiles_components(module):
+    found = sorted(_evaluator_builds(_tree(module)))
+    assert not found, f"{module}.py builds an expression evaluator at {found}"
+
+
+def test_evaluator_guard_catches_each_form():
+    source = (
+        "tape = Tape(trees, shape, dim)\n"
+        "table = geometry.RecentringTable(terms, shape, dim)\n"
+        "ev = compile_components(trees, shape, dim)\n"
+        "from .geometry import Tape as T\n"
+        "out = self.tape.run(coords, ctx)\n"
+        "jets = eval_expr(e, coords, order)\n"
+    )
+    assert sorted(line for line, _ in _evaluator_builds(ast.parse(source))) == [1, 2, 3, 4]

@@ -441,7 +441,7 @@ def _run_check(name, flat1, sample):
     tangent bundle of the flat line, as a value that compares by ==: a
     checker's per-point arrays as nested lists.
     Both charts have dimension 2, so one sample serves both."""
-    from paraherm.brackets import courant_axiom_suite
+    from paraherm.brackets import courant_axiom_suite, cyclic_triples
     from paraherm.connections import check_adapted
     from paraherm.deformations import b_transform, compatibility_residual
     from paraherm.geometry import antisymmetry_residual, lie_bracket
@@ -464,8 +464,8 @@ def _run_check(name, flat1, sample):
         "validate": lambda: listed(validate_structure(S, sample)),
         "classify": lambda: listed_classify(),
         "adapted": lambda: listed(check_adapted(S.canonical, S, "p", sample, n_vectors=2)),
-        "courant": lambda: listed(courant_axiom_suite(lie_bracket, lambda X: X, None, pool,
-                                                      sample, skip_pairing=True)),
+        "courant": lambda: listed(courant_axiom_suite(
+            lie_bracket, lambda X: X, None, cyclic_triples(pool, sample), skip_pairing=True)),
         "antisymmetry": lambda: antisymmetry_residual(S.omega, sample),
         "b_transform": lambda: b_transform(S, zero_b, sample=sample).side,
         "compatibility": lambda: compatibility_residual(b_transform(S, zero_b),

@@ -110,7 +110,7 @@ def _checkers(ctx):
             f"side{sign:+d}": S.integrability_residual(sign, b) for sign in (+1, -1)},
         "curvature": lambda b: {"curvature": curvature(S.levi_civita).max_abs(b)},
         "courant_axiom_suite": lambda b: br.courant_axiom_suite(
-            minus, lambda X: apply_endomorphism(S.P_minus, X), pair, pool, b,
+            minus, lambda X: apply_endomorphism(S.P_minus, X), pair, br.cyclic_triples(pool, b),
             scale=np.maximum(1.0, S.eta.max_abs(b))),
         "jacobi_defect": lambda b: {"d": br.jacobi_defect(d_bracket, *pool, b),
                                     "minus": minus(*pool[:2]).max_abs(b)},

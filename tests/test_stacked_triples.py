@@ -1,6 +1,6 @@
 """The Courant suite's triples stacked by blocks on a tiled sample.
 
-`brackets.courant_axiom_suite` evaluates the n cyclic triples of its pool as
+`brackets.courant_axiom_suite` evaluates the n cyclic triples of a pool as
 one triple of fields stacked by blocks (`geometry.stack_fields`) on the
 sample tiled n times (`geometry.tile_points`).  Every kernel gives each
 point of a batch its own bits, so each residual equals, bit for bit, the
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from paraherm import cli
 from paraherm.brackets import (
     courant_axiom_suite,
+    cyclic_triples,
     d_bracket,
     eta_pairing,
     jacobi_defect,
@@ -138,7 +139,8 @@ def test_stacked_suite_equals_the_per_triple_loop(models, model, kind, size, cou
     if shared and kind != "lie":
         anchor = lambda X: projected_anchor(S, sign, X)  # noqa: E731
         pair = lambda X, Y: eta_pairing(S, X, Y)  # noqa: E731
-    got = courant_axiom_suite(bracket, anchor, pair, pool, sample, skip_pairing, scale)
+    got = courant_axiom_suite(bracket, anchor, pair, cyclic_triples(pool, sample), skip_pairing,
+                              scale)
     assert list(got) == list(want)
     for name in want:
         assert got[name].shape == want[name].shape == (count, size)
@@ -186,3 +188,27 @@ def test_blocked_is_structural(flat2):
     for point in (batch, tile_points(batch, 3)):
         with pytest.raises(DimensionMismatch):
             stack.at(point, 0)
+
+
+@pytest.mark.parametrize("sign", [0, +1])
+def test_a_second_call_on_the_same_triples_adds_no_table_entry(sign):
+    """The triples are built once, by `cyclic_triples`, so a second suite
+    call on them finds every bracket, pairing and anchor it reads in S's
+    tables and adds none, and gives the same residuals."""
+    model = build_flat(2)
+    S, rng = model.S, np.random.default_rng(11)
+    pool = [random_vector_field(S.chart, rng) for _ in range(3)]
+    triples = cyclic_triples(pool, _sample(model, None, 4, rng))
+    bracket = ((lambda X, Y: projected_bracket(S.canonical, S, sign, X, Y)) if sign
+               else (lambda X, Y: d_bracket(S, X, Y)))
+
+    def suite():
+        return courant_axiom_suite(bracket, lambda X: projected_anchor(S, sign, X),
+                                   lambda X, Y: eta_pairing(S, X, Y), triples)
+
+    first = suite()
+    sizes = len(S.bracket_table), len(S.operand_table)
+    second = suite()
+    assert (len(S.bracket_table), len(S.operand_table)) == sizes
+    for name in first:
+        assert second[name].tobytes() == first[name].tobytes()

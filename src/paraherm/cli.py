@@ -179,13 +179,13 @@ class _RunContext:
         self.order = max((SUITES[name].order for name in self.suites), default=0)
 
     def check_domain(self):
-        """Evaluate the structure's six fields on the sample at the highest
-        order the run's suites read (their records' `order`; 0 for
-        `validate` alone), and the b-field at the highest order of the
-        suites its gate admits, so that a sample point outside an
-        expression's domain, where eta is singular (its inverse raises
-        SingularMetric) or where the jets overflow at that order, is a spec
-        error naming the point before any suite runs.  Every suite then
+        """Evaluate the structure's six fields and the run's suites' field
+        pools on the sample at the highest order the run's suites read (their
+        records' `order`; 0 for `validate` alone), and the b-field at the
+        highest order of the suites its gate admits, so that a sample point
+        outside an expression's domain, where eta is singular (its inverse
+        raises SingularMetric) or where the jets overflow at that order, is a
+        spec error naming the point before any suite runs.  Every suite then
         reads the fields' lower orders as memo slices, so each is evaluated
         once per run.  Then it computes the structure's invariants, which
         every run reads, so that one that overflows is a spec error too, and
@@ -196,7 +196,8 @@ class _RunContext:
         # Overflow is reported as the DomainError of non-finite jets or
         # invariants, so numpy's warnings are off.
         with _spec_section("sample"), np.errstate(over="ignore", invalid="ignore"):
-            for f in self.model.S.fields:
+            pools = dict.fromkeys(SUITES[name].pool for name in self.suites)
+            for f in [*self.model.S.fields, *(X for p in pools if p for X in getattr(self, p))]:
                 f.at(self.batch, self.order)
             if self.b_field is not None:
                 self.b_field.at(self.batch, max(readers, default=0))
@@ -212,14 +213,12 @@ class _RunContext:
         `deform`, the two Maurer-Cartan sides, cubic in the shear.  The b-field's
         own jets can be finite where these overflow.  Both are computed
         once per run, and the suites read them from here.  The connections
-        and the pool the sides read are evaluated first at the highest order
-        any suite reads them, so that no later suite evaluates them again."""
+        the sides read are evaluated first at the highest order any suite
+        reads them, so that no later suite evaluates them again."""
         with np.errstate(over="ignore", invalid="ignore"):
             values = [self.transformation.schouten.values(self.batch)]
             if "deform" in self.suites:
                 self.read_connections(SUITES["deform"].reads)
-                for X in self.pool:
-                    X.at(self.batch, self.order)
                 values += [self.mc_sides.d_bracket_side, self.mc_sides.form_side]
         finite = np.logical_and.reduce(
             [np.isfinite(v.reshape(len(self.batch.coords), -1)).all(axis=1) for v in values])
@@ -301,6 +300,13 @@ class _RunContext:
         """The random vector fields of the Courant, Jacobi-witness and deform
         suites, built once per run."""
         return self.field_pool()
+
+    @functools.cached_property
+    def section_pool(self):
+        """`section_condition`'s pool, reading only the plus coordinates (none
+        without a split, where the suite skips at its gate), built once per run."""
+        split = self.model.chart.split
+        return [] if split is None else self.field_pool(vars_subset=list(range(split)))
 
     @functools.cached_property
     def triples(self):
@@ -416,15 +422,16 @@ class Suite:
     bracket nesting on a model whose eta and K are given directly, which
     `tests/test_cli.py` checks), tolerance key, `gates` (as `_RunContext.shut`
     names them), the eigenbundle `sides` it needs integrable, the
-    connections of the structure it `reads`, and a body `(ctx, tol, *open
-    sides) -> dict` of its named per-point `arrays` and its own report keys;
-    an array is a gate at the suite's tolerance unless `limits` gives its
-    (kind, tolerance key), and `witness` is its rule in `reduce_points`.
-    Calling it runs it: a shut gate writes its row (a failure for
-    `structure`, a skip for the others), as do all sides shut; past them,
-    the declared connections are evaluated at one below the run's order
-    (the symbols at order k read eta at k + 1), so each is evaluated once
-    per run and only if read; then the body runs."""
+    connections of the structure it `reads`, the run's field `pool` it
+    reads (a `_RunContext` attribute, which `check_domain` evaluates), and a
+    body `(ctx, tol, *open sides) -> dict` of its named per-point `arrays`
+    and its own report keys; an array is a gate at the suite's tolerance
+    unless `limits` gives its (kind, tolerance key), and `witness` is its
+    rule in `reduce_points`.  Calling it runs it: a shut gate writes its row
+    (a failure for `structure`, a skip for the others), as do all sides
+    shut; past them, the declared connections are evaluated at one below the
+    run's order (the symbols at order k read eta at k + 1), so each is
+    evaluated once per run and only if read; then the body runs."""
 
     name: str
     order: int
@@ -433,6 +440,7 @@ class Suite:
     gates: tuple = ("structure",)
     sides: tuple = ()
     reads: tuple = ()
+    pool: str = None
     expected_fail: bool = False
     limits: dict = field(default_factory=dict)
     witness: tuple = None
@@ -489,7 +497,7 @@ def _adapted(ctx, tol, *signs):
     """Canonical-connection adapted check, per integrable side."""
     S = ctx.model.S
     return {"arrays": {name: r for sign in signs for name, r in check_adapted(
-        S.canonical, S, _SIDE[sign], ctx.batch, seed=ctx.seed).items()}}
+        S.canonical, S, _SIDE[sign], ctx.batch).items()}}
 
 
 def _courant(ctx, tol, sign=0):
@@ -526,7 +534,7 @@ def _section_condition(ctx, tol):
     The defect reads the pool's brackets at order 1 first, so the minus
     bracket reads their order-0 slices."""
     S = ctx.model.S
-    X, Y, Z = ctx.field_pool(vars_subset=list(range(ctx.model.chart.split)))
+    X, Y, Z = ctx.section_pool
     jac = br.jacobi_defect(lambda U, V: br.d_bracket(S, U, V), X, Y, Z, ctx.batch)
     return {"arrays": {"jacobi_defect": jac, "minus_bracket": br.projected_bracket(
         S.canonical, S, -1, X, Y).max_abs(ctx.batch)}}
@@ -564,17 +572,18 @@ SUITES = {suite.name: suite for suite in (
     Suite("adapted", 1, "adapted", _adapted, sides=(+1, -1), reads=_CANONICAL,
           witness=("failures", "residual", "condition")),
     Suite("courant_plus", 2, "courant", _courant, sides=(+1,), reads=_CANONICAL,
-          witness=_WORST_AXIOM),
+          pool="pool", witness=_WORST_AXIOM),
     Suite("courant_minus", 2, "courant", _courant, sides=(-1,), reads=_CANONICAL,
-          witness=_WORST_AXIOM),
-    Suite("courant_d_full", 2, "courant", _courant, reads=_CANONICAL, expected_fail=True,
-          limits={"axiom3_defect": _DEFECT}, witness=_WORST_AXIOM),
+          pool="pool", witness=_WORST_AXIOM),
+    Suite("courant_d_full", 2, "courant", _courant, reads=_CANONICAL, pool="pool",
+          expected_fail=True, limits={"axiom3_defect": _DEFECT}, witness=_WORST_AXIOM),
     Suite("jacobi_defect_witness", 2, "witness_floor", _jacobi_defect_witness,
-          reads=_CANONICAL, expected_fail=True, limits={"max_defect": _DEFECT},
+          reads=_CANONICAL, pool="pool", expected_fail=True, limits={"max_defect": _DEFECT},
           witness=("worst", "defect")),
     Suite("section_condition", 2, "section", _section_condition,
-          gates=("structure", "split", "flat"), reads=_CANONICAL),
+          gates=("structure", "split", "flat"), reads=_CANONICAL, pool="section_pool"),
     Suite("deform", 1, "deform", _deform, gates=("structure", "b_field"), reads=_CANONICAL,
+          pool="pool",
           limits={"structure_validation": ("gate", "validate"), "mc_residual": _MEASURED}),
     Suite("fluxes", 1, "fluxes", _fluxes, gates=("structure", "b_field", "split", "para_kahler")),
 )}

@@ -43,6 +43,7 @@ from .geometry import (
     invert_matrix_jets,
     per_point,
     per_point_max,
+    project_slots,
     require_within,
     tdot,
 )
@@ -298,7 +299,8 @@ def extract_fluxes(T: BTransformation, sample):
     R-flux is the triple-lowered Schouten bracket, the covariantized H-flux
     is their sum (equal to the (+3,-0)_B part), and the dual Q-flux is the
     (+2,-1)_B part read in the sheared frame.  The remaining bigraded parts
-    of db must vanish, and the parts must reassemble db exactly.
+    of db must vanish, and the parts must reassemble db exactly.  The
+    sheared-frame components are chains of batched `matmul`s (`project_slots`).
     """
     if T.side != +1:
         raise Unsupported("flux extraction is defined for the plus-side shear")
@@ -323,11 +325,10 @@ def extract_fluxes(T: BTransformation, sample):
         "h_plus_r_vs_B_part": (covH - parts[3]).max_abs(),
     }
 
-    # Sheared frame: H'_i = (1 + B) e_i for the first n coordinates, V_j the rest.
+    # Sheared frame: H'_i = (1 + B) e_i for i < n, and V_j = e_{n+j}, so a V slot is a slice.
     plus = T.e_B.values(point)[..., :n]
-    minus = np.eye(chart.dim)[:, n:]
-    h_frame = np.einsum("...abc,...ai,...bj,...ck->...ijk", covH.values(), plus, plus, plus)
-    q_frame = np.einsum("...abc,ai,...bj,...ck->...ijk", dbj.values(), minus, plus, plus)
+    h_frame = project_slots(covH.values(), plus, plus, plus)
+    q_frame = project_slots(dbj.values()[:, n:], None, plus, plus)
     tensors = {"h_flux": H.values(), "r_flux": R.values(), "q_flux": parts[2].values(),
                "covariantized_h": covH.values(), "h_frame": h_frame, "q_frame": q_frame}
     reports = [FluxReport([float(c) for c in coords],

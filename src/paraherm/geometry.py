@@ -794,6 +794,20 @@ def per_point_max(arr, nb=1):
     return flat.max(axis=1) if flat.shape[1] else np.zeros(arr.shape[0])
 
 
+def project_slots(arr, *frames):
+    """out[p, k_1, ..., k_n] = arr[p, a_1, ..., a_n] frames[0][p, a_1, k_1] ...
+    frames[n-1][p, a_n, k_n], plain values with a leading point axis: a chain
+    of n batched `matmul`s, each contracting the last axis and moving its
+    new axis to the front.  A frame of None leaves its axis as it is."""
+    for frame in reversed(frames):
+        if frame is not None:
+            lead = arr.shape[:-1]
+            arr = (arr.reshape(lead[0], -1, arr.shape[-1]) @ frame).reshape(
+                lead + frame.shape[-1:])
+        arr = arr.transpose((0, arr.ndim - 1, *range(1, arr.ndim - 1)))
+    return arr
+
+
 Reduction = namedtuple("Reduction", "maxima passed witnesses max_residual")
 
 

@@ -36,6 +36,7 @@ from .geometry import (
     lie_bracket,
     per_point,
     per_point_max,
+    project_slots,
     reduce_points,
     tdot,
 )
@@ -379,11 +380,9 @@ def _classify_batch(S, batch):
 
 def _nijenhuis_parts(S, batch):
     """n[sign][point, i, j, c] = eta(N(P e_i, P e_j), P e_c), the pure-type
-    Nijenhuis parts over the coordinate basis, one entry per point of `batch`."""
-    Nv, etav = S.nijenhuis_tensor.values(batch), S.eta.values(batch)
-    n = {}
-    for sign in (+1, -1):
-        P = S.projector(sign).values(batch)
-        t = np.einsum("pail,plj->paij", np.einsum("pakl,pki->pail", Nv, P), P)
-        n[sign] = np.einsum("pijb,pbc->pijc", np.einsum("pab,paij->pijb", etav, t), P)
-    return n
+    Nijenhuis parts over the coordinate basis, one entry per point of `batch`,
+    each a chain of batched `matmul`s on the values (`project_slots`)."""
+    # eta_{ab} N^a_{kl} P^k_i P^l_j P^b_c, with N's upper slot moved last
+    Nv, etav = S.nijenhuis_tensor.values(batch).transpose(0, 2, 3, 1), S.eta.values(batch)
+    return {sign: project_slots(Nv, P, P, etav @ P)
+            for sign in (+1, -1) for P in [S.projector(sign).values(batch)]}

@@ -48,10 +48,10 @@ ADAPTED_RULE = SUITES["adapted"].witness
 COURANT_RULE = SUITES["courant_plus"].witness
 
 
-def reduce_adapted(C, S, side, sample, tol=1e-9, **kwargs):
+def reduce_adapted(C, S, side, sample, tol=1e-9):
     """`check_adapted` reduced as the `adapted` suite reduces it: the
     `Reduction`, and the maximum of each condition by its number."""
-    arrays = check_adapted(C, S, side, sample, **kwargs)
+    arrays = check_adapted(C, S, side, sample)
     red = reduce_points(arrays, tol, as_batch(sample).coords, witness=ADAPTED_RULE)
     return red, {c: red.maxima[f"{side}_cond{c}"] for c in range(1, 5)}
 

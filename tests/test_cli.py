@@ -901,6 +901,24 @@ def test_an_overflowing_structure_is_a_spec_error_with_no_warning(tmp_path, caps
     assert "structure invariants are not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["courant_plus", "courant_minus", "courant_d_full",
+                                   "jacobi_defect_witness", "section_condition"])
+def test_a_field_pool_that_overflows_is_a_spec_error_before_any_suite(tmp_path, capsys,
+                                                                      monkeypatch, suite):
+    """The flat structure is constant, so its jets are finite at x = 1e308,
+    but the random vector fields of the suite's pool overflow there: the
+    pre-flight evaluates the pool too and names the point as a `[sample]`
+    spec error (exit 2), with no suite body run and no report."""
+    ran = _record_bodies(monkeypatch)
+    spec = {"model": {"name": "flat", "n": 1},
+            "sample": {"mode": "explicit", "points": [[1e308, 0.0]]}, "suites": [suite]}
+    out = tmp_path / "r.json"
+    assert run(write_spec(tmp_path, "s.json", spec), str(out)) == 2
+    assert capsys.readouterr().err == ("spec error: sample error: component jets are not "
+                                       "finite at Point([1e+308, 0.0]) [sample]\n")
+    assert ran == [] and not out.exists()
+
+
 def test_fluxes_skip_on_a_base_that_is_not_para_kahler(tmp_path, capsys, monkeypatch):
     """The sphere's tangent bundle with b = v1 dth ^ dph is a valid spec: its
     base is simply not para-Kahler (residual 0.258 at the first point, 0.331

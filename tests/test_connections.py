@@ -1,26 +1,31 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from paraherm import cli
 from paraherm.connections import (
-    Connection, canonical_connection, canonical_connection_contorsion,
+    Connection, canonical_connection, canonical_connection_contorsion, check_adapted,
     covariant_derivative, covariant_differential, curvature, flat_connection,
     from_christoffels, levi_civita, nabla_jets, require_torsionless, torsion,
 )
 from paraherm.errors import DomainError, NotTorsionless
 from paraherm.models import build_tm, sphere_base
 from paraherm.geometry import (
-    Chart, TensorField, constant_field, constant_jets, jets_gradient, lie_derivative,
-    stack_points, tdot,
+    Chart, TensorField, as_batch, constant_field, constant_jets, jets_gradient,
+    lie_derivative, per_point, per_point_max, stack_points, tdot,
 )
 from paraherm.parastructure import n_scalar
 from paraherm.randfields import random_metric_perturbation, random_poly, random_vector_field
 from conftest import sample_points, sphere_box
 from helpers import reduce_adapted
 from oracles import sphere_gamma, sphere_riemann, values
+
+RUNSPECS = Path(__file__).resolve().parent.parent / "runspecs"
 
 
 def gamma_values(conn, p, dim):
@@ -333,33 +338,101 @@ def test_lc_not_adapted_on_curved_tm(sphere_tm, sphere_pts):
     assert conditions[4] > 1e-3
 
 
-# The multi-operand contractions `check_adapted` stages as two-operand ones:
-# (subscripts, the axes of its tensor, the number of vectors).
-ADAPTED_FORMS = [("pijk,pvi,pvj,pvk->pv", 3, 3), ("pkim,pvi,pvm->pvk", 3, 2),
-                 ("pij,pvi,pvj->pv", 2, 2)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(form=st.sampled_from(ADAPTED_FORMS), dim=st.integers(1, 6), points=st.integers(1, 6),
-       vectors=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-def test_staged_adapted_contractions_equal_the_einsum_forms(form, dim, points, vectors, seed):
-    """`check_adapted`'s tensors evaluated on its vectors, through the outer
-    product of the vectors, equal the multi-operand `einsum` forms they
-    replaced, on random batches, within the rounding bound of either: n eps
-    times the sum of the terms' magnitudes, n the number of terms plus the
-    factors of one (the order of the products and sums differs)."""
-    from paraherm.connections import _contract
-
-    subscripts, rank, count = form
+def _random_triple_residuals(C, S, side, sample, n_vectors=20, seed=2024):
+    """The reference for `check_adapted`, which this was until its conditions
+    became projected tensors: the four conditions on `n_vectors` random
+    triples per point, from one seeded draw, the worst triple's residual,
+    scaled as `check_adapted` scales its own."""
+    batch = as_batch(sample)
+    dim = S.chart.dim
+    eta, Pp, Pm = (f.at(batch, 1) for f in (S.eta, S.P_plus, S.P_minus))
+    if side == "n":
+        Pp, Pm = Pm, Pp
+    gamma = C.christoffels.at(batch, 0)
+    values = lambda x: per_point(batch, x).values()  # noqa: E731
+    Ppv = values(Pp)  # (point, a, b)
+    Pmv = values(Pm)
+    etav = values(eta)
+    gv = values(gamma)
+    nabla_eta = values(nabla_jets(gamma, eta, 0, 2))
+    tors = gv - np.swapaxes(gv, -1, -2)
+    dPp = values(jets_gradient(Pp))  # dPp[point, i, a, b]
+    dPm = values(jets_gradient(Pm))
+    scale = np.maximum(1.0, np.maximum(per_point_max(etav), per_point_max(gv)))
     rng = np.random.default_rng(seed)
-    T = rng.uniform(-1.0, 1.0, (points,) + (dim,) * rank) * 10.0 ** rng.integers(-3, 4)
-    vecs = [rng.uniform(-1.0, 1.0, (points, vectors, dim)) for _ in range(count)]
-    got = _contract(T, *vecs)
-    want = np.einsum(subscripts, T, *vecs)
-    bound = np.einsum(subscripts, np.abs(T), *map(np.abs, vecs))
-    assert got.shape == want.shape
-    tol = (dim ** rank + count + 1) * np.finfo(float).eps * bound
-    assert np.all(np.abs(got - want) <= tol)
+    npts = len(batch.coords)
+    uvw = rng.uniform(-1.0, 1.0, (npts * n_vectors, 3, dim)).reshape(npts, n_vectors, 3, dim)
+    u, v, w = np.moveaxis(uvw, 2, 0)  # (point, vec, a)
+    xp, yp, zp = np.moveaxis(np.einsum("pab,pvkb->pvka", Ppv, uvw), 2, 0)
+    ym, zm = np.moveaxis(np.einsum("pab,pvkb->pvka", Pmv, uvw[:, :, 1:]), 2, 0)
+    # (1) nabla_{x+} eta = 0
+    r1 = _on_vectors(nabla_eta, xp, v, w)
+    # (2) P+ nabla_{x+} (P- v) = 0
+    dy = np.einsum("piab,pvb->pvia", dPm, v)  # d_i (P- v)^a
+    w2 = np.einsum("pvi,pvia->pva", xp, dy) + _on_vectors(gv, xp, ym)
+    r2 = np.abs(np.einsum("pab,pvb->pva", Ppv, w2)).max(axis=2)
+    # (3) eta(T(x+, y+), z-) = 0
+    tv = _on_vectors(tors, xp, yp)
+    r3 = _on_vectors(etav, tv, zm)
+    # (4) eta(T(x+, y+), z+) + eta(nabla_{z+} x+, y+) = 0
+    dx = np.einsum("piab,pvb->pvia", dPp, u)
+    nz = np.einsum("pvi,pvia->pva", zp, dx) + _on_vectors(gv, zp, xp)
+    r4 = _on_vectors(etav, tv, zp) + _on_vectors(etav, nz, yp)
+    point_worst = np.stack([np.abs(r).max(axis=1) for r in (r1, r2, r3, r4)], axis=1)
+    return {f"{side}_cond": point_worst / scale[:, None]}
+
+
+def _on_vectors(T, *vectors):
+    """T[p, ..., i, j] evaluated on the vectors (..., x, y), which fill its
+    trailing axes: [p, v, ...], for each point p and vector v, through the
+    vectors' outer product."""
+    outer = vectors[0]
+    for x in vectors[1:]:
+        outer = (outer[:, :, :, None] * x[:, :, None, :]).reshape(outer.shape[:2] + (-1,))
+    flat = T.reshape(T.shape[:T.ndim - len(vectors)] + (-1,))
+    return np.einsum("p...I,pvI->pv...", flat, outer)
+
+
+@pytest.fixture(scope="module")
+def adapted_models(flat2, sphere_tm):
+    """name -> (model, the box its points are drawn from): the flat model,
+    the sphere's tangent bundle and the Drinfel'd double of the shipped
+    runspec."""
+    spec = json.loads((RUNSPECS / "drinfeld_double.json").read_text())
+    return {"flat": (flat2, None), "tm": (sphere_tm, sphere_box()),
+            "double": (cli._RunContext(spec).model, None)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(["flat", "tm", "double"]),
+       conn=st.sampled_from(["canonical", "levi_civita"]),
+       kick=st.none() | st.tuples(*[st.integers(0, 3)] * 3),
+       count=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_adapted_tensors_vanish_where_the_random_triples_do(adapted_models, model, conn, kick,
+                                                            count, seed):
+    """On random batches of 1-6 points of the flat, tangent-bundle and double
+    models, for their canonical and Levi-Civita connections, each optionally
+    kicked by one constant Christoffel component, every condition's tensor
+    residual is zero (at rounding level) exactly where the random-triple
+    reference's is, and bounds it: a triple of vectors in [-1, 1]^4 reads at
+    most 4^3 times the tensor's largest component."""
+    m, box = adapted_models[model]
+    S = m.S
+    C = getattr(S, conn)
+    if kick is not None:
+        delta = np.zeros((4, 4, 4))
+        delta[kick] = 0.5
+        base = C.christoffels
+        kicked = lambda p, k: base.at(p, k) + constant_jets(S.chart.context(k), delta)  # noqa: E731
+        C = Connection(S.chart, kicked, inputs=(base,))
+    batch = stack_points(sample_points(m, count, seed, box=box))
+    for side in "pn":
+        key = f"{side}_cond"
+        tensor = check_adapted(C, S, side, batch)[key]
+        triples = _random_triple_residuals(C, S, side, batch)[key]
+        assert tensor.shape == triples.shape == (count, 4)
+        assert np.array_equal(tensor <= 1e-10, triples <= 1e-10), (side, tensor, triples)
+        assert np.all(triples <= 4**3 * tensor + 1e-12), (side, tensor, triples)
 
 
 def test_from_christoffels_roundtrip():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paraherm.brackets import (
     GeneralizedVectorField, dorfman_leafwise, projected_bracket,
@@ -9,6 +10,7 @@ from paraherm.deformations import (
     f_flux, maurer_cartan_sides, mc_form, simultaneous_transform,
     twisted_d_bracket, twisted_d_bracket_reference,
 )
+from paraherm.expr import to_source
 from paraherm.errors import (
     NotAntisymmetric, NotParaKahler, RankMismatch, SingularFrame, Unsupported, WrongType,
 )
@@ -18,7 +20,7 @@ from paraherm.geometry import (
 )
 from paraherm.connections import covariant_differential
 from paraherm.parastructure import rho, rho_field, validate_structure
-from paraherm.randfields import random_vector_field
+from paraherm.randfields import random_poly, random_vector_field
 from conftest import sample_points
 from oracles import values
 
@@ -261,6 +263,42 @@ def test_flux_reassembly_nontrivial(flat3_b):
         assert rep.vanishing_residual < 1e-10
         assert rep.cross_check_residual < 1e-10
         assert np.max(np.abs(rep.covariantized_h)) > 0.01  # nonvacuous
+
+
+def _einsum_frames(covH, dbj, plus, n):
+    """h_frame and q_frame as `extract_fluxes` computed them before its
+    `matmul` chains: one 4-operand `einsum` each, with the V frame the
+    identity columns n, n + 1, ..."""
+    minus = np.eye(covH.shape[-1])[:, n:]
+    return (np.einsum("...abc,...ai,...bj,...ck->...ijk", covH, plus, plus, plus),
+            np.einsum("...abc,ai,...bj,...ck->...ijk", dbj, minus, plus, plus))
+
+
+@settings(max_examples=15, deadline=None)
+@given(count=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_staged_flux_frames_equal_the_einsum_forms(flat3, count, seed):
+    """`extract_fluxes`' h_frame and q_frame, chains of batched `matmul`s
+    (the V slot of q_frame a slice), equal the `einsum` forms they replaced,
+    for a random polynomial b on the plus block of flat3 at random points,
+    within n eps times the sum of the terms' magnitudes, n the number of
+    terms (dim^3) plus the factors of one."""
+    rng = np.random.default_rng(seed)
+    chart, n = flat3.chart, flat3.chart.split
+    b = make_b(chart, {(i, j): to_source(random_poly(rng, chart.dim, 2, 2), chart.coord_names)
+                       for i in range(n) for j in range(i + 1, n)})
+    batch = stack_points(sample_points(flat3, count, seed))
+    T = b_transform(flat3.S, b, sample=batch)
+    _, reports = extract_fluxes(T, batch)
+    covH = np.array([r.covariantized_h for r in reports])
+    dbj = exterior_derivative(b).values(batch)
+    plus = T.e_B.values(batch)[..., :n]
+    wants = _einsum_frames(covH, dbj, plus, n)
+    bounds = _einsum_frames(np.abs(covH), np.abs(dbj), np.abs(plus), n)
+    tol = (chart.dim**3 + 4) * np.finfo(float).eps
+    for name, want, bound in zip(("h_frame", "q_frame"), wants, bounds):
+        got = np.array([getattr(r, name) for r in reports])
+        assert got.shape == want.shape == (count, n, n, n)
+        assert np.all(np.abs(got - want) <= tol * bound), name
 
 
 # -- f-flux -------------------------------------------------------------------------

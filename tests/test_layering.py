@@ -48,6 +48,9 @@ first point where a mask holds, so a witness rule cannot fork.
 A field's components are compiled in one place: only `geometry` builds a
 `Tape` or a `RecentringTable` or calls `compile_components` (or imports
 them), so every evaluator runs behind `TensorField` and `eval_expr`.
+No `einsum` call in `src/` takes more than two operands: a contraction of
+more is written as a chain of two-operand products (`project_slots`, or
+`tdot` on jets), since numpy's multi-operand path is slower on these sizes.
 """
 
 import ast
@@ -521,3 +524,30 @@ def test_evaluator_guard_catches_each_form():
         "jets = eval_expr(e, coords, order)\n"
     )
     assert sorted(line for line, _ in _evaluator_builds(ast.parse(source))) == [1, 2, 3, 4]
+
+
+def _long_einsums(tree):
+    """(line, operands) of each `einsum` call given more than two operands;
+    operands passed with `*` count as more."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node.func) == "einsum":
+            operands = len(node.args) - 1
+            if operands > 2 or any(isinstance(a, ast.Starred) for a in node.args):
+                yield node.lineno, operands
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_every_einsum_takes_at_most_two_operands(module):
+    found = sorted(_long_einsums(_tree(module)))
+    assert not found, f"{module}.py calls einsum on more than two operands at {found}"
+
+
+def test_einsum_guard_catches_each_form():
+    source = (
+        "a = np.einsum('ij,jk,kl->il', x, y, z)\n"
+        "b = einsum('i,i,i->', x, y, z)\n"
+        "c = np.einsum(subscripts, *operands)\n"
+        "d = np.einsum('ij,jk->ik', x, y)\n"
+        "e = x @ y @ z\n"
+    )
+    assert sorted(_long_einsums(ast.parse(source))) == [(1, 3), (2, 3), (3, 1)]

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from paraherm import brackets as br, cli, deformations as df
-from paraherm.connections import curvature
+from paraherm.connections import check_adapted, curvature
 from paraherm.geometry import apply_endomorphism, reduce_points, scalar_pairing
 from paraherm.parastructure import classify, validate_structure
 from helpers import ADAPTED_RULE, COURANT_RULE
@@ -29,8 +29,6 @@ RUNSPECS = Path(__file__).resolve().parent.parent / "runspecs"
 # Arrays that are not a function of each point alone, and why; the
 # property leaves them out of `_checkers`.
 EXCEPTIONS = {
-    "check_adapted": "point p's 20 test triples are rows 20 p ... 20 p + 19 of one "
-                     "seeded draw, so a point's vectors depend on its place in the batch",
     "the curvature gate": "reads the first 3 points of the sample (its array, "
                           "`curvature`, is per point and is checked here)",
     "deform's Maurer-Cartan agreement": "reads the first 5 points (its array, "
@@ -106,6 +104,8 @@ def _checkers(ctx):
     checkers = {
         "validate_structure": lambda b: validate_structure(S, b),
         "classify": lambda b: {k: v for k, v in classify(S, b)[1].items() if np.ndim(v)},
+        "check_adapted": lambda b: {name: r for side in "pn" for name, r in check_adapted(
+            S.canonical, S, side, b).items()},
         "integrability_residual": lambda b: {
             f"side{sign:+d}": S.integrability_residual(sign, b) for sign in (+1, -1)},
         "curvature": lambda b: {"curvature": curvature(S.levi_civita).max_abs(b)},

@@ -42,8 +42,10 @@ from .errors import DomainError, InsufficientJetOrder, ParahermError, SpecParseE
 from .expr import Coord, parse_expr
 from .geometry import (
     Chart,
+    Point,
     TensorField,
     embed_block,
+    per_point_max,
     reduce_points,
     stack_points,
 )
@@ -392,20 +394,20 @@ class _RunContext:
             raise SpecParseError(f"box must be {chart.dim} intervals, each a pair of numbers, "
                                  f"got {box!r}", "sample")
         rng = np.random.default_rng(seed)
-        pts = []
-        guard = 0
         lo, hi = np.array(box, dtype=float).T
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(hi - lo)):
                 raise SpecParseError("box intervals must have a finite width", "sample")
+        # Candidates are drawn in blocks, which gives the stream of one draw
+        # per candidate, and accepted in order, at most 1000 per point asked.
+        pts, left = [], 1000 * count
         while len(pts) < count:
-            c = rng.uniform(lo, hi)
-            guard += 1
-            if guard > 1000 * count:
+            if not left:
                 raise SpecParseError("sampling rejected too many points", "sample")
-            if self.model.point_ok(c):
-                pts.append(chart.point(c))
-        return stack_points(pts), seed
+            block = rng.uniform(lo, hi, (min(left, count - len(pts)), chart.dim))
+            left -= len(block)
+            pts += [c for c in block if self.model.point_ok(c)]
+        return Point(chart, pts), seed
 
     def rng_for(self, tag):
         digest = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big")
@@ -555,8 +557,18 @@ def _deform(ctx, tol):
 
 
 def _fluxes(ctx, tol):
-    arrays, reports = df.extract_fluxes(ctx.transformation, ctx.batch)
-    return {"arrays": arrays, "flux_reports": [r.to_dict() for r in reports]}
+    """The three flux residuals at every point, and a summary whose size does
+    not depend on the sample: `flux_reports` holds one `FluxReport`, at the
+    worst point, the first where the largest of the three residuals is their
+    sample maximum (a NaN first; the first point where all are 0), and
+    `flux_max_abs` each tensor's largest |component| over the sample."""
+    arrays, tensors = df.extract_fluxes(ctx.transformation, ctx.batch)
+    worst = np.max(list(arrays.values()), axis=0)
+    i, _ = ctx.batch.first(np.isnan(worst) | (worst == reduce_points(arrays).max_residual))
+    return {"arrays": arrays,
+            "flux_reports": [df.FluxReport.at(ctx.batch, arrays, tensors, i).to_dict()],
+            "flux_max_abs": reduce_points({name: per_point_max(t)
+                                           for name, t in tensors.items()}).maxima}
 
 
 _CANONICAL = ("canonical",)

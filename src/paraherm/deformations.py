@@ -271,7 +271,8 @@ def twisted_d_bracket_reference(T: BTransformation, X: Field, Y: Field) -> Field
 
 @dataclass
 class FluxReport:
-    """One point's flux tensors and residuals: a row of v1's `flux_reports`."""
+    """One point's flux tensors and residuals, the entry format of a report's
+    `flux_reports`; `at` reads it from `extract_fluxes`' arrays."""
 
     point: list
     h_flux: list
@@ -285,15 +286,26 @@ class FluxReport:
     cross_check_residual: float
     extras: dict = dc_field(default_factory=dict)
 
+    @classmethod
+    def at(cls, batch, residuals, tensors, i):
+        """Point i of `batch`, from the (residuals, tensors) `extract_fluxes`
+        returned there."""
+        return cls(batch.coords[i].tolist(), **{name: t[i].tolist() for name, t in tensors.items()},
+                   reassembly_residual=float(residuals["reassembly"][i]),
+                   vanishing_residual=float(residuals["vanishing_parts"][i]),
+                   cross_check_residual=float(residuals["h_plus_r_vs_B_part"][i]))
+
     def to_dict(self):
         """The fields as a dict sharing their values (no deep copy)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def extract_fluxes(T: BTransformation, sample):
-    """Flux decomposition of db over the sample, in both coframes: the
-    residuals `reassembly`, `vanishing_parts` and `h_plus_r_vs_B_part`, one
-    per point, and a FluxReport per point.
+    """Flux decomposition of db over the sample, in both coframes, as
+    (residuals, tensors): the residuals `reassembly`, `vanishing_parts` and
+    `h_plus_r_vs_B_part`, one per point, and the tensors `h_flux`, `r_flux`,
+    `q_flux`, `covariantized_h`, `h_frame` and `q_frame`, each an array with
+    a leading point axis (`FluxReport.at` reads one point of both).
 
     H is the (+3,-0) part of db with respect to the base structure, the dual
     R-flux is the triple-lowered Schouten bracket, the covariantized H-flux
@@ -329,15 +341,8 @@ def extract_fluxes(T: BTransformation, sample):
     plus = T.e_B.values(point)[..., :n]
     h_frame = project_slots(covH.values(), plus, plus, plus)
     q_frame = project_slots(dbj.values()[:, n:], None, plus, plus)
-    tensors = {"h_flux": H.values(), "r_flux": R.values(), "q_flux": parts[2].values(),
-               "covariantized_h": covH.values(), "h_frame": h_frame, "q_frame": q_frame}
-    reports = [FluxReport([float(c) for c in coords],
-                          **{name: t[i].tolist() for name, t in tensors.items()},
-                          reassembly_residual=float(residuals["reassembly"][i]),
-                          vanishing_residual=float(residuals["vanishing_parts"][i]),
-                          cross_check_residual=float(residuals["h_plus_r_vs_B_part"][i]))
-               for i, coords in enumerate(point.coords)]
-    return residuals, reports
+    return residuals, {"h_flux": H.values(), "r_flux": R.values(), "q_flux": parts[2].values(),
+                       "covariantized_h": covH.values(), "h_frame": h_frame, "q_frame": q_frame}
 
 
 def f_flux(S, A_block, point, order=0) -> np.ndarray:

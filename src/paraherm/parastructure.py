@@ -101,8 +101,8 @@ class ParaHermitianStructure:
 
     def integrability_residual(self, sign, point):
         """Scale-normalized Nijenhuis residual on the `sign` eigenbundle, the
-        worst over six seeded random vector triples: a float at a point, one
-        per point at a batch."""
+        largest component of its pure-type Nijenhuis part: a float at a
+        point, one per point at a batch."""
         return self._nijenhuis_gates[sign].max_abs(point)
 
     @cached_property
@@ -111,22 +111,17 @@ class ParaHermitianStructure:
 
 
 def _nijenhuis_gate(S, sign):
-    """`integrability_residual` of one side: a (0,0) field at order 0, N_K
-    contracted with six seeded vector triples projected to the eigenbundle,
-    `const` where eta and K are."""
-    draws = np.random.default_rng(7).uniform(-1.0, 1.0, (6, 3, S.chart.dim))
-    proj = S.P_plus if sign > 0 else S.P_minus
+    """`integrability_residual` of one side: a (0,0) field at order 0, the
+    largest component of the side's `_nijenhuis_parts` over max(1, |eta|,
+    |K|) at each point, which is `classify`'s `n_plus` or `n_minus`; `const`
+    where eta and K are."""
+    proj = S.projector(sign)
 
     def fn(point, order):
-        eta, K = S.eta.at(point, 0), S.K.at(point, 0)
-        scale = np.maximum(1.0, np.maximum(K.max_abs(), eta.max_abs()))
-        P = proj.at(point, 0).values()
-        x, y, z = np.moveaxis(np.einsum("...ab,tvb->...tva", P, draws), -2, 0)
-        N = S.nijenhuis_tensor.values(point)
-        nv = np.einsum("...tak,...tk->...ta", np.einsum("...ajk,...tj->...tak", N, x), y)
-        r = np.einsum("...tb,...tb->...t", np.einsum("...ab,...ta->...tb", eta.values(), nv), z)
-        worst = np.abs(r).max(axis=-1) / scale
-        return constant_jets(S.chart.context(0), worst, np.ndim(worst))
+        scale = np.maximum(1.0, np.maximum(S.eta.max_abs(point), S.K.max_abs(point)))
+        worst = per_point_max(_nijenhuis_parts(S, point, (sign,))[sign]) / scale
+        return constant_jets(S.chart.context(0), worst if point.batch else worst[0],
+                             len(point.batch))
 
     return DerivedField(S.chart, 0, 0, fn, inputs=(S.eta, S.K, proj, S.nijenhuis_tensor))
 
@@ -378,11 +373,16 @@ def _classify_batch(S, batch):
     return worst
 
 
-def _nijenhuis_parts(S, batch):
+def _nijenhuis_parts(S, point, signs=(+1, -1)):
     """n[sign][point, i, j, c] = eta(N(P e_i, P e_j), P e_c), the pure-type
-    Nijenhuis parts over the coordinate basis, one entry per point of `batch`,
-    each a chain of batched `matmul`s on the values (`project_slots`)."""
+    Nijenhuis parts over the coordinate basis for each of `signs`, with a
+    leading point axis (of one, at a single point), each a chain of batched
+    `matmul`s on the values (`project_slots`)."""
+    def values(f):
+        v = f.values(point)
+        return v if point.batch else v[None]
+
     # eta_{ab} N^a_{kl} P^k_i P^l_j P^b_c, with N's upper slot moved last
-    Nv, etav = S.nijenhuis_tensor.values(batch).transpose(0, 2, 3, 1), S.eta.values(batch)
+    Nv, etav = values(S.nijenhuis_tensor).transpose(0, 2, 3, 1), values(S.eta)
     return {sign: project_slots(Nv, P, P, etav @ P)
-            for sign in (+1, -1) for P in [S.projector(sign).values(batch)]}
+            for sign in signs for P in [values(S.projector(sign))]}

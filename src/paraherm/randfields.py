@@ -26,9 +26,10 @@ def random_poly(rng, nvars, degree=2, terms=3, vars_subset=None):
     for _ in range(int(terms)):
         coef = Const(Fraction(int(rng.integers(-8, 9)), 4))
         mono = coef
-        for v in rng.choice(pool, size=int(rng.integers(1, degree + 1))):
-            p = int(rng.integers(1, 3))
-            factor = Coord(int(v)) if p == 1 else Pow(Coord(int(v)), p)
+        # The stream of `rng.choice(pool, size)`, without its overhead.
+        for i in rng.integers(0, len(pool), size=int(rng.integers(1, degree + 1))):
+            v, p = int(pool[i]), int(rng.integers(1, 3))
+            factor = Coord(v) if p == 1 else Pow(Coord(v), p)
             mono = Mul(mono, factor)
         node = Add(node, mono)
     return node

@@ -9,6 +9,7 @@ import paraherm
 from paraherm import geometry
 from paraherm.cli import SUITES
 from paraherm.connections import Connection, check_adapted
+from paraherm.deformations import FluxReport, extract_fluxes
 from paraherm.geometry import as_batch, constant_jets, reduce_points, tdot
 
 
@@ -46,6 +47,12 @@ def shear_adapted_connection(S, scale=0.35):
 # The witness rules the `adapted` and Courant suites declare.
 ADAPTED_RULE = SUITES["adapted"].witness
 COURANT_RULE = SUITES["courant_plus"].witness
+
+
+def flux_report(T, point):
+    """The `FluxReport` of one point, read from `extract_fluxes`' arrays."""
+    batch = as_batch(point)
+    return FluxReport.at(batch, *extract_fluxes(T, batch), 0)
 
 
 def reduce_adapted(C, S, side, sample, tol=1e-9):

@@ -16,7 +16,7 @@ from paraherm.brackets import (
 )
 from paraherm.connections import from_christoffels
 from paraherm.deformations import (
-    b_transform, compatibility_residual, extract_fluxes, maurer_cartan_sides,
+    b_transform, compatibility_residual, maurer_cartan_sides,
     twisted_d_bracket, twisted_d_bracket_reference,
 )
 from paraherm.errors import NotParaKahler
@@ -28,7 +28,7 @@ from paraherm.models import b_field_on_tm, build_flat
 from paraherm.parastructure import classify, rho, rho_field
 from paraherm.randfields import random_poly, random_vector_field
 from conftest import sample_points, sphere_box
-from helpers import reduce_adapted, reduce_courant, shear_adapted_connection
+from helpers import flux_report, reduce_adapted, reduce_courant, shear_adapted_connection
 from oracles import central_diff_gradient, sphere_riemann, values
 
 
@@ -401,7 +401,7 @@ def test_criterion_8_flux_reassembly(flatg_tm):
 
     worst = 0.0
     for p in pts:
-        _, [rep] = extract_fluxes(T, p)
+        rep = flux_report(T, p)
         assert rep.reassembly_residual < tol_reassembly
         assert rep.vanishing_residual < tol_reassembly
         x, v = p.coords[:3], p.coords[3:]

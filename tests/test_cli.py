@@ -1,16 +1,20 @@
 import dataclasses
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import paraherm
 from paraherm import brackets as br, cli, connections, geometry
 from paraherm import deformations as df
 from paraherm.cli import load_spec, main, print_report, run
 from paraherm.errors import InsufficientJetOrder, SpecParseError
+from paraherm.expr import Add, Const, Coord, Mul, Pow
+from paraherm.randfields import random_poly
 
 from helpers import count_calls, strict_json
 
@@ -921,10 +925,10 @@ def test_a_field_pool_that_overflows_is_a_spec_error_before_any_suite(tmp_path, 
 
 def test_fluxes_skip_on_a_base_that_is_not_para_kahler(tmp_path, capsys, monkeypatch):
     """The sphere's tangent bundle with b = v1 dth ^ dph is a valid spec: its
-    base is simply not para-Kahler (residual 0.258 at the first point, 0.331
-    at worst).  `validate` and `deform` run, `fluxes` skips by its
-    `para_kahler` gate without running its body, and the run writes its
-    report (exit 0)."""
+    base is simply not para-Kahler (residual 0.513 at the first point, 0.7545
+    at worst, its p side's Nijenhuis part).  `validate` and `deform` run,
+    `fluxes` skips by its `para_kahler` gate without running its body, and
+    the run writes its report (exit 0)."""
     ran = _record_bodies(monkeypatch)
     spec = _spec_from("tangent_bundle.json", b_field=TM_B,
                       suites=["validate", "deform", "fluxes"])
@@ -936,7 +940,7 @@ def test_fluxes_skip_on_a_base_that_is_not_para_kahler(tmp_path, capsys, monkeyp
     assert rows["deform"]["passed"] and not rows["deform"]["skipped"]
     fluxes = rows["fluxes"]
     assert fluxes["skipped"] and fluxes["reason"] == "base is not para-K\u00e4hler"
-    assert fluxes["residuals"]["para_kahler"] == pytest.approx(0.331, abs=5e-4)
+    assert fluxes["residuals"]["para_kahler"] == pytest.approx(0.7545, abs=5e-4)
 
 
 _OK, _XFAIL = (True, False, False), (True, True, False)
@@ -980,3 +984,159 @@ def test_shipped_runspec_statuses(tmp_path, capsys, runspec):
             for name, r in rows.items()} == statuses
     assert {name: r["reason"] for name, r in rows.items() if r["skipped"]} == reasons
     assert rows["classify"]["flags"] == flags
+
+
+# -- the fluxes row does not grow with the sample ------------------------------------
+
+FLUX_ENTRY_KEYS = {"point", "h_flux", "r_flux", "q_flux", "covariantized_h", "h_frame",
+                   "q_frame", "reassembly_residual", "vanishing_residual",
+                   "cross_check_residual", "extras"}
+
+
+def _fluxes_row(count):
+    """The flat runspec's context at `count` points, and its `fluxes` row."""
+    ctx = cli._RunContext(_spec_from("flat.json", sample={"count": count}, suites=["fluxes"]))
+    ctx.check_domain()
+    return ctx, cli.SUITES["fluxes"](ctx)
+
+
+def test_the_fluxes_row_has_one_size_at_any_sample_count():
+    """One v1 entry and one maximum per tensor: the row has the same keys
+    and the same encoded length at 4 points and at 40."""
+    rows = [_fluxes_row(count)[1] for count in (4, 40)]
+    for row in rows:
+        assert row["passed"] and not row["skipped"]
+        [entry] = row["flux_reports"]
+        assert entry.keys() == FLUX_ENTRY_KEYS
+    assert rows[0].keys() == rows[1].keys()
+    assert len(json.dumps(rows[0], sort_keys=True)) == len(json.dumps(rows[1], sort_keys=True))
+
+
+def test_the_fluxes_row_reads_extract_fluxes_arrays():
+    """`flux_max_abs` is the largest per-point maximum of each tensor, and
+    the entry is `extract_fluxes`' arrays at its point: on flat every
+    residual is exactly 0, so that is the first point."""
+    ctx, row = _fluxes_row(20)
+    residuals, tensors = df.extract_fluxes(ctx.transformation, ctx.batch)
+    assert row["flux_max_abs"] == {name: float(np.max(geometry.per_point_max(t)))
+                                   for name, t in tensors.items()}
+    assert row["flux_max_abs"]["q_frame"] == 1.0  # nonvacuous: b = xt1 has Q = 1
+    [entry] = row["flux_reports"]
+    assert entry["point"] == ctx.batch.coords[0].tolist()
+    assert {name: entry[name] for name in tensors} == {
+        name: t[0].tolist() for name, t in tensors.items()}
+    assert (entry["reassembly_residual"], entry["vanishing_residual"],
+            entry["cross_check_residual"]) == (0.0, 0.0, 0.0)
+    assert all(not np.any(r) for r in residuals.values())
+
+
+@pytest.mark.parametrize("set_to, want", [
+    ({}, 0),
+    # The largest over the three arrays, not the first positive entry.
+    ({("vanishing_parts", 2): 1e-11, ("reassembly", 5): 3e-11}, 5),
+    # A tie goes to the first point.
+    ({("reassembly", 4): 1e-11, ("h_plus_r_vs_B_part", 2): 1e-11}, 2),
+    # A NaN is the worst.
+    ({("reassembly", 1): 1.0, ("h_plus_r_vs_B_part", 7): np.nan}, 7),
+], ids=["all_zero", "largest", "tie", "nan"])
+def test_the_fluxes_entry_is_at_the_worst_point(monkeypatch, set_to, want):
+    """The entry is at the first point where the largest of the three
+    residuals is their sample maximum, a NaN first, and carries that point's
+    residuals."""
+    real = df.extract_fluxes
+
+    def extract(T, sample):
+        residuals, tensors = real(T, sample)
+        residuals = {name: r.copy() for name, r in residuals.items()}
+        for (name, i), value in set_to.items():
+            residuals[name][i] = value
+        return residuals, tensors
+
+    monkeypatch.setattr(df, "extract_fluxes", extract)
+    ctx, row = _fluxes_row(20)
+    residuals, tensors = extract(ctx.transformation, ctx.batch)
+    [entry] = row["flux_reports"]
+    ref = df.FluxReport.at(ctx.batch, residuals, tensors, want).to_dict()
+    assert json.dumps(entry, sort_keys=True) == json.dumps(ref, sort_keys=True)  # NaN too
+    assert entry["point"] == ctx.batch.coords[want].tolist()
+
+
+# -- the seeded streams a report is made of ------------------------------------------
+
+def _per_draw_sample(model, count, seed, box):
+    """The uniform sample as `_RunContext._sample` drew it before it drew in
+    blocks, one candidate per draw: the reference of its stream."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(box, dtype=float).T
+    pts, guard = [], 0
+    while len(pts) < count:
+        c = rng.uniform(lo, hi)
+        guard += 1
+        if guard > 1000 * count:
+            raise SpecParseError("sampling rejected too many points", "sample")
+        if model.point_ok(c):
+            pts.append(c)
+    return np.array(pts)
+
+
+@pytest.fixture(scope="module")
+def tm_context():
+    return cli._RunContext(_spec_from("tangent_bundle.json"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(count=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), cut=st.floats(0.0, 1.05))
+@example(count=20, seed=7, cut=0.95)  # most candidates rejected
+@example(count=3, seed=1, cut=1.01)   # every candidate rejected: the guard
+def test_sampling_in_blocks_draws_the_per_draw_stream(tm_context, count, seed, cut):
+    """On the sphere's tangent bundle, with a `point_ok` that rejects the
+    points where |sin th| <= cut, the blocks give the per-draw loop's points
+    bit for bit, or its error after the same 1000 candidates per point, and
+    judge as many candidates as it does."""
+    model, judged = tm_context.model, []
+    model._point_ok = lambda c: judged.append(1) or abs(np.sin(c[0])) > cut
+    box = _spec_from("tangent_bundle.json")["sample"]["box"]
+    sspec = {"count": count, "seed": seed, "box": box}
+    try:
+        want = _per_draw_sample(model, count, seed, box)
+    except SpecParseError as exc:
+        want = exc
+    n_want, judged[:] = len(judged), []
+    if isinstance(want, SpecParseError):
+        with pytest.raises(SpecParseError) as got:
+            tm_context._sample(sspec)
+        assert str(got.value) == str(want) and n_want == 1000 * count
+    else:
+        batch, got_seed = tm_context._sample(sspec)
+        assert got_seed == seed
+        assert batch.coords.shape == want.shape and batch.coords.tobytes() == want.tobytes()
+    assert len(judged) == n_want
+
+
+def _choice_poly(rng, nvars, degree=2, terms=3, vars_subset=None):
+    """`random_poly` as it drew its variables with `rng.choice`: the
+    reference of its stream."""
+    pool = list(range(nvars)) if vars_subset is None else list(vars_subset)
+    node = Const(Fraction(int(rng.integers(-4, 5)), 4))
+    for _ in range(int(terms)):
+        mono = Const(Fraction(int(rng.integers(-8, 9)), 4))
+        for v in rng.choice(pool, size=int(rng.integers(1, degree + 1))):
+            p = int(rng.integers(1, 3))
+            mono = Mul(mono, Coord(int(v)) if p == 1 else Pow(Coord(int(v)), p))
+        node = Add(node, mono)
+    return node
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nvars=st.integers(1, 6), degree=st.integers(1, 4),
+       terms=st.integers(0, 5), data=st.data())
+def test_random_poly_draws_the_stream_of_choice(seed, nvars, degree, terms, data):
+    """Five polynomials in a row equal the `choice`-based reference's, tree
+    for tree, and leave the generator in the same state."""
+    subset = data.draw(st.none() | st.lists(st.integers(0, nvars - 1), min_size=1,
+                                              unique=True))
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        assert random_poly(a, nvars, degree, terms, subset) == _choice_poly(
+            b, nvars, degree, terms, subset)
+    assert a.bit_generator.state == b.bit_generator.state

@@ -22,6 +22,7 @@ from paraherm.connections import covariant_differential
 from paraherm.parastructure import rho, rho_field, validate_structure
 from paraherm.randfields import random_poly, random_vector_field
 from conftest import sample_points
+from helpers import flux_report
 from oracles import values
 
 
@@ -233,7 +234,7 @@ def test_constant_b_all_fluxes_zero(flat2):
     T = b_transform(flat2.S,
                     constant_field(flat2.chart, comps, 0, 2, sym="antisymmetric"),
                     sample=stack_points(pts))
-    _, [rep] = extract_fluxes(T, pts[0])
+    rep = flux_report(T, pts[0])
     for arr in (rep.h_flux, rep.r_flux, rep.q_flux, rep.covariantized_h):
         assert np.max(np.abs(arr)) == 0.0
 
@@ -243,7 +244,7 @@ def test_q_flux_example(flat2):
     independent component d~^1 b_12 = 1."""
     pts = sample_points(flat2, 2, 16)
     T = b_transform(flat2.S, make_b(flat2.chart, {(0, 1): "xt1"}), sample=stack_points(pts))
-    _, [rep] = extract_fluxes(T, pts[0])
+    rep = flux_report(T, pts[0])
     assert np.max(np.abs(rep.h_flux)) == 0.0
     assert np.max(np.abs(rep.r_flux)) == 0.0
     q = np.array(rep.q_frame)
@@ -258,7 +259,7 @@ def test_q_flux_example(flat2):
 def test_flux_reassembly_nontrivial(flat3_b):
     T, pts = flat3_b
     for p in pts[:3]:
-        _, [rep] = extract_fluxes(T, p)
+        rep = flux_report(T, p)
         assert rep.reassembly_residual < 1e-10
         assert rep.vanishing_residual < 1e-10
         assert rep.cross_check_residual < 1e-10
@@ -288,15 +289,15 @@ def test_staged_flux_frames_equal_the_einsum_forms(flat3, count, seed):
                        for i in range(n) for j in range(i + 1, n)})
     batch = stack_points(sample_points(flat3, count, seed))
     T = b_transform(flat3.S, b, sample=batch)
-    _, reports = extract_fluxes(T, batch)
-    covH = np.array([r.covariantized_h for r in reports])
+    _, tensors = extract_fluxes(T, batch)
+    covH = tensors["covariantized_h"]
     dbj = exterior_derivative(b).values(batch)
     plus = T.e_B.values(batch)[..., :n]
     wants = _einsum_frames(covH, dbj, plus, n)
     bounds = _einsum_frames(np.abs(covH), np.abs(dbj), np.abs(plus), n)
     tol = (chart.dim**3 + 4) * np.finfo(float).eps
     for name, want, bound in zip(("h_frame", "q_frame"), wants, bounds):
-        got = np.array([getattr(r, name) for r in reports])
+        got = tensors[name]
         assert got.shape == want.shape == (count, n, n, n)
         assert np.all(np.abs(got - want) <= tol * bound), name
 

@@ -8,6 +8,7 @@ from paraherm.models import b_field_on_tm, build_tm, sphere_base
 from paraherm.parastructure import classify, validate_structure
 from paraherm.randfields import random_vector_field
 from conftest import sample_points
+from helpers import flux_report
 from oracles import sphere_riemann, values
 
 
@@ -164,9 +165,7 @@ def test_b_field_on_tm_x_dependent():
     bb[0, 1] = "x1"
     bb[1, 0] = "-x1"
     T = b_field_on_tm(m, bb, sample=stack_points(pts))
-    from paraherm.deformations import extract_fluxes
-
-    _, [rep] = extract_fluxes(T, pts[0])
+    rep = flux_report(T, pts[0])
     assert np.max(np.abs(rep.q_frame)) < 1e-14
     assert np.max(np.abs(rep.h_flux)) < 1e-14  # n=2: Lambda^3 T+* = 0
     assert rep.reassembly_residual < 1e-10
@@ -181,9 +180,7 @@ def test_b_field_on_tm_v_dependent():
     bb[0, 1] = "v1"
     bb[1, 0] = "-v1"
     T = b_field_on_tm(m, bb, sample=stack_points(pts))
-    from paraherm.deformations import extract_fluxes
-
-    _, [rep] = extract_fluxes(T, pts[0])
+    rep = flux_report(T, pts[0])
     assert np.max(np.abs(rep.h_flux)) < 1e-14
     q = np.array(rep.q_frame)
     assert q[0, 0, 1] == 1.0 and q[0, 1, 0] == -1.0

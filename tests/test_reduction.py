@@ -122,7 +122,11 @@ def _checkers(ctx):
             "mc_residual": df.compatibility_residual(T, b),
             "para_kahler": T.base_parakahler_residual(b)}
     if ctx.b_field is not None and not np.max(T.base_parakahler_residual(ctx.batch)) > 1e-8:
-        checkers["extract_fluxes"] = lambda b: df.extract_fluxes(T, b)[0]
+        def fluxes(b):
+            residuals, tensors = df.extract_fluxes(T, b)
+            return residuals | {name: t.reshape(len(t), -1) for name, t in tensors.items()}
+
+        checkers["extract_fluxes"] = fluxes
     return checkers
 
 

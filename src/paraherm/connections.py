@@ -38,6 +38,9 @@ __all__ = [
     "check_adapted",
 ]
 
+# The largest torsion component a torsionless connection may have.
+TORSION_TOL = 1e-10
+
 
 class Connection:
     """Christoffel symbols as an evaluation procedure over jets, at a point or
@@ -95,12 +98,12 @@ def levi_civita(eta: Field, eta_inv: Field = None) -> Connection:
 
 def canonical_connection(S) -> Connection:
     """Projector form: nabla^c_X Y = P+ nablao_X (P+ Y) + P- nablao_X (P- Y)."""
-    lc = S.levi_civita
+    gamma, projectors = S.levi_civita.christoffels, (S.P_plus, S.P_minus)
 
     def fn(point, order):
-        g0 = lc.christoffels.at(point, order)
+        g0 = gamma.at(point, order)
         out = None
-        for P in (S.P_plus.at(point, order + 1), S.P_minus.at(point, order + 1)):
+        for P in (f.at(point, order + 1) for f in projectors):
             dP = jets_gradient(P)  # dP[i, m, j] = d_i P^m_j
             first = tdot(P, dP, ([1], [1]))                        # (k, i, j)
             second = tdot(tdot(P, g0, ([1], [0])), P, ([2], [0]))  # (k, i, j)
@@ -108,8 +111,7 @@ def canonical_connection(S) -> Connection:
             out = term if out is None else out + term
         return out
 
-    return Connection(S.chart, fn, provenance="canonical",
-                      inputs=(lc.christoffels, S.P_plus, S.P_minus))
+    return Connection(S.chart, fn, provenance="canonical", inputs=(gamma, *projectors))
 
 
 def canonical_connection_contorsion(S) -> Connection:
@@ -201,8 +203,9 @@ def torsion_residual(C: Connection, point, order=0):
     return per_point(point, torsion(C).at(point, order)).max_abs()
 
 
-def require_torsionless(C: Connection, point, tol=1e-10):
-    require_within(point, torsion_residual(C, point), tol, NotTorsionless, "torsion residual")
+def require_torsionless(C: Connection, point):
+    require_within(point, torsion_residual(C, point), TORSION_TOL, NotTorsionless,
+                   "torsion residual")
 
 
 def riemann_jets(g, dg):

@@ -51,7 +51,7 @@ from .parastructure import ParaHermitianStructure, bigraded_part_at, bigraded_pa
 
 __all__ = [
     "BTransformation", "b_transform", "b_minus_transform",
-    "simultaneous_transform", "MCSides", "maurer_cartan_sides",
+    "MCSides", "maurer_cartan_sides",
     "mc_form", "compatibility_residual",
     "twisted_d_bracket", "twisted_d_bracket_reference",
     "extract_fluxes", "FluxReport", "f_flux",
@@ -60,13 +60,18 @@ __all__ = [
 # The base structure's para-Kahler residual above which fluxes are undefined.
 PARAKAHLER_TOL = 1e-8
 
+# The antisymmetry and type residual above which a two-form cannot shear.
+TYPE_TOL = 1e-10
+
 
 class BTransformation:
-    """A shear of T+ toward T- (side=+1) or the mirror (side=-1).
-
-    Carries the base structure S, the two-form data, and the derived maps:
-    B (1,1), e^B = 1 + B, K_B = K + 2 sign B, and the transformed structure
-    (eta, K_B) with its own projections and canonical connection.
+    """A shear of T+ toward T- (side=+1) or the mirror (side=-1) of the base
+    structure S by the two-form b.  Its fields are built once, here, each
+    closing over the fields it reads, never over the shear: B (1,1), e^B =
+    1 + B, K_B = K + 2 sign B, the transformed structure (eta, K_B), the
+    bivector b^{MN}, its Schouten bracket [b, b], `db`, the dual R-flux
+    `lowered_schouten` = (Lambda^3 eta)[b, b], `db_part` = d_side b (the
+    (+3,-0) part of db for side +1) and `mc_form`, their sum.
     """
 
     def __init__(self, S: ParaHermitianStructure, b: Field, side=+1):
@@ -74,35 +79,50 @@ class BTransformation:
         self.b = b
         self.side = side
         chart = S.chart
+        eta, eta_inv = S.eta, S.eta_inv
 
         def B_fn(p, k):
-            eta_inv = S.eta_inv.at(p, k)
-            bj = b.at(p, k)
             # B^M_I = b_{IN} eta^{NM}
-            return tdot(bj, eta_inv, ([1], [0])).transpose((1, 0))
+            return tdot(b.at(p, k), eta_inv.at(p, k), ([1], [0])).transpose((1, 0))
 
-        self.B = DerivedField(chart, 1, 1, B_fn, inputs=(b, S.eta_inv))
-        self.K_B = S.K + self.B * (2.0 * side)
-        self.e_B = DerivedField(chart, 1, 1, self._eB_comps, inputs=(self.B,))
-        self.structure_B = ParaHermitianStructure(chart, S.eta, self.K_B)
+        B = self.B = DerivedField(chart, 1, 1, B_fn, inputs=(b, eta_inv))
+        self.K_B = S.K + B * (2.0 * side)
+
+        def eB_fn(p, k):
+            return constant_jets(chart.context(k), np.eye(chart.dim)) + B.at(p, k)
+
+        self.e_B = DerivedField(chart, 1, 1, eB_fn, inputs=(B,))
+        self.structure_B = ParaHermitianStructure(chart, eta, self.K_B)
         # Bivector with both slots raised: b^{MN} = b_{IJ} eta^{IM} eta^{JN}.
 
         def bivec_fn(p, k):
-            eta_inv = S.eta_inv.at(p, k)
-            up1 = tdot(eta_inv, b.at(p, k), ([0], [0]))
-            return tdot(up1, eta_inv, ([1], [0]))
+            inv = eta_inv.at(p, k)
+            return tdot(tdot(inv, b.at(p, k), ([0], [0])), inv, ([1], [0]))
 
         self.b_bivector = DerivedField(chart, 2, 0, bivec_fn, sym="antisymmetric",
-                                       inputs=(b, S.eta_inv))
+                                       inputs=(b, eta_inv))
         # [b,b] through the flat coordinate connection; any torsionless
         # connection gives the same bracket.
-        self.schouten = schouten_self(self.b_bivector, flat_connection(chart),
-                                      check_torsion=False)
-        self._domega = exterior_derivative(S.omega)
+        schouten = self.schouten = schouten_self(self.b_bivector, flat_connection(chart),
+                                                 check_torsion=False)
 
-    def _eB_comps(self, p, k):
-        eye = constant_jets(self.S.chart.context(k), np.eye(self.S.chart.dim))
-        return eye + self.B.at(p, k)
+        def lowered_fn(p, k):
+            e = eta.at(p, k)
+            low = tdot(e, schouten.at(p, k), ([1], [0]))
+            low = tdot(e, low, ([1], [1]))
+            return tdot(e, low, ([1], [2])).transpose((2, 1, 0))
+
+        self.lowered_schouten = DerivedField(chart, 0, 3, lowered_fn, sym="antisymmetric",
+                                             inputs=(eta, schouten))
+        db = self.db = exterior_derivative(b)
+        Pp, Pm, m_plus = S.P_plus, S.P_minus, 3 if side > 0 else 0
+
+        def part_fn(p, k):
+            return bigraded_part_at(db.at(p, k), m_plus, Pp.at(p, k), Pm.at(p, k))
+
+        self.db_part = DerivedField(chart, 0, 3, part_fn, sym="antisymmetric",
+                                    inputs=(db, Pp, Pm))
+        self.mc_form = self.db_part + self.lowered_schouten
 
     def sheared_projector(self) -> Field:
         """Projector onto the deformed eigenbundle (T+^B for side +1)."""
@@ -111,7 +131,7 @@ class BTransformation:
     def base_parakahler_residual(self, point):
         """Para-Kahler residual of the base structure: a float at a point,
         one per point at a batch."""
-        dw = self._domega.max_abs(point)
+        dw = self.S.domega.max_abs(point)
         scale = np.maximum(1.0, self.S.eta.max_abs(point))
         res = np.maximum(dw / scale, np.maximum(self.S.integrability_residual(+1, point),
                                                 self.S.integrability_residual(-1, point)))
@@ -124,7 +144,7 @@ class BTransformation:
                        NotParaKahler, "base structure fails para-Kahler residual")
 
 
-def _require_type(S, b, sample, side, tol):
+def _require_type(S, b, sample, side):
     """Raise NotAntisymmetric, then WrongType, naming the first point of the
     sample where the two-form is not antisymmetric or has components off
     the pure type of `side`; with no sample, check nothing."""
@@ -138,26 +158,22 @@ def _require_type(S, b, sample, side, tol):
     wrong = np.maximum(per_point_max(np.swapaxes(Q, 1, 2) @ vals),
                        per_point_max(vals @ Q)) / scale
     name, kind = ("b", "(+2,-0)") if side > 0 else ("beta", "(+0,-2)")
-    require_within(batch, anti, tol, NotAntisymmetric, f"{name} antisymmetry residual")
-    require_within(batch, wrong, tol, WrongType,
+    require_within(batch, anti, TYPE_TOL, NotAntisymmetric, f"{name} antisymmetry residual")
+    require_within(batch, wrong, TYPE_TOL, WrongType,
                    f"{name} has components off the {kind} type, residual")
 
 
-def b_transform(S, b: Field, sample=None, tol=1e-10) -> BTransformation:
+def b_transform(S, b: Field, sample=None) -> BTransformation:
     """Validate the two-form on the sample and build the sheared structure
     (plus side)."""
-    _require_type(S, b, sample, +1, tol)
+    _require_type(S, b, sample, +1)
     return BTransformation(S, b, side=+1)
 
 
-def b_minus_transform(S, beta: Field, sample=None, tol=1e-10) -> BTransformation:
+def b_minus_transform(S, beta: Field, sample=None) -> BTransformation:
     """Mirror shear of T- toward T+, driven by a type (+0,-2) two-form."""
-    _require_type(S, beta, sample, -1, tol)
+    _require_type(S, beta, sample, -1)
     return BTransformation(S, beta, side=-1)
-
-
-def simultaneous_transform(S, b, beta):
-    raise Unsupported("simultaneous B+ and B- transformations are not supported")
 
 
 # --------------------------------------------------------------------------
@@ -191,40 +207,21 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     br = brackets._bracket_core(S.canonical, S, PBX, PBY, None, {}).at(point, 0)
     zj = tdot(PB.at(point, 0), Z.at(point, 0), ([1], [0]))
     lhs = contract_value(point, S.eta.at(point, 0), br, zj)
-    rhs = contract_value(point, mc_form(T).at(point, 0), X.at(point, 0),
+    rhs = contract_value(point, T.mc_form.at(point, 0), X.at(point, 0),
                          Y.at(point, 0), Z.at(point, 0))
     return MCSides(lhs, rhs)
 
 
-def _lowered_schouten(T: BTransformation, p, k):
-    """(Lambda^3 eta)[b,b] at a point: the Schouten bracket with all three
-    slots lowered, which is the dual R-flux."""
-    eta = T.S.eta.at(p, k)
-    low = tdot(eta, T.schouten.at(p, k), ([1], [0]))
-    low = tdot(eta, low, ([1], [1]))
-    low = tdot(eta, low, ([1], [2]))
-    return low.transpose((2, 1, 0))
-
-
 def mc_form(T: BTransformation) -> Field:
-    """d_side b + (Lambda^3 eta)[b,b]_other as a (0,3) tensor field."""
-    S = T.S
-    db = exterior_derivative(T.b)
-    m_plus = 3 if T.side > 0 else 0
-
-    def fn(p, k):
-        proj = bigraded_part_at(db.at(p, k), m_plus, S.P_plus.at(p, k), S.P_minus.at(p, k))
-        return proj + _lowered_schouten(T, p, k)
-
-    return DerivedField(S.chart, 0, 3, fn, sym="antisymmetric",
-                        inputs=(db, T.schouten, S.eta, S.P_plus, S.P_minus))
+    """d_side b + (Lambda^3 eta)[b,b]_other as a (0,3) field: the shear's own `T.mc_form`."""
+    return T.mc_form
 
 
 def compatibility_residual(T: BTransformation, sample):
     """The largest scale-normalized Maurer-Cartan component at each point."""
     batch = as_batch(sample)
     scale = np.maximum(1.0, coeff_max(per_point(batch, T.b.at(batch, 1))))
-    return per_point(batch, mc_form(T).at(batch, 0)).max_abs() / scale
+    return per_point(batch, T.mc_form.at(batch, 0)).max_abs() / scale
 
 
 # --------------------------------------------------------------------------
@@ -252,8 +249,7 @@ def twisted_d_bracket_reference(T: BTransformation, X: Field, Y: Field) -> Field
     eta([X,Y]^{D,B}, Z) = eta([X,Y]^D, Z) - db(X,Y,Z).
     """
     S = T.S
-    base = d_bracket(S, X, Y)
-    db = exterior_derivative(T.b)
+    base, db = d_bracket(S, X, Y), T.db
 
     def fn(p, k):
         eta_inv = S.eta_inv.at(p, k)
@@ -307,27 +303,23 @@ def extract_fluxes(T: BTransformation, sample):
     `q_flux`, `covariantized_h`, `h_frame` and `q_frame`, each an array with
     a leading point axis (`FluxReport.at` reads one point of both).
 
-    H is the (+3,-0) part of db with respect to the base structure, the dual
-    R-flux is the triple-lowered Schouten bracket, the covariantized H-flux
-    is their sum (equal to the (+3,-0)_B part), and the dual Q-flux is the
-    (+2,-1)_B part read in the sheared frame.  The remaining bigraded parts
-    of db must vanish, and the parts must reassemble db exactly.  The
+    The shear's fields give H, the (+3,-0) part of db (`T.db_part`), the
+    dual R-flux (`T.lowered_schouten`) and the covariantized H-flux, their
+    sum `T.mc_form`, which must equal the (+3,-0)_B part.  The dual Q-flux
+    is the (+2,-1)_B part read in the sheared frame.  The remaining bigraded
+    parts of db must vanish, and the parts must reassemble db exactly.  The
     sheared-frame components are chains of batched `matmul`s (`project_slots`).
     """
     if T.side != +1:
         raise Unsupported("flux extraction is defined for the plus-side shear")
-    S = T.S
-    chart = S.chart
+    chart = T.S.chart
     if chart.split is None:
         raise MissingSplit("flux extraction needs adapted (split) coordinates")
     point = as_batch(sample)
     T.require_parakahler(point)
     n = chart.split
-    dbj = per_point(point, exterior_derivative(T.b).at(point, 0))
-
-    H = bigraded_part_at(dbj, 3, S.P_plus.at(point, 0), S.P_minus.at(point, 0))
-    R = per_point(point, _lowered_schouten(T, point, 0))
-    covH = H + R
+    dbj, H, R, covH = (per_point(point, f.at(point, 0))
+                       for f in (T.db, T.db_part, T.lowered_schouten, T.mc_form))
 
     PBp, PBm = (f.at(point, 0) for f in (T.structure_B.P_plus, T.structure_B.P_minus))
     parts = bigraded_parts(dbj, PBp, PBm, range(4))

@@ -454,6 +454,7 @@ class Tape:
             return i
 
         self.out = np.array([visit(e) for e in trees], dtype=int)
+        del visit  # which its own closure holds: a cycle the collector would have to free
         self.shape = tuple(shape)
         self.size = len(index)
         self.const_slots = np.array([i for i, _ in consts], dtype=int)

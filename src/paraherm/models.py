@@ -78,9 +78,8 @@ class FlatModel(Model):
     K_matrix: np.ndarray
 
 
-def build_flat(n: int, jet_order=3, coord_names=None) -> FlatModel:
-    if coord_names is None:
-        coord_names = [f"x{i + 1}" for i in range(n)] + [f"xt{i + 1}" for i in range(n)]
+def build_flat(n: int, jet_order=3) -> FlatModel:
+    coord_names = [f"x{i + 1}" for i in range(n)] + [f"xt{i + 1}" for i in range(n)]
     chart = Chart(coord_names, split=n, jet_order=jet_order)
     eye = np.eye(n)
     eta = np.block([[np.zeros((n, n)), eye], [eye, np.zeros((n, n))]])

@@ -52,14 +52,16 @@ __all__ = [
 
 class ParaHermitianStructure:
     """The pair (eta, K) with the fields derived from it: eta^{-1}, omega =
-    eta K and the projections (1 +- K)/2.  Each is one memoised `Field`,
-    `const` where eta and K are, and callers read the ones they need
-    (`S.eta.at(point, order)`); `fields` lists all six.  `bracket_table`
-    holds the brackets built on it, one field per (connection, X, Y,
-    projection) (`brackets.associated_bracket`), and `operand_table` the
-    fields their bodies read, one per (connection, X) for nabla X, per
-    (projector, X) for P X, per (eta, Y) for eta(Y, .), per (eta^-1, P) for
-    eta^-1 P^T and per (M, nabla X) for the raised R_X = M nabla X."""
+    eta K, d omega (`domega`) and the projections (1 +- K)/2; `fields` lists
+    all but `domega`.  Each is one memoised `Field`, `const` where eta and K
+    are, built once and closing over the fields it reads, never over the
+    structure, as do the connections and Nijenhuis fields built on first
+    use.  `bracket_table` holds the brackets built on it, one field per
+    (connection, X, Y, projection) (`brackets.associated_bracket`), and
+    `operand_table` the fields their bodies read, one per (connection, X)
+    for nabla X, per (projector, X) for P X, per (eta, Y) for eta(Y, .), per
+    (eta^-1, P) for eta^-1 P^T and per (M, nabla X) for the raised R_X =
+    M nabla X."""
 
     def __init__(self, chart, eta: Field, K: Field):
         if eta.rank != (0, 2) or K.rank != (1, 1):
@@ -76,6 +78,7 @@ class ParaHermitianStructure:
 
         self.eta_inv = inverse_metric(eta)
         self.omega = DerivedField(chart, 0, 2, omega, sym="antisymmetric", inputs=(eta, K))
+        self.domega = exterior_derivative(self.omega)
         self.P_plus = DerivedField(chart, 1, 1, lambda p, k: (eye(k) + K.at(p, k)) * 0.5,
                                    inputs=(K,))
         self.P_minus = DerivedField(chart, 1, 1, lambda p, k: (eye(k) - K.at(p, k)) * 0.5,
@@ -107,23 +110,23 @@ class ParaHermitianStructure:
 
     @cached_property
     def _nijenhuis_gates(self):
-        return {sign: _nijenhuis_gate(self, sign) for sign in (+1, -1)}
+        return {sign: _nijenhuis_gate(self.nijenhuis_tensor, self.eta, self.K, sign,
+                                      self.projector(sign)) for sign in (+1, -1)}
 
 
-def _nijenhuis_gate(S, sign):
-    """`integrability_residual` of one side: a (0,0) field at order 0, the
-    largest component of the side's `_nijenhuis_parts` over max(1, |eta|,
-    |K|) at each point, which is `classify`'s `n_plus` or `n_minus`; `const`
-    where eta and K are."""
-    proj = S.projector(sign)
+def _nijenhuis_gate(N, eta, K, sign, P):
+    """`integrability_residual` of the `sign` side, of projector P: a (0,0)
+    field at order 0, the largest component of the side's `_nijenhuis_parts`
+    over max(1, |eta|, |K|) at each point, which is `classify`'s `n_plus` or
+    `n_minus`; `const` where eta and K are."""
 
     def fn(point, order):
-        scale = np.maximum(1.0, np.maximum(S.eta.max_abs(point), S.K.max_abs(point)))
-        worst = per_point_max(_nijenhuis_parts(S, point, (sign,))[sign]) / scale
-        return constant_jets(S.chart.context(0), worst if point.batch else worst[0],
+        scale = np.maximum(1.0, np.maximum(eta.max_abs(point), K.max_abs(point)))
+        worst = per_point_max(_nijenhuis_parts(N, eta, {sign: P}, point)[sign]) / scale
+        return constant_jets(eta.chart.context(0), worst if point.batch else worst[0],
                              len(point.batch))
 
-    return DerivedField(S.chart, 0, 0, fn, inputs=(S.eta, S.K, proj, S.nijenhuis_tensor))
+    return DerivedField(eta.chart, 0, 0, fn, inputs=(eta, K, P, N))
 
 
 # --------------------------------------------------------------------------
@@ -262,13 +265,14 @@ def nijenhuis_tensor(S) -> Field:
     K^l_j d_l K^i_k - K^l_k d_l K^i_j - K^i_l (d_j K^l_k - d_k K^l_j), so that
     N^i_jk X^j Y^k = nijenhuis(S, X, Y)^i, exactly antisymmetric in j, k; the
     gates and `classify` contract `S.nijenhuis_tensor`, built once."""
+    K = S.K
 
     def fn(p, k):
-        Kv, dK = S.K.at(p, k), jets_gradient(S.K.at(p, k + 1))  # dK[l, i, j] = d_l K^i_j
+        Kv, dK = K.at(p, k), jets_gradient(K.at(p, k + 1))  # dK[l, i, j] = d_l K^i_j
         t = tdot(Kv, dK, ([0], [0])).transpose((1, 0, 2)) - tdot(Kv, dK, ([1], [1]))
         return (t - t.transpose((0, 2, 1))) * 0.25
 
-    return DerivedField(S.chart, 1, 2, fn, inputs=(S.K,))
+    return DerivedField(S.chart, 1, 2, fn, inputs=(K,))
 
 
 # --------------------------------------------------------------------------
@@ -350,7 +354,7 @@ def _classify_batch(S, batch):
     against the Nijenhuis parts, by name, one per point of the batch."""
     Pp, Pm = (f.at(batch, 1) for f in (S.P_plus, S.P_minus))
     scale = np.maximum(1.0, np.maximum(S.eta.max_abs(batch), S.K.max_abs(batch)))
-    dwj = per_point(batch, exterior_derivative(S.omega).at(batch, 0))
+    dwj = per_point(batch, S.domega.at(batch, 0))
     dw_scale = np.maximum(1.0, coeff_max(per_point(batch, S.omega.at(batch, 1))))
     worst = {"domega": dwj.max_abs() / dw_scale}
     parts = {m: part.values() for m, part in bigraded_parts(dwj, Pp, Pm, range(4)).items()}
@@ -360,7 +364,7 @@ def _classify_batch(S, batch):
     worst["phi_skew"] = per_point_max(phiv + np.swapaxes(phiv, 1, 2)) / dw_scale
     dK = covariant_differential(S.levi_civita, S.K)
     worst["nabla_K"] = per_point_max(dK.values(batch)) / dw_scale
-    n = _nijenhuis_parts(S, batch)
+    n = _nijenhuis_parts(S.nijenhuis_tensor, S.eta, {+1: S.P_plus, -1: S.P_minus}, batch)
     worst["n_plus"] = per_point_max(n[+1]) / scale
     worst["n_minus"] = per_point_max(n[-1]) / scale
     # Identity: (d omega)^{(+3,-0)} = cyclic sum of N_+,
@@ -373,16 +377,16 @@ def _classify_batch(S, batch):
     return worst
 
 
-def _nijenhuis_parts(S, point, signs=(+1, -1)):
-    """n[sign][point, i, j, c] = eta(N(P e_i, P e_j), P e_c), the pure-type
-    Nijenhuis parts over the coordinate basis for each of `signs`, with a
-    leading point axis (of one, at a single point), each a chain of batched
-    `matmul`s on the values (`project_slots`)."""
+def _nijenhuis_parts(N, eta, projectors, point):
+    """n[key][point, i, j, c] = eta(N(P e_i, P e_j), P e_c), the pure-type
+    parts of the Nijenhuis tensor field N over the coordinate basis, for each
+    projector field P in the dict `projectors`, with a leading point axis (of
+    one, at a single point), each a chain of batched `matmul`s (`project_slots`)."""
     def values(f):
         v = f.values(point)
         return v if point.batch else v[None]
 
     # eta_{ab} N^a_{kl} P^k_i P^l_j P^b_c, with N's upper slot moved last
-    Nv, etav = values(S.nijenhuis_tensor).transpose(0, 2, 3, 1), values(S.eta)
-    return {sign: project_slots(Nv, P, P, etav @ P)
-            for sign in signs for P in [values(S.projector(sign))]}
+    Nv, etav = values(N).transpose(0, 2, 3, 1), values(eta)
+    return {key: project_slots(Nv, P, P, etav @ P)
+            for key, f in projectors.items() for P in [values(f)]}

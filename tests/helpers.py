@@ -1,6 +1,8 @@
 """Shared test-side constructions (not part of the library)."""
 
+import gc
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -110,3 +112,21 @@ def strict_json(text):
     def reject(token):
         raise ValueError(f"not strict JSON: {token}")
     return json.loads(text, parse_constant=reject)
+
+
+def assert_freed_without_gc(make):
+    """Call `make()`, which builds objects and returns some of them, with
+    the cyclic collector off, and assert that each returned object is freed
+    as soon as the returned sequence is dropped: by reference counting
+    alone, so no reference cycle holds it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        objs = make()
+        refs = [weakref.ref(obj) for obj in objs]
+        del objs
+        alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert not alive, f"held by a reference cycle: {alive}"

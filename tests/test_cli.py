@@ -608,8 +608,9 @@ def test_zero_symbols_are_not_contracted(tmp_path, monkeypatch):
 # the Christoffel symbols inverted the metric one order above their own, and
 # the bigraded parts of d omega and db projected each slot assignment anew;
 # 447 and 175 while each Courant suite evaluated its three triples apart,
-# with pairings and anchors of its own).
-TDOTS = {"flat.json": 224, "tangent_bundle.json": 96}
+# with pairings and anchors of its own; flat 224 and the double 198 while
+# `deform` and `fluxes` each built the Maurer-Cartan form and its parts anew).
+TDOTS = {"flat.json": 212, "tangent_bundle.json": 96, "drinfeld_double.json": 192}
 
 
 @pytest.mark.parametrize("runspec", sorted(TDOTS))
@@ -620,38 +621,55 @@ def test_contractions_per_run_stay_bounded(tmp_path, monkeypatch, runspec):
     assert 0 < counts["tdot"] <= TDOTS[runspec], counts
 
 
-def _run_structure(monkeypatch, spec, tmp_path):
-    """Run `spec`, which must pass, and return the run's structure."""
+def _run_context(monkeypatch, spec, tmp_path):
+    """Run `spec`, which must pass, and return the run's context."""
     contexts = []
     check_domain = cli._RunContext.check_domain
     monkeypatch.setattr(cli._RunContext, "check_domain",
                         lambda ctx: contexts.append(ctx) or check_domain(ctx))
     assert run(spec, str(tmp_path / "report.json")) == 0
-    return contexts[0].model.S
+    return contexts[0]
 
 
-# Evaluations per run of either shipped runspec.  `check_domain` evaluates the
+# Evaluations per run of each shipped runspec.  `check_domain` evaluates the
 # structure's six fields at the highest order the suites read, and
 # `_RunContext.prepare` each connection's Christoffel symbols at the highest
-# order the suites read them, so once each.
+# order the suites read them, so once each.  d omega, which `classify` and
+# the para-Kahler gate of `fluxes` read, and the shear's db, lowered
+# Schouten bracket and Maurer-Cartan form, which `deform` and `fluxes` read,
+# are each built once, by their owner, and evaluated once.
 FIELD_RUNS = {"eta": 1, "K": 1, "eta_inv": 1, "omega": 1, "P_plus": 1, "P_minus": 1,
-              "levi_civita": 1, "canonical": 1, "nijenhuis": 1}
+              "levi_civita": 1, "canonical": 1, "nijenhuis": 1, "domega": 1}
+SHEAR_RUNS = {"db": 1, "lowered_schouten": 1, "mc_form": 1}
 
 
-@pytest.mark.parametrize("runspec", ["flat.json", "tangent_bundle.json"])
+@pytest.mark.parametrize("runspec", ["flat.json", "tangent_bundle.json",
+                                     "drinfeld_double.json"])
 def test_structure_fields_are_evaluated_once_per_order(tmp_path, monkeypatch, runspec):
     """One run evaluates the structure's six fields, the Christoffel symbols
-    of both its connections and its Nijenhuis tensor at most FIELD_RUNS
-    times: the pre-flight read serves the suites the structure's highest
-    order first, so its memos never climb the orders."""
-    runs = Counter()
+    of both its connections, its Nijenhuis tensor and d omega at most
+    FIELD_RUNS times, and the shear's fields, where it has a b-field, at
+    most SHEAR_RUNS times: the pre-flight read serves the suites the
+    structure's highest order first, so its memos never climb the orders.
+    It builds d omega and db once each."""
+    runs, built = Counter(), Counter()
     count_calls(monkeypatch, runs)
-    S = _run_structure(monkeypatch, str(RUNSPECS / runspec), tmp_path)
+    d = geometry.exterior_derivative
+    for module in vars(paraherm).values():
+        if getattr(module, "exterior_derivative", None) is d:
+            monkeypatch.setattr(module, "exterior_derivative",
+                                lambda T: built.update([T]) or d(T))
+    ctx = _run_context(monkeypatch, str(RUNSPECS / runspec), tmp_path)
+    S, most = ctx.model.S, FIELD_RUNS
     fields = dict(zip(("eta", "K", "eta_inv", "omega", "P_plus", "P_minus"), S.fields),
                   levi_civita=S.levi_civita.christoffels, canonical=S.canonical.christoffels,
-                  nijenhuis=S.nijenhuis_tensor)
+                  nijenhuis=S.nijenhuis_tensor, domega=S.domega)
+    if ctx.b_field is not None:
+        fields |= {name: getattr(ctx.transformation, name) for name in SHEAR_RUNS}
+        most = most | SHEAR_RUNS
     got = {name: runs[f] for name, f in fields.items()}
-    assert all(1 <= got[name] <= most for name, most in FIELD_RUNS.items()), got
+    assert all(1 <= got[name] <= top for name, top in most.items()), got
+    assert built[S.omega] == 1 and built[ctx.b_field] == (ctx.b_field is not None)
 
 
 # Christoffel evaluations [Levi-Civita, canonical] of each suite run alone: a
@@ -681,7 +699,7 @@ def test_each_connection_a_suite_reads_is_evaluated_once(tmp_path, monkeypatch, 
     runs = Counter()
     count_calls(monkeypatch, runs)
     spec = write_spec(tmp_path, "s.json", _spec_from(runspec, suites=suites))
-    S = _run_structure(monkeypatch, spec, tmp_path)
+    S = _run_context(monkeypatch, spec, tmp_path).model.S
     got = [runs[C.christoffels] for C in (S.levi_civita, S.canonical)]
     assert got == (CONNECTION_RUNS[runspec][suites[0]] if len(suites) == 1 else [1, 1])
 
@@ -766,7 +784,7 @@ def test_each_covariant_derivative_is_computed_once_per_order(tmp_path, monkeypa
         return out
 
     monkeypatch.setattr(geometry.DerivedField, "at", recorded_at)
-    S = _run_structure(monkeypatch, str(RUNSPECS / runspec), tmp_path)
+    S = _run_context(monkeypatch, str(RUNSPECS / runspec), tmp_path).model.S
     assert 0 < len(calls) <= NABLA_RUNS[runspec]
     operands = {entry[0] for entry in S.operand_table.values()}
     got = [n for (field, _, _), n in runs.items() if field in operands]

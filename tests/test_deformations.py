@@ -7,12 +7,12 @@ from paraherm.brackets import (
 )
 from paraherm.deformations import (
     b_minus_transform, b_transform, compatibility_residual, extract_fluxes,
-    f_flux, maurer_cartan_sides, mc_form, simultaneous_transform,
+    f_flux, maurer_cartan_sides, mc_form,
     twisted_d_bracket, twisted_d_bracket_reference,
 )
 from paraherm.expr import to_source
 from paraherm.errors import (
-    NotAntisymmetric, NotParaKahler, RankMismatch, SingularFrame, Unsupported, WrongType,
+    NotAntisymmetric, NotParaKahler, RankMismatch, SingularFrame, WrongType,
 )
 from paraherm.geometry import (
     TensorField, apply_endomorphism, constant_field, exterior_derivative,
@@ -419,9 +419,11 @@ def test_b_minus_wrong_type(flat2):
     assert str(pts[0]) in str(err.value)
 
 
-def test_simultaneous_unsupported(flat2):
-    with pytest.raises(Unsupported):
-        simultaneous_transform(flat2.S, None, None)
+def test_mc_form_is_the_shears_own_field(flat3_b):
+    """`mc_form` returns the one field the shear built, which the
+    Maurer-Cartan sides, the compatibility residual and the fluxes read."""
+    T, _ = flat3_b
+    assert mc_form(T) is T.mc_form and mc_form(T) is mc_form(T)
 
 
 # -- intertwining and the type of nabla b -----------------------------------------------

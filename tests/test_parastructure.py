@@ -225,7 +225,7 @@ def test_nijenhuis_parts_equal_the_lie_bracket_loop(nijenhuis_models, model, cou
 
     S, draw = nijenhuis_models[model]
     batch = stack_points(draw(count, seed))
-    got = _nijenhuis_parts(S, batch)
+    got = _nijenhuis_parts(S.nijenhuis_tensor, S.eta, {+1: S.P_plus, -1: S.P_minus}, batch)
     want = _loop_nijenhuis_parts(S, batch)
     for sign in (+1, -1):
         assert got[sign].shape == want[sign].shape == (count,) + (S.chart.dim,) * 3
@@ -252,7 +252,7 @@ def test_staged_nijenhuis_parts_equal_the_einsum_form(nijenhuis_models, model, c
 
     S, draw = nijenhuis_models[model]
     batch = stack_points(draw(count, seed))
-    got = _nijenhuis_parts(S, batch)
+    got = _nijenhuis_parts(S.nijenhuis_tensor, S.eta, {+1: S.P_plus, -1: S.P_minus}, batch)
     Nv, etav = S.nijenhuis_tensor.values(batch), S.eta.values(batch)
     dim = S.chart.dim
     for sign in (+1, -1):

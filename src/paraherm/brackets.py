@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import (Connection, covariant_differential, covd_jets, nabla_jets,
-                          require_torsionless)
+from .connections import Connection, covariant_differential, nabla_jets, require_torsionless
 from .errors import NotIntegrable, RankMismatch
 from .geometry import (
     DerivedField,
@@ -27,7 +26,6 @@ from .geometry import (
     apply_endomorphism,
     concat_jets,
     constant_jets,
-    contract_value,
     exterior_derivative,
     interior_product,
     jets_gradient,
@@ -39,13 +37,13 @@ from .geometry import (
     tdot,
     tile_points,
 )
-from .parastructure import GeneralizedVector, bigraded_part_at
+from .parastructure import GeneralizedVector, bigraded_parts
 
 __all__ = [
     "GeneralizedVectorField", "pairing", "standard_dorfman",
     "dorfman_via_connection", "associated_bracket", "projected_bracket",
     "d_bracket", "c_bracket", "dorfman_leafwise", "leafwise_d",
-    "jacobi_defect", "schouten_self", "schouten_scalar", "eta_pairing", "projected_anchor",
+    "jacobi_defect", "schouten_self", "eta_pairing", "projected_anchor",
     "cyclic_triples", "courant_axiom_suite",
     "flat_coordinate_dbracket",
 ]
@@ -97,24 +95,25 @@ def standard_dorfman(e1, e2) -> GeneralizedVectorField:
     return GeneralizedVectorField(vec, cov)
 
 
-def dorfman_via_connection(C: Connection, e1, e2, check=False) -> GeneralizedVectorField:
-    """Standard Dorfman via a torsionless connection:
+def dorfman_via_connection(C: Connection, e1, e2) -> GeneralizedVectorField:
+    """Standard Dorfman via a torsionless connection, checked at every
+    evaluation point (NotTorsionless):
 
     <[e1,e2], e3> = <nabla_{X1} e2 - nabla_{X2} e1, e3> + <nabla_{X3} e1, e2>.
     """
     chart = e1.chart
 
     def both(p, k):
-        if check:
-            require_torsionless(C, p)
+        require_torsionless(C, p)
         gamma = C.christoffels.at(p, k)
         x1 = e1.vec.at(p, k + 1)
         x2 = e2.vec.at(p, k + 1)
         a1 = e1.cov.at(p, k + 1)
         a2 = e2.cov.at(p, k + 1)
         nx1, na1 = nabla_jets(gamma, x1, 1, 0), nabla_jets(gamma, a1, 0, 1)
-        vec = covd_jets(gamma, x1, x2, 1, 0) - tdot(x2, nx1, ([0], [0]))
-        cov = covd_jets(gamma, x1, a2, 0, 1) - tdot(x2, na1, ([0], [0]))
+        # nabla_{X1} V = X1^I nabla_I V
+        vec = tdot(x1, nabla_jets(gamma, x2, 1, 0), ([0], [0])) - tdot(x2, nx1, ([0], [0]))
+        cov = tdot(x1, nabla_jets(gamma, a2, 0, 1), ([0], [0])) - tdot(x2, na1, ([0], [0]))
         # + <nabla_Z e1, e2> as a covector in Z:
         #   alpha2(nabla_Z X1) + (nabla_Z alpha1)(X2)
         covX = tdot(nx1, a2, ([1], [0]))
@@ -269,8 +268,9 @@ def leafwise_d(S, side, obj):
         dxi = exterior_derivative(tagged)
 
         def fn2(p, k):
-            return bigraded_part_at(dxi.at(p, k), 2 if side > 0 else 0,
-                                    S.P_plus.at(p, k), S.P_minus.at(p, k))
+            m_plus = 2 if side > 0 else 0
+            return bigraded_parts(dxi.at(p, k), S.P_plus.at(p, k), S.P_minus.at(p, k),
+                                  (m_plus,))[m_plus]
 
         return DerivedField(S.chart, 0, 2, fn2, sym="antisymmetric",
                             inputs=(dxi, S.P_plus, S.P_minus))
@@ -323,8 +323,9 @@ def jacobi_defect(bracket, X, Y, Z, point):
     return defect.max_abs(point)
 
 
-def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
-    """[beta, beta] of a bivector via a torsionless connection:
+def schouten_self(beta: Field, C: Connection) -> Field:
+    """[beta, beta] of a bivector via a torsionless connection, checked at
+    every evaluation point (NotTorsionless):
 
     [beta,beta](l,m,n) = sum_cycl (nabla_{beta(l)} beta)(m,n),
     returned as a (3,0) field.  No 1/2 normalization.
@@ -333,8 +334,7 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
         raise RankMismatch("schouten_self expects a (2,0) bivector")
 
     def fn(p, k):
-        if check_torsion:
-            require_torsionless(C, p)
+        require_torsionless(C, p)
         gamma = C.christoffels.at(p, k)
         bj = beta.at(p, k + 1)
         D = nabla_jets(gamma, bj, 2, 0)  # D[M, J, K] = (nabla_M beta)^{JK}
@@ -344,12 +344,6 @@ def schouten_self(beta: Field, C: Connection, check_torsion=True) -> Field:
         return S1 + S1.transpose((1, 2, 0)) + S1.transpose((2, 0, 1))
 
     return DerivedField(beta.chart, 3, 0, fn, inputs=(C.christoffels, beta))
-
-
-def schouten_scalar(beta, C, lam, mu, nu, point, order=0, check_torsion=True):
-    """[beta,beta](lam, mu, nu) for float covectors at a point (or batch)."""
-    t = schouten_self(beta, C, check_torsion=check_torsion).at(point, order)
-    return contract_value(point, t, *(constant_jets(t.ctx, c) for c in (lam, mu, nu)))
 
 
 # --------------------------------------------------------------------------
@@ -373,8 +367,7 @@ def cyclic_triples(elements, sample) -> CyclicTriples:
     return CyclicTriples(tile_points(sample, n), n, fields)
 
 
-def courant_axiom_suite(bracket, anchor, pair, triples: CyclicTriples, skip_pairing=False,
-                        scale=None):
+def courant_axiom_suite(bracket, anchor, pair, triples: CyclicTriples, scale=None):
     """Residuals of the three Courant axioms for a bracket/anchor/pairing
     triple on the stacked triples of `cyclic_triples`: `{"axiom1": r1,
     "axiom2": r2, "axiom3": r3}`, with r[point, triple] the |residual| at a
@@ -388,8 +381,9 @@ def courant_axiom_suite(bracket, anchor, pair, triples: CyclicTriples, skip_pair
     the pairing, are divided by its entry of `scale` (one per sample point,
     1 when None), so a caller can make them relative to the size of the
     metric; the Jacobi defect of axiom 3 is a vector field's and stays
-    absolute.  `skip_pairing` leaves axioms 1 and 2 at zero (for the plain
-    Lie bracket, whose pairing is degenerate).
+    absolute.  A bracket with no pairing, such as the plain Lie bracket,
+    has only axiom 3: its caller takes `jacobi_defect` of the stacked
+    triples' fields at their point.
 
     The defect is evaluated first: with a bracket that returns one shared
     field per pair (`d_bracket`, `projected_bracket`), its inner brackets
@@ -408,9 +402,6 @@ def courant_axiom_suite(bracket, anchor, pair, triples: CyclicTriples, skip_pair
         return (np.abs(values).reshape(n, -1) / scale).T
 
     axiom3 = by_triple(jacobi_defect(bracket, X, Y, Z, tiled))
-    if skip_pairing:
-        return {"axiom1": np.zeros(axiom3.shape), "axiom2": np.zeros(axiom3.shape),
-                "axiom3": axiom3}
     lhs = lie_derivative(anchor(X), pair(Y, Z)).values(tiled)
     r1 = lhs - pair(bracket(X, Y), Z).values(tiled) - pair(Y, bracket(X, Z)).values(tiled)
     half = 0.5 * lie_derivative(anchor(Y), pair(X, X)).values(tiled)

@@ -174,9 +174,11 @@ class _RunContext:
         if not isinstance(self.suites, list) or not all(isinstance(n, str) for n in self.suites):
             raise SpecParseError(f"suites must be a JSON list of names, got {self.suites!r}",
                                  "suites")
-        for name in self.suites:
+        for i, name in enumerate(self.suites):
             if name not in SUITES:
                 raise SpecParseError(f"unknown suite {name!r}", "suites")
+            if name in self.suites[:i]:
+                raise SpecParseError(f"suite {name!r} is listed twice", "suites")
         # The highest order the run's suites read the structure at.
         self.order = max((SUITES[name].order for name in self.suites), default=0)
 
@@ -393,21 +395,12 @@ class _RunContext:
                 and all(_numbers(b) and len(b) == 2 for b in box)):
             raise SpecParseError(f"box must be {chart.dim} intervals, each a pair of numbers, "
                                  f"got {box!r}", "sample")
-        rng = np.random.default_rng(seed)
         lo, hi = np.array(box, dtype=float).T
         with np.errstate(over="ignore"):
             if not np.all(np.isfinite(hi - lo)):
                 raise SpecParseError("box intervals must have a finite width", "sample")
-        # Candidates are drawn in blocks, which gives the stream of one draw
-        # per candidate, and accepted in order, at most 1000 per point asked.
-        pts, left = [], 1000 * count
-        while len(pts) < count:
-            if not left:
-                raise SpecParseError("sampling rejected too many points", "sample")
-            block = rng.uniform(lo, hi, (min(left, count - len(pts)), chart.dim))
-            left -= len(block)
-            pts += [c for c in block if self.model.point_ok(c)]
-        return Point(chart, pts), seed
+        # One draw of the whole sample: the stream of one draw per point.
+        return Point(chart, np.random.default_rng(seed).uniform(lo, hi, (count, chart.dim))), seed
 
     def rng_for(self, tag):
         digest = int.from_bytes(hashlib.sha256(tag.encode()).digest()[:4], "big")
@@ -711,9 +704,7 @@ def main(argv=None) -> int:
     runp.add_argument("-v", "--verbose", action="store_true",
                       help="print the report table even when writing a file")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run(args.spec, args.output, args.verbose)
-    return 2
+    return run(args.spec, args.output, args.verbose)
 
 
 if __name__ == "__main__":

@@ -161,19 +161,12 @@ def nabla_jets(gamma, tj, r, s):
     return out
 
 
-def covd_jets(gamma, direction, tj, r, s):
-    """nabla_V T at a point (or batch): V^I nabla_I T."""
-    return tdot(direction, nabla_jets(gamma, tj, r, s), ([0], [0]))
-
-
 def covariant_derivative(C: Connection, X: Field, T: Field) -> Field:
-    """nabla_X T as a derived field of the same rank."""
+    """nabla_X T = X^I nabla_I T as a derived field of the same rank."""
 
     def fn(p, k):
         gamma = C.christoffels.at(p, k)
-        xj = X.at(p, k)
-        tj = T.at(p, k + 1)
-        return covd_jets(gamma, xj, tj, T.r, T.s)
+        return tdot(X.at(p, k), nabla_jets(gamma, T.at(p, k + 1), T.r, T.s), ([0], [0]))
 
     return DerivedField(T.chart, T.r, T.s, fn, inputs=(C.christoffels, X, T))
 
@@ -198,14 +191,11 @@ def torsion(C: Connection) -> Field:
     return DerivedField(C.chart, 1, 2, fn, inputs=(C.christoffels,))
 
 
-def torsion_residual(C: Connection, point, order=0):
-    """Largest |torsion| component: a float at a point, one per point at a batch."""
-    return per_point(point, torsion(C).at(point, order)).max_abs()
-
-
 def require_torsionless(C: Connection, point):
-    require_within(point, torsion_residual(C, point), TORSION_TOL, NotTorsionless,
-                   "torsion residual")
+    """Raise NotTorsionless naming the first point (of a batch) where C's
+    largest |torsion| component exceeds TORSION_TOL."""
+    require_within(point, per_point(point, torsion(C).at(point, 0)).max_abs(), TORSION_TOL,
+                   NotTorsionless, "torsion residual")
 
 
 def riemann_jets(g, dg):

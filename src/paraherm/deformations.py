@@ -47,12 +47,12 @@ from .geometry import (
     require_within,
     tdot,
 )
-from .parastructure import ParaHermitianStructure, bigraded_part_at, bigraded_parts
+from .parastructure import ParaHermitianStructure, bigraded_parts
 
 __all__ = [
     "BTransformation", "b_transform", "b_minus_transform",
     "MCSides", "maurer_cartan_sides",
-    "mc_form", "compatibility_residual",
+    "compatibility_residual",
     "twisted_d_bracket", "twisted_d_bracket_reference",
     "extract_fluxes", "FluxReport", "f_flux",
 ]
@@ -101,10 +101,9 @@ class BTransformation:
 
         self.b_bivector = DerivedField(chart, 2, 0, bivec_fn, sym="antisymmetric",
                                        inputs=(b, eta_inv))
-        # [b,b] through the flat coordinate connection; any torsionless
-        # connection gives the same bracket.
-        schouten = self.schouten = schouten_self(self.b_bivector, flat_connection(chart),
-                                                 check_torsion=False)
+        # [b,b] through the flat coordinate connection, which passes the
+        # torsion check; any torsionless connection gives the same bracket.
+        schouten = self.schouten = schouten_self(self.b_bivector, flat_connection(chart))
 
         def lowered_fn(p, k):
             e = eta.at(p, k)
@@ -118,15 +117,11 @@ class BTransformation:
         Pp, Pm, m_plus = S.P_plus, S.P_minus, 3 if side > 0 else 0
 
         def part_fn(p, k):
-            return bigraded_part_at(db.at(p, k), m_plus, Pp.at(p, k), Pm.at(p, k))
+            return bigraded_parts(db.at(p, k), Pp.at(p, k), Pm.at(p, k), (m_plus,))[m_plus]
 
         self.db_part = DerivedField(chart, 0, 3, part_fn, sym="antisymmetric",
                                     inputs=(db, Pp, Pm))
         self.mc_form = self.db_part + self.lowered_schouten
-
-    def sheared_projector(self) -> Field:
-        """Projector onto the deformed eigenbundle (T+^B for side +1)."""
-        return self.structure_B.projector(self.side)
 
     def base_parakahler_residual(self, point):
         """Para-Kahler residual of the base structure: a float at a point,
@@ -198,7 +193,7 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     Schouten bracket of the associated bivector.
     """
     S = T.S
-    PB = T.sheared_projector()
+    PB = T.structure_B.projector(T.side)  # onto the deformed eigenbundle, T+^B for side +1
     PBX = apply_endomorphism(PB, X)
     PBY = apply_endomorphism(PB, Y)
     # P^B X and P^B Y are built per call and shared with no other caller, so
@@ -210,11 +205,6 @@ def maurer_cartan_sides(T: BTransformation, X, Y, Z, point) -> MCSides:
     rhs = contract_value(point, T.mc_form.at(point, 0), X.at(point, 0),
                          Y.at(point, 0), Z.at(point, 0))
     return MCSides(lhs, rhs)
-
-
-def mc_form(T: BTransformation) -> Field:
-    """d_side b + (Lambda^3 eta)[b,b]_other as a (0,3) field: the shear's own `T.mc_form`."""
-    return T.mc_form
 
 
 def compatibility_residual(T: BTransformation, sample):

@@ -390,7 +390,7 @@ def eval_expr(e, coords, order) -> JetArray:
     evaluated."""
     coords = np.asarray(coords, dtype=float)
     ctx = context(coords.shape[-1], order)
-    tape = e if isinstance(e, (Tape, RecentringTable)) else Tape([e], dim=ctx.dim)
+    tape = e if isinstance(e, (Tape, RecentringTable)) else Tape([e], (), ctx.dim)
     try:
         return tape.run(coords, ctx)
     except (DomainError, DivisionByZero) as exc:
@@ -419,7 +419,7 @@ class Tape:
     its tree alone takes, and each slot gets the bits its tree alone gets.
     """
 
-    def __init__(self, trees, shape=(), dim=None):
+    def __init__(self, trees, shape, dim):
         index, seen = {}, {}  # structural key -> slot; id(tree) -> slot
         consts, coords, self.steps = [], [], []  # (slot, value), (slot, coordinate), steps
 
@@ -431,7 +431,7 @@ class Tape:
             if t is ex.Const:
                 key = (t, type(e.value), float(e.value).hex())
             elif t is ex.Coord:
-                if dim is not None and e.index >= dim:
+                if e.index >= dim:
                     raise DimensionMismatch(
                         f"expression coordinate {e.index} out of range for dim {dim}")
                 key = (t, e.index)
@@ -614,8 +614,9 @@ def compile_components(trees, shape, dim):
 
 def _as_expr(chart, source):
     """A chart scalar (an int, a float, source text or an `expr` tree) as a
-    tree over the chart's coordinates."""
-    if isinstance(source, (int, np.integer)):
+    tree over the chart's coordinates.  A bool is not one (JSON's `true`
+    would read as 1)."""
+    if isinstance(source, (int, np.integer)) and not isinstance(source, bool):
         source = ex.Const(Fraction(int(source)))
     elif isinstance(source, (float, np.floating)):
         source = ex.Const(float(source))

@@ -50,13 +50,11 @@ __all__ = [
 
 
 class Model:
-    """A structure `S` on a `chart`, with where to sample it: the box
-    `default_box` and the filter `point_ok`, which keeps every point unless
-    `_point_ok` is set.  `jet_margin`: the jet orders beyond its own that
-    evaluating eta and K consumes from the model's data."""
+    """A structure `S` on a `chart`, with the box `default_box` to sample
+    it in.  `jet_margin`: the jet orders beyond its own that evaluating eta
+    and K consumes from the model's data."""
 
     jet_margin = 0
-    _point_ok = None
 
     def __init__(self, chart, S):
         self.chart = chart
@@ -64,9 +62,6 @@ class Model:
 
     def default_box(self):
         return [(-1.0, 1.0)] * self.chart.dim
-
-    def point_ok(self, coords):
-        return True if self._point_ok is None else self._point_ok(coords)
 
 
 @dataclass
@@ -97,7 +92,7 @@ class TangentBundleModel(Model):
     jet_margin = 1
 
     def __init__(self, n, chart, g_field, S, frames_h, frames_v, coframes_h,
-                 coframes_v, gamma_g, riemann_g, point_ok=None):
+                 coframes_v, gamma_g, riemann_g):
         self.n = n
         self.chart = chart
         self.g = g_field
@@ -108,16 +103,16 @@ class TangentBundleModel(Model):
         self.V_co = coframes_v
         self.gamma_g = gamma_g
         self.riemann_g = riemann_g
-        self._point_ok = point_ok
 
 
-def build_tm(g_sources, base_coords, jet_order=3, sample=None,
-             point_ok=None) -> TangentBundleModel:
+def build_tm(g_sources, base_coords, jet_order=3, sample=None) -> TangentBundleModel:
     """Assemble the tangent-bundle model for a base metric g.
 
     `g_sources` is an n x n nested sequence of chart scalars in the base
     coordinates; g is checked positive definite at the `sample`, a `Point`
-    on the full 2n chart, when one is given.
+    on the full 2n chart, when one is given.  The model has no sampling
+    filter: a caller keeps its sample where g is defined and positive
+    definite (off the poles of `sphere_base`, say) by the box it draws in.
     """
     n = len(base_coords)
     coord_names = list(base_coords) + [f"v{i + 1}" for i in range(n)]
@@ -178,10 +173,8 @@ def build_tm(g_sources, base_coords, jet_order=3, sample=None,
     eta = DerivedField(chart, 0, 2, eta_fn, sym="symmetric", inputs=(g_field, *frame_inputs))
     K = DerivedField(chart, 1, 1, K_fn, inputs=frame_inputs)
     S = ParaHermitianStructure(chart, eta, K)
-    model = TangentBundleModel(
-        n, chart, g_field, S, frames_h, frames_v, coframes_h, coframes_v,
-        gamma_g, riemann_g, point_ok=point_ok,
-    )
+    model = TangentBundleModel(n, chart, g_field, S, frames_h, frames_v, coframes_h,
+                               coframes_v, gamma_g, riemann_g)
     if sample is not None:
         batch = as_batch(sample)
         for coords, gv in zip(batch.coords, g_field.values(batch)[:, :n, :n]):
@@ -220,11 +213,7 @@ def b_field_on_tm(model: TangentBundleModel, b_sources, sample) -> BTransformati
 
 
 def sphere_base():
-    """Base data for the round 2-sphere: g = diag(1, sin^2 th) in (th, ph)."""
-    coords = ["th", "ph"]
-    g = [["1", "0"], ["0", "sin(th)^2"]]
-
-    def point_ok(c):
-        return abs(np.sin(c[0])) > 0.05
-
-    return g, coords, point_ok
+    """Base data (g, coords) for the round 2-sphere: g = diag(1, sin^2 th)
+    in (th, ph), positive definite away from the poles sin th = 0, which
+    `build_tm` rejects in a sample."""
+    return [["1", "0"], ["0", "sin(th)^2"]], ["th", "ph"]

@@ -45,8 +45,7 @@ __all__ = [
     "ParaHermitianStructure", "GeneralizedVector", "validate_structure",
     "rho", "rho_field", "rho_inverse", "nijenhuis", "nijenhuis_tensor",
     "nijenhuis_projector_form", "nijenhuis_connection_form", "n_scalar",
-    "phi_field", "phi_scalar", "bigraded_parts", "bigraded_part_at",
-    "classify",
+    "phi_field", "phi_scalar", "bigraded_parts", "classify",
 ]
 
 
@@ -312,12 +311,6 @@ def bigraded_parts(T: JetArray, Pp: JetArray, Pm: JetArray, parts) -> dict:
         leaves = grown
     return {m: reduce(add, (leaves[c] for c in combinations(range(k), m)))
             for m in parts}
-
-
-def bigraded_part_at(T: JetArray, m_plus: int, Pp: JetArray, Pm: JetArray) -> JetArray:
-    """(+m,-n) part of a (0,k) tensor value, from the jets Pp and Pm of
-    P+- at its point (`bigraded_parts` of the one part)."""
-    return bigraded_parts(T, Pp, Pm, (m_plus,))[m_plus]
 
 
 # --------------------------------------------------------------------------

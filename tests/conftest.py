@@ -21,10 +21,7 @@ def flat3():
 
 @pytest.fixture(scope="session")
 def sphere_tm():
-    g, coords, ok = sphere_base()
-    model = build_tm(g, coords)
-    model._point_ok = ok
-    return model
+    return build_tm(*sphere_base())
 
 
 @pytest.fixture(scope="session")
@@ -51,12 +48,7 @@ def sample_points(model, count, seed, box=None):
         box = model.default_box()
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    pts = []
-    while len(pts) < count:
-        c = rng.uniform(lo, hi)
-        if model.point_ok(c):
-            pts.append(model.chart.point(c))
-    return pts
+    return [model.chart.point(rng.uniform(lo, hi)) for _ in range(count)]
 
 
 def sphere_box():

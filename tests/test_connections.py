@@ -128,9 +128,7 @@ def nabla_connections(flat2):
     canonical ones and `flat_connection`'s (both `const`, so unbatched), and
     one whose expressions read a coordinate, so it is batched at a batch;
     and the sphere's Levi-Civita connection, with budget for order 2."""
-    g, coords, ok = sphere_base()
-    sphere = build_tm(g, coords, jet_order=4)
-    sphere._point_ok = ok
+    sphere = build_tm(*sphere_base(), jet_order=4)
     zero = np.full((flat2.chart.dim,) * 3, "x1 - x1", dtype=object)
     return {"canonical": (flat2, flat2.S.canonical),
             "flat": (flat2, flat_connection(flat2.chart)),
@@ -193,8 +191,7 @@ def test_canonical_forms_read_only_the_fields_they_use(sphere_pts, monkeypatch):
     Levi-Civita symbols, omega one order up, K and eta^{-1}.  With those
     evaluated at the point and every other structure field made to raise,
     its Christoffel symbols still evaluate there."""
-    g, coords, _ = sphere_base()
-    S = build_tm(g, coords).S
+    S = build_tm(*sphere_base()).S
     p = sphere_pts[0]
     lc = S.levi_civita.christoffels
     # Each form's inputs, with the order it reads them at for order 1.

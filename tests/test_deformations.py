@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,20 +8,23 @@ from paraherm.brackets import (
     GeneralizedVectorField, dorfman_leafwise, projected_bracket,
 )
 from paraherm.deformations import (
-    b_minus_transform, b_transform, compatibility_residual, extract_fluxes,
-    f_flux, maurer_cartan_sides, mc_form,
+    BTransformation, b_minus_transform, b_transform, compatibility_residual, extract_fluxes,
+    f_flux, maurer_cartan_sides,
     twisted_d_bracket, twisted_d_bracket_reference,
 )
 from paraherm.expr import to_source
 from paraherm.errors import (
-    NotAntisymmetric, NotParaKahler, RankMismatch, SingularFrame, WrongType,
+    MissingSplit, NotAntisymmetric, NotParaKahler, RankMismatch, SingularFrame, Unsupported,
+    WrongType,
 )
 from paraherm.geometry import (
-    TensorField, apply_endomorphism, constant_field, exterior_derivative,
+    Chart, TensorField, apply_endomorphism, constant_field, exterior_derivative,
     lie_bracket, reduce_points, stack_points, tdot,
 )
 from paraherm.connections import covariant_differential
-from paraherm.parastructure import rho, rho_field, validate_structure
+from paraherm.parastructure import (
+    ParaHermitianStructure, bigraded_parts, rho, rho_field, validate_structure,
+)
 from paraherm.randfields import random_poly, random_vector_field
 from conftest import sample_points
 from helpers import flux_report
@@ -142,12 +147,10 @@ def test_mc_residual_vs_twist_distinction(flat2):
     db = exterior_derivative(b)
     assert max(db.at(p, 0).max_abs() for p in pts) == 1.0
     # Cross-check: the (+3,-0)_B part of db equals the MC form.
-    from paraherm.parastructure import bigraded_part_at
-
     for p in pts[:2]:
-        lhs = mc_form(T).at(p, 0).values()
-        rhs = bigraded_part_at(db.at(p, 0), 3, T.structure_B.P_plus.at(p, 0),
-                               T.structure_B.P_minus.at(p, 0)).values()
+        lhs = T.mc_form.at(p, 0).values()
+        rhs = bigraded_parts(db.at(p, 0), T.structure_B.P_plus.at(p, 0),
+                             T.structure_B.P_minus.at(p, 0), (3,))[3].values()
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
 
@@ -201,14 +204,12 @@ def test_twisted_projected_is_h_twisted_dorfman(flat2):
     X = random_vector_field(S.chart, rng)
     Y = random_vector_field(S.chart, rng)
     CB = T.structure_B.canonical
-    from paraherm.parastructure import bigraded_part_at
-
     db = exterior_derivative(b)
     for p in pts:
         lhs = projected_bracket(CB, S, +1, X, Y).at(p, 0)
         base = projected_bracket(S.canonical, S, +1, X, Y).at(p, 0)
         eta = S.eta.at(p, 0)
-        dplus = bigraded_part_at(db.at(p, 0), 3, S.P_plus.at(p, 0), S.P_minus.at(p, 0))
+        dplus = bigraded_parts(db.at(p, 0), S.P_plus.at(p, 0), S.P_minus.at(p, 0), (3,))[3]
         corr = tdot(tdot(dplus, X.at(p, 0), ([0], [0])),
                     Y.at(p, 0), ([0], [0]))
         lhs_cov = values(tdot(eta, lhs, ([0], [0])))
@@ -420,10 +421,40 @@ def test_b_minus_wrong_type(flat2):
 
 
 def test_mc_form_is_the_shears_own_field(flat3_b):
-    """`mc_form` returns the one field the shear built, which the
-    Maurer-Cartan sides, the compatibility residual and the fluxes read."""
-    T, _ = flat3_b
-    assert mc_form(T) is T.mc_form and mc_form(T) is mc_form(T)
+    """The Maurer-Cartan sides, the compatibility residual and the fluxes
+    each read the one `T.mc_form` the shear built, once, at order 0, and
+    build no sum of their own."""
+    base, pts = flat3_b
+    T = BTransformation(base.S, base.b)  # a shear of its own, whose field is wrapped
+    batch, form, read = stack_points(pts), T.mc_form, []
+    T.mc_form = SimpleNamespace(at=lambda p, k=0: read.append(k) or form.at(p, k))
+    rng = np.random.default_rng(24)
+    X, Y, Z = (random_vector_field(T.S.chart, rng) for _ in range(3))
+    for check in (lambda: maurer_cartan_sides(T, X, Y, Z, batch),
+                  lambda: compatibility_residual(T, batch), lambda: extract_fluxes(T, batch)):
+        read.clear()
+        check()
+        assert read == [0]
+
+
+def test_fluxes_are_defined_for_the_plus_shear_only(flat2):
+    T = b_minus_transform(flat2.S, make_b(flat2.chart, {(2, 3): "1"}))
+    with pytest.raises(Unsupported, match="plus-side shear"):
+        extract_fluxes(T, stack_points(sample_points(flat2, 2, 30)))
+
+
+def test_fluxes_need_a_split_chart():
+    """On a chart with no split, a para-Kahler structure with no adapted
+    coordinates, `extract_fluxes` and `f_flux` raise MissingSplit."""
+    chart = Chart(["x", "y"])
+    S = ParaHermitianStructure(chart, constant_field(chart, [[0, 1], [1, 0]], 0, 2,
+                                                     sym="symmetric"),
+                               constant_field(chart, np.diag([1.0, -1.0]), 1, 1))
+    p = chart.point([0.3, -0.2])
+    with pytest.raises(MissingSplit, match="flux extraction"):
+        extract_fluxes(BTransformation(S, make_b(chart, {(0, 1): "x"})), p)
+    with pytest.raises(MissingSplit, match="f-flux"):
+        f_flux(S, [["1"]], p)
 
 
 # -- intertwining and the type of nabla b -----------------------------------------------

@@ -322,7 +322,7 @@ def test_forest_tape_is_byte_equal_to_each_tree_alone(forest, k, batch, seed):
     a degree that never under-reports."""
     nvars, trees = forest
     coords = np.random.default_rng(seed).uniform(-1.0, 1.0, batch + (nvars,))
-    got = eval_expr(Tape(trees, (len(trees),)), coords, k)
+    got = eval_expr(Tape(trees, (len(trees),), nvars), coords, k)
     assert got.nb == len(batch) and got.shape == (len(trees),)
     assert got.coeffs.flags["C_CONTIGUOUS"]
     assert not np.any(got.coeffs[..., got.ctx.degree > got.deg])
@@ -345,7 +345,7 @@ def test_tape_arithmetic_runs_on_its_buffer(monkeypatch, batch, k):
              ("x*y - 2*z^2", "-(x + y)^2 * z", "3*4 - x*x + (y - z)^2", "0*x + y", "(3 - 4)^2",
               "x / (2 + y^2)", "(1 + x^2)^-2 - 2^-1", "sin(x) * cos(y - z) + exp(z) / 3",
               "sqrt(2 + x*y) + sin(1) - cos(0) * exp(0) + sqrt(4)")]
-    tape = Tape(trees, (len(trees),))
+    tape = Tape(trees, (len(trees),), len(names))
     built = []
     init = JetArray.__init__
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from paraherm import brackets as br
 from paraherm.connections import covariant_differential, curvature, flat_connection
-from paraherm.deformations import BTransformation, mc_form
+from paraherm.deformations import BTransformation
 from paraherm.errors import RankMismatch, SingularMetric
 from paraherm.geometry import (
     Chart,
@@ -259,7 +259,7 @@ def _derived_fields(model):
          br.flat_coordinate_dbracket(chart, model.eta_matrix, X, Y)),
         ("schouten_self", br.schouten_self(random_bivector(chart, rng),
                                            flat_connection(chart))),
-        ("mc_form", mc_form(BTransformation(S, b))),
+        ("mc_form", BTransformation(S, b).mc_form),
     ]
 
 

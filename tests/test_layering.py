@@ -51,6 +51,8 @@ them), so every evaluator runs behind `TensorField` and `eval_expr`.
 No `einsum` call in `src/` takes more than two operands: a contraction of
 more is written as a chain of two-operand products (`project_slots`, or
 `tdot` on jets), since numpy's multi-operand path is slower on these sizes.
+Every module's `__all__` names only what the module binds, each name once,
+so a deleted function leaves no stale export behind.
 """
 
 import ast
@@ -225,7 +227,7 @@ def _oracle_dependencies(tree):
 
 
 def test_the_oracle_shares_no_code_with_the_connection_path():
-    """No `tdot`, `nabla_jets`, `covd_jets`, connection or structure code in
+    """No `tdot`, `nabla_jets`, connection or structure code in
     the oracle; a copy of it that calls `tdot` fails the check."""
     tree = _tree("brackets")
     found = sorted(_oracle_dependencies(tree))
@@ -551,3 +553,59 @@ def test_einsum_guard_catches_each_form():
         "e = x @ y @ z\n"
     )
     assert sorted(_long_einsums(ast.parse(source))) == [(1, 3), (2, 3), (3, 1)]
+
+
+def _bound_names(body):
+    """The names the statements `body` bind at module level, through the
+    bodies of their `if`, `try` and `with` blocks."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((a.asname or a.name).split(".")[0] for a in node.names)
+        if isinstance(node, (ast.If, ast.Try, ast.With, ast.ExceptHandler)):
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                yield from _bound_names(getattr(node, block, []))
+
+
+def _stale_exports(tree):
+    """(line, name) of each `__all__` entry the module does not bind, and of
+    each entry after its first."""
+    bound, listed = set(_bound_names(tree.body)), set()
+    for node in tree.body:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if not any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            continue
+        for entry in ast.walk(node.value):
+            if isinstance(entry, ast.Constant) and isinstance(entry.value, str):
+                if entry.value not in bound or entry.value in listed:
+                    yield entry.lineno, entry.value
+                listed.add(entry.value)
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_every_export_is_defined_once(module):
+    found = sorted(_stale_exports(_tree(module)))
+    assert not found, f"{module}.py exports names it does not define, or twice, at {found}"
+
+
+def test_export_guard_catches_each_form():
+    source = (
+        "from .geometry import tdot, Chart as C\n"
+        "import numpy as np\n"
+        "X = 1\n"
+        "def f(): pass\n"
+        "class K: pass\n"
+        "try:\n"
+        "    from .jets import context\n"
+        "except ImportError:\n"
+        "    fallback = None\n"
+        "__all__ = ['tdot', 'C', 'np', 'X', 'f', 'K', 'context', 'fallback',\n"
+        "           'gone', 'Chart']\n"
+        "__all__ += ['f', 'mc_form']\n"
+    )
+    assert sorted(_stale_exports(ast.parse(source))) == [
+        (11, "Chart"), (11, "gone"), (12, "f"), (12, "mc_form")]

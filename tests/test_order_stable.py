@@ -485,7 +485,7 @@ def test_recentring_tables_are_order_stable_and_exact(forest, k, B, seed):
     assert same_bits(got.coeffs[:, 1::2], -got.coeffs[:, ::2])
     want = eval_expr(tape, coords, k).coeffs
     for i, e in enumerate(trees):
-        bound = eval_expr(Tape([_magnitude(e)], dim=nvars), np.abs(coords), k).coeffs
+        bound = eval_expr(Tape([_magnitude(e)], (), nvars), np.abs(coords), k).coeffs
         tol = 1e-13 * np.maximum(1.0, bound)
         reference = np.stack([_reference_jets(e, x, got.ctx) for x in coords])
         for other in (want[:, i], reference):

@@ -41,8 +41,7 @@ def test_a_run_is_freed_without_the_collector(runspec):
 def _classified_sphere():
     """The sphere's tangent bundle after `classify`, which builds its
     Nijenhuis tensor and connections; its base metric runs on a `Tape`."""
-    g, coords, ok = sphere_base()
-    model = build_tm(g, coords, point_ok=ok)
+    model = build_tm(*sphere_base())
     classify(model.S, stack_points(sample_points(model, 3, 5)))
     return [model, model.S, model.S.nijenhuis_tensor, model.g.tape]
 

@@ -9,7 +9,7 @@ from paraherm.geometry import (
     reduce_points, stack_points, tdot,
 )
 from paraherm.parastructure import (
-    ParaHermitianStructure, bigraded_part_at, classify, n_scalar, nijenhuis,
+    ParaHermitianStructure, bigraded_parts, classify, n_scalar, nijenhuis,
     nijenhuis_connection_form, nijenhuis_projector_form, phi_scalar, rho,
     rho_field, rho_inverse, validate_structure,
 )
@@ -379,7 +379,7 @@ def test_bigrading_completeness(sphere_tm, sphere_pts):
         tj = T.at(p, 0)
         total = None
         for m in range(4):
-            part = bigraded_part_at(tj, m, S.P_plus.at(p, 0), S.P_minus.at(p, 0))
+            part = bigraded_parts(tj, S.P_plus.at(p, 0), S.P_minus.at(p, 0), (m,))[m]
             total = part if total is None else total + part
         assert (total - tj).max_abs() < 1e-12
 
@@ -472,10 +472,10 @@ def _run_check(name, flat1, sample):
     tangent bundle of the flat line, as a value that compares by ==: a
     checker's per-point arrays as nested lists.
     Both charts have dimension 2, so one sample serves both."""
-    from paraherm.brackets import courant_axiom_suite, cyclic_triples
+    from paraherm.brackets import courant_axiom_suite, cyclic_triples, d_bracket, eta_pairing
     from paraherm.connections import check_adapted
     from paraherm.deformations import b_transform, compatibility_residual
-    from paraherm.geometry import antisymmetry_residual, lie_bracket
+    from paraherm.geometry import antisymmetry_residual
     from paraherm.models import build_tm, flatness_residual
 
     S = flat1.S
@@ -496,7 +496,8 @@ def _run_check(name, flat1, sample):
         "classify": lambda: listed_classify(),
         "adapted": lambda: listed(check_adapted(S.canonical, S, "p", sample)),
         "courant": lambda: listed(courant_axiom_suite(
-            lie_bracket, lambda X: X, None, cyclic_triples(pool, sample), skip_pairing=True)),
+            lambda X, Y: d_bracket(S, X, Y), lambda X: X, lambda X, Y: eta_pairing(S, X, Y),
+            cyclic_triples(pool, sample))),
         "antisymmetry": lambda: antisymmetry_residual(S.omega, sample),
         "b_transform": lambda: b_transform(S, zero_b, sample=sample).side,
         "compatibility": lambda: compatibility_residual(b_transform(S, zero_b),
